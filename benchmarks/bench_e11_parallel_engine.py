@@ -16,12 +16,6 @@ thousands of (candidate × query class) work units):
 * **warm** — a repeated sweep against the already-populated cache, the shape
   every what-if tuning iteration takes.
 
-**Part 2 — the vectorized class-axis sweep** on APB-1: the per-candidate cost
-sweep (access structures, prefetch resolution, per-class costs) timed scalar
-vs vectorized over all surviving candidates, on the stock 8-class APB-1 mix
-and on a widened 40-class APB-1-style mix (the class count whose per-class
-scalar passes the PR 1 profile flagged as the dominant serial cost).
-
 **Part 3 — cross-process warm start** from the persistent on-disk cache
 (``repro.engine.store``): four *separate* advisor processes share one cache
 directory — a cold process that spills its sweep, a warm serial process, a
@@ -34,9 +28,9 @@ fingerprint.
 **Part 4 — the session delta chain**: one ``AdvisorSession`` absorbs a
 5-edit what-if chain against 5 cold advisors (see the test docstring).
 
-**Part 5 — the candidate-axis batched sweep**: class-axis vs candidate-axis
-kernels on the stock 8-class APB-1 mix (where the class-axis win broke even
-at ~1.05x), plus the warm start from the columnar candidate store;
+**Part 5 — the columnar candidate store**: on the stock 8-class APB-1 mix a
+fresh advisor warm-starts from the store a cold advisor spilled; the scalar
+and batched paths are asserted fingerprint-identical on the same sweep;
 measurements are appended to ``BENCH_e11.json``.
 
 **Part 7 — the HTTP service under concurrent load**: an
@@ -66,8 +60,7 @@ keeps the result independent of worker count; measurements are appended to
 
 Assertions: all modes return bit-identical recommendations
 (:func:`repro.engine.recommendation_fingerprint`); the warm cache-aware sweep
-is at least 2x faster than the serial baseline; the vectorized 40-class APB-1
-sweep is at least 3x faster than the scalar sweep; and — on machines that
+is at least 2x faster than the serial baseline; and — on machines that
 actually have the cores — ``jobs=4`` beats the serial baseline by at least 2x.
 The multicore assertion is gated on CPU availability because a process pool
 cannot beat physics on a single-core container; the measured numbers are
@@ -89,26 +82,14 @@ import time
 from repro import (
     AdvisorConfig,
     AdvisorSession,
-    DimensionRestriction,
     EngineOptions,
-    QueryClass,
-    QueryMix,
     SystemParameters,
     Warlock,
     apb1_query_mix,
     apb1_schema,
     synthetic_schema,
 )
-from repro.costmodel import (
-    IOCostModel,
-    compute_access_structure_batch,
-    evaluate_workload_batch,
-    resolve_prefetch_setting,
-    resolve_prefetch_setting_batch,
-)
 from repro.engine import recommendation_fingerprint
-from repro.fragmentation import build_layout
-from repro.workload import ClassMatrix
 from repro.workload.generator import random_query_mix
 
 from conftest import print_table
@@ -122,12 +103,9 @@ QUICK = dict(dimensions=5, bottom=200, classes=8, max_fragments=20_000, min_cand
 
 JOBS = 4
 
-#: APB-1 configuration of the class-axis sweep experiment.
+#: APB-1 configuration of the columnar-store experiment.
 APB_SCALE = 0.2
 APB_DISKS = 64
-#: Widening factor: each APB-1 class is replicated with growing IN-list
-#: widths, giving the 40-class APB-1-style mix of the headline measurement.
-APB_WIDEN = 5
 
 
 def _inputs(params):
@@ -252,143 +230,6 @@ def test_e11_parallel_engine_speedup_and_parity(benchmark, quick):
             f"jobs={JOBS} only {serial_s / parallel_s:.2f}x over serial "
             f"({parallel_s:.3f}s vs {serial_s:.3f}s) on {cpus} CPUs"
         )
-
-
-# ---------------------------------------------------------------------------
-# Part 2: the vectorized class-axis sweep on APB-1
-# ---------------------------------------------------------------------------
-
-def _widened_apb1_mix(schema, widen: int) -> QueryMix:
-    """The APB-1 mix replicated with growing IN-list widths (8 x widen classes)."""
-    classes = []
-    for repetition in range(widen):
-        for query_class in apb1_query_mix():
-            restrictions = [
-                DimensionRestriction(
-                    restriction.dimension,
-                    restriction.level,
-                    min(
-                        schema.level_cardinality(
-                            restriction.dimension, restriction.level
-                        ),
-                        1 + repetition * 2,
-                    ),
-                )
-                for restriction in query_class.restrictions
-            ]
-            classes.append(
-                QueryClass(
-                    name=f"{query_class.name}-w{repetition}",
-                    restrictions=restrictions,
-                    weight=query_class.weight,
-                    fact_table=query_class.fact_table,
-                )
-            )
-    return QueryMix(classes)
-
-
-def _time_class_axis_sweep(layouts, workload, scheme, system, vectorize, rounds=5):
-    """Best-of-N wall time of the uncached per-candidate cost sweep.
-
-    This is exactly the work the tentpole vectorized: access-structure
-    derivation, prefetch resolution and the per-class cost model for every
-    candidate (layout materialization and allocation are identical in both
-    paths and excluded).
-    """
-    model = IOCostModel(system, validate_queries=False)
-    matrix = ClassMatrix.compile(layouts[0].schema, workload, scheme)
-    best = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        if vectorize:
-            for layout in layouts:
-                structures = compute_access_structure_batch(layout, matrix)
-                prefetch = resolve_prefetch_setting_batch(structures, matrix, system)
-                evaluate_workload_batch(layout, structures, matrix, system, prefetch)
-        else:
-            for layout in layouts:
-                prefetch = resolve_prefetch_setting(
-                    layout, workload, scheme, system, validate_queries=False
-                )
-                model.evaluate(layout, workload, scheme, prefetch)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
-def test_e11_vectorized_class_axis_sweep(quick):
-    """Scalar vs vectorized serial cost sweep on APB-1 (8 and 40 classes)."""
-    schema = apb1_schema(scale=0.05 if quick else APB_SCALE)
-    system = SystemParameters(num_disks=APB_DISKS)
-    config = AdvisorConfig(max_fragments=100_000)
-    widen = 1 if quick else APB_WIDEN
-
-    stock_mix = apb1_query_mix()
-    wide_mix = _widened_apb1_mix(schema, widen)
-
-    advisor = Warlock(schema, stock_mix, system, config)
-    specs, _ = advisor.generate_specs()
-    scheme = advisor.design_bitmaps()
-    layouts = [
-        build_layout(
-            schema,
-            spec,
-            page_size_bytes=system.page_size_bytes,
-            max_fragments=config.max_fragments,
-        )
-        for spec in specs
-    ]
-
-    rows = []
-    ratios = {}
-    for label, workload in (
-        (f"stock mix ({len(stock_mix)} classes)", stock_mix),
-        (f"widened mix ({len(wide_mix)} classes)", wide_mix),
-    ):
-        mix_scheme = Warlock(schema, workload, system, config).design_bitmaps()
-        scalar_s = _time_class_axis_sweep(layouts, workload, mix_scheme, system, False)
-        vector_s = _time_class_axis_sweep(layouts, workload, mix_scheme, system, True)
-        ratios[label] = scalar_s / vector_s
-        rows.append(
-            [
-                label,
-                f"{scalar_s * 1000:.1f}",
-                f"{vector_s * 1000:.1f}",
-                f"{scalar_s / vector_s:.2f}x",
-            ]
-        )
-    print()
-    print_table(
-        f"E11: class-axis cost sweep on APB-1 ({len(layouts)} candidates, serial, uncached)",
-        ["workload", "scalar [ms]", "vectorized [ms]", "speedup"],
-        rows,
-    )
-
-    # -- parity: the vectorized advisor returns the bit-identical result --------
-    scalar_rec = Warlock(
-        schema,
-        wide_mix,
-        system,
-        config,
-        options=EngineOptions(cache=False, vectorize=False),
-    ).recommend()
-    vector_rec = Warlock(
-        schema, wide_mix, system, config, options=EngineOptions(cache=False)
-    ).recommend()
-    assert recommendation_fingerprint(scalar_rec) == recommendation_fingerprint(
-        vector_rec
-    )
-
-    if quick:
-        return
-
-    # The vectorized win grows with the class axis; on the 40-class APB-1
-    # sweep it must clear 3x (measured ~3.5x on the reference container).
-    wide_label = f"widened mix ({len(wide_mix)} classes)"
-    assert ratios[wide_label] >= 3.0, (
-        f"vectorized class-axis sweep only {ratios[wide_label]:.2f}x over "
-        f"scalar on the 40-class APB-1 mix"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -652,62 +493,12 @@ def test_e11_session_delta_chain(quick):
 
 
 # ---------------------------------------------------------------------------
-# Part 5: the candidate-axis batched sweep + columnar warm start
+# Part 5: warm start from the columnar candidate store
 # ---------------------------------------------------------------------------
 
 #: Trajectory file: every part-5/part-6 run appends its measurements, so the
-#: candidate-axis and ranking speedups can be tracked across commits/containers.
+#: warm-start and ranking speedups can be tracked across commits/containers.
 BENCH_TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_e11.json")
-
-
-def _time_candidate_axis_sweep(layouts, matrix, system, candidate_axis, rounds=5):
-    """Best-of-N wall time of the uncached cost sweep, kernels only.
-
-    Exactly the work the candidate-axis tentpole batches: access-structure
-    derivation, prefetch resolution and the cost model.  The class-axis
-    variant runs one python pass per candidate; the candidate-axis variant
-    stacks each axis-structure group into one (candidate × class) batch.
-    """
-    from repro.costmodel import (
-        AccessStructureBatch2D,
-        compute_access_structure_batch_candidates,
-        evaluate_workload_batch_candidates,
-        resolve_prefetch_settings_batch_candidates,
-    )
-
-    groups = {}
-    for layout in layouts:
-        groups.setdefault(layout.spec.axis_structure, []).append(layout)
-    best = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        if candidate_axis:
-            # The engine's strategy: structures per axis-structure group (the
-            # unit of uniform control flow), then ONE whole-sweep stack for
-            # prefetch resolution and the cost model (purely per-candidate
-            # elementwise, so groups concatenate freely).
-            stacked_layouts = []
-            group_batches = []
-            for group in groups.values():
-                stacked_layouts.extend(group)
-                group_batches.append(
-                    compute_access_structure_batch_candidates(group, matrix)
-                )
-            structures = AccessStructureBatch2D.concat(group_batches)
-            prefetches = resolve_prefetch_settings_batch_candidates(
-                structures, matrix, system
-            )
-            evaluate_workload_batch_candidates(
-                stacked_layouts, structures, matrix, system, prefetches
-            )
-        else:
-            for layout in layouts:
-                structures = compute_access_structure_batch(layout, matrix)
-                prefetch = resolve_prefetch_setting_batch(structures, matrix, system)
-                evaluate_workload_batch(layout, structures, matrix, system, prefetch)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, len(groups)
 
 
 def _append_trajectory(record):
@@ -726,43 +517,19 @@ def _append_trajectory(record):
         handle.write("\n")
 
 
-def test_e11_candidate_axis_sweep(quick, tmp_path):
-    """Part 5: candidate-axis batching where the class-axis win broke even.
+def test_e11_columnar_store_warm_start(quick, tmp_path):
+    """Part 5: a fresh advisor warm-starting from the columnar candidate store.
 
-    PR 2's class-axis vectorization measured only ~1.05x on the stock 8-class
-    APB-1 mix — the per-candidate numpy dispatch overhead ate the narrow
-    class axis.  Batching whole axis-structure groups over the candidate axis
-    amortizes that overhead: asserted >= 2x over the class-axis path on the
-    same sweep (full mode).  The second half measures the columnar
-    candidate store: a fresh advisor warm-starting from disk must beat the
-    cold run (>= 1.3x full mode) with >= 90% disk hits, since it no longer
-    unpickles one candidate blob per spec nor re-derives the exclusion
-    thresholds.  All paths are asserted fingerprint-identical.
+    A cold advisor spills its sweep; a fresh advisor over the same directory
+    must beat the cold run (>= 1.3x full mode) with >= 90% disk hits, since
+    it neither unpickles one candidate blob per spec nor re-derives the
+    exclusion thresholds.  The scalar and batched paths and both store runs
+    are asserted fingerprint-identical.
     """
     schema = apb1_schema(scale=0.05 if quick else APB_SCALE)
     system = SystemParameters(num_disks=APB_DISKS)
     config = AdvisorConfig(max_fragments=100_000)
     mix = apb1_query_mix()
-
-    advisor = Warlock(schema, mix, system, config)
-    specs, _ = advisor.generate_specs()
-    scheme = advisor.design_bitmaps()
-    matrix = ClassMatrix.compile(schema, mix, scheme)
-    layouts = [
-        build_layout(
-            schema,
-            spec,
-            page_size_bytes=system.page_size_bytes,
-            max_fragments=config.max_fragments,
-        )
-        for spec in specs
-    ]
-
-    class_axis_s, _ = _time_candidate_axis_sweep(layouts, matrix, system, False)
-    candidate_axis_s, num_groups = _time_candidate_axis_sweep(
-        layouts, matrix, system, True
-    )
-    kernel_ratio = class_axis_s / candidate_axis_s
 
     # -- columnar warm start: cold advisor spills, fresh advisor loads ---------
     store = tmp_path / "columnar-store"
@@ -777,34 +544,24 @@ def test_e11_candidate_axis_sweep(quick, tmp_path):
     warm_ratio = cold_s / warm_s
     warm_stats = warm_advisor.cache.stats
 
-    # -- mode parity on this exact sweep ---------------------------------------
+    # -- path parity on this exact sweep ---------------------------------------
     fingerprints = {
         recommendation_fingerprint(
             Warlock(
                 schema, mix, system, config,
-                options=EngineOptions(cache=False, vectorize=mode),
+                options=EngineOptions(cache=False, vectorize=vectorize),
             ).recommend()
         )
-        for mode in ("none", "classes", "candidates")
+        for vectorize in (False, True)
     }
     fingerprints.add(recommendation_fingerprint(cold_rec))
     fingerprints.add(recommendation_fingerprint(warm_rec))
-    assert len(fingerprints) == 1, "candidate-axis modes disagree"
+    assert len(fingerprints) == 1, "scalar, batched and store runs disagree"
 
     print()
     print_table(
-        f"E11: candidate-axis cost sweep on APB-1 "
-        f"({len(layouts)} candidates in {num_groups} axis groups, "
-        f"{matrix.num_classes} classes, serial, uncached)",
-        ["path", "time [ms]", "speedup"],
-        [
-            ["class-axis (per-candidate)", f"{class_axis_s * 1000:.1f}", "1.00x"],
-            ["candidate-axis (stacked)", f"{candidate_axis_s * 1000:.1f}",
-             f"{kernel_ratio:.2f}x"],
-        ],
-    )
-    print_table(
-        "E11: warm start from the columnar candidate store",
+        f"E11: warm start from the columnar candidate store "
+        f"({len(cold_rec.evaluated)} candidates, APB-1)",
         ["run", "time [s]", "disk hits", "ratio"],
         [
             ["cold (spills store)", f"{cold_s:.3f}", "0", "1.00x"],
@@ -817,12 +574,7 @@ def test_e11_candidate_axis_sweep(quick, tmp_path):
     _append_trajectory(
         {
             "quick": quick,
-            "candidates": len(layouts),
-            "axis_groups": num_groups,
-            "classes": matrix.num_classes,
-            "class_axis_ms": round(class_axis_s * 1000, 3),
-            "candidate_axis_ms": round(candidate_axis_s * 1000, 3),
-            "kernel_speedup": round(kernel_ratio, 3),
+            "candidates": len(cold_rec.evaluated),
             "cold_s": round(cold_s, 4),
             "warm_s": round(warm_s, 4),
             "warm_from_disk_ratio": round(warm_ratio, 3),
@@ -833,13 +585,6 @@ def test_e11_candidate_axis_sweep(quick, tmp_path):
     assert warm_stats.disk_hit_rate >= 0.9
     if quick:
         return
-    # The candidate-axis batch must clear 2x over the class-axis path on the
-    # 8-class sweep where PR 2 broke even (measured ~2.5x on the reference
-    # container).
-    assert kernel_ratio >= 2.0, (
-        f"candidate-axis sweep only {kernel_ratio:.2f}x over class-axis "
-        f"({candidate_axis_s * 1000:.1f}ms vs {class_axis_s * 1000:.1f}ms)"
-    )
     # The columnar store + persisted exclusion report must push the
     # warm-from-disk ratio past the format-1 level (asserted conservatively).
     assert warm_ratio >= 1.3, (

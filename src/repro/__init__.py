@@ -119,7 +119,6 @@ from repro.api import (
     CompareRequest,
     CompareResult,
     EngineOptions,
-    EngineOptionsDeprecationWarning,
     EvaluateSpecRequest,
     EvaluateSpecResult,
     ProgressEvent,
@@ -209,7 +208,6 @@ __all__ = [
     # api: sessions, options, requests, progress
     "AdvisorSession",
     "EngineOptions",
-    "EngineOptionsDeprecationWarning",
     "ProgressEvent",
     "CancellationToken",
     "RecommendRequest",

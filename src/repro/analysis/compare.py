@@ -86,10 +86,7 @@ def compare_specs(
     baseline_spec=None,
     config=None,
     fact_table=None,
-    jobs=None,
     cache=None,
-    vectorize=None,
-    cache_dir=None,
     options=None,
     on_progress=None,
     cancel=None,
@@ -110,9 +107,7 @@ def compare_specs(
         omitted) — pass the same name the advisor was built with so cached
         evaluations are reused.
     options:
-        Execution options (:class:`repro.api.EngineOptions`).  The legacy
-        ``jobs=`` / ``vectorize=`` / ``cache_dir=`` kwargs remain as
-        deprecation shims.
+        Execution options (:class:`repro.api.EngineOptions`).
     cache:
         Evaluation cache to share with previous advisor/tuning work; a cache
         that already holds these evaluations makes this a pure rendering call.
@@ -120,28 +115,17 @@ def compare_specs(
         Chunk-boundary progress callback and cooperative cancel signal (see
         :mod:`repro.api.progress`).
     """
-    from repro.api.options import UNSET, resolve_engine_options
     from repro.engine import EvaluationEngine
 
     if not specs:
         raise ReportError("compare_specs needs at least one spec")
-    # Resolved here (not delegated to the engine constructor) so the shim
-    # warnings name compare_specs and point at *its* caller.
-    options, shared_cache = resolve_engine_options(
-        options,
-        owner="compare_specs",
-        jobs=UNSET if jobs is None else jobs,
-        vectorize=UNSET if vectorize is None else vectorize,
-        cache=UNSET if cache is None else cache,
-        cache_dir=UNSET if cache_dir is None else cache_dir,
-    )
     engine = EvaluationEngine(
         schema,
         workload,
         system,
         config,
         fact_table=fact_table,
-        cache=shared_cache,
+        cache=cache,
         options=options,
     )
     sweep = list(specs) if baseline_spec is None else [baseline_spec, *specs]

@@ -5,7 +5,7 @@ on:
 
 * :class:`~repro.api.options.EngineOptions` — one validated value object for
   the execution knobs (``jobs``, ``vectorize``, ``cache``, ``cache_dir``,
-  ``persist``) that used to travel as ad-hoc kwargs through four layers.
+  ``persist``, …) threaded from every entry point down to the engine.
 * :class:`~repro.api.session.AdvisorSession` — compile the inputs once, serve
   typed requests, derive incrementally edited sessions with
   :meth:`~repro.api.session.AdvisorSession.with_delta` (shared cache, exact
@@ -16,11 +16,7 @@ on:
   callbacks and :class:`CancellationToken` cooperative cancellation.
 """
 
-from repro.api.options import (
-    EngineOptions,
-    EngineOptionsDeprecationWarning,
-    resolve_engine_options,
-)
+from repro.api.options import EngineOptions
 from repro.api.progress import CancellationToken, ProgressEvent
 from repro.api.requests import (
     TUNE_STUDIES,
@@ -42,8 +38,6 @@ from repro.api.session import AdvisorSession
 
 __all__ = [
     "EngineOptions",
-    "EngineOptionsDeprecationWarning",
-    "resolve_engine_options",
     "ProgressEvent",
     "CancellationToken",
     "AdvisorSession",

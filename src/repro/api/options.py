@@ -1,52 +1,22 @@
-"""Unified engine options: one validated value object instead of kwarg soup.
+"""Unified engine options: one validated value object for the execution knobs.
 
-Before this module, every entry point — :class:`~repro.core.Warlock`, the six
-tuning studies, :func:`~repro.analysis.compare_specs`, four CLI subcommands —
-re-threaded the same ad-hoc ``jobs`` / ``vectorize`` / ``cache`` /
-``cache_dir`` keyword arguments through four layers, each validating (or
-forgetting to validate) them on its own.  :class:`EngineOptions` consolidates
-them into a single frozen dataclass that is validated once, compared by value,
-hashable, JSON round-trippable, and threaded verbatim from the API façade down
-to :class:`~repro.engine.EvaluationEngine`.
-
-The legacy keyword arguments remain accepted everywhere as *deprecation
-shims*: they behave exactly as before but emit an
-:class:`EngineOptionsDeprecationWarning` pointing at the option object.  The
-dedicated warning category (still a :class:`DeprecationWarning`) lets CI turn
-exactly these shims into errors — internal callers must all be migrated —
-without tripping over unrelated third-party deprecations.
+Every entry point — :class:`~repro.core.Warlock`, the six tuning studies,
+:func:`~repro.analysis.compare_specs`, the CLI subcommands, the HTTP service —
+takes one :class:`EngineOptions` instead of ad-hoc ``jobs`` / ``vectorize`` /
+``cache`` / ``cache_dir`` keyword arguments.  The frozen dataclass is
+validated once, compared by value, hashable, JSON round-trippable, and
+threaded verbatim from the API façade down to
+:class:`~repro.engine.EvaluationEngine`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.errors import AdvisorError
 
-__all__ = [
-    "EngineOptions",
-    "EngineOptionsDeprecationWarning",
-    "UNSET",
-    "resolve_engine_options",
-]
-
-
-class EngineOptionsDeprecationWarning(DeprecationWarning):
-    """Warning category of the legacy per-kwarg engine-option shims.
-
-    A dedicated subclass so test suites and CI can promote exactly these
-    warnings to errors (``-W error::repro.api.options.EngineOptionsDeprecationWarning``)
-    while leaving unrelated :class:`DeprecationWarning` sources alone.
-    """
-
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit ``None``.
-UNSET = object()
-
-#: Normalized vectorization modes (see :attr:`EngineOptions.vectorize_mode`).
-_VECTORIZE_MODES = ("none", "classes", "candidates")
+__all__ = ["EngineOptions"]
 
 
 def _validate_jobs(jobs: Union[int, str]) -> None:
@@ -68,13 +38,10 @@ class EngineOptions:
         result parity, ``"auto"`` picks the worker count per sweep from the
         available CPUs and the candidate count (the CLI default).
     vectorize:
-        Vectorization mode of the cost sweep.  ``True`` (default, alias
-        ``"candidates"``) batches whole chunks of same-axis-structure
-        candidates as (candidate × class) numpy arrays; ``"classes"``
-        vectorizes one candidate's class axis at a time (the pre-candidate-axis
-        default); ``False`` (alias ``"none"``, CLI ``--no-vectorize``) runs
-        the scalar reference path.  Results are bit-identical in every mode —
-        see :attr:`vectorize_mode` for the normalized value.
+        ``True`` (default) evaluates the cost sweep batched: whole chunks of
+        same-axis-structure candidates as (candidate × class) numpy arrays.
+        ``False`` (CLI ``--no-vectorize``) runs the scalar reference oracle.
+        Results are bit-identical either way.
     cache:
         ``True`` (default) memoizes access structures and whole candidate
         evaluations in an :class:`~repro.engine.EvaluationCache`; ``False``
@@ -114,7 +81,7 @@ class EngineOptions:
     """
 
     jobs: Union[int, str] = 1
-    vectorize: Union[bool, str] = True
+    vectorize: bool = True
     cache: bool = True
     cache_dir: Optional[str] = None
     persist: bool = True
@@ -125,14 +92,7 @@ class EngineOptions:
 
     def __post_init__(self) -> None:
         _validate_jobs(self.jobs)
-        if not isinstance(self.vectorize, bool) and self.vectorize not in (
-            _VECTORIZE_MODES
-        ):
-            raise AdvisorError(
-                f"EngineOptions.vectorize must be a bool or one of "
-                f"{sorted(_VECTORIZE_MODES)}, got {self.vectorize!r}"
-            )
-        for name in ("cache", "persist"):
+        for name in ("vectorize", "cache", "persist"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise AdvisorError(
@@ -201,19 +161,6 @@ class EngineOptions:
 
     # -- derivation -------------------------------------------------------------
 
-    @property
-    def vectorize_mode(self) -> str:
-        """The normalized vectorization mode: ``none``/``classes``/``candidates``.
-
-        The boolean aliases map ``True`` → ``"candidates"`` (the fully batched
-        default) and ``False`` → ``"none"`` (the scalar reference path).
-        """
-        if self.vectorize is True:
-            return "candidates"
-        if self.vectorize is False:
-            return "none"
-        return self.vectorize
-
     def replace(self, **changes: Any) -> "EngineOptions":
         """A copy with ``changes`` applied (re-validated)."""
         return replace(self, **changes)
@@ -256,15 +203,7 @@ class EngineOptions:
 
     def describe(self) -> str:
         """One-line summary used by logs and the CLI."""
-        mode = self.vectorize_mode
-        parts = [
-            f"jobs={self.jobs}",
-            {
-                "none": "scalar",
-                "classes": "vectorized (class axis)",
-                "candidates": "vectorized",
-            }[mode],
-        ]
+        parts = [f"jobs={self.jobs}", "vectorized" if self.vectorize else "scalar"]
         if not self.cache:
             parts.append("uncached")
         elif self.cache_dir:
@@ -279,78 +218,3 @@ class EngineOptions:
                 f"(lease={self.fabric_lease:g}s, grace={self.fabric_grace:g}s)"
             )
         return ", ".join(parts)
-
-
-def _warn_deprecated(owner: str, kwarg: str, replacement: str, stacklevel: int) -> None:
-    warnings.warn(
-        f"{owner}({kwarg}=...) is deprecated; pass "
-        f"options=EngineOptions({replacement}) instead",
-        EngineOptionsDeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def resolve_engine_options(
-    options: Optional[EngineOptions],
-    *,
-    owner: str,
-    jobs: Any = UNSET,
-    vectorize: Any = UNSET,
-    cache: Any = UNSET,
-    cache_dir: Any = UNSET,
-    stacklevel: int = 5,
-) -> Tuple[EngineOptions, Optional[Any]]:
-    """Merge an :class:`EngineOptions` with the legacy per-kwarg shims.
-
-    Returns ``(options, shared_cache)`` where ``shared_cache`` is the concrete
-    :class:`~repro.engine.EvaluationCache` instance the caller passed for
-    cross-engine sharing (or ``None``).  Legacy kwargs (``jobs=``,
-    ``vectorize=``, ``cache_dir=``, and the ``cache=False`` switch) emit an
-    :class:`EngineOptionsDeprecationWarning` and are folded into the returned
-    options; combining them with an explicit ``options=`` is an error — the
-    two would silently fight over the same knob.
-
-    ``stacklevel`` pins the warning to the *shimmed callable's caller*.  The
-    default 5 counts warn(1) -> merge(2) -> resolve_engine_options(3) -> the
-    shimmed constructor/function(4) -> its caller(5); a shim one call deeper
-    (the studies' ``_study_setup``) passes 6.
-    """
-    explicit = options is not None
-    resolved = options if explicit else EngineOptions()
-
-    def merge(kwarg: str, replacement: str, **changes: Any) -> EngineOptions:
-        if explicit:
-            raise AdvisorError(
-                f"{owner}: pass either options=EngineOptions(...) or the "
-                f"deprecated {kwarg}= keyword, not both"
-            )
-        # Validate before warning: an invalid value raises the same
-        # AdvisorError it always did, without a warning riding along.
-        updated = resolved.replace(**changes)
-        _warn_deprecated(owner, kwarg, replacement, stacklevel)
-        return updated
-
-    if jobs is not UNSET:
-        resolved = merge("jobs", f"jobs={jobs!r}", jobs=jobs)
-    if vectorize is not UNSET:
-        resolved = merge(
-            "vectorize",
-            f"vectorize={vectorize!r}",
-            vectorize=vectorize if isinstance(vectorize, str) else bool(vectorize),
-        )
-    if cache_dir is not UNSET and cache_dir is not None:
-        resolved = merge(
-            "cache_dir", f"cache_dir={cache_dir!r}", cache_dir=str(cache_dir)
-        )
-
-    shared_cache = None
-    if cache is not UNSET:
-        if cache is False:
-            # cache=False always ignored cache_dir; keep that contract.
-            resolved = merge("cache", "cache=False", cache=False, cache_dir=None)
-        elif cache is not None:
-            # A concrete EvaluationCache instance: the supported sharing hook,
-            # not a deprecated option (sessions, studies and comparisons pass
-            # one cache around by design).
-            shared_cache = cache
-    return resolved, shared_cache

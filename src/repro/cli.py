@@ -134,8 +134,6 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
         jobs = section.get("jobs", "auto")
     if getattr(args, "no_vectorize", False):
         vectorize = False
-    elif getattr(args, "vectorize", None):
-        vectorize = args.vectorize
     else:
         vectorize = section.get("vectorize", True)
     cache_dir = (
@@ -613,16 +611,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         help="evaluate the per-query-class cost sweep with the scalar "
         "reference path instead of the vectorized candidate-axis batches "
         "(results are bit-identical; this is an escape hatch / A-B check)",
-    )
-    parser.add_argument(
-        "--vectorize",
-        choices=["candidates", "classes", "none"],
-        default=None,
-        help="vectorization mode of the cost sweep: 'candidates' (default) "
-        "batches whole same-structure candidate chunks as 2-D numpy arrays, "
-        "'classes' vectorizes one candidate's class axis at a time, 'none' "
-        "runs the scalar reference path; all modes are bit-identical "
-        "(--no-vectorize wins over this flag)",
     )
     parser.add_argument(
         "--cache-dir",

@@ -123,11 +123,6 @@ class Warlock:
         evaluations across advisors/sessions (what-if tuning does).  ``None``
         (default) creates a private bounded cache when ``options.cache`` is
         true.
-    jobs, vectorize, cache_dir:
-        Deprecated aliases of the corresponding :class:`EngineOptions`
-        fields; passing them emits an
-        :class:`~repro.api.EngineOptionsDeprecationWarning`.  ``cache=False``
-        is likewise a deprecated alias of ``EngineOptions(cache=False)``.
     """
 
     def __init__(
@@ -137,25 +132,13 @@ class Warlock:
         system: SystemParameters,
         config: Optional[AdvisorConfig] = None,
         fact_table: Optional[str] = None,
-        jobs: Any = None,
         cache: Any = None,
-        vectorize: Any = None,
-        cache_dir: Any = None,
         options: Optional["EngineOptions"] = None,  # noqa: F821
     ) -> None:
         # Imported lazily: repro.api sits above the core in the layer stack
         # (its session imports this module).
-        from repro.api.options import UNSET, resolve_engine_options
         from repro.api.session import AdvisorSession
 
-        options, shared_cache = resolve_engine_options(
-            options,
-            owner="Warlock",
-            jobs=UNSET if jobs is None else jobs,
-            vectorize=UNSET if vectorize is None else vectorize,
-            cache=UNSET if cache is None else cache,
-            cache_dir=UNSET if cache_dir is None else cache_dir,
-        )
         self._session = AdvisorSession(
             schema,
             workload,
@@ -163,7 +146,7 @@ class Warlock:
             config=config,
             fact_table=fact_table,
             options=options,
-            cache=shared_cache,
+            cache=cache,
         )
 
     # -- session views ----------------------------------------------------------
@@ -205,18 +188,6 @@ class Warlock:
     @property
     def cache(self):
         return self._session.cache
-
-    @property
-    def jobs(self):
-        return self._session.options.jobs
-
-    @property
-    def vectorize(self) -> bool:
-        return self._session.options.vectorize
-
-    @property
-    def cache_dir(self) -> Optional[str]:
-        return self._session.options.cache_dir
 
     # -- candidate generation ---------------------------------------------------
 

@@ -31,13 +31,11 @@ from repro.costmodel.model import (
     resolve_prefetch_setting,
 )
 from repro.costmodel.batch import (
-    AccessProfileBatch,
     AccessProfileBatch2D,
     AccessStructureBatch,
     AccessStructureBatch2D,
     compute_access_structure_batch,
     compute_access_structure_batch_candidates,
-    estimate_access_batch,
     estimate_access_batch_candidates,
     evaluate_workload_batch,
     evaluate_workload_batch_candidates,
@@ -54,13 +52,11 @@ __all__ = [
     "QueryAccessProfile",
     "compute_access_structure",
     "estimate_access",
-    "AccessProfileBatch",
     "AccessProfileBatch2D",
     "AccessStructureBatch",
     "AccessStructureBatch2D",
     "compute_access_structure_batch",
     "compute_access_structure_batch_candidates",
-    "estimate_access_batch",
     "estimate_access_batch_candidates",
     "evaluate_workload_batch",
     "evaluate_workload_batch_candidates",

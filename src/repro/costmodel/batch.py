@@ -1,47 +1,43 @@
-"""Batched cost estimation over the class axis and the candidate axis.
+"""Batched cost estimation: a stack of layouts as (candidate × class) planes.
 
 The scalar path (:mod:`repro.costmodel.access` / :mod:`repro.costmodel.model`)
-evaluates one (candidate, query class) pair per call; the advisor's sweep
-therefore pays ~``num_classes`` Python passes per candidate.  This module
-removes those passes in two stages:
+evaluates one (candidate, query class) pair per call and stays the reference
+oracle.  This module is the one batched form of the same model: a
+:class:`~repro.workload.ClassMatrix` supplies the workload in columnar form,
+and a whole chunk of layouts sharing one *axis structure*
+(:attr:`~repro.fragmentation.FragmentationSpec.axis_structure` — the ordered
+fragmentation dimensions, within which all per-class control flow is uniform)
+stacks into (candidate × class) planes:
+:func:`compute_access_structure_batch_candidates` derives every stacked
+candidate's structures in one pass, and — because prefetch resolution and the
+cost model are purely elementwise per candidate —
+:func:`resolve_prefetch_settings_batch_candidates` /
+:func:`evaluate_workload_batch_candidates` then run over arbitrary
+concatenations of such stacks (:meth:`AccessStructureBatch2D.concat`), so the
+executor fuses a whole sweep chunk into one kernel pass.
 
-* **Class axis** — a :class:`~repro.workload.ClassMatrix` supplies the
-  workload in columnar form, :func:`compute_access_structure_batch` derives
-  every class's prefetch-independent access structure in one shot, and
-  :func:`estimate_access_batch` / :func:`evaluate_workload_batch` apply the
-  prefetch setting and the I/O cost model vectorized over all classes of one
-  candidate.
-
-* **Candidate axis** — a whole chunk of layouts sharing one *axis structure*
-  (:attr:`~repro.fragmentation.FragmentationSpec.axis_structure` — the
-  ordered fragmentation dimensions, within which all per-class control flow
-  is uniform) stacks into (candidate × class) planes:
-  :func:`compute_access_structure_batch_candidates` derives every stacked
-  candidate's structures in one pass, and — because prefetch resolution and
-  the cost model are purely elementwise per candidate —
-  :func:`resolve_prefetch_settings_batch_candidates` /
-  :func:`evaluate_workload_batch_candidates` then run over arbitrary
-  concatenations of such stacks (:meth:`AccessStructureBatch2D.concat`), so
-  the executor fuses a whole sweep chunk into one kernel pass.  This is what
-  makes narrow mixes pay off: the class-axis win shrinks to ~1.05x at 8
-  classes, while the candidate-axis batch clears 2x there (E11 part 5).
+A single candidate is a 1-row stack: :func:`compute_access_structure_batch`,
+:func:`resolve_prefetch_setting_batch` and :func:`evaluate_workload_batch` are
+thin single-candidate entry points over the same kernels, and the 1-D
+:class:`AccessStructureBatch` they exchange is the per-layout unit of the
+evaluation cache and the persistent store.
 
 Evaluations come out **columnar** (:class:`~repro.costmodel.EvaluationColumns`
 inside :class:`~repro.costmodel.WorkloadEvaluation`): per-class records are
 lazy views, so the sweep materializes no per-class Python objects at all.
 
-**Bit-parity contract.** The batched paths are the *same model*, not an
+**Bit-parity contract.** The batched path is the *same model*, not an
 approximation: every vector expression performs the identical IEEE-754 double
 operations in the identical order as its scalar counterpart (down to routing
 ``pow`` through CPython floats, see
 :func:`repro.costmodel.formulas._elementwise_pow`, and accumulating ragged
 per-index sums with ``np.add.at`` in scalar iteration order; stacked flat
-rows stay candidate-major so each candidate's slice replays the class-axis
-order).  The scalar path stays as the reference implementation;
-``tests/test_vector_parity.py`` sweeps random layouts, bitmap schemes and
-prefetch settings and asserts field-by-field equality of
+rows stay candidate-major so each candidate's slice replays the scalar
+per-class order).  ``tests/test_vector_parity.py`` sweeps random layouts,
+bitmap schemes and prefetch settings and asserts field-by-field equality of
+:class:`~repro.costmodel.AccessStructure`,
 :class:`~repro.costmodel.QueryAccessProfile` and
-:class:`~repro.costmodel.QueryCost` across all three paths, per class and per
+:class:`~repro.costmodel.QueryCost` between the scalar oracle and every
 stacked candidate slice.
 """
 
@@ -68,17 +64,14 @@ from repro.costmodel.model import (
     EvaluationColumns,
     WorkloadEvaluation,
     _positioning_page_equivalent,
-    prefetch_setting_from_runs,
 )
 
 __all__ = [
     "AccessStructureBatch",
     "AccessStructureBatch2D",
-    "AccessProfileBatch",
     "AccessProfileBatch2D",
     "compute_access_structure_batch",
     "compute_access_structure_batch_candidates",
-    "estimate_access_batch",
     "estimate_access_batch_candidates",
     "resolve_prefetch_setting_batch",
     "resolve_prefetch_settings_batch_candidates",
@@ -88,37 +81,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class _ResidualGroup:
-    """One residual-restriction source, compressed to the classes it affects.
-
-    The scalar path evaluates a class's residual restrictions in a fixed
-    order: fragmentation-axis residuals in spec order, then restrictions on
-    non-fragmentation dimensions in the class's restriction order.  Groups are
-    built in exactly that order, so iterating groups replays the scalar
-    per-class residual order for every class simultaneously.
-    """
-
-    #: Class indices this group restricts (ascending).
-    columns: np.ndarray
-    #: Residual fraction per affected class.
-    fractions: np.ndarray
-    #: Bitmap-index availability per affected class.
-    has_bitmap: np.ndarray
-    #: Bits read per fact row off the index, per affected class.
-    bits_read: np.ndarray
-    #: Restricted (dimension, level) per affected class.
-    attributes: Tuple[Tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
 class AccessStructureBatch:
     """Prefetch-independent access structures of *all* classes on one layout.
 
-    The columnar twin of :class:`~repro.costmodel.AccessStructure`: one numpy
-    entry per query class (mix order), plus a flat representation of the
-    ragged per-class bitmap-index extents (``index_class`` / ``index_pages``
-    rows, in per-class residual order).  :meth:`structure` materializes the
-    scalar dataclass for any class — bit-identical to
+    One candidate's row of an :class:`AccessStructureBatch2D` (see
+    :meth:`AccessStructureBatch2D.candidate`): one numpy entry per query class
+    (mix order), plus a flat representation of the ragged per-class
+    bitmap-index extents (``index_class`` / ``index_pages`` rows, in
+    per-class residual order).  It is the per-layout unit the evaluation
+    cache memoizes and the persistent store spills.  :meth:`structure`
+    materializes the scalar dataclass for any class — bit-identical to
     :func:`~repro.costmodel.compute_access_structure`.
     """
 
@@ -151,35 +123,15 @@ class AccessStructureBatch:
         return len(self.query_names)
 
     @cached_property
-    def bitmap_plan_available(self) -> np.ndarray:
-        """Per-class: residual filtering can run entirely off bitmap indexes."""
-        return (
-            self.has_residuals
-            & ~self.forced_full_scan
-            & (self.bitmap_index_counts > 0)
-        )
-
-    @cached_property
     def _index_rows_by_class(self) -> Tuple[Tuple[int, ...], ...]:
         rows: List[List[int]] = [[] for _ in range(self.num_classes)]
         for position, class_index in enumerate(self.index_class.tolist()):
             rows[class_index].append(position)
         return tuple(tuple(entry) for entry in rows)
 
-    def index_pages_for(self, class_index: int) -> Tuple[float, ...]:
-        """``bitmap_pages_per_index`` of one class (scalar-path order)."""
-        pages = self.index_pages
-        return tuple(float(pages[row]) for row in self._index_rows_by_class[class_index])
-
-    def attributes_for(self, class_index: int) -> Tuple[Tuple[str, str], ...]:
-        """``bitmap_attributes_available`` of one class (scalar-path order)."""
-        return tuple(
-            self.index_attributes[row]
-            for row in self._index_rows_by_class[class_index]
-        )
-
     def structure(self, class_index: int) -> AccessStructure:
         """Materialize the scalar :class:`AccessStructure` of one class."""
+        rows = self._index_rows_by_class[class_index]
         return AccessStructure(
             query_name=self.query_names[class_index],
             fragments_accessed=float(self.fragments_accessed[class_index]),
@@ -190,8 +142,10 @@ class AccessStructureBatch:
             qualifying_rows=float(self.qualifying_rows[class_index]),
             rows_per_fragment=float(self.rows_per_fragment[class_index]),
             fact_pages_per_fragment=float(self.fact_pages_per_fragment[class_index]),
-            bitmap_pages_per_index=self.index_pages_for(class_index),
-            bitmap_attributes_available=self.attributes_for(class_index),
+            bitmap_pages_per_index=tuple(float(self.index_pages[row]) for row in rows),
+            bitmap_attributes_available=tuple(
+                self.index_attributes[row] for row in rows
+            ),
             forced_full_scan=bool(self.forced_full_scan[class_index]),
             has_residuals=bool(self.has_residuals[class_index]),
             bitmap_touched_per_fragment=float(
@@ -200,555 +154,31 @@ class AccessStructureBatch:
             bitmap_density=float(self.bitmap_density[class_index]),
         )
 
-    def structures(self) -> Tuple[AccessStructure, ...]:
-        """All per-class access structures, in mix order."""
-        return tuple(self.structure(i) for i in range(self.num_classes))
-
-
-@dataclass(frozen=True)
-class AccessProfileBatch:
-    """Access profiles of all classes on one layout under one prefetch setting.
-
-    The columnar twin of :class:`~repro.costmodel.QueryAccessProfile`;
-    :meth:`profile` materializes the scalar dataclass for any class —
-    bit-identical to :func:`~repro.costmodel.estimate_access`.
-    """
-
-    structures: AccessStructureBatch
-    fact_pages_accessed: np.ndarray
-    bitmap_pages_accessed: np.ndarray
-    fact_io_requests: np.ndarray
-    bitmap_io_requests: np.ndarray
-    fact_pages_transferred: np.ndarray
-    sequential_fact_access: np.ndarray
-    use_bitmap_plan: np.ndarray
-
-    @property
-    def num_classes(self) -> int:
-        """Number of query classes in the batch."""
-        return self.structures.num_classes
-
-    def profile(self, class_index: int) -> QueryAccessProfile:
-        """Materialize the scalar :class:`QueryAccessProfile` of one class."""
-        structures = self.structures
-        bitmap_pages = float(self.bitmap_pages_accessed[class_index])
-        attributes = (
-            structures.attributes_for(class_index)
-            if self.use_bitmap_plan[class_index]
-            else ()
-        )
-        return QueryAccessProfile(
-            query_name=structures.query_names[class_index],
-            fragments_accessed=float(structures.fragments_accessed[class_index]),
-            fragments_total=structures.fragments_total,
-            rows_in_accessed_fragments=float(
-                structures.rows_in_accessed_fragments[class_index]
-            ),
-            qualifying_rows=float(structures.qualifying_rows[class_index]),
-            fact_pages_per_fragment=float(
-                structures.fact_pages_per_fragment[class_index]
-            ),
-            fact_pages_accessed=float(self.fact_pages_accessed[class_index]),
-            bitmap_pages_accessed=bitmap_pages,
-            fact_io_requests=float(self.fact_io_requests[class_index]),
-            bitmap_io_requests=float(self.bitmap_io_requests[class_index]),
-            fact_pages_transferred=float(self.fact_pages_transferred[class_index]),
-            bitmap_pages_transferred=bitmap_pages,
-            sequential_fact_access=bool(self.sequential_fact_access[class_index]),
-            forced_full_scan=bool(structures.forced_full_scan[class_index]),
-            bitmap_attributes_used=attributes,
-        )
-
-    def profiles(self) -> Tuple[QueryAccessProfile, ...]:
-        """All per-class profiles, in mix order."""
-        return tuple(self.profile(i) for i in range(self.num_classes))
-
-
-def _axis_groups(
-    layout: FragmentationLayout,
-    matrix: ClassMatrix,
-) -> Tuple[np.ndarray, np.ndarray, List[_ResidualGroup]]:
-    """Vectorized fragment confinement along every fragmentation axis.
-
-    Returns ``(fragments_accessed, fragment_row_fraction, residual_groups)``
-    where the residual groups cover the fragmentation-axis residuals in spec
-    order (the scalar `_axis_access` loop, all classes at once).
-    """
-    num_classes = matrix.num_classes
-    fragments_accessed = np.ones(num_classes, dtype=np.float64)
-    fragment_row_fraction = np.ones(num_classes, dtype=np.float64)
-    groups: List[_ResidualGroup] = []
-
-    for axis_index in range(layout.spec.dimensionality):
-        attribute = layout.spec.attributes[axis_index]
-        frag_cardinality = layout.axis_cardinalities[axis_index]
-        frag_cardinality_f = float(frag_cardinality)
-        if attribute.dimension not in matrix.dimension_names:
-            # No class restricts this dimension: every class touches every
-            # fragment value, contributing a factor of exactly 1.0 to the row
-            # fraction — identical to the scalar unrestricted branch.
-            fragments_accessed = fragments_accessed * frag_cardinality_f
-            fragment_row_fraction = fragment_row_fraction * (
-                frag_cardinality_f / frag_cardinality
-            )
-            continue
-
-        row = matrix.dimension_row(attribute.dimension)
-        restricted = matrix.restricted[row]
-        value_count = matrix.value_counts[row]
-        query_cardinality = matrix.level_cardinalities[row]
-        depth = matrix.level_depths[row]
-        attribute_depth = layout.schema.dimension(attribute.dimension).level_index(
-            attribute.level
-        )
-
-        accessed = np.full(num_classes, frag_cardinality_f, dtype=np.float64)
-
-        # Restriction at or above the fragmentation level: whole fragments.
-        coarse = restricted & (depth <= attribute_depth)
-        if coarse.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fanout = frag_cardinality / query_cardinality
-                coarse_accessed = np.minimum(
-                    frag_cardinality_f, np.maximum(1.0, value_count * fanout)
-                )
-            accessed = np.where(coarse, coarse_accessed, accessed)
-
-        # Restriction below the fragmentation level: residual filtering.
-        fine = restricted & (depth > attribute_depth)
-        fine_columns = np.nonzero(fine)[0]
-        if fine_columns.size:
-            fine_accessed = expected_distinct_ancestors(
-                selected_values=value_count[fine_columns],
-                fine_cardinality=query_cardinality[fine_columns],
-                coarse_cardinality=frag_cardinality_f,
-            )
-            fine_accessed = np.minimum(
-                frag_cardinality_f, np.maximum(1.0, fine_accessed)
-            )
-            accessed[fine_columns] = fine_accessed
-            selected_fraction = value_count[fine_columns] / query_cardinality[fine_columns]
-            accessed_fraction = fine_accessed / frag_cardinality
-            residual = np.minimum(1.0, selected_fraction / accessed_fraction)
-            level_names = matrix.level_names[row]
-            groups.append(
-                _ResidualGroup(
-                    columns=fine_columns,
-                    fractions=residual,
-                    has_bitmap=matrix.has_bitmap[row][fine_columns],
-                    bits_read=matrix.bitmap_bits_read[row][fine_columns],
-                    attributes=tuple(
-                        (attribute.dimension, level_names[column])
-                        for column in fine_columns.tolist()
-                    ),
-                )
-            )
-
-        fragments_accessed = fragments_accessed * accessed
-        fragment_row_fraction = fragment_row_fraction * (accessed / frag_cardinality)
-
-    return fragments_accessed, fragment_row_fraction, groups
-
-
-def _slot_groups(
-    layout: FragmentationLayout, matrix: ClassMatrix
-) -> List[_ResidualGroup]:
-    """Residual restrictions on non-fragmentation dimensions, slot by slot.
-
-    Iterating restriction slots in order replays, for every class at once, the
-    scalar loop ``for restriction in query.restrictions`` that appends
-    non-fragmentation residuals in restriction order.
-    """
-    # O(1) membership lookup: row index -> "is a fragmentation dimension".
-    # The trailing slot absorbs the NO_RESTRICTION (-1) padding entries, which
-    # the validity mask filters out anyway.
-    row_in_spec = np.zeros(matrix.num_dimensions + 1, dtype=bool)
-    for dimension in layout.spec.dimensions:
-        if dimension in matrix.dimension_names:
-            row_in_spec[matrix.dimension_names.index(dimension)] = True
-    groups: List[_ResidualGroup] = []
-    for slot in range(matrix.slot_dimensions.shape[1]):
-        dimension_rows = matrix.slot_dimensions[:, slot]
-        mask = (dimension_rows >= 0) & ~row_in_spec[dimension_rows]
-        columns = np.nonzero(mask)[0]
-        if not columns.size:
-            continue
-        rows = dimension_rows[columns]
-        groups.append(
-            _ResidualGroup(
-                columns=columns,
-                fractions=matrix.restriction_selectivities[rows, columns],
-                has_bitmap=matrix.has_bitmap[rows, columns],
-                bits_read=matrix.bitmap_bits_read[rows, columns],
-                attributes=tuple(
-                    (
-                        matrix.dimension_names[row],
-                        matrix.level_names[row][column],
-                    )
-                    for row, column in zip(rows.tolist(), columns.tolist())
-                ),
-            )
-        )
-    return groups
-
-
-def compute_access_structure_batch(
-    layout: FragmentationLayout, matrix: ClassMatrix
-) -> AccessStructureBatch:
-    """Derive every class's prefetch-independent access structure at once.
-
-    The vectorized twin of
-    :func:`~repro.costmodel.compute_access_structure`: same model, same
-    operation order, one numpy pass over the class axis instead of
-    ``num_classes`` scalar calls.  The workload is assumed validated (the
-    advisor and the engine validate it once at construction).
-    """
-    num_classes = matrix.num_classes
-    page_size = layout.page_size_bytes
-    rows_per_page = layout.rows_per_page
-    row_count = layout.fact.row_count
-
-    fragments_accessed, fragment_row_fraction, groups = _axis_groups(layout, matrix)
-    groups.extend(_slot_groups(layout, matrix))
-
-    rows_in_accessed = row_count * fragment_row_fraction
-    qualifying_rows = row_count * np.asarray(matrix.selectivities, dtype=np.float64)
-    qualifying_rows = np.minimum(qualifying_rows, rows_in_accessed)
-
-    non_positive = fragments_accessed <= 0
-    if non_positive.any():
-        failing = int(np.nonzero(non_positive)[0][0])
-        raise CostModelError(
-            f"query {matrix.query_names[failing]!r} accesses no fragments on "
-            f"{layout.spec.label}"
-        )
-
-    rows_per_fragment = rows_in_accessed / fragments_accessed
-    with np.errstate(invalid="ignore"):
-        fact_pages_per_fragment = np.where(
-            rows_per_fragment > 0,
-            np.maximum(1.0, np.ceil(rows_per_fragment / rows_per_page)),
-            0.0,
-        )
-
-    # --- residual filtering: bitmap extents and selectivity, group order ---------
-    residual_selectivity = np.ones(num_classes, dtype=np.float64)
-    forced_full_scan = np.zeros(num_classes, dtype=bool)
-    has_residuals = np.zeros(num_classes, dtype=bool)
-    index_class_parts: List[np.ndarray] = []
-    index_pages_parts: List[np.ndarray] = []
-    index_attributes: List[Tuple[str, str]] = []
-    for group in groups:
-        columns = group.columns
-        has_residuals[columns] = True
-        residual_selectivity[columns] *= np.minimum(1.0, group.fractions)
-        no_index = ~group.has_bitmap
-        forced_full_scan[columns[no_index]] = True
-        indexed = np.nonzero(group.has_bitmap)[0]
-        if not indexed.size:
-            continue
-        indexed_columns = columns[indexed]
-        pages = np.where(
-            rows_per_fragment[indexed_columns] > 0,
-            np.maximum(
-                1.0,
-                np.ceil(
-                    group.bits_read[indexed]
-                    * rows_per_fragment[indexed_columns]
-                    / 8.0
-                    / page_size
-                ),
-            ),
-            0.0,
-        )
-        index_class_parts.append(indexed_columns)
-        index_pages_parts.append(pages)
-        index_attributes.extend(group.attributes[i] for i in indexed.tolist())
-
-    if index_class_parts:
-        # Flat residual-index rows.  Sorting by class (stable) turns the
-        # group-major order into class-major order while preserving each
-        # class's residual order — the order the scalar path accumulates in.
-        index_class = np.concatenate(index_class_parts)
-        index_pages = np.concatenate(index_pages_parts)
-        order = np.argsort(index_class, kind="stable")
-        index_class = index_class[order]
-        index_pages = index_pages[order]
-        index_attributes = [index_attributes[i] for i in order.tolist()]
-    else:
-        index_class = np.empty(0, dtype=np.int64)
-        index_pages = np.empty(0, dtype=np.float64)
-
-    bitmap_pages_per_fragment = np.zeros(num_classes, dtype=np.float64)
-    np.add.at(bitmap_pages_per_fragment, index_class, index_pages)
-    bitmap_index_counts = np.bincount(
-        index_class, minlength=num_classes
-    ).astype(np.int64)
-
-    # --- fact pages a bitmap-driven plan would touch (Cardenas) ------------------
-    qualifying_per_fragment = rows_per_fragment * residual_selectivity
-    touched_per_fragment = cardenas_pages(
-        total_rows=rows_per_fragment,
-        total_pages=fact_pages_per_fragment,
-        selected_rows=qualifying_per_fragment,
-    )
-    touched_per_fragment = np.minimum(
-        fact_pages_per_fragment, np.maximum(0.0, touched_per_fragment)
-    )
-    with np.errstate(invalid="ignore"):
-        density = np.where(
-            fact_pages_per_fragment > 0,
-            touched_per_fragment / fact_pages_per_fragment,
-            0.0,
-        )
-
-    return AccessStructureBatch(
-        query_names=matrix.query_names,
-        fragments_total=layout.fragment_count,
-        fragments_accessed=fragments_accessed,
-        rows_in_accessed_fragments=rows_in_accessed,
-        qualifying_rows=qualifying_rows,
-        rows_per_fragment=rows_per_fragment,
-        fact_pages_per_fragment=fact_pages_per_fragment,
-        forced_full_scan=forced_full_scan,
-        has_residuals=has_residuals,
-        bitmap_touched_per_fragment=touched_per_fragment,
-        bitmap_density=density,
-        index_class=index_class,
-        index_pages=index_pages,
-        index_attributes=tuple(index_attributes),
-        bitmap_pages_per_fragment=bitmap_pages_per_fragment,
-        bitmap_index_counts=bitmap_index_counts,
-    )
-
-
-def estimate_access_batch(
-    structures: AccessStructureBatch,
-    prefetch: PrefetchSetting,
-    positioning_page_equivalent: float,
-) -> AccessProfileBatch:
-    """Apply a prefetch setting to a structure batch, all classes at once.
-
-    The vectorized twin of :func:`~repro.costmodel.estimate_access`: the same
-    scan-vs-bitmap access path selection, evaluated as masked vector
-    arithmetic over the class axis.
-    """
-    fragments_accessed = structures.fragments_accessed
-    fact_pages_per_fragment = structures.fact_pages_per_fragment
-
-    # --- bitmap request counts under the configured granule ----------------------
-    index_requests = np.where(
-        structures.index_pages > 0,
-        np.ceil(structures.index_pages / prefetch.bitmap_pages),
-        0.0,
-    )
-    bitmap_requests_per_fragment = np.zeros(structures.num_classes, dtype=np.float64)
-    np.add.at(bitmap_requests_per_fragment, structures.index_class, index_requests)
-    bitmap_pages_per_fragment = structures.bitmap_pages_per_fragment
-
-    # --- plan A: sequential scan of the accessed fragments ------------------------
-    scan_requests_per_fragment = np.where(
-        fact_pages_per_fragment > 0,
-        np.ceil(fact_pages_per_fragment / prefetch.fact_pages),
-        0.0,
-    )
-    scan_cost_per_fragment = (
-        scan_requests_per_fragment * positioning_page_equivalent
-        + fact_pages_per_fragment
-    )
-
-    # --- plan B: bitmap-driven access ---------------------------------------------
-    touched_per_fragment = structures.bitmap_touched_per_fragment
-    bitmap_sequential = structures.bitmap_density >= SEQUENTIAL_DENSITY_THRESHOLD
-    bitmap_fact_requests = np.where(
-        bitmap_sequential, scan_requests_per_fragment, touched_per_fragment
-    )
-    # Sequential bitmap plans read the whole fragment; random ones touch (and
-    # transfer) exactly the Cardenas pages — touched == transferred either way.
-    bitmap_fact_transferred = np.where(
-        bitmap_sequential, fact_pages_per_fragment, touched_per_fragment
-    )
-    bitmap_plan_cost = (
-        bitmap_fact_requests * positioning_page_equivalent
-        + bitmap_fact_transferred
-        + bitmap_requests_per_fragment * positioning_page_equivalent
-        + bitmap_pages_per_fragment
-    )
-    use_bitmap_plan = structures.bitmap_plan_available & (
-        bitmap_plan_cost < scan_cost_per_fragment
-    )
-
-    sequential = np.where(use_bitmap_plan, bitmap_sequential, True)
-    pages_touched_per_fragment = np.where(
-        use_bitmap_plan, bitmap_fact_transferred, fact_pages_per_fragment
-    )
-    requests_per_fragment = np.where(
-        use_bitmap_plan, bitmap_fact_requests, scan_requests_per_fragment
-    )
-    transferred_per_fragment = np.where(
-        use_bitmap_plan, bitmap_fact_transferred, fact_pages_per_fragment
-    )
-    bitmap_pages = np.where(
-        use_bitmap_plan, fragments_accessed * bitmap_pages_per_fragment, 0.0
-    )
-    bitmap_requests = np.where(
-        use_bitmap_plan, fragments_accessed * bitmap_requests_per_fragment, 0.0
-    )
-
-    return AccessProfileBatch(
-        structures=structures,
-        fact_pages_accessed=fragments_accessed * pages_touched_per_fragment,
-        bitmap_pages_accessed=bitmap_pages,
-        fact_io_requests=fragments_accessed * requests_per_fragment,
-        bitmap_io_requests=bitmap_requests,
-        fact_pages_transferred=fragments_accessed * transferred_per_fragment,
-        sequential_fact_access=sequential,
-        use_bitmap_plan=use_bitmap_plan,
-    )
-
-
-def resolve_prefetch_setting_batch(
-    structures: AccessStructureBatch,
-    matrix: ClassMatrix,
-    system: SystemParameters,
-) -> PrefetchSetting:
-    """Resolve the prefetch granules from a structure batch.
-
-    The vectorized twin of :func:`~repro.costmodel.resolve_prefetch_setting`:
-    a unit-granule estimation pass derives each class's typical run lengths,
-    then the shared granule selection picks the optimum.
-    """
-    unit_profiles = estimate_access_batch(
-        structures,
-        PrefetchSetting.fixed(1, 1),
-        _positioning_page_equivalent(system),
-    )
-    fact_runs = structures.fact_pages_per_fragment
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bitmap_runs = np.where(
-            structures.fragments_accessed > 0,
-            unit_profiles.bitmap_pages_accessed / structures.fragments_accessed,
-            0.0,
-        )
-    return prefetch_setting_from_runs(
-        tuple(fact_runs.tolist()),
-        tuple(bitmap_runs.tolist()),
-        matrix.shares,
-        system,
-    )
-
-
-def evaluate_workload_batch(
-    layout: FragmentationLayout,
-    structures: AccessStructureBatch,
-    matrix: ClassMatrix,
-    system: SystemParameters,
-    prefetch: PrefetchSetting,
-) -> WorkloadEvaluation:
-    """Evaluate one candidate against the whole mix, vectorized.
-
-    The vectorized twin of :meth:`repro.costmodel.IOCostModel.evaluate` (with
-    a resolved prefetch setting): access profiles, I/O cost, response time and
-    disk counts are computed as class-axis vectors, then materialized into the
-    same per-class :class:`~repro.costmodel.QueryCost` records.
-    """
-    profiles = estimate_access_batch(
-        structures, prefetch, _positioning_page_equivalent(system)
-    )
-
-    # --- I/O cost (IOCostModel.io_cost_ms, vectorized) ----------------------------
-    disk = system.disk
-    page_time = disk.page_transfer_time_ms(system.page_size_bytes)
-    fact_transfer = np.where(
-        profiles.sequential_fact_access,
-        np.maximum(
-            profiles.fact_io_requests * prefetch.fact_pages,
-            profiles.fact_pages_transferred,
-        ),
-        profiles.fact_pages_transferred,
-    )
-    bitmap_transfer = np.where(
-        profiles.bitmap_io_requests > 0,
-        np.maximum(
-            profiles.bitmap_io_requests * prefetch.bitmap_pages,
-            profiles.bitmap_pages_accessed,
-        ),
-        profiles.bitmap_pages_accessed,
-    )
-    total_requests = profiles.fact_io_requests + profiles.bitmap_io_requests
-    io_cost = disk.positioning_time_ms * total_requests + page_time * (
-        fact_transfer + bitmap_transfer
-    )
-
-    # --- disks used and response time (vectorized) --------------------------------
-    disks_used = np.minimum(
-        float(system.num_disks),
-        np.ceil(np.maximum(1.0, profiles.structures.fragments_accessed)),
-    ).astype(np.int64)
-    disks_f = disks_used.astype(np.float64)
-    parallel = disks_used > 1
-    imbalance = np.where(
-        parallel, 1.0 + layout.fragment_size_cv / np.sqrt(disks_f), 1.0
-    )
-    response = (
-        io_cost / disks_f * imbalance
-        + system.effective_coordination_overhead_ms * disks_f
-    )
-
-    # Assemble the columnar evaluation: the metric block is exactly the
-    # already-computed vectors, so no per-class Python objects are built here
-    # — records materialize lazily from :class:`EvaluationColumns` on demand.
-    structures = profiles.structures
-    metrics = np.empty((structures.num_classes, NUM_METRIC_FIELDS), dtype=np.float64)
-    metrics[:, 0] = structures.fragments_accessed
-    metrics[:, 1] = structures.rows_in_accessed_fragments
-    metrics[:, 2] = structures.qualifying_rows
-    metrics[:, 3] = structures.fact_pages_per_fragment
-    metrics[:, 4] = profiles.fact_pages_accessed
-    metrics[:, 5] = profiles.bitmap_pages_accessed
-    metrics[:, 6] = profiles.fact_io_requests
-    metrics[:, 7] = profiles.bitmap_io_requests
-    metrics[:, 8] = profiles.fact_pages_transferred
-    metrics[:, 9] = profiles.bitmap_pages_accessed  # transferred == accessed
-    metrics[:, -2] = io_cost
-    metrics[:, -1] = response
-    attributes_used = [()] * structures.num_classes
-    for i in np.nonzero(profiles.use_bitmap_plan)[0].tolist():
-        attributes_used[i] = structures.attributes_for(i)
-    columns = EvaluationColumns(
-        query_names=matrix.query_names,
-        weights=matrix.shares,
-        fragments_total=structures.fragments_total,
-        metrics=metrics,
-        disks_used=disks_used,
-        sequential=profiles.sequential_fact_access,
-        forced=structures.forced_full_scan,
-        attributes_used=tuple(attributes_used),
-    )
-    return WorkloadEvaluation(layout=layout, prefetch=prefetch, columns=columns)
-
 
 # ---------------------------------------------------------------------------
-# Candidate-axis batching: a whole chunk of layouts as (candidate × class)
+# Candidate-axis kernels: a whole chunk of layouts as (candidate × class)
 # ---------------------------------------------------------------------------
 #
-# The class-axis kernels above still run one Python pass per candidate; for
-# small class counts the per-candidate numpy dispatch overhead eats most of
-# the vector win.  The kernels below stack every layout of a chunk that shares
-# one *axis structure* (the ordered tuple of fragmentation dimensions — see
+# The kernels below stack every layout of a chunk that shares one *axis
+# structure* (the ordered tuple of fragmentation dimensions — see
 # :attr:`repro.fragmentation.FragmentationSpec.axis_structure`) and evaluate
 # the whole stack as 2-D (candidate × class) arrays.  Within one axis
 # structure all per-class control flow (restricted dimensions, coarse/fine
 # masks, slot residuals) is expressible as masked vector arithmetic, so every
-# operation is the same elementwise IEEE-754 double operation the class-axis
-# (and therefore the scalar) path performs — slicing a candidate out of the
-# stack is bit-identical to evaluating it alone, which the parity suite
-# asserts.
+# operation is the same elementwise IEEE-754 double operation the scalar path
+# performs — slicing a candidate out of the stack is bit-identical to
+# evaluating it alone, which the parity suite asserts.
 
 
 @dataclass(frozen=True)
-class _ResidualGroup2D:
+class _ResidualGroup:
     """One residual-restriction source over the (candidate × class) grid.
+
+    The scalar path evaluates a class's residual restrictions in a fixed
+    order: fragmentation-axis residuals in spec order, then restrictions on
+    non-fragmentation dimensions in the class's restriction order.  Groups
+    are built in exactly that order, so iterating groups replays the scalar
+    per-class residual order for every (candidate, class) pair at once.
 
     ``candidates is None`` marks a slot group (non-fragmentation dimension):
     the restriction applies identically to *every* stacked candidate, and the
@@ -771,12 +201,11 @@ class _ResidualGroup2D:
 class AccessStructureBatch2D:
     """Access structures of all classes on a *stack* of same-axis layouts.
 
-    The candidate-axis twin of :class:`AccessStructureBatch`: every per-class
-    vector grows a leading candidate axis, and the flat residual-index rows
-    gain a candidate coordinate (sorted candidate-major, then class, then
-    per-class residual order).  :meth:`candidate` slices one layout's
-    class-axis batch back out — bit-identical to
-    :func:`compute_access_structure_batch` on that layout alone.
+    Every per-class vector of :class:`AccessStructureBatch` grows a leading
+    candidate axis, and the flat residual-index rows gain a candidate
+    coordinate (sorted candidate-major, then class, then per-class residual
+    order).  :meth:`candidate` slices one layout's row back out —
+    bit-identical to evaluating that layout alone.
     """
 
     query_names: Tuple[str, ...]
@@ -835,7 +264,7 @@ class AccessStructureBatch2D:
         return tuple(self.index_attributes[int(lo):int(hi)])
 
     def candidate(self, k: int) -> AccessStructureBatch:
-        """Slice one stacked layout back into its class-axis batch."""
+        """Slice one stacked layout back into its per-layout batch."""
         rows = self._index_slice(k)
         return AccessStructureBatch(
             query_names=self.query_names,
@@ -915,7 +344,7 @@ class AccessStructureBatch2D:
 
     @classmethod
     def stack(cls, batches: Sequence[AccessStructureBatch]) -> "AccessStructureBatch2D":
-        """Stack per-layout class-axis batches into one candidate-axis batch.
+        """Stack per-layout batches into one candidate-axis batch.
 
         The inverse of :meth:`candidate`, used to mix cache-warm structures
         with freshly computed ones before the shared downstream kernels; the
@@ -979,16 +408,15 @@ def _require_shared_axis_structure(layouts: Sequence[FragmentationLayout]) -> No
             )
 
 
-def _axis_groups_candidates(
+def _axis_groups(
     layouts: Sequence[FragmentationLayout],
     matrix: ClassMatrix,
-) -> Tuple[np.ndarray, np.ndarray, List[_ResidualGroup2D]]:
+) -> Tuple[np.ndarray, np.ndarray, List[_ResidualGroup]]:
     """Fragment confinement along every axis, for the whole layout stack.
 
-    The candidate-axis twin of :func:`_axis_groups`: per-candidate attribute
-    levels become per-candidate columns, the coarse/fine split becomes a 2-D
-    mask, and every arithmetic step stays the elementwise operation of the
-    class-axis path.
+    Per-candidate attribute levels become per-candidate columns, the
+    coarse/fine split becomes a 2-D mask, and every arithmetic step stays the
+    elementwise operation of the scalar ``_axis_access`` loop.
     """
     num_candidates = len(layouts)
     num_classes = matrix.num_classes
@@ -996,7 +424,7 @@ def _axis_groups_candidates(
     schema = layouts[0].schema
     fragments_accessed = np.ones((num_candidates, num_classes), dtype=np.float64)
     fragment_row_fraction = np.ones((num_candidates, num_classes), dtype=np.float64)
-    groups: List[_ResidualGroup2D] = []
+    groups: List[_ResidualGroup] = []
 
     for axis_index in range(spec0.dimensionality):
         dimension_name = spec0.attributes[axis_index].dimension
@@ -1058,7 +486,7 @@ def _axis_groups_candidates(
             residual = np.minimum(1.0, selected_fraction / accessed_fraction)
             level_names = matrix.level_names[row]
             groups.append(
-                _ResidualGroup2D(
+                _ResidualGroup(
                     candidates=cand_idx,
                     columns=class_idx,
                     fractions=residual,
@@ -1077,20 +505,23 @@ def _axis_groups_candidates(
     return fragments_accessed, fragment_row_fraction, groups
 
 
-def _slot_groups_candidates(
+def _slot_groups(
     spec_dimensions: Tuple[str, ...], matrix: ClassMatrix
-) -> List[_ResidualGroup2D]:
+) -> List[_ResidualGroup]:
     """Residual restrictions on non-fragmentation dimensions, slot by slot.
 
     Identical for every candidate of the stack (slot membership depends only
     on the shared axis structure), so the groups broadcast over the candidate
     axis (``candidates=None``).
     """
+    # O(1) membership lookup: row index -> "is a fragmentation dimension".
+    # The trailing slot absorbs the NO_RESTRICTION (-1) padding entries, which
+    # the validity mask filters out anyway.
     row_in_spec = np.zeros(matrix.num_dimensions + 1, dtype=bool)
     for dimension in spec_dimensions:
         if dimension in matrix.dimension_names:
             row_in_spec[matrix.dimension_names.index(dimension)] = True
-    groups: List[_ResidualGroup2D] = []
+    groups: List[_ResidualGroup] = []
     for slot in range(matrix.slot_dimensions.shape[1]):
         dimension_rows = matrix.slot_dimensions[:, slot]
         mask = (dimension_rows >= 0) & ~row_in_spec[dimension_rows]
@@ -1099,7 +530,7 @@ def _slot_groups_candidates(
             continue
         rows = dimension_rows[columns]
         groups.append(
-            _ResidualGroup2D(
+            _ResidualGroup(
                 candidates=None,
                 columns=columns,
                 fractions=matrix.restriction_selectivities[rows, columns],
@@ -1122,11 +553,12 @@ def compute_access_structure_batch_candidates(
 ) -> AccessStructureBatch2D:
     """Derive the access structures of a whole layout stack in one pass.
 
-    The candidate-axis twin of :func:`compute_access_structure_batch`: every
-    layout must share one axis structure (ordered fragmentation dimensions);
-    all per-class quantities are computed as (candidate × class) planes with
-    the identical elementwise operations, so :meth:`AccessStructureBatch2D.candidate`
-    slices out batches bit-identical to the per-layout computation.
+    The batched twin of :func:`~repro.costmodel.compute_access_structure`:
+    every layout must share one axis structure (ordered fragmentation
+    dimensions); all per-class quantities are computed as (candidate × class)
+    planes with the scalar path's elementwise operations, so every stacked
+    candidate is bit-identical to the per-layout computation.  The workload
+    is assumed validated (the engine validates it once at construction).
     """
     _require_shared_axis_structure(layouts)
     num_candidates = len(layouts)
@@ -1135,10 +567,10 @@ def compute_access_structure_batch_candidates(
     rows_per_page = layouts[0].rows_per_page
     row_count = layouts[0].fact.row_count
 
-    fragments_accessed, fragment_row_fraction, groups = _axis_groups_candidates(
+    fragments_accessed, fragment_row_fraction, groups = _axis_groups(
         layouts, matrix
     )
-    groups.extend(_slot_groups_candidates(layouts[0].spec.dimensions, matrix))
+    groups.extend(_slot_groups(layouts[0].spec.dimensions, matrix))
 
     rows_in_accessed = row_count * fragment_row_fraction
     qualifying_rows = row_count * np.asarray(matrix.selectivities, dtype=np.float64)[None, :]
@@ -1225,9 +657,9 @@ def compute_access_structure_batch_candidates(
             index_attributes.extend(group.attributes[i] for i in indexed.tolist())
 
     if index_cand_parts:
-        # Sort the flat rows candidate-major, class within, stably — exactly
-        # the class-axis sort applied per candidate, so each slice replays the
-        # scalar accumulation order.
+        # Sort the flat rows candidate-major, class within, stably: groups
+        # are built in the scalar per-class residual order, so each
+        # candidate's slice replays the scalar accumulation order.
         index_candidate = np.concatenate(index_cand_parts)
         index_class = np.concatenate(index_class_parts)
         index_pages = np.concatenate(index_pages_parts)
@@ -1296,9 +728,10 @@ def compute_access_structure_batch_candidates(
 class AccessProfileBatch2D:
     """Access profiles of a layout stack under per-candidate prefetch settings.
 
-    The candidate-axis twin of :class:`AccessProfileBatch`; every plane is
-    (candidate × class).  :meth:`candidate` materializes one layout's
-    class-axis profile batch for the parity harness.
+    The columnar twin of :class:`~repro.costmodel.QueryAccessProfile`; every
+    plane is (candidate × class).  :meth:`profile` materializes the scalar
+    dataclass for any (candidate, class) pair — bit-identical to
+    :func:`~repro.costmodel.estimate_access` on that layout alone.
     """
 
     structures: AccessStructureBatch2D
@@ -1310,17 +743,31 @@ class AccessProfileBatch2D:
     sequential_fact_access: np.ndarray
     use_bitmap_plan: np.ndarray
 
-    def candidate(self, k: int) -> AccessProfileBatch:
-        """Slice one stacked layout back into its class-axis profile batch."""
-        return AccessProfileBatch(
-            structures=self.structures.candidate(k),
-            fact_pages_accessed=self.fact_pages_accessed[k].copy(),
-            bitmap_pages_accessed=self.bitmap_pages_accessed[k].copy(),
-            fact_io_requests=self.fact_io_requests[k].copy(),
-            bitmap_io_requests=self.bitmap_io_requests[k].copy(),
-            fact_pages_transferred=self.fact_pages_transferred[k].copy(),
-            sequential_fact_access=self.sequential_fact_access[k].copy(),
-            use_bitmap_plan=self.use_bitmap_plan[k].copy(),
+    def profile(self, candidate: int, class_index: int) -> QueryAccessProfile:
+        """Materialize the scalar :class:`QueryAccessProfile` of one pair."""
+        k, i = candidate, class_index
+        structures = self.structures
+        bitmap_pages = float(self.bitmap_pages_accessed[k, i])
+        return QueryAccessProfile(
+            query_name=structures.query_names[i],
+            fragments_accessed=float(structures.fragments_accessed[k, i]),
+            fragments_total=int(structures.fragments_total[k]),
+            rows_in_accessed_fragments=float(
+                structures.rows_in_accessed_fragments[k, i]
+            ),
+            qualifying_rows=float(structures.qualifying_rows[k, i]),
+            fact_pages_per_fragment=float(structures.fact_pages_per_fragment[k, i]),
+            fact_pages_accessed=float(self.fact_pages_accessed[k, i]),
+            bitmap_pages_accessed=bitmap_pages,
+            fact_io_requests=float(self.fact_io_requests[k, i]),
+            bitmap_io_requests=float(self.bitmap_io_requests[k, i]),
+            fact_pages_transferred=float(self.fact_pages_transferred[k, i]),
+            bitmap_pages_transferred=bitmap_pages,
+            sequential_fact_access=bool(self.sequential_fact_access[k, i]),
+            forced_full_scan=bool(structures.forced_full_scan[k, i]),
+            bitmap_attributes_used=(
+                structures.attributes_for(k, i) if self.use_bitmap_plan[k, i] else ()
+            ),
         )
 
 
@@ -1332,10 +779,11 @@ def estimate_access_batch_candidates(
 ) -> AccessProfileBatch2D:
     """Apply per-candidate prefetch granules to a structure stack at once.
 
-    The candidate-axis twin of :func:`estimate_access_batch`: ``fact_granules``
-    and ``bitmap_granules`` are (candidates,) float64 vectors holding each
-    candidate's (integer-valued) granules — integer-to-double conversion is
-    exact, so the per-element divisions match the class-axis path bitwise.
+    The batched twin of :func:`~repro.costmodel.estimate_access`:
+    ``fact_granules`` and ``bitmap_granules`` are (candidates,) float64
+    vectors holding each candidate's (integer-valued) granules —
+    integer-to-double conversion is exact, so the per-element divisions match
+    the scalar path bitwise.
     """
     fragments_accessed = structures.fragments_accessed
     fact_pages_per_fragment = structures.fact_pages_per_fragment
@@ -1425,10 +873,11 @@ def resolve_prefetch_settings_batch_candidates(
 ) -> Tuple[PrefetchSetting, ...]:
     """Resolve each stacked candidate's prefetch granules in one vector pass.
 
-    The unit-granule estimation runs once over the whole stack; the (cheap)
-    granule selection then runs per candidate on exactly the run-length floats
-    the class-axis path derives, so the returned settings are identical to
-    per-layout :func:`resolve_prefetch_setting_batch` calls.
+    The batched twin of :func:`~repro.costmodel.resolve_prefetch_setting`:
+    the unit-granule estimation runs once over the whole stack, then the
+    granule selection runs over the candidate axis on exactly the run-length
+    floats the scalar path derives, so the returned settings are identical to
+    per-layout scalar resolution.
     """
     num_candidates = structures.num_candidates
     unit = np.ones(num_candidates, dtype=np.float64)
@@ -1484,9 +933,10 @@ def evaluate_workload_batch_candidates(
 ) -> List[WorkloadEvaluation]:
     """Evaluate a whole layout stack against the mix, candidate-axis batched.
 
-    The candidate-axis twin of :func:`evaluate_workload_batch`: access
-    profiles, I/O cost, response time and disk counts are computed as
-    (candidate × class) planes, then each candidate's columnar
+    The batched twin of :meth:`repro.costmodel.IOCostModel.evaluate` (with
+    resolved prefetch settings): access profiles, I/O cost, response time and
+    disk counts are computed as (candidate × class) planes, then each
+    candidate's columnar
     :class:`~repro.costmodel.EvaluationColumns` is sliced out of the shared
     metric cube — bit-identical to evaluating the layouts one by one.
     """
@@ -1579,3 +1029,52 @@ def evaluate_workload_batch_candidates(
             )
         )
     return evaluations
+
+
+# ---------------------------------------------------------------------------
+# Single-candidate entry points: one layout as a 1-row stack
+# ---------------------------------------------------------------------------
+
+
+def compute_access_structure_batch(
+    layout: FragmentationLayout, matrix: ClassMatrix
+) -> AccessStructureBatch:
+    """Derive one layout's access structures for every class at once.
+
+    The batched twin of :func:`~repro.costmodel.compute_access_structure`:
+    the layout is evaluated as a 1-row stack and sliced back out.  The
+    workload is assumed validated (the engine validates it once at
+    construction).
+    """
+    return compute_access_structure_batch_candidates([layout], matrix).candidate(0)
+
+
+def resolve_prefetch_setting_batch(
+    structures: AccessStructureBatch,
+    matrix: ClassMatrix,
+    system: SystemParameters,
+) -> PrefetchSetting:
+    """Resolve one layout's prefetch granules from its structure batch.
+
+    The batched twin of :func:`~repro.costmodel.resolve_prefetch_setting`.
+    """
+    stacked = AccessStructureBatch2D.stack([structures])
+    return resolve_prefetch_settings_batch_candidates(stacked, matrix, system)[0]
+
+
+def evaluate_workload_batch(
+    layout: FragmentationLayout,
+    structures: AccessStructureBatch,
+    matrix: ClassMatrix,
+    system: SystemParameters,
+    prefetch: PrefetchSetting,
+) -> WorkloadEvaluation:
+    """Evaluate one candidate against the whole mix, batched.
+
+    The batched twin of :meth:`repro.costmodel.IOCostModel.evaluate` (with a
+    resolved prefetch setting).
+    """
+    stacked = AccessStructureBatch2D.stack([structures])
+    return evaluate_workload_batch_candidates(
+        [layout], stacked, matrix, system, [prefetch]
+    )[0]

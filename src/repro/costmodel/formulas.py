@@ -10,7 +10,7 @@ containment, and row-to-page conversions.
 accept numpy arrays and then evaluate element-wise over the whole batch.  The
 array path performs *exactly* the same IEEE-754 double operations in the same
 order as the scalar path, so vectorized results are bit-identical to a scalar
-loop — the property the batched class-axis cost sweep relies on (and the
+loop — the property the batched cost sweep relies on (and the
 parity tests assert).
 """
 

@@ -17,7 +17,7 @@ explicit pipeline:
    keys on, plus recommendation fingerprints used to *prove* parity.
 5. :class:`~repro.engine.store.CacheStore` spills the cache to a directory
    (sqlite for pickled scalar structures and exclusion reports, one npz for
-   class-axis batches, one npz of columnar candidate groups that materialize
+   per-layout structure batches, one npz of columnar candidate groups that materialize
    lazily on the first warm probe) so later *processes* warm-start from
    disk; corrupted or version-mismatched stores are silently ignored.
 """

@@ -276,7 +276,7 @@ class EvaluationCache:
         )
 
     def access_structure_batch(self, layout, matrix, compute):
-        """Cached class-axis structure batch of one layout.
+        """Cached structure batch of one layout (all query classes).
 
         The columnar counterpart of :meth:`access_structure`: one entry covers
         *every* query class of the compiled
@@ -289,7 +289,7 @@ class EvaluationCache:
         )
 
     def get_structure_batch(self, layout, matrix):
-        """Probe for a class-axis structure batch; ``None`` on miss (counted).
+        """Probe for a per-layout structure batch; ``None`` on miss (counted).
 
         The split get/put surface of :meth:`access_structure_batch`: the
         candidate-axis executor probes every layout of a chunk first and

@@ -10,20 +10,19 @@ pure function of its inputs, workers return columnar
 re-materializes by index — so ``jobs=4`` produces bit-identical
 recommendations to ``jobs=1`` (the parity test matrix asserts this).
 
-Three cost paths implement the same model (``EngineOptions.vectorize``):
+Two cost paths implement the same model (``EngineOptions.vectorize``):
 
-* the **candidate-axis path** (``"candidates"``, default) groups each chunk
-  by the specs' axis structure, stacks every group's layouts into one
-  (candidate × class) numpy batch for structure derivation, and fuses the
-  whole chunk — prefetch resolution and the cost model are elementwise per
-  candidate — into a single kernel pass (:mod:`repro.costmodel.batch`);
-* the **class-axis path** (``"classes"``) computes one candidate's access
-  structures and costs for *all* query classes as numpy vectors over the
-  class axis;
-* the **scalar path** (``"none"``, CLI ``--no-vectorize``) runs the
-  per-class reference implementation.
+* the **batched path** (``True``, default) groups each chunk by the specs'
+  axis structure, stacks every group's layouts into one (candidate × class)
+  numpy batch for structure derivation, and fuses the whole chunk — prefetch
+  resolution and the cost model are elementwise per candidate — into a
+  single kernel pass (:mod:`repro.costmodel.batch`); a single candidate
+  (:meth:`EvaluationEngine.evaluate_spec`, the tuning studies) runs the same
+  kernels as a 1-row stack;
+* the **scalar path** (``False``, CLI ``--no-vectorize``) runs the per-class
+  reference oracle.
 
-All three are bit-identical by construction and by test
+Both are bit-identical by construction and by test
 (``tests/test_vector_parity.py``); the scalar path remains the reference and
 the escape hatch.
 
@@ -44,7 +43,7 @@ import sys
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.allocation import choose_allocation, choose_allocations_batch
 from repro.bitmap import BitmapScheme, design_bitmap_scheme
@@ -99,13 +98,9 @@ class EngineContext:
     fact_name: str
     bitmap_scheme: BitmapScheme
     specs: Tuple[FragmentationSpec, ...] = ()
-    #: Vectorization mode of the cost sweep: ``"candidates"`` batches whole
-    #: same-axis-structure chunks as (candidate × class) numpy arrays,
-    #: ``"classes"`` vectorizes one candidate's class axis, ``"none"`` runs
-    #: the scalar reference path.  All modes return bit-identical candidates.
-    vectorize: str = "candidates"
-    #: Columnar workload compilation for the vectorized modes (shipped once
-    #: per worker with the context).
+    #: Columnar workload compilation of the batched path (shipped once per
+    #: worker with the context); ``None`` selects the scalar reference path.
+    #: Both return bit-identical candidates.
     class_matrix: Optional[ClassMatrix] = None
 
 
@@ -140,10 +135,10 @@ def _evaluate_spec(
         page_size_bytes=context.system.page_size_bytes,
         max_fragments=max(context.config.max_fragments, 1),
     )
-    if context.vectorize != "none" and context.class_matrix is not None:
-        # Vectorized class-axis sweep: one structure batch per layout (cached
-        # like the scalar structures), then granule resolution and the cost
-        # model as vectors over all query classes at once.
+    if context.class_matrix is not None:
+        # Batched path, one candidate as a 1-row stack: one structure batch
+        # per layout (cached like the scalar structures), then granule
+        # resolution and the cost model over all query classes at once.
         matrix = context.class_matrix
 
         def compute():
@@ -196,16 +191,16 @@ def evaluate_specs_in_context(
 ) -> List[FragmentationCandidate]:
     """Evaluate a chunk of candidate indices, candidate-axis batched.
 
-    In ``vectorize="candidates"`` mode the chunk is grouped by axis structure
+    On the batched path the chunk is grouped by axis structure
     (:attr:`~repro.fragmentation.FragmentationSpec.axis_structure`) and each
     group's layouts are stacked into one (candidate × class) numpy batch —
     structures, prefetch resolution and costs computed in one vector pass,
     bit-identical to evaluating each spec alone (the parity suite pins this).
-    Other modes fall back to the per-spec path.  Cache semantics match the
+    The scalar path evaluates spec by spec.  Cache semantics match the
     per-spec path exactly: one candidate probe per index, one structure probe
     per evaluated layout.
     """
-    if context.vectorize != "candidates" or context.class_matrix is None:
+    if context.class_matrix is None:
         return [
             evaluate_spec_in_context(context, context.specs[index], cache)
             for index in indices
@@ -293,12 +288,12 @@ def _group_structure_batch(
 ) -> AccessStructureBatch2D:
     """The stacked structure batch of one axis-structure group.
 
-    Per-layout cache probes (same counter semantics as the class-axis path);
-    all misses are computed as ONE stacked batch, and per-layout slices feed
-    the cache — the slices are bit-identical to per-layout computation, so
-    cross-mode and cross-run cache sharing stays exact.  On an all-miss
-    (cold) group the freshly stacked batch is returned directly, so the
-    common cold path never pays a slice-then-restack round trip.
+    Per-layout cache probes (same counter semantics as the single-candidate
+    path); all misses are computed as ONE stacked batch, and per-layout
+    slices feed the cache — the slices are bit-identical to per-layout
+    computation, so cross-path and cross-run cache sharing stays exact.  On
+    an all-miss (cold) group the freshly stacked batch is returned directly,
+    so the common cold path never pays a slice-then-restack round trip.
     """
     if cache is None:
         return compute_access_structure_batch_candidates(layouts, matrix)
@@ -391,13 +386,10 @@ class EvaluationEngine:
     cache:
         A concrete :class:`EvaluationCache` instance to share with other
         engines (tuning studies and sessions do).  ``None`` (default) creates
-        a private cache when ``options.cache`` is true.  Workers use private
-        caches whose entries are merged back into this one.
-    jobs, vectorize, cache_dir:
-        Deprecated aliases of the corresponding :class:`EngineOptions`
-        fields; passing them emits an
-        :class:`~repro.api.EngineOptionsDeprecationWarning`.  ``cache=False``
-        is likewise a deprecated alias of ``EngineOptions(cache=False)``.
+        a private cache when ``options.cache`` is true; anything else is an
+        :class:`~repro.errors.AdvisorError` (caching is switched off with
+        ``options=EngineOptions(cache=False)``).  Workers use private caches
+        whose entries are merged back into this one.
     """
 
     def __init__(
@@ -407,24 +399,23 @@ class EvaluationEngine:
         system: SystemParameters,
         config: Optional[AdvisorConfig] = None,
         fact_table: Optional[str] = None,
-        jobs: Any = None,
-        cache: Any = None,
-        vectorize: Any = None,
-        cache_dir: Any = None,
+        cache: Optional[EvaluationCache] = None,
         options: Optional["EngineOptions"] = None,
     ) -> None:
-        # Imported lazily: repro.api sits above the engine in the layer
-        # stack (its session imports this module).
-        from repro.api.options import UNSET, resolve_engine_options
+        if cache is not None and not isinstance(cache, EvaluationCache):
+            # Every owner (session, Warlock, studies, compare_specs) builds
+            # an engine, so this one check covers all their cache= handles.
+            raise AdvisorError(
+                f"cache= takes a shared EvaluationCache or None, got "
+                f"{cache!r}; to disable caching pass "
+                f"options=EngineOptions(cache=False)"
+            )
+        if options is None:
+            # Imported lazily: repro.api sits above the engine in the layer
+            # stack (its session imports this module).
+            from repro.api.options import EngineOptions
 
-        options, shared_cache = resolve_engine_options(
-            options,
-            owner="EvaluationEngine",
-            jobs=UNSET if jobs is None else jobs,
-            vectorize=UNSET if vectorize is None else vectorize,
-            cache=UNSET if cache is None else cache,
-            cache_dir=UNSET if cache_dir is None else cache_dir,
-        )
+            options = EngineOptions()
         self.options = options
         self.schema = schema
         self.workload = workload
@@ -434,8 +425,8 @@ class EvaluationEngine:
         # Validate the whole workload once; evaluation then runs with
         # per-query validation disabled (see evaluate_spec_in_context).
         workload.validate(schema)
-        if shared_cache is not None:
-            self.cache: Optional[EvaluationCache] = shared_cache
+        if cache is not None:
+            self.cache: Optional[EvaluationCache] = cache
         elif options.cache:
             self.cache = EvaluationCache()
         else:
@@ -451,23 +442,6 @@ class EvaluationEngine:
             self.cache.attach(CacheStore(options.cache_dir, max_bytes=max_bytes))
         self._bitmap_scheme: Optional[BitmapScheme] = None
         self._matrices: Dict[str, ClassMatrix] = {}
-
-    # -- legacy option views ----------------------------------------------------
-
-    @property
-    def jobs(self) -> Union[int, str]:
-        """The configured worker count (``options.jobs``)."""
-        return self.options.jobs
-
-    @property
-    def vectorize(self) -> Union[bool, str]:
-        """The vectorization mode of the sweep (``options.vectorize``)."""
-        return self.options.vectorize
-
-    @property
-    def cache_dir(self) -> Optional[str]:
-        """The persistent store directory (``options.cache_dir``)."""
-        return self.options.cache_dir
 
     # -- shared inputs ----------------------------------------------------------
 
@@ -523,7 +497,6 @@ class EvaluationEngine:
     ) -> EngineContext:
         """The picklable evaluation context for ``specs``."""
         scheme = bitmap_scheme if bitmap_scheme is not None else self.bitmap_scheme()
-        mode = self.options.vectorize_mode
         return EngineContext(
             schema=self.schema,
             workload=self.workload,
@@ -532,8 +505,9 @@ class EvaluationEngine:
             fact_name=self.fact_name,
             bitmap_scheme=scheme,
             specs=tuple(specs),
-            vectorize=mode,
-            class_matrix=self.class_matrix(scheme) if mode != "none" else None,
+            class_matrix=(
+                self.class_matrix(scheme) if self.options.vectorize else None
+            ),
         )
 
     def plan(self, specs: Sequence[FragmentationSpec]) -> EvaluationPlan:
@@ -546,9 +520,9 @@ class EvaluationEngine:
         Fixed ``jobs`` values pass through; ``"auto"`` applies the adaptive
         heuristic (CPUs available to the process, candidates per worker).
         """
-        if self.jobs == "auto":
+        if self.options.jobs == "auto":
             return adaptive_jobs(num_candidates)
-        return self.jobs
+        return self.options.jobs
 
     # -- evaluation -------------------------------------------------------------
 
@@ -575,12 +549,13 @@ class EvaluationEngine:
         exceeds one and the sweep is large enough to amortize the pool.
 
         ``on_progress`` receives one :class:`repro.api.ProgressEvent` per
-        completed plan chunk (each candidate is its own chunk on the serial
-        path); ``cancel`` — a :class:`repro.api.CancellationToken` or a
-        zero-argument callable — is checked at the same chunk boundaries and
-        raises :class:`~repro.errors.EvaluationCancelled` when set.  Entries
-        cached before a cancel stay valid (they are content-addressed), so a
-        retried sweep resumes warm.
+        completed plan chunk (serially: one capped axis-structure group on the
+        batched path, one candidate on the scalar path); ``cancel`` — a
+        :class:`repro.api.CancellationToken` or a zero-argument callable — is
+        checked at the same chunk boundaries and raises
+        :class:`~repro.errors.EvaluationCancelled` when set.  Entries cached
+        before a cancel stay valid (they are content-addressed), so a retried
+        sweep resumes warm.
         """
         plan = self.plan(specs)
         context = self.context(specs=plan.specs, bitmap_scheme=bitmap_scheme)
@@ -686,8 +661,8 @@ class EvaluationEngine:
     ) -> List[FragmentationCandidate]:
         # Serial chunk granularity: one axis-structure group (capped, so a
         # sweep dominated by one structure still cancels and reports at a
-        # bounded latency) in candidate-axis mode, one candidate otherwise —
-        # the finest boundaries at which cancellation can stop without
+        # bounded latency) on the batched path, one candidate on the scalar
+        # path — the finest boundaries at which cancellation can stop without
         # discarding work.
         #
         # ``preloaded`` carries candidates a failed parallel backend already
@@ -699,7 +674,7 @@ class EvaluationEngine:
             for index, candidate in preloaded.items():
                 results[index] = candidate
             pending = [index for index in pending if results[index] is None]
-        if context.vectorize == "candidates" and context.class_matrix is not None:
+        if context.class_matrix is not None:
             chunks = plan.axis_groups(
                 indices=pending, max_size=MAX_SERIAL_GROUP_CHUNK
             )
@@ -775,14 +750,10 @@ class EvaluationEngine:
                 # computing chunk/num_chunks ratios must not divide by zero).
                 on_progress(self._progress_event(plan, warm, 1, 1))
             return results  # type: ignore[return-value]
-        # Candidate-axis mode keeps same-axis-structure candidates on one
+        # The batched path keeps same-axis-structure candidates on one
         # worker so the kernels batch at full group width.
         chunks = plan.partition_indices(
-            pending,
-            jobs,
-            by_axis_structure=(
-                context.vectorize == "candidates" and context.class_matrix is not None
-            ),
+            pending, jobs, by_axis_structure=context.class_matrix is not None
         )
         completed = warm
         with ProcessPoolExecutor(
@@ -871,7 +842,7 @@ class EvaluationEngine:
             if on_progress is not None:
                 on_progress(self._progress_event(plan, warm, 1, 1))
             return results  # type: ignore[return-value]
-        if context.vectorize == "candidates" and context.class_matrix is not None:
+        if context.class_matrix is not None:
             chunks = plan.axis_groups(indices=pending, max_size=MAX_SERIAL_GROUP_CHUNK)
         else:
             chunks = [[index] for index in pending]

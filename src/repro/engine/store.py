@@ -23,7 +23,7 @@ On-disk format (version 3)
     LRU garbage collection and the append/compact write path below.
 
 ``structures.npz``
-    The class-axis structure batches
+    The per-layout structure batches
     (:class:`~repro.costmodel.batch.AccessStructureBatch`).  They are plain
     numpy columns plus a little string metadata, so they spill to a single
     ``.npz`` (CRC-checked zip of ``.npy`` members) — binary-exact floats, no
@@ -133,7 +133,7 @@ _MAX_GC_ROUNDS = 8
 
 #: Scalar-structure and exclusion-report entries (sqlite).
 ENTRIES_FILENAME = "entries.sqlite"
-#: Class-axis structure batches (single npz, numpy columns).
+#: Per-layout structure batches (single npz, numpy columns).
 BATCHES_FILENAME = "structures.npz"
 #: Whole-candidate entries (single npz, columnar groups).
 CANDIDATES_FILENAME = "candidates.npz"
@@ -258,7 +258,7 @@ class CacheStore:
 
     @property
     def batches_path(self) -> str:
-        """Path of the npz batch file (class-axis structure batches)."""
+        """Path of the npz batch file (per-layout structure batches)."""
         return os.path.join(self.cache_dir, BATCHES_FILENAME)
 
     @property
@@ -278,7 +278,7 @@ class CacheStore:
         """Read the store: ``(structures, candidates, exclusion reports)``.
 
         Structure entries cover both the scalar per-query structures and the
-        class-axis batches (they share one cache dict); candidate entries are
+        per-layout batches (they share one cache dict); candidate entries are
         deferred :class:`~repro.engine.result.CandidateColumns` records.
         Returns empty dicts for anything missing, corrupted or
         version-mismatched.

@@ -1,11 +1,10 @@
 """The ``warlock lint`` framework: AST rules over the engine's contracts.
 
-Seven PRs of growth left the advisor's correctness resting on *conventions*:
-bit-identical scalar accumulation order in the parity-critical cost code, an
+The advisor's correctness rests on *conventions*: bit-identical scalar
+accumulation order in the parity-critical cost code, an
 :class:`~repro.engine.EvaluationCache` that is only touched under the
 service's per-entry lock, picklable value payloads across the process-pool
-boundary, stable wire types, and the deprecation discipline around
-:class:`~repro.api.EngineOptions`.  This package encodes those conventions as
+boundary, and stable wire types.  This package encodes those conventions as
 executable rules built on the standard library's :mod:`ast` — no new
 dependencies — so CI can enforce what review used to.
 

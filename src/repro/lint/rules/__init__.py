@@ -2,7 +2,6 @@
 
 from repro.lint.rules import (  # noqa: F401
     boundary_serialization,
-    deprecation,
     determinism_taint,
     layering,
     lock_discipline,

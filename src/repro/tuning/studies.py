@@ -20,14 +20,13 @@ evaluations earlier *processes* spilled to that directory (typically the
 ``recommend`` run that produced the spec) and spills its own settings back
 for the next session.  A cache that is already attached to a store keeps it,
 so the CLI's ``tune`` command simply hands the advisor's store-backed cache
-to every study.  The legacy ``vectorize=`` / ``cache_dir=`` kwargs remain as
-deprecation shims for :class:`~repro.api.EngineOptions`.
+to every study.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import AdvisorConfig, Warlock
 from repro.errors import AdvisorError
@@ -147,33 +146,21 @@ def _candidate_metrics(candidate) -> Dict[str, object]:
     return {column: summary[column] for column in _METRIC_COLUMNS}
 
 
-def _study_setup(owner, options, cache, vectorize, cache_dir):
-    """Resolve a study's engine options and its shared evaluation cache.
+def _study_setup(options, cache):
+    """A study's engine options and its shared evaluation cache.
 
-    ``vectorize=`` / ``cache_dir=`` are the deprecated per-kwarg shims of
-    :class:`~repro.api.EngineOptions` (see :func:`resolve_engine_options`).
-    With ``options.cache_dir`` the cache is attached to the persistent store
-    of that directory (warm-start now, spill at the end of the study);
-    attaching is a no-op when ``cache`` already carries a store for the same
-    directory.
+    The cache is validated and, with ``options.cache_dir``, attached to the
+    persistent store of that directory by the engine of the first setting
+    (warm-start there, spill at the end of the study); attaching is a no-op
+    when ``cache`` already carries a store for the same directory.
     """
     # Imported lazily: repro.api sits above the tuning layer (its session
     # dispatches to these studies).
-    from repro.api.options import UNSET, resolve_engine_options
-    from repro.engine import CacheStore, EvaluationCache
+    from repro.api.options import EngineOptions
+    from repro.engine import EvaluationCache
 
-    options, _ = resolve_engine_options(
-        options,
-        owner=owner,
-        vectorize=UNSET if vectorize is None else vectorize,
-        cache_dir=UNSET if cache_dir is None else cache_dir,
-        # One frame deeper than a shimmed constructor: the warning must pin
-        # the study function's caller, not this helper's.
-        stacklevel=6,
-    )
+    options = options if options is not None else EngineOptions()
     cache = cache if cache is not None else EvaluationCache()
-    if options.cache_dir:
-        cache.attach(CacheStore(options.cache_dir))
     return options, cache
 
 
@@ -250,8 +237,6 @@ def disk_count_study(
     disk_counts: Sequence[int] = (8, 16, 32, 64, 128),
     config: Optional[AdvisorConfig] = None,
     cache=None,
-    vectorize: Any = None,
-    cache_dir: Any = None,
     options=None,
     cancel=None,
     on_progress=None,
@@ -259,7 +244,7 @@ def disk_count_study(
     """Vary the number of disks (the classic scale-out question)."""
     if not disk_counts:
         raise AdvisorError("disk_count_study needs at least one disk count")
-    options, cache = _study_setup("disk_count_study", options, cache, vectorize, cache_dir)
+    options, cache = _study_setup(options, cache)
     records = []
     for disks in disk_counts:
         _check_cancel(cancel)
@@ -289,16 +274,12 @@ def architecture_study(
     spec: FragmentationSpec,
     config: Optional[AdvisorConfig] = None,
     cache=None,
-    vectorize: Any = None,
-    cache_dir: Any = None,
     options=None,
     cancel=None,
     on_progress=None,
 ) -> TuningStudy:
     """Compare Shared Everything and Shared Disk for the same fragmentation."""
-    options, cache = _study_setup(
-        "architecture_study", options, cache, vectorize, cache_dir
-    )
+    options, cache = _study_setup(options, cache)
     records = []
     for architecture in ("shared_everything", "shared_disk"):
         _check_cancel(cancel)
@@ -329,8 +310,6 @@ def prefetch_study(
     fact_granules: Sequence[Union[int, str]] = (1, 4, 16, 64, 256, "auto"),
     config: Optional[AdvisorConfig] = None,
     cache=None,
-    vectorize: Any = None,
-    cache_dir: Any = None,
     options=None,
     cancel=None,
     on_progress=None,
@@ -338,7 +317,7 @@ def prefetch_study(
     """Vary the fact-table prefetch granule (bitmap granule stays on auto)."""
     if not fact_granules:
         raise AdvisorError("prefetch_study needs at least one granule")
-    options, cache = _study_setup("prefetch_study", options, cache, vectorize, cache_dir)
+    options, cache = _study_setup(options, cache)
     records = []
     for granule in fact_granules:
         _check_cancel(cancel)
@@ -367,8 +346,6 @@ def bitmap_exclusion_study(
     exclusions: Sequence[Sequence[Tuple[str, str]]] = ((),),
     config: Optional[AdvisorConfig] = None,
     cache=None,
-    vectorize: Any = None,
-    cache_dir: Any = None,
     options=None,
     cancel=None,
     on_progress=None,
@@ -376,9 +353,7 @@ def bitmap_exclusion_study(
     """Vary the set of excluded bitmap indexes (the space-saving knob of §3.3)."""
     if not exclusions:
         raise AdvisorError("bitmap_exclusion_study needs at least one exclusion set")
-    options, cache = _study_setup(
-        "bitmap_exclusion_study", options, cache, vectorize, cache_dir
-    )
+    options, cache = _study_setup(options, cache)
     records = []
     for excluded in exclusions:
         _check_cancel(cancel)
@@ -416,8 +391,6 @@ def skew_study(
     thetas: Sequence[float] = (0.0, 0.5, 1.0),
     config: Optional[AdvisorConfig] = None,
     cache=None,
-    vectorize: Any = None,
-    cache_dir: Any = None,
     options=None,
     cancel=None,
     on_progress=None,
@@ -430,7 +403,7 @@ def skew_study(
     """
     if not thetas:
         raise AdvisorError("skew_study needs at least one theta")
-    options, cache = _study_setup("skew_study", options, cache, vectorize, cache_dir)
+    options, cache = _study_setup(options, cache)
     records = []
     for theta in thetas:
         _check_cancel(cancel)
@@ -456,8 +429,6 @@ def workload_weight_study(
     reweightings: Dict[str, Dict[str, float]],
     config: Optional[AdvisorConfig] = None,
     cache=None,
-    vectorize: Any = None,
-    cache_dir: Any = None,
     options=None,
     cancel=None,
     on_progress=None,
@@ -468,9 +439,7 @@ def workload_weight_study(
     :meth:`repro.workload.QueryMix.reweighted`.  The unmodified mix is always
     evaluated first under the label ``"baseline"``.
     """
-    options, cache = _study_setup(
-        "workload_weight_study", options, cache, vectorize, cache_dir
-    )
+    options, cache = _study_setup(options, cache)
     records = []
     _check_cancel(cancel)
     baseline = _evaluate(

@@ -1,12 +1,13 @@
-"""Tests for the API façade: EngineOptions, deprecation shims, requests/results.
+"""Tests for the API façade: EngineOptions, the cache handle, requests/results.
 
 The contract under test (repro.api):
 
 * :class:`EngineOptions` is the one validated carrier of the execution knobs,
-  threaded through every entry point;
-* the legacy per-kwarg forms (``jobs=``, ``vectorize=``, ``cache_dir=``,
-  ``cache=False``) keep working but emit an
-  :class:`EngineOptionsDeprecationWarning` and behave identically;
+  threaded through every entry point; ``vectorize`` is a plain bool (batched
+  or the scalar oracle);
+* the removed per-kwarg forms (``jobs=``, ``vectorize=``, ``cache_dir=``) are
+  rejected, and ``cache=`` accepts only ``None`` or a shared
+  :class:`~repro.engine.EvaluationCache`;
 * typed requests validate on construction and round-trip through
   ``to_dict`` / ``request_from_dict``;
 * every result type serves a stable ``to_dict()``.
@@ -23,7 +24,6 @@ from repro import (
     AdvisorSession,
     CompareRequest,
     EngineOptions,
-    EngineOptionsDeprecationWarning,
     EvaluateSpecRequest,
     FragmentationSpec,
     RecommendRequest,
@@ -31,7 +31,6 @@ from repro import (
     TuneRequest,
     Warlock,
     compare_specs,
-    recommendation_fingerprint,
 )
 from repro.api import request_from_dict
 from repro.engine import EvaluationEngine
@@ -71,14 +70,16 @@ class TestEngineOptions:
             with pytest.raises(AdvisorError):
                 EngineOptions(**{field: "yes"})
 
-    def test_vectorize_modes_normalize(self):
-        assert EngineOptions().vectorize_mode == "candidates"
-        assert EngineOptions(vectorize=True).vectorize_mode == "candidates"
-        assert EngineOptions(vectorize=False).vectorize_mode == "none"
-        for mode in ("none", "classes", "candidates"):
-            assert EngineOptions(vectorize=mode).vectorize_mode == mode
-        with pytest.raises(AdvisorError):
-            EngineOptions(vectorize="rows")
+    def test_vectorize_is_a_plain_bool(self):
+        assert EngineOptions().vectorize is True
+        assert EngineOptions(vectorize=False).vectorize is False
+        # Mode strings (and anything else that is not a bool) are rejected,
+        # also through the config-file / HTTP parser.
+        for bad in ("classes", "candidates", "none", "rows", 1, None):
+            with pytest.raises(AdvisorError, match="vectorize"):
+                EngineOptions(vectorize=bad)
+            with pytest.raises(AdvisorError, match="vectorize"):
+                EngineOptions.from_dict({"vectorize": bad})
 
     def test_rejects_empty_cache_dir(self):
         with pytest.raises(AdvisorError):
@@ -105,152 +106,86 @@ class TestEngineOptions:
         text = EngineOptions(jobs=4, cache_dir="/tmp/c", persist=False).describe()
         assert "jobs=4" in text and "/tmp/c" in text and "read-only" in text
         assert "uncached" in EngineOptions(cache=False).describe()
+        assert "scalar" in EngineOptions(vectorize=False).describe()
+        assert "vectorized" in EngineOptions().describe()
 
 
 class TestDeprecationShims:
-    """Legacy kwargs warn (with the dedicated category) and behave identically."""
-
-    def test_warlock_jobs_vectorize_cache_dir_warn(
-        self, toy_schema, toy_workload, small_system, tmp_path
-    ):
-        with pytest.warns(EngineOptionsDeprecationWarning, match="EngineOptions"):
-            advisor = Warlock(toy_schema, toy_workload, small_system, jobs=2)
-        assert advisor.options == EngineOptions(jobs=2)
-        with pytest.warns(EngineOptionsDeprecationWarning, match="vectorize"):
-            advisor = Warlock(toy_schema, toy_workload, small_system, vectorize=False)
-        assert advisor.options.vectorize is False
-        with pytest.warns(EngineOptionsDeprecationWarning, match="cache_dir"):
-            advisor = Warlock(
-                toy_schema, toy_workload, small_system, cache_dir=str(tmp_path)
-            )
-        assert advisor.options.cache_dir == str(tmp_path)
-
-    def test_warlock_cache_false_warns(self, toy_schema, toy_workload, small_system):
-        with pytest.warns(EngineOptionsDeprecationWarning, match="cache=False"):
-            advisor = Warlock(toy_schema, toy_workload, small_system, cache=False)
-        assert advisor.cache is None
-
-    def test_shimmed_kwargs_behave_identically(
-        self, toy_schema, toy_workload, small_system
-    ):
-        config = None
-        modern = Warlock(
-            toy_schema,
-            toy_workload,
-            small_system,
-            config,
-            options=EngineOptions(vectorize=False),
-        ).recommend()
-        with pytest.warns(EngineOptionsDeprecationWarning):
-            legacy = Warlock(
-                toy_schema, toy_workload, small_system, config, vectorize=False
-            ).recommend()
-        assert recommendation_fingerprint(modern) == recommendation_fingerprint(legacy)
-
-    def test_engine_shims_warn(self, toy_schema, toy_workload, small_system):
-        with pytest.warns(EngineOptionsDeprecationWarning):
-            engine = EvaluationEngine(toy_schema, toy_workload, small_system, jobs=2)
-        assert engine.jobs == 2
-
-    def test_study_and_compare_shims_warn(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        spec = specs[0]
-        with pytest.warns(EngineOptionsDeprecationWarning):
-            legacy = disk_count_study(
-                toy_advisor.schema,
-                toy_advisor.workload,
-                toy_advisor.system,
-                spec,
-                disk_counts=(8,),
-                config=toy_advisor.config,
-                vectorize=False,
-            )
-        modern = disk_count_study(
-            toy_advisor.schema,
-            toy_advisor.workload,
-            toy_advisor.system,
-            spec,
-            disk_counts=(8,),
-            config=toy_advisor.config,
-            options=EngineOptions(vectorize=False),
-        )
-        assert legacy.records == modern.records
-        with pytest.warns(EngineOptionsDeprecationWarning):
-            legacy_table = compare_specs(
-                toy_advisor.schema,
-                toy_advisor.workload,
-                toy_advisor.system,
-                [spec],
-                config=toy_advisor.config,
-                jobs=1,
-            )
-        modern_table = compare_specs(
-            toy_advisor.schema,
-            toy_advisor.workload,
-            toy_advisor.system,
-            [spec],
-            config=toy_advisor.config,
-            options=EngineOptions(jobs=1),
-        )
-        assert legacy_table == modern_table
-
-    def test_warning_is_attributed_to_the_caller(
-        self, toy_schema, toy_workload, small_system
-    ):
-        # stacklevel must reach through the shim plumbing to the user's call
-        # site, both for constructors and for the one-level-deeper studies.
-        with pytest.warns(EngineOptionsDeprecationWarning) as caught:
-            Warlock(toy_schema, toy_workload, small_system, jobs=2)
-        assert caught[0].filename == __file__
-        with pytest.warns(EngineOptionsDeprecationWarning) as caught:
-            disk_count_study(
-                toy_schema,
-                toy_workload,
-                small_system,
-                FragmentationSpec.of(("time", "month")),
-                disk_counts=(8,),
-                vectorize=False,
-            )
-        assert caught[0].filename == __file__
-        with pytest.warns(EngineOptionsDeprecationWarning) as caught:
-            compare_specs(
-                toy_schema,
-                toy_workload,
-                small_system,
-                [FragmentationSpec.of(("time", "month"))],
-                jobs=1,
-            )
-        assert caught[0].filename == __file__
-        assert "compare_specs" in str(caught[0].message)
+    """Engine options travel only as ``options=``; ``cache=`` is a cache handle."""
 
     def test_options_plus_deprecated_kwarg_is_an_error(
         self, toy_schema, toy_workload, small_system
     ):
-        with pytest.raises(AdvisorError, match="not both"):
-            Warlock(
-                toy_schema,
-                toy_workload,
-                small_system,
-                jobs=2,
-                options=EngineOptions(jobs=4),
-            )
+        # jobs=/vectorize=/cache_dir= are not parameters of any owner: with
+        # or without options=, they fail at the call site.
+        spec = FragmentationSpec.of(("time", "month"))
+        owners = [
+            lambda **kw: Warlock(toy_schema, toy_workload, small_system, **kw),
+            lambda **kw: EvaluationEngine(
+                toy_schema, toy_workload, small_system, **kw
+            ),
+            lambda **kw: compare_specs(
+                toy_schema, toy_workload, small_system, [spec], **kw
+            ),
+            lambda **kw: disk_count_study(
+                toy_schema, toy_workload, small_system, spec, (8,), **kw
+            ),
+        ]
+        for owner in owners:
+            for kwarg in ({"jobs": 2}, {"vectorize": False}, {"cache_dir": "x"}):
+                with pytest.raises(TypeError):
+                    owner(**kwarg)
+                with pytest.raises(TypeError):
+                    owner(options=EngineOptions(), **kwarg)
 
     def test_invalid_legacy_value_raises_without_warning(
         self, toy_schema, toy_workload, small_system
     ):
-        # Validation precedes the deprecation warning, so strict -W runs see
-        # the same AdvisorError the legacy signature always raised.
+        # A legacy spelling fails loudly at the call site — never a warning,
+        # whatever value it carries — while the same value on EngineOptions
+        # gets the usual validation error.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(AdvisorError):
-                Warlock(toy_schema, toy_workload, small_system, jobs=0)
+            for kwarg in ({"jobs": 0}, {"vectorize": "classes"}, {"cache_dir": ""}):
+                with pytest.raises(TypeError):
+                    Warlock(toy_schema, toy_workload, small_system, **kwarg)
+                with pytest.raises(AdvisorError):
+                    EngineOptions(**kwarg)
 
-    def test_internal_callers_are_migrated(self, toy_advisor, tmp_path):
-        # The advisor pipeline, the studies and the comparison run shim-free:
-        # any internal use of a deprecated kwarg fails this test (and the
-        # strict CI run) immediately.
+    def test_cache_argument_must_be_a_cache(self, toy_advisor):
+        # cache= is only the shared-cache handle: a stray True/False must
+        # fail here, not be stored as the cache and crash a later call.
+        schema, workload, system = (
+            toy_advisor.schema,
+            toy_advisor.workload,
+            toy_advisor.system,
+        )
+        spec = FragmentationSpec.of(("time", "month"))
+        owners = [
+            lambda cache: AdvisorSession(
+                schema, workload, system, cache=cache
+            ).recommend(),
+            lambda cache: Warlock(schema, workload, system, cache=cache).recommend(),
+            lambda cache: compare_specs(schema, workload, system, [spec], cache=cache),
+            lambda cache: disk_count_study(
+                schema, workload, system, spec, (8,), cache=cache
+            ),
+        ]
+        for owner in owners:
+            for bad in (True, False, "cache", {}):
+                with pytest.raises(
+                    AdvisorError, match=r"options=EngineOptions\(cache=False\)"
+                ):
+                    owner(bad)
+            # None and a real cache stay the supported spellings.
+            owner(None)
+            owner(toy_advisor.cache)
+
+    def test_internal_callers_are_migrated(self, toy_advisor):
+        # The advisor pipeline, the studies and the comparison emit no
+        # deprecation warning of any kind.
         with warnings.catch_warnings():
-            warnings.simplefilter("error", EngineOptionsDeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             recommendation = toy_advisor.recommend()
             disk_count_study(
                 toy_advisor.schema,
@@ -261,6 +196,14 @@ class TestDeprecationShims:
                 config=toy_advisor.config,
                 cache=toy_advisor.cache,
                 options=toy_advisor.options,
+            )
+            compare_specs(
+                toy_advisor.schema,
+                toy_advisor.workload,
+                toy_advisor.system,
+                [recommendation.best.spec],
+                config=toy_advisor.config,
+                cache=toy_advisor.cache,
             )
 
 

@@ -176,25 +176,42 @@ class TestVectorizeFlag:
         assert vectorized == scalar
 
     def test_vectorize_mode_flag_outputs_are_identical(self, capsys):
-        outputs = []
-        for mode in ("candidates", "classes", "none"):
-            assert (
-                main(["recommend", *self.COMMON, "--json", "--vectorize", mode]) == 0
-            )
-            outputs.append(json.loads(capsys.readouterr().out))
-        assert outputs[0] == outputs[1] == outputs[2]
+        # The one mode flag left also holds beyond recommend: tune's what-if
+        # studies evaluate single candidates (1-row stacks vs the scalar
+        # oracle), report renders the full ranking.
+        for command in ("tune", "report"):
+            assert main([command, *self.COMMON]) == 0
+            batched = capsys.readouterr().out
+            assert main([command, *self.COMMON, "--no-vectorize"]) == 0
+            assert capsys.readouterr().out == batched, command
 
-    def test_vectorize_mode_rejects_unknown_values(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["recommend", "--vectorize", "rows"])
+    def test_vectorize_mode_rejects_unknown_values(self, tmp_path, capsys):
+        # Only --no-vectorize exists: argparse rejects --vectorize outright.
+        for value in ("candidates", "classes", "none", "rows"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["recommend", "--vectorize", value])
+            assert excinfo.value.code == 2
+        capsys.readouterr()
+        # A config file naming a mode string fails cleanly, not late.
+        payload = example_config()
+        payload["engine"] = {"vectorize": "classes"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert main(["recommend", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "vectorize" in err
 
-    def test_no_vectorize_wins_over_vectorize_mode(self):
+    def test_no_vectorize_wins_over_vectorize_mode(self, tmp_path):
         from repro.cli import _engine_options
 
+        payload = example_config()
+        payload["engine"] = {"vectorize": True}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
         args = build_parser().parse_args(
-            ["recommend", "--no-vectorize", "--vectorize", "candidates"]
+            ["recommend", "--config", str(path), "--no-vectorize"]
         )
-        assert _engine_options(args).vectorize_mode == "none"
+        assert _engine_options(args).vectorize is False
 
 
 class TestModuleSmoke:

@@ -1,8 +1,8 @@
 """Unit tests for repro.costmodel.formulas: Yao/Cardenas, containment estimates.
 
 The array branches of ``cardenas_pages`` and ``expected_distinct_ancestors``
-carry a bit-parity contract with their scalar forms (the vectorized class-axis
-sweep depends on it), so the property tests here compare vectorized results
+carry a bit-parity contract with their scalar forms (the batched cost sweep
+depends on it), so the property tests here compare vectorized results
 against scalar loops with ``==`` — exact equality, not approximate.
 """
 

@@ -39,7 +39,6 @@ RULE_FIXTURES = [
     ("lock-discipline", "lock_discipline", 1),
     ("pool-boundary-picklability", "picklability", 5),
     ("wire-contract", "wire_contract", 2),
-    ("deprecation-hygiene", "deprecation", 4),
 ]
 
 # The graph rules run over whole fixture *projects* (packages with internal
@@ -64,9 +63,9 @@ class TestRules:
         assert findings_for(fixture(f"{stem}_ok.py"), rule) == []
 
     def test_rule_selection_is_scoped(self):
-        # Only the requested rule runs: the deprecation fixture holds no
+        # Only the requested rule runs: the picklability fixture holds no
         # numeric-determinism positives, so a scoped run is empty.
-        result = run_lint([fixture("deprecation_bad.py")], ["numeric-determinism"])
+        result = run_lint([fixture("picklability_bad.py")], ["numeric-determinism"])
         assert result.findings == []
         assert result.rules == ("numeric-determinism",)
 
@@ -75,7 +74,7 @@ class TestRules:
             run_lint([FIXTURES], ["no-such-rule"])
 
     def test_all_registered_rules_are_covered_by_fixtures(self):
-        run_lint([fixture("deprecation_ok.py")])  # populate the registry
+        run_lint([fixture("picklability_ok.py")])  # populate the registry
         covered = {rule for rule, _, _ in RULE_FIXTURES}
         covered |= {rule for rule, _, _ in PROJECT_FIXTURES}
         assert set(RULES) == covered
@@ -184,12 +183,12 @@ class TestBaseline:
         both = run_lint(
             [
                 fixture("numeric_determinism_bad.py"),
-                fixture("deprecation_bad.py"),
+                fixture("picklability_bad.py"),
             ]
         )
         new, baselined = split_findings(both.findings, load_baseline(baseline_path))
         assert len(baselined) == len(numeric.findings)
-        assert {f.rule for f in new} == {"deprecation-hygiene"}
+        assert {f.rule for f in new} == {"pool-boundary-picklability"}
 
     def test_fingerprints_survive_reordering(self):
         # Fingerprints carry no line numbers: the same offending line at a
@@ -279,7 +278,7 @@ class TestCommandLine:
         baseline = str(tmp_path / "baseline.json")
         code = lint_main(
             [
-                fixture("deprecation_bad.py"),
+                fixture("picklability_bad.py"),
                 "--format",
                 "json",
                 "--baseline",
@@ -288,12 +287,14 @@ class TestCommandLine:
         )
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["new"] == 4
-        assert all(f["rule"] == "deprecation-hygiene" for f in payload["findings"])
+        assert payload["summary"]["new"] == 5
+        assert all(
+            f["rule"] == "pool-boundary-picklability" for f in payload["findings"]
+        )
 
     def test_write_baseline_then_gate_passes(self, tmp_path, capsys):
         baseline = str(tmp_path / "baseline.json")
-        target = fixture("deprecation_bad.py")
+        target = fixture("picklability_bad.py")
         assert lint_main([target, "--baseline", baseline, "--write-baseline"]) == 0
         capsys.readouterr()
         assert lint_main([target, "--baseline", baseline]) == 0

@@ -43,9 +43,8 @@ class TestModuleNaming:
         assert module_name_for_path(path) == "gp.core"
 
     def test_loose_file_resolves_to_its_stem(self):
-        assert module_name_for_path(os.path.join(FIXTURES, "deprecation_ok.py")) == (
-            "deprecation_ok"
-        )
+        path = os.path.join(FIXTURES, "numeric_determinism_ok.py")
+        assert module_name_for_path(path) == "numeric_determinism_ok"
 
 
 class TestCallResolution:

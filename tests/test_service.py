@@ -410,6 +410,16 @@ class TestHTTPEndpoints:
         code, _ = http_error(server, "DELETE", "/warehouses/shop")
         assert code == 404
 
+    def test_register_with_a_removed_vectorize_mode_is_400(self, server):
+        code, body = http_error(
+            server, "PUT", "/warehouses/shop",
+            {"dataset": "apb1", "scale": 0.02, "disks": 8,
+             "engine": {"vectorize": "classes"}},
+        )
+        assert code == 400 and "vectorize" in body["error"]
+        code, _ = http_error(server, "DELETE", "/warehouses/shop")
+        assert code == 404
+
 
 class TestHTTPRoundTrip:
     """Every request type over HTTP == the in-process submit(), bit for bit."""

@@ -104,7 +104,7 @@ class TestRoundTrip:
             for key, value in structures.items()
             if isinstance(value, AccessStructureBatch)
         }
-        assert batches, "the vectorized sweep must spill class-axis batches"
+        assert batches, "the batched sweep must spill per-layout structure batches"
         for key, loaded in batches.items():
             source = original[key]
             assert loaded.query_names == source.query_names
@@ -222,7 +222,7 @@ class TestFailureModes:
         advisor = _advisor(scenario, tmp_path)
         result = advisor.recommend()
         assert recommendation_fingerprint(result) == fingerprint
-        # Candidates were gone, but the class-axis batches warm-started.
+        # Candidates were gone, but the structure batches warm-started.
         assert advisor.cache.loaded_from_disk > 0
         assert advisor.cache.stats.structure_disk_hits > 0
 

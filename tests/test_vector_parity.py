@@ -1,16 +1,18 @@
-"""Parity harness: the vectorized class-axis sweep equals the scalar path, bitwise.
+"""Parity harness: the batched cost path equals the scalar oracle, bitwise.
 
 The batched cost path (:mod:`repro.costmodel.batch`) promises to be the *same
 model* as the scalar reference implementation — not an approximation.  This
 module is the harness that proves it:
 
-* a hypothesis sweep draws random schemas, workloads (including multi-value
+* hypothesis sweeps draw random schemas, workloads (including multi-value
   restrictions), fragmentation specs, bitmap-scheme exclusions, disk counts
-  and prefetch settings, and asserts **field-by-field equality** of
+  and prefetch settings, and assert **field-by-field equality** of
   ``AccessStructure``, ``QueryAccessProfile`` and ``QueryCost`` between the
-  two paths (floats compared with ``==``, i.e. bit-identical);
+  scalar oracle and the batched kernels — the single-candidate entry points
+  and every candidate slice of a stacked chunk (floats compared with ``==``,
+  i.e. bit-identical);
 * whole-advisor checks assert identical recommendation fingerprints for the
-  vectorized and the scalar path in serial, ``jobs=4``, cold-cache and
+  batched and the scalar path in serial, ``jobs=4``, cold-cache and
   warm-cache modes;
 * the columnar worker→parent result batches re-materialize candidates
   exactly, including across a pickle round-trip (the jobs=1-vs-4 transport).
@@ -21,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -43,7 +46,7 @@ from repro.costmodel import (
     compute_access_structure_batch,
     compute_access_structure_batch_candidates,
     estimate_access,
-    estimate_access_batch,
+    estimate_access_batch_candidates,
     evaluate_workload_batch,
     evaluate_workload_batch_candidates,
     resolve_prefetch_setting,
@@ -51,7 +54,7 @@ from repro.costmodel import (
     resolve_prefetch_settings_batch_candidates,
 )
 from repro.costmodel.model import _positioning_page_equivalent
-from repro.engine import CandidateResultBatch
+from repro.engine import CandidateResultBatch, EvaluationCache
 from repro.engine.signature import recommendation_state
 from repro.fragmentation import build_layout
 from repro.storage import PrefetchSetting
@@ -72,6 +75,41 @@ def _assert_fields_equal(scalar, batch, context: str) -> None:
         assert left == right, (
             f"{context}: field {field.name!r} differs: {left!r} != {right!r}"
         )
+
+
+def _scalar_oracle(layout, workload, scheme, system, cache=None):
+    """The scalar reference: resolved prefetch setting and full evaluation."""
+    prefetch = resolve_prefetch_setting(
+        layout, workload, scheme, system, cache=cache, validate_queries=False
+    )
+    model = IOCostModel(system, cache=cache, validate_queries=False)
+    return prefetch, model.evaluate(layout, workload, scheme, prefetch)
+
+
+def _scalar_oracles(layout, workload, scheme, system):
+    """The scalar reference cold and again over a warm structure cache."""
+    cache = EvaluationCache()
+    cold = _scalar_oracle(layout, workload, scheme, system)
+    _scalar_oracle(layout, workload, scheme, system, cache)
+    hits = cache.stats.hits
+    warm = _scalar_oracle(layout, workload, scheme, system, cache)
+    assert cache.stats.hits > hits, "the warm oracle must reuse its structures"
+    return cold, warm
+
+
+def _assert_matches_oracle(prefetch, evaluation, oracle, context: str) -> None:
+    """A batched (prefetch, evaluation) equals one scalar oracle answer."""
+    expected_prefetch, expected = oracle
+    assert prefetch == expected_prefetch, context
+    assert len(expected.per_class) == len(evaluation.per_class), context
+    for scalar_cost, batch_cost in zip(expected.per_class, evaluation.per_class):
+        _assert_fields_equal(
+            scalar_cost, batch_cost, f"{context}/{scalar_cost.query_name}"
+        )
+    assert expected.total_io_cost_ms == evaluation.total_io_cost_ms, context
+    assert (
+        expected.total_response_time_ms == evaluation.total_response_time_ms
+    ), context
 
 
 def _scenario(draw):
@@ -153,7 +191,8 @@ def _scenario(draw):
 
 
 class TestHypothesisSweep:
-    """Random layouts/schemes/prefetch settings: scalar == vectorized, bitwise."""
+    """Random layouts/schemes/prefetch settings: single-candidate entry points
+    == scalar, bitwise."""
 
     @PARITY_SETTINGS
     @given(data=st.data())
@@ -190,8 +229,14 @@ class TestHypothesisSweep:
             data.draw(st.sampled_from([1, 2, 16, 128])),
             data.draw(st.sampled_from([1, 4])),
         )
+        stacked = AccessStructureBatch2D.stack([batch])
         for prefetch in (scalar_prefetch, drawn_prefetch):
-            profile_batch = estimate_access_batch(batch, prefetch, ppe)
+            profile_batch = estimate_access_batch_candidates(
+                stacked,
+                np.array([prefetch.fact_pages], dtype=np.float64),
+                np.array([prefetch.bitmap_pages], dtype=np.float64),
+                ppe,
+            )
             for i, (query, _) in enumerate(workload.weighted_items()):
                 scalar_profile = estimate_access(
                     layout,
@@ -203,7 +248,7 @@ class TestHypothesisSweep:
                 )
                 _assert_fields_equal(
                     scalar_profile,
-                    profile_batch.profile(i),
+                    profile_batch.profile(0, i),
                     f"{spec.label}/{query.name}/prefetch={prefetch.fact_pages}",
                 )
 
@@ -230,13 +275,11 @@ class TestHypothesisSweep:
 
 
 class TestCandidateAxisHypothesisSweep:
-    """Random layout stacks: candidate-axis slices == class-axis, bitwise."""
+    """Random layout stacks: every candidate slice == the scalar oracle, bitwise."""
 
     @PARITY_SETTINGS
     @given(data=st.data())
     def test_stacked_kernels_are_bit_identical_per_candidate(self, data):
-        import numpy as np
-
         schema, workload, system, spec, scheme = _scenario(data.draw)
         advisor = Warlock(
             schema, workload, system, AdvisorConfig(max_fragments=MAX_FRAGMENTS)
@@ -255,45 +298,10 @@ class TestCandidateAxisHypothesisSweep:
         ]
         matrix = ClassMatrix.compile(schema, workload, scheme)
         stacked = compute_access_structure_batch_candidates(layouts, matrix)
-        prefetches = resolve_prefetch_settings_batch_candidates(
-            stacked, matrix, system
-        )
-        evaluations = evaluate_workload_batch_candidates(
-            layouts, stacked, matrix, system, prefetches
-        )
-
-        references = []
-        for k, layout in enumerate(layouts):
-            reference = compute_access_structure_batch(layout, matrix)
-            references.append(reference)
-            sliced = stacked.candidate(k)
-            for field in dataclasses.fields(reference):
-                ours = getattr(reference, field.name)
-                theirs = getattr(sliced, field.name)
-                if isinstance(ours, np.ndarray):
-                    assert ours.dtype == theirs.dtype, field.name
-                    assert np.array_equal(ours, theirs), (
-                        f"{layout.spec.label}: {field.name}"
-                    )
-                else:
-                    assert ours == theirs, f"{layout.spec.label}: {field.name}"
-            # Prefetch resolution: batched granule selection == per-layout.
-            assert prefetches[k] == resolve_prefetch_setting_batch(
-                reference, matrix, system
-            )
-            # Full per-class records and cached totals.
-            expected = evaluate_workload_batch(
-                layout, reference, matrix, system, prefetches[k]
-            )
-            assert expected.per_class == evaluations[k].per_class
-            assert expected.total_io_cost_ms == evaluations[k].total_io_cost_ms
-            assert (
-                expected.total_response_time_ms
-                == evaluations[k].total_response_time_ms
-            )
-
-        # stack() (the cache-mixing path) rebuilds the identical 2-D batch.
-        restacked = AccessStructureBatch2D.stack(references)
+        # The warm path: per-layout slices (what the structure cache holds)
+        # re-stacked before the shared downstream kernels.
+        slices = [stacked.candidate(k) for k in range(len(layouts))]
+        restacked = AccessStructureBatch2D.stack(slices)
         for field in dataclasses.fields(stacked):
             ours = getattr(stacked, field.name)
             theirs = getattr(restacked, field.name)
@@ -302,6 +310,35 @@ class TestCandidateAxisHypothesisSweep:
                 assert np.array_equal(ours, theirs), field.name
             else:
                 assert ours == theirs, field.name
+
+        answers = {}
+        for path, batch in (("cold", stacked), ("warm", restacked)):
+            prefetches = resolve_prefetch_settings_batch_candidates(
+                batch, matrix, system
+            )
+            evaluations = evaluate_workload_batch_candidates(
+                layouts, batch, matrix, system, prefetches
+            )
+            answers[path] = list(zip(prefetches, evaluations))
+
+        for k, layout in enumerate(layouts):
+            # Access structures, field by field against the scalar oracle.
+            for i, (query, _) in enumerate(workload.weighted_items()):
+                _assert_fields_equal(
+                    compute_access_structure(layout, query, scheme, validate=False),
+                    slices[k].structure(i),
+                    f"{layout.spec.label}/{query.name}",
+                )
+            # Prefetch and full per-class records, cold and warm on both sides.
+            for oracle_path, oracle in zip(
+                ("cold", "warm"), _scalar_oracles(layout, workload, scheme, system)
+            ):
+                for path, answer in answers.items():
+                    _assert_matches_oracle(
+                        *answer[k],
+                        oracle,
+                        f"{layout.spec.label} {path} batch vs {oracle_path} oracle",
+                    )
 
 
 def _advisor_inputs():
@@ -393,12 +430,12 @@ class TestAdvisorParityMatrix:
 
 
 class TestCandidateAxisParityMatrix:
-    """One fingerprint across mode × jobs × cold/warm-from-columnar-store."""
+    """One fingerprint across scalar/batched × jobs × cold/warm-from-store."""
 
     def test_modes_jobs_and_columnar_store_warmup_agree(self, tmp_path):
         schema, workload, system, config = _advisor_inputs()
         fingerprints = {}
-        for mode in ("none", "classes", "candidates"):
+        for mode in (False, True):
             for jobs in (1, 4):
                 store_dir = tmp_path / f"{mode}-jobs{jobs}"
                 cold = Warlock(
@@ -430,8 +467,8 @@ class TestCandidateAxisParityMatrix:
         assert len(set(fingerprints.values())) == 1, fingerprints
 
     def test_group_evaluation_equals_per_spec_path_with_mixed_cache(self):
-        """evaluate_specs_in_context == per-spec evaluation, warm or cold."""
-        from repro.engine import EvaluationCache, evaluate_specs_in_context
+        """Chunked == per-spec evaluation == the scalar oracle, warm or cold."""
+        from repro.engine import evaluate_specs_in_context
         from repro.engine.executor import evaluate_spec_in_context
 
         schema, workload, system, config = _advisor_inputs()
@@ -457,12 +494,24 @@ class TestCandidateAxisParityMatrix:
             )
         mixed = evaluate_specs_in_context(context, range(len(specs)), cache)
         for expected, cold, warm in zip(reference, chunked, mixed):
+            # Both sides above run the batched kernels; the scalar oracle
+            # (cold and over a warm structure cache) anchors them.
+            for oracle_path, oracle in zip(
+                ("cold", "warm"),
+                _scalar_oracles(
+                    expected.layout, workload, context.bitmap_scheme, system
+                ),
+            ):
+                for path, other in (("per-spec", expected), ("cold", cold),
+                                    ("mixed", warm)):
+                    _assert_matches_oracle(
+                        other.prefetch,
+                        other.evaluation,
+                        oracle,
+                        f"{expected.label} {path} vs {oracle_path} oracle",
+                    )
             for other in (cold, warm):
                 assert other.label == expected.label
-                assert other.prefetch == expected.prefetch
-                assert (
-                    other.evaluation.per_class == expected.evaluation.per_class
-                )
                 assert other.io_cost_ms == expected.io_cost_ms
                 assert other.response_time_ms == expected.response_time_ms
 
@@ -619,12 +668,12 @@ class TestCandidateAxisGuards:
             )
             for spec in specs
         ]
-        return layouts, matrix, system
+        return layouts, matrix, system, workload, scheme
 
     def test_mixed_axis_structures_are_rejected(self):
         from repro.errors import CostModelError
 
-        layouts, matrix, _ = self._layouts()
+        layouts, matrix, *_ = self._layouts()
         mixed = [layouts[0], next(
             layout
             for layout in layouts
@@ -644,12 +693,10 @@ class TestCandidateAxisGuards:
             AccessStructureBatch2D.concat([])
 
     def test_profile_slices_match_class_axis_profiles(self):
-        import numpy as np
-
-        from repro.costmodel import estimate_access_batch, estimate_access_batch_candidates
+        """Every (candidate, class) profile of a stack == the scalar profile."""
         from repro.costmodel.model import _positioning_page_equivalent
 
-        layouts, matrix, system = self._layouts()
+        layouts, matrix, system, workload, scheme = self._layouts()
         group = [
             layout
             for layout in layouts
@@ -660,20 +707,20 @@ class TestCandidateAxisGuards:
         granules = np.full(len(group), 4.0)
         profiles = estimate_access_batch_candidates(stacked, granules, granules, ppe)
         for k, layout in enumerate(group):
-            reference = estimate_access_batch(
-                compute_access_structure_batch(layout, matrix),
-                PrefetchSetting.fixed(4, 4),
-                ppe,
-            )
-            sliced = profiles.candidate(k)
-            for i in range(matrix.num_classes):
+            for i, (query, _) in enumerate(workload.weighted_items()):
+                reference = estimate_access(
+                    layout,
+                    query,
+                    scheme,
+                    PrefetchSetting.fixed(4, 4),
+                    positioning_page_equivalent=ppe,
+                    validate=False,
+                )
                 _assert_fields_equal(
-                    reference.profile(i), sliced.profile(i), layout.spec.label
+                    reference, profiles.profile(k, i), layout.spec.label
                 )
 
     def test_batch_granule_selection_matches_scalar(self):
-        import numpy as np
-
         from repro.storage import SystemParameters
         from repro.storage.prefetch import (
             optimal_prefetch_pages,
