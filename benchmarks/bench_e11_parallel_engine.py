@@ -51,13 +51,6 @@ total-cost vector off the metric cubes and runs both phases as stable
 ``np.lexsort`` passes.  Asserted bit-identical and >= 2x in full mode;
 measurements are appended to ``BENCH_e11.json``.
 
-**Part 8 — the distributed sweep fabric under injected faults**: the same
-sweep over two fabric workers, one killed after its first lease
-(``kill_after=1``), asserted fingerprint-identical to the local run — the
-lease re-queue recovers the lost chunk and chunking-before-distribution
-keeps the result independent of worker count; measurements are appended to
-``BENCH_e11.json``.
-
 Assertions: all modes return bit-identical recommendations
 (:func:`repro.engine.recommendation_fingerprint`); the warm cache-aware sweep
 is at least 2x faster than the serial baseline; and — on machines that
@@ -910,96 +903,3 @@ def test_e11_service_concurrent_load(quick):
         )
     finally:
         server.stop()
-
-
-# ---------------------------------------------------------------------------
-# Part 8: the distributed sweep fabric under injected faults
-# ---------------------------------------------------------------------------
-
-
-def test_e11_fabric_fault_parity(quick):
-    """Part 8: distributed sweep vs local — bit parity under injected faults.
-
-    The same sweep runs once locally and once over the fabric with two
-    in-process workers, one of which is killed after its first lease
-    (``kill_after=1`` — evaluated but never submitted, the worst-case loss).
-    The coordinator must recover the lease through its deadline re-queue and
-    the recommendation fingerprint must match the local run bit for bit:
-    chunking happens before distribution, so worker count and worker deaths
-    cannot change a single number.
-    """
-    import socket as socket_module
-    import threading
-
-    from repro.fabric import FaultPlan, RetryPolicy, run_worker
-
-    params = QUICK if quick else FULL
-    schema, workload, system, config = _inputs(params)
-
-    local, local_s = _timed_recommend(Warlock(schema, workload, system, config))
-    expected = recommendation_fingerprint(local)
-
-    probe = socket_module.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-
-    retry = RetryPolicy(
-        max_attempts=20, base_delay=0.05, max_delay=0.2, deadline=30.0
-    )
-    chaos = FaultPlan.parse("kill_after=1,seed=7").injector()
-
-    def serve(faults):
-        try:
-            run_worker(("127.0.0.1", port), retry=retry, faults=faults)
-        except Exception:
-            pass  # the injected kill ends this thread; that is the experiment
-
-    threads = [
-        threading.Thread(target=serve, args=(chaos,), daemon=True),
-        threading.Thread(target=serve, args=(None,), daemon=True),
-    ]
-    for thread in threads:
-        thread.start()
-
-    advisor = Warlock(
-        schema,
-        workload,
-        system,
-        config,
-        options=EngineOptions(
-            fabric=f"127.0.0.1:{port}", fabric_lease=1.0, fabric_grace=60.0
-        ),
-    )
-    fabric, fabric_s = _timed_recommend(advisor)
-    for thread in threads:
-        thread.join(timeout=60)
-
-    assert recommendation_fingerprint(fabric) == expected, (
-        "fabric sweep diverged from the local run under injected faults"
-    )
-    assert chaos.chunks_evaluated == 1, "the injected worker kill never fired"
-
-    print()
-    print_table(
-        "E11: fabric fault parity — 2 workers, one killed after its first lease",
-        ["metric", "value"],
-        [
-            ["local sweep [s]", f"{local_s:.3f}"],
-            ["fabric sweep [s]", f"{fabric_s:.3f}"],
-            ["injected kill after", f"{chaos.chunks_evaluated} chunk(s)"],
-            ["fingerprint parity", "bit-identical"],
-        ],
-    )
-
-    _append_trajectory(
-        {
-            "part": "8-fabric-fault-parity",
-            "quick": quick,
-            "workers": 2,
-            "killed_workers": 1,
-            "local_s": round(local_s, 4),
-            "fabric_s": round(fabric_s, 4),
-            "parity": True,
-        }
-    )

@@ -36,7 +36,9 @@ class EngineOptions:
         Worker processes for candidate sweeps.  ``1`` (default) evaluates
         serially in-process, higher values use a process pool with guaranteed
         result parity, ``"auto"`` picks the worker count per sweep from the
-        available CPUs and the candidate count (the CLI default).
+        available CPUs and the candidate count (the CLI default).  Both run
+        through the engine's one chunk driver; a pool that breaks mid-sweep
+        hands the remaining candidates back to the inline path.
     vectorize:
         ``True`` (default) evaluates the cost sweep batched: whole chunks of
         same-axis-structure candidates as (candidate × class) numpy arrays.
@@ -65,19 +67,6 @@ class EngineOptions:
         directory down to the budget, evicting the least-recently-used
         entries first; ``None`` (default) keeps the store unbounded.
         Requires ``cache_dir``.
-    fabric:
-        ``host:port`` bind address of a distributed sweep coordinator (CLI
-        ``--fabric``).  When set, candidate sweeps are leased out to fabric
-        workers (``warlock worker host:port``) instead of the local process
-        pool; with no reachable workers the coordinator degrades to local
-        evaluation after ``fabric_grace`` seconds, so the option is always
-        safe.  ``None`` (default) keeps sweeps local.
-    fabric_grace:
-        Seconds of total worker silence before a fabric sweep degrades to
-        local evaluation (CLI ``--fabric-grace``).
-    fabric_lease:
-        Seconds of heartbeat silence before a fabric chunk lease is re-queued
-        to another worker (CLI ``--fabric-lease``).
     """
 
     jobs: Union[int, str] = 1
@@ -86,9 +75,6 @@ class EngineOptions:
     cache_dir: Optional[str] = None
     persist: bool = True
     cache_max_mb: Optional[float] = None
-    fabric: Optional[str] = None
-    fabric_grace: float = 2.0
-    fabric_lease: float = 30.0
 
     def __post_init__(self) -> None:
         _validate_jobs(self.jobs)
@@ -125,39 +111,6 @@ class EngineOptions:
                     "EngineOptions.cache_max_mb requires cache_dir: a byte "
                     "budget without a persistent store bounds nothing"
                 )
-        if self.fabric is not None:
-            # Validated inline (not via repro.fabric) so the options layer
-            # stays import-light; the coordinator re-parses at bind time.
-            if not isinstance(self.fabric, str) or not self.fabric.strip():
-                raise AdvisorError(
-                    f"EngineOptions.fabric must be a host:port string or "
-                    f"None, got {self.fabric!r}"
-                )
-            _, sep, port_text = self.fabric.strip().rpartition(":")
-            if sep:
-                try:
-                    port = int(port_text)
-                except ValueError:
-                    raise AdvisorError(
-                        f"EngineOptions.fabric has an invalid port: "
-                        f"{self.fabric!r}"
-                    )
-                if not 0 <= port <= 65535:
-                    raise AdvisorError(
-                        f"EngineOptions.fabric port out of range: {self.fabric!r}"
-                    )
-        for name in ("fabric_grace", "fabric_lease"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or value < 0
-                or (name == "fabric_lease" and value == 0)
-            ):
-                bound = "positive" if name == "fabric_lease" else "non-negative"
-                raise AdvisorError(
-                    f"EngineOptions.{name} must be a {bound} number, got {value!r}"
-                )
 
     # -- derivation -------------------------------------------------------------
 
@@ -176,9 +129,6 @@ class EngineOptions:
             "cache_dir": self.cache_dir,
             "persist": self.persist,
             "cache_max_mb": self.cache_max_mb,
-            "fabric": self.fabric,
-            "fabric_grace": self.fabric_grace,
-            "fabric_lease": self.fabric_lease,
         }
 
     @classmethod
@@ -212,9 +162,4 @@ class EngineOptions:
             )
             if self.cache_max_mb is not None:
                 parts.append(f"budget={self.cache_max_mb:g}MB")
-        if self.fabric is not None:
-            parts.append(
-                f"fabric={self.fabric} "
-                f"(lease={self.fabric_lease:g}s, grace={self.fabric_grace:g}s)"
-            )
         return ", ".join(parts)

@@ -3,8 +3,9 @@
 The evaluation plan knows every work unit of a sweep up front, and the
 executor already dispatches candidates in chunks — so per-chunk completion is
 free to surface.  :class:`ProgressEvent` is the value object the engine emits
-at every chunk boundary (serial mode treats each candidate as its own chunk;
-the pool emits one event per completed worker chunk), and
+at every chunk boundary (inline sweeps report each capped axis-structure
+group, or each candidate on the scalar path; the pool reports each
+completed worker chunk), and
 :class:`CancellationToken` is the cooperative cancel switch the engine checks
 at the same boundaries.
 
@@ -36,10 +37,12 @@ class ProgressEvent:
     """One chunk-boundary snapshot of a running candidate sweep.
 
     ``chunk``/``num_chunks`` count the chunks this sweep actually dispatches
-    (cache-answered candidates never reach a chunk); ``completed``/``total``
-    count candidates including the cache-answered ones, so a meter rendered
-    from the events always ends at ``total``.  ``chunk`` 0 is the start
-    event a pool sweep emits after answering its warm candidates.
+    (cache-answered candidates never reach a chunk; a fully warm sweep
+    reports one complete chunk); ``completed``/``total`` count candidates
+    including the cache-answered ones, so a meter rendered from the events
+    always ends at ``total``.  ``chunk`` 0 is the start event the engine
+    emits, with the warm candidates counted, when it hands the misses to a
+    process pool.
     """
 
     phase: str
@@ -60,12 +63,9 @@ class ProgressEvent:
     #: single-sweep requests leave both at 1.
     sweep: int = 1
     num_sweeps: int = 1
-    #: Live fabric workers serving this sweep (0 on local sweeps).
-    workers: int = 0
-    #: True when the sweep is running in degraded mode — the parallel or
-    #: fabric path failed (or no workers were reachable) and the engine fell
-    #: back to local serial evaluation.  Results are unaffected; only the
-    #: execution strategy changed.
+    #: True when the sweep is running in degraded mode — the process pool
+    #: failed and the engine finishes the remaining candidates inline.
+    #: Results are unaffected; only the execution strategy changed.
     degraded: bool = False
 
     @property
@@ -86,7 +86,6 @@ class ProgressEvent:
             "label": self.label,
             "sweep": self.sweep,
             "num_sweeps": self.num_sweeps,
-            "workers": self.workers,
             "degraded": self.degraded,
             "fraction": self.fraction,
         }
@@ -99,8 +98,6 @@ class ProgressEvent:
         )
         if self.num_sweeps > 1:
             text = f"sweep {self.sweep}/{self.num_sweeps}: " + text
-        if self.workers:
-            text += f" [{self.workers} worker(s)]"
         if self.degraded:
             text += " [degraded]"
         if self.label:

@@ -155,13 +155,6 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
         # an *explicit* --cache-max-mb without any store is a real conflict
         # and falls through to EngineOptions' validation error.
         cache_max_mb = section.get("cache_max_mb")
-    fabric = getattr(args, "fabric", None) or section.get("fabric") or None
-    fabric_grace = getattr(args, "fabric_grace", None)
-    if fabric_grace is None:
-        fabric_grace = section.get("fabric_grace", 2.0)
-    fabric_lease = getattr(args, "fabric_lease", None)
-    if fabric_lease is None:
-        fabric_lease = section.get("fabric_lease", 30.0)
     return EngineOptions(
         jobs=jobs,
         vectorize=vectorize,
@@ -169,9 +162,6 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
         cache_dir=cache_dir,
         persist=section.get("persist", True),
         cache_max_mb=cache_max_mb,
-        fabric=fabric,
-        fabric_grace=fabric_grace,
-        fabric_lease=fabric_lease,
     )
 
 
@@ -494,37 +484,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """Serve one fabric coordinator as a sweep worker (see :mod:`repro.fabric`)."""
-    from repro.fabric import FaultInjected, FaultPlan, RetryPolicy, parse_address
-    from repro.fabric.worker import run_worker
-
-    address = parse_address(args.coordinator)
-    plan = FaultPlan.from_env()
-    faults = plan.injector() if plan is not None else None
-    retry = RetryPolicy(
-        max_attempts=args.max_attempts, deadline=args.connect_deadline
-    )
-    print(
-        f"warlock: worker serving coordinator {address[0]}:{address[1]}"
-        + (f" with injected faults {plan}" if plan is not None else ""),
-        file=sys.stderr,
-    )
-    try:
-        run_worker(
-            address,
-            retry=retry,
-            faults=faults,
-            cancel=getattr(args, "cancel", None),
-        )
-    except FaultInjected as error:
-        # An injected kill must end the process like a real crash would:
-        # non-zero, without the WarlockError pretty-printing.
-        print(f"warlock: worker crashed: {error}", file=sys.stderr)
-        return 17
-    return 0
-
-
 def _cmd_example_config(args: argparse.Namespace) -> int:
     print(json.dumps(example_config(), indent=2))
     return 0
@@ -645,32 +604,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         help="render a live candidate-sweep progress meter on stderr "
         "(one update per evaluation chunk)",
     )
-    parser.add_argument(
-        "--fabric",
-        default=None,
-        metavar="HOST:PORT",
-        help="lease candidate sweeps to distributed fabric workers: bind a "
-        "sweep coordinator on this address and hand out chunk leases to "
-        "'warlock worker' processes (results are bit-identical to local "
-        "runs; with no reachable workers the sweep degrades to local "
-        "evaluation after --fabric-grace seconds)",
-    )
-    parser.add_argument(
-        "--fabric-grace",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds of total worker silence before a fabric sweep degrades "
-        "to local evaluation (default 2)",
-    )
-    parser.add_argument(
-        "--fabric-lease",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds of heartbeat silence before a fabric chunk lease is "
-        "re-queued to another worker (default 30)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -773,33 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
         "under this name (more can be registered over HTTP)",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="serve a sweep-fabric coordinator as an evaluation worker "
-        "(pull chunk leases, evaluate, heartbeat; see 'recommend --fabric')",
-    )
-    worker.add_argument(
-        "coordinator",
-        metavar="HOST:PORT",
-        help="address of the coordinator to pull leases from",
-    )
-    worker.add_argument(
-        "--max-attempts",
-        type=int,
-        default=30,
-        metavar="N",
-        help="connection attempts per request before giving up (default 30)",
-    )
-    worker.add_argument(
-        "--connect-deadline",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="total backoff budget per request; a coordinator unreachable "
-        "past it ends the worker gracefully (default 60)",
-    )
-    worker.set_defaults(func=_cmd_worker)
 
     example = subparsers.add_parser("example-config", help="print a JSON configuration template")
     example.set_defaults(func=_cmd_example_config)

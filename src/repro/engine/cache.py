@@ -340,9 +340,9 @@ class EvaluationCache:
     def get_candidate(self, context, spec):
         """Probe for a whole-candidate evaluation; ``None`` on miss.
 
-        The probe is counted (hit or miss).  The parallel executor uses this
-        to answer warm sweeps from the cache and dispatch only the misses to
-        the worker pool.
+        The probe is counted (hit or miss).  The engine's sweep driver uses
+        this to answer warm candidates once per plan index and chunk only the
+        misses, inline or on the worker pool.
 
         Entries loaded from a persistent store are deferred columnar records
         (:class:`~repro.engine.result.CandidateColumns`); the first probe

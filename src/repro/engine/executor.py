@@ -1,11 +1,14 @@
 """The candidate-evaluation engine: batched, parallel, cache-aware.
 
 :class:`EvaluationEngine` replaces the advisor's serial candidate loop.  It
-expands the sweep into an :class:`~repro.engine.plan.EvaluationPlan`, executes
-the per-candidate evaluations either inline (``jobs=1``) or on a process pool
-(``jobs>1``), and returns the candidates in plan order.  Results are
-**deterministic and identical across execution modes**: every evaluation is a
-pure function of its inputs, workers return columnar
+expands the sweep into an :class:`~repro.engine.plan.EvaluationPlan` and runs
+it through one driver (:meth:`EvaluationEngine.evaluate_specs`): the shared
+cache answers the warm candidates, the misses are cut into chunks, and one
+loop consumes ``(chunk, candidates)`` pairs from either the inline generator
+(``jobs=1``) or the process-pool generator (``jobs>1``), placing results,
+filling the cache, reporting progress and honouring cancellation.  Results
+are **deterministic and identical across execution modes**: every evaluation
+is a pure function of its inputs, workers return columnar
 :class:`~repro.engine.result.CandidateResultBatch` chunks the parent
 re-materializes by index — so ``jobs=4`` produces bit-identical
 recommendations to ``jobs=1`` (the parity test matrix asserts this).
@@ -31,9 +34,10 @@ evaluation context (schema, workload, system, config, bitmap scheme, class
 matrix, specs) once per worker rather than once per task; each worker owns a
 private :class:`~repro.engine.cache.EvaluationCache`, so the run-length and
 evaluation passes of a candidate share their access structures inside the
-worker exactly as they do inline.  If the pool cannot be created (restricted
-environments without working multiprocessing), the engine falls back to the
-serial path — same results, just slower.
+worker exactly as they do inline.  If the pool cannot be created or breaks
+mid-sweep (restricted environments without working multiprocessing, killed
+workers), the driver finishes the remaining candidates with the inline
+generator in degraded mode — same results, just slower.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import sys
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.allocation import choose_allocation, choose_allocations_batch
 from repro.bitmap import BitmapScheme, design_bitmap_scheme
@@ -60,7 +64,7 @@ from repro.costmodel import (
     resolve_prefetch_setting_batch,
     resolve_prefetch_settings_batch_candidates,
 )
-from repro.errors import AdvisorError, EvaluationCancelled, FabricError
+from repro.errors import AdvisorError, EvaluationCancelled
 from repro.fragmentation import FragmentationSpec, build_layout
 from repro.schema import StarSchema
 from repro.storage import SystemParameters
@@ -85,6 +89,11 @@ __all__ = [
 #: near-full batch width (the kernels saturate well below that) while staying
 #: close to the one-candidate granularity of the non-batched serial path.
 MAX_SERIAL_GROUP_CHUNK = 16
+
+#: Failures of the process pool itself (no /dev/shm, seccomp'd fork, workers
+#: killed on spawn, an unpicklable task) rather than of an evaluation: the
+#: driver finishes the sweep inline instead.
+_POOL_FAILURES = (OSError, BrokenProcessPool, pickle.PicklingError)
 
 
 @dataclass(frozen=True)
@@ -196,87 +205,76 @@ def evaluate_specs_in_context(
     group's layouts are stacked into one (candidate × class) numpy batch —
     structures, prefetch resolution and costs computed in one vector pass,
     bit-identical to evaluating each spec alone (the parity suite pins this).
-    The scalar path evaluates spec by spec.  Cache semantics match the
-    per-spec path exactly: one candidate probe per index, one structure probe
-    per evaluated layout.
+    The scalar path evaluates spec by spec.  ``cache`` memoizes access
+    structures only (one structure probe per evaluated layout): whole
+    candidates are probed and stored by the engine's driver, once per plan
+    index, so every index handed in here is evaluated.
     """
     if context.class_matrix is None:
         return [
-            evaluate_spec_in_context(context, context.specs[index], cache)
-            for index in indices
+            _evaluate_spec(context, context.specs[index], cache) for index in indices
         ]
-    results: Dict[int, FragmentationCandidate] = {}
-    pending: List[int] = []
+    if not indices:
+        return []
+    matrix = context.class_matrix
+    groups: Dict[Tuple[str, ...], List[int]] = {}
     for index in indices:
-        if cache is not None:
-            candidate = cache.get_candidate(context, context.specs[index])
-            if candidate is not None:
-                results[index] = candidate
-                continue
-        pending.append(index)
-    if pending:
-        matrix = context.class_matrix
-        groups: Dict[Tuple[str, ...], List[int]] = {}
-        for index in pending:
-            groups.setdefault(context.specs[index].axis_structure, []).append(index)
-        # Access structures are computed per axis-structure group (the unit
-        # within which the per-class control flow is uniform); everything
-        # downstream — prefetch resolution and the cost model — is purely
-        # elementwise per candidate, so the whole chunk stacks into ONE
-        # (candidate × class) batch regardless of its group mix.
-        order: List[int] = []
-        group_batches: List[AccessStructureBatch2D] = []
-        layouts = []
-        allocations = []
-        for group in groups.values():
-            order.extend(group)
-            group_layouts = [
-                build_layout(
-                    context.schema,
-                    context.specs[index],
-                    fact_table=context.fact_name,
-                    page_size_bytes=context.system.page_size_bytes,
-                    max_fragments=max(context.config.max_fragments, 1),
-                )
-                for index in group
-            ]
-            layouts.extend(group_layouts)
-            group_batches.append(
-                _group_structure_batch(context, group_layouts, matrix, cache)
+        groups.setdefault(context.specs[index].axis_structure, []).append(index)
+    # Access structures are computed per axis-structure group (the unit
+    # within which the per-class control flow is uniform); everything
+    # downstream — prefetch resolution and the cost model — is purely
+    # elementwise per candidate, so the whole chunk stacks into ONE
+    # (candidate × class) batch regardless of its group mix.
+    order: List[int] = []
+    group_batches: List[AccessStructureBatch2D] = []
+    layouts = []
+    allocations = []
+    for group in groups.values():
+        order.extend(group)
+        group_layouts = [
+            build_layout(
+                context.schema,
+                context.specs[index],
+                fact_table=context.fact_name,
+                page_size_bytes=context.system.page_size_bytes,
+                max_fragments=max(context.config.max_fragments, 1),
             )
-            # Disk placement is batched per group as well: one LPT pass over
-            # the group's padded (candidate × fragment) page matrix, bit-
-            # identical to the per-candidate choose_allocation reference.
-            allocations.extend(
-                choose_allocations_batch(
-                    group_layouts,
-                    context.system,
-                    context.bitmap_scheme,
-                    skew_threshold_cv=context.config.allocation_skew_cv,
-                )
-            )
-        batch = AccessStructureBatch2D.concat(group_batches)
-        prefetches = resolve_prefetch_settings_batch_candidates(
-            batch, matrix, context.system
+            for index in group
+        ]
+        layouts.extend(group_layouts)
+        group_batches.append(
+            _group_structure_batch(context, group_layouts, matrix, cache)
         )
-        evaluations = evaluate_workload_batch_candidates(
-            layouts, batch, matrix, context.system, prefetches
-        )
-        for index, layout, prefetch, evaluation, allocation in zip(
-            order, layouts, prefetches, evaluations, allocations
-        ):
-            spec = context.specs[index]
-            candidate = FragmentationCandidate(
-                spec=spec,
-                layout=layout,
-                bitmap_scheme=context.bitmap_scheme,
-                prefetch=prefetch,
-                evaluation=evaluation,
-                allocation=allocation,
+        # Disk placement is batched per group as well: one LPT pass over
+        # the group's padded (candidate × fragment) page matrix, bit-
+        # identical to the per-candidate choose_allocation reference.
+        allocations.extend(
+            choose_allocations_batch(
+                group_layouts,
+                context.system,
+                context.bitmap_scheme,
+                skew_threshold_cv=context.config.allocation_skew_cv,
             )
-            results[index] = candidate
-            if cache is not None:
-                cache.put_candidate(context, spec, candidate)
+        )
+    batch = AccessStructureBatch2D.concat(group_batches)
+    prefetches = resolve_prefetch_settings_batch_candidates(
+        batch, matrix, context.system
+    )
+    evaluations = evaluate_workload_batch_candidates(
+        layouts, batch, matrix, context.system, prefetches
+    )
+    results: Dict[int, FragmentationCandidate] = {}
+    for index, layout, prefetch, evaluation, allocation in zip(
+        order, layouts, prefetches, evaluations, allocations
+    ):
+        results[index] = FragmentationCandidate(
+            spec=context.specs[index],
+            layout=layout,
+            bitmap_scheme=context.bitmap_scheme,
+            prefetch=prefetch,
+            evaluation=evaluation,
+            allocation=allocation,
+        )
     return [results[index] for index in indices]
 
 
@@ -359,15 +357,73 @@ def _evaluate_chunk(
     return batch, fresh_structures
 
 
+# -- the driver's chunk sources ----------------------------------------------------
+
+
+def _inline_chunks(
+    plan: EvaluationPlan, indices: Sequence[int], batched: bool
+) -> List[List[int]]:
+    """Inline chunks: capped axis-structure groups, or single candidates on
+    the scalar path — the finest boundaries at which progress is reported
+    and a cancel stops without discarding work."""
+    if batched:
+        return plan.axis_groups(indices=indices, max_size=MAX_SERIAL_GROUP_CHUNK)
+    return [[index] for index in indices]
+
+
+def _evaluate_inline(
+    context: EngineContext,
+    chunks: Sequence[List[int]],
+    cache: Optional[EvaluationCache],
+) -> Generator[Tuple[List[int], List[FragmentationCandidate]], None, None]:
+    """Evaluate ``chunks`` in this process, one per request of the driver."""
+    for chunk in chunks:
+        yield chunk, evaluate_specs_in_context(context, chunk, cache)
+
+
+def _evaluate_pooled(
+    context: EngineContext,
+    chunks: Sequence[List[int]],
+    jobs: int,
+    cache: Optional[EvaluationCache],
+) -> Generator[Tuple[List[int], List[FragmentationCandidate]], None, None]:
+    """Evaluate ``chunks`` on a per-sweep process pool, in completion order.
+
+    The structures each worker ships back are merged into ``cache``.
+    Closing the generator early drops the chunks not yet started.
+    """
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(chunks)),
+        initializer=_initialize_worker,
+        initargs=(context,),
+    ) as pool:
+        try:
+            futures = {pool.submit(_evaluate_chunk, chunk): chunk for chunk in chunks}
+            not_done = set(futures)
+            while not_done:
+                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+                for future in done:
+                    batch, structures = future.result()
+                    if cache is not None:
+                        cache.merge_structures(structures)
+                    pairs = batch.to_candidates(context)
+                    yield futures[future], [candidate for _, candidate in pairs]
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+
+
 # -- the engine --------------------------------------------------------------------
 
 
-def _cancel_requested(cancel) -> bool:
-    """True when the cancel signal (token or callable) is set."""
+def _check_cancel(cancel, completed: int, total: int) -> None:
+    """Raise :class:`~repro.errors.EvaluationCancelled` once ``cancel`` is set."""
     # Imported lazily: repro.api sits above the engine in the layer stack.
     from repro.api.progress import cancel_requested
 
-    return cancel_requested(cancel)
+    if cancel_requested(cancel):
+        raise EvaluationCancelled(
+            f"evaluation cancelled after {completed}/{total} candidates"
+        )
 
 
 class EvaluationEngine:
@@ -544,60 +600,95 @@ class EvaluationEngine:
     ) -> List[FragmentationCandidate]:
         """Evaluate every candidate of ``specs``, preserving order.
 
-        Serial and parallel backends return identical candidate lists; the
-        parallel backend is only engaged when the resolved worker count
-        exceeds one and the sweep is large enough to amortize the pool.
+        The one driver of every sweep.  It probes the shared cache once per
+        plan index, cuts the misses into chunks — capped axis-structure
+        groups (one candidate each on the scalar path) inline, a balanced
+        :meth:`~repro.engine.plan.EvaluationPlan.partition_indices` split on
+        the process pool, which is only engaged when the resolved worker
+        count exceeds one and the sweep is large enough to amortize it — and
+        consumes the evaluated chunks in one loop that places the results,
+        inserts them into the cache, reports progress and honours ``cancel``.
+        If the pool breaks, the same loop finishes the remaining candidates
+        inline in degraded mode.  Both backends return identical candidates.
 
         ``on_progress`` receives one :class:`repro.api.ProgressEvent` per
-        completed plan chunk (serially: one capped axis-structure group on the
-        batched path, one candidate on the scalar path); ``cancel`` — a
+        completed chunk (a fully warm sweep reports a single complete chunk;
+        a pool sweep also reports a chunk-0 start event); ``cancel`` — a
         :class:`repro.api.CancellationToken` or a zero-argument callable — is
-        checked at the same chunk boundaries and raises
+        checked after the cache probe and at every chunk boundary, and raises
         :class:`~repro.errors.EvaluationCancelled` when set.  Entries cached
         before a cancel stay valid (they are content-addressed), so a retried
         sweep resumes warm.
         """
+        # Imported lazily: repro.api sits above the engine in the layer stack.
+        from repro.api.progress import ProgressEvent
+
         plan = self.plan(specs)
         context = self.context(specs=plan.specs, bitmap_scheme=bitmap_scheme)
-        jobs = self.resolve_jobs(plan.num_candidates)
+        cache = self.cache
+        total = plan.num_candidates
+        per_candidate = len(plan.query_names)
+        results: List[Optional[FragmentationCandidate]] = [None] * total
+        pending: List[int] = []
+        for index, spec in enumerate(plan.specs):
+            hit = cache.get_candidate(context, spec) if cache is not None else None
+            if hit is None:
+                pending.append(index)
+            else:
+                results[index] = hit
+        completed = total - len(pending)
+        degraded = False
+
+        def report(chunk: int, num_chunks: int, label: str = "") -> None:
+            if on_progress is not None:
+                on_progress(
+                    ProgressEvent(
+                        phase="evaluate",
+                        completed=completed,
+                        total=total,
+                        chunk=chunk,
+                        num_chunks=num_chunks,
+                        completed_units=completed * per_candidate,
+                        total_units=total * per_candidate,
+                        label=label,
+                        degraded=degraded,
+                    )
+                )
+
+        batched = context.class_matrix is not None
+        source = None
         try:
-            candidates = None
-            degraded = False
-            # Completed candidates the failing backend already produced; the
-            # degraded serial retry resumes from them instead of re-evaluating.
-            partial: Dict[int, FragmentationCandidate] = {}
-            if self.options.fabric is not None:
+            _check_cancel(cancel, completed, total)
+            if not pending:
+                # Nothing to dispatch: report one already-complete chunk
+                # (never 0/0 — wire consumers divide chunk by num_chunks).
+                report(1, 1)
+                return results  # type: ignore[return-value]
+            jobs = self.resolve_jobs(total)
+            pooled = jobs > 1 and total >= MIN_SPECS_FOR_PARALLEL
+            if pooled:
+                chunks = plan.partition_indices(
+                    pending, jobs, by_axis_structure=batched
+                )
+                source = _evaluate_pooled(context, chunks, jobs, cache)
+                # A pool chunk can take a while: announce the warm share now.
+                report(0, len(chunks))
+            else:
+                chunks = _inline_chunks(plan, pending, batched)
+                source = _evaluate_inline(context, chunks, cache)
+            done_chunks = 0
+            while True:
                 try:
-                    candidates = self._evaluate_fabric(
-                        plan, context, on_progress, cancel
-                    )
-                except (OSError, FabricError) as error:
-                    # The coordinator could not bind (port taken, no network):
-                    # the sweep must still complete.  Evaluation errors —
-                    # WarlockError subclasses including EvaluationCancelled —
-                    # still propagate; they would fail locally too.
-                    print(
-                        f"warlock: sweep fabric unavailable "
-                        f"({type(error).__name__}: {error}); evaluating "
-                        f"locally (degraded mode)",
-                        file=sys.stderr,
-                    )
-                    degraded = True
-            if (
-                candidates is None
-                and jobs > 1
-                and plan.num_candidates >= MIN_SPECS_FOR_PARALLEL
-            ):
-                try:
-                    candidates = self._evaluate_parallel(
-                        plan, context, jobs, on_progress, cancel, partial=partial
-                    )
-                except (OSError, BrokenProcessPool, pickle.PicklingError) as error:
-                    # Restricted environments (no /dev/shm, seccomp'd fork,
-                    # workers killed on spawn): the serial path produces the
-                    # same results.  Evaluation errors (WarlockError
-                    # subclasses, including EvaluationCancelled) still
-                    # propagate — they would fail serially too.
+                    chunk, candidates = next(source)
+                except StopIteration:
+                    return results  # type: ignore[return-value]
+                except _POOL_FAILURES as error:
+                    # Evaluation errors (WarlockError subclasses, including
+                    # EvaluationCancelled) propagate: they would fail inline
+                    # too.  A failing pool leaves its finished chunks placed;
+                    # only the remainder is evaluated again, inline.
+                    if not pooled or degraded:
+                        raise
                     print(
                         f"warlock: process pool failed "
                         f"({type(error).__name__}: {error}); retrying the "
@@ -605,298 +696,29 @@ class EvaluationEngine:
                         file=sys.stderr,
                     )
                     degraded = True
-            if candidates is None:
-                candidates = self._evaluate_serial(
-                    plan,
-                    context,
-                    on_progress,
-                    cancel,
-                    preloaded=partial or None,
-                    degraded=degraded,
-                )
+                    remaining = [index for index in pending if results[index] is None]
+                    chunks = _inline_chunks(plan, remaining, batched)
+                    source = _evaluate_inline(context, chunks, cache)
+                    done_chunks = 0
+                    continue
+                for index, candidate in zip(chunk, candidates):
+                    results[index] = candidate
+                    if cache is not None:
+                        cache.put_candidate(context, plan.specs[index], candidate)
+                completed += len(chunk)
+                done_chunks += 1
+                report(done_chunks, len(chunks), plan.specs[chunk[-1]].label)
+                if completed < total:
+                    _check_cancel(cancel, completed, total)
         finally:
+            if source is not None:
+                # Stops a pool that a cancel left running: chunks not yet
+                # started are dropped, running ones finish and are discarded.
+                source.close()
             # Spill new entries to the attached persistent store even when the
             # sweep was cancelled mid-way: every completed evaluation is a
             # valid content-addressed entry a retry can warm-start from.
             # (No-op without a store, with persist=False, or when the sweep
             # was answered entirely warm.)
-            if self.cache is not None and self.options.persist:
-                self.cache.persist()
-        return candidates
-
-    def _progress_event(
-        self, plan, completed, chunk, num_chunks, label="", workers=0, degraded=False
-    ):
-        """Build the chunk-boundary event (lazy import, see class docstring)."""
-        from repro.api.progress import ProgressEvent
-
-        per_candidate = len(plan.query_names)
-        return ProgressEvent(
-            phase="evaluate",
-            completed=completed,
-            total=plan.num_candidates,
-            chunk=chunk,
-            num_chunks=num_chunks,
-            completed_units=completed * per_candidate,
-            total_units=plan.num_candidates * per_candidate,
-            label=label,
-            workers=workers,
-            degraded=degraded,
-        )
-
-    def _check_cancel(self, cancel, completed: int, total: int) -> None:
-        if _cancel_requested(cancel):
-            raise EvaluationCancelled(
-                f"evaluation cancelled after {completed}/{total} candidates"
-            )
-
-    def _evaluate_serial(
-        self,
-        plan: EvaluationPlan,
-        context: EngineContext,
-        on_progress: Optional[Callable] = None,
-        cancel: Any = None,
-        preloaded: Optional[Dict[int, FragmentationCandidate]] = None,
-        degraded: bool = False,
-    ) -> List[FragmentationCandidate]:
-        # Serial chunk granularity: one axis-structure group (capped, so a
-        # sweep dominated by one structure still cancels and reports at a
-        # bounded latency) on the batched path, one candidate on the scalar
-        # path — the finest boundaries at which cancellation can stop without
-        # discarding work.
-        #
-        # ``preloaded`` carries candidates a failed parallel backend already
-        # completed: the degraded retry covers only the remainder, and its
-        # events are flagged so wire consumers can tell the strategy changed.
-        results: List[Optional[FragmentationCandidate]] = [None] * plan.num_candidates
-        pending = list(range(plan.num_candidates))
-        if preloaded:
-            for index, candidate in preloaded.items():
-                results[index] = candidate
-            pending = [index for index in pending if results[index] is None]
-        if context.class_matrix is not None:
-            chunks = plan.axis_groups(
-                indices=pending, max_size=MAX_SERIAL_GROUP_CHUNK
-            )
-        else:
-            chunks = [[index] for index in pending]
-        total = plan.num_candidates
-        completed = total - len(pending)
-        if not chunks:
-            # Everything was preloaded; report one already-complete logical
-            # chunk (never 0/0) so consumers still see a terminal event.
-            if on_progress is not None:
-                on_progress(
-                    self._progress_event(plan, completed, 1, 1, degraded=degraded)
-                )
-            return results  # type: ignore[return-value]
-        for chunk_number, chunk in enumerate(chunks, start=1):
-            self._check_cancel(cancel, completed, total)
-            for index, candidate in zip(
-                chunk, evaluate_specs_in_context(context, chunk, self.cache)
-            ):
-                results[index] = candidate
-            completed += len(chunk)
-            if on_progress is not None:
-                on_progress(
-                    self._progress_event(
-                        plan,
-                        completed,
-                        chunk_number,
-                        len(chunks),
-                        label=plan.specs[chunk[-1]].label,
-                        degraded=degraded,
-                    )
-                )
-        return results  # type: ignore[return-value]
-
-    def _evaluate_parallel(
-        self,
-        plan: EvaluationPlan,
-        context: EngineContext,
-        jobs: int,
-        on_progress: Optional[Callable] = None,
-        cancel: Any = None,
-        partial: Optional[Dict[int, FragmentationCandidate]] = None,
-    ) -> List[FragmentationCandidate]:
-        results: List[Optional[FragmentationCandidate]] = [None] * plan.num_candidates
-
-        # Answer what the shared cache already holds; only misses go to the
-        # pool (a fully warm sweep never pays the pool at all), and worker
-        # results are inserted back so later serial calls — comparisons,
-        # tuning studies — reuse them.  ``partial`` (when given) records every
-        # candidate completed so far: if the pool breaks mid-sweep, the
-        # caller's degraded serial retry resumes from it instead of paying
-        # for the finished chunks again.
-        pending = list(range(plan.num_candidates))
-        if self.cache is not None:
-            pending = []
-            for index, spec in enumerate(plan.specs):
-                candidate = self.cache.get_candidate(context, spec)
-                if candidate is None:
-                    pending.append(index)
-                else:
-                    results[index] = candidate
-                    if partial is not None:
-                        partial[index] = candidate
-        warm = plan.num_candidates - len(pending)
-        # The cancellation contract holds even for a fully-warm sweep: a
-        # request whose signal is already set raises, never returns.
-        self._check_cancel(cancel, warm, plan.num_candidates)
-        if not pending:
-            if on_progress is not None:
-                # A fully-warm sweep dispatches no chunks; report one logical
-                # chunk that is already complete (never 0/0 — wire consumers
-                # computing chunk/num_chunks ratios must not divide by zero).
-                on_progress(self._progress_event(plan, warm, 1, 1))
-            return results  # type: ignore[return-value]
-        # The batched path keeps same-axis-structure candidates on one
-        # worker so the kernels batch at full group width.
-        chunks = plan.partition_indices(
-            pending, jobs, by_axis_structure=context.class_matrix is not None
-        )
-        completed = warm
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(chunks)),
-            initializer=_initialize_worker,
-            initargs=(context,),
-        ) as pool:
-            if on_progress is not None:
-                # Start event: the warm candidates are already accounted for.
-                on_progress(self._progress_event(plan, warm, 0, len(chunks)))
-            futures = {pool.submit(_evaluate_chunk, chunk): chunk for chunk in chunks}
-            done_chunks = 0
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for future in done:
-                    batch, structures = future.result()
-                    label = ""
-                    for index, candidate in batch.to_candidates(context):
-                        results[index] = candidate
-                        if partial is not None:
-                            partial[index] = candidate
-                        label = candidate.label
-                        if self.cache is not None:
-                            self.cache.put_candidate(
-                                context, plan.specs[index], candidate
-                            )
-                    if self.cache is not None:
-                        self.cache.merge_structures(structures)
-                    completed += len(batch)
-                    done_chunks += 1
-                    if on_progress is not None:
-                        on_progress(
-                            self._progress_event(
-                                plan, completed, done_chunks, len(chunks), label=label
-                            )
-                        )
-                if not_done and _cancel_requested(cancel):
-                    # Stop dispatching: chunks not yet started are cancelled,
-                    # running ones finish in the workers but are discarded.
-                    # Everything merged so far stays valid in the cache.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise EvaluationCancelled(
-                        f"evaluation cancelled after {completed}/"
-                        f"{plan.num_candidates} candidates"
-                    )
-        missing = [index for index, candidate in enumerate(results) if candidate is None]
-        if missing:  # pragma: no cover - defensive, wait() either returns or raises
-            raise AdvisorError(f"parallel evaluation lost candidates {missing}")
-        return results  # type: ignore[return-value]
-
-    def _evaluate_fabric(
-        self,
-        plan: EvaluationPlan,
-        context: EngineContext,
-        on_progress: Optional[Callable] = None,
-        cancel: Any = None,
-    ) -> List[FragmentationCandidate]:
-        """Lease the sweep's chunks to distributed fabric workers.
-
-        Chunking happens here, deterministically, *before* distribution —
-        the same axis-structure groups the serial path walks — so the result
-        set is independent of how many workers serve the sweep (or crash
-        mid-way).  The coordinator re-queues lost leases and degrades to
-        local inline evaluation when no workers are reachable; either way
-        this method returns the same candidates the local paths produce.
-        """
-        # Imported lazily: repro.fabric sits above the engine in the layer
-        # stack (it ships EngineContext values over its wire).
-        from repro.fabric.coordinator import SweepCoordinator
-        from repro.fabric.protocol import parse_address
-
-        results: List[Optional[FragmentationCandidate]] = [None] * plan.num_candidates
-        pending = list(range(plan.num_candidates))
-        if self.cache is not None:
-            pending = []
-            for index, spec in enumerate(plan.specs):
-                candidate = self.cache.get_candidate(context, spec)
-                if candidate is None:
-                    pending.append(index)
-                else:
-                    results[index] = candidate
-        warm = plan.num_candidates - len(pending)
-        self._check_cancel(cancel, warm, plan.num_candidates)
-        if not pending:
-            if on_progress is not None:
-                on_progress(self._progress_event(plan, warm, 1, 1))
-            return results  # type: ignore[return-value]
-        if context.class_matrix is not None:
-            chunks = plan.axis_groups(indices=pending, max_size=MAX_SERIAL_GROUP_CHUNK)
-        else:
-            chunks = [[index] for index in pending]
-        host, port = parse_address(self.options.fabric)
-        coordinator = SweepCoordinator(
-            context,
-            chunks,
-            host=host,
-            port=port,
-            lease_timeout=self.options.fabric_lease,
-            grace=self.options.fabric_grace,
-            cache=self.cache,
-        )
-        completed = warm
-        done_chunks = 0
-        try:
-            if on_progress is not None:
-                on_progress(
-                    self._progress_event(
-                        plan,
-                        warm,
-                        0,
-                        len(chunks),
-                        workers=coordinator.live_workers(),
-                    )
-                )
-
-            def on_chunk(chunk, pairs):
-                nonlocal completed, done_chunks
-                label = ""
-                for index, candidate in pairs:
-                    results[index] = candidate
-                    label = candidate.label
-                    if self.cache is not None:
-                        self.cache.put_candidate(context, plan.specs[index], candidate)
-                completed += len(pairs)
-                done_chunks += 1
-                if on_progress is not None:
-                    on_progress(
-                        self._progress_event(
-                            plan,
-                            completed,
-                            done_chunks,
-                            len(chunks),
-                            label=label,
-                            workers=coordinator.live_workers(),
-                            degraded=coordinator.degraded,
-                        )
-                    )
-
-            coordinator.run(cancel=cancel, on_chunk=on_chunk)
-        finally:
-            coordinator.close()
-        missing = [index for index, candidate in enumerate(results) if candidate is None]
-        if missing:  # pragma: no cover - defensive, run() returns or raises
-            raise AdvisorError(f"fabric evaluation lost candidates {missing}")
-        return results  # type: ignore[return-value]
+            if cache is not None and self.options.persist:
+                cache.persist()

@@ -20,7 +20,6 @@ __all__ = [
     "StorageError",
     "AdvisorError",
     "EvaluationCancelled",
-    "FabricError",
     "SimulationError",
     "ReportError",
     "ServiceError",
@@ -69,16 +68,6 @@ class EvaluationCancelled(AdvisorError):
     Everything evaluated before the cancel — including cache entries, which
     are content-addressed functions of their inputs — remains valid; retrying
     the request resumes warm.
-    """
-
-
-class FabricError(AdvisorError):
-    """Raised by the distributed sweep fabric (:mod:`repro.fabric`).
-
-    Covers the wire protocol (malformed or corrupted frames), fault-plan
-    parsing and coordinator/worker lifecycle errors.  A fabric failure during
-    a sweep is never fatal to the evaluation: the engine catches it and
-    degrades to the local path.
     """
 
 

@@ -23,7 +23,7 @@ deliberately exempt: they do not execute at import time.
 
 The layer map lives in a ``[lint.layers]`` block of the nearest ``setup.cfg``
 found walking up from each scanned file (so fixture projects carry their
-own maps, and the coming fabric package slots in with one new line).  Keys
+own maps, and a new package slots in with one new line).  Keys
 are dotted module prefixes, values are integers (lower = more foundational);
 a module's layer is its **longest matching prefix**.  Modules matching no
 prefix are outside the map and exempt from layer checks (never from cycle

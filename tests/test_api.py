@@ -345,4 +345,9 @@ class TestResultToDicts:
         )
         payload = event.to_dict()
         assert payload["fraction"] == pytest.approx(0.3)
+        assert set(payload) == {
+            "phase", "completed", "total", "chunk", "num_chunks",
+            "completed_units", "total_units", "label", "sweep", "num_sweeps",
+            "degraded", "fraction",
+        }
         assert "3/10" in event.describe()

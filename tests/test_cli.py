@@ -186,11 +186,15 @@ class TestVectorizeFlag:
             assert capsys.readouterr().out == batched, command
 
     def test_vectorize_mode_rejects_unknown_values(self, tmp_path, capsys):
-        # Only --no-vectorize exists: argparse rejects --vectorize outright.
-        for value in ("candidates", "classes", "none", "rows"):
+        # Only --no-vectorize exists: argparse rejects --vectorize outright,
+        # like the removed sweep-distribution flag and worker subcommand.
+        removed = [["recommend", "--vectorize", value]
+                   for value in ("candidates", "classes", "none", "rows")]
+        removed += [["recommend", "--fabric", "127.0.0.1:0"], ["worker", "127.0.0.1:0"]]
+        for argv in removed:
             with pytest.raises(SystemExit) as excinfo:
-                build_parser().parse_args(["recommend", "--vectorize", value])
-            assert excinfo.value.code == 2
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2, argv
         capsys.readouterr()
         # A config file naming a mode string fails cleanly, not late.
         payload = example_config()
@@ -404,12 +408,14 @@ class TestEngineOptionsResolver:
         assert _engine_options(args).cache_dir == "/tmp/from-flag"
 
     def test_unknown_engine_key_in_config_errors(self, tmp_path, capsys):
-        payload = example_config()
-        payload["engine"] = {"job": 2}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(payload))
-        assert main(["recommend", "--config", str(path)]) == 2
-        assert "unknown engine option" in capsys.readouterr().err
+        # A typo, and an option that no longer exists.
+        for engine in ({"job": 2}, {"fabric": "127.0.0.1:0"}):
+            payload = example_config()
+            payload["engine"] = engine
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(payload))
+            assert main(["recommend", "--config", str(path)]) == 2, engine
+            assert "unknown engine option" in capsys.readouterr().err
 
     def test_no_cache_persist_without_a_dir_errors_on_every_subcommand(
         self, monkeypatch, capsys
@@ -553,6 +559,12 @@ class TestServeParser:
         # The serve command rides the same EngineOptions resolver stack.
         assert _engine_options(args).jobs == 2
 
+    def test_serve_request_timeout_flag(self):
+        args = build_parser().parse_args(["serve", "--request-timeout", "30"])
+        assert args.request_timeout == 30.0
+        args = build_parser().parse_args(["serve"])
+        assert args.request_timeout is None
+
 
 class TestSimulateUsesEvaluatedPrefetch:
     COMMON = ["--scale", "0.01", "--disks", "16", "--max-fragments", "20000"]
@@ -609,49 +621,3 @@ class TestConfigFile:
         config_path.write_text(json.dumps(example_config()))
         assert main(["recommend", "--config", str(config_path), "--top", "3"]) == 0
         assert "Top fragmentation candidates" in capsys.readouterr().out
-
-
-class TestFabricCli:
-    def test_fabric_flags_parse(self):
-        args = build_parser().parse_args(
-            [
-                "recommend",
-                "--fabric",
-                "127.0.0.1:9000",
-                "--fabric-grace",
-                "5",
-                "--fabric-lease",
-                "10",
-            ]
-        )
-        assert args.fabric == "127.0.0.1:9000"
-        assert args.fabric_grace == 5.0
-        assert args.fabric_lease == 10.0
-
-    def test_fabric_defaults_to_off(self):
-        args = build_parser().parse_args(["recommend"])
-        assert args.fabric is None
-
-    def test_worker_subcommand_parses(self):
-        args = build_parser().parse_args(["worker", "127.0.0.1:8643"])
-        assert args.coordinator == "127.0.0.1:8643"
-        assert args.max_attempts == 30
-        assert args.connect_deadline == 60.0
-
-    def test_worker_against_dead_coordinator_exits_gracefully(self, capsys):
-        from repro.cli import main
-
-        # One attempt against a port nobody listens on: the retry budget is
-        # exhausted immediately and the worker ends without a traceback.
-        code = main(
-            ["worker", "127.0.0.1:9", "--max-attempts", "1", "--connect-deadline", "0"]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "worker" in err
-
-    def test_serve_request_timeout_flag(self):
-        args = build_parser().parse_args(["serve", "--request-timeout", "30"])
-        assert args.request_timeout == 30.0
-        args = build_parser().parse_args(["serve"])
-        assert args.request_timeout is None

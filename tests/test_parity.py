@@ -119,26 +119,34 @@ class TestSerialParallelParity:
 
 
 def test_parallel_sweep_populates_the_shared_cache():
-    """Worker results (candidates AND structures) land in the parent cache."""
+    """Worker results (candidates AND structures) land in the parent cache,
+    and every backend probes each candidate exactly once per sweep."""
     schema, workload, system, config = _scenario("synthetic")
-    cache = EvaluationCache()
-    advisor = Warlock(
-        schema, workload, system, config, cache=cache, options=EngineOptions(jobs=4)
-    )
-    first = advisor.recommend()
-    assert len(cache._candidates) == len(first.evaluated)
-    # Structures are merged back too: studies varying the system reuse them.
-    assert len(cache._structures) >= len(first.evaluated)
-    cache.reset_stats()
-    # A fresh advisor sharing the cache (the same advisor would answer from
-    # its recommend() memo without probing at all): fully warm parallel
-    # sweeps are answered without recomputation.
-    warm = Warlock(
-        schema, workload, system, config, cache=cache, options=EngineOptions(jobs=4)
-    ).recommend()
-    assert cache.stats.candidate_hits == len(first.evaluated)
-    assert cache.stats.misses == 0
-    assert recommendation_fingerprint(first) == recommendation_fingerprint(warm)
+    for jobs in (1, 2, 4):
+        options = EngineOptions(jobs=jobs)
+        cache = EvaluationCache()
+        first = Warlock(
+            schema, workload, system, config, cache=cache, options=options
+        ).recommend()
+        n = len(first.evaluated)
+        # One probe per plan index: a second probe inside the chunk
+        # evaluator would count 2n misses.
+        stats = cache.stats
+        assert (stats.candidate_misses, stats.candidate_hits) == (n, 0), jobs
+        assert len(cache._candidates) == n
+        # Structures are merged back too: studies varying the system reuse them.
+        assert len(cache._structures) >= n
+        cache.reset_stats()
+        # A fresh advisor sharing the cache (the same advisor would answer
+        # from its recommend() memo without probing at all): fully warm
+        # sweeps are answered without recomputation.
+        warm = Warlock(
+            schema, workload, system, config, cache=cache, options=options
+        ).recommend()
+        stats = cache.stats
+        assert (stats.candidate_hits, stats.candidate_misses) == (n, 0), jobs
+        assert stats.misses == 0
+        assert recommendation_fingerprint(first) == recommendation_fingerprint(warm)
 
 
 def test_fingerprint_distinguishes_different_inputs():

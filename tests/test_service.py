@@ -411,14 +411,17 @@ class TestHTTPEndpoints:
         assert code == 404
 
     def test_register_with_a_removed_vectorize_mode_is_400(self, server):
-        code, body = http_error(
-            server, "PUT", "/warehouses/shop",
-            {"dataset": "apb1", "scale": 0.02, "disks": 8,
-             "engine": {"vectorize": "classes"}},
-        )
-        assert code == 400 and "vectorize" in body["error"]
-        code, _ = http_error(server, "DELETE", "/warehouses/shop")
-        assert code == 404
+        # A removed vectorize mode, and the removed sweep-distribution
+        # option (which would have bound a listener on the server host).
+        for engine in ({"vectorize": "classes"}, {"fabric": "127.0.0.1:0"}):
+            code, body = http_error(
+                server, "PUT", "/warehouses/shop",
+                {"dataset": "apb1", "scale": 0.02, "disks": 8, "engine": engine},
+            )
+            [key] = engine
+            assert code == 400 and key in body["error"], body
+            code, _ = http_error(server, "DELETE", "/warehouses/shop")
+            assert code == 404
 
 
 class TestHTTPRoundTrip:

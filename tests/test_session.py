@@ -176,17 +176,12 @@ class TestProgress:
         session.engine.evaluate_specs(specs, on_progress=events.append)
         # Regression: the fully-warm jobs>1 sweep used to emit a single event
         # claiming chunk 0 of 0 chunks — "no progress" to chunk-ratio
-        # consumers (and a division by zero on the wire).  Both backends must
-        # report a complete sweep with well-formed chunk fields.
-        assert events
-        last = events[-1]
-        assert last.completed == last.total == len(specs)
-        for event in events:
-            assert event.num_chunks >= 1
-            assert 0 <= event.chunk <= event.num_chunks
-        if options.jobs == 4:
-            [event] = events
-            assert event.chunk == 1 and event.num_chunks == 1
+        # consumers (and a division by zero on the wire).  Both backends
+        # answer warm candidates before chunking, so a fully warm sweep
+        # dispatches nothing and reports exactly one complete chunk.
+        [event] = events
+        assert event.completed == event.total == len(specs)
+        assert event.chunk == 1 and event.num_chunks == 1
 
     def test_memoized_result_reports_one_complete_chunk(self, scenario):
         session, _, first = self._collect(EngineOptions(jobs=1), scenario)

@@ -481,6 +481,7 @@ class TestCandidateAxisParityMatrix:
         ]
         # Cold chunk evaluation, no cache.
         chunked = evaluate_specs_in_context(context, range(len(specs)), None)
+        assert evaluate_specs_in_context(context, [], None) == []
         # Mixed-cache evaluation: pre-warm structure entries for every third
         # spec, so groups stack cached and fresh structures together.
         cache = EvaluationCache()
@@ -531,7 +532,7 @@ class TestColumnarResultBatch:
 
     def test_round_trip_is_exact(self, engine_and_plan):
         engine, plan, context = engine_and_plan
-        candidates = engine._evaluate_serial(plan, context)
+        candidates = engine.evaluate_specs(plan.specs)
         batch = CandidateResultBatch.from_candidates(
             range(len(candidates)), candidates
         )
@@ -573,7 +574,7 @@ class TestColumnarResultBatch:
 
     def test_batch_rejects_mismatched_lengths(self, engine_and_plan):
         engine, plan, context = engine_and_plan
-        candidates = engine._evaluate_serial(plan, context)
+        candidates = engine.evaluate_specs(plan.specs)
         from repro.errors import AdvisorError
 
         with pytest.raises(AdvisorError):
