@@ -1,12 +1,12 @@
 """Batched disk allocation for the candidate-axis executor.
 
-The candidate-vectorized sweep evaluates whole same-axis-structure groups as
+The candidate-vectorized sweep evaluates whole chunks of candidates as
 (candidate × class) numpy batches, but allocation used to drop back to one
 Python heap loop per candidate (:mod:`repro.allocation.greedy`).  This module
 runs the same LPT placement over a padded (candidate × fragment) page matrix
-for a whole group at once: per placement step, one ``argmin`` row picks the
+for a whole chunk at once: per placement step, one ``argmin`` row picks the
 least-occupied disk of *every* candidate simultaneously, so the interpreter
-iterates ``max(fragment_count)`` times per group instead of
+iterates ``max(fragment_count)`` times per chunk instead of
 ``sum(fragment_count)`` times.
 
 Parity is exact, not approximate: the scalar heap pops ``(occupancy, disk)``
@@ -71,24 +71,26 @@ def lpt_assignments(
     for i, pages in enumerate(pages_list):
         padded[i, : len(pages)] = pages
     order = np.argsort(-padded, axis=1, kind="stable")
-    sorted_pages = np.take_along_axis(padded, order, axis=1)
+    # Step-major increments; a pad adds +0.0, which leaves the row's
+    # accumulated doubles untouched.
+    increments = np.maximum(np.take_along_axis(padded, order, axis=1), 0.0).T.copy()
+    del padded
 
     occupancy = np.zeros((n, num_disks), dtype=np.float64)
-    chosen = np.empty((n, max_fragments), dtype=np.int64)
+    chosen = np.empty((max_fragments, n), dtype=np.int64)
     rows = np.arange(n)
     for step in range(max_fragments):
         # First index of the row minimum == (min occupancy, min disk), the
         # scalar heap's pop order.
-        disks = np.argmin(occupancy, axis=1)
-        chosen[:, step] = disks
-        active = step < counts
-        occupancy[rows, disks] += np.where(active, sorted_pages[:, step], 0.0)
+        disks = occupancy.argmin(axis=1)
+        chosen[step] = disks
+        occupancy[rows, disks] += increments[step]
 
     assignments: List[np.ndarray] = []
     for i in range(n):
         count = int(counts[i])
         assignment = np.empty(count, dtype=np.int64)
-        assignment[order[i, :count]] = chosen[i, :count]
+        assignment[order[i, :count]] = chosen[:count, i]
         assignments.append(assignment)
     return assignments
 
@@ -123,7 +125,7 @@ def choose_allocations_batch(
     bitmap_scheme: Optional[BitmapScheme] = None,
     skew_threshold_cv: float = NOTABLE_SKEW_CV,
 ) -> List[Allocation]:
-    """Scheme selection plus placement for a whole candidate group.
+    """Scheme selection plus placement for a whole candidate chunk.
 
     The per-layout decision mirrors
     :func:`~repro.allocation.chooser.choose_allocation` exactly: layouts with

@@ -41,7 +41,7 @@ class EngineOptions:
         hands the remaining candidates back to the inline path.
     vectorize:
         ``True`` (default) evaluates the cost sweep batched: whole chunks of
-        same-axis-structure candidates as (candidate × class) numpy arrays.
+        candidates as (candidate × class) numpy arrays.
         ``False`` (CLI ``--no-vectorize``) runs the scalar reference oracle.
         Results are bit-identical either way.
     cache:

@@ -3,9 +3,9 @@
 The evaluation plan knows every work unit of a sweep up front, and the
 executor already dispatches candidates in chunks — so per-chunk completion is
 free to surface.  :class:`ProgressEvent` is the value object the engine emits
-at every chunk boundary (inline sweeps report each capped axis-structure
-group, or each candidate on the scalar path; the pool reports each
-completed worker chunk), and
+at every chunk boundary (inline sweeps report each of their few
+cost-balanced chunks, or each candidate on the scalar path; the pool
+reports each completed worker chunk), and
 :class:`CancellationToken` is the cooperative cancel switch the engine checks
 at the same boundaries.
 

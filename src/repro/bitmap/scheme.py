@@ -11,6 +11,7 @@ space requirements; the scheme object supports this interactively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import BitmapError
@@ -69,9 +70,9 @@ class BitmapScheme:
 
     # -- space accounting ----------------------------------------------------------
 
-    @property
+    @cached_property
     def total_storage_bits_per_row(self) -> int:
-        """Bits stored per fact row across all indexes."""
+        """Bits stored per fact row across all indexes (computed once)."""
         return sum(index.storage_bits_per_row for index in self.indexes)
 
     def storage_bytes(self, row_count: float) -> float:

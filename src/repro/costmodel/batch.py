@@ -4,17 +4,13 @@ The scalar path (:mod:`repro.costmodel.access` / :mod:`repro.costmodel.model`)
 evaluates one (candidate, query class) pair per call and stays the reference
 oracle.  This module is the one batched form of the same model: a
 :class:`~repro.workload.ClassMatrix` supplies the workload in columnar form,
-and a whole chunk of layouts sharing one *axis structure*
-(:attr:`~repro.fragmentation.FragmentationSpec.axis_structure` — the ordered
-fragmentation dimensions, within which all per-class control flow is uniform)
-stacks into (candidate × class) planes:
+and a whole chunk of layouts on one fact table — whatever dimensions each
+fragments — stacks into (candidate × class) planes:
 :func:`compute_access_structure_batch_candidates` derives every stacked
-candidate's structures in one pass, and — because prefetch resolution and the
-cost model are purely elementwise per candidate —
-:func:`resolve_prefetch_settings_batch_candidates` /
-:func:`evaluate_workload_batch_candidates` then run over arbitrary
-concatenations of such stacks (:meth:`AccessStructureBatch2D.concat`), so the
-executor fuses a whole sweep chunk into one kernel pass.
+candidate's structures in one pass, then
+:func:`resolve_prefetch_settings_batch_candidates` and
+:func:`evaluate_workload_batch_candidates` run over the same stack, so the
+executor evaluates a whole sweep chunk in one kernel pass.
 
 A single candidate is a 1-row stack: :func:`compute_access_structure_batch`,
 :func:`resolve_prefetch_setting_batch` and :func:`evaluate_workload_batch` are
@@ -45,14 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CostModelError
 from repro.fragmentation import FragmentationLayout
 from repro.storage import PrefetchSetting, SystemParameters
-from repro.workload.matrix import ClassMatrix
+from repro.workload.matrix import NO_RESTRICTION, ClassMatrix
 from repro.costmodel.access import (
     SEQUENTIAL_DENSITY_THRESHOLD,
     AccessStructure,
@@ -159,15 +155,17 @@ class AccessStructureBatch:
 # Candidate-axis kernels: a whole chunk of layouts as (candidate × class)
 # ---------------------------------------------------------------------------
 #
-# The kernels below stack every layout of a chunk that shares one *axis
-# structure* (the ordered tuple of fragmentation dimensions — see
-# :attr:`repro.fragmentation.FragmentationSpec.axis_structure`) and evaluate
-# the whole stack as 2-D (candidate × class) arrays.  Within one axis
-# structure all per-class control flow (restricted dimensions, coarse/fine
-# masks, slot residuals) is expressible as masked vector arithmetic, so every
-# operation is the same elementwise IEEE-754 double operation the scalar path
-# performs — slicing a candidate out of the stack is bit-identical to
-# evaluating it alone, which the parity suite asserts.
+# The kernels below stack every layout of a chunk — whatever dimensions it
+# fragments, and however many — and evaluate the whole stack as 2-D
+# (candidate × class) arrays.  Axis position ``a`` gathers each candidate's
+# own class-matrix row for its ``a``-th fragmentation dimension; a candidate
+# with fewer axes (or an axis no class restricts) contributes the exact
+# factor 1.0 the scalar loop would.  All per-class control flow (coarse/fine
+# masks, residual sources) is masked vector arithmetic over explicit
+# (candidate, class) coordinates, so every operation is the same elementwise
+# IEEE-754 double operation the scalar path performs — slicing a candidate
+# out of the stack is bit-identical to evaluating it alone, which the parity
+# suite asserts.
 
 
 @dataclass(frozen=True)
@@ -177,29 +175,24 @@ class _ResidualGroup:
     The scalar path evaluates a class's residual restrictions in a fixed
     order: fragmentation-axis residuals in spec order, then restrictions on
     non-fragmentation dimensions in the class's restriction order.  Groups
-    are built in exactly that order, so iterating groups replays the scalar
-    per-class residual order for every (candidate, class) pair at once.
-
-    ``candidates is None`` marks a slot group (non-fragmentation dimension):
-    the restriction applies identically to *every* stacked candidate, and the
-    flat per-class data broadcasts over the candidate axis.  Axis groups carry
-    explicit flat ``(candidate, class)`` coordinates because the coarse/fine
-    split depends on each candidate's fragmentation level.
+    are built in exactly that order — one per axis position, then one per
+    restriction slot — and each holds at most one entry per (candidate,
+    class) pair at explicit flat coordinates, so iterating groups replays
+    the scalar per-class residual order for every pair at once.
     """
 
-    #: Flat candidate coordinates (axis groups) or ``None`` (slot groups).
-    candidates: Optional[np.ndarray]
-    #: Class coordinates (flat for axis groups, unique columns for slots).
+    candidates: np.ndarray
     columns: np.ndarray
     fractions: np.ndarray
     has_bitmap: np.ndarray
     bits_read: np.ndarray
-    attributes: Tuple[Tuple[str, str], ...]
+    #: Object array of ``(dimension, level)`` pairs.
+    attributes: np.ndarray
 
 
 @dataclass(frozen=True)
 class AccessStructureBatch2D:
-    """Access structures of all classes on a *stack* of same-axis layouts.
+    """Access structures of all classes on a *stack* of layouts.
 
     Every per-class vector of :class:`AccessStructureBatch` grows a leading
     candidate axis, and the flat residual-index rows gain a candidate
@@ -286,63 +279,6 @@ class AccessStructureBatch2D:
         )
 
     @classmethod
-    def concat(
-        cls, batches: Sequence["AccessStructureBatch2D"]
-    ) -> "AccessStructureBatch2D":
-        """Concatenate candidate-axis batches along the candidate axis.
-
-        Everything downstream of structure derivation (prefetch resolution,
-        the cost model) is elementwise per candidate, so batches of
-        *different* axis structures concatenate freely — this is how the
-        executor fuses a whole chunk's groups into one kernel pass.  The flat
-        index rows stay candidate-major because each input batch's candidate
-        numbers are offset by the candidates before it.
-        """
-        if not batches:
-            raise CostModelError("cannot concatenate an empty batch list")
-        if len(batches) == 1:
-            return batches[0]
-        index_candidate_parts = []
-        offset = 0
-        for batch in batches:
-            index_candidate_parts.append(batch.index_candidate + offset)
-            offset += batch.num_candidates
-        index_attributes: List[Tuple[str, str]] = []
-        for batch in batches:
-            index_attributes.extend(batch.index_attributes)
-        return cls(
-            query_names=batches[0].query_names,
-            fragments_total=np.concatenate([b.fragments_total for b in batches]),
-            fragments_accessed=np.concatenate(
-                [b.fragments_accessed for b in batches]
-            ),
-            rows_in_accessed_fragments=np.concatenate(
-                [b.rows_in_accessed_fragments for b in batches]
-            ),
-            qualifying_rows=np.concatenate([b.qualifying_rows for b in batches]),
-            rows_per_fragment=np.concatenate([b.rows_per_fragment for b in batches]),
-            fact_pages_per_fragment=np.concatenate(
-                [b.fact_pages_per_fragment for b in batches]
-            ),
-            forced_full_scan=np.concatenate([b.forced_full_scan for b in batches]),
-            has_residuals=np.concatenate([b.has_residuals for b in batches]),
-            bitmap_touched_per_fragment=np.concatenate(
-                [b.bitmap_touched_per_fragment for b in batches]
-            ),
-            bitmap_density=np.concatenate([b.bitmap_density for b in batches]),
-            index_candidate=np.concatenate(index_candidate_parts),
-            index_class=np.concatenate([b.index_class for b in batches]),
-            index_pages=np.concatenate([b.index_pages for b in batches]),
-            index_attributes=tuple(index_attributes),
-            bitmap_pages_per_fragment=np.concatenate(
-                [b.bitmap_pages_per_fragment for b in batches]
-            ),
-            bitmap_index_counts=np.concatenate(
-                [b.bitmap_index_counts for b in batches]
-            ),
-        )
-
-    @classmethod
     def stack(cls, batches: Sequence[AccessStructureBatch]) -> "AccessStructureBatch2D":
         """Stack per-layout batches into one candidate-axis batch.
 
@@ -396,153 +332,158 @@ class AccessStructureBatch2D:
         )
 
 
-def _require_shared_axis_structure(layouts: Sequence[FragmentationLayout]) -> None:
+def _require_one_fact_table(layouts: Sequence[FragmentationLayout]) -> None:
+    """The kernel reads the fact table and page size off ``layouts[0]``."""
     if not layouts:
         raise CostModelError("candidate-axis batching needs at least one layout")
-    structure = layouts[0].spec.axis_structure
+    fact, page_size = layouts[0].fact, layouts[0].page_size_bytes
     for layout in layouts[1:]:
-        if layout.spec.axis_structure != structure:
+        if layout.page_size_bytes != page_size or layout.fact != fact:
             raise CostModelError(
-                f"candidate-axis batching requires one axis structure per "
-                f"stack: {layout.spec.label} does not match {structure!r}"
+                f"candidate-axis batching requires one fact table and page "
+                f"size per stack: {layout.spec.label} ({layout.fact.name}, "
+                f"{layout.page_size_bytes} B pages) does not match "
+                f"{fact.name}, {page_size} B pages"
             )
 
 
-def _axis_groups(
-    layouts: Sequence[FragmentationLayout],
+def _axis_geometry(
+    layouts: Sequence[FragmentationLayout], matrix: ClassMatrix
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per (candidate, axis position): matrix row, cardinality, level depth.
+
+    Positions beyond a candidate's dimensionality, and axes on a dimension no
+    class restricts, get row ``NO_RESTRICTION``; padded positions also get
+    cardinality 1.0, so they multiply every product by exactly 1.0.
+    Cardinalities are exact float64 values (far below 2**53), so every
+    division against them matches the scalar path.
+    """
+    row_of = {name: row for row, name in enumerate(matrix.dimension_names)}
+    width = max(layout.spec.dimensionality for layout in layouts)
+    rows = [[NO_RESTRICTION] * width for _ in layouts]
+    cards = [[1.0] * width for _ in layouts]
+    depths = [[0] * width for _ in layouts]
+    for k, layout in enumerate(layouts):
+        for a, (attribute, cardinality) in enumerate(
+            zip(layout.spec.attributes, layout.axis_cardinalities)
+        ):
+            cards[k][a] = float(cardinality)
+            row = row_of.get(attribute.dimension)
+            if row is not None:
+                rows[k][a] = row
+                depths[k][a] = layout.schema.dimension(
+                    attribute.dimension
+                ).level_index(attribute.level)
+    return (
+        np.array(rows, dtype=np.int64).reshape(len(layouts), width),
+        np.array(cards, dtype=np.float64).reshape(len(layouts), width),
+        np.array(depths, dtype=np.int64).reshape(len(layouts), width),
+    )
+
+
+def _axis_confinement(
+    rows: np.ndarray,
+    cards: np.ndarray,
+    depths: np.ndarray,
     matrix: ClassMatrix,
 ) -> Tuple[np.ndarray, np.ndarray, List[_ResidualGroup]]:
-    """Fragment confinement along every axis, for the whole layout stack.
+    """Fragment confinement along every axis position, for the whole stack.
 
-    Per-candidate attribute levels become per-candidate columns, the
+    Each candidate's attribute level becomes a per-candidate depth, the
     coarse/fine split becomes a 2-D mask, and every arithmetic step stays the
     elementwise operation of the scalar ``_axis_access`` loop.
     """
-    num_candidates = len(layouts)
+    num_candidates, width = rows.shape
     num_classes = matrix.num_classes
-    spec0 = layouts[0].spec
-    schema = layouts[0].schema
     fragments_accessed = np.ones((num_candidates, num_classes), dtype=np.float64)
     fragment_row_fraction = np.ones((num_candidates, num_classes), dtype=np.float64)
     groups: List[_ResidualGroup] = []
 
-    for axis_index in range(spec0.dimensionality):
-        dimension_name = spec0.attributes[axis_index].dimension
-        # Per-candidate axis cardinalities as an exact float64 column (the
-        # integer cardinalities are far below 2**53, so the conversion — and
-        # therefore every division against them — matches the scalar path).
-        cards = np.array(
-            [float(layout.axis_cardinalities[axis_index]) for layout in layouts],
-            dtype=np.float64,
-        )[:, None]
-        if dimension_name not in matrix.dimension_names:
-            # No class restricts this dimension (identical for the whole
-            # stack, since the axis structure is shared): factor of exactly
-            # 1.0 on the row fraction, as in the unrestricted scalar branch.
-            fragments_accessed = fragments_accessed * cards
-            fragment_row_fraction = fragment_row_fraction * (cards / cards)
-            continue
+    for a in range(width):
+        axis_cards = cards[:, a : a + 1]
+        accessed = np.repeat(axis_cards, num_classes, axis=1)
+        has_row = rows[:, a] >= 0
+        if has_row.any():
+            row = np.where(has_row, rows[:, a], 0)
+            restricted = matrix.restricted[row] & has_row[:, None]
+            value_count = matrix.value_counts[row]
+            query_cardinality = matrix.level_cardinalities[row]
+            depth = matrix.level_depths[row]
+            attribute_depth = depths[:, a : a + 1]
 
-        row = matrix.dimension_row(dimension_name)
-        restricted = matrix.restricted[row]
-        value_count = matrix.value_counts[row]
-        query_cardinality = matrix.level_cardinalities[row]
-        depth = matrix.level_depths[row]
-        dimension = schema.dimension(dimension_name)
-        attribute_depths = np.array(
-            [
-                dimension.level_index(layout.spec.attributes[axis_index].level)
-                for layout in layouts
-            ],
-            dtype=np.int64,
-        )[:, None]
+            # Restriction at or above the fragmentation level: whole fragments.
+            coarse = restricted & (depth <= attribute_depth)
+            if coarse.any():
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    fanout = axis_cards / query_cardinality
+                    coarse_accessed = np.minimum(
+                        axis_cards, np.maximum(1.0, value_count * fanout)
+                    )
+                accessed = np.where(coarse, coarse_accessed, accessed)
 
-        accessed = np.broadcast_to(cards, (num_candidates, num_classes)).copy()
-
-        # Restriction at or above the fragmentation level: whole fragments.
-        coarse = restricted[None, :] & (depth[None, :] <= attribute_depths)
-        if coarse.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fanout = cards / query_cardinality[None, :]
-                coarse_accessed = np.minimum(
-                    cards, np.maximum(1.0, value_count[None, :] * fanout)
+            # Restriction below the fragmentation level: residual filtering.
+            cand, cols = np.nonzero(restricted & (depth > attribute_depth))
+            if cand.size:
+                cards_flat = axis_cards[cand, 0]
+                selected = value_count[cand, cols]
+                fine_cardinality = query_cardinality[cand, cols]
+                fine_accessed = expected_distinct_ancestors(
+                    selected_values=selected,
+                    fine_cardinality=fine_cardinality,
+                    coarse_cardinality=cards_flat,
                 )
-            accessed = np.where(coarse, coarse_accessed, accessed)
-
-        # Restriction below the fragmentation level: residual filtering.
-        fine = restricted[None, :] & (depth[None, :] > attribute_depths)
-        cand_idx, class_idx = np.nonzero(fine)
-        if cand_idx.size:
-            cards_flat = cards[:, 0][cand_idx]
-            fine_accessed = expected_distinct_ancestors(
-                selected_values=value_count[class_idx],
-                fine_cardinality=query_cardinality[class_idx],
-                coarse_cardinality=cards_flat,
-            )
-            fine_accessed = np.minimum(cards_flat, np.maximum(1.0, fine_accessed))
-            accessed[cand_idx, class_idx] = fine_accessed
-            selected_fraction = value_count[class_idx] / query_cardinality[class_idx]
-            accessed_fraction = fine_accessed / cards_flat
-            residual = np.minimum(1.0, selected_fraction / accessed_fraction)
-            level_names = matrix.level_names[row]
-            groups.append(
-                _ResidualGroup(
-                    candidates=cand_idx,
-                    columns=class_idx,
-                    fractions=residual,
-                    has_bitmap=matrix.has_bitmap[row][class_idx],
-                    bits_read=matrix.bitmap_bits_read[row][class_idx],
-                    attributes=tuple(
-                        (dimension_name, level_names[column])
-                        for column in class_idx.tolist()
-                    ),
+                fine_accessed = np.minimum(cards_flat, np.maximum(1.0, fine_accessed))
+                accessed[cand, cols] = fine_accessed
+                selected_fraction = selected / fine_cardinality
+                accessed_fraction = fine_accessed / cards_flat
+                residual = np.minimum(1.0, selected_fraction / accessed_fraction)
+                flat_rows = row[cand]
+                groups.append(
+                    _ResidualGroup(
+                        candidates=cand,
+                        columns=cols,
+                        fractions=residual,
+                        has_bitmap=matrix.has_bitmap[flat_rows, cols],
+                        bits_read=matrix.bitmap_bits_read[flat_rows, cols],
+                        attributes=matrix.attribute_table[flat_rows, cols],
+                    )
                 )
-            )
 
         fragments_accessed = fragments_accessed * accessed
-        fragment_row_fraction = fragment_row_fraction * (accessed / cards)
+        fragment_row_fraction = fragment_row_fraction * (accessed / axis_cards)
 
     return fragments_accessed, fragment_row_fraction, groups
 
 
-def _slot_groups(
-    spec_dimensions: Tuple[str, ...], matrix: ClassMatrix
-) -> List[_ResidualGroup]:
+def _slot_groups(axis_rows: np.ndarray, matrix: ClassMatrix) -> List[_ResidualGroup]:
     """Residual restrictions on non-fragmentation dimensions, slot by slot.
 
-    Identical for every candidate of the stack (slot membership depends only
-    on the shared axis structure), so the groups broadcast over the candidate
-    axis (``candidates=None``).
+    Slot membership depends on each candidate's own fragmentation
+    dimensions, so every group carries explicit (candidate, class)
+    coordinates.
     """
-    # O(1) membership lookup: row index -> "is a fragmentation dimension".
-    # The trailing slot absorbs the NO_RESTRICTION (-1) padding entries, which
-    # the validity mask filters out anyway.
-    row_in_spec = np.zeros(matrix.num_dimensions + 1, dtype=bool)
-    for dimension in spec_dimensions:
-        if dimension in matrix.dimension_names:
-            row_in_spec[matrix.dimension_names.index(dimension)] = True
+    num_candidates = axis_rows.shape[0]
+    # Per candidate: row index -> "is a fragmentation dimension".  The
+    # trailing column absorbs NO_RESTRICTION (-1) entries of both the axis
+    # rows and the slot padding, which the validity mask filters out anyway.
+    in_spec = np.zeros((num_candidates, matrix.num_dimensions + 1), dtype=bool)
+    in_spec[np.arange(num_candidates)[:, None], axis_rows] = True
     groups: List[_ResidualGroup] = []
     for slot in range(matrix.slot_dimensions.shape[1]):
         dimension_rows = matrix.slot_dimensions[:, slot]
-        mask = (dimension_rows >= 0) & ~row_in_spec[dimension_rows]
-        columns = np.nonzero(mask)[0]
-        if not columns.size:
+        mask = (dimension_rows >= 0)[None, :] & ~in_spec[:, dimension_rows]
+        cand, cols = np.nonzero(mask)
+        if not cand.size:
             continue
-        rows = dimension_rows[columns]
+        rows = dimension_rows[cols]
         groups.append(
             _ResidualGroup(
-                candidates=None,
-                columns=columns,
-                fractions=matrix.restriction_selectivities[rows, columns],
-                has_bitmap=matrix.has_bitmap[rows, columns],
-                bits_read=matrix.bitmap_bits_read[rows, columns],
-                attributes=tuple(
-                    (
-                        matrix.dimension_names[row],
-                        matrix.level_names[row][column],
-                    )
-                    for row, column in zip(rows.tolist(), columns.tolist())
-                ),
+                candidates=cand,
+                columns=cols,
+                fractions=matrix.restriction_selectivities[rows, cols],
+                has_bitmap=matrix.has_bitmap[rows, cols],
+                bits_read=matrix.bitmap_bits_read[rows, cols],
+                attributes=matrix.attribute_table[rows, cols],
             )
         )
     return groups
@@ -554,23 +495,25 @@ def compute_access_structure_batch_candidates(
     """Derive the access structures of a whole layout stack in one pass.
 
     The batched twin of :func:`~repro.costmodel.compute_access_structure`:
-    every layout must share one axis structure (ordered fragmentation
-    dimensions); all per-class quantities are computed as (candidate × class)
-    planes with the scalar path's elementwise operations, so every stacked
-    candidate is bit-identical to the per-layout computation.  The workload
-    is assumed validated (the engine validates it once at construction).
+    the layouts may fragment any dimensions, but must share one fact table
+    and page size; all per-class quantities are computed as (candidate ×
+    class) planes with the scalar path's elementwise operations, so every
+    stacked candidate is bit-identical to the per-layout computation.  The
+    workload is assumed validated (the engine validates it once at
+    construction).
     """
-    _require_shared_axis_structure(layouts)
+    _require_one_fact_table(layouts)
     num_candidates = len(layouts)
     num_classes = matrix.num_classes
     page_size = layouts[0].page_size_bytes
     rows_per_page = layouts[0].rows_per_page
     row_count = layouts[0].fact.row_count
 
-    fragments_accessed, fragment_row_fraction, groups = _axis_groups(
-        layouts, matrix
+    axis_rows, axis_cards, axis_depths = _axis_geometry(layouts, matrix)
+    fragments_accessed, fragment_row_fraction, groups = _axis_confinement(
+        axis_rows, axis_cards, axis_depths, matrix
     )
-    groups.extend(_slot_groups(layouts[0].spec.dimensions, matrix))
+    groups.extend(_slot_groups(axis_rows, matrix))
 
     rows_in_accessed = row_count * fragment_row_fraction
     qualifying_rows = row_count * np.asarray(matrix.selectivities, dtype=np.float64)[None, :]
@@ -601,60 +544,29 @@ def compute_access_structure_batch_candidates(
     index_cand_parts: List[np.ndarray] = []
     index_class_parts: List[np.ndarray] = []
     index_pages_parts: List[np.ndarray] = []
-    index_attributes: List[Tuple[str, str]] = []
+    index_attribute_parts: List[np.ndarray] = []
     for group in groups:
-        if group.candidates is None:
-            # Slot group: one per-class row broadcast over every candidate.
-            columns = group.columns
-            has_residuals[:, columns] = True
-            residual_selectivity[:, columns] *= np.minimum(1.0, group.fractions)[
-                None, :
-            ]
-            no_index = ~group.has_bitmap
-            forced_full_scan[:, columns[no_index]] = True
-            indexed = np.nonzero(group.has_bitmap)[0]
-            if not indexed.size:
-                continue
-            indexed_columns = columns[indexed]
-            block = rows_per_fragment[:, indexed_columns]
-            pages = np.where(
-                block > 0,
-                np.maximum(
-                    1.0,
-                    np.ceil(group.bits_read[indexed][None, :] * block / 8.0 / page_size),
-                ),
-                0.0,
-            )
-            index_cand_parts.append(
-                np.repeat(np.arange(num_candidates, dtype=np.int64), indexed.size)
-            )
-            index_class_parts.append(np.tile(indexed_columns, num_candidates))
-            index_pages_parts.append(pages.reshape(-1))
-            group_attributes = [group.attributes[i] for i in indexed.tolist()]
-            index_attributes.extend(group_attributes * num_candidates)
-        else:
-            # Axis group: explicit flat (candidate, class) coordinates.
-            cand, cols = group.candidates, group.columns
-            has_residuals[cand, cols] = True
-            residual_selectivity[cand, cols] *= np.minimum(1.0, group.fractions)
-            no_index = ~group.has_bitmap
-            forced_full_scan[cand[no_index], cols[no_index]] = True
-            indexed = np.nonzero(group.has_bitmap)[0]
-            if not indexed.size:
-                continue
-            flat_rows = rows_per_fragment[cand[indexed], cols[indexed]]
-            pages = np.where(
-                flat_rows > 0,
-                np.maximum(
-                    1.0,
-                    np.ceil(group.bits_read[indexed] * flat_rows / 8.0 / page_size),
-                ),
-                0.0,
-            )
-            index_cand_parts.append(cand[indexed])
-            index_class_parts.append(cols[indexed])
-            index_pages_parts.append(pages)
-            index_attributes.extend(group.attributes[i] for i in indexed.tolist())
+        cand, cols = group.candidates, group.columns
+        has_residuals[cand, cols] = True
+        residual_selectivity[cand, cols] *= np.minimum(1.0, group.fractions)
+        no_index = ~group.has_bitmap
+        forced_full_scan[cand[no_index], cols[no_index]] = True
+        indexed = np.nonzero(group.has_bitmap)[0]
+        if not indexed.size:
+            continue
+        flat_rows = rows_per_fragment[cand[indexed], cols[indexed]]
+        pages = np.where(
+            flat_rows > 0,
+            np.maximum(
+                1.0,
+                np.ceil(group.bits_read[indexed] * flat_rows / 8.0 / page_size),
+            ),
+            0.0,
+        )
+        index_cand_parts.append(cand[indexed])
+        index_class_parts.append(cols[indexed])
+        index_pages_parts.append(pages)
+        index_attribute_parts.append(group.attributes[indexed])
 
     if index_cand_parts:
         # Sort the flat rows candidate-major, class within, stably: groups
@@ -662,18 +574,20 @@ def compute_access_structure_batch_candidates(
         # candidate's slice replays the scalar accumulation order.
         index_candidate = np.concatenate(index_cand_parts)
         index_class = np.concatenate(index_class_parts)
-        index_pages = np.concatenate(index_pages_parts)
         order = np.argsort(
             index_candidate * num_classes + index_class, kind="stable"
         )
         index_candidate = index_candidate[order]
         index_class = index_class[order]
-        index_pages = index_pages[order]
-        index_attributes = [index_attributes[i] for i in order.tolist()]
+        index_pages = np.concatenate(index_pages_parts)[order]
+        index_attributes = tuple(
+            np.concatenate(index_attribute_parts)[order].tolist()
+        )
     else:
         index_candidate = np.empty(0, dtype=np.int64)
         index_class = np.empty(0, dtype=np.int64)
         index_pages = np.empty(0, dtype=np.float64)
+        index_attributes = ()
 
     bitmap_pages_per_fragment = np.zeros(
         (num_candidates, num_classes), dtype=np.float64
@@ -718,7 +632,7 @@ def compute_access_structure_batch_candidates(
         index_candidate=index_candidate,
         index_class=index_class,
         index_pages=index_pages,
-        index_attributes=tuple(index_attributes),
+        index_attributes=index_attributes,
         bitmap_pages_per_fragment=bitmap_pages_per_fragment,
         bitmap_index_counts=bitmap_index_counts,
     )
@@ -1008,11 +922,20 @@ def evaluate_workload_batch_candidates(
     cube[..., -2] = io_cost
     cube[..., -1] = response
 
+    # Bitmap attributes of every bitmap-plan (candidate, class) pair, with one
+    # searchsorted over the flat index keys for the whole stack.
+    plan_candidates, plan_classes = np.nonzero(profiles.use_bitmap_plan)
+    plan_keys = plan_candidates * num_classes + plan_classes
+    starts = np.searchsorted(structures._flat_keys, plan_keys, side="left")
+    ends = np.searchsorted(structures._flat_keys, plan_keys, side="right")
+    attributes_used = [[()] * num_classes for _ in range(num_candidates)]
+    for k, c, lo, hi in zip(
+        plan_candidates.tolist(), plan_classes.tolist(), starts.tolist(), ends.tolist()
+    ):
+        attributes_used[k][c] = structures.index_attributes[lo:hi]
+
     evaluations: List[WorkloadEvaluation] = []
     for k in range(num_candidates):
-        attributes_used = [()] * num_classes
-        for c in np.nonzero(profiles.use_bitmap_plan[k])[0].tolist():
-            attributes_used[c] = structures.attributes_for(k, c)
         columns = EvaluationColumns(
             query_names=matrix.query_names,
             weights=matrix.shares,
@@ -1021,7 +944,7 @@ def evaluate_workload_batch_candidates(
             disks_used=disks_used[k].copy(),
             sequential=profiles.sequential_fact_access[k].copy(),
             forced=structures.forced_full_scan[k].copy(),
-            attributes_used=tuple(attributes_used),
+            attributes_used=tuple(attributes_used[k]),
         )
         evaluations.append(
             WorkloadEvaluation(

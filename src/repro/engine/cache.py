@@ -160,6 +160,9 @@ class EvaluationCache:
         #: cheap to rebuild, but re-compiling on every system-only what-if
         #: delta wastes the per-edit constant).  Not counted by ``len()``.
         self._matrices: Dict[str, Any] = {}
+        #: Built FragmentationLayout memo, per-fragment arrays included
+        #: (memory only, like the matrix memo; not counted by ``len()``).
+        self._layouts: Dict[Tuple[str, ...], Any] = {}
         #: Candidate-exclusion reports (threshold diagnostics + surviving
         #: specs), keyed on enumeration-input signatures; persisted alongside
         #: the store so warm-from-disk runs skip re-deriving the thresholds.
@@ -427,15 +430,39 @@ class EvaluationCache:
         bounds this memo like the evaluation stores (FIFO), so a long-lived
         shared cache serving many warehouses cannot grow without limit.
         """
-        value = self._matrices.get(key)
+        return self._memoized_input(self._matrices, key, compute)
+
+    # -- built layouts (shared, in-memory only) -----------------------------------
+
+    @staticmethod
+    def layout_key(
+        schema, fact_name: str, spec, page_size_bytes: int
+    ) -> Tuple[str, ...]:
+        """Key of one built layout: everything ``build_layout`` reads but the
+        materialization limit, which callers check on every hit."""
+        return (object_signature(schema), fact_name, spec.label, str(page_size_bytes))
+
+    def layout(self, key: Tuple[str, ...], compute):
+        """Memoized :class:`~repro.fragmentation.FragmentationLayout`.
+
+        A layout is a pure function of its key, and its lazily computed
+        per-fragment arrays (fragment rows and pages, size CV) stay on the
+        memoized instance, so a re-sweep of the same warehouse — every
+        ``with_delta`` edit of the system or the mix — skips rebuilding them.
+        In-memory only and bounded like the matrix memo: never spilled, not
+        counted by ``len()`` or the hit/miss stats, FIFO-evicted at
+        ``max_entries``.
+        """
+        return self._memoized_input(self._layouts, key, compute)
+
+    def _memoized_input(self, store: Dict[Any, Any], key, compute):
+        """Shared body of the in-memory input memos (FIFO at ``max_entries``)."""
+        value = store.get(key)
         if value is None:
             value = compute()
-            if (
-                self.max_entries is not None
-                and len(self._matrices) >= self.max_entries
-            ):
-                self._matrices.pop(next(iter(self._matrices)))
-            self._matrices[key] = value
+            if self.max_entries is not None and len(store) >= self.max_entries:
+                store.pop(next(iter(store)))
+            store[key] = value
         return value
 
     # -- candidate-exclusion reports ---------------------------------------------
@@ -579,8 +606,8 @@ class EvaluationCache:
     # -- maintenance ------------------------------------------------------------
 
     def __len__(self) -> int:
-        # Evaluation entries only; the matrix memo and the exclusion reports
-        # are compiled-input bookkeeping, not evaluations.
+        # Evaluation entries only; the matrix and layout memos and the
+        # exclusion reports are compiled-input bookkeeping, not evaluations.
         return len(self._structures) + len(self._candidates)
 
     def clear(self) -> None:
@@ -588,6 +615,7 @@ class EvaluationCache:
         self._structures.clear()
         self._candidates.clear()
         self._matrices.clear()
+        self._layouts.clear()
         self._reports.clear()
         self._disk_keys.clear()
         self._touched.clear()

@@ -15,11 +15,11 @@ recommendations to ``jobs=1`` (the parity test matrix asserts this).
 
 Two cost paths implement the same model (``EngineOptions.vectorize``):
 
-* the **batched path** (``True``, default) groups each chunk by the specs'
-  axis structure, stacks every group's layouts into one (candidate × class)
-  numpy batch for structure derivation, and fuses the whole chunk — prefetch
-  resolution and the cost model are elementwise per candidate — into a
-  single kernel pass (:mod:`repro.costmodel.batch`); a single candidate
+* the **batched path** (``True``, default) stacks every layout of a chunk,
+  whatever dimensions it fragments, into one (candidate × class) numpy batch
+  and runs structures, prefetch resolution, the cost model and the LPT disk
+  placement once per chunk (:mod:`repro.costmodel.batch`,
+  :mod:`repro.allocation.batch`); a single candidate
   (:meth:`EvaluationEngine.evaluate_spec`, the tuning studies) runs the same
   kernels as a 1-row stack;
 * the **scalar path** (``False``, CLI ``--no-vectorize``) runs the per-class
@@ -34,10 +34,13 @@ evaluation context (schema, workload, system, config, bitmap scheme, class
 matrix, specs) once per worker rather than once per task; each worker owns a
 private :class:`~repro.engine.cache.EvaluationCache`, so the run-length and
 evaluation passes of a candidate share their access structures inside the
-worker exactly as they do inline.  If the pool cannot be created or breaks
-mid-sweep (restricted environments without working multiprocessing, killed
-workers), the driver finishes the remaining candidates with the inline
-generator in degraded mode — same results, just slower.
+worker exactly as they do inline.  Inline and pool sweeps cut their misses
+with the same :meth:`~repro.engine.plan.EvaluationPlan.partition_indices`:
+a few cost-balanced chunks of at most :data:`MAX_CHUNK_WIDTH` candidates.
+If the pool cannot be created or breaks mid-sweep (restricted environments
+without working multiprocessing, killed workers), the driver finishes the
+remaining candidates with the inline generator in degraded mode — same
+results, just slower.
 """
 
 from __future__ import annotations
@@ -65,7 +68,12 @@ from repro.costmodel import (
     resolve_prefetch_settings_batch_candidates,
 )
 from repro.errors import AdvisorError, EvaluationCancelled
-from repro.fragmentation import FragmentationSpec, build_layout
+from repro.fragmentation import (
+    FragmentationLayout,
+    FragmentationSpec,
+    build_layout,
+    check_fragment_limit,
+)
 from repro.schema import StarSchema
 from repro.storage import SystemParameters
 from repro.workload import ClassMatrix, QueryMix
@@ -83,12 +91,16 @@ __all__ = [
     "MIN_SPECS_FOR_PARALLEL",
 ]
 
-#: Serial candidate-axis chunk cap: one axis-structure group is the natural
-#: batching unit, but a sweep dominated by a single structure must still hit
-#: progress/cancellation boundaries at a bounded latency.  16 candidates keeps
-#: near-full batch width (the kernels saturate well below that) while staying
-#: close to the one-candidate granularity of the non-batched serial path.
-MAX_SERIAL_GROUP_CHUNK = 16
+#: Chunks an inline batched sweep is cut into (fewer when it has fewer
+#: misses).  Each chunk costs a few milliseconds of fixed numpy and Python
+#: overhead, and each chunk boundary is a progress report and a cancellation
+#: point; eight keeps both small.
+INLINE_CHUNKS = 8
+
+#: Widest chunk either backend evaluates: larger sweeps get more chunks, so
+#: the per-chunk planes — above all the LPT placement's padded (candidate ×
+#: fragment) matrix — stay bounded however large the sweep grows.
+MAX_CHUNK_WIDTH = 48
 
 #: Failures of the process pool itself (no /dev/shm, seccomp'd fork, workers
 #: killed on spawn, an unpicklable task) rather than of an evaluation: the
@@ -132,18 +144,43 @@ def evaluate_spec_in_context(
     return _evaluate_spec(context, spec, None)
 
 
+def _layout(
+    context: EngineContext,
+    spec: FragmentationSpec,
+    cache: Optional[EvaluationCache],
+) -> FragmentationLayout:
+    """The built layout of ``spec``, memoized in ``cache`` across sweeps.
+
+    A memoized layout may have been built under a looser materialization
+    limit, so the context's limit is checked again on every hit.
+    """
+    max_fragments = max(context.config.max_fragments, 1)
+
+    def build() -> FragmentationLayout:
+        return build_layout(
+            context.schema,
+            spec,
+            fact_table=context.fact_name,
+            page_size_bytes=context.system.page_size_bytes,
+            max_fragments=max_fragments,
+        )
+
+    if cache is None:
+        return build()
+    key = cache.layout_key(
+        context.schema, context.fact_name, spec, context.system.page_size_bytes
+    )
+    layout = cache.layout(key, build)
+    check_fragment_limit(spec, layout.fragment_count, max_fragments)
+    return layout
+
+
 def _evaluate_spec(
     context: EngineContext,
     spec: FragmentationSpec,
     cache: Optional[EvaluationCache],
 ) -> FragmentationCandidate:
-    layout = build_layout(
-        context.schema,
-        spec,
-        fact_table=context.fact_name,
-        page_size_bytes=context.system.page_size_bytes,
-        max_fragments=max(context.config.max_fragments, 1),
-    )
+    layout = _layout(context, spec, cache)
     if context.class_matrix is not None:
         # Batched path, one candidate as a 1-row stack: one structure batch
         # per layout (cached like the scalar structures), then granule
@@ -198,17 +235,17 @@ def evaluate_specs_in_context(
     indices: Sequence[int],
     cache: Optional[EvaluationCache] = None,
 ) -> List[FragmentationCandidate]:
-    """Evaluate a chunk of candidate indices, candidate-axis batched.
+    """Evaluate a chunk of candidate indices in one kernel pass.
 
-    On the batched path the chunk is grouped by axis structure
-    (:attr:`~repro.fragmentation.FragmentationSpec.axis_structure`) and each
-    group's layouts are stacked into one (candidate × class) numpy batch —
-    structures, prefetch resolution and costs computed in one vector pass,
-    bit-identical to evaluating each spec alone (the parity suite pins this).
-    The scalar path evaluates spec by spec.  ``cache`` memoizes access
-    structures only (one structure probe per evaluated layout): whole
-    candidates are probed and stored by the engine's driver, once per plan
-    index, so every index handed in here is evaluated.
+    On the batched path every layout of the chunk, whatever dimensions it
+    fragments, stacks into one (candidate × class) numpy batch: structures,
+    the disk placement, prefetch resolution and costs run once for the whole
+    chunk, bit-identical to evaluating each spec alone (the parity suite pins
+    this).  The scalar path evaluates spec by spec.  ``cache`` memoizes
+    built layouts and access structures only (one structure probe per
+    evaluated layout): whole candidates are probed and stored by the
+    engine's driver, once per plan index, so every index handed in here is
+    evaluated.
     """
     if context.class_matrix is None:
         return [
@@ -217,80 +254,50 @@ def evaluate_specs_in_context(
     if not indices:
         return []
     matrix = context.class_matrix
-    groups: Dict[Tuple[str, ...], List[int]] = {}
-    for index in indices:
-        groups.setdefault(context.specs[index].axis_structure, []).append(index)
-    # Access structures are computed per axis-structure group (the unit
-    # within which the per-class control flow is uniform); everything
-    # downstream — prefetch resolution and the cost model — is purely
-    # elementwise per candidate, so the whole chunk stacks into ONE
-    # (candidate × class) batch regardless of its group mix.
-    order: List[int] = []
-    group_batches: List[AccessStructureBatch2D] = []
-    layouts = []
-    allocations = []
-    for group in groups.values():
-        order.extend(group)
-        group_layouts = [
-            build_layout(
-                context.schema,
-                context.specs[index],
-                fact_table=context.fact_name,
-                page_size_bytes=context.system.page_size_bytes,
-                max_fragments=max(context.config.max_fragments, 1),
-            )
-            for index in group
-        ]
-        layouts.extend(group_layouts)
-        group_batches.append(
-            _group_structure_batch(context, group_layouts, matrix, cache)
-        )
-        # Disk placement is batched per group as well: one LPT pass over
-        # the group's padded (candidate × fragment) page matrix, bit-
-        # identical to the per-candidate choose_allocation reference.
-        allocations.extend(
-            choose_allocations_batch(
-                group_layouts,
-                context.system,
-                context.bitmap_scheme,
-                skew_threshold_cv=context.config.allocation_skew_cv,
-            )
-        )
-    batch = AccessStructureBatch2D.concat(group_batches)
+    specs = [context.specs[index] for index in indices]
+    layouts = [_layout(context, spec, cache) for spec in specs]
+    structures = _structure_batch(layouts, matrix, cache)
+    # One LPT pass over the chunk's padded (candidate × fragment) page
+    # matrix, bit-identical to the per-candidate choose_allocation reference.
+    allocations = choose_allocations_batch(
+        layouts,
+        context.system,
+        context.bitmap_scheme,
+        skew_threshold_cv=context.config.allocation_skew_cv,
+    )
     prefetches = resolve_prefetch_settings_batch_candidates(
-        batch, matrix, context.system
+        structures, matrix, context.system
     )
     evaluations = evaluate_workload_batch_candidates(
-        layouts, batch, matrix, context.system, prefetches
+        layouts, structures, matrix, context.system, prefetches
     )
-    results: Dict[int, FragmentationCandidate] = {}
-    for index, layout, prefetch, evaluation, allocation in zip(
-        order, layouts, prefetches, evaluations, allocations
-    ):
-        results[index] = FragmentationCandidate(
-            spec=context.specs[index],
+    return [
+        FragmentationCandidate(
+            spec=spec,
             layout=layout,
             bitmap_scheme=context.bitmap_scheme,
             prefetch=prefetch,
             evaluation=evaluation,
             allocation=allocation,
         )
-    return [results[index] for index in indices]
+        for spec, layout, prefetch, evaluation, allocation in zip(
+            specs, layouts, prefetches, evaluations, allocations
+        )
+    ]
 
 
-def _group_structure_batch(
-    context: EngineContext,
-    layouts: Sequence[Any],
+def _structure_batch(
+    layouts: Sequence[FragmentationLayout],
     matrix: ClassMatrix,
     cache: Optional[EvaluationCache],
 ) -> AccessStructureBatch2D:
-    """The stacked structure batch of one axis-structure group.
+    """The stacked structure batch of one chunk.
 
     Per-layout cache probes (same counter semantics as the single-candidate
     path); all misses are computed as ONE stacked batch, and per-layout
     slices feed the cache — the slices are bit-identical to per-layout
     computation, so cross-path and cross-run cache sharing stays exact.  On
-    an all-miss (cold) group the freshly stacked batch is returned directly,
+    an all-miss (cold) chunk the freshly stacked batch is returned directly,
     so the common cold path never pays a slice-then-restack round trip.
     """
     if cache is None:
@@ -360,14 +367,23 @@ def _evaluate_chunk(
 # -- the driver's chunk sources ----------------------------------------------------
 
 
+def _chunks(
+    plan: EvaluationPlan, indices: Sequence[int], parts: int
+) -> List[List[int]]:
+    """Cost-balanced chunks of ``indices``: ``parts`` of them, or as many more
+    as keep every chunk within :data:`MAX_CHUNK_WIDTH` candidates."""
+    parts = max(parts, -(-len(indices) // MAX_CHUNK_WIDTH))
+    return plan.partition_indices(indices, parts, max_width=MAX_CHUNK_WIDTH)
+
+
 def _inline_chunks(
     plan: EvaluationPlan, indices: Sequence[int], batched: bool
 ) -> List[List[int]]:
-    """Inline chunks: capped axis-structure groups, or single candidates on
-    the scalar path — the finest boundaries at which progress is reported
-    and a cancel stops without discarding work."""
+    """Inline chunks: a few wide ones on the batched path, single candidates
+    on the scalar path — the boundaries at which progress is reported and a
+    cancel stops without discarding work."""
     if batched:
-        return plan.axis_groups(indices=indices, max_size=MAX_SERIAL_GROUP_CHUNK)
+        return _chunks(plan, indices, INLINE_CHUNKS)
     return [[index] for index in indices]
 
 
@@ -601,13 +617,15 @@ class EvaluationEngine:
         """Evaluate every candidate of ``specs``, preserving order.
 
         The one driver of every sweep.  It probes the shared cache once per
-        plan index, cuts the misses into chunks — capped axis-structure
-        groups (one candidate each on the scalar path) inline, a balanced
-        :meth:`~repro.engine.plan.EvaluationPlan.partition_indices` split on
-        the process pool, which is only engaged when the resolved worker
-        count exceeds one and the sweep is large enough to amortize it — and
-        consumes the evaluated chunks in one loop that places the results,
-        inserts them into the cache, reports progress and honours ``cancel``.
+        plan index, cuts the misses into cost-balanced chunks of at most
+        :data:`MAX_CHUNK_WIDTH` candidates with
+        :meth:`~repro.engine.plan.EvaluationPlan.partition_indices` — at
+        least :data:`INLINE_CHUNKS` inline (one candidate each on the scalar
+        path), at least one per worker on the process pool, which is only
+        engaged when the resolved worker count exceeds one and the sweep is
+        large enough to amortize it — and consumes the evaluated chunks in
+        one loop that places the results, inserts them into the cache,
+        reports progress and honours ``cancel``.
         If the pool breaks, the same loop finishes the remaining candidates
         inline in degraded mode.  Both backends return identical candidates.
 
@@ -667,9 +685,7 @@ class EvaluationEngine:
             jobs = self.resolve_jobs(total)
             pooled = jobs > 1 and total >= MIN_SPECS_FOR_PARALLEL
             if pooled:
-                chunks = plan.partition_indices(
-                    pending, jobs, by_axis_structure=batched
-                )
+                chunks = _chunks(plan, pending, jobs)
                 source = _evaluate_pooled(context, chunks, jobs, cache)
                 # A pool chunk can take a while: announce the warm share now.
                 report(0, len(chunks))

@@ -8,11 +8,15 @@ the mix, and the per-class results are folded into one
 expands the (candidate × query class) work units up front, attaches a cost
 estimate to every candidate (the fragment count — a good proxy, since layout
 materialization and allocation scale with it), and partitions the candidates
-into deterministic, load-balanced chunks for the executor.
+into deterministic, load-balanced chunks for the executor — the same split
+for an inline sweep and for the process pool, optionally capped in width so
+a chunk's kernel planes stay bounded however large the sweep grows.
 
-Per-candidate granularity is the dispatch unit (a candidate's query classes
+Per-candidate granularity is the assignment unit (a candidate's query classes
 share its layout, prefetch resolution and allocation, so splitting a candidate
-across workers would duplicate that work); the unit expansion is still exposed
+across chunks would duplicate that work); any mix of candidates forms a valid
+chunk, because the batched kernels stack layouts of any fragmentation
+dimensions.  The unit expansion is still exposed
 because it is the engine's accounting currency — progress, cache sizing and
 the benchmark's work counts are all unit-based.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import AdvisorError
 from repro.fragmentation import FragmentationSpec
@@ -119,37 +123,6 @@ class EvaluationPlan:
         per_spec = len(self.query_names)
         return self.units[spec_index * per_spec : (spec_index + 1) * per_spec]
 
-    # -- axis-structure grouping --------------------------------------------------
-
-    def axis_groups(self, indices=None, max_size: int = 0) -> List[List[int]]:
-        """Candidate indices grouped by their spec's axis structure.
-
-        Groups preserve first-seen sweep order, and indices within a group
-        stay in sweep order — the unit at which the candidate-axis executor
-        stacks layouts into one (candidate × class) batch
-        (:mod:`repro.costmodel.batch`) and the serial executor reports
-        progress / honours cancellation.
-
-        A positive ``max_size`` splits larger groups into consecutive
-        group-pure sub-chunks of at most that many candidates: batching is a
-        pure execution strategy (the kernels are elementwise per candidate),
-        so splitting never changes a number — it only bounds progress /
-        cancellation latency and restores load balance when one axis
-        structure dominates a sweep.
-        """
-        if indices is None:
-            indices = range(len(self.specs))
-        groups: dict = {}
-        for index in indices:
-            groups.setdefault(self.specs[index].axis_structure, []).append(index)
-        if max_size <= 0:
-            return list(groups.values())
-        return [
-            group[start : start + max_size]
-            for group in groups.values()
-            for start in range(0, len(group), max_size)
-        ]
-
     # -- partitioning -----------------------------------------------------------
 
     def partition(self, jobs: int) -> List[List[int]]:
@@ -157,48 +130,42 @@ class EvaluationPlan:
         return self.partition_indices(range(len(self.specs)), jobs)
 
     def partition_indices(
-        self, indices, jobs: int, by_axis_structure: bool = False
+        self, indices, jobs: int, max_width: Optional[int] = None
     ) -> List[List[int]]:
         """Split a subset of candidate indices into ``jobs`` balanced chunks.
 
         Deterministic longest-processing-time assignment: candidates are
         considered in decreasing cost (fragment count), each going to the
         currently least-loaded chunk; ties break towards the earlier candidate
-        and the lower chunk number.  Within a chunk, indices are sorted so the
-        executor streams each chunk in sweep order.  Empty chunks are dropped
-        (when ``jobs`` exceeds the candidate count).
-
-        With ``by_axis_structure=True`` the assignment unit is an
-        axis-structure group (see :meth:`axis_groups`) instead of a single
-        candidate, so same-structure candidates land on the same worker and
-        the candidate-axis kernels batch at full width.  Groups larger than
-        one ``jobs``-th of the sweep are split into group-pure sub-units, so
-        a sweep dominated by one axis structure still spreads over all
-        workers.  Still deterministic LPT: units are considered in
-        decreasing total cost, ties towards the unit containing the earliest
-        candidate.
+        and the lower chunk number.  With ``max_width`` a full chunk (that
+        many candidates) takes no more, which bounds the width of every
+        chunk as long as ``jobs * max_width`` covers the indices.  Within a
+        chunk, indices are sorted so the executor streams each chunk in
+        sweep order.  Empty chunks are dropped (when ``jobs`` exceeds the
+        candidate count).
         """
         if jobs < 1:
             raise AdvisorError(f"jobs must be at least 1, got {jobs}")
-        if by_axis_structure:
-            indices = list(indices)
-            units = self.axis_groups(
-                indices, max_size=max(1, -(-len(indices) // jobs))
+        indices = list(indices)
+        if max_width is not None and jobs * max_width < len(indices):
+            raise AdvisorError(
+                f"{jobs} chunks of at most {max_width} candidates cannot hold "
+                f"{len(indices)} candidates"
             )
-        else:
-            units = [[index] for index in indices]
-        costs = [
-            sum(max(1, self.spec_costs[index]) for index in unit) for unit in units
-        ]
-        order = sorted(
-            range(len(units)), key=lambda u: (-costs[u], units[u][0])
-        )
+        costs = {index: max(1, self.spec_costs[index]) for index in indices}
         loads = [0] * jobs
         chunks: List[List[int]] = [[] for _ in range(jobs)]
-        for u in order:
-            target = min(range(jobs), key=lambda job: (loads[job], job))
-            chunks[target].extend(units[u])
-            loads[target] += costs[u]
+        for index in sorted(indices, key=lambda index: (-costs[index], index)):
+            target = min(
+                (
+                    job
+                    for job in range(jobs)
+                    if max_width is None or len(chunks[job]) < max_width
+                ),
+                key=lambda job: (loads[job], job),
+            )
+            chunks[target].append(index)
+            loads[target] += costs[index]
         for chunk in chunks:
             chunk.sort()
         return [chunk for chunk in chunks if chunk]

@@ -16,6 +16,7 @@ from repro.fragmentation.enumeration import (
 from repro.fragmentation.layout import (
     FragmentationLayout,
     build_layout,
+    check_fragment_limit,
     dimension_row_shares,
 )
 
@@ -26,5 +27,6 @@ __all__ = [
     "count_point_fragmentations",
     "FragmentationLayout",
     "build_layout",
+    "check_fragment_limit",
     "dimension_row_shares",
 ]

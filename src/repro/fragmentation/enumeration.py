@@ -10,8 +10,7 @@ by the exclusion thresholds of :mod:`repro.core.thresholds`.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import FragmentationError
 from repro.schema import FactTable, StarSchema
@@ -90,10 +89,20 @@ def enumerate_point_fragmentations(
     if include_baseline:
         yield FragmentationSpec.none()
 
-    for combination in product(*choices):
-        attributes = tuple(attr for attr in combination if attr is not None)
-        if not attributes:
-            continue
-        if max_dimensions is not None and len(attributes) > max_dimensions:
-            continue
-        yield FragmentationSpec(attributes)
+    # Expand one dimension at a time, outer prefixes first — the order of
+    # ``product(*choices)`` — and drop every prefix that is already at the
+    # dimensionality bound before it picks another attribute, instead of
+    # generating all combinations and filtering them.
+    prefixes: List[Tuple[FragmentationAttribute, ...]] = [()]
+    for axis in choices:
+        prefixes = [
+            prefix if attribute is None else prefix + (attribute,)
+            for prefix in prefixes
+            for attribute in axis
+            if attribute is None
+            or max_dimensions is None
+            or len(prefix) < max_dimensions
+        ]
+    for attributes in prefixes:
+        if attributes:
+            yield FragmentationSpec(attributes)

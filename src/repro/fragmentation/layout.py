@@ -21,7 +21,12 @@ from repro.schema import Dimension, FactTable, StarSchema
 from repro.skew import coefficient_of_variation
 from repro.fragmentation.spec import FragmentationSpec
 
-__all__ = ["dimension_row_shares", "build_layout", "FragmentationLayout"]
+__all__ = [
+    "dimension_row_shares",
+    "build_layout",
+    "check_fragment_limit",
+    "FragmentationLayout",
+]
 
 #: Safety bound on materialized fragment arrays.  Candidates above this are
 #: normally excluded long before a layout is built (see repro.core.thresholds);
@@ -97,18 +102,29 @@ def build_layout(
     """
     fact = schema.fact_table(fact_table)
     spec.validate(schema, fact)
-    fragment_count = spec.fragment_count(schema)
-    if fragment_count > max_fragments:
-        raise FragmentationError(
-            f"fragmentation {spec.label} induces {fragment_count:,} fragments, "
-            f"exceeding the materialization limit of {max_fragments:,}"
-        )
+    check_fragment_limit(spec, spec.fragment_count(schema), max_fragments)
     return FragmentationLayout(
         schema=schema,
         fact=fact,
         spec=spec,
         page_size_bytes=page_size_bytes,
     )
+
+
+def check_fragment_limit(
+    spec: FragmentationSpec, fragment_count: int, max_fragments: int
+) -> None:
+    """The materialization guard of :func:`build_layout`.
+
+    Raises :class:`~repro.errors.FragmentationError` when ``spec`` induces
+    more than ``max_fragments`` fragments; callers that reuse a layout built
+    earlier (under a possibly looser limit) apply it again.
+    """
+    if fragment_count > max_fragments:
+        raise FragmentationError(
+            f"fragmentation {spec.label} induces {fragment_count:,} fragments, "
+            f"exceeding the materialization limit of {max_fragments:,}"
+        )
 
 
 @dataclass(frozen=True)
@@ -213,7 +229,7 @@ class FragmentationLayout:
     @cached_property
     def fragment_size_cv(self) -> float:
         """Coefficient of variation of fragment sizes (0 without skew)."""
-        return coefficient_of_variation(self.fragment_rows.tolist())
+        return coefficient_of_variation(self.fragment_rows)
 
     @cached_property
     def average_fragment_rows(self) -> float:

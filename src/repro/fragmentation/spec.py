@@ -106,20 +106,6 @@ class FragmentationSpec:
         """Names of the fragmentation dimensions, in spec order."""
         return tuple(a.dimension for a in self.attributes)
 
-    @cached_property
-    def axis_structure(self) -> Tuple[str, ...]:
-        """The candidate-axis batching key: fragmentation dimensions in order.
-
-        Two specs share an axis structure exactly when they fragment the same
-        dimensions in the same order (their *levels* may differ).  Within one
-        axis structure, every per-class control-flow decision of the batched
-        cost kernels (restricted dimensions, slot residuals) is identical, so
-        the engine stacks such candidates into one (candidate × class) numpy
-        batch (:mod:`repro.costmodel.batch`).  Memoized like :attr:`label` —
-        the engine groups every chunk of every sweep by it.
-        """
-        return self.dimensions
-
     def uses_dimension(self, dimension: str) -> bool:
         """True when ``dimension`` is a fragmentation dimension."""
         return any(a.dimension == dimension for a in self.attributes)

@@ -26,7 +26,12 @@ __all__ = [
 
 
 def _as_array(values: Sequence[float]) -> np.ndarray:
-    array = np.asarray(list(values), dtype=float)
+    # An ndarray is taken as is (no copy when already contiguous float64);
+    # any other sequence or iterable is materialized first.
+    if isinstance(values, np.ndarray):
+        array = np.ascontiguousarray(values, dtype=float)
+    else:
+        array = np.asarray(list(values), dtype=float)
     if array.size == 0:
         raise CostModelError("metric requires at least one value")
     if np.any(array < 0):

@@ -24,6 +24,7 @@ package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -93,6 +94,21 @@ class ClassMatrix:
     def num_dimensions(self) -> int:
         """Number of restricted dimensions (rows of the columnar arrays)."""
         return len(self.dimension_names)
+
+    @cached_property
+    def attribute_table(self) -> np.ndarray:
+        """(dimensions x classes) object array of ``(dimension, level)`` pairs.
+
+        Built once per matrix, so the batched kernels gather the bitmap
+        attributes of many (candidate, class) pairs with one fancy index
+        instead of assembling a tuple per pair.  Unrestricted entries hold
+        ``(dimension, "")`` and are never read.
+        """
+        table = np.empty((self.num_dimensions, self.num_classes), dtype=object)
+        for row, name in enumerate(self.dimension_names):
+            for column, level in enumerate(self.level_names[row]):
+                table[row, column] = (name, level)
+        return table
 
     def dimension_row(self, dimension: str) -> int:
         """Row index of ``dimension`` in the columnar arrays."""

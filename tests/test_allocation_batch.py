@@ -154,3 +154,43 @@ class TestChooseAllocationsBatch:
 
     def test_empty_group(self, small_system):
         assert choose_allocations_batch([], small_system) == []
+
+
+class TestSkewedMixedChunks:
+    def test_full_skewed_chunks_match_choose_allocation(self):
+        """Wide chunks mixing dimensions and schemes: each allocation equals
+        the per-candidate choose_allocation reference."""
+        from repro import AdvisorConfig, SystemParameters, Warlock, synthetic_schema
+        from repro.engine.executor import _inline_chunks, evaluate_specs_in_context
+        from repro.workload.generator import random_query_mix
+
+        schema = synthetic_schema(
+            num_dimensions=7,
+            levels_per_dimension=3,
+            bottom_cardinality=400,
+            fact_rows=30_000_000,
+        )
+        workload = random_query_mix(schema, num_classes=40, seed=1)
+        schema = schema.with_skew({"dim0": 1.0, "dim1": 0.5})
+        system = SystemParameters(num_disks=64)
+        config = AdvisorConfig(max_fragments=30_000, max_fragmentation_dimensions=3)
+        advisor = Warlock(schema, workload, system, config)
+        specs, _ = advisor.generate_specs()
+        engine = advisor.engine()
+        plan = engine.plan(specs)
+        context = engine.context(specs=plan.specs)
+        chunks = _inline_chunks(plan, range(plan.num_candidates), True)
+        schemes = set()
+        for chunk in chunks:
+            candidates = evaluate_specs_in_context(context, chunk, None)
+            assert len({candidate.spec.dimensions for candidate in candidates}) > 1
+            for candidate in candidates:
+                reference = choose_allocation(
+                    candidate.layout,
+                    system,
+                    context.bitmap_scheme,
+                    skew_threshold_cv=config.allocation_skew_cv,
+                )
+                _assert_allocations_identical(candidate.allocation, reference)
+                schemes.add(candidate.allocation.scheme)
+        assert schemes == {"greedy_size", "round_robin"}

@@ -72,40 +72,20 @@ class TestEvaluationPlan:
             max(1, cost) for cost in plan.spec_costs
         )
 
-    def test_axis_groups_group_by_structure_and_split_on_max_size(self, toy_advisor):
+    def test_partition_caps_chunk_width(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
         plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        groups = plan.axis_groups()
-        flat = sorted(index for group in groups for index in group)
-        assert flat == list(range(len(specs)))
-        for group in groups:
-            structures = {plan.specs[index].axis_structure for index in group}
-            assert len(structures) == 1
-            assert group == sorted(group)
-        # Splitting bounds the chunk size but keeps chunks group-pure.
-        split = plan.axis_groups(max_size=1)
-        assert all(len(chunk) == 1 for chunk in split)
-        assert sorted(index for chunk in split for index in chunk) == flat
-
-    def test_grouped_partition_splits_a_dominant_group_across_workers(self):
-        from repro import synthetic_schema
-        from repro.fragmentation import FragmentationSpec
-        from repro.workload.generator import random_query_mix
-
-        schema = synthetic_schema(
-            num_dimensions=3, levels_per_dimension=3, bottom_cardinality=60
+        width = 2
+        jobs = -(-len(specs) // width)
+        chunks = plan.partition_indices(range(len(specs)), jobs, max_width=width)
+        assert all(len(chunk) <= width for chunk in chunks)
+        assert sorted(index for chunk in chunks for index in chunk) == list(
+            range(len(specs))
         )
-        workload = random_query_mix(schema, num_classes=3, seed=1)
-        # Every spec fragments dim0 (one axis structure): without group
-        # splitting the whole sweep would land on a single worker.
-        specs = [
-            FragmentationSpec.of(("dim0", f"d0_l{level}")) for level in range(3)
-        ]
-        plan = EvaluationPlan.build(specs, workload, schema)
-        assert len(plan.axis_groups()) == 1
-        chunks = plan.partition_indices(range(len(specs)), 2, by_axis_structure=True)
-        assert len(chunks) == 2
-        assert sorted(index for chunk in chunks for index in chunk) == [0, 1, 2]
+        # Without a cap the same split is free to pile cheap candidates up.
+        assert plan.partition_indices(range(len(specs)), jobs) == plan.partition(jobs)
+        with pytest.raises(AdvisorError):
+            plan.partition_indices(range(len(specs)), jobs - 1, max_width=width)
 
     def test_partition_rejects_nonpositive_jobs(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
@@ -264,6 +244,35 @@ class TestEvaluationCache:
         advisor.evaluate_spec(specs[1])
         assert len(cache._structures) <= 3
         assert len(cache._candidates) <= 3
+
+    def test_layout_memo_is_bounded_uncounted_and_cleared(self, toy_advisor):
+        cache = EvaluationCache(max_entries=2)
+        advisor = Warlock(
+            toy_advisor.schema,
+            toy_advisor.workload,
+            toy_advisor.system,
+            toy_advisor.config,
+            cache=cache,
+        )
+        specs, _ = advisor.generate_specs()
+        first = advisor.evaluate_spec(specs[0])
+        key = cache.layout_key(
+            advisor.schema,
+            advisor.engine().fact_name,
+            specs[0],
+            advisor.system.page_size_bytes,
+        )
+        assert cache.layout(key, lambda: None) is first.layout
+        entries, lookups = len(cache), cache.stats.lookups
+        assert cache.layout(key, lambda: None) is first.layout
+        # Memory-only bookkeeping: neither an entry nor a probe.
+        assert (len(cache), cache.stats.lookups) == (entries, lookups)
+        for spec in specs[1:4]:
+            advisor.evaluate_spec(spec)
+        assert len(cache._layouts) == 2
+        assert key not in cache._layouts  # FIFO: the oldest went first
+        cache.clear()
+        assert not cache._layouts
 
     def test_max_entries_validation(self):
         with pytest.raises(ValueError):

@@ -121,3 +121,49 @@ class TestEnumeration:
         first = [spec.label for spec in enumerate_point_fragmentations(toy_schema)]
         second = [spec.label for spec in enumerate_point_fragmentations(toy_schema)]
         assert first == second
+
+    @pytest.mark.parametrize("include_baseline", [False, True])
+    @pytest.mark.parametrize("schema_name", ["apb1", "full"])
+    def test_order_equals_product_and_filter(self, schema_name, include_baseline):
+        """Prefix expansion yields exactly the filtered product, in its order."""
+        from itertools import product
+
+        from repro import apb1_schema, synthetic_schema
+
+        if schema_name == "apb1":
+            schema = apb1_schema()
+        else:
+            schema = synthetic_schema(
+                num_dimensions=7,
+                levels_per_dimension=3,
+                bottom_cardinality=400,
+                fact_rows=30_000_000,
+            )
+        fact = schema.fact_table()
+        choices = [
+            [None]
+            + [
+                FragmentationAttribute(dimension_name, level.name)
+                for level in schema.dimension(dimension_name).levels
+            ]
+            for dimension_name in fact.dimension_names
+        ]
+        num_dimensions = len(fact.dimension_names)
+        for max_dimensions in (None, 0, 1, 2, 3, num_dimensions + 1):
+            expected = [FragmentationSpec.none()] if include_baseline else []
+            for combination in product(*choices):
+                attributes = tuple(a for a in combination if a is not None)
+                if attributes and (
+                    max_dimensions is None or len(attributes) <= max_dimensions
+                ):
+                    expected.append(FragmentationSpec(attributes))
+            got = list(
+                enumerate_point_fragmentations(
+                    schema,
+                    max_dimensions=max_dimensions,
+                    include_baseline=include_baseline,
+                )
+            )
+            assert got == expected, (schema_name, max_dimensions)
+        if schema_name == "full":
+            assert count_point_fragmentations(schema, max_dimensions=3) == 1155

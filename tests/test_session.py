@@ -549,6 +549,61 @@ class TestCompiledInputSharing:
         reweighted = session.with_delta(mix_weights={heavier: 7.0})
         assert reweighted.engine.class_matrix() is not matrix
 
+    def test_system_only_delta_rebuilds_no_layout(self, scenario, monkeypatch):
+        schema, workload, system, config = scenario
+        session = AdvisorSession(schema, workload, system, config)
+        session.recommend()
+        edited = session.with_delta(disks=64)
+
+        import repro.engine.executor as executor_module
+
+        built = []
+        build_layout = executor_module.build_layout
+
+        def counted(schema, spec, *args, **kwargs):
+            built.append(spec.label)
+            return build_layout(schema, spec, *args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "build_layout", counted)
+        session.cache.reset_stats()
+        result = edited.recommend()
+        # A real re-sweep (no candidate entry matches the new system) that
+        # takes every layout from the memo.
+        assert session.cache.stats.candidate_misses > 0
+        assert built == []
+        monkeypatch.undo()
+        fresh = Warlock(schema, workload, system.with_disks(64), config).recommend()
+        assert result.fingerprint == recommendation_fingerprint(fresh)
+
+    def test_memoized_layout_still_enforces_max_fragments(self, scenario, monkeypatch):
+        from repro.engine import EvaluationEngine
+        from repro.errors import FragmentationError
+
+        schema, workload, system, config = scenario
+        session = AdvisorSession(schema, workload, system, config)
+        largest = max(
+            session.recommend().recommendation.evaluated,
+            key=lambda candidate: candidate.fragment_count,
+        )
+
+        import repro.engine.executor as executor_module
+
+        def explode(*args, **kwargs):  # pragma: no cover - must never run
+            raise AssertionError("the layout is memoized; nothing is rebuilt")
+
+        monkeypatch.setattr(executor_module, "build_layout", explode)
+        tight = EvaluationEngine(
+            schema,
+            workload,
+            system,
+            AdvisorConfig(max_fragments=largest.fragment_count - 1),
+            cache=session.cache,
+        )
+        with pytest.raises(FragmentationError, match="materialization limit"):
+            tight.evaluate_spec(largest.spec)
+        with pytest.raises(FragmentationError, match="materialization limit"):
+            tight.evaluate_specs([largest.spec])
+
     def test_exclusion_report_is_cached_and_not_rederived(self, scenario, monkeypatch):
         schema, workload, system, config = scenario
         session = AdvisorSession(schema, workload, system, config)

@@ -280,13 +280,13 @@ class TestCandidateAxisHypothesisSweep:
     @PARITY_SETTINGS
     @given(data=st.data())
     def test_stacked_kernels_are_bit_identical_per_candidate(self, data):
-        schema, workload, system, spec, scheme = _scenario(data.draw)
+        schema, workload, system, _, scheme = _scenario(data.draw)
         advisor = Warlock(
             schema, workload, system, AdvisorConfig(max_fragments=MAX_FRAGMENTS)
         )
         specs, _ = advisor.generate_specs()
-        # The drawn spec's whole axis-structure group, stacked.
-        group = [s for s in specs if s.axis_structure == spec.axis_structure]
+        # The scenario's whole surviving spec list in one stack, mixing
+        # fragmentation dimensions and dimensionalities.
         layouts = [
             build_layout(
                 schema,
@@ -294,7 +294,7 @@ class TestCandidateAxisHypothesisSweep:
                 page_size_bytes=system.page_size_bytes,
                 max_fragments=MAX_FRAGMENTS,
             )
-            for member in group
+            for member in specs
         ]
         matrix = ClassMatrix.compile(schema, workload, scheme)
         stacked = compute_access_structure_batch_candidates(layouts, matrix)
@@ -651,6 +651,26 @@ class TestColumnarEvaluation:
             )
 
 
+def _assert_stack_equals_one_row_stacks(layouts, matrix) -> None:
+    """A stack of ``layouts`` equals their 1-row stacks, field by field."""
+    stacked = compute_access_structure_batch_candidates(layouts, matrix)
+    restacked = AccessStructureBatch2D.stack(
+        [
+            compute_access_structure_batch_candidates([layout], matrix).candidate(0)
+            for layout in layouts
+        ]
+    )
+    for field in dataclasses.fields(stacked):
+        ours = getattr(stacked, field.name)
+        theirs = getattr(restacked, field.name)
+        if isinstance(ours, np.ndarray):
+            assert ours.dtype == theirs.dtype, field.name
+            assert ours.shape == theirs.shape, field.name
+            assert np.array_equal(ours, theirs), field.name
+        else:
+            assert ours == theirs, field.name
+
+
 class TestCandidateAxisGuards:
     """Error branches and slice helpers of the candidate-axis kernels."""
 
@@ -671,43 +691,101 @@ class TestCandidateAxisGuards:
         ]
         return layouts, matrix, system, workload, scheme
 
-    def test_mixed_axis_structures_are_rejected(self):
+    def test_mixed_stack_equals_one_row_stacks(self):
+        """A stack mixing dimensions and dimensionalities == 1-row stacks."""
+        layouts, matrix, *_ = self._layouts()
+        assert len({layout.spec.dimensions for layout in layouts}) > 1
+        assert len({layout.spec.dimensionality for layout in layouts}) > 1
+        _assert_stack_equals_one_row_stacks(layouts, matrix)
+
+    def test_stack_mixing_page_sizes_or_fact_tables_is_rejected(self):
+        from repro import FactTable
         from repro.errors import CostModelError
 
         layouts, matrix, *_ = self._layouts()
-        mixed = [layouts[0], next(
-            layout
-            for layout in layouts
-            if layout.spec.axis_structure != layouts[0].spec.axis_structure
-        )]
-        with pytest.raises(CostModelError):
-            compute_access_structure_batch_candidates(mixed, matrix)
-        with pytest.raises(CostModelError):
-            compute_access_structure_batch_candidates([], matrix)
+        first = layouts[0]
+        other_page = build_layout(
+            first.schema, first.spec, page_size_bytes=2 * first.page_size_bytes
+        )
+        with pytest.raises(CostModelError, match="page size"):
+            compute_access_structure_batch_candidates([first, other_page], matrix)
+        fact = first.fact
+        other_fact = dataclasses.replace(
+            first, fact=FactTable(
+                name=fact.name + "_copy",
+                dimension_names=fact.dimension_names,
+                row_count=fact.row_count,
+                row_size_bytes=fact.row_size_bytes,
+            )
+        )
+        with pytest.raises(CostModelError, match="fact table"):
+            compute_access_structure_batch_candidates([first, other_fact], matrix)
+
+    def test_edge_stacks_equal_one_row_stacks(self):
+        """One candidate; different axis counts; an axis no class restricts."""
+        from repro.fragmentation import FragmentationSpec
+
+        schema = synthetic_schema(
+            num_dimensions=4, levels_per_dimension=3, bottom_cardinality=150
+        )
+        # The classes restrict dim0 and dim1 only: dim2 and dim3 are axes no
+        # class restricts (absent from the class matrix entirely).
+        workload = QueryMix(
+            [
+                QueryClass("fine", [DimensionRestriction("dim0", "d0_l2", 5)]),
+                QueryClass(
+                    "both",
+                    [
+                        DimensionRestriction("dim1", "d1_l0"),
+                        DimensionRestriction("dim0", "d0_l1", 2),
+                    ],
+                ),
+                QueryClass("scan", []),
+            ]
+        )
+        scheme = design_bitmap_scheme(schema, workload)
+        matrix = ClassMatrix.compile(schema, workload, scheme)
+        assert "dim2" not in matrix.dimension_names
+        specs = [
+            FragmentationSpec.of(("dim2", "d2_l0")),
+            FragmentationSpec.of(("dim0", "d0_l0"), ("dim2", "d2_l1")),
+            FragmentationSpec.none(),
+            FragmentationSpec.of(
+                ("dim3", "d3_l0"), ("dim1", "d1_l1"), ("dim0", "d0_l2")
+            ),
+            FragmentationSpec.of(("dim1", "d1_l0")),
+        ]
+        layouts = [build_layout(schema, spec) for spec in specs]
+        for stack in ([layouts[0]], [layouts[2]], layouts):
+            _assert_stack_equals_one_row_stacks(stack, matrix)
+        for layout in layouts:
+            batch = compute_access_structure_batch(layout, matrix)
+            for i, (query, _) in enumerate(workload.weighted_items()):
+                _assert_fields_equal(
+                    compute_access_structure(layout, query, scheme, validate=False),
+                    batch.structure(i),
+                    f"{layout.spec.label}/{query.name}",
+                )
 
     def test_empty_stack_and_concat_are_rejected(self):
         from repro.errors import CostModelError
 
         with pytest.raises(CostModelError):
             AccessStructureBatch2D.stack([])
+        _, matrix, *_ = self._layouts()
         with pytest.raises(CostModelError):
-            AccessStructureBatch2D.concat([])
+            compute_access_structure_batch_candidates([], matrix)
 
     def test_profile_slices_match_class_axis_profiles(self):
         """Every (candidate, class) profile of a stack == the scalar profile."""
         from repro.costmodel.model import _positioning_page_equivalent
 
         layouts, matrix, system, workload, scheme = self._layouts()
-        group = [
-            layout
-            for layout in layouts
-            if layout.spec.axis_structure == layouts[0].spec.axis_structure
-        ]
-        stacked = compute_access_structure_batch_candidates(group, matrix)
+        stacked = compute_access_structure_batch_candidates(layouts, matrix)
         ppe = _positioning_page_equivalent(system)
-        granules = np.full(len(group), 4.0)
+        granules = np.full(len(layouts), 4.0)
         profiles = estimate_access_batch_candidates(stacked, granules, granules, ppe)
-        for k, layout in enumerate(group):
+        for k, layout in enumerate(layouts):
             for i, (query, _) in enumerate(workload.weighted_items()):
                 reference = estimate_access(
                     layout,
