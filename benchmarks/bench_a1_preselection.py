@@ -11,7 +11,7 @@ a different heuristic.
 
 from __future__ import annotations
 
-from repro import Warlock, suggest_fragmentation_dimensions
+from repro import AdvisorSession, suggest_fragmentation_dimensions
 from repro.core import AdvisorConfig, rank_candidates
 
 from conftest import print_table
@@ -20,7 +20,7 @@ from conftest import print_table
 def run_a1(apb_schema, apb_workload, apb_system):
     """Evaluate the full candidate space and the pre-selected subspace."""
     config = AdvisorConfig(top_candidates=5, max_fragments=100_000)
-    advisor = Warlock(apb_schema, apb_workload, apb_system, config)
+    advisor = AdvisorSession(apb_schema, apb_workload, apb_system, config)
 
     specs, report = advisor.generate_specs()
     bitmap_scheme = advisor.design_bitmaps()

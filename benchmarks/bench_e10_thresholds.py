@@ -9,7 +9,7 @@ prefetch granule).
 
 from __future__ import annotations
 
-from repro import Warlock, count_point_fragmentations
+from repro import AdvisorSession, count_point_fragmentations
 from repro.core import AdvisorConfig
 
 from conftest import print_table
@@ -26,7 +26,7 @@ def run_e10(apb_schema, apb_workload, apb_system):
     by_max_fragments = {}
     for max_fragments in MAX_FRAGMENT_SETTINGS:
         config = AdvisorConfig(max_fragments=max_fragments)
-        advisor = Warlock(apb_schema, apb_workload, apb_system, config)
+        advisor = AdvisorSession(apb_schema, apb_workload, apb_system, config)
         try:
             _, report = advisor.generate_specs()
             by_max_fragments[max_fragments] = report
@@ -35,7 +35,7 @@ def run_e10(apb_schema, apb_workload, apb_system):
     by_min_pages = {}
     for min_pages in MIN_FRAGMENT_PAGE_SETTINGS:
         config = AdvisorConfig(max_fragments=1_000_000, min_fragment_pages=min_pages)
-        advisor = Warlock(apb_schema, apb_workload, apb_system, config)
+        advisor = AdvisorSession(apb_schema, apb_workload, apb_system, config)
         try:
             _, report = advisor.generate_specs()
             by_min_pages[min_pages] = report
@@ -106,7 +106,7 @@ def test_e10_threshold_evaluation_is_cheap(benchmark, apb_schema, apb_workload, 
     """Threshold evaluation must stay much cheaper than full cost evaluation,
     because it prunes the space before layouts are materialized."""
     config = AdvisorConfig(max_fragments=100_000)
-    advisor = Warlock(apb_schema, apb_workload, apb_system, config)
+    advisor = AdvisorSession(apb_schema, apb_workload, apb_system, config)
 
     def generate():
         return advisor.generate_specs()

@@ -77,7 +77,6 @@ from repro import (
     AdvisorSession,
     EngineOptions,
     SystemParameters,
-    Warlock,
     apb1_query_mix,
     apb1_schema,
     synthetic_schema,
@@ -118,7 +117,7 @@ def _inputs(params):
 
 def _timed_recommend(advisor):
     start = time.perf_counter()
-    recommendation = advisor.recommend()
+    recommendation = advisor.recommend().recommendation
     return recommendation, time.perf_counter() - start
 
 
@@ -127,7 +126,7 @@ def test_e11_parallel_engine_speedup_and_parity(benchmark, quick):
     schema, workload, system, config = _inputs(params)
 
     # Mode 1: seed-equivalent serial baseline (no cache, scalar inline loop).
-    serial_advisor = Warlock(
+    serial_advisor = AdvisorSession(
         schema,
         workload,
         system,
@@ -135,25 +134,25 @@ def test_e11_parallel_engine_speedup_and_parity(benchmark, quick):
         options=EngineOptions(jobs=1, cache=False, vectorize=False),
     )
     specs, report = serial_advisor.generate_specs()
-    plan = serial_advisor.engine().plan(specs)
+    plan = serial_advisor.engine.plan(specs)
     serial_rec, serial_s = _timed_recommend(serial_advisor)
 
     # Mode 2: cache-aware vectorized engine, still serial.
-    cached_advisor = Warlock(
+    cached_advisor = AdvisorSession(
         schema, workload, system, config, options=EngineOptions(jobs=1)
     )
     cached_rec, cached_s = _timed_recommend(cached_advisor)
     cold_stats = cached_advisor.cache.stats
 
     # Mode 3: process-pool backend (timed via pytest-benchmark as the headline).
-    parallel_advisor = Warlock(
+    parallel_advisor = AdvisorSession(
         schema, workload, system, config, options=EngineOptions(jobs=JOBS)
     )
     parallel_rec = benchmark.pedantic(
         parallel_advisor.recommend, iterations=1, rounds=1
-    )
+    ).recommendation
     parallel_rec2, parallel_s = _timed_recommend(
-        Warlock(schema, workload, system, config, options=EngineOptions(jobs=JOBS))
+        AdvisorSession(schema, workload, system, config, options=EngineOptions(jobs=JOBS))
     )
 
     # Mode 4: warm cache (the tuning-iteration shape).  A *fresh* advisor
@@ -161,7 +160,7 @@ def test_e11_parallel_engine_speedup_and_parity(benchmark, quick):
     # answered O(1) from the session memo without probing the cache at all.
     cached_advisor.cache.reset_stats()
     warm_rec, warm_s = _timed_recommend(
-        Warlock(schema, workload, system, config, cache=cached_advisor.cache)
+        AdvisorSession(schema, workload, system, config, cache=cached_advisor.cache)
     )
     warm_stats = cached_advisor.cache.stats
 
@@ -234,7 +233,7 @@ def test_e11_parallel_engine_speedup_and_parity(benchmark, quick):
 _CROSS_PROCESS_SNIPPET = """\
 import json, sys, time
 
-from repro import AdvisorConfig, SystemParameters, Warlock, synthetic_schema
+from repro import AdvisorConfig, AdvisorSession, SystemParameters, synthetic_schema
 from repro.engine import recommendation_fingerprint
 from repro.workload.generator import random_query_mix
 
@@ -251,12 +250,12 @@ config = AdvisorConfig(
     max_fragments=params["max_fragments"], max_fragmentation_dimensions=3
 )
 from repro import EngineOptions
-advisor = Warlock(
+advisor = AdvisorSession(
     schema, workload, system, config,
     options=EngineOptions(jobs=params["jobs"], cache_dir=params["cache_dir"]),
 )
 start = time.perf_counter()
-recommendation = advisor.recommend()
+recommendation = advisor.recommend().recommendation
 elapsed = time.perf_counter() - start
 advisor.persist_cache()
 stats = advisor.cache.stats
@@ -364,8 +363,8 @@ def test_e11_tuning_reuse_via_shared_cache(quick):
 
     params = QUICK if quick else FULL
     schema, workload, system, config = _inputs(params)
-    advisor = Warlock(schema, workload, system, config)
-    recommendation = advisor.recommend()
+    advisor = AdvisorSession(schema, workload, system, config)
+    recommendation = advisor.recommend().recommendation
     spec = recommendation.best.spec
 
     advisor.cache.reset_stats()
@@ -452,7 +451,7 @@ def test_e11_session_delta_chain(quick):
             cold_system = cold_system.with_architecture(edit["architecture"])
         if "mix_weights" in edit:
             cold_workload = cold_workload.reweighted(edit["mix_weights"])
-        advisor = Warlock(cold_schema, cold_workload, cold_system, config)
+        advisor = AdvisorSession(cold_schema, cold_workload, cold_system, config)
         recommendation, elapsed = _timed_recommend(advisor)
         cold_times.append(elapsed)
         # -- parity: the delta chain can never change a number --------------
@@ -526,11 +525,11 @@ def test_e11_columnar_store_warm_start(quick, tmp_path):
 
     # -- columnar warm start: cold advisor spills, fresh advisor loads ---------
     store = tmp_path / "columnar-store"
-    cold_advisor = Warlock(
+    cold_advisor = AdvisorSession(
         schema, mix, system, config, options=EngineOptions(cache_dir=str(store))
     )
     cold_rec, cold_s = _timed_recommend(cold_advisor)
-    warm_advisor = Warlock(
+    warm_advisor = AdvisorSession(
         schema, mix, system, config, options=EngineOptions(cache_dir=str(store))
     )
     warm_rec, warm_s = _timed_recommend(warm_advisor)
@@ -540,10 +539,10 @@ def test_e11_columnar_store_warm_start(quick, tmp_path):
     # -- path parity on this exact sweep ---------------------------------------
     fingerprints = {
         recommendation_fingerprint(
-            Warlock(
+            AdvisorSession(
                 schema, mix, system, config,
                 options=EngineOptions(cache=False, vectorize=vectorize),
-            ).recommend()
+            ).recommend().recommendation
         )
         for vectorize in (False, True)
     }
@@ -660,7 +659,8 @@ def test_e11_columnar_ranking(quick):
 
     params = QUICK if quick else FULL
     schema, workload, system, config = _inputs(params)
-    evaluated = list(Warlock(schema, workload, system, config).recommend().evaluated)
+    session = AdvisorSession(schema, workload, system, config)
+    evaluated = list(session.recommend().recommendation.evaluated)
     target = len(evaluated) if quick else max(RANK_SWEEP, len(evaluated))
 
     scalar_s = _time_ranking(rank_candidates, evaluated, target)

@@ -8,15 +8,15 @@ response time among the leading X%).
 
 from __future__ import annotations
 
-from repro import AdvisorConfig, Warlock
+from repro import AdvisorConfig, AdvisorSession
 
 from conftest import print_table
 
 
 def run_e1(apb_schema, apb_workload, apb_system, apb_config):
     """Run the full advisor pipeline and return the recommendation."""
-    advisor = Warlock(apb_schema, apb_workload, apb_system, apb_config)
-    return advisor.recommend()
+    advisor = AdvisorSession(apb_schema, apb_workload, apb_system, apb_config)
+    return advisor.recommend().recommendation
 
 
 def test_e1_candidate_ranking(benchmark, apb_schema, apb_workload, apb_system, apb_config):
@@ -71,8 +71,10 @@ def test_e1_two_phase_beats_pure_io_ranking_on_response_time(
     """Ablation: the two-phase heuristic yields a better response time than
     picking the raw I/O-cost winner, at bounded extra I/O cost."""
     config = AdvisorConfig(top_candidates=10, max_fragments=100_000, top_fraction=0.25)
-    advisor = Warlock(apb_schema, apb_workload, apb_system, config)
-    recommendation = benchmark.pedantic(advisor.recommend, iterations=1, rounds=1)
+    advisor = AdvisorSession(apb_schema, apb_workload, apb_system, config)
+    recommendation = benchmark.pedantic(
+        advisor.recommend, iterations=1, rounds=1
+    ).recommendation
 
     by_io = min(recommendation.evaluated, key=lambda c: c.io_cost_ms)
     winner = recommendation.best

@@ -10,8 +10,8 @@ keeps disk occupancy balanced.
 from __future__ import annotations
 
 from repro import (
+    AdvisorSession,
     FragmentationSpec,
-    Warlock,
     apb1_schema,
     build_layout,
     design_bitmap_scheme,
@@ -95,7 +95,9 @@ def test_e3_access_balance_follows_occupancy(benchmark, apb_workload, apb_system
     from repro.core import AdvisorConfig
 
     schema = apb1_schema(scale=APB_SCALE, skew={"product": 1.0})
-    advisor = Warlock(schema, apb_workload, apb_system, AdvisorConfig(max_fragments=100_000))
+    advisor = AdvisorSession(
+        schema, apb_workload, apb_system, AdvisorConfig(max_fragments=100_000)
+    )
     candidate = benchmark.pedantic(advisor.evaluate_spec, args=(SPEC,), iterations=1, rounds=1)
 
     rows = []

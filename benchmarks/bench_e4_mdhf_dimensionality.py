@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import FragmentationSpec, Warlock, apb1_schema, design_bitmap_scheme
+from repro import AdvisorSession, FragmentationSpec, apb1_schema, design_bitmap_scheme
 from repro.core import AdvisorConfig
 
 from conftest import print_table
@@ -46,7 +46,7 @@ def e4_schema():
 def run_e4(schema, apb_workload, apb_system):
     """Evaluate each fragmentation dimensionality over the query mix."""
     config = AdvisorConfig(max_fragments=200_000, include_baseline=True)
-    advisor = Warlock(schema, apb_workload, apb_system, config)
+    advisor = AdvisorSession(schema, apb_workload, apb_system, config)
     scheme = design_bitmap_scheme(schema, apb_workload)
     return {label: advisor.evaluate_spec(spec, scheme) for label, spec in SPECS.items()}
 
@@ -117,7 +117,7 @@ def test_e4_queries_missing_all_fragmentation_dimensions_do_not_benefit(
 ):
     """A query that references no fragmentation dimension touches every fragment."""
     config = AdvisorConfig(max_fragments=200_000)
-    advisor = Warlock(e4_schema, apb_workload, apb_system, config)
+    advisor = AdvisorSession(e4_schema, apb_workload, apb_system, config)
     scheme = design_bitmap_scheme(e4_schema, apb_workload)
     spec = FragmentationSpec.of(("customer", "retailer"))
     candidate = benchmark.pedantic(

@@ -10,7 +10,7 @@ extra disks, with diminishing returns once the number of accessed fragments
 
 from __future__ import annotations
 
-from repro import IOCostModel, Warlock
+from repro import AdvisorSession, IOCostModel
 from repro.core import AdvisorConfig
 
 from conftest import print_table
@@ -24,10 +24,12 @@ def run_e7(apb_schema, apb_workload, apb_system, spec):
     results = {}
     for disks in DISK_COUNTS:
         system = apb_system.with_disks(disks)
-        advisor = Warlock(apb_schema, apb_workload, system, config)
+        advisor = AdvisorSession(apb_schema, apb_workload, system, config)
         results[disks] = advisor.evaluate_spec(spec)
     se_system = apb_system.with_architecture("shared_everything")
-    results["SE-64"] = Warlock(apb_schema, apb_workload, se_system, config).evaluate_spec(spec)
+    results["SE-64"] = AdvisorSession(
+        apb_schema, apb_workload, se_system, config
+    ).evaluate_spec(spec)
     return results
 
 

@@ -31,10 +31,10 @@ def quick(request) -> bool:
 
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     QueryMix,
     StarSchema,
     SystemParameters,
-    Warlock,
     apb1_query_mix,
     apb1_schema,
 )
@@ -90,5 +90,5 @@ def apb_config() -> AdvisorConfig:
 @pytest.fixture(scope="session")
 def apb_recommendation(apb_schema, apb_workload, apb_system, apb_config):
     """The reference recommendation (E1) reused by downstream experiments."""
-    advisor = Warlock(apb_schema, apb_workload, apb_system, apb_config)
-    return advisor.recommend()
+    advisor = AdvisorSession(apb_schema, apb_workload, apb_system, apb_config)
+    return advisor.recommend().recommendation

@@ -21,9 +21,9 @@ import argparse
 
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     DiskSimulator,
     SystemParameters,
-    Warlock,
     apb1_query_mix,
     apb1_schema,
     compare_candidates,
@@ -45,11 +45,11 @@ def main() -> None:
     schema = apb1_schema(scale=args.scale)
     workload = apb1_query_mix()
     system = SystemParameters(num_disks=args.disks)
-    advisor = Warlock(
+    advisor = AdvisorSession(
         schema, workload, system, AdvisorConfig(top_candidates=10, max_fragments=100_000)
     )
 
-    recommendation = advisor.recommend()
+    recommendation = advisor.recommend().recommendation
 
     # 1. Ranked candidate list -------------------------------------------------
     print(format_ranking_table(recommendation))

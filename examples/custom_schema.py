@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     Dimension,
     DimensionRestriction,
     FactTable,
@@ -30,7 +31,6 @@ from repro import (
     SkewSpec,
     StarSchema,
     SystemParameters,
-    Warlock,
     compare_candidates,
     design_bitmap_scheme,
 )
@@ -107,14 +107,14 @@ def main() -> None:
     print()
 
     # --- baseline recommendation -----------------------------------------------
-    advisor = Warlock(schema, workload, system, config)
-    recommendation = advisor.recommend()
+    advisor = AdvisorSession(schema, workload, system, config)
+    recommendation = advisor.recommend().recommendation
     print(recommendation.describe())
     print()
 
     # --- fine-tuning 1: the DBA doubts the yearly roll-up matters ------------------
     light_rollups = workload.reweighted({"yearly-rollup": 2})
-    tuned = Warlock(schema, light_rollups, system, config).recommend()
+    tuned = AdvisorSession(schema, light_rollups, system, config).recommend().recommendation
     print("After down-weighting the yearly roll-up class:")
     print(tuned.describe())
     print()
@@ -152,14 +152,14 @@ def main() -> None:
     print("Response time of the recommended fragmentation vs. number of disks:")
     rows = []
     for disks in (16, 32, 48, 96, 192):
-        swept = Warlock(schema, workload, system.with_disks(disks), config)
+        swept = AdvisorSession(schema, workload, system.with_disks(disks), config)
         candidate = swept.evaluate_spec(spec)
         rows.append([f"{disks}", f"{candidate.response_time_ms:,.0f}", f"{candidate.io_cost_ms:,.0f}"])
     print(format_table(["disks", "response [ms]", "I/O cost [ms]"], rows))
     print()
 
     se_system = system.with_architecture("shared_everything")
-    se_candidate = Warlock(schema, workload, se_system, config).evaluate_spec(spec)
+    se_candidate = AdvisorSession(schema, workload, se_system, config).evaluate_spec(spec)
     sd_candidate = advisor.evaluate_spec(spec)
     print("Architecture comparison for the recommended fragmentation:")
     print(
@@ -172,7 +172,7 @@ def main() -> None:
 
     # --- fine-tuning 4: fixed vs. auto prefetch ------------------------------------------
     fixed_system = system.with_prefetch(fact=4, bitmap=1)
-    fixed_candidate = Warlock(schema, workload, fixed_system, config).evaluate_spec(spec)
+    fixed_candidate = AdvisorSession(schema, workload, fixed_system, config).evaluate_spec(spec)
     print("Prefetch granule: auto-optimized vs. fixed 4-page granule")
     print(
         format_table(

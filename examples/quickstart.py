@@ -17,11 +17,12 @@ Run with::
 
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     SystemParameters,
-    Warlock,
     apb1_query_mix,
     apb1_schema,
     format_allocation_report,
+    format_query_analysis,
 )
 
 
@@ -39,18 +40,18 @@ def main() -> None:
     print()
 
     # --- prediction layer ------------------------------------------------------
-    advisor = Warlock(
+    advisor = AdvisorSession(
         schema,
         workload,
         system,
         AdvisorConfig(top_candidates=10, max_fragments=100_000),
     )
-    recommendation = advisor.recommend()
+    recommendation = advisor.recommend().recommendation
 
     # --- analysis / output layer --------------------------------------------------
     print(recommendation.describe())
     print()
-    print(advisor.analyze(recommendation.best))
+    print(format_query_analysis(recommendation.best, advisor.workload))
     print()
     print(format_allocation_report(recommendation.best))
 

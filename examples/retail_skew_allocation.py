@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 
 from repro import (
+    AdvisorSession,
     FragmentationSpec,
     SystemParameters,
     build_layout,
@@ -33,7 +34,7 @@ from repro import (
     round_robin_allocation,
 )
 from repro.analysis import format_table
-from repro.core import AdvisorConfig, Warlock
+from repro.core import AdvisorConfig
 
 
 def parse_args() -> argparse.Namespace:
@@ -83,7 +84,7 @@ def main() -> None:
     print()
 
     # --- per-query-class disk access profiles -----------------------------------
-    advisor = Warlock(schema, workload, system, AdvisorConfig(max_fragments=200_000))
+    advisor = AdvisorSession(schema, workload, system, AdvisorConfig(max_fragments=200_000))
     candidate = advisor.evaluate_spec(spec, scheme)
     print("Disk access profiles (greedy allocation) per query class")
     for query_class in workload:
@@ -92,7 +93,7 @@ def main() -> None:
     print()
 
     # --- what WARLOCK itself would choose ------------------------------------------
-    recommendation = advisor.recommend()
+    recommendation = advisor.recommend().recommendation
     print("WARLOCK's own recommendation for the retail warehouse:")
     print(recommendation.describe())
 

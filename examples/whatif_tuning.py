@@ -24,8 +24,8 @@ import argparse
 
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     SystemParameters,
-    Warlock,
     apb1_query_mix,
     apb1_schema,
     architecture_study,
@@ -58,8 +58,8 @@ def main() -> None:
     system = SystemParameters(num_disks=args.disks)
     config = AdvisorConfig(max_fragments=100_000, top_candidates=5)
 
-    advisor = Warlock(schema, workload, system, config)
-    recommendation = advisor.recommend()
+    advisor = AdvisorSession(schema, workload, system, config)
+    recommendation = advisor.recommend().recommendation
     best = recommendation.best
     print(recommendation.describe())
     print()

@@ -17,9 +17,6 @@ Quickstart::
 
     # Incremental what-if edits share the session's evaluation cache:
     print(session.with_delta(disks=32).recommend().recommendation.describe())
-
-(:class:`Warlock` remains as the classic one-shot entry point, now a thin
-wrapper over a session.)
 """
 
 from repro.errors import (
@@ -67,7 +64,6 @@ from repro.core import (
     FragmentationCandidate,
     RankedCandidate,
     Recommendation,
-    Warlock,
 )
 from repro.engine import (
     CacheStore,
@@ -78,7 +74,6 @@ from repro.engine import (
 )
 from repro.analysis import (
     compare_candidates,
-    compare_specs,
     disk_access_profile,
     format_allocation_report,
     format_full_report,
@@ -195,7 +190,6 @@ __all__ = [
     "choose_allocation",
     # advisor core
     "AdvisorConfig",
-    "Warlock",
     "Recommendation",
     "FragmentationCandidate",
     "RankedCandidate",
@@ -226,7 +220,6 @@ __all__ = [
     "format_allocation_report",
     "format_full_report",
     "compare_candidates",
-    "compare_specs",
     "disk_access_profile",
     # simulation
     "DiskSimulator",

@@ -21,7 +21,7 @@ from repro.analysis.report import (
     format_table,
 )
 from repro.analysis.profile import DiskAccessProfile, disk_access_profile
-from repro.analysis.compare import compare_candidates, compare_specs
+from repro.analysis.compare import compare_candidates
 from repro.analysis.charts import (
     access_profile_chart,
     bar_chart,
@@ -42,7 +42,6 @@ __all__ = [
     "DiskAccessProfile",
     "disk_access_profile",
     "compare_candidates",
-    "compare_specs",
     "bar_chart",
     "occupancy_chart",
     "access_profile_chart",

@@ -1,8 +1,8 @@
 """Unified engine options: one validated value object for the execution knobs.
 
-Every entry point — :class:`~repro.core.Warlock`, the six tuning studies,
-:func:`~repro.analysis.compare_specs`, the CLI subcommands, the HTTP service —
-takes one :class:`EngineOptions` instead of ad-hoc ``jobs`` / ``vectorize`` /
+Every entry point — :class:`~repro.api.AdvisorSession`, the six tuning
+studies, the CLI subcommands, the HTTP service — takes one
+:class:`EngineOptions` instead of ad-hoc ``jobs`` / ``vectorize`` /
 ``cache`` / ``cache_dir`` keyword arguments.  The frozen dataclass is
 validated once, compared by value, hashable, JSON round-trippable, and
 threaded verbatim from the API façade down to
@@ -11,6 +11,7 @@ threaded verbatim from the API façade down to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -97,14 +98,21 @@ class EngineOptions:
                 "store without an in-memory cache has nothing to fill or spill"
             )
         if self.cache_max_mb is not None:
+            # The engine budgets int(cache_max_mb * 1024 * 1024) bytes, so a
+            # float whose byte count overflows to inf is as invalid as inf
+            # (an int budget is exact and always converts).
             if (
                 isinstance(self.cache_max_mb, bool)
                 or not isinstance(self.cache_max_mb, (int, float))
                 or not self.cache_max_mb > 0
+                or (
+                    isinstance(self.cache_max_mb, float)
+                    and not math.isfinite(self.cache_max_mb * 1024 * 1024)
+                )
             ):
                 raise AdvisorError(
-                    f"EngineOptions.cache_max_mb must be a positive number or "
-                    f"None, got {self.cache_max_mb!r}"
+                    f"EngineOptions.cache_max_mb must be a positive number "
+                    f"with a finite byte count, or None, got {self.cache_max_mb!r}"
                 )
             if self.cache_dir is None:
                 raise AdvisorError(

@@ -30,6 +30,52 @@ __all__ = [
 #: corresponding :mod:`repro.tuning` study (see ``AdvisorSession.tune``).
 TUNE_STUDIES = ("disks", "architecture", "prefetch", "bitmaps", "weights")
 
+#: The ``settings`` shape each study accepts (``architecture`` takes none).
+_SETTINGS_FORMS = {
+    "disks": "a list of disk counts",
+    "prefetch": 'a list of fact prefetch granules (page counts or "auto")',
+    "bitmaps": "a list of exclusion sets, each a list of [dimension, level] pairs",
+    "weights": "an object mapping a label to {query class: weight} overrides",
+}
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_pair(value: Any) -> bool:
+    """A ``(dimension, level)`` pair of strings."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(part, str) for part in value)
+    )
+
+
+def _settings_fit(study: str, settings: Any) -> bool:
+    """True when ``settings`` has the shape :data:`_SETTINGS_FORMS` names."""
+    if settings is None or study == "architecture":
+        return True
+    if study == "weights":
+        return isinstance(settings, Mapping) and all(
+            isinstance(weights, Mapping)
+            and all(
+                isinstance(weight, (int, float)) and not isinstance(weight, bool)
+                for weight in weights.values()
+            )
+            for weights in settings.values()
+        )
+    if not isinstance(settings, (list, tuple)):
+        return False
+    if study == "disks":
+        return all(_is_int(count) for count in settings)
+    if study == "prefetch":
+        return all(_is_int(granule) or isinstance(granule, str) for granule in settings)
+    return all(
+        isinstance(excluded, (list, tuple)) and all(map(_is_pair, excluded))
+        for excluded in settings
+    )
+
 
 def _spec_dict(spec: FragmentationSpec) -> Dict[str, Any]:
     return {
@@ -40,12 +86,21 @@ def _spec_dict(spec: FragmentationSpec) -> Dict[str, Any]:
     }
 
 
-def _spec_from_dict(raw: Mapping[str, Any]) -> FragmentationSpec:
-    return FragmentationSpec.of(
-        *(
-            (attribute["dimension"], attribute["level"])
-            for attribute in raw.get("attributes", ())
+def _spec_from_dict(raw: Any) -> FragmentationSpec:
+    attributes = raw.get("attributes", ()) if isinstance(raw, Mapping) else None
+    if not isinstance(attributes, (list, tuple)) or not all(
+        isinstance(attribute, Mapping)
+        and isinstance(attribute.get("dimension"), str)
+        and isinstance(attribute.get("level"), str)
+        for attribute in attributes
+    ):
+        raise AdvisorError(
+            'a fragmentation spec must be an object whose "attributes" is a '
+            'list of {"dimension": ..., "level": ...} string pairs, '
+            f"got {raw!r}"
         )
+    return FragmentationSpec.of(
+        *((attribute["dimension"], attribute["level"]) for attribute in attributes)
     )
 
 
@@ -70,11 +125,13 @@ class EvaluateSpecRequest:
     bitmap_exclude: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "bitmap_exclude",
-            tuple((str(d), str(l)) for d, l in self.bitmap_exclude),
-        )
+        pairs = self.bitmap_exclude
+        if not isinstance(pairs, (list, tuple)) or not all(map(_is_pair, pairs)):
+            raise AdvisorError(
+                f"bitmap_exclude must be a list of [dimension, level] pairs, "
+                f"got {pairs!r}"
+            )
+        object.__setattr__(self, "bitmap_exclude", tuple(map(tuple, pairs)))
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -127,6 +184,11 @@ class TuneRequest:
                 f"unknown tuning study {self.study!r}; "
                 f"known studies: {', '.join(TUNE_STUDIES)}"
             )
+        if not _settings_fit(self.study, self.settings):
+            raise AdvisorError(
+                f'the "{self.study}" study takes settings as '
+                f"{_SETTINGS_FORMS[self.study]}, got {self.settings!r}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"kind": "tune", "study": self.study}
@@ -150,9 +212,14 @@ class SimulateRequest:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.queries_per_class < 1:
+        if not _is_int(self.queries_per_class) or self.queries_per_class < 1:
             raise AdvisorError(
-                f"queries_per_class must be positive, got {self.queries_per_class}"
+                f"queries_per_class must be a positive integer, "
+                f"got {self.queries_per_class!r}"
+            )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise AdvisorError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -190,8 +257,6 @@ def request_from_dict(raw: Mapping[str, Any]) -> Any:
         body["specs"] = tuple(_spec_from_dict(entry) for entry in body["specs"])
     if "baseline_spec" in body:
         body["baseline_spec"] = _spec_from_dict(body["baseline_spec"])
-    if "bitmap_exclude" in body:
-        body["bitmap_exclude"] = tuple(tuple(pair) for pair in body["bitmap_exclude"])
     return _REQUEST_KINDS[kind](**body)
 
 

@@ -2,10 +2,9 @@
 
 The paper frames WARLOCK as an *interactive* what-if tool: an administrator
 loads one warehouse and then varies disks, skew and query-mix weights against
-it, comparing the predictions.  That access pattern is a session — not the
-one-shot ``Warlock(...)`` constructor call the library grew up around, which
-re-validated the schema, re-designed the bitmap scheme and re-compiled the
-columnar class matrix on every what-if variation.
+it, comparing the predictions.  That access pattern is a session, which
+must not re-validate the schema, re-design the bitmap scheme and re-compile
+the columnar class matrix on every what-if variation.
 
 :class:`AdvisorSession` compiles the inputs once (schema validation, workload
 validation, bitmap-scheme design, class-matrix compilation — all memoized on
@@ -21,9 +20,6 @@ against a fresh advisor is asserted by the test suite and the E11 benchmark).
 Every request accepts ``on_progress=`` / ``cancel=`` (see
 :mod:`repro.api.progress`); events fire at the evaluation plan's chunk
 boundaries in both the serial and the process-pool backend.
-
-:class:`~repro.core.Warlock` remains as a thin compatibility wrapper over a
-session.
 """
 
 from __future__ import annotations
@@ -74,7 +70,11 @@ class AdvisorSession:
     Parameters
     ----------
     schema, workload, system, config:
-        The advisor inputs (see :class:`~repro.core.Warlock`).
+        The advisor inputs: the star schema (dimensions with hierarchy
+        cardinalities, fact tables with row counts and sizes, optional skew),
+        the weighted star-query mix, the DBS & disk parameters and the
+        advisor tunables (:class:`~repro.core.AdvisorConfig`; defaults follow
+        the paper).
     fact_table:
         Fact table to fragment (the schema's primary fact table when omitted).
     options:
@@ -395,7 +395,7 @@ class AdvisorSession:
         spec: FragmentationSpec,
         bitmap_scheme: Optional[BitmapScheme] = None,
     ) -> FragmentationCandidate:
-        """Low-level single-candidate evaluation (compatibility surface)."""
+        """Evaluate one candidate, optionally under an explicit bitmap scheme."""
         return self.engine.evaluate_spec(spec, bitmap_scheme=bitmap_scheme)
 
     def compare(

@@ -30,8 +30,8 @@ from repro.analysis import (
     format_ranking_table,
     occupancy_chart,
 )
-from repro.api import EngineOptions
-from repro.core import AdvisorConfig, Warlock
+from repro.api import AdvisorSession, EngineOptions
+from repro.core import AdvisorConfig
 from repro.datasets import (
     apb1_query_mix,
     apb1_schema,
@@ -46,7 +46,6 @@ from repro.io import (
     recommendation_to_dict,
 )
 from repro.schema import StarSchema
-from repro.simulation import DiskSimulator
 from repro.storage import SystemParameters
 from repro.workload import QueryMix
 
@@ -215,26 +214,35 @@ def _install_sigint(token) -> Callable[[], None]:
     return lambda: signal.signal(signal.SIGINT, previous)
 
 
-def _advisor(args: argparse.Namespace) -> Warlock:
+def _advisor(args: argparse.Namespace) -> AdvisorSession:
     schema, workload, system = _resolve_inputs(args)
     config = AdvisorConfig(
         top_fraction=args.top_fraction,
         top_candidates=args.top,
         max_fragments=args.max_fragments,
     )
-    return Warlock(schema, workload, system, config, options=_engine_options(args))
+    return AdvisorSession(
+        schema, workload, system, config, options=_engine_options(args)
+    )
 
 
-def _finish_cache(advisor: Warlock) -> None:
+def _recommend(session: AdvisorSession, args: argparse.Namespace):
+    """The session's recommendation, with the ``--progress`` meter and Ctrl-C."""
+    return session.recommend(
+        on_progress=_progress_meter(args), cancel=getattr(args, "cancel", None)
+    )
+
+
+def _finish_cache(session: AdvisorSession) -> None:
     """Flush the persistent cache and report its use (stderr, one line)."""
-    cache = advisor.cache
+    cache = session.cache
     if cache is None or cache.store is None:
         return
-    saved = advisor.persist_cache()
+    saved = session.persist_cache()
     stats = cache.stats
     if saved is not None:
         store_note = f"saved {saved} entries"
-    elif not advisor.options.persist:
+    elif not session.options.persist:
         store_note = "store read-only (persist disabled)"
     elif cache.dirty:
         # persist() returned nothing although there is unsaved content: the
@@ -257,10 +265,8 @@ def _finish_cache(advisor: Warlock) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
-    advisor = _advisor(args)
-    recommendation = advisor.recommend(
-        on_progress=_progress_meter(args), cancel=getattr(args, "cancel", None)
-    )
+    session = _advisor(args)
+    recommendation = _recommend(session, args).recommendation
     if args.json:
         payload = recommendation_to_dict(recommendation)
         # Convenience aliases for scripts that only need the headline counts.
@@ -269,69 +275,47 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(format_ranking_table(recommendation))
-    _finish_cache(advisor)
+    _finish_cache(session)
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    advisor = _advisor(args)
-    recommendation = advisor.recommend(
-        on_progress=_progress_meter(args), cancel=getattr(args, "cancel", None)
-    )
+    session = _advisor(args)
+    result = _recommend(session, args)
     candidate = (
-        recommendation.candidate(args.fragmentation)
+        result.recommendation.candidate(args.fragmentation)
         if args.fragmentation
-        else recommendation.best
+        else result.best
     )
-    print(format_query_analysis(candidate, advisor.workload))
+    print(format_query_analysis(candidate, session.workload))
     print()
     print(format_allocation_report(candidate))
     print()
     print(occupancy_chart(candidate))
-    _finish_cache(advisor)
+    _finish_cache(session)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    advisor = _advisor(args)
-    recommendation = advisor.recommend(
-        on_progress=_progress_meter(args), cancel=getattr(args, "cancel", None)
-    )
+    session = _advisor(args)
+    recommendation = _recommend(session, args).recommendation
     print(format_full_report(recommendation, detail_top=args.detail_top))
-    _finish_cache(advisor)
+    _finish_cache(session)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    advisor = _advisor(args)
-    recommendation = advisor.recommend(
-        on_progress=_progress_meter(args), cancel=getattr(args, "cancel", None)
-    )
-    candidate = (
-        recommendation.candidate(args.fragmentation)
-        if args.fragmentation
-        else recommendation.best
-    )
-    simulator = DiskSimulator(advisor.system)
-    # The evaluation already resolved the prefetch setting for this candidate
-    # (memoized, engine-validated); re-deriving it here would recompute the
-    # access structures through a second code path that could drift.
-    result = simulator.run_workload(
-        candidate.layout,
-        advisor.workload,
-        candidate.bitmap_scheme,
-        candidate.allocation,
-        candidate.prefetch,
+    session = _advisor(args)
+    result = session.simulate(
+        fragmentation=args.fragmentation,
         queries_per_class=args.queries,
         seed=args.seed,
+        on_progress=_progress_meter(args),
+        cancel=getattr(args, "cancel", None),
     )
-    print(f"Simulating {candidate.label} on {advisor.system.describe()}")
+    print(f"Simulating {result.candidate_label} on {session.system.describe()}")
     print(result.describe())
-    print(
-        f"Analytical prediction: response {candidate.response_time_ms:,.1f} ms, "
-        f"I/O cost {candidate.io_cost_ms:,.1f} ms"
-    )
-    _finish_cache(advisor)
+    _finish_cache(session)
     return 0
 
 
@@ -364,58 +348,21 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     """Run the interactive what-if studies for the recommended fragmentation."""
-    from repro.tuning import architecture_study, disk_count_study, prefetch_study
-
-    advisor = _advisor(args)
-    recommendation = advisor.recommend(
-        on_progress=_progress_meter(args), cancel=getattr(args, "cancel", None)
-    )
-    candidate = (
-        recommendation.candidate(args.fragmentation)
+    session = _advisor(args)
+    result = _recommend(session, args)
+    spec = (
+        result.recommendation.candidate(args.fragmentation)
         if args.fragmentation
-        else recommendation.best
-    )
-    spec = candidate.spec
-    print(f"What-if studies for {spec.label} on {advisor.system.describe()}")
-    print()
-    # The studies share the advisor's evaluation cache, so settings that keep
+        else result.best
+    ).spec
+    print(f"What-if studies for {spec.label} on {session.system.describe()}")
+    # The studies share the session's evaluation cache, so settings that keep
     # the access structure unchanged reuse the recommend() work above.
-    disks = disk_count_study(
-        advisor.schema,
-        advisor.workload,
-        advisor.system,
-        spec,
-        config=advisor.config,
-        cache=advisor.cache,
-        options=advisor.options,
-        cancel=getattr(args, "cancel", None),
-    )
-    print(disks.format())
-    print()
-    architecture = architecture_study(
-        advisor.schema,
-        advisor.workload,
-        advisor.system,
-        spec,
-        config=advisor.config,
-        cache=advisor.cache,
-        options=advisor.options,
-        cancel=getattr(args, "cancel", None),
-    )
-    print(architecture.format())
-    print()
-    prefetch = prefetch_study(
-        advisor.schema,
-        advisor.workload,
-        advisor.system,
-        spec,
-        config=advisor.config,
-        cache=advisor.cache,
-        options=advisor.options,
-        cancel=getattr(args, "cancel", None),
-    )
-    print(prefetch.format())
-    _finish_cache(advisor)
+    for study in ("disks", "architecture", "prefetch"):
+        print()
+        tuned = session.tune(study, spec=spec, cancel=getattr(args, "cancel", None))
+        print(tuned.describe())
+    _finish_cache(session)
     return 0
 
 

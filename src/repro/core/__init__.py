@@ -16,7 +16,7 @@ from repro.core.ranking import (
     rank_candidates,
     rank_candidates_columnar,
 )
-from repro.core.advisor import Recommendation, Warlock
+from repro.core.advisor import Recommendation
 
 __all__ = [
     "AdvisorConfig",
@@ -26,6 +26,5 @@ __all__ = [
     "RankedCandidate",
     "rank_candidates",
     "rank_candidates_columnar",
-    "Warlock",
     "Recommendation",
 ]

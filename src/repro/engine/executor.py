@@ -475,8 +475,8 @@ class EvaluationEngine:
         options: Optional["EngineOptions"] = None,
     ) -> None:
         if cache is not None and not isinstance(cache, EvaluationCache):
-            # Every owner (session, Warlock, studies, compare_specs) builds
-            # an engine, so this one check covers all their cache= handles.
+            # Every owner (session, studies) builds an engine, so this one
+            # check covers all their cache= handles.
             raise AdvisorError(
                 f"cache= takes a shared EvaluationCache or None, got "
                 f"{cache!r}; to disable caching pass "
@@ -616,7 +616,8 @@ class EvaluationEngine:
     ) -> List[FragmentationCandidate]:
         """Evaluate every candidate of ``specs``, preserving order.
 
-        The one driver of every sweep.  It probes the shared cache once per
+        The one driver of every sweep (an empty ``specs`` returns ``[]`` and
+        emits no progress).  It probes the shared cache once per
         plan index, cuts the misses into cost-balanced chunks of at most
         :data:`MAX_CHUNK_WIDTH` candidates with
         :meth:`~repro.engine.plan.EvaluationPlan.partition_indices` — at
@@ -638,6 +639,8 @@ class EvaluationEngine:
         before a cancel stay valid (they are content-addressed), so a retried
         sweep resumes warm.
         """
+        if not specs:
+            return []
         # Imported lazily: repro.api sits above the engine in the layer stack.
         from repro.api.progress import ProgressEvent
 

@@ -1,10 +1,10 @@
 """Stable content fingerprints for cache keys and result-parity checks.
 
 Cache keys must identify *inputs by content*, not by object identity: two
-``Warlock`` instances built from equal schemas must hit the same cache entries,
-and a worker process must produce entries a later serial run can reuse.  All
-input objects of the advisor are frozen dataclasses whose auto-generated
-``repr`` deterministically encodes every field, so a digest over the repr is a
+sessions built from equal schemas must hit the same cache entries, and a
+worker process must produce entries a later serial run can reuse.  All input
+objects of the advisor are frozen dataclasses whose auto-generated ``repr``
+deterministically encodes every field, so a digest over the repr is a
 faithful content fingerprint.  Digests are memoized on the instance (frozen
 dataclasses still carry a ``__dict__``), so the repr is rendered once per
 object, not once per cache probe.

@@ -6,6 +6,5 @@ from repro.lint.rules import (  # noqa: F401
     layering,
     lock_discipline,
     numeric_determinism,
-    picklability,
     wire_contract,
 )

@@ -1,11 +1,11 @@
 """Rule ``boundary-serialization``: serialization boundaries, transitively.
 
-PR 8's ``pool-boundary-picklability`` rule checks the *literal* call site: a
-lambda spelled directly inside ``pool.submit(...)``.  It cannot see the same
-lambda handed to a helper that forwards it into the pool two calls later, a
-closure tucked into a dataclass field, or an open handle reaching the cache
-store's pickle path.  This rule runs the same checks *through the call
-graph*:
+A lambda spelled directly inside ``pool.submit(...)`` is the easy case; the
+same lambda handed to a helper that forwards it into the pool two calls
+later, a closure tucked into a dataclass field, or an open handle reaching
+the cache store's pickle path are not visible at any single call site.  This
+rule checks the literal call sites and runs the same checks *through the
+call graph*:
 
 * **Boundary sinks** are the places a value leaves the process or the
   object graph: ``ProcessPoolExecutor`` ``submit``/``map``/``initargs``
@@ -26,11 +26,12 @@ graph*:
   dataclass whose **field default is a lambda** is flagged when it crosses
   any boundary: the instance drags the unpicklable default along.
 
-Direct ``pool.submit(...)`` literals stay the lexical rule's findings (one
-finding per defect, not two); this rule owns everything the lexical rule
-cannot see, plus the non-pool sinks.  Unresolvable callees contribute no
-summaries — conservative both ways, the parity/service test suites remain
-the runtime backstop.
+Direct sinks — the arguments of ``submit``/``map`` on a name bound to a
+pool, a pool constructor's ``initargs=``, and the literal arguments of the
+store and wire calls — are checked where they are spelled, so each defect is
+reported once, at the call that hands it over.  Unresolvable callees
+contribute no summaries — conservative both ways; the parity/service test
+suites remain the runtime backstop.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class _ModuleFacts:
     pool_names: Set[str] = field(default_factory=set)
     nested_functions: Set[str] = field(default_factory=set)
     module_mutables: Dict[str, int] = field(default_factory=dict)
-    #: Direct non-pool boundary calls to check lexically: (kind, call node).
-    direct_sinks: List[Tuple[str, ast.Call]] = field(default_factory=list)
+    #: Direct boundary payloads to check lexically: (kind, argument exprs).
+    direct_sinks: List[Tuple[str, List[ast.expr]]] = field(default_factory=list)
 
 
 @register
@@ -190,9 +191,8 @@ class BoundarySerializationRule(Rule):
             return
         summary = self._boundary_summary()
 
-        # 1. Direct non-pool sinks: the literal arguments must serialize.
-        for kind, call in facts.direct_sinks:
-            payload = list(call.args) + [kw.value for kw in call.keywords]
+        # 1. Direct sinks: the literal arguments must serialize.
+        for kind, payload in facts.direct_sinks:
             for arg in payload:
                 yield from self._check_expr(module, facts, arg, kind, direct=True)
 
@@ -337,13 +337,40 @@ def _collect_module_facts(module: ModuleInfo, facts: _ModuleFacts) -> None:
 
         visit_AsyncWith = visit_With  # type: ignore[assignment]
 
-        def visit_Call(self, node: ast.Call) -> None:
-            dotted = _dotted_text(node.func)
-            if dotted is not None and dotted in BOUNDARY_CALLS:
-                facts.direct_sinks.append((BOUNDARY_CALLS[dotted], node))
-            self.generic_visit(node)
-
     Visitor().visit(module.tree)
+    # Sinks are found after the visit, once every pool name of the module is
+    # known: a submit may be spelled above the line binding its pool.
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Call):
+            sink = _boundary_sink(node, facts.pool_names)
+            if sink is not None:
+                facts.direct_sinks.append(sink)
+
+
+def _boundary_sink(
+    call: ast.Call, pool_names: Set[str]
+) -> Optional[Tuple[str, List[ast.expr]]]:
+    """(kind, argument exprs) when ``call`` hands values across a boundary.
+
+    Store and wire calls and ``submit``/``map`` on a pool name hand over
+    every argument; a pool constructor hands over its ``initargs=``.
+    """
+    dotted = _dotted_text(call.func)
+    payload = list(call.args) + [kw.value for kw in call.keywords]
+    if dotted is not None and dotted in BOUNDARY_CALLS:
+        return BOUNDARY_CALLS[dotted], payload
+    if (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr in _POOL_METHODS
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id in pool_names
+    ):
+        return "pool", payload
+    if dotted is not None and dotted.split(".")[-1] in _POOL_TYPES:
+        initargs = [kw.value for kw in call.keywords if kw.arg == "initargs"]
+        if initargs:
+            return "pool", initargs
+    return None
 
 
 def _collect_bad_dataclasses(
@@ -451,26 +478,10 @@ def _record_one_call(
     class_name: Optional[str],
     local_defs: Dict[str, str],
 ) -> None:
-    dotted = _dotted_text(call.func)
-    payload = list(call.args) + [kw.value for kw in call.keywords]
-
     # Direct boundary: mark which of this function's params cross it.
-    kind: Optional[str] = None
-    if dotted is not None and dotted in BOUNDARY_CALLS:
-        kind = BOUNDARY_CALLS[dotted]
-    elif (
-        isinstance(call.func, ast.Attribute)
-        and call.func.attr in _POOL_METHODS
-        and isinstance(call.func.value, ast.Name)
-        and call.func.value.id in module_facts.pool_names
-    ):
-        kind = "pool"
-    elif dotted is not None and dotted.split(".")[-1] in _POOL_TYPES:
-        for keyword in call.keywords:
-            if keyword.arg == "initargs":
-                for param in _params_in(keyword.value, facts.params):
-                    facts.direct.add((param, "pool"))
-    if kind is not None:
+    sink = _boundary_sink(call, module_facts.pool_names)
+    if sink is not None:
+        kind, payload = sink
         for arg in payload:
             for param in _params_in(arg, facts.params):
                 facts.direct.add((param, kind))

@@ -19,8 +19,8 @@ persistent :class:`repro.engine.CacheStore`: the study then warm-starts from
 evaluations earlier *processes* spilled to that directory (typically the
 ``recommend`` run that produced the spec) and spills its own settings back
 for the next session.  A cache that is already attached to a store keeps it,
-so the CLI's ``tune`` command simply hands the advisor's store-backed cache
-to every study.
+so :meth:`repro.api.AdvisorSession.tune` simply hands the session's
+store-backed cache to every study.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core import AdvisorConfig, Warlock
+from repro.core import AdvisorConfig
 from repro.errors import AdvisorError
 from repro.fragmentation import FragmentationSpec
 from repro.schema import StarSchema
@@ -220,13 +220,17 @@ def _evaluate(
     options=None,
 ):
     """Evaluate ``spec`` under one concrete input setting."""
-    advisor = Warlock(
+    # Imported lazily: repro.api sits above the tuning layer (its results
+    # module imports this package).
+    from repro.api.session import AdvisorSession
+
+    session = AdvisorSession(
         schema, workload, system, config, cache=cache, options=options
     )
-    scheme = advisor.design_bitmaps()
+    scheme = session.design_bitmaps()
     if bitmap_exclude:
         scheme = scheme.without(*bitmap_exclude)
-    return advisor.evaluate_spec(spec, scheme)
+    return session.evaluate_spec(spec, scheme)
 
 
 def disk_count_study(

@@ -11,6 +11,7 @@ import pytest
 
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     Dimension,
     DimensionRestriction,
     FactTable,
@@ -21,7 +22,6 @@ from repro import (
     SkewSpec,
     StarSchema,
     SystemParameters,
-    Warlock,
     apb1_query_mix,
     apb1_schema,
 )
@@ -143,10 +143,10 @@ def tiny_disk_system() -> SystemParameters:
 
 
 @pytest.fixture
-def toy_advisor(toy_schema, toy_workload, small_system) -> Warlock:
+def toy_advisor(toy_schema, toy_workload, small_system) -> AdvisorSession:
     """An advisor over the toy configuration with permissive thresholds."""
     config = AdvisorConfig(max_fragments=10_000, top_candidates=5)
-    return Warlock(toy_schema, toy_workload, small_system, config)
+    return AdvisorSession(toy_schema, toy_workload, small_system, config)
 
 
 @pytest.fixture(scope="session")

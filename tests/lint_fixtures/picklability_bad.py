@@ -1,4 +1,4 @@
-"""True positives for the pool-boundary-picklability rule."""
+"""True positives for the boundary-serialization rule's direct pool sinks."""
 
 from concurrent.futures import ProcessPoolExecutor
 

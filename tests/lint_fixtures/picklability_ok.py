@@ -1,4 +1,4 @@
-"""Clean negatives for the pool-boundary-picklability rule."""
+"""Clean negatives for the boundary-serialization rule's direct pool sinks."""
 
 from concurrent.futures import ProcessPoolExecutor
 

@@ -6,12 +6,13 @@ import pytest
 
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     FragmentationSpec,
     QueryClass,
     QueryMix,
     DimensionRestriction,
     SystemParameters,
-    Warlock,
+    format_query_analysis,
 )
 from repro.errors import AdvisorError, WorkloadError
 
@@ -20,15 +21,15 @@ class TestWarlockConstruction:
     def test_construction_validates_workload(self, toy_schema, small_system):
         bad_mix = QueryMix([QueryClass("q", [DimensionRestriction("ghost", "x")])])
         with pytest.raises(WorkloadError):
-            Warlock(toy_schema, bad_mix, small_system)
+            AdvisorSession(toy_schema, bad_mix, small_system)
 
     def test_default_config(self, toy_schema, toy_workload, small_system):
-        advisor = Warlock(toy_schema, toy_workload, small_system)
+        advisor = AdvisorSession(toy_schema, toy_workload, small_system)
         assert advisor.config.top_fraction == 0.25
         assert advisor.fact.name == "sales"
 
     def test_explicit_fact_table(self, toy_schema, toy_workload, small_system):
-        advisor = Warlock(toy_schema, toy_workload, small_system, fact_table="sales")
+        advisor = AdvisorSession(toy_schema, toy_workload, small_system, fact_table="sales")
         assert advisor.fact.name == "sales"
 
 
@@ -51,13 +52,13 @@ class TestCandidateGeneration:
         # Demand more fragments than any candidate can produce.
         system = SystemParameters(num_disks=8)
         config = AdvisorConfig(min_fragments=10_000_000, max_fragments=20_000_000)
-        advisor = Warlock(toy_schema, toy_workload, system, config)
+        advisor = AdvisorSession(toy_schema, toy_workload, system, config)
         with pytest.raises(AdvisorError):
             advisor.generate_specs()
 
     def test_max_dimensionality_respected(self, toy_schema, toy_workload, small_system):
         config = AdvisorConfig(max_fragmentation_dimensions=1, max_fragments=10_000)
-        advisor = Warlock(toy_schema, toy_workload, small_system, config)
+        advisor = AdvisorSession(toy_schema, toy_workload, small_system, config)
         surviving, _ = advisor.generate_specs()
         assert all(spec.dimensionality <= 1 for spec in surviving)
 
@@ -84,63 +85,70 @@ class TestEvaluation:
             FragmentationSpec.of(("time", "month")),
             FragmentationSpec.of(("time", "quarter"), ("product", "group")),
         ]
-        candidates, report = toy_advisor.evaluate_candidates(specs)
+        candidates = toy_advisor.engine.evaluate_specs(specs)
         assert len(candidates) == 2
-        assert report.considered == 0  # explicit specs bypass threshold accounting
 
 
 class TestRecommendation:
     def test_recommend_end_to_end(self, toy_advisor):
-        recommendation = toy_advisor.recommend()
+        recommendation = toy_advisor.recommend().recommendation
         assert len(recommendation.ranked) >= 1
         assert recommendation.best is recommendation.ranked[0].candidate
         assert recommendation.exclusion_report.considered == 35
         assert len(recommendation.evaluated) == recommendation.exclusion_report.surviving_count
 
     def test_ranking_is_consistent_with_metrics(self, toy_advisor):
-        recommendation = toy_advisor.recommend()
+        recommendation = toy_advisor.recommend().recommendation
         responses = [r.response_time_ms for r in recommendation.ranked]
         assert responses == sorted(responses)
 
     def test_best_beats_average_candidate(self, toy_advisor):
         """The recommended fragmentation must be no worse than the average
         evaluated candidate on both metrics it was selected by."""
-        recommendation = toy_advisor.recommend()
+        recommendation = toy_advisor.recommend().recommendation
         mean_io = sum(c.io_cost_ms for c in recommendation.evaluated) / len(
             recommendation.evaluated
         )
         assert recommendation.best.io_cost_ms <= mean_io
 
     def test_candidate_lookup(self, toy_advisor):
-        recommendation = toy_advisor.recommend()
+        recommendation = toy_advisor.recommend().recommendation
         label = recommendation.best.label
         assert recommendation.candidate(label).label == label
         with pytest.raises(AdvisorError):
             recommendation.candidate("no such fragmentation")
 
     def test_describe(self, toy_advisor):
-        text = toy_advisor.recommend().describe()
+        text = toy_advisor.recommend().recommendation.describe()
         assert "WARLOCK recommendation" in text
         assert "Top" in text
 
     def test_analyze_returns_report(self, toy_advisor):
-        recommendation = toy_advisor.recommend()
-        report = toy_advisor.analyze(recommendation.best)
+        recommendation = toy_advisor.recommend().recommendation
+        report = format_query_analysis(recommendation.best, toy_advisor.workload)
         assert "Database statistic" in report
         assert "Prefetch granule suggestion" in report
 
     def test_deterministic_recommendation(self, toy_schema, toy_workload, small_system):
         config = AdvisorConfig(max_fragments=10_000, top_candidates=5)
-        first = Warlock(toy_schema, toy_workload, small_system, config).recommend()
-        second = Warlock(toy_schema, toy_workload, small_system, config).recommend()
+        first = AdvisorSession(
+            toy_schema, toy_workload, small_system, config
+        ).recommend().recommendation
+        second = AdvisorSession(
+            toy_schema, toy_workload, small_system, config
+        ).recommend().recommendation
         assert [r.label for r in first.ranked] == [r.label for r in second.ranked]
 
     def test_workload_reweighting_changes_outcome_inputs(self, toy_schema, toy_workload, small_system):
         """Re-weighting the mix (interactive fine-tuning) changes the evaluation."""
         config = AdvisorConfig(max_fragments=10_000)
-        base = Warlock(toy_schema, toy_workload, small_system, config).recommend()
+        base = AdvisorSession(
+            toy_schema, toy_workload, small_system, config
+        ).recommend().recommendation
         shifted_mix = toy_workload.reweighted({"yearly-report": 1000.0})
-        shifted = Warlock(toy_schema, shifted_mix, small_system, config).recommend()
+        shifted = AdvisorSession(
+            toy_schema, shifted_mix, small_system, config
+        ).recommend().recommendation
         base_by_label = {c.label: c for c in base.evaluated}
         changed = [
             c.label
@@ -157,7 +165,9 @@ class TestApb1Integration:
     def recommendation(self, apb_small_schema, apb_workload):
         system = SystemParameters(num_disks=32)
         config = AdvisorConfig(max_fragments=50_000, top_candidates=10)
-        return Warlock(apb_small_schema, apb_workload, system, config).recommend()
+        return AdvisorSession(
+            apb_small_schema, apb_workload, system, config
+        ).recommend().recommendation
 
     def test_produces_ranked_list(self, recommendation):
         assert 1 <= len(recommendation.ranked) <= 10

@@ -160,7 +160,7 @@ class TestSkewedMixedChunks:
     def test_full_skewed_chunks_match_choose_allocation(self):
         """Wide chunks mixing dimensions and schemes: each allocation equals
         the per-candidate choose_allocation reference."""
-        from repro import AdvisorConfig, SystemParameters, Warlock, synthetic_schema
+        from repro import AdvisorConfig, AdvisorSession, SystemParameters, synthetic_schema
         from repro.engine.executor import _inline_chunks, evaluate_specs_in_context
         from repro.workload.generator import random_query_mix
 
@@ -174,9 +174,9 @@ class TestSkewedMixedChunks:
         schema = schema.with_skew({"dim0": 1.0, "dim1": 0.5})
         system = SystemParameters(num_disks=64)
         config = AdvisorConfig(max_fragments=30_000, max_fragmentation_dimensions=3)
-        advisor = Warlock(schema, workload, system, config)
+        advisor = AdvisorSession(schema, workload, system, config)
         specs, _ = advisor.generate_specs()
-        engine = advisor.engine()
+        engine = advisor.engine
         plan = engine.plan(specs)
         context = engine.context(specs=plan.specs)
         chunks = _inline_chunks(plan, range(plan.num_candidates), True)

@@ -22,7 +22,7 @@ from repro.errors import ReportError
 @pytest.fixture(scope="module")
 def module_advisor():
     """The toy advisor, rebuilt once per module (module-scoped for speed)."""
-    from repro import AdvisorConfig, SystemParameters, Warlock
+    from repro import AdvisorConfig, AdvisorSession, SystemParameters
     from repro import (
         Dimension,
         DimensionRestriction,
@@ -47,12 +47,14 @@ def module_advisor():
         ]
     )
     system = SystemParameters(num_disks=8)
-    return Warlock(schema, workload, system, AdvisorConfig(max_fragments=10_000, top_candidates=5))
+    return AdvisorSession(
+        schema, workload, system, AdvisorConfig(max_fragments=10_000, top_candidates=5)
+    )
 
 
 @pytest.fixture(scope="module")
 def module_recommendation(module_advisor):
-    return module_advisor.recommend()
+    return module_advisor.recommend().recommendation
 
 
 class TestFormatTable:

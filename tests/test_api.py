@@ -29,8 +29,6 @@ from repro import (
     RecommendRequest,
     SimulateRequest,
     TuneRequest,
-    Warlock,
-    compare_specs,
 )
 from repro.api import request_from_dict
 from repro.engine import EvaluationEngine
@@ -64,6 +62,12 @@ class TestEngineOptions:
     def test_rejects_cache_dir_without_cache(self):
         with pytest.raises(AdvisorError):
             EngineOptions(cache=False, cache_dir="/tmp/x")
+
+    @pytest.mark.parametrize("budget", [float("inf"), 1e308])
+    def test_rejects_a_budget_without_a_finite_byte_count(self, budget):
+        # 1e308 MB overflows to inf bytes; the engine would crash on it.
+        with pytest.raises(AdvisorError, match="finite byte count"):
+            EngineOptions(cache_dir="/tmp/x", cache_max_mb=budget)
 
     def test_rejects_non_bool_flags(self):
         for field in ("vectorize", "cache", "persist"):
@@ -120,12 +124,9 @@ class TestDeprecationShims:
         # or without options=, they fail at the call site.
         spec = FragmentationSpec.of(("time", "month"))
         owners = [
-            lambda **kw: Warlock(toy_schema, toy_workload, small_system, **kw),
+            lambda **kw: AdvisorSession(toy_schema, toy_workload, small_system, **kw),
             lambda **kw: EvaluationEngine(
                 toy_schema, toy_workload, small_system, **kw
-            ),
-            lambda **kw: compare_specs(
-                toy_schema, toy_workload, small_system, [spec], **kw
             ),
             lambda **kw: disk_count_study(
                 toy_schema, toy_workload, small_system, spec, (8,), **kw
@@ -148,7 +149,7 @@ class TestDeprecationShims:
             warnings.simplefilter("error")
             for kwarg in ({"jobs": 0}, {"vectorize": "classes"}, {"cache_dir": ""}):
                 with pytest.raises(TypeError):
-                    Warlock(toy_schema, toy_workload, small_system, **kwarg)
+                    AdvisorSession(toy_schema, toy_workload, small_system, **kwarg)
                 with pytest.raises(AdvisorError):
                     EngineOptions(**kwarg)
 
@@ -165,8 +166,6 @@ class TestDeprecationShims:
             lambda cache: AdvisorSession(
                 schema, workload, system, cache=cache
             ).recommend(),
-            lambda cache: Warlock(schema, workload, system, cache=cache).recommend(),
-            lambda cache: compare_specs(schema, workload, system, [spec], cache=cache),
             lambda cache: disk_count_study(
                 schema, workload, system, spec, (8,), cache=cache
             ),
@@ -186,7 +185,7 @@ class TestDeprecationShims:
         # deprecation warning of any kind.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            recommendation = toy_advisor.recommend()
+            recommendation = toy_advisor.recommend().recommendation
             disk_count_study(
                 toy_advisor.schema,
                 toy_advisor.workload,
@@ -197,14 +196,7 @@ class TestDeprecationShims:
                 cache=toy_advisor.cache,
                 options=toy_advisor.options,
             )
-            compare_specs(
-                toy_advisor.schema,
-                toy_advisor.workload,
-                toy_advisor.system,
-                [recommendation.best.spec],
-                config=toy_advisor.config,
-                cache=toy_advisor.cache,
-            )
+            toy_advisor.compare([recommendation.best.spec])
 
 
 class TestRequests:

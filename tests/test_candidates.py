@@ -7,9 +7,9 @@ import pytest
 import repro
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     FragmentationSpec,
     SystemParameters,
-    Warlock,
     retail_query_mix,
     retail_schema,
 )
@@ -83,7 +83,7 @@ class TestFragmentationCandidate:
         schema = retail_schema(scale=0.01)
         workload = retail_query_mix()
         system = SystemParameters(num_disks=16)
-        advisor = Warlock(schema, workload, system, AdvisorConfig(max_fragments=50_000))
+        advisor = AdvisorSession(schema, workload, system, AdvisorConfig(max_fragments=50_000))
         spec = FragmentationSpec.of(("date", "month"), ("store", "region"))
         return advisor.evaluate_spec(spec)
 
@@ -128,8 +128,8 @@ class TestRetailIntegration:
         schema = retail_schema(scale=0.02)
         workload = retail_query_mix()
         system = SystemParameters(num_disks=32)
-        advisor = Warlock(schema, workload, system, AdvisorConfig(max_fragments=100_000))
-        return advisor.recommend()
+        advisor = AdvisorSession(schema, workload, system, AdvisorConfig(max_fragments=100_000))
+        return advisor.recommend().recommendation
 
     def test_ranking_produced(self, recommendation):
         assert len(recommendation.ranked) >= 1
@@ -164,14 +164,14 @@ class TestBaselineInclusion:
         config = AdvisorConfig(
             include_baseline=True, max_fragments=10_000, top_fraction=1.0
         )
-        advisor = Warlock(toy_schema, toy_workload, small_system, config)
-        recommendation = advisor.recommend()
+        advisor = AdvisorSession(toy_schema, toy_workload, small_system, config)
+        recommendation = advisor.recommend().recommendation
         labels = [candidate.label for candidate in recommendation.evaluated]
         assert "(unfragmented)" in labels
         # The baseline never wins under a parallel workload.
         assert recommendation.best.label != "(unfragmented)"
 
     def test_baseline_absent_by_default(self, toy_advisor):
-        recommendation = toy_advisor.recommend()
+        recommendation = toy_advisor.recommend().recommendation
         labels = [candidate.label for candidate in recommendation.evaluated]
         assert "(unfragmented)" not in labels

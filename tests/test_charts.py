@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AdvisorConfig, FragmentationSpec, SystemParameters, Warlock
+from repro import AdvisorConfig, AdvisorSession, FragmentationSpec, SystemParameters
 from repro.analysis import (
     access_profile_chart,
     bar_chart,
@@ -42,7 +42,7 @@ def chart_candidate():
         ]
     )
     system = SystemParameters(num_disks=8)
-    advisor = Warlock(schema, workload, system, AdvisorConfig(max_fragments=10_000))
+    advisor = AdvisorSession(schema, workload, system, AdvisorConfig(max_fragments=10_000))
     candidate = advisor.evaluate_spec(FragmentationSpec.of(("time", "month")))
     return advisor, candidate
 
@@ -90,7 +90,7 @@ class TestOccupancyChart:
 
     def test_large_configuration_is_summarized(self, chart_candidate):
         advisor, _ = chart_candidate
-        wide_advisor = Warlock(
+        wide_advisor = AdvisorSession(
             advisor.schema,
             advisor.workload,
             SystemParameters(num_disks=128),

@@ -366,6 +366,15 @@ class TestCacheDirFlags:
         assert "persistent cache" not in captured.err
         assert not (tmp_path / "cache").exists()
 
+    def test_non_finite_budget_exits_2(self, tmp_path, capsys):
+        cache_dir = str(tmp_path / "cache")
+        code = main(
+            ["recommend", *self.COMMON, "--cache-dir", cache_dir, "--cache-max-mb", "inf"]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
 
 class TestEngineOptionsResolver:
     """One resolver, one precedence order: flags > env > config file > defaults."""
@@ -506,13 +515,13 @@ class TestSigintCancellation:
             restore()
 
     def test_cancelled_run_exits_130_with_a_message(self, capsys, monkeypatch):
-        from repro.core import Warlock
+        from repro.api import AdvisorSession
         from repro.errors import EvaluationCancelled
 
         def cancelled(self, **kwargs):
             raise EvaluationCancelled("sweep cancelled at chunk 3/9")
 
-        monkeypatch.setattr(Warlock, "recommend", cancelled)
+        monkeypatch.setattr(AdvisorSession, "recommend", cancelled)
         assert main(["recommend", *self.COMMON]) == 130
         err = capsys.readouterr().err
         assert "warlock: cancelled" in err
@@ -593,7 +602,7 @@ class TestSimulateUsesEvaluatedPrefetch:
         from repro.cli import _advisor
 
         args = build_parser().parse_args(["simulate", *self.COMMON, "--queries", "1"])
-        candidate = _advisor(args).recommend().best
+        candidate = _advisor(args).recommend().recommendation.best
         assert seen["prefetch"] == candidate.prefetch
         assert seen["layout"].spec.label == candidate.label
 

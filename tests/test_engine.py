@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro import AdvisorConfig, EngineOptions, Warlock
+from repro import AdvisorConfig, AdvisorSession, EngineOptions
 from repro.engine import (
     EvaluationCache,
     EvaluationEngine,
@@ -143,7 +143,7 @@ class TestEvaluationCache:
     def test_structure_reuse_counts_hits(self, toy_advisor):
         """Scalar path: run-length and evaluation passes share every structure."""
         cache = EvaluationCache()
-        advisor = Warlock(
+        advisor = AdvisorSession(
             toy_advisor.schema,
             toy_advisor.workload,
             toy_advisor.system,
@@ -166,7 +166,7 @@ class TestEvaluationCache:
     def test_structure_batch_reuse_counts_hits(self, toy_advisor):
         """Vectorized path: one batch entry per layout plays the same role."""
         cache = EvaluationCache()
-        advisor = Warlock(
+        advisor = AdvisorSession(
             toy_advisor.schema,
             toy_advisor.workload,
             toy_advisor.system,
@@ -186,7 +186,7 @@ class TestEvaluationCache:
     def test_disabled_cache_evaluates_identically(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
         cached = toy_advisor.evaluate_spec(specs[0])
-        uncached_advisor = Warlock(
+        uncached_advisor = AdvisorSession(
             toy_advisor.schema,
             toy_advisor.workload,
             toy_advisor.system,
@@ -195,13 +195,13 @@ class TestEvaluationCache:
         )
         assert uncached_advisor.cache is None
         # cache=False propagates to the engine: nothing is memoized anywhere.
-        assert uncached_advisor.engine().cache is None
+        assert uncached_advisor.engine.cache is None
         uncached = uncached_advisor.evaluate_spec(specs[0])
         assert uncached.io_cost_ms == cached.io_cost_ms
         assert uncached.response_time_ms == cached.response_time_ms
 
     def test_cache_false_recommend_never_memoizes(self, toy_schema, toy_workload, small_system):
-        advisor = Warlock(
+        advisor = AdvisorSession(
             toy_schema,
             toy_workload,
             small_system,
@@ -220,7 +220,7 @@ class TestEvaluationCache:
         reweighted = toy_advisor.workload.reweighted(
             {next(iter(toy_advisor.workload)).name: 10.0}
         )
-        heavy = Warlock(
+        heavy = AdvisorSession(
             toy_advisor.schema,
             reweighted,
             toy_advisor.system,
@@ -232,7 +232,7 @@ class TestEvaluationCache:
 
     def test_max_entries_bounds_the_store(self, toy_advisor):
         cache = EvaluationCache(max_entries=3)
-        advisor = Warlock(
+        advisor = AdvisorSession(
             toy_advisor.schema,
             toy_advisor.workload,
             toy_advisor.system,
@@ -247,7 +247,7 @@ class TestEvaluationCache:
 
     def test_layout_memo_is_bounded_uncounted_and_cleared(self, toy_advisor):
         cache = EvaluationCache(max_entries=2)
-        advisor = Warlock(
+        advisor = AdvisorSession(
             toy_advisor.schema,
             toy_advisor.workload,
             toy_advisor.system,
@@ -258,7 +258,7 @@ class TestEvaluationCache:
         first = advisor.evaluate_spec(specs[0])
         key = cache.layout_key(
             advisor.schema,
-            advisor.engine().fact_name,
+            advisor.engine.fact_name,
             specs[0],
             advisor.system.page_size_bytes,
         )
@@ -302,7 +302,7 @@ class TestEvaluationEngine:
 
     def test_serial_matches_advisor_evaluate_spec(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
-        engine = toy_advisor.engine()
+        engine = toy_advisor.engine
         candidates = engine.evaluate_specs(specs[:3])
         for spec, candidate in zip(specs[:3], candidates):
             reference = toy_advisor.evaluate_spec(spec)
@@ -314,7 +314,7 @@ class TestEvaluationEngine:
     def test_preserves_spec_order(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
         reversed_specs = list(reversed(specs))
-        candidates = toy_advisor.engine().evaluate_specs(reversed_specs)
+        candidates = toy_advisor.engine.evaluate_specs(reversed_specs)
         assert [c.label for c in candidates] == [s.label for s in reversed_specs]
 
     def test_small_sweeps_stay_serial(self, toy_advisor):
@@ -332,7 +332,7 @@ class TestEvaluationEngine:
 
     def test_context_is_picklable(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
-        engine = toy_advisor.engine()
+        engine = toy_advisor.engine
         context = engine.context(specs=specs)
         clone = pickle.loads(pickle.dumps(context))
         assert clone.fact_name == context.fact_name
@@ -342,18 +342,18 @@ class TestEvaluationEngine:
         assert candidate.io_cost_ms == reference.io_cost_ms
 
     def test_bitmap_scheme_designed_once(self, toy_advisor):
-        engine = toy_advisor.engine()
+        engine = toy_advisor.engine
         assert engine.bitmap_scheme() is engine.bitmap_scheme()
 
     def test_advisor_recommend_uses_engine(self, toy_schema, toy_workload, small_system):
         config = AdvisorConfig(max_fragments=10_000, top_candidates=5)
-        advisor = Warlock(toy_schema, toy_workload, small_system, config)
-        recommendation = advisor.recommend()
+        advisor = AdvisorSession(toy_schema, toy_workload, small_system, config)
+        recommendation = advisor.recommend().recommendation
         assert recommendation.ranked
         assert advisor.cache.stats.lookups > 0
 
     def test_advisor_engine_is_memoized(self, toy_advisor):
-        assert toy_advisor.engine() is toy_advisor.engine()
+        assert toy_advisor.engine is toy_advisor.engine
 
     def test_advisor_default_cache_is_bounded(self, toy_advisor):
         from repro.core.advisor import DEFAULT_CACHE_ENTRIES
@@ -361,9 +361,8 @@ class TestEvaluationEngine:
         assert toy_advisor.cache.max_entries == DEFAULT_CACHE_ENTRIES
 
     def test_evaluate_candidates_with_empty_list_returns_empty(self, toy_advisor):
-        candidates, report = toy_advisor.evaluate_candidates(specs=[])
+        candidates = toy_advisor.engine.evaluate_specs([])
         assert candidates == []
-        assert report.considered == 0
 
 
 class TestAdaptiveJobs:
@@ -451,10 +450,12 @@ class TestAdaptiveJobs:
         from repro.engine import recommendation_fingerprint
 
         config = AdvisorConfig(max_fragments=10_000, top_candidates=5)
-        serial = Warlock(toy_schema, toy_workload, small_system, config).recommend()
-        auto = Warlock(
+        serial = AdvisorSession(
+            toy_schema, toy_workload, small_system, config
+        ).recommend().recommendation
+        auto = AdvisorSession(
             toy_schema, toy_workload, small_system, config, options=EngineOptions(jobs="auto")
-        ).recommend()
+        ).recommend().recommendation
         assert recommendation_fingerprint(serial) == recommendation_fingerprint(auto)
 
 
@@ -473,7 +474,9 @@ class TestBrokenPoolDegradedRetry:
         from repro.engine import recommendation_fingerprint
         from repro.engine.result import CandidateResultBatch
 
-        reference = Warlock(apb_small_schema, apb_workload, small_system).recommend()
+        reference = AdvisorSession(
+            apb_small_schema, apb_workload, small_system
+        ).recommend().recommendation
 
         real_evaluate = executor_module.evaluate_specs_in_context
 
@@ -540,13 +543,13 @@ class TestBrokenPoolDegradedRetry:
         )
 
         events = []
-        advisor = Warlock(
+        advisor = AdvisorSession(
             apb_small_schema,
             apb_workload,
             small_system,
             options=EngineOptions(jobs=2),
         )
-        result = advisor.recommend(on_progress=events.append)
+        result = advisor.recommend(on_progress=events.append).recommendation
 
         assert recommendation_fingerprint(result) == recommendation_fingerprint(
             reference

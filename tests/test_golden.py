@@ -23,9 +23,9 @@ import pytest
 
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     EngineOptions,
     SystemParameters,
-    Warlock,
     apb1_query_mix,
     apb1_schema,
     retail_query_mix,
@@ -56,16 +56,16 @@ def _inputs(scenario: dict):
     return schema, workload, system, config
 
 
-def _advisor(scenario: dict, vectorize: bool = True) -> Warlock:
+def _advisor(scenario: dict, vectorize: bool = True) -> AdvisorSession:
     schema, workload, system, config = _inputs(scenario)
-    return Warlock(
+    return AdvisorSession(
         schema, workload, system, config, options=EngineOptions(vectorize=vectorize)
     )
 
 
 def build_snapshot(scenario: dict, vectorize: bool = True) -> dict:
     """The golden payload of one reference run (all floats rounded to 6 dp)."""
-    recommendation = _advisor(scenario, vectorize=vectorize).recommend()
+    recommendation = _advisor(scenario, vectorize=vectorize).recommend().recommendation
     report = recommendation.exclusion_report
     return {
         "scenario": scenario,
@@ -128,27 +128,18 @@ def test_golden_runs_are_reproducible_in_process(name):
 
 
 # ---------------------------------------------------------------------------
-# compare_specs golden: the rendered comparison table is pinned too
+# Comparison golden: the rendered AdvisorSession.compare table is pinned too
 # ---------------------------------------------------------------------------
 
 def build_compare_specs_text() -> str:
-    """The pinned ``compare_specs`` rendering: top-3 APB-1 specs vs baseline."""
-    from repro.analysis import compare_specs
+    """The pinned comparison rendering: top-3 APB-1 specs vs baseline."""
     from repro.fragmentation import FragmentationSpec
 
     schema, workload, system, config = _inputs(SCENARIOS["apb1"])
-    advisor = Warlock(schema, workload, system, config)
-    recommendation = advisor.recommend()
+    advisor = AdvisorSession(schema, workload, system, config)
+    recommendation = advisor.recommend().recommendation
     specs = [ranked.candidate.spec for ranked in recommendation.ranked[:3]]
-    return compare_specs(
-        schema,
-        workload,
-        system,
-        specs,
-        baseline_spec=FragmentationSpec.none(),
-        config=config,
-        cache=advisor.cache,
-    )
+    return advisor.compare(specs, baseline_spec=FragmentationSpec.none()).table
 
 
 def _compare_specs_path() -> Path:
@@ -162,7 +153,7 @@ def test_compare_specs_matches_golden_snapshot():
         f"'PYTHONPATH=src python tests/test_golden.py --regenerate'"
     )
     assert build_compare_specs_text() + "\n" == path.read_text(), (
-        "the compare_specs rendering no longer matches its golden snapshot; "
+        "the comparison rendering no longer matches its golden snapshot; "
         "if the change is deliberate, regenerate and explain the delta"
     )
 

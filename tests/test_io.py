@@ -8,8 +8,8 @@ import pytest
 
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     SystemParameters,
-    Warlock,
     apb1_query_mix,
     apb1_schema,
     candidate_to_dict,
@@ -141,8 +141,8 @@ class TestExporters:
         schema = apb1_schema(scale=0.02)
         workload = apb1_query_mix()
         system = SystemParameters(num_disks=16)
-        advisor = Warlock(schema, workload, system, AdvisorConfig(max_fragments=50_000))
-        return advisor.recommend()
+        advisor = AdvisorSession(schema, workload, system, AdvisorConfig(max_fragments=50_000))
+        return advisor.recommend().recommendation
 
     def test_candidate_export_is_json_serializable(self, recommendation):
         payload = candidate_to_dict(recommendation.best)

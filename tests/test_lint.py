@@ -37,7 +37,7 @@ def findings_for(path: str, rule: str):
 RULE_FIXTURES = [
     ("numeric-determinism", "numeric_determinism", 4),
     ("lock-discipline", "lock_discipline", 1),
-    ("pool-boundary-picklability", "picklability", 5),
+    ("boundary-serialization", "picklability", 5),
     ("wire-contract", "wire_contract", 2),
 ]
 
@@ -188,7 +188,7 @@ class TestBaseline:
         )
         new, baselined = split_findings(both.findings, load_baseline(baseline_path))
         assert len(baselined) == len(numeric.findings)
-        assert {f.rule for f in new} == {"pool-boundary-picklability"}
+        assert {f.rule for f in new} == {"boundary-serialization"}
 
     def test_fingerprints_survive_reordering(self):
         # Fingerprints carry no line numbers: the same offending line at a
@@ -289,7 +289,7 @@ class TestCommandLine:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["new"] == 5
         assert all(
-            f["rule"] == "pool-boundary-picklability" for f in payload["findings"]
+            f["rule"] == "boundary-serialization" for f in payload["findings"]
         )
 
     def test_write_baseline_then_gate_passes(self, tmp_path, capsys):

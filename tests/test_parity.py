@@ -17,10 +17,10 @@ import pytest
 
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     EngineOptions,
     EvaluationCache,
     SystemParameters,
-    Warlock,
     apb1_query_mix,
     apb1_schema,
     recommendation_fingerprint,
@@ -67,8 +67,12 @@ SCENARIOS = ("synthetic", "retail", "apb1")
 class TestSerialParallelParity:
     def test_jobs_1_and_jobs_4_are_bit_identical(self, scenario):
         schema, workload, system, config = _scenario(scenario)
-        serial = Warlock(schema, workload, system, config, options=EngineOptions(jobs=1)).recommend()
-        parallel = Warlock(schema, workload, system, config, options=EngineOptions(jobs=4)).recommend()
+        serial = AdvisorSession(
+            schema, workload, system, config, options=EngineOptions(jobs=1)
+        ).recommend().recommendation
+        parallel = AdvisorSession(
+            schema, workload, system, config, options=EngineOptions(jobs=4)
+        ).recommend().recommendation
         assert recommendation_fingerprint(serial) == recommendation_fingerprint(parallel)
         # Spot checks on top of the fingerprint: order, metrics, prefetch.
         assert [r.label for r in serial.ranked] == [r.label for r in parallel.ranked]
@@ -84,19 +88,19 @@ class TestSerialParallelParity:
 
     def test_cold_vs_warm_cache_is_bit_identical(self, scenario):
         schema, workload, system, config = _scenario(scenario)
-        advisor = Warlock(schema, workload, system, config)
-        cold = advisor.recommend()
+        advisor = AdvisorSession(schema, workload, system, config)
+        cold = advisor.recommend().recommendation
         cold_lookups = advisor.cache.stats.lookups
         # A repeated identical recommend() on the same session answers O(1)
         # from the input-fingerprint memo: zero additional cache probes.
-        memoized = advisor.recommend()
+        memoized = advisor.recommend().recommendation
         assert advisor.cache.stats.lookups == cold_lookups
         assert recommendation_fingerprint(cold) == recommendation_fingerprint(memoized)
         # A fresh advisor sharing the cache answers the sweep warm.
-        warm_advisor = Warlock(
+        warm_advisor = AdvisorSession(
             schema, workload, system, config, cache=advisor.cache
         )
-        warm = warm_advisor.recommend()
+        warm = warm_advisor.recommend().recommendation
         assert advisor.cache.stats.hits > 0
         assert advisor.cache.stats.lookups > cold_lookups
         assert recommendation_fingerprint(cold) == recommendation_fingerprint(warm)
@@ -104,17 +108,21 @@ class TestSerialParallelParity:
     def test_shared_cache_across_advisors_is_bit_identical(self, scenario):
         schema, workload, system, config = _scenario(scenario)
         cache = EvaluationCache()
-        first = Warlock(schema, workload, system, config, cache=cache).recommend()
-        warm_advisor = Warlock(schema, workload, system, config, cache=cache)
+        first = AdvisorSession(
+            schema, workload, system, config, cache=cache
+        ).recommend().recommendation
+        warm_advisor = AdvisorSession(schema, workload, system, config, cache=cache)
         hits_before = cache.stats.hits
-        second = warm_advisor.recommend()
+        second = warm_advisor.recommend().recommendation
         assert cache.stats.hits > hits_before
         assert recommendation_fingerprint(first) == recommendation_fingerprint(second)
 
     def test_disabled_cache_is_bit_identical(self, scenario):
         schema, workload, system, config = _scenario(scenario)
-        cached = Warlock(schema, workload, system, config).recommend()
-        uncached = Warlock(schema, workload, system, config, options=EngineOptions(cache=False)).recommend()
+        cached = AdvisorSession(schema, workload, system, config).recommend().recommendation
+        uncached = AdvisorSession(
+            schema, workload, system, config, options=EngineOptions(cache=False)
+        ).recommend().recommendation
         assert recommendation_fingerprint(cached) == recommendation_fingerprint(uncached)
 
 
@@ -125,9 +133,9 @@ def test_parallel_sweep_populates_the_shared_cache():
     for jobs in (1, 2, 4):
         options = EngineOptions(jobs=jobs)
         cache = EvaluationCache()
-        first = Warlock(
+        first = AdvisorSession(
             schema, workload, system, config, cache=cache, options=options
-        ).recommend()
+        ).recommend().recommendation
         n = len(first.evaluated)
         # One probe per plan index: a second probe inside the chunk
         # evaluator would count 2n misses.
@@ -140,9 +148,9 @@ def test_parallel_sweep_populates_the_shared_cache():
         # A fresh advisor sharing the cache (the same advisor would answer
         # from its recommend() memo without probing at all): fully warm
         # sweeps are answered without recomputation.
-        warm = Warlock(
+        warm = AdvisorSession(
             schema, workload, system, config, cache=cache, options=options
-        ).recommend()
+        ).recommend().recommendation
         stats = cache.stats
         assert (stats.candidate_hits, stats.candidate_misses) == (n, 0), jobs
         assert stats.misses == 0
@@ -151,15 +159,15 @@ def test_parallel_sweep_populates_the_shared_cache():
 
 def test_fingerprint_distinguishes_different_inputs():
     schema, workload, system, config = _scenario("synthetic")
-    base = Warlock(schema, workload, system, config).recommend()
+    base = AdvisorSession(schema, workload, system, config).recommend().recommendation
     other_system = SystemParameters(num_disks=8)
-    other = Warlock(schema, workload, other_system, config).recommend()
+    other = AdvisorSession(schema, workload, other_system, config).recommend().recommendation
     assert recommendation_fingerprint(base) != recommendation_fingerprint(other)
 
 
 def test_recommendation_state_is_json_shaped():
     schema, workload, system, config = _scenario("synthetic")
-    recommendation = Warlock(schema, workload, system, config).recommend()
+    recommendation = AdvisorSession(schema, workload, system, config).recommend().recommendation
     state = recommendation_state(recommendation)
     assert state["ranked"]
     entry = state["ranked"][0]

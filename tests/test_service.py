@@ -423,6 +423,55 @@ class TestHTTPEndpoints:
             code, _ = http_error(server, "DELETE", "/warehouses/shop")
             assert code == 404
 
+    def test_register_with_a_non_finite_budget_is_400(self, server, tmp_path):
+        payload = {
+            "dataset": "apb1",
+            "scale": 0.02,
+            "disks": 8,
+            "engine": {"cache_dir": str(tmp_path), "cache_max_mb": "BUDGET"},
+        }
+        # 1e400 parses as inf: a budget the engine cannot turn into bytes.
+        body = json.dumps(payload).replace('"BUDGET"', "1e400")
+        request = urllib.request.Request(
+            server.url + "/warehouses/shop", data=body.encode(), method="PUT"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=60)
+        assert excinfo.value.code == 400
+        assert "finite byte count" in json.loads(excinfo.value.read())["error"]
+        code, _ = http_error(server, "DELETE", "/warehouses/shop")
+        assert code == 404
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "tune", "study": "disks", "settings": 5},
+            {"kind": "tune", "study": "disks", "settings": ["x"]},
+            {"kind": "tune", "study": "prefetch", "settings": 3},
+            {"kind": "tune", "study": "bitmaps", "settings": 7},
+            {"kind": "tune", "study": "weights", "settings": {"a": 3}},
+            {"kind": "simulate", "seed": "x"},
+            {"kind": "simulate", "seed": -1},
+            {"kind": "simulate", "queries_per_class": 1.5},
+            {"kind": "evaluate_spec", "spec": 5},
+            {"kind": "evaluate_spec", "spec": {"attributes": [{"dimension": "time"}]}},
+            {
+                "kind": "evaluate_spec",
+                "spec": {"attributes": []},
+                "bitmap_exclude": [["a"]],
+            },
+            {"kind": "compare", "specs": [5]},
+            {"kind": "compare", "specs": [{"attributes": []}], "baseline_spec": 3},
+        ],
+    )
+    def test_malformed_typed_request_is_400(self, server, payload):
+        code, body = http_error(server, "POST", "/warehouses/main/submit", payload)
+        assert code == 400, body
+        status, served = http_json(
+            server, "POST", "/warehouses/main/submit", {"kind": "recommend"}
+        )
+        assert status == 200 and served["kind"] == "recommend"
+
 
 class TestHTTPRoundTrip:
     """Every request type over HTTP == the in-process submit(), bit for bit."""

@@ -22,7 +22,6 @@ from repro import (
     CancellationToken,
     EngineOptions,
     SystemParameters,
-    Warlock,
     recommendation_fingerprint,
     synthetic_schema,
 )
@@ -61,9 +60,9 @@ class TestWithDelta:
 
         for label, edited in chain:
             result = edited.recommend()
-            fresh = Warlock(
+            fresh = AdvisorSession(
                 edited.schema, edited.workload, edited.system, edited.config
-            ).recommend()
+            ).recommend().recommendation
             assert result.fingerprint == recommendation_fingerprint(fresh), label
 
     def test_cache_is_shared_and_hit_rate_rises_across_the_chain(self, scenario):
@@ -122,9 +121,9 @@ class TestWithDelta:
         )
         assert edited.system.prefetch_pages_fact == 4
         assert edited.options.vectorize is False
-        fresh = Warlock(
+        fresh = AdvisorSession(
             schema, workload, system.with_prefetch(fact=4), config
-        ).recommend()
+        ).recommend().recommendation
         assert edited.recommend().fingerprint == recommendation_fingerprint(fresh)
 
 
@@ -220,7 +219,7 @@ class TestCancellation:
 
         # Retry: completes warm, and the partial cache never changed a number.
         retry = session.recommend()
-        fresh = Warlock(schema, workload, system, config).recommend()
+        fresh = AdvisorSession(schema, workload, system, config).recommend().recommendation
         assert retry.fingerprint == recommendation_fingerprint(fresh)
 
     def test_pool_cancellation_raises_and_retries_clean(self, scenario):
@@ -236,7 +235,7 @@ class TestCancellation:
         with pytest.raises(EvaluationCancelled):
             session.recommend(on_progress=cancel_immediately, cancel=token)
         retry = session.recommend()
-        fresh = Warlock(schema, workload, system, config).recommend()
+        fresh = AdvisorSession(schema, workload, system, config).recommend().recommendation
         assert retry.fingerprint == recommendation_fingerprint(fresh)
 
     def test_pre_set_token_cancels_before_any_work(self, scenario):
@@ -426,17 +425,6 @@ class TestSessionLifecycle:
         session.recommend()
         session.close()
         assert not store.exists()
-        # The Warlock wrapper honors the same read-only policy.
-        advisor = Warlock(
-            schema,
-            workload,
-            system,
-            config,
-            options=EngineOptions(cache_dir=str(store), persist=False),
-        )
-        advisor.recommend()
-        assert advisor.persist_cache() is None
-        assert not store.exists()
 
     def test_uncached_session_has_no_stats(self, scenario):
         schema, workload, system, config = scenario
@@ -572,7 +560,9 @@ class TestCompiledInputSharing:
         assert session.cache.stats.candidate_misses > 0
         assert built == []
         monkeypatch.undo()
-        fresh = Warlock(schema, workload, system.with_disks(64), config).recommend()
+        fresh = AdvisorSession(
+            schema, workload, system.with_disks(64), config
+        ).recommend().recommendation
         assert result.fingerprint == recommendation_fingerprint(fresh)
 
     def test_memoized_layout_still_enforces_max_fragments(self, scenario, monkeypatch):

@@ -18,10 +18,10 @@ import pytest
 import repro
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     EngineOptions,
     EvaluationCache,
     SystemParameters,
-    Warlock,
     recommendation_fingerprint,
     synthetic_schema,
 )
@@ -51,7 +51,7 @@ def scenario():
 
 def _advisor(scenario, cache_dir, jobs=1):
     schema, workload, system, config = scenario
-    return Warlock(
+    return AdvisorSession(
         schema,
         workload,
         system,
@@ -150,11 +150,11 @@ class TestRoundTrip:
 @pytest.mark.parametrize("jobs", [1, 4])
 class TestWarmStartParity:
     def test_cold_warm_and_corrupted_fingerprints_match(self, scenario, tmp_path, jobs):
-        cold = _advisor(scenario, tmp_path, jobs=jobs).recommend()
+        cold = _advisor(scenario, tmp_path, jobs=jobs).recommend().recommendation
         fingerprint = recommendation_fingerprint(cold)
 
         warm_advisor = _advisor(scenario, tmp_path, jobs=jobs)
-        warm = warm_advisor.recommend()
+        warm = warm_advisor.recommend().recommendation
         assert recommendation_fingerprint(warm) == fingerprint
         assert warm_advisor.cache.stats.disk_hit_rate >= 0.9
 
@@ -163,14 +163,14 @@ class TestWarmStartParity:
         (tmp_path / BATCHES_FILENAME).write_bytes(b"\x00\x01garbage")
         (tmp_path / CANDIDATES_FILENAME).write_bytes(b"\x00\x01garbage")
         corrupted_advisor = _advisor(scenario, tmp_path, jobs=jobs)
-        corrupted = corrupted_advisor.recommend()
+        corrupted = corrupted_advisor.recommend().recommendation
         assert recommendation_fingerprint(corrupted) == fingerprint
         assert corrupted_advisor.cache.loaded_from_disk == 0
         assert corrupted_advisor.cache.stats.disk_hits == 0
 
         # ... and the corrupted store was atomically replaced by a fresh one.
         recovered_advisor = _advisor(scenario, tmp_path, jobs=jobs)
-        recovered = recovered_advisor.recommend()
+        recovered = recovered_advisor.recommend().recommendation
         assert recommendation_fingerprint(recovered) == fingerprint
         assert recovered_advisor.cache.stats.disk_hit_rate >= 0.9
 
@@ -178,13 +178,13 @@ class TestWarmStartParity:
 class TestFailureModes:
     def test_version_salt_mismatch_is_ignored(self, scenario, tmp_path, monkeypatch):
         cold = _advisor(scenario, tmp_path)
-        fingerprint = recommendation_fingerprint(cold.recommend())
+        fingerprint = recommendation_fingerprint(cold.recommend().recommendation)
         # A future repro version computes a different salt: the old store
         # must never be trusted, only silently replaced.
         monkeypatch.setattr(repro, "__version__", "999.0.0")
         mismatched = _advisor(scenario, tmp_path)
         assert mismatched.cache.loaded_from_disk == 0
-        result = mismatched.recommend()
+        result = mismatched.recommend().recommendation
         assert recommendation_fingerprint(result) == fingerprint
 
     def test_salt_covers_the_package_version(self, monkeypatch):
@@ -198,9 +198,9 @@ class TestFailureModes:
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("occupied")
         schema, workload, system, config = scenario
-        reference = Warlock(schema, workload, system, config).recommend()
+        reference = AdvisorSession(schema, workload, system, config).recommend().recommendation
         advisor = _advisor(scenario, blocker)
-        result = advisor.recommend()
+        result = advisor.recommend().recommendation
         assert recommendation_fingerprint(result) == recommendation_fingerprint(reference)
         assert advisor.cache.loaded_from_disk == 0
         assert advisor.persist_cache() is None
@@ -216,11 +216,11 @@ class TestFailureModes:
         # The store files are validated independently: corrupt entry and
         # candidate files must not poison the (intact) batch file.
         cold = _advisor(scenario, tmp_path)
-        fingerprint = recommendation_fingerprint(cold.recommend())
+        fingerprint = recommendation_fingerprint(cold.recommend().recommendation)
         (tmp_path / ENTRIES_FILENAME).write_bytes(b"broken")
         (tmp_path / CANDIDATES_FILENAME).write_bytes(b"broken")
         advisor = _advisor(scenario, tmp_path)
-        result = advisor.recommend()
+        result = advisor.recommend().recommendation
         assert recommendation_fingerprint(result) == fingerprint
         # Candidates were gone, but the structure batches warm-started.
         assert advisor.cache.loaded_from_disk > 0
@@ -228,10 +228,10 @@ class TestFailureModes:
 
     def test_truncated_candidates_only_still_loads_the_rest(self, scenario, tmp_path):
         cold = _advisor(scenario, tmp_path)
-        fingerprint = recommendation_fingerprint(cold.recommend())
+        fingerprint = recommendation_fingerprint(cold.recommend().recommendation)
         (tmp_path / CANDIDATES_FILENAME).write_bytes(b"broken")
         advisor = _advisor(scenario, tmp_path)
-        result = advisor.recommend()
+        result = advisor.recommend().recommendation
         assert recommendation_fingerprint(result) == fingerprint
         assert advisor.cache.stats.candidate_disk_hits == 0
         assert advisor.cache.stats.structure_disk_hits > 0
@@ -309,7 +309,7 @@ class TestCacheStoreHook:
         # cache starts persisting to directory B.
         schema, workload, system, config = scenario
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        advisor = Warlock(
+        advisor = AdvisorSession(
             schema, workload, system, config, options=EngineOptions(cache_dir=str(dir_a))
         )
         advisor.recommend()  # attaches A and persists the sweep there
@@ -338,7 +338,7 @@ class TestCacheStoreHook:
 
     def test_save_and_load_are_symmetric(self, scenario, tmp_path):
         schema, workload, system, config = scenario
-        advisor = Warlock(schema, workload, system, config)
+        advisor = AdvisorSession(schema, workload, system, config)
         advisor.recommend()
         store = CacheStore(tmp_path / "explicit")
         written = advisor.cache.save(store)
@@ -366,7 +366,7 @@ class TestCacheStoreHook:
 
         schema, workload, system, config = scenario
         advisor = _advisor(scenario, tmp_path)
-        spec = advisor.recommend().best.spec
+        spec = advisor.recommend().recommendation.best.spec
         # A later process runs only the study: it warm-starts from the
         # recommend() run's spilled structures.
         study_cache = EvaluationCache()
@@ -471,13 +471,13 @@ class TestStoreMaintenance:
         options = EngineOptions(
             cache_dir=str(bounded_dir), cache_max_mb=budget_mb
         )
-        cold = Warlock(schema, workload, system, config, options=options)
-        fingerprint = recommendation_fingerprint(cold.recommend())
+        cold = AdvisorSession(schema, workload, system, config, options=options)
+        fingerprint = recommendation_fingerprint(cold.recommend().recommendation)
         assert _store_size(bounded_dir) <= effective_budget
 
-        warm = Warlock(schema, workload, system, config, options=options)
+        warm = AdvisorSession(schema, workload, system, config, options=options)
         assert warm.cache.loaded_from_disk > 0
-        assert recommendation_fingerprint(warm.recommend()) == fingerprint
+        assert recommendation_fingerprint(warm.recommend().recommendation) == fingerprint
         assert _store_size(bounded_dir) <= effective_budget
 
     def test_append_then_compaction_preserves_fingerprint(self, scenario, tmp_path):
@@ -486,9 +486,9 @@ class TestStoreMaintenance:
         # bit-identically afterwards.
         schema, workload, system, config = scenario
         cold = _advisor(scenario, tmp_path)
-        fingerprint = recommendation_fingerprint(cold.recommend())
+        fingerprint = recommendation_fingerprint(cold.recommend().recommendation)
         other_system = SystemParameters(num_disks=8)
-        Warlock(
+        AdvisorSession(
             schema,
             workload,
             other_system,
@@ -496,7 +496,7 @@ class TestStoreMaintenance:
             options=EngineOptions(cache_dir=str(tmp_path)),
         ).recommend()
         warm = _advisor(scenario, tmp_path)
-        assert recommendation_fingerprint(warm.recommend()) == fingerprint
+        assert recommendation_fingerprint(warm.recommend().recommendation) == fingerprint
         assert warm.cache.stats.disk_hit_rate >= 0.9
 
 

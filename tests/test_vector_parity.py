@@ -29,12 +29,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro import (
     AdvisorConfig,
+    AdvisorSession,
     DimensionRestriction,
     EngineOptions,
     QueryClass,
     QueryMix,
     SystemParameters,
-    Warlock,
     recommendation_fingerprint,
     synthetic_schema,
 )
@@ -177,7 +177,7 @@ def _scenario(draw):
         keys = [(index.dimension, index.level) for index in scheme]
         scheme = scheme.without(draw(st.sampled_from(keys)))
 
-    advisor = Warlock(
+    advisor = AdvisorSession(
         schema, workload, system, AdvisorConfig(max_fragments=MAX_FRAGMENTS)
     )
     try:
@@ -281,7 +281,7 @@ class TestCandidateAxisHypothesisSweep:
     @given(data=st.data())
     def test_stacked_kernels_are_bit_identical_per_candidate(self, data):
         schema, workload, system, _, scheme = _scenario(data.draw)
-        advisor = Warlock(
+        advisor = AdvisorSession(
             schema, workload, system, AdvisorConfig(max_fragments=MAX_FRAGMENTS)
         )
         specs, _ = advisor.generate_specs()
@@ -360,51 +360,51 @@ class TestAdvisorParityMatrix:
 
     def test_serial_cold(self):
         schema, workload, system, config = _advisor_inputs()
-        vectorized = Warlock(schema, workload, system, config).recommend()
-        scalar = Warlock(
+        vectorized = AdvisorSession(schema, workload, system, config).recommend().recommendation
+        scalar = AdvisorSession(
             schema, workload, system, config, options=EngineOptions(vectorize=False)
-        ).recommend()
+        ).recommend().recommendation
         assert recommendation_fingerprint(vectorized) == recommendation_fingerprint(
             scalar
         )
 
     def test_jobs_4(self):
         schema, workload, system, config = _advisor_inputs()
-        vectorized = Warlock(
+        vectorized = AdvisorSession(
             schema, workload, system, config, options=EngineOptions(jobs=4)
-        ).recommend()
-        scalar = Warlock(
+        ).recommend().recommendation
+        scalar = AdvisorSession(
             schema,
             workload,
             system,
             config,
             options=EngineOptions(jobs=4, vectorize=False),
-        ).recommend()
+        ).recommend().recommendation
         assert recommendation_fingerprint(vectorized) == recommendation_fingerprint(
             scalar
         )
 
     def test_warm_cache(self):
         schema, workload, system, config = _advisor_inputs()
-        vectorized_advisor = Warlock(schema, workload, system, config)
-        scalar_advisor = Warlock(
+        vectorized_advisor = AdvisorSession(schema, workload, system, config)
+        scalar_advisor = AdvisorSession(
             schema, workload, system, config, options=EngineOptions(vectorize=False)
         )
-        cold_v = vectorized_advisor.recommend()
-        cold_s = scalar_advisor.recommend()
+        cold_v = vectorized_advisor.recommend().recommendation
+        cold_s = scalar_advisor.recommend().recommendation
         # Warm runs through fresh advisors sharing the caches (the same
         # advisor would answer from its recommend() memo without a sweep).
-        warm_v = Warlock(
+        warm_v = AdvisorSession(
             schema, workload, system, config, cache=vectorized_advisor.cache
-        ).recommend()
-        warm_s = Warlock(
+        ).recommend().recommendation
+        warm_s = AdvisorSession(
             schema,
             workload,
             system,
             config,
             cache=scalar_advisor.cache,
             options=EngineOptions(vectorize=False),
-        ).recommend()
+        ).recommend().recommendation
         assert vectorized_advisor.cache.stats.hits > 0
         fingerprints = {
             recommendation_fingerprint(rec)
@@ -414,16 +414,16 @@ class TestAdvisorParityMatrix:
 
     def test_uncached(self):
         schema, workload, system, config = _advisor_inputs()
-        vectorized = Warlock(
+        vectorized = AdvisorSession(
             schema, workload, system, config, options=EngineOptions(cache=False)
-        ).recommend()
-        scalar = Warlock(
+        ).recommend().recommendation
+        scalar = AdvisorSession(
             schema,
             workload,
             system,
             config,
             options=EngineOptions(cache=False, vectorize=False),
-        ).recommend()
+        ).recommend().recommendation
         assert recommendation_fingerprint(vectorized) == recommendation_fingerprint(
             scalar
         )
@@ -438,7 +438,7 @@ class TestCandidateAxisParityMatrix:
         for mode in (False, True):
             for jobs in (1, 4):
                 store_dir = tmp_path / f"{mode}-jobs{jobs}"
-                cold = Warlock(
+                cold = AdvisorSession(
                     schema,
                     workload,
                     system,
@@ -446,9 +446,9 @@ class TestCandidateAxisParityMatrix:
                     options=EngineOptions(
                         jobs=jobs, vectorize=mode, cache_dir=str(store_dir)
                     ),
-                ).recommend()
+                ).recommend().recommendation
                 # A separate advisor warm-starts from the columnar store.
-                warm_advisor = Warlock(
+                warm_advisor = AdvisorSession(
                     schema,
                     workload,
                     system,
@@ -457,7 +457,7 @@ class TestCandidateAxisParityMatrix:
                         jobs=jobs, vectorize=mode, cache_dir=str(store_dir)
                     ),
                 )
-                warm = warm_advisor.recommend()
+                warm = warm_advisor.recommend().recommendation
                 assert warm_advisor.cache.stats.candidate_disk_hits > 0, (
                     f"{mode}/jobs={jobs}: warm run must answer from the "
                     f"columnar candidate store"
@@ -472,9 +472,9 @@ class TestCandidateAxisParityMatrix:
         from repro.engine.executor import evaluate_spec_in_context
 
         schema, workload, system, config = _advisor_inputs()
-        advisor = Warlock(schema, workload, system, config)
+        advisor = AdvisorSession(schema, workload, system, config)
         specs, _ = advisor.generate_specs()
-        engine = advisor.engine()
+        engine = advisor.engine
         context = engine.context(specs=specs)
         reference = [
             evaluate_spec_in_context(context, spec, None) for spec in specs
@@ -523,9 +523,9 @@ class TestColumnarResultBatch:
     @pytest.fixture
     def engine_and_plan(self):
         schema, workload, system, config = _advisor_inputs()
-        advisor = Warlock(schema, workload, system, config)
+        advisor = AdvisorSession(schema, workload, system, config)
         specs, _ = advisor.generate_specs()
-        engine = advisor.engine()
+        engine = advisor.engine
         plan = engine.plan(specs[:10])
         context = engine.context(specs=plan.specs)
         return engine, plan, context
@@ -564,12 +564,12 @@ class TestColumnarResultBatch:
     def test_jobs_1_vs_4_through_columnar_batches(self):
         """End-to-end: the parallel backend (columnar transport) == serial."""
         schema, workload, system, config = _advisor_inputs()
-        serial = Warlock(
+        serial = AdvisorSession(
             schema, workload, system, config, options=EngineOptions(jobs=1)
-        ).recommend()
-        parallel = Warlock(
+        ).recommend().recommendation
+        parallel = AdvisorSession(
             schema, workload, system, config, options=EngineOptions(jobs=4)
-        ).recommend()
+        ).recommend().recommendation
         assert recommendation_state(serial) == recommendation_state(parallel)
 
     def test_batch_rejects_mismatched_lengths(self, engine_and_plan):
@@ -595,7 +595,7 @@ class TestColumnarEvaluation:
         )
 
         schema, workload, system, config = _advisor_inputs()
-        advisor = Warlock(schema, workload, system, config)
+        advisor = AdvisorSession(schema, workload, system, config)
         specs, _ = advisor.generate_specs()
         scheme = advisor.design_bitmaps()
         matrix = ClassMatrix.compile(schema, workload, scheme)
@@ -676,7 +676,7 @@ class TestCandidateAxisGuards:
 
     def _layouts(self):
         schema, workload, system, config = _advisor_inputs()
-        advisor = Warlock(schema, workload, system, config)
+        advisor = AdvisorSession(schema, workload, system, config)
         specs, _ = advisor.generate_specs()
         scheme = advisor.design_bitmaps()
         matrix = ClassMatrix.compile(schema, workload, scheme)
