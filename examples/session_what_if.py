@@ -20,7 +20,6 @@ import sys
 from repro import (
     AdvisorConfig,
     AdvisorSession,
-    EngineOptions,
     SystemParameters,
     TuneRequest,
     apb1_query_mix,
@@ -65,9 +64,7 @@ def main() -> None:
 
     # One session: inputs validated once, bitmap scheme and class matrix
     # compiled once, one shared evaluation cache for the whole what-if chain.
-    session = AdvisorSession(
-        schema, workload, system, config, options=EngineOptions(jobs="auto")
-    )
+    session = AdvisorSession(schema, workload, system, config)
     print(f"Session: {session.describe()}\n")
 
     print("Baseline recommendation:")

@@ -4,8 +4,8 @@ This package is the API surface a front end (CLI, service, notebook) builds
 on:
 
 * :class:`~repro.api.options.EngineOptions` — one validated value object for
-  the execution knobs (``jobs``, ``vectorize``, ``cache``, ``cache_dir``,
-  ``persist``, …) threaded from every entry point down to the engine.
+  the execution knobs (``vectorize``, ``cache``, ``cache_dir``, ``persist``,
+  ``cache_max_mb``) threaded from every entry point down to the engine.
 * :class:`~repro.api.session.AdvisorSession` — compile the inputs once, serve
   typed requests, derive incrementally edited sessions with
   :meth:`~repro.api.session.AdvisorSession.with_delta` (shared cache, exact

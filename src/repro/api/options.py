@@ -2,8 +2,8 @@
 
 Every entry point — :class:`~repro.api.AdvisorSession`, the six tuning
 studies, the CLI subcommands, the HTTP service — takes one
-:class:`EngineOptions` instead of ad-hoc ``jobs`` / ``vectorize`` /
-``cache`` / ``cache_dir`` keyword arguments.  The frozen dataclass is
+:class:`EngineOptions` instead of ad-hoc ``vectorize`` / ``cache`` /
+``cache_dir`` keyword arguments.  The frozen dataclass is
 validated once, compared by value, hashable, JSON round-trippable, and
 threaded verbatim from the API façade down to
 :class:`~repro.engine.EvaluationEngine`.
@@ -13,18 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import AdvisorError
 
 __all__ = ["EngineOptions"]
-
-
-def _validate_jobs(jobs: Union[int, str]) -> None:
-    if jobs != "auto" and (not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1):
-        raise AdvisorError(
-            f'jobs must be a positive integer or "auto", got {jobs!r}'
-        )
 
 
 @dataclass(frozen=True)
@@ -33,13 +26,6 @@ class EngineOptions:
 
     Parameters
     ----------
-    jobs:
-        Worker processes for candidate sweeps.  ``1`` (default) evaluates
-        serially in-process, higher values use a process pool with guaranteed
-        result parity, ``"auto"`` picks the worker count per sweep from the
-        available CPUs and the candidate count (the CLI default).  Both run
-        through the engine's one chunk driver; a pool that breaks mid-sweep
-        hands the remaining candidates back to the inline path.
     vectorize:
         ``True`` (default) evaluates the cost sweep batched: whole chunks of
         candidates as (candidate × class) numpy arrays.
@@ -70,7 +56,6 @@ class EngineOptions:
         Requires ``cache_dir``.
     """
 
-    jobs: Union[int, str] = 1
     vectorize: bool = True
     cache: bool = True
     cache_dir: Optional[str] = None
@@ -78,7 +63,6 @@ class EngineOptions:
     cache_max_mb: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _validate_jobs(self.jobs)
         for name in ("vectorize", "cache", "persist"):
             value = getattr(self, name)
             if not isinstance(value, bool):
@@ -131,7 +115,6 @@ class EngineOptions:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (JSON-ready, round-trips through :meth:`from_dict`)."""
         return {
-            "jobs": self.jobs,
             "vectorize": self.vectorize,
             "cache": self.cache,
             "cache_dir": self.cache_dir,
@@ -144,7 +127,7 @@ class EngineOptions:
         """Build options from a mapping, rejecting unknown keys.
 
         This is the parser of the JSON config file's ``"engine"`` block; a
-        typo like ``"job"`` must be an error, not a silently ignored default.
+        typo like ``"vectorise"`` must be an error, not a silently ignored default.
         """
         if not isinstance(raw, Mapping):
             raise AdvisorError(
@@ -161,7 +144,7 @@ class EngineOptions:
 
     def describe(self) -> str:
         """One-line summary used by logs and the CLI."""
-        parts = [f"jobs={self.jobs}", "vectorized" if self.vectorize else "scalar"]
+        parts = ["vectorized" if self.vectorize else "scalar"]
         if not self.cache:
             parts.append("uncached")
         elif self.cache_dir:

@@ -3,9 +3,8 @@
 The evaluation plan knows every work unit of a sweep up front, and the
 executor already dispatches candidates in chunks — so per-chunk completion is
 free to surface.  :class:`ProgressEvent` is the value object the engine emits
-at every chunk boundary (inline sweeps report each of their few
-cost-balanced chunks, or each candidate on the scalar path; the pool
-reports each completed worker chunk), and
+at every chunk boundary (each of a batched sweep's few cost-balanced chunks,
+or each candidate on the scalar path), and
 :class:`CancellationToken` is the cooperative cancel switch the engine checks
 at the same boundaries.
 
@@ -40,9 +39,7 @@ class ProgressEvent:
     (cache-answered candidates never reach a chunk; a fully warm sweep
     reports one complete chunk); ``completed``/``total`` count candidates
     including the cache-answered ones, so a meter rendered from the events
-    always ends at ``total``.  ``chunk`` 0 is the start event the engine
-    emits, with the warm candidates counted, when it hands the misses to a
-    process pool.
+    always ends at ``total``.
     """
 
     phase: str
@@ -63,10 +60,6 @@ class ProgressEvent:
     #: single-sweep requests leave both at 1.
     sweep: int = 1
     num_sweeps: int = 1
-    #: True when the sweep is running in degraded mode — the process pool
-    #: failed and the engine finishes the remaining candidates inline.
-    #: Results are unaffected; only the execution strategy changed.
-    degraded: bool = False
 
     @property
     def fraction(self) -> float:
@@ -86,7 +79,6 @@ class ProgressEvent:
             "label": self.label,
             "sweep": self.sweep,
             "num_sweeps": self.num_sweeps,
-            "degraded": self.degraded,
             "fraction": self.fraction,
         }
 
@@ -98,8 +90,6 @@ class ProgressEvent:
         )
         if self.num_sweeps > 1:
             text = f"sweep {self.sweep}/{self.num_sweeps}: " + text
-        if self.degraded:
-            text += " [degraded]"
         if self.label:
             text += f" {self.label}"
         return text

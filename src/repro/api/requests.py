@@ -2,7 +2,7 @@
 
 Each request is a small frozen dataclass describing *what* the caller wants —
 a recommendation, a single-spec evaluation, a comparison, a what-if study, a
-simulated replay — with none of the *how* (worker counts, caches, progress
+simulated replay — with none of the *how* (cost path, caches, progress
 plumbing), which lives in the session's :class:`~repro.api.EngineOptions`.
 Requests are plain values: hashable, comparable, and serializable through
 ``to_dict`` / ``from_dict``, so a service front end can accept them straight

@@ -6,8 +6,8 @@ The wrappers keep the rich library objects (the
 :class:`~repro.tuning.TuningStudy`) for programmatic callers, and add the two
 things a serving front end needs: a stable ``to_dict()`` (JSON-ready, built on
 the exporters of :mod:`repro.io`) and, for recommendations, the content
-``fingerprint`` that proves result parity across sessions, deltas, worker
-counts and cache states.
+``fingerprint`` that proves result parity across sessions, deltas, cost
+paths and cache states.
 """
 
 from __future__ import annotations

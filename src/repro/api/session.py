@@ -19,7 +19,7 @@ against a fresh advisor is asserted by the test suite and the E11 benchmark).
 
 Every request accepts ``on_progress=`` / ``cancel=`` (see
 :mod:`repro.api.progress`); events fire at the evaluation plan's chunk
-boundaries in both the serial and the process-pool backend.
+boundaries.
 """
 
 from __future__ import annotations

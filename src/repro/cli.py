@@ -128,9 +128,6 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
     section = {}
     if getattr(args, "config", None):
         section = load_engine_section(args.config)
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = section.get("jobs", "auto")
     if getattr(args, "no_vectorize", False):
         vectorize = False
     else:
@@ -155,7 +152,6 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
         # and falls through to EngineOptions' validation error.
         cache_max_mb = section.get("cache_max_mb")
     return EngineOptions(
-        jobs=jobs,
         vectorize=vectorize,
         cache=section.get("cache", True),
         cache_dir=cache_dir,
@@ -440,21 +436,6 @@ def _cmd_example_config(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _jobs_value(value: str):
-    """Argparse type for ``--jobs``: a strictly positive integer or ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}"
-        )
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {parsed}")
-    return parsed
-
-
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset",
@@ -500,16 +481,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-fragments", type=int, default=100_000, help="exclusion threshold on fragment count"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=_jobs_value,
-        default=None,
-        metavar="N",
-        help="worker processes for the candidate-evaluation engine "
-        "(default 'auto' = pick from available CPUs and sweep size; "
-        "1 forces serial; parallel runs return identical results; a config "
-        "file's engine block may override the default)",
     )
     parser.add_argument(
         "--no-vectorize",

@@ -64,7 +64,7 @@ __all__ = [
 #: :class:`~repro.costmodel.QueryAccessProfile` field order; the last two
 #: metric slots hold the per-class I/O cost and response time of the
 #: :class:`QueryCost` record.  This layout is shared by the columnar
-#: evaluations, the worker→parent result batches and the persistent store.
+#: evaluations and the persistent store.
 PROFILE_FLOAT_FIELDS = (
     "fragments_accessed",
     "rows_in_accessed_fragments",
@@ -259,8 +259,8 @@ class WorkloadEvaluation:
     # -- pickling ---------------------------------------------------------------
     #
     # Columnar evaluations pickle their columns, never the materialized record
-    # graph — that is what keeps candidate cache entries and pool transfers
-    # small.  Cached totals are dropped (recomputed deterministically).
+    # graph — that is what keeps pickled candidates small.  Cached totals are
+    # dropped (recomputed deterministically).
 
     def __getstate__(self):
         state = {"layout": self.layout, "prefetch": self.prefetch}

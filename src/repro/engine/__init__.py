@@ -1,4 +1,4 @@
-"""The candidate-evaluation engine (batched, parallel, cache-aware).
+"""The candidate-evaluation engine (batched, cache-aware).
 
 The engine subsystem turns the advisor's serial candidate loop into an
 explicit pipeline:
@@ -6,9 +6,9 @@ explicit pipeline:
 1. :class:`~repro.engine.plan.EvaluationPlan` expands the
    (candidate × query class) work units of a sweep up front and partitions
    candidates into deterministic, cost-balanced chunks.
-2. :class:`~repro.engine.executor.EvaluationEngine` executes the plan — inline
-   (``jobs=1``) or on a process pool (``jobs>1``) — with guaranteed result
-   parity between the two backends.
+2. :class:`~repro.engine.executor.EvaluationEngine` executes the plan chunk by
+   chunk, on the batched kernels or the scalar reference oracle, with
+   guaranteed result parity between the two cost paths.
 3. :class:`~repro.engine.cache.EvaluationCache` memoizes the prefetch-
    independent access structures and per-class cost records, so what-if
    tuning studies, comparisons and warm advisor runs reuse rather than
@@ -24,9 +24,8 @@ explicit pipeline:
 
 from repro.engine.cache import CacheStats, EvaluationCache
 from repro.engine.store import STORE_FORMAT_VERSION, CacheStore, store_salt
-from repro.engine.jobs import MIN_SPECS_FOR_PARALLEL, adaptive_jobs, available_cpus
 from repro.engine.plan import EvaluationPlan, WorkUnit
-from repro.engine.result import CandidateColumns, CandidateResultBatch
+from repro.engine.result import CandidateColumns
 from repro.engine.signature import (
     layout_signature,
     object_signature,
@@ -45,7 +44,6 @@ __all__ = [
     "CacheStats",
     "CacheStore",
     "CandidateColumns",
-    "CandidateResultBatch",
     "EvaluationCache",
     "STORE_FORMAT_VERSION",
     "store_salt",
@@ -55,9 +53,6 @@ __all__ = [
     "EvaluationEngine",
     "evaluate_spec_in_context",
     "evaluate_specs_in_context",
-    "MIN_SPECS_FOR_PARALLEL",
-    "adaptive_jobs",
-    "available_cpus",
     "layout_signature",
     "object_signature",
     "recommendation_fingerprint",

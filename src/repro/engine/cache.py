@@ -285,7 +285,7 @@ class EvaluationCache:
         *every* query class of the compiled
         :class:`~repro.workload.ClassMatrix`, keyed on (layout, matrix)
         content signatures and stored alongside the scalar structure entries
-        (same store, same stats counters, same worker→parent bulk transfer).
+        (same store, same stats counters, same bulk merge from the store).
         """
         return self._memoized_structure(
             self._structure_batch_key(layout, matrix), compute
@@ -345,7 +345,7 @@ class EvaluationCache:
 
         The probe is counted (hit or miss).  The engine's sweep driver uses
         this to answer warm candidates once per plan index and chunk only the
-        misses, inline or on the worker pool.
+        misses.
 
         Entries loaded from a persistent store are deferred columnar records
         (:class:`~repro.engine.result.CandidateColumns`); the first probe
@@ -370,7 +370,7 @@ class EvaluationCache:
         return value
 
     def put_candidate(self, context, spec, candidate) -> None:
-        """Insert a candidate evaluated elsewhere (e.g. by a pool worker).
+        """Insert a candidate evaluated by a sweep's chunk pass.
 
         Not a probe — no counter moves; the miss was already counted by the
         ``get_candidate`` that preceded the computation.
@@ -388,19 +388,19 @@ class EvaluationCache:
         self._touched.add(key)
         self._dirty = True
 
-    # -- bulk transfer (worker -> parent) ---------------------------------------
+    # -- bulk access -------------------------------------------------------------
 
     def structure_items(self):
-        """Iterate the raw ``(key, structure)`` entries (for bulk transfer)."""
+        """Iterate the raw ``(key, structure)`` entries."""
         return self._structures.items()
 
     def merge_structures(self, items, touched: bool = True) -> None:
-        """Insert structure entries computed elsewhere (e.g. by pool workers).
+        """Insert structure entries computed elsewhere (e.g. a store's load).
 
-        Not probes — no counters move; the workers already accounted for the
-        computations in their own stats.  ``touched=False`` (the bulk load
-        from a persistent store) merges without marking the entries as used
-        by this process.
+        Not probes — no counters move; whoever computed the entries already
+        accounted for them.  ``touched=False`` (the bulk load from a
+        persistent store) merges without marking the entries as used by this
+        process.
         """
         store = self._structures
         for key, value in items:

@@ -1,17 +1,13 @@
-"""The candidate-evaluation engine: batched, parallel, cache-aware.
+"""The candidate-evaluation engine: batched and cache-aware.
 
 :class:`EvaluationEngine` replaces the advisor's serial candidate loop.  It
 expands the sweep into an :class:`~repro.engine.plan.EvaluationPlan` and runs
 it through one driver (:meth:`EvaluationEngine.evaluate_specs`): the shared
 cache answers the warm candidates, the misses are cut into chunks, and one
-loop consumes ``(chunk, candidates)`` pairs from either the inline generator
-(``jobs=1``) or the process-pool generator (``jobs>1``), placing results,
-filling the cache, reporting progress and honouring cancellation.  Results
-are **deterministic and identical across execution modes**: every evaluation
-is a pure function of its inputs, workers return columnar
-:class:`~repro.engine.result.CandidateResultBatch` chunks the parent
-re-materializes by index — so ``jobs=4`` produces bit-identical
-recommendations to ``jobs=1`` (the parity test matrix asserts this).
+loop evaluates the chunks in turn, placing results, filling the cache,
+reporting progress and honouring cancellation.  Results are
+**deterministic**: every evaluation is a pure function of its inputs, so
+chunking never changes an answer (the parity suites assert this).
 
 Two cost paths implement the same model (``EngineOptions.vectorize``):
 
@@ -29,28 +25,16 @@ Both are bit-identical by construction and by test
 (``tests/test_vector_parity.py``); the scalar path remains the reference and
 the escape hatch.
 
-The process pool is created per sweep with an initializer that ships the
-evaluation context (schema, workload, system, config, bitmap scheme, class
-matrix, specs) once per worker rather than once per task; each worker owns a
-private :class:`~repro.engine.cache.EvaluationCache`, so the run-length and
-evaluation passes of a candidate share their access structures inside the
-worker exactly as they do inline.  Inline and pool sweeps cut their misses
-with the same :meth:`~repro.engine.plan.EvaluationPlan.partition_indices`:
-a few cost-balanced chunks of at most :data:`MAX_CHUNK_WIDTH` candidates.
-If the pool cannot be created or breaks mid-sweep (restricted environments
-without working multiprocessing, killed workers), the driver finishes the
-remaining candidates with the inline generator in degraded mode — same
-results, just slower.
+A batched sweep cuts its misses with
+:meth:`~repro.engine.plan.EvaluationPlan.partition_indices` into a few
+cost-balanced chunks of at most :data:`MAX_CHUNK_WIDTH` candidates; the
+scalar path evaluates one candidate per chunk.
 """
 
 from __future__ import annotations
 
-import pickle
-import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.allocation import choose_allocation, choose_allocations_batch
 from repro.bitmap import BitmapScheme, design_bitmap_scheme
@@ -78,9 +62,7 @@ from repro.schema import StarSchema
 from repro.storage import SystemParameters
 from repro.workload import ClassMatrix, QueryMix
 from repro.engine.cache import EvaluationCache
-from repro.engine.jobs import MIN_SPECS_FOR_PARALLEL, adaptive_jobs
 from repro.engine.plan import EvaluationPlan
-from repro.engine.result import CandidateResultBatch
 from repro.engine.signature import object_signature, stable_digest
 
 __all__ = [
@@ -88,29 +70,23 @@ __all__ = [
     "EvaluationEngine",
     "evaluate_spec_in_context",
     "evaluate_specs_in_context",
-    "MIN_SPECS_FOR_PARALLEL",
 ]
 
-#: Chunks an inline batched sweep is cut into (fewer when it has fewer
-#: misses).  Each chunk costs a few milliseconds of fixed numpy and Python
-#: overhead, and each chunk boundary is a progress report and a cancellation
-#: point; eight keeps both small.
+#: Chunks a batched sweep is cut into (fewer when it has fewer misses).  Each
+#: chunk costs a few milliseconds of fixed numpy and Python overhead, and each
+#: chunk boundary is a progress report and a cancellation point; eight keeps
+#: both small.
 INLINE_CHUNKS = 8
 
-#: Widest chunk either backend evaluates: larger sweeps get more chunks, so
+#: Widest chunk a sweep evaluates: larger sweeps get more chunks, so
 #: the per-chunk planes — above all the LPT placement's padded (candidate ×
 #: fragment) matrix — stay bounded however large the sweep grows.
 MAX_CHUNK_WIDTH = 48
 
-#: Failures of the process pool itself (no /dev/shm, seccomp'd fork, workers
-#: killed on spawn, an unpicklable task) rather than of an evaluation: the
-#: driver finishes the sweep inline instead.
-_POOL_FAILURES = (OSError, BrokenProcessPool, pickle.PicklingError)
-
 
 @dataclass(frozen=True)
 class EngineContext:
-    """Everything a worker needs to evaluate candidates (picklable)."""
+    """Everything a sweep's evaluation reads: inputs, bitmap scheme, specs."""
 
     schema: StarSchema
     workload: QueryMix
@@ -119,9 +95,8 @@ class EngineContext:
     fact_name: str
     bitmap_scheme: BitmapScheme
     specs: Tuple[FragmentationSpec, ...] = ()
-    #: Columnar workload compilation of the batched path (shipped once per
-    #: worker with the context); ``None`` selects the scalar reference path.
-    #: Both return bit-identical candidates.
+    #: Columnar workload compilation of the batched path; ``None`` selects
+    #: the scalar reference path.  Both return bit-identical candidates.
     class_matrix: Optional[ClassMatrix] = None
 
 
@@ -323,111 +298,6 @@ def _structure_batch(
     return AccessStructureBatch2D.stack(structures)
 
 
-# -- worker-side machinery ---------------------------------------------------------
-
-_WORKER_CONTEXT: Optional[EngineContext] = None
-_WORKER_CACHE: Optional[EvaluationCache] = None
-_WORKER_SHIPPED_STRUCTURES: set = set()
-
-
-def _initialize_worker(context: EngineContext) -> None:
-    """Pool initializer: receive the context once, build a worker-local cache."""
-    global _WORKER_CONTEXT, _WORKER_CACHE
-    _WORKER_CONTEXT = context
-    _WORKER_CACHE = EvaluationCache()
-    _WORKER_SHIPPED_STRUCTURES.clear()
-
-
-def _evaluate_chunk(
-    indices: List[int],
-) -> Tuple[CandidateResultBatch, List[Tuple[Any, Any]]]:
-    """Evaluate one chunk of candidate indices inside a worker.
-
-    The evaluated candidates are returned as one columnar
-    :class:`~repro.engine.result.CandidateResultBatch` — a handful of numpy
-    arrays instead of a deep per-candidate object graph, which shrinks the
-    worker→parent pickling that dominates the pool's overhead — plus the
-    access structures this worker memoized and has not shipped yet, so the
-    parent can merge them into the shared cache (they are system-independent
-    and serve later tuning studies the candidate-level entries cannot).
-    """
-    context = _WORKER_CONTEXT
-    if context is None:  # pragma: no cover - defensive, initializer always ran
-        raise AdvisorError("evaluation worker used before initialization")
-    candidates = evaluate_specs_in_context(context, indices, _WORKER_CACHE)
-    batch = CandidateResultBatch.from_candidates(indices, candidates)
-    fresh_structures = []
-    for key, value in _WORKER_CACHE.structure_items():
-        if key not in _WORKER_SHIPPED_STRUCTURES:
-            _WORKER_SHIPPED_STRUCTURES.add(key)
-            fresh_structures.append((key, value))
-    return batch, fresh_structures
-
-
-# -- the driver's chunk sources ----------------------------------------------------
-
-
-def _chunks(
-    plan: EvaluationPlan, indices: Sequence[int], parts: int
-) -> List[List[int]]:
-    """Cost-balanced chunks of ``indices``: ``parts`` of them, or as many more
-    as keep every chunk within :data:`MAX_CHUNK_WIDTH` candidates."""
-    parts = max(parts, -(-len(indices) // MAX_CHUNK_WIDTH))
-    return plan.partition_indices(indices, parts, max_width=MAX_CHUNK_WIDTH)
-
-
-def _inline_chunks(
-    plan: EvaluationPlan, indices: Sequence[int], batched: bool
-) -> List[List[int]]:
-    """Inline chunks: a few wide ones on the batched path, single candidates
-    on the scalar path — the boundaries at which progress is reported and a
-    cancel stops without discarding work."""
-    if batched:
-        return _chunks(plan, indices, INLINE_CHUNKS)
-    return [[index] for index in indices]
-
-
-def _evaluate_inline(
-    context: EngineContext,
-    chunks: Sequence[List[int]],
-    cache: Optional[EvaluationCache],
-) -> Generator[Tuple[List[int], List[FragmentationCandidate]], None, None]:
-    """Evaluate ``chunks`` in this process, one per request of the driver."""
-    for chunk in chunks:
-        yield chunk, evaluate_specs_in_context(context, chunk, cache)
-
-
-def _evaluate_pooled(
-    context: EngineContext,
-    chunks: Sequence[List[int]],
-    jobs: int,
-    cache: Optional[EvaluationCache],
-) -> Generator[Tuple[List[int], List[FragmentationCandidate]], None, None]:
-    """Evaluate ``chunks`` on a per-sweep process pool, in completion order.
-
-    The structures each worker ships back are merged into ``cache``.
-    Closing the generator early drops the chunks not yet started.
-    """
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(chunks)),
-        initializer=_initialize_worker,
-        initargs=(context,),
-    ) as pool:
-        try:
-            futures = {pool.submit(_evaluate_chunk, chunk): chunk for chunk in chunks}
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for future in done:
-                    batch, structures = future.result()
-                    if cache is not None:
-                        cache.merge_structures(structures)
-                    pairs = batch.to_candidates(context)
-                    yield futures[future], [candidate for _, candidate in pairs]
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-
 # -- the engine --------------------------------------------------------------------
 
 
@@ -443,7 +313,7 @@ def _check_cancel(cancel, completed: int, total: int) -> None:
 
 
 class EvaluationEngine:
-    """Batched candidate evaluation with a serial and a process-pool backend.
+    """Batched, cache-aware candidate evaluation.
 
     Parameters
     ----------
@@ -452,16 +322,15 @@ class EvaluationEngine:
     fact_table:
         Fact table to fragment (the schema's primary fact table when omitted).
     options:
-        Execution options (:class:`repro.api.EngineOptions`): worker count,
-        vectorization, caching, persistent store directory and spill policy.
-        Defaults to serial, vectorized, cached, memory-only.
+        Execution options (:class:`repro.api.EngineOptions`): vectorization,
+        caching, persistent store directory and spill policy.  Defaults to
+        vectorized, cached, memory-only.
     cache:
         A concrete :class:`EvaluationCache` instance to share with other
         engines (tuning studies and sessions do).  ``None`` (default) creates
         a private cache when ``options.cache`` is true; anything else is an
         :class:`~repro.errors.AdvisorError` (caching is switched off with
-        ``options=EngineOptions(cache=False)``).  Workers use private caches
-        whose entries are merged back into this one.
+        ``options=EngineOptions(cache=False)``).
     """
 
     def __init__(
@@ -567,7 +436,7 @@ class EvaluationEngine:
         specs: Sequence[FragmentationSpec] = (),
         bitmap_scheme: Optional[BitmapScheme] = None,
     ) -> EngineContext:
-        """The picklable evaluation context for ``specs``."""
+        """The evaluation context for ``specs``."""
         scheme = bitmap_scheme if bitmap_scheme is not None else self.bitmap_scheme()
         return EngineContext(
             schema=self.schema,
@@ -586,16 +455,6 @@ class EvaluationEngine:
         """Expand ``specs`` into the engine's evaluation plan."""
         return EvaluationPlan.build(specs, self.workload, self.schema)
 
-    def resolve_jobs(self, num_candidates: int) -> int:
-        """The worker count for a sweep of ``num_candidates`` candidates.
-
-        Fixed ``jobs`` values pass through; ``"auto"`` applies the adaptive
-        heuristic (CPUs available to the process, candidates per worker).
-        """
-        if self.options.jobs == "auto":
-            return adaptive_jobs(num_candidates)
-        return self.options.jobs
-
     # -- evaluation -------------------------------------------------------------
 
     def evaluate_spec(
@@ -603,7 +462,7 @@ class EvaluationEngine:
         spec: FragmentationSpec,
         bitmap_scheme: Optional[BitmapScheme] = None,
     ) -> FragmentationCandidate:
-        """Evaluate a single candidate inline (always serial, cache-aware)."""
+        """Evaluate a single candidate (cache-aware)."""
         context = self.context(bitmap_scheme=bitmap_scheme)
         return evaluate_spec_in_context(context, spec, self.cache)
 
@@ -617,27 +476,22 @@ class EvaluationEngine:
         """Evaluate every candidate of ``specs``, preserving order.
 
         The one driver of every sweep (an empty ``specs`` returns ``[]`` and
-        emits no progress).  It probes the shared cache once per
-        plan index, cuts the misses into cost-balanced chunks of at most
-        :data:`MAX_CHUNK_WIDTH` candidates with
-        :meth:`~repro.engine.plan.EvaluationPlan.partition_indices` — at
-        least :data:`INLINE_CHUNKS` inline (one candidate each on the scalar
-        path), at least one per worker on the process pool, which is only
-        engaged when the resolved worker count exceeds one and the sweep is
-        large enough to amortize it — and consumes the evaluated chunks in
-        one loop that places the results, inserts them into the cache,
-        reports progress and honours ``cancel``.
-        If the pool breaks, the same loop finishes the remaining candidates
-        inline in degraded mode.  Both backends return identical candidates.
+        emits no progress).  It probes the shared cache once per plan index,
+        cuts the misses into chunks — on the batched path at least
+        :data:`INLINE_CHUNKS` cost-balanced ones of at most
+        :data:`MAX_CHUNK_WIDTH` candidates
+        (:meth:`~repro.engine.plan.EvaluationPlan.partition_indices`), on the
+        scalar path one candidate each — and evaluates them in one loop that
+        places the results, inserts them into the cache, reports progress and
+        honours ``cancel``.
 
         ``on_progress`` receives one :class:`repro.api.ProgressEvent` per
-        completed chunk (a fully warm sweep reports a single complete chunk;
-        a pool sweep also reports a chunk-0 start event); ``cancel`` — a
-        :class:`repro.api.CancellationToken` or a zero-argument callable — is
-        checked after the cache probe and at every chunk boundary, and raises
-        :class:`~repro.errors.EvaluationCancelled` when set.  Entries cached
-        before a cancel stay valid (they are content-addressed), so a retried
-        sweep resumes warm.
+        completed chunk (a fully warm sweep reports a single complete chunk);
+        ``cancel`` — a :class:`repro.api.CancellationToken` or a zero-argument
+        callable — is checked after the cache probe and at every chunk
+        boundary, and raises :class:`~repro.errors.EvaluationCancelled` when
+        set.  Entries cached before a cancel stay valid (they are
+        content-addressed), so a retried sweep resumes warm.
         """
         if not specs:
             return []
@@ -658,7 +512,6 @@ class EvaluationEngine:
             else:
                 results[index] = hit
         completed = total - len(pending)
-        degraded = False
 
         def report(chunk: int, num_chunks: int, label: str = "") -> None:
             if on_progress is not None:
@@ -672,68 +525,37 @@ class EvaluationEngine:
                         completed_units=completed * per_candidate,
                         total_units=total * per_candidate,
                         label=label,
-                        degraded=degraded,
                     )
                 )
 
-        batched = context.class_matrix is not None
-        source = None
         try:
             _check_cancel(cancel, completed, total)
             if not pending:
-                # Nothing to dispatch: report one already-complete chunk
+                # Nothing to evaluate: report one already-complete chunk
                 # (never 0/0 — wire consumers divide chunk by num_chunks).
                 report(1, 1)
                 return results  # type: ignore[return-value]
-            jobs = self.resolve_jobs(total)
-            pooled = jobs > 1 and total >= MIN_SPECS_FOR_PARALLEL
-            if pooled:
-                chunks = _chunks(plan, pending, jobs)
-                source = _evaluate_pooled(context, chunks, jobs, cache)
-                # A pool chunk can take a while: announce the warm share now.
-                report(0, len(chunks))
+            if context.class_matrix is not None:
+                parts = max(INLINE_CHUNKS, -(-len(pending) // MAX_CHUNK_WIDTH))
+                chunks = plan.partition_indices(
+                    pending, parts, max_width=MAX_CHUNK_WIDTH
+                )
             else:
-                chunks = _inline_chunks(plan, pending, batched)
-                source = _evaluate_inline(context, chunks, cache)
-            done_chunks = 0
-            while True:
-                try:
-                    chunk, candidates = next(source)
-                except StopIteration:
-                    return results  # type: ignore[return-value]
-                except _POOL_FAILURES as error:
-                    # Evaluation errors (WarlockError subclasses, including
-                    # EvaluationCancelled) propagate: they would fail inline
-                    # too.  A failing pool leaves its finished chunks placed;
-                    # only the remainder is evaluated again, inline.
-                    if not pooled or degraded:
-                        raise
-                    print(
-                        f"warlock: process pool failed "
-                        f"({type(error).__name__}: {error}); retrying the "
-                        f"remaining candidates serially (degraded mode)",
-                        file=sys.stderr,
-                    )
-                    degraded = True
-                    remaining = [index for index in pending if results[index] is None]
-                    chunks = _inline_chunks(plan, remaining, batched)
-                    source = _evaluate_inline(context, chunks, cache)
-                    done_chunks = 0
-                    continue
+                chunks = [[index] for index in pending]
+            for number, chunk in enumerate(chunks, 1):
+                # Looked up as a module global on every chunk, so a rebinding
+                # of the name (profilers, probes) sees every call.
+                candidates = evaluate_specs_in_context(context, chunk, cache)
                 for index, candidate in zip(chunk, candidates):
                     results[index] = candidate
                     if cache is not None:
                         cache.put_candidate(context, plan.specs[index], candidate)
                 completed += len(chunk)
-                done_chunks += 1
-                report(done_chunks, len(chunks), plan.specs[chunk[-1]].label)
+                report(number, len(chunks), plan.specs[chunk[-1]].label)
                 if completed < total:
                     _check_cancel(cancel, completed, total)
+            return results  # type: ignore[return-value]
         finally:
-            if source is not None:
-                # Stops a pool that a cancel left running: chunks not yet
-                # started are dropped, running ones finish and are discarded.
-                source.close()
             # Spill new entries to the attached persistent store even when the
             # sweep was cancelled mid-way: every completed evaluation is a
             # valid content-addressed entry a retry can warm-start from.

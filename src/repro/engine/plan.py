@@ -8,9 +8,9 @@ the mix, and the per-class results are folded into one
 expands the (candidate × query class) work units up front, attaches a cost
 estimate to every candidate (the fragment count — a good proxy, since layout
 materialization and allocation scale with it), and partitions the candidates
-into deterministic, load-balanced chunks for the executor — the same split
-for an inline sweep and for the process pool, optionally capped in width so
-a chunk's kernel planes stay bounded however large the sweep grows.
+into deterministic, load-balanced chunks for the executor, optionally capped
+in width so a chunk's kernel planes stay bounded however large the sweep
+grows.
 
 Per-candidate granularity is the assignment unit (a candidate's query classes
 share its layout, prefetch resolution and allocation, so splitting a candidate
@@ -125,44 +125,40 @@ class EvaluationPlan:
 
     # -- partitioning -----------------------------------------------------------
 
-    def partition(self, jobs: int) -> List[List[int]]:
-        """Split all candidate indices into ``jobs`` balanced chunks."""
-        return self.partition_indices(range(len(self.specs)), jobs)
-
     def partition_indices(
-        self, indices, jobs: int, max_width: Optional[int] = None
+        self, indices, parts: int, max_width: Optional[int] = None
     ) -> List[List[int]]:
-        """Split a subset of candidate indices into ``jobs`` balanced chunks.
+        """Split a subset of candidate indices into ``parts`` balanced chunks.
 
         Deterministic longest-processing-time assignment: candidates are
         considered in decreasing cost (fragment count), each going to the
         currently least-loaded chunk; ties break towards the earlier candidate
         and the lower chunk number.  With ``max_width`` a full chunk (that
         many candidates) takes no more, which bounds the width of every
-        chunk as long as ``jobs * max_width`` covers the indices.  Within a
+        chunk as long as ``parts * max_width`` covers the indices.  Within a
         chunk, indices are sorted so the executor streams each chunk in
-        sweep order.  Empty chunks are dropped (when ``jobs`` exceeds the
+        sweep order.  Empty chunks are dropped (when ``parts`` exceeds the
         candidate count).
         """
-        if jobs < 1:
-            raise AdvisorError(f"jobs must be at least 1, got {jobs}")
+        if parts < 1:
+            raise AdvisorError(f"parts must be at least 1, got {parts}")
         indices = list(indices)
-        if max_width is not None and jobs * max_width < len(indices):
+        if max_width is not None and parts * max_width < len(indices):
             raise AdvisorError(
-                f"{jobs} chunks of at most {max_width} candidates cannot hold "
+                f"{parts} chunks of at most {max_width} candidates cannot hold "
                 f"{len(indices)} candidates"
             )
         costs = {index: max(1, self.spec_costs[index]) for index in indices}
-        loads = [0] * jobs
-        chunks: List[List[int]] = [[] for _ in range(jobs)]
+        loads = [0] * parts
+        chunks: List[List[int]] = [[] for _ in range(parts)]
         for index in sorted(indices, key=lambda index: (-costs[index], index)):
             target = min(
                 (
-                    job
-                    for job in range(jobs)
-                    if max_width is None or len(chunks[job]) < max_width
+                    part
+                    for part in range(parts)
+                    if max_width is None or len(chunks[part]) < max_width
                 ),
-                key=lambda job: (loads[job], job),
+                key=lambda part: (loads[part], part),
             )
             chunks[target].append(index)
             loads[target] += costs[index]

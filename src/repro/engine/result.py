@@ -1,26 +1,15 @@
-"""Columnar candidate records: pool transport, cache views, store format.
+"""Columnar candidate records: the cache's deferred entries and store format.
 
-Worker→parent result pickling is the process pool's dominant overhead: a
-:class:`~repro.core.candidates.FragmentationCandidate` drags a deep object
-graph of per-class :class:`~repro.costmodel.QueryCost` records (each with a
-frozen :class:`~repro.costmodel.QueryAccessProfile`) through pickle for every
-candidate.  :class:`CandidateResultBatch` flattens one chunk's candidates into
-a handful of numpy arrays over the (candidate × query class) axes plus the
-small per-candidate scalars (prefetch granules, allocation vectors), and the
-parent re-materializes the exact same candidates from the columns.
-
-:class:`CandidateColumns` is the per-candidate unit of the same idea: one
-candidate's columnar state, materializable into a
-:class:`FragmentationCandidate` under any engine context whose content
-signatures match the cache key it was stored under.  It serves two roles:
-
-* each row of a :class:`CandidateResultBatch` is one (the parent
-  re-materializes via :meth:`CandidateColumns.materialize`);
-* the persistent store (:mod:`repro.engine.store`) spills whole-candidate
-  cache entries as these records — plain numpy columns plus JSON metadata
-  instead of one pickled object graph per candidate — and
-  :class:`~repro.engine.cache.EvaluationCache` materializes them lazily on
-  the first warm probe.
+:class:`CandidateColumns` is one evaluated candidate's columnar state — the
+(query class × metric) evaluation block, the prefetch granules and the
+allocation vectors — materializable into a
+:class:`~repro.core.candidates.FragmentationCandidate` under any engine
+context whose content signatures match the cache key it was stored under.
+The persistent store (:mod:`repro.engine.store`) spills whole-candidate
+cache entries as these records — plain numpy columns plus JSON metadata
+instead of one pickled object graph per candidate — and
+:class:`~repro.engine.cache.EvaluationCache` materializes them lazily on the
+first warm probe.
 
 Reconstruction is exact: every float travels as the same IEEE-754 double it
 was computed as, layouts are rebuilt from the same ``(schema, spec, page
@@ -33,7 +22,7 @@ bit-identical to the original, which the parity tests assert through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -44,12 +33,10 @@ from repro.costmodel import (
     EvaluationColumns,
     WorkloadEvaluation,
 )
-from repro.costmodel.model import NUM_METRIC_FIELDS
-from repro.errors import AdvisorError
 from repro.fragmentation import build_layout
 from repro.storage import PrefetchPolicy, PrefetchSetting
 
-__all__ = ["CandidateColumns", "CandidateResultBatch", "PROFILE_FLOAT_FIELDS"]
+__all__ = ["CandidateColumns", "PROFILE_FLOAT_FIELDS"]
 
 
 def _evaluation_columns(evaluation: WorkloadEvaluation) -> EvaluationColumns:
@@ -75,7 +62,7 @@ class CandidateColumns:
     """
 
     #: The per-class evaluation state (one definition for the whole column
-    #: list — pool transport, cache views and the store all reuse it).
+    #: list — cache views and the store both reuse it).
     columns: EvaluationColumns
     #: (fact_pages, bitmap_pages, fact_policy, bitmap_policy).
     prefetch: Tuple[int, int, str, str]
@@ -141,145 +128,3 @@ class CandidateColumns:
             evaluation=evaluation,
             allocation=allocation,
         )
-
-
-@dataclass(frozen=True)
-class CandidateResultBatch:
-    """One chunk of evaluated candidates, flattened to columnar arrays."""
-
-    #: Plan indices of the candidates, in chunk order.
-    indices: Tuple[int, ...]
-    #: Query class names (shared by every candidate of the sweep).
-    query_names: Tuple[str, ...]
-    #: Workload share per class.
-    weights: Tuple[float, ...]
-    #: (candidates,) int64 — layout fragment count per candidate.
-    fragments_total: np.ndarray
-    #: (candidates × classes × NUM_METRIC_FIELDS) float64 cube.
-    metrics: np.ndarray
-    #: (candidates × classes) int64.
-    disks_used: np.ndarray
-    #: (candidates × classes) bool flags.
-    sequential: np.ndarray
-    forced: np.ndarray
-    #: Per candidate, per class: bitmap attributes used by the chosen plan.
-    attributes_used: Tuple[Tuple[Tuple[Tuple[str, str], ...], ...], ...]
-    #: Per candidate: (fact_pages, bitmap_pages, fact_policy, bitmap_policy).
-    prefetch: Tuple[Tuple[int, int, str, str], ...]
-    #: Per candidate: allocation scheme name and vectors.
-    allocation_schemes: Tuple[str, ...]
-    allocation_disks: Tuple[np.ndarray, ...]
-    allocation_pages: Tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    @classmethod
-    def from_candidates(
-        cls,
-        indices: Sequence[int],
-        candidates: Sequence[FragmentationCandidate],
-    ) -> "CandidateResultBatch":
-        """Flatten evaluated candidates into the columnar form.
-
-        Vectorized-path candidates already carry their metric block
-        (:attr:`WorkloadEvaluation.columns`), so flattening is a row copy;
-        scalar-path candidates are columnarized field by field.
-        """
-        if len(indices) != len(candidates):
-            raise AdvisorError(
-                f"result batch got {len(indices)} indices for "
-                f"{len(candidates)} candidates"
-            )
-        if not candidates:
-            raise AdvisorError("a result batch needs at least one candidate")
-        first = _evaluation_columns(candidates[0].evaluation)
-        query_names = first.query_names
-        weights = first.weights
-        num_candidates = len(candidates)
-        num_classes = len(query_names)
-
-        fragments_total = np.empty(num_candidates, dtype=np.int64)
-        metrics = np.empty(
-            (num_candidates, num_classes, NUM_METRIC_FIELDS), dtype=np.float64
-        )
-        disks_used = np.empty((num_candidates, num_classes), dtype=np.int64)
-        sequential = np.empty((num_candidates, num_classes), dtype=bool)
-        forced = np.empty((num_candidates, num_classes), dtype=bool)
-        attributes_used = []
-        prefetch = []
-        allocation_schemes = []
-        allocation_disks = []
-        allocation_pages = []
-        for k, candidate in enumerate(candidates):
-            columns = _evaluation_columns(candidate.evaluation)
-            if columns.num_classes != num_classes:
-                raise AdvisorError(
-                    "candidates of one batch must share their query classes"
-                )
-            fragments_total[k] = columns.fragments_total
-            metrics[k] = columns.metrics
-            disks_used[k] = columns.disks_used
-            sequential[k] = columns.sequential
-            forced[k] = columns.forced
-            attributes_used.append(columns.attributes_used)
-            setting = candidate.prefetch
-            prefetch.append(
-                (
-                    setting.fact_pages,
-                    setting.bitmap_pages,
-                    setting.fact_policy.value,
-                    setting.bitmap_policy.value,
-                )
-            )
-            allocation = candidate.allocation
-            allocation_schemes.append(allocation.scheme)
-            allocation_disks.append(np.asarray(allocation.disk_of_fragment))
-            allocation_pages.append(np.asarray(allocation.fragment_pages))
-
-        return cls(
-            indices=tuple(indices),
-            query_names=query_names,
-            weights=weights,
-            fragments_total=fragments_total,
-            metrics=metrics,
-            disks_used=disks_used,
-            sequential=sequential,
-            forced=forced,
-            attributes_used=tuple(attributes_used),
-            prefetch=tuple(prefetch),
-            allocation_schemes=tuple(allocation_schemes),
-            allocation_disks=tuple(allocation_disks),
-            allocation_pages=tuple(allocation_pages),
-        )
-
-    def candidate_columns(self, k: int) -> CandidateColumns:
-        """The columnar record of the chunk's ``k``-th candidate (row copies)."""
-        return CandidateColumns(
-            columns=EvaluationColumns(
-                query_names=self.query_names,
-                weights=self.weights,
-                fragments_total=int(self.fragments_total[k]),
-                metrics=self.metrics[k].copy(),
-                disks_used=self.disks_used[k].copy(),
-                sequential=self.sequential[k].copy(),
-                forced=self.forced[k].copy(),
-                attributes_used=self.attributes_used[k],
-            ),
-            prefetch=self.prefetch[k],
-            allocation_scheme=self.allocation_schemes[k],
-            allocation_disks=self.allocation_disks[k],
-            allocation_pages=self.allocation_pages[k],
-        )
-
-    def to_candidates(self, context) -> List[Tuple[int, FragmentationCandidate]]:
-        """Re-materialize ``(index, candidate)`` pairs from the columns.
-
-        ``context`` is the :class:`~repro.engine.executor.EngineContext` the
-        chunk was evaluated under; the rebuilt evaluations stay columnar, so
-        no per-class record graph is materialized on the transport path.
-        """
-        return [
-            (index, self.candidate_columns(k).materialize(context, context.specs[index]))
-            for k, index in enumerate(self.indices)
-        ]

@@ -1,8 +1,8 @@
 """Stable content fingerprints for cache keys and result-parity checks.
 
 Cache keys must identify *inputs by content*, not by object identity: two
-sessions built from equal schemas must hit the same cache entries, and a
-worker process must produce entries a later serial run can reuse.  All input
+sessions built from equal schemas must hit the same cache entries, and one
+process must produce store entries a later process can reuse.  All input
 objects of the advisor are frozen dataclasses whose auto-generated ``repr``
 deterministically encodes every field, so a digest over the repr is a
 faithful content fingerprint.  Digests are memoized on the instance (frozen
@@ -12,7 +12,7 @@ object, not once per cache probe.
 :func:`recommendation_state` / :func:`recommendation_fingerprint` canonicalize
 a full :class:`~repro.core.advisor.Recommendation` — every float at full
 precision, every allocation vector — which is what the parity tests and the
-engine benchmark use to prove that serial, parallel and cached runs return
+engine benchmark use to prove that batched, scalar and cached runs return
 identical results.
 """
 

@@ -144,11 +144,10 @@ class FragmentationLayout:
 
     # -- pickling ---------------------------------------------------------------
     #
-    # Only the defining fields travel across process boundaries; the lazily
-    # cached per-fragment arrays (cached_property values in __dict__) are
-    # recomputed deterministically on demand.  This keeps the evaluation
-    # engine's worker results small: a layout with 100k fragments would
-    # otherwise ship megabytes of derivable arrays per candidate.
+    # Only the defining fields are pickled; the lazily cached per-fragment
+    # arrays (cached_property values in __dict__) are recomputed
+    # deterministically on demand, so a layout with 100k fragments does not
+    # carry megabytes of derivable arrays through pickle.
 
     def __getstate__(self):
         return {field.name: getattr(self, field.name) for field in fields(self)}

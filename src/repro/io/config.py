@@ -11,15 +11,19 @@ The format mirrors the three input blocks of the paper (§3.1):
     }
 
 Every ``*_to_*`` / ``*_from_*`` pair round-trips, so configurations can be
-generated programmatically, saved, edited by hand and re-loaded.
+generated programmatically, saved, edited by hand and re-loaded.  A block of
+the wrong shape or type is rejected with the block's
+:class:`~repro.errors.WarlockError` subclass naming the block or field, never
+a bare ``TypeError`` or ``ValueError``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Type, TypeVar, cast
 
-from repro.errors import SchemaError, StorageError, WorkloadError
+from repro.errors import SchemaError, StorageError, WarlockError, WorkloadError
 from repro.schema import Dimension, FactTable, Level, Measure, StarSchema
 from repro.skew import SkewSpec
 from repro.storage import DiskParameters, SystemParameters
@@ -40,10 +44,43 @@ __all__ = [
 ]
 
 
+_Parser = TypeVar("_Parser", bound=Callable[[Any], Any])
+
+
+def _block_parser(block: str, error: Type[WarlockError]) -> Callable[[_Parser], _Parser]:
+    """Decorate the parser of one configuration block so that JSON of the
+    wrong shape — the raw ``AttributeError``, ``KeyError``, ``TypeError`` or
+    ``ValueError`` it trips — raises ``error`` naming ``block`` instead."""
+
+    def decorate(parse: _Parser) -> _Parser:
+        @functools.wraps(parse)
+        def checked(config: Any) -> Any:
+            try:
+                return parse(config)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise error(f"invalid {block!r} block: {detail}") from exc
+
+        return cast(_Parser, checked)
+
+    return decorate
+
+
+def _number(config: Dict[str, Any], key: str, default: Any, convert: Callable) -> Any:
+    """``convert(config.get(key, default))``, naming ``key`` when it fails."""
+    value = config.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{key!r} must be {kind}, got {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Schema
 # ---------------------------------------------------------------------------
 
+@_block_parser("schema", SchemaError)
 def schema_from_dict(config: Dict[str, Any]) -> StarSchema:
     """Build a :class:`StarSchema` from its dictionary form."""
     try:
@@ -112,21 +149,22 @@ def schema_to_dict(schema: StarSchema) -> Dict[str, Any]:
 # System
 # ---------------------------------------------------------------------------
 
+@_block_parser("system", StorageError)
 def system_from_dict(config: Dict[str, Any]) -> SystemParameters:
     """Build :class:`SystemParameters` from its dictionary form."""
     if not isinstance(config, dict):
         raise StorageError("system config must be a JSON object")
     disk_config = config.get("disk", {})
     disk = DiskParameters(
-        capacity_gb=float(disk_config.get("capacity_gb", 36.0)),
-        avg_seek_ms=float(disk_config.get("avg_seek_ms", 6.0)),
-        avg_rotational_ms=float(disk_config.get("avg_rotational_ms", 3.0)),
-        transfer_mb_per_s=float(disk_config.get("transfer_mb_per_s", 25.0)),
+        capacity_gb=_number(disk_config, "capacity_gb", 36.0, float),
+        avg_seek_ms=_number(disk_config, "avg_seek_ms", 6.0, float),
+        avg_rotational_ms=_number(disk_config, "avg_rotational_ms", 3.0, float),
+        transfer_mb_per_s=_number(disk_config, "transfer_mb_per_s", 25.0, float),
     )
     return SystemParameters(
-        num_disks=int(config.get("num_disks", 64)),
+        num_disks=_number(config, "num_disks", 64, int),
         disk=disk,
-        page_size_bytes=int(config.get("page_size_bytes", 8192)),
+        page_size_bytes=_number(config, "page_size_bytes", 8192, int),
         architecture=config.get("architecture", "shared_disk"),
         num_nodes=config.get("num_nodes"),
         prefetch_pages_fact=config.get("prefetch_pages_fact", "auto"),
@@ -161,6 +199,7 @@ def system_to_dict(system: SystemParameters) -> Dict[str, Any]:
 # Workload
 # ---------------------------------------------------------------------------
 
+@_block_parser("workload", WorkloadError)
 def workload_from_list(config: Sequence[Dict[str, Any]]) -> QueryMix:
     """Build a :class:`QueryMix` from its list-of-dicts form."""
     if not config:
@@ -216,8 +255,8 @@ def engine_section_from_dict(raw: Dict[str, Any]) -> Dict[str, Any]:
     """The validated ``"engine"`` block of a configuration dictionary.
 
     The block supplies defaults for the execution options
-    (:class:`repro.api.EngineOptions` fields: ``jobs``, ``vectorize``,
-    ``cache``, ``cache_dir``, ``persist``); the CLI resolves them below
+    (:class:`repro.api.EngineOptions` fields: ``vectorize``, ``cache``,
+    ``cache_dir``, ``persist``, ``cache_max_mb``); the CLI resolves them below
     explicit flags and the environment.  Returns the overrides as a plain
     dict (empty when the block is absent); unknown keys or invalid values are
     an error — a typo must not silently fall back to a default.
@@ -316,7 +355,6 @@ def example_config() -> Dict[str, Any]:
             },
         ],
         "engine": {
-            "jobs": "auto",
             "vectorize": True,
         },
     }

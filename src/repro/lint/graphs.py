@@ -14,7 +14,7 @@ This module builds the two whole-program structures the graph rules run on:
 * a **conservative call graph** — per-function nodes keyed by qualified name
   (``module:Class.method``), with call edges resolved through the module
   symbol tables: plain names, ``self.method(...)``, module-alias attribute
-  chains (``import repro.engine as e; e.adaptive_jobs(...)``), re-exports
+  chains (``import repro.engine as e; e.stable_digest(...)``), re-exports
   through ``__init__`` (``from repro.engine import EvaluationCache``), star
   imports, aliased imports, and first arguments of ``functools.partial``.
   Function references passed as arguments become ``ref`` edges (a potential

@@ -39,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.options import EngineOptions
@@ -70,6 +70,16 @@ _REASONS = {
 }
 
 
+def _number(raw: Dict[str, Any], key: str, default: Any, convert: Callable) -> Any:
+    """``convert(raw.get(key, default))``; a wrong-typed value is a 400."""
+    value = raw.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is int else "a number"
+        raise ServiceError(f"{key!r} must be {kind}, got {value!r}") from None
+
+
 def warehouse_inputs_from_dict(raw: Dict[str, Any]) -> Tuple[Any, Any, Any, Any, Dict]:
     """Parse a warehouse registration body.
 
@@ -94,8 +104,8 @@ def warehouse_inputs_from_dict(raw: Dict[str, Any]) -> Tuple[Any, Any, Any, Any,
         from repro.storage import SystemParameters
 
         dataset = raw["dataset"]
-        scale = float(raw.get("scale", 0.1))
-        skew = float(raw.get("skew", 0.0))
+        scale = _number(raw, "scale", 0.1, float)
+        skew = _number(raw, "skew", 0.0, float)
         if dataset == "apb1":
             schema = apb1_schema(scale=scale, skew={"product": skew} if skew else None)
             workload = apb1_query_mix()
@@ -105,7 +115,7 @@ def warehouse_inputs_from_dict(raw: Dict[str, Any]) -> Tuple[Any, Any, Any, Any,
         else:
             raise ServiceError(f"unknown dataset {dataset!r} (apb1 or retail)")
         system = SystemParameters(
-            num_disks=int(raw.get("disks", 64)),
+            num_disks=_number(raw, "disks", 64, int),
             architecture=raw.get("architecture", "shared_disk"),
         )
     else:

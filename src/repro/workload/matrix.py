@@ -10,8 +10,7 @@ level cardinalities, selectivities, bitmap availability).
 :class:`ClassMatrix` is that compilation.  It depends only on the schema, the
 query mix's *structure* (restrictions, not weights — weights travel alongside
 as workload shares) and the bitmap scheme, so one matrix serves every
-candidate of a sweep and is shipped once per worker inside the engine
-context.  Everything is derived with the exact same scalar arithmetic the
+candidate of a sweep and travels inside the engine context.  Everything is derived with the exact same scalar arithmetic the
 per-class path uses (e.g. class selectivities multiply restriction
 selectivities in restriction order), keeping the batched path bit-identical.
 

@@ -157,11 +157,11 @@ class TestChooseAllocationsBatch:
 
 
 class TestSkewedMixedChunks:
-    def test_full_skewed_chunks_match_choose_allocation(self):
+    def test_full_skewed_chunks_match_choose_allocation(self, monkeypatch):
         """Wide chunks mixing dimensions and schemes: each allocation equals
         the per-candidate choose_allocation reference."""
         from repro import AdvisorConfig, AdvisorSession, SystemParameters, synthetic_schema
-        from repro.engine.executor import _inline_chunks, evaluate_specs_in_context
+        from repro.engine import executor as executor_module
         from repro.workload.generator import random_query_mix
 
         schema = synthetic_schema(
@@ -176,19 +176,26 @@ class TestSkewedMixedChunks:
         config = AdvisorConfig(max_fragments=30_000, max_fragmentation_dimensions=3)
         advisor = AdvisorSession(schema, workload, system, config)
         specs, _ = advisor.generate_specs()
-        engine = advisor.engine
-        plan = engine.plan(specs)
-        context = engine.context(specs=plan.specs)
-        chunks = _inline_chunks(plan, range(plan.num_candidates), True)
+        # Record the chunks the engine's sweep driver actually dispatches.
+        chunks = []
+        evaluate_chunk = executor_module.evaluate_specs_in_context
+
+        def recording(context, indices, cache=None):
+            candidates = evaluate_chunk(context, indices, cache)
+            chunks.append(candidates)
+            return candidates
+
+        monkeypatch.setattr(executor_module, "evaluate_specs_in_context", recording)
+        advisor.engine.evaluate_specs(specs)
+        assert len(chunks) > 1
         schemes = set()
-        for chunk in chunks:
-            candidates = evaluate_specs_in_context(context, chunk, None)
+        for candidates in chunks:
             assert len({candidate.spec.dimensions for candidate in candidates}) > 1
             for candidate in candidates:
                 reference = choose_allocation(
                     candidate.layout,
                     system,
-                    context.bitmap_scheme,
+                    candidate.bitmap_scheme,
                     skew_threshold_cv=config.allocation_skew_cv,
                 )
                 _assert_allocations_identical(candidate.allocation, reference)

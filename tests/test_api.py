@@ -39,25 +39,16 @@ from repro.tuning import disk_count_study
 class TestEngineOptions:
     def test_defaults(self):
         options = EngineOptions()
-        assert options.jobs == 1
         assert options.vectorize is True
         assert options.cache is True
         assert options.cache_dir is None
         assert options.persist is True
+        assert options.cache_max_mb is None
 
     def test_is_a_hashable_value_object(self):
-        assert EngineOptions(jobs=4) == EngineOptions(jobs=4)
-        assert EngineOptions(jobs=4) != EngineOptions(jobs=2)
+        assert EngineOptions(cache_dir="/tmp/a") == EngineOptions(cache_dir="/tmp/a")
+        assert EngineOptions(cache_dir="/tmp/a") != EngineOptions(cache_dir="/tmp/b")
         assert hash(EngineOptions()) == hash(EngineOptions())
-
-    @pytest.mark.parametrize("bad", [0, -3, 1.5, "fast", True])
-    def test_rejects_invalid_jobs(self, bad):
-        with pytest.raises(AdvisorError):
-            EngineOptions(jobs=bad)
-
-    def test_accepts_auto_and_positive_jobs(self):
-        assert EngineOptions(jobs="auto").jobs == "auto"
-        assert EngineOptions(jobs=8).jobs == 8
 
     def test_rejects_cache_dir_without_cache(self):
         with pytest.raises(AdvisorError):
@@ -91,12 +82,14 @@ class TestEngineOptions:
 
     def test_replace_revalidates(self):
         options = EngineOptions()
-        assert options.replace(jobs=4).jobs == 4
+        assert options.replace(cache_dir="/tmp/c").cache_dir == "/tmp/c"
         with pytest.raises(AdvisorError):
-            options.replace(jobs=0)
+            options.replace(cache_dir="")
 
     def test_dict_round_trip(self):
-        options = EngineOptions(jobs="auto", vectorize=False, cache_dir="/tmp/c")
+        options = EngineOptions(
+            vectorize=False, cache_dir="/tmp/c", persist=False, cache_max_mb=64
+        )
         clone = EngineOptions.from_dict(options.to_dict())
         assert clone == options
         assert json.dumps(options.to_dict())  # JSON-ready
@@ -107,8 +100,10 @@ class TestEngineOptions:
         assert "job" in str(excinfo.value)
 
     def test_describe_mentions_the_interesting_knobs(self):
-        text = EngineOptions(jobs=4, cache_dir="/tmp/c", persist=False).describe()
-        assert "jobs=4" in text and "/tmp/c" in text and "read-only" in text
+        text = EngineOptions(
+            cache_dir="/tmp/c", persist=False, cache_max_mb=64
+        ).describe()
+        assert "budget=64MB" in text and "/tmp/c" in text and "read-only" in text
         assert "uncached" in EngineOptions(cache=False).describe()
         assert "scalar" in EngineOptions(vectorize=False).describe()
         assert "vectorized" in EngineOptions().describe()
@@ -147,7 +142,7 @@ class TestDeprecationShims:
         # gets the usual validation error.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for kwarg in ({"jobs": 0}, {"vectorize": "classes"}, {"cache_dir": ""}):
+            for kwarg in ({"persist": "no"}, {"vectorize": "classes"}, {"cache_dir": ""}):
                 with pytest.raises(TypeError):
                     AdvisorSession(toy_schema, toy_workload, small_system, **kwarg)
                 with pytest.raises(AdvisorError):
@@ -340,6 +335,6 @@ class TestResultToDicts:
         assert set(payload) == {
             "phase", "completed", "total", "chunk", "num_chunks",
             "completed_units", "total_units", "label", "sweep", "num_sweeps",
-            "degraded", "fraction",
+            "fraction",
         }
         assert "3/10" in event.describe()

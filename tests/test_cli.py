@@ -111,51 +111,6 @@ class TestCommands:
         assert "error" in capsys.readouterr().err
 
 
-class TestJobsFlag:
-    def test_jobs_default_is_adaptive(self):
-        # The argparse default is None (so a config file's engine block can
-        # supply a value below an explicit flag); the resolver applies "auto".
-        args = build_parser().parse_args(["recommend"])
-        assert args.jobs is None
-        assert _engine_options(args).jobs == "auto"
-
-    def test_jobs_accepts_auto(self):
-        args = build_parser().parse_args(["recommend", "--jobs", "auto"])
-        assert args.jobs == "auto"
-
-    def test_jobs_accepts_positive_values(self):
-        for value in ("1", "2", "8"):
-            args = build_parser().parse_args(["recommend", "--jobs", value])
-            assert args.jobs == int(value)
-
-    def test_jobs_rejects_zero(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["recommend", "--jobs", "0"])
-        assert excinfo.value.code == 2
-        assert "positive integer" in capsys.readouterr().err
-
-    def test_jobs_rejects_negative_and_garbage(self, capsys):
-        for bad in ("-3", "two"):
-            with pytest.raises(SystemExit) as excinfo:
-                build_parser().parse_args(["recommend", "--jobs", bad])
-            assert excinfo.value.code == 2
-
-    def test_jobs_in_help_text(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["recommend", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--jobs" in help_text
-        assert "worker processes" in help_text
-
-    def test_recommend_with_jobs_matches_serial(self, capsys):
-        common = ["--scale", "0.01", "--disks", "16", "--max-fragments", "20000"]
-        assert main(["recommend", *common, "--json", "--jobs", "1"]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert main(["recommend", *common, "--json", "--jobs", "2"]) == 0
-        parallel = json.loads(capsys.readouterr().out)
-        assert serial == parallel
-
-
 class TestVectorizeFlag:
     COMMON = ["--scale", "0.01", "--disks", "16", "--max-fragments", "20000"]
 
@@ -247,8 +202,17 @@ class TestModuleSmoke:
         assert capsys.readouterr().out
 
     def test_recommend_jobs_on_example_config(self, config_file, capsys):
-        assert main(["recommend", "--config", config_file, "--jobs", "2"]) == 0
+        assert main(["recommend", "--config", config_file]) == 0
         assert "Top fragmentation candidates" in capsys.readouterr().out
+
+    def test_malformed_workload_in_config_exits_2(self, tmp_path, capsys):
+        payload = example_config()
+        payload["workload"] = ["x"]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        assert main(["recommend", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "workload" in err
 
 
 class TestConfigOverrides:
@@ -384,7 +348,11 @@ class TestEngineOptionsResolver:
     @pytest.fixture
     def config_file(self, tmp_path):
         payload = example_config()
-        payload["engine"] = {"jobs": 2, "vectorize": False, "cache_dir": "/tmp/from-config"}
+        payload["engine"] = {
+            "vectorize": False,
+            "cache_dir": "/tmp/from-config",
+            "cache_max_mb": 32,
+        }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
         return str(path)
@@ -393,18 +361,18 @@ class TestEngineOptionsResolver:
         monkeypatch.delenv("WARLOCK_CACHE_DIR", raising=False)
         args = build_parser().parse_args(["recommend", "--config", config_file])
         options = _engine_options(args)
-        assert options.jobs == 2
+        assert options.cache_max_mb == 32
         assert options.vectorize is False
         assert options.cache_dir == "/tmp/from-config"
 
     def test_flags_override_config(self, config_file, monkeypatch):
         monkeypatch.delenv("WARLOCK_CACHE_DIR", raising=False)
         args = build_parser().parse_args(
-            ["recommend", "--config", config_file, "--jobs", "8",
+            ["recommend", "--config", config_file, "--cache-max-mb", "8",
              "--cache-dir", "/tmp/from-flag"]
         )
         options = _engine_options(args)
-        assert options.jobs == 8
+        assert options.cache_max_mb == 8
         assert options.cache_dir == "/tmp/from-flag"
 
     def test_env_overrides_config_but_not_flags(self, config_file, monkeypatch):
@@ -417,8 +385,8 @@ class TestEngineOptionsResolver:
         assert _engine_options(args).cache_dir == "/tmp/from-flag"
 
     def test_unknown_engine_key_in_config_errors(self, tmp_path, capsys):
-        # A typo, and an option that no longer exists.
-        for engine in ({"job": 2}, {"fabric": "127.0.0.1:0"}):
+        # A typo, and options that no longer exist.
+        for engine in ({"job": 2}, {"fabric": "127.0.0.1:0"}, {"jobs": 2}):
             payload = example_config()
             payload["engine"] = engine
             path = tmp_path / "config.json"
@@ -559,14 +527,14 @@ class TestServeParser:
     def test_serve_accepts_the_common_flag_stack(self):
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--warehouse", "shop", "--dataset", "retail",
-             "--disks", "32", "--jobs", "2", "--max-sessions", "2",
+             "--disks", "32", "--no-vectorize", "--max-sessions", "2",
              "--idle-timeout", "30", "--request-workers", "8"]
         )
         assert args.warehouse == "shop"
         assert args.dataset == "retail"
         assert args.idle_timeout == 30.0
         # The serve command rides the same EngineOptions resolver stack.
-        assert _engine_options(args).jobs == 2
+        assert _engine_options(args).vectorize is False
 
     def test_serve_request_timeout_flag(self):
         args = build_parser().parse_args(["serve", "--request-timeout", "30"])

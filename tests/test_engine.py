@@ -9,12 +9,11 @@ import pytest
 from repro import AdvisorConfig, AdvisorSession, EngineOptions
 from repro.engine import (
     EvaluationCache,
-    EvaluationEngine,
     EvaluationPlan,
     layout_signature,
     object_signature,
 )
-from repro.engine.executor import MIN_SPECS_FOR_PARALLEL, evaluate_spec_in_context
+from repro.engine.executor import evaluate_spec_in_context
 from repro.errors import AdvisorError
 from repro.fragmentation import build_layout
 
@@ -52,20 +51,23 @@ class TestEvaluationPlan:
     def test_partition_covers_all_specs_exactly_once(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
         plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        for jobs in (1, 2, 3, 7, len(specs) + 5):
-            chunks = plan.partition(jobs)
+        for parts in (1, 2, 3, 7, len(specs) + 5):
+            chunks = plan.partition_indices(range(len(specs)), parts)
             flat = sorted(index for chunk in chunks for index in chunk)
             assert flat == list(range(len(specs)))
-            assert len(chunks) <= jobs
+            assert len(chunks) <= parts
             assert all(chunk == sorted(chunk) for chunk in chunks)
 
     def test_partition_is_deterministic_and_balanced(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
         plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        assert plan.partition(4) == plan.partition(4)
+        everything = range(len(specs))
+        assert plan.partition_indices(everything, 4) == plan.partition_indices(
+            everything, 4
+        )
         loads = [
             sum(max(1, plan.spec_costs[index]) for index in chunk)
-            for chunk in plan.partition(2)
+            for chunk in plan.partition_indices(everything, 2)
         ]
         # LPT keeps the two loads within the largest single item of each other.
         assert abs(loads[0] - loads[1]) <= max(
@@ -76,22 +78,24 @@ class TestEvaluationPlan:
         specs, _ = toy_advisor.generate_specs()
         plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
         width = 2
-        jobs = -(-len(specs) // width)
-        chunks = plan.partition_indices(range(len(specs)), jobs, max_width=width)
+        parts = -(-len(specs) // width)
+        chunks = plan.partition_indices(range(len(specs)), parts, max_width=width)
         assert all(len(chunk) <= width for chunk in chunks)
         assert sorted(index for chunk in chunks for index in chunk) == list(
             range(len(specs))
         )
-        # Without a cap the same split is free to pile cheap candidates up.
-        assert plan.partition_indices(range(len(specs)), jobs) == plan.partition(jobs)
+        # A cap that never binds leaves the uncapped split unchanged.
+        assert plan.partition_indices(
+            range(len(specs)), parts, max_width=len(specs)
+        ) == plan.partition_indices(range(len(specs)), parts)
         with pytest.raises(AdvisorError):
-            plan.partition_indices(range(len(specs)), jobs - 1, max_width=width)
+            plan.partition_indices(range(len(specs)), parts - 1, max_width=width)
 
-    def test_partition_rejects_nonpositive_jobs(self, toy_advisor):
+    def test_partition_rejects_nonpositive_parts(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
         plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        with pytest.raises(AdvisorError):
-            plan.partition(0)
+        with pytest.raises(AdvisorError, match="parts must be at least 1"):
+            plan.partition_indices(range(len(specs)), 0)
 
     def test_empty_specs_rejected(self, toy_advisor):
         with pytest.raises(AdvisorError):
@@ -295,11 +299,6 @@ class TestEvaluationCache:
 
 
 class TestEvaluationEngine:
-    def test_rejects_nonpositive_jobs(self):
-        for bad in (0, -1):
-            with pytest.raises(AdvisorError):
-                EngineOptions(jobs=bad)
-
     def test_serial_matches_advisor_evaluate_spec(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
         engine = toy_advisor.engine
@@ -316,19 +315,6 @@ class TestEvaluationEngine:
         reversed_specs = list(reversed(specs))
         candidates = toy_advisor.engine.evaluate_specs(reversed_specs)
         assert [c.label for c in candidates] == [s.label for s in reversed_specs]
-
-    def test_small_sweeps_stay_serial(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        engine = EvaluationEngine(
-            toy_advisor.schema,
-            toy_advisor.workload,
-            toy_advisor.system,
-            toy_advisor.config,
-            options=EngineOptions(jobs=4),
-        )
-        few = specs[: MIN_SPECS_FOR_PARALLEL - 1]
-        candidates = engine.evaluate_specs(few)
-        assert len(candidates) == len(few)
 
     def test_context_is_picklable(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
@@ -363,203 +349,3 @@ class TestEvaluationEngine:
     def test_evaluate_candidates_with_empty_list_returns_empty(self, toy_advisor):
         candidates = toy_advisor.engine.evaluate_specs([])
         assert candidates == []
-
-
-class TestAdaptiveJobs:
-    """The jobs="auto" heuristic: CPUs available x candidates per worker."""
-
-    def test_available_cpus_is_at_least_one(self):
-        from repro.engine import available_cpus
-
-        assert available_cpus() >= 1
-
-    def test_small_sweeps_stay_serial(self):
-        from repro.engine import MIN_SPECS_FOR_PARALLEL, adaptive_jobs
-
-        for candidates in range(MIN_SPECS_FOR_PARALLEL):
-            assert adaptive_jobs(candidates, cpus=64) == 1
-
-    def test_one_worker_per_started_candidate_block(self):
-        from repro.engine import adaptive_jobs
-
-        # Ceil division: one worker per *started* block of
-        # MIN_SPECS_FOR_PARALLEL candidates.
-        assert adaptive_jobs(8, cpus=64) == 1
-        assert adaptive_jobs(16, cpus=64) == 2
-        assert adaptive_jobs(17, cpus=64) == 3
-        assert adaptive_jobs(64, cpus=64) == 8
-        assert adaptive_jobs(1000, cpus=64) == 64
-
-    def test_auto_parallelizes_just_above_the_threshold(self):
-        # The documented contract: any sweep strictly larger than
-        # MIN_SPECS_FOR_PARALLEL gets a pool under jobs="auto".  Floor
-        # division used to leave 9-15-candidate sweeps serial despite the
-        # README/docstring promise.
-        from repro.engine import MIN_SPECS_FOR_PARALLEL, adaptive_jobs
-
-        for candidates in range(MIN_SPECS_FOR_PARALLEL + 1, 2 * MIN_SPECS_FOR_PARALLEL):
-            assert adaptive_jobs(candidates, cpus=64) == 2
-        # A sweep of exactly the threshold still amortizes nothing: serial.
-        assert adaptive_jobs(MIN_SPECS_FOR_PARALLEL, cpus=64) == 1
-
-    def test_capped_at_available_cpus(self):
-        from repro.engine import adaptive_jobs
-
-        assert adaptive_jobs(1000, cpus=1) == 1
-        assert adaptive_jobs(1000, cpus=4) == 4
-
-    def test_rejects_invalid_inputs(self):
-        from repro.engine import adaptive_jobs
-
-        with pytest.raises(ValueError):
-            adaptive_jobs(-1)
-        with pytest.raises(ValueError):
-            adaptive_jobs(10, cpus=0)
-
-    def test_engine_resolves_auto_per_sweep(self, toy_advisor):
-        engine = EvaluationEngine(
-            toy_advisor.schema,
-            toy_advisor.workload,
-            toy_advisor.system,
-            toy_advisor.config,
-            options=EngineOptions(jobs="auto"),
-        )
-        from repro.engine import adaptive_jobs
-
-        assert engine.resolve_jobs(100) == adaptive_jobs(100)
-        assert engine.resolve_jobs(1) == 1
-
-    def test_engine_fixed_jobs_pass_through(self, toy_advisor):
-        engine = EvaluationEngine(
-            toy_advisor.schema,
-            toy_advisor.workload,
-            toy_advisor.system,
-            toy_advisor.config,
-            options=EngineOptions(jobs=5),
-        )
-        assert engine.resolve_jobs(1_000_000) == 5
-
-    def test_rejects_garbage_jobs_values(self):
-        for bad in ("fast", 1.5, -2, True):
-            with pytest.raises(AdvisorError):
-                EngineOptions(jobs=bad)
-
-    def test_auto_recommendation_matches_serial(
-        self, toy_schema, toy_workload, small_system
-    ):
-        from repro.engine import recommendation_fingerprint
-
-        config = AdvisorConfig(max_fragments=10_000, top_candidates=5)
-        serial = AdvisorSession(
-            toy_schema, toy_workload, small_system, config
-        ).recommend().recommendation
-        auto = AdvisorSession(
-            toy_schema, toy_workload, small_system, config, options=EngineOptions(jobs="auto")
-        ).recommend().recommendation
-        assert recommendation_fingerprint(serial) == recommendation_fingerprint(auto)
-
-
-class TestBrokenPoolDegradedRetry:
-    """Regression: a pool failure mid-sweep used to be swallowed silently and
-    re-evaluated *everything* serially; now it warns, flags the progress
-    events as degraded, and resumes from the chunks the pool already
-    returned — their indices are never re-dispatched."""
-
-    def test_broken_pool_resumes_serially_without_redispatch(
-        self, apb_small_schema, apb_workload, small_system, monkeypatch, capsys
-    ):
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.engine import executor as executor_module
-        from repro.engine import recommendation_fingerprint
-        from repro.engine.result import CandidateResultBatch
-
-        reference = AdvisorSession(
-            apb_small_schema, apb_workload, small_system
-        ).recommend().recommendation
-
-        real_evaluate = executor_module.evaluate_specs_in_context
-
-        class FakeFuture:
-            def __init__(self):
-                self._result = None
-                self._exc = None
-
-            def result(self):
-                if self._exc is not None:
-                    raise self._exc
-                return self._result
-
-        pools = []
-
-        class PoisonedPool:
-            """First chunk evaluates for real; every later chunk breaks."""
-
-            def __init__(self, max_workers=None, initializer=None, initargs=()):
-                self.context = initargs[0]
-                self.submitted = []
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, chunk):
-                future = FakeFuture()
-                if not self.submitted:
-                    candidates = real_evaluate(self.context, chunk, None)
-                    future._result = (
-                        CandidateResultBatch.from_candidates(chunk, candidates),
-                        [],
-                    )
-                else:
-                    future._exc = BrokenProcessPool("poisoned pool")
-                self.submitted.append(list(chunk))
-                return future
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        def deterministic_wait(futures, return_when=None):
-            # Healthy futures complete strictly before broken ones, so the
-            # engine records the good chunk into ``partial`` first.
-            done = {future for future in futures if future._exc is None}
-            if done:
-                return done, set(futures) - done
-            return set(futures), set()
-
-        serial_dispatched = []
-
-        def tracking_evaluate(context, indices, cache=None):
-            serial_dispatched.append(list(indices))
-            return real_evaluate(context, indices, cache)
-
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", PoisonedPool)
-        monkeypatch.setattr(executor_module, "wait", deterministic_wait)
-        monkeypatch.setattr(
-            executor_module, "evaluate_specs_in_context", tracking_evaluate
-        )
-
-        events = []
-        advisor = AdvisorSession(
-            apb_small_schema,
-            apb_workload,
-            small_system,
-            options=EngineOptions(jobs=2),
-        )
-        result = advisor.recommend(on_progress=events.append).recommendation
-
-        assert recommendation_fingerprint(result) == recommendation_fingerprint(
-            reference
-        )
-        assert "process pool failed" in capsys.readouterr().err
-        assert any(event.degraded for event in events)
-        # The chunk the pool completed before breaking is never re-dispatched
-        # by the degraded serial retry.
-        assert pools and len(pools[0].submitted) >= 2
-        pool_completed = set(pools[0].submitted[0])
-        retried = {index for chunk in serial_dispatched for index in chunk}
-        assert not retried & pool_completed
-        assert retried  # the remainder really went through the serial path

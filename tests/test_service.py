@@ -40,6 +40,7 @@ from repro.api.requests import (
     TuneRequest,
 )
 from repro.errors import ServiceError
+from repro.io import example_config
 from repro.service import (
     AdvisorServer,
     RequestExecutor,
@@ -349,11 +350,11 @@ class TestWarehouseRegistration:
             {
                 "dataset": "retail",
                 "advisor": {"top_candidates": 5},
-                "engine": {"jobs": 2, "vectorize": True},
+                "engine": {"cache": False, "vectorize": True},
             }
         )
         assert config.top_candidates == 5
-        assert engine == {"jobs": 2, "vectorize": True}
+        assert engine == {"cache": False, "vectorize": True}
         with pytest.raises(ServiceError, match="advisor block"):
             warehouse_inputs_from_dict(
                 {"dataset": "apb1", "advisor": {"not_a_knob": 1}}
@@ -410,10 +411,15 @@ class TestHTTPEndpoints:
         code, _ = http_error(server, "DELETE", "/warehouses/shop")
         assert code == 404
 
-    def test_register_with_a_removed_vectorize_mode_is_400(self, server):
-        # A removed vectorize mode, and the removed sweep-distribution
-        # option (which would have bound a listener on the server host).
-        for engine in ({"vectorize": "classes"}, {"fabric": "127.0.0.1:0"}):
+    def test_register_with_a_removed_engine_option_is_400(self, server):
+        # A removed vectorize mode, the removed sweep-distribution option
+        # (which would have bound a listener on the server host) and the
+        # removed worker-count option.
+        for engine in (
+            {"vectorize": "classes"},
+            {"fabric": "127.0.0.1:0"},
+            {"jobs": 2},
+        ):
             code, body = http_error(
                 server, "PUT", "/warehouses/shop",
                 {"dataset": "apb1", "scale": 0.02, "disks": 8, "engine": engine},
@@ -422,6 +428,30 @@ class TestHTTPEndpoints:
             assert code == 400 and key in body["error"], body
             code, _ = http_error(server, "DELETE", "/warehouses/shop")
             assert code == 404
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"dataset": "apb1", "scale": "abc"}, "scale"),
+            ({"dataset": "apb1", "scale": None}, "scale"),
+            ({"dataset": "apb1", "disks": "x"}, "disks"),
+            ({"dataset": "apb1", "skew": "x"}, "skew"),
+            ({"schema": "x", "workload": []}, "schema"),
+            ({"schema": example_config()["schema"], "workload": "x"}, "workload"),
+            ({"schema": example_config()["schema"], "workload": ["x"]}, "workload"),
+            ({**example_config(), "system": {"num_disks": "x"}}, "num_disks"),
+        ],
+        ids=[
+            "scale-string", "scale-null", "disks-string", "skew-string",
+            "schema-string", "workload-string", "workload-entry-string",
+            "num-disks-string",
+        ],
+    )
+    def test_register_with_a_wrong_typed_field_is_400(self, server, payload, key):
+        code, body = http_error(server, "PUT", "/warehouses/shop", payload)
+        assert code == 400 and key in body["error"], body
+        code, _ = http_error(server, "DELETE", "/warehouses/shop")
+        assert code == 404
 
     def test_register_with_a_non_finite_budget_is_400(self, server, tmp_path):
         payload = {
@@ -559,7 +589,7 @@ class TestDisconnectCancellation:
         # has many chunks left when the client hangs up.
         server.registry.register(
             "dropped", schema, workload, system, config=config,
-            options=EngineOptions(jobs=1),
+            options=EngineOptions(),
         )
         server.start_in_background()
         try:

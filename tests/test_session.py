@@ -7,9 +7,9 @@ The contract under test (repro.api.session):
   edited inputs;
 * the shared cache makes the chain warm: the cumulative hit rate rises
   across the edits;
-* ``on_progress`` events cover 100% of the plan's chunks in both the serial
-  and the ``jobs=4`` mode, and a mid-sweep cancellation leaves the cache
-  consistent (a retry completes with the identical fingerprint).
+* ``on_progress`` events cover 100% of the plan's chunks, and a mid-sweep
+  cancellation leaves the cache consistent (a retry completes with the
+  identical fingerprint).
 """
 
 from __future__ import annotations
@@ -135,19 +135,16 @@ class TestProgress:
         result = session.recommend(on_progress=events.append)
         return session, events, result
 
-    @pytest.mark.parametrize(
-        "options", [EngineOptions(jobs=1), EngineOptions(jobs=4)], ids=["serial", "jobs4"]
-    )
-    def test_events_cover_every_plan_chunk(self, options, scenario):
-        session, events, result = self._collect(options, scenario)
+    def test_events_cover_every_plan_chunk(self, scenario):
+        session, events, result = self._collect(EngineOptions(), scenario)
         assert events, "a cold sweep must emit progress"
         total = events[-1].total
         num_chunks = events[-1].num_chunks
         assert events[-1].completed == total
         assert total == len(result.recommendation.evaluated)
         # 100% chunk coverage: every chunk index 1..num_chunks is reported
-        # exactly once (chunk 0 is the pool's optional start event).
-        chunk_indices = [event.chunk for event in events if event.chunk > 0]
+        # exactly once.
+        chunk_indices = [event.chunk for event in events]
         assert chunk_indices == list(range(1, num_chunks + 1))
         # Monotone completion, consistent unit accounting.
         completed = [event.completed for event in events]
@@ -157,33 +154,30 @@ class TestProgress:
             assert event.completed_units == event.completed * per_candidate
 
     def test_warm_sweep_still_reports_completion(self, scenario):
-        session, _, first = self._collect(EngineOptions(jobs=1), scenario)
+        session, _, first = self._collect(EngineOptions(), scenario)
         events = []
         warm = session.recommend(on_progress=events.append)
         assert warm.fingerprint == first.fingerprint
         assert events[-1].completed == events[-1].total
 
-    @pytest.mark.parametrize(
-        "options", [EngineOptions(jobs=1), EngineOptions(jobs=4)], ids=["serial", "jobs4"]
-    )
-    def test_fully_warm_engine_sweep_reports_completion(self, options, scenario):
+    def test_fully_warm_engine_sweep_reports_completion(self, scenario):
         schema, workload, system, config = scenario
-        session = AdvisorSession(schema, workload, system, config, options=options)
+        session = AdvisorSession(schema, workload, system, config)
         specs, _ = session.generate_specs()
         session.engine.evaluate_specs(specs)  # cold sweep fills the cache
         events = []
         session.engine.evaluate_specs(specs, on_progress=events.append)
-        # Regression: the fully-warm jobs>1 sweep used to emit a single event
-        # claiming chunk 0 of 0 chunks — "no progress" to chunk-ratio
-        # consumers (and a division by zero on the wire).  Both backends
-        # answer warm candidates before chunking, so a fully warm sweep
-        # dispatches nothing and reports exactly one complete chunk.
+        # Regression: a fully-warm sweep used to emit a single event claiming
+        # chunk 0 of 0 chunks — "no progress" to chunk-ratio consumers (and a
+        # division by zero on the wire).  The driver answers warm candidates
+        # before chunking, so a fully warm sweep evaluates nothing and
+        # reports exactly one complete chunk.
         [event] = events
         assert event.completed == event.total == len(specs)
         assert event.chunk == 1 and event.num_chunks == 1
 
     def test_memoized_result_reports_one_complete_chunk(self, scenario):
-        session, _, first = self._collect(EngineOptions(jobs=1), scenario)
+        session, _, first = self._collect(EngineOptions(), scenario)
         events = []
         memoized = session.recommend(on_progress=events.append)
         assert memoized.fingerprint == first.fingerprint
@@ -218,22 +212,6 @@ class TestCancellation:
         assert completed_before < seen[-1].total
 
         # Retry: completes warm, and the partial cache never changed a number.
-        retry = session.recommend()
-        fresh = AdvisorSession(schema, workload, system, config).recommend().recommendation
-        assert retry.fingerprint == recommendation_fingerprint(fresh)
-
-    def test_pool_cancellation_raises_and_retries_clean(self, scenario):
-        schema, workload, system, config = scenario
-        session = AdvisorSession(
-            schema, workload, system, config, options=EngineOptions(jobs=4)
-        )
-        token = CancellationToken()
-
-        def cancel_immediately(event):
-            token.cancel()
-
-        with pytest.raises(EvaluationCancelled):
-            session.recommend(on_progress=cancel_immediately, cancel=token)
         retry = session.recommend()
         fresh = AdvisorSession(schema, workload, system, config).recommend().recommendation
         assert retry.fingerprint == recommendation_fingerprint(fresh)
@@ -438,12 +416,12 @@ class TestSessionLifecycle:
         schema, workload, system, config = scenario
         session = AdvisorSession(schema, workload, system, config)
         text = session.describe()
-        assert schema.name in text and "jobs=1" in text
+        assert schema.name in text and "vectorized" in text
 
     def test_session_rejects_plain_dict_options(self, scenario):
         schema, workload, system, config = scenario
         with pytest.raises(AdvisorError):
-            AdvisorSession(schema, workload, system, config, options={"jobs": 2})
+            AdvisorSession(schema, workload, system, config, options={"vectorize": False})
 
 
 class TestRecommendMemo:

@@ -49,14 +49,14 @@ def scenario():
     return schema, workload, system, config
 
 
-def _advisor(scenario, cache_dir, jobs=1):
+def _advisor(scenario, cache_dir):
     schema, workload, system, config = scenario
     return AdvisorSession(
         schema,
         workload,
         system,
         config,
-        options=EngineOptions(jobs=jobs, cache_dir=str(cache_dir)),
+        options=EngineOptions(cache_dir=str(cache_dir)),
     )
 
 
@@ -147,13 +147,12 @@ class TestRoundTrip:
         assert stats.disk_hit_rate >= 0.9
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
 class TestWarmStartParity:
-    def test_cold_warm_and_corrupted_fingerprints_match(self, scenario, tmp_path, jobs):
-        cold = _advisor(scenario, tmp_path, jobs=jobs).recommend().recommendation
+    def test_cold_warm_and_corrupted_fingerprints_match(self, scenario, tmp_path):
+        cold = _advisor(scenario, tmp_path).recommend().recommendation
         fingerprint = recommendation_fingerprint(cold)
 
-        warm_advisor = _advisor(scenario, tmp_path, jobs=jobs)
+        warm_advisor = _advisor(scenario, tmp_path)
         warm = warm_advisor.recommend().recommendation
         assert recommendation_fingerprint(warm) == fingerprint
         assert warm_advisor.cache.stats.disk_hit_rate >= 0.9
@@ -162,14 +161,14 @@ class TestWarmStartParity:
         (tmp_path / ENTRIES_FILENAME).write_bytes(b"this is not a database")
         (tmp_path / BATCHES_FILENAME).write_bytes(b"\x00\x01garbage")
         (tmp_path / CANDIDATES_FILENAME).write_bytes(b"\x00\x01garbage")
-        corrupted_advisor = _advisor(scenario, tmp_path, jobs=jobs)
+        corrupted_advisor = _advisor(scenario, tmp_path)
         corrupted = corrupted_advisor.recommend().recommendation
         assert recommendation_fingerprint(corrupted) == fingerprint
         assert corrupted_advisor.cache.loaded_from_disk == 0
         assert corrupted_advisor.cache.stats.disk_hits == 0
 
         # ... and the corrupted store was atomically replaced by a fresh one.
-        recovered_advisor = _advisor(scenario, tmp_path, jobs=jobs)
+        recovered_advisor = _advisor(scenario, tmp_path)
         recovered = recovered_advisor.recommend().recommendation
         assert recommendation_fingerprint(recovered) == fingerprint
         assert recovered_advisor.cache.stats.disk_hit_rate >= 0.9

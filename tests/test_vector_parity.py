@@ -12,10 +12,9 @@ module is the harness that proves it:
   and every candidate slice of a stacked chunk (floats compared with ``==``,
   i.e. bit-identical);
 * whole-advisor checks assert identical recommendation fingerprints for the
-  batched and the scalar path in serial, ``jobs=4``, cold-cache and
-  warm-cache modes;
-* the columnar worker→parent result batches re-materialize candidates
-  exactly, including across a pickle round-trip (the jobs=1-vs-4 transport).
+  batched and the scalar path in cold-cache, warm-cache, uncached and
+  warm-from-store modes;
+* the store's columnar candidate records re-materialize candidates exactly.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ from repro.costmodel import (
     resolve_prefetch_settings_batch_candidates,
 )
 from repro.costmodel.model import _positioning_page_equivalent
-from repro.engine import CandidateResultBatch, EvaluationCache
-from repro.engine.signature import recommendation_state
+from repro.engine import CandidateColumns, EvaluationCache
 from repro.fragmentation import build_layout
 from repro.storage import PrefetchSetting
 from repro.workload import ClassMatrix
@@ -356,29 +354,13 @@ def _advisor_inputs():
 
 
 class TestAdvisorParityMatrix:
-    """Vectorized vs scalar across execution modes, via recommendation fingerprints."""
+    """Vectorized vs scalar across cache modes, via recommendation fingerprints."""
 
     def test_serial_cold(self):
         schema, workload, system, config = _advisor_inputs()
         vectorized = AdvisorSession(schema, workload, system, config).recommend().recommendation
         scalar = AdvisorSession(
             schema, workload, system, config, options=EngineOptions(vectorize=False)
-        ).recommend().recommendation
-        assert recommendation_fingerprint(vectorized) == recommendation_fingerprint(
-            scalar
-        )
-
-    def test_jobs_4(self):
-        schema, workload, system, config = _advisor_inputs()
-        vectorized = AdvisorSession(
-            schema, workload, system, config, options=EngineOptions(jobs=4)
-        ).recommend().recommendation
-        scalar = AdvisorSession(
-            schema,
-            workload,
-            system,
-            config,
-            options=EngineOptions(jobs=4, vectorize=False),
         ).recommend().recommendation
         assert recommendation_fingerprint(vectorized) == recommendation_fingerprint(
             scalar
@@ -430,40 +412,34 @@ class TestAdvisorParityMatrix:
 
 
 class TestCandidateAxisParityMatrix:
-    """One fingerprint across scalar/batched × jobs × cold/warm-from-store."""
+    """One fingerprint across scalar/batched × cold/warm-from-store."""
 
-    def test_modes_jobs_and_columnar_store_warmup_agree(self, tmp_path):
+    def test_modes_and_columnar_store_warmup_agree(self, tmp_path):
         schema, workload, system, config = _advisor_inputs()
         fingerprints = {}
         for mode in (False, True):
-            for jobs in (1, 4):
-                store_dir = tmp_path / f"{mode}-jobs{jobs}"
-                cold = AdvisorSession(
-                    schema,
-                    workload,
-                    system,
-                    config,
-                    options=EngineOptions(
-                        jobs=jobs, vectorize=mode, cache_dir=str(store_dir)
-                    ),
-                ).recommend().recommendation
-                # A separate advisor warm-starts from the columnar store.
-                warm_advisor = AdvisorSession(
-                    schema,
-                    workload,
-                    system,
-                    config,
-                    options=EngineOptions(
-                        jobs=jobs, vectorize=mode, cache_dir=str(store_dir)
-                    ),
-                )
-                warm = warm_advisor.recommend().recommendation
-                assert warm_advisor.cache.stats.candidate_disk_hits > 0, (
-                    f"{mode}/jobs={jobs}: warm run must answer from the "
-                    f"columnar candidate store"
-                )
-                fingerprints[(mode, jobs, "cold")] = recommendation_fingerprint(cold)
-                fingerprints[(mode, jobs, "warm")] = recommendation_fingerprint(warm)
+            store_dir = tmp_path / f"{mode}"
+            cold = AdvisorSession(
+                schema,
+                workload,
+                system,
+                config,
+                options=EngineOptions(vectorize=mode, cache_dir=str(store_dir)),
+            ).recommend().recommendation
+            # A separate advisor warm-starts from the columnar store.
+            warm_advisor = AdvisorSession(
+                schema,
+                workload,
+                system,
+                config,
+                options=EngineOptions(vectorize=mode, cache_dir=str(store_dir)),
+            )
+            warm = warm_advisor.recommend().recommendation
+            assert warm_advisor.cache.stats.candidate_disk_hits > 0, (
+                f"{mode}: warm run must answer from the columnar candidate store"
+            )
+            fingerprints[(mode, "cold")] = recommendation_fingerprint(cold)
+            fingerprints[(mode, "warm")] = recommendation_fingerprint(warm)
         assert len(set(fingerprints.values())) == 1, fingerprints
 
     def test_group_evaluation_equals_per_spec_path_with_mixed_cache(self):
@@ -517,8 +493,8 @@ class TestCandidateAxisParityMatrix:
                 assert other.response_time_ms == expected.response_time_ms
 
 
-class TestColumnarResultBatch:
-    """The worker→parent columnar transport re-materializes candidates exactly."""
+class TestCandidateColumnsRoundTrip:
+    """The store's columnar candidate record re-materializes candidates exactly."""
 
     @pytest.fixture
     def engine_and_plan(self):
@@ -533,13 +509,12 @@ class TestColumnarResultBatch:
     def test_round_trip_is_exact(self, engine_and_plan):
         engine, plan, context = engine_and_plan
         candidates = engine.evaluate_specs(plan.specs)
-        batch = CandidateResultBatch.from_candidates(
-            range(len(candidates)), candidates
-        )
-        # The batch crosses the process boundary pickled: round-trip it.
-        restored = pickle.loads(pickle.dumps(batch)).to_candidates(context)
-        assert [index for index, _ in restored] == list(range(len(candidates)))
-        for (_, rebuilt), original in zip(restored, candidates):
+        restored = [
+            CandidateColumns.from_candidate(candidate).materialize(context, spec)
+            for candidate, spec in zip(candidates, plan.specs)
+        ]
+        assert len(restored) == len(candidates)
+        for rebuilt, original in zip(restored, candidates):
             assert rebuilt.label == original.label
             assert rebuilt.prefetch == original.prefetch
             assert rebuilt.io_cost_ms == original.io_cost_ms
@@ -560,27 +535,6 @@ class TestColumnarResultBatch:
                 )
                 assert rebuilt_cost.weight == original_cost.weight
                 assert rebuilt_cost.disks_used == original_cost.disks_used
-
-    def test_jobs_1_vs_4_through_columnar_batches(self):
-        """End-to-end: the parallel backend (columnar transport) == serial."""
-        schema, workload, system, config = _advisor_inputs()
-        serial = AdvisorSession(
-            schema, workload, system, config, options=EngineOptions(jobs=1)
-        ).recommend().recommendation
-        parallel = AdvisorSession(
-            schema, workload, system, config, options=EngineOptions(jobs=4)
-        ).recommend().recommendation
-        assert recommendation_state(serial) == recommendation_state(parallel)
-
-    def test_batch_rejects_mismatched_lengths(self, engine_and_plan):
-        engine, plan, context = engine_and_plan
-        candidates = engine.evaluate_specs(plan.specs)
-        from repro.errors import AdvisorError
-
-        with pytest.raises(AdvisorError):
-            CandidateResultBatch.from_candidates([0], candidates)
-        with pytest.raises(AdvisorError):
-            CandidateResultBatch.from_candidates([], [])
 
 
 class TestColumnarEvaluation:
