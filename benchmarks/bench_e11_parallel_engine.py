@@ -272,7 +272,6 @@ def test_e11_cross_process_persistent_cache(quick, tmp_path):
     # Corrupt every store file in place: the next process must fall back to a
     # cold evaluation with the identical result (and rewrite the store).
     (cache_dir / "entries.sqlite").write_bytes(b"this is not a database")
-    (cache_dir / "structures.npz").write_bytes(b"\x00garbage")
     (cache_dir / "candidates.npz").write_bytes(b"\x00garbage")
     corrupted = _run_cross_process(params, cache_dir)
 
@@ -316,9 +315,9 @@ def test_e11_cross_process_persistent_cache(quick, tmp_path):
 
     # Warm-starting across processes must beat the cold sweep.  The margin is
     # moderate by construction — the cold sweep is already vectorized and
-    # memoized, and the warm run still pays spec enumeration plus unpickling —
-    # measured ~1.5x on the reference container, asserted at 1.2x to stay
-    # robust across CI hardware.
+    # memoized, and the warm run still pays spec enumeration plus the store
+    # load — measured ~1.5x on the reference container, asserted at 1.2x to
+    # stay robust across CI hardware.
     assert cold["elapsed"] / warm["elapsed"] >= 1.2, (
         f"cross-process warm start only {cold['elapsed'] / warm['elapsed']:.2f}x "
         f"over cold ({warm['elapsed']:.3f}s vs {cold['elapsed']:.3f}s)"
@@ -482,8 +481,8 @@ def test_e11_columnar_store_warm_start(quick, tmp_path):
 
     A cold advisor spills its sweep; a fresh advisor over the same directory
     must beat the cold run (>= 1.3x full mode) with >= 90% disk hits, since
-    it neither unpickles one candidate blob per spec nor re-derives the
-    exclusion thresholds.  The scalar and batched paths and both store runs
+    it reads bulk candidate columns and does not re-derive the exclusion
+    thresholds.  The scalar and batched paths and both store runs
     are asserted fingerprint-identical.
     """
     schema = apb1_schema(scale=0.05 if quick else APB_SCALE)

@@ -85,7 +85,7 @@ class AccessStructureBatch:
     (mix order), plus a flat representation of the ragged per-class
     bitmap-index extents (``index_class`` / ``index_pages`` rows, in
     per-class residual order).  It is the per-layout unit the evaluation
-    cache memoizes and the persistent store spills.  :meth:`structure`
+    cache memoizes (in memory only).  :meth:`structure`
     materializes the scalar dataclass for any class — bit-identical to
     :func:`~repro.costmodel.compute_access_structure`.
     """

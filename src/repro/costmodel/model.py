@@ -130,8 +130,8 @@ class EvaluationColumns:
     construction, because every value travels as the same IEEE-754 double it
     was computed as.  Keeping evaluations columnar removes the last
     O(classes) Python objects per candidate from the sweep's hot loop and
-    shrinks the candidate cache's footprint (the columns are what gets
-    pickled and persisted, not the record graph).
+    shrinks the candidate cache's footprint (the columns are what the store
+    persists, not the record graph).
     """
 
     #: Query class names, in mix order.
@@ -255,28 +255,6 @@ class WorkloadEvaluation:
         if self._per_class is None:
             self._per_class = self.columns.records()
         return self._per_class
-
-    # -- pickling ---------------------------------------------------------------
-    #
-    # Columnar evaluations pickle their columns, never the materialized record
-    # graph — that is what keeps pickled candidates small.  Cached totals are
-    # dropped (recomputed deterministically).
-
-    def __getstate__(self):
-        state = {"layout": self.layout, "prefetch": self.prefetch}
-        if self.columns is not None:
-            state["columns"] = self.columns
-        else:
-            state["per_class"] = self._per_class
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__init__(
-            state["layout"],
-            state["prefetch"],
-            per_class=state.get("per_class"),
-            columns=state.get("columns"),
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WorkloadEvaluation):

@@ -16,10 +16,11 @@ explicit pipeline:
 4. :mod:`~repro.engine.signature` provides the content fingerprints the cache
    keys on, plus recommendation fingerprints used to *prove* parity.
 5. :class:`~repro.engine.store.CacheStore` spills the cache to a directory
-   (sqlite for pickled scalar structures and exclusion reports, one npz for
-   per-layout structure batches, one npz of columnar candidate groups that materialize
-   lazily on the first warm probe) so later *processes* warm-start from
-   disk; corrupted or version-mismatched stores are silently ignored.
+   (one npz of columnar candidate groups that materialize lazily on the
+   first warm probe, sqlite for the JSON exclusion reports and the LRU
+   access table; access structures stay in memory) so later *processes*
+   warm-start from disk; corrupted or version-mismatched stores are
+   silently ignored.
 """
 
 from repro.engine.cache import CacheStats, EvaluationCache

@@ -29,7 +29,11 @@ Because keys are content signatures, entries are also valid *across
 processes*: :meth:`EvaluationCache.attach` hooks the cache to a persistent
 :class:`~repro.engine.store.CacheStore` directory (warm-start loads on attach,
 :meth:`EvaluationCache.persist` spills after a sweep), which is how repeated
-CLI invocations and tuning sessions reuse each other's evaluations.
+CLI invocations and tuning sessions reuse each other's evaluations.  Only
+candidates and exclusion reports persist; access structures stay in memory,
+where ``with_delta`` chains, tuning studies and the scalar oracle's two
+passes reuse them within a process — a fresh process recomputes a sweep's
+structures faster than it could unpack them from disk.
 """
 
 from __future__ import annotations
@@ -60,8 +64,7 @@ class CacheStats:
     candidate_hits: int = 0
     candidate_misses: int = 0
     #: Hits answered by entries that were loaded from a persistent store
-    #: (subsets of ``structure_hits`` / ``candidate_hits``).
-    structure_disk_hits: int = 0
+    #: (a subset of ``candidate_hits``).
     candidate_disk_hits: int = 0
     #: Store robustness counters, accumulated from the attached store's
     #: :class:`~repro.engine.store.StoreLoadStats` deltas on each
@@ -96,7 +99,7 @@ class CacheStats:
     @property
     def disk_hits(self) -> int:
         """Total hits answered by entries loaded from a persistent store."""
-        return self.structure_disk_hits + self.candidate_disk_hits
+        return self.candidate_disk_hits
 
     @property
     def disk_hit_rate(self) -> float:
@@ -154,6 +157,8 @@ class EvaluationCache:
             raise ValueError(f"max_entries must be positive when set, got {max_entries}")
         self.max_entries = max_entries
         self.stats = CacheStats()
+        #: Access structures, scalar and per-layout batches (memory only:
+        #: never persisted, but counted by ``len()`` and the hit/miss stats).
         self._structures: Dict[Tuple[str, ...], Any] = {}
         self._candidates: Dict[Tuple[str, ...], Any] = {}
         #: Compiled ClassMatrix memo (shared across sessions, never persisted;
@@ -250,27 +255,26 @@ class EvaluationCache:
         self._disk_keys.discard(evicted)
 
     def _memoized_structure(self, key, compute):
-        """Shared lookup/insert/eviction body of the two structure stores."""
-        store = self._structures
-        value = store.get(key, _MISSING)
-        stats = self.stats
+        """Shared lookup/insert body of the two structure entry kinds."""
+        value = self._structures.get(key, _MISSING)
         if value is not _MISSING:
-            stats.structure_hits += 1
-            if key in self._disk_keys:
-                stats.structure_disk_hits += 1
-            self._touched.add(key)
+            self.stats.structure_hits += 1
             return value
-        stats.structure_misses += 1
+        self.stats.structure_misses += 1
         value = compute()
-        if self.max_entries is not None and len(store) >= self.max_entries:
-            self._evict_oldest(store)
-        store[key] = value
-        # Computed in-process: hits on it must not count as disk hits, even
-        # if an earlier incarnation of the entry came from the store.
-        self._disk_keys.discard(key)
-        self._touched.add(key)
-        self._dirty = True
+        self._put_structure(key, value)
         return value
+
+    def _put_structure(self, key, value) -> None:
+        """FIFO insert into the structure memo (memory only, never persisted)."""
+        store = self._structures
+        if (
+            self.max_entries is not None
+            and key not in store
+            and len(store) >= self.max_entries
+        ):
+            store.pop(next(iter(store)))
+        store[key] = value
 
     def access_structure(self, layout, query, bitmap_scheme, compute):
         """Cached prefetch-independent access structure (see module docstring)."""
@@ -284,8 +288,8 @@ class EvaluationCache:
         The columnar counterpart of :meth:`access_structure`: one entry covers
         *every* query class of the compiled
         :class:`~repro.workload.ClassMatrix`, keyed on (layout, matrix)
-        content signatures and stored alongside the scalar structure entries
-        (same store, same stats counters, same bulk merge from the store).
+        content signatures and memoized alongside the scalar structure
+        entries (same memo, same stats counters).
         """
         return self._memoized_structure(
             self._structure_batch_key(layout, matrix), compute
@@ -300,17 +304,14 @@ class EvaluationCache:
         expressed as a per-entry ``compute`` callback.  Counter semantics are
         identical — one structure probe per candidate either way.
         """
-        key = self._structure_batch_key(layout, matrix)
-        value = self._structures.get(key, _MISSING)
-        stats = self.stats
-        if value is not _MISSING:
-            stats.structure_hits += 1
-            if key in self._disk_keys:
-                stats.structure_disk_hits += 1
-            self._touched.add(key)
-            return value
-        stats.structure_misses += 1
-        return None
+        value = self._structures.get(
+            self._structure_batch_key(layout, matrix), _MISSING
+        )
+        if value is _MISSING:
+            self.stats.structure_misses += 1
+            return None
+        self.stats.structure_hits += 1
+        return value
 
     def put_structure_batch(self, layout, matrix, value) -> None:
         """Insert a structure batch computed elsewhere (stacked compute).
@@ -318,18 +319,7 @@ class EvaluationCache:
         Not a probe — no counter moves; the miss was already counted by the
         preceding :meth:`get_structure_batch`.
         """
-        store = self._structures
-        key = self._structure_batch_key(layout, matrix)
-        if (
-            self.max_entries is not None
-            and key not in store
-            and len(store) >= self.max_entries
-        ):
-            self._evict_oldest(store)
-        store[key] = value
-        self._disk_keys.discard(key)
-        self._touched.add(key)
-        self._dirty = True
+        self._put_structure(self._structure_batch_key(layout, matrix), value)
 
     def candidate(self, context, spec, compute):
         """Cached whole-candidate evaluation under ``context``."""
@@ -387,34 +377,6 @@ class EvaluationCache:
         self._disk_keys.discard(key)
         self._touched.add(key)
         self._dirty = True
-
-    # -- bulk access -------------------------------------------------------------
-
-    def structure_items(self):
-        """Iterate the raw ``(key, structure)`` entries."""
-        return self._structures.items()
-
-    def merge_structures(self, items, touched: bool = True) -> None:
-        """Insert structure entries computed elsewhere (e.g. a store's load).
-
-        Not probes — no counters move; whoever computed the entries already
-        accounted for them.  ``touched=False`` (the bulk load from a
-        persistent store) merges without marking the entries as used by this
-        process.
-        """
-        store = self._structures
-        for key, value in items:
-            if (
-                self.max_entries is not None
-                and key not in store
-                and len(store) >= self.max_entries
-            ):
-                self._evict_oldest(store)
-            store[key] = value
-            self._disk_keys.discard(key)
-            if touched:
-                self._touched.add(key)
-            self._dirty = True
 
     # -- compiled class matrices (shared, in-memory only) -------------------------
 
@@ -508,10 +470,10 @@ class EvaluationCache:
         return self._dirty
 
     def load(self, store) -> int:
-        """Bulk-load a persistent store's entries into this cache.
+        """Bulk-load a persistent store's candidates and reports into this cache.
 
-        Loaded entries are tracked so later hits on them count as *disk hits*
-        (:attr:`CacheStats.disk_hits`).  Candidate entries arrive as deferred
+        Loaded candidates are tracked so later hits on them count as *disk
+        hits* (:attr:`CacheStats.disk_hits`); they arrive as deferred
         columnar records and materialize on their first warm probe (see
         :meth:`get_candidate`).  Loading never marks the cache dirty — the
         entries are already on disk — and a missing, corrupted or
@@ -522,7 +484,7 @@ class EvaluationCache:
         # re-reads internally for its merge), so only the counters this load
         # produced are folded into this cache's stats.
         before = store.load_stats.copy()
-        structures, candidates, reports = store.load()
+        candidates, reports = store.load()
         after = store.load_stats
         self.stats.store_salt_mismatches += (
             after.salt_mismatches - before.salt_mismatches
@@ -533,8 +495,6 @@ class EvaluationCache:
         self.stats.store_fallback_loads += (
             after.fallback_loads - before.fallback_loads
         )
-        dirty = self._dirty
-        self.merge_structures(structures.items(), touched=False)
         target = self._candidates
         for key, value in candidates.items():
             if (
@@ -546,15 +506,13 @@ class EvaluationCache:
             target[key] = value
         for key, payload in reports.items():
             self._reports.setdefault(key, payload)
-        self._dirty = dirty
-        self._disk_keys.update(structures.keys())
         self._disk_keys.update(candidates.keys())
-        loaded = len(structures) + len(candidates) + len(reports)
+        loaded = len(candidates) + len(reports)
         self.loaded_from_disk += loaded
         return loaded
 
     def save(self, store) -> Optional[int]:
-        """Spill the whole cache content to a persistent store (atomic merge).
+        """Spill candidates and reports to a persistent store (atomic merge).
 
         The store merges the entries with the directory's current content and
         receives the set of keys this process touched since the last save, so
@@ -563,12 +521,7 @@ class EvaluationCache:
         save, or ``None`` when the store is unwritable (best-effort — never
         an error).
         """
-        written = store.save(
-            self._structures,
-            self._candidates,
-            self._reports,
-            touched=self._touched,
-        )
+        written = store.save(self._candidates, self._reports, touched=self._touched)
         if written is not None:
             self._dirty = False
             self._touched = set()

@@ -6,10 +6,9 @@ allocation vectors — materializable into a
 :class:`~repro.core.candidates.FragmentationCandidate` under any engine
 context whose content signatures match the cache key it was stored under.
 The persistent store (:mod:`repro.engine.store`) spills whole-candidate
-cache entries as these records — plain numpy columns plus JSON metadata
-instead of one pickled object graph per candidate — and
-:class:`~repro.engine.cache.EvaluationCache` materializes them lazily on the
-first warm probe.
+cache entries as these records — plain numpy columns plus JSON metadata —
+and :class:`~repro.engine.cache.EvaluationCache` materializes them lazily on
+the first warm probe.
 
 Reconstruction is exact: every float travels as the same IEEE-754 double it
 was computed as, layouts are rebuilt from the same ``(schema, spec, page

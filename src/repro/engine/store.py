@@ -9,35 +9,31 @@ construction: a :class:`CacheStore` spills them under a cache directory and a
 later process reloads them, making repeated invocations and tuning sessions
 start warm.
 
-On-disk format (version 3)
+On-disk format (version 4)
 --------------------------
 
-``entries.sqlite``
-    One row per *scalar* access-structure entry (arbitrary frozen-dataclass
-    graphs, pickled) and per candidate-exclusion report (JSON): the cache key
-    (salt-prefixed, JSON-encoded tuple of content signatures) plus the
-    payload.  Sqlite gives atomic reads over the many small blobs.  Version 3
-    adds an ``access`` bookkeeping table — one row per entry of *any* of the
-    three files with its estimated byte size and a last-access generation
-    counter — plus ``generation`` / ``dead_bytes`` meta rows, which drive the
-    LRU garbage collection and the append/compact write path below.
-
-``structures.npz``
-    The per-layout structure batches
-    (:class:`~repro.costmodel.batch.AccessStructureBatch`).  They are plain
-    numpy columns plus a little string metadata, so they spill to a single
-    ``.npz`` (CRC-checked zip of ``.npy`` members) — binary-exact floats, no
-    pickle needed.
+The store persists only what a warm start reads:
 
 ``candidates.npz``
     Whole-candidate entries as **columnar groups**: all candidates sharing
     one (query classes, weights) shape stack into one metric cube, one disk
     plane, two flag planes and two concatenated allocation vectors, plus one
-    JSON metadata member per group.  This replaces the per-candidate pickled
-    blob of format 1: a warm process reads a handful of bulk numpy arrays
-    instead of unpickling one object graph per spec, and the loaded entries
-    stay *deferred* (:class:`~repro.engine.result.CandidateColumns`) until a
-    warm probe materializes them under the probing engine context.
+    JSON metadata member per group.  A warm process reads a handful of bulk
+    numpy arrays, and the loaded entries stay *deferred*
+    (:class:`~repro.engine.result.CandidateColumns`) until a warm probe
+    materializes them under the probing engine context.
+
+``entries.sqlite``
+    One row per candidate-exclusion report (the cache key — salt-prefixed,
+    JSON-encoded tuple of content signatures — plus the JSON payload), and an
+    ``access`` bookkeeping table — one row per entry of *either* file with
+    its estimated byte size and a last-access generation counter — plus a
+    ``generation`` meta row, which drive the LRU garbage collection below.
+
+Access structures are memory-only.  A sweep recomputes its structure
+batches in a few tens of milliseconds, less than unpacking them from disk
+took (format 3 persisted them in a ``structures.npz`` that no served request
+read); every save unlinks that file when it finds one.
 
 Invalidation and trust
 ----------------------
@@ -49,22 +45,19 @@ or corrupted file, or an entry that fails to decode is **silently ignored,
 never trusted** — the evaluation simply runs cold and overwrites the store
 with fresh content.  Persistence is strictly best-effort: no store failure
 (unreadable directory, read-only filesystem, concurrent writer) may ever
-change a result or crash the advisor, only forfeit the warm start.
+change a result or crash the advisor, only forfeit the warm start.  Loads
+read only npz members (``allow_pickle=False``) and JSON, so a store file
+never executes code.
 
-Maintenance (version 3)
------------------------
+Maintenance
+-----------
 
 Saves **merge** into the existing store instead of dumping the writer's cache
 last-one-wins: the save first re-reads what the directory holds, unions it
 with the in-memory entries (memory wins on key collisions — the values are
 content-addressed, so a collision carries the identical value), and writes
-the union back.  The sqlite file takes an *append* path — new rows are
-inserted into the live database inside one transaction — until the dead
-weight left behind by deleted rows exceeds
-:data:`COMPACT_DEAD_FRACTION` of the live payload, at which point the file
-is compacted: rewritten from scratch through the same temp-then-rename path
-every full write uses.  The npz files are rewritten only when their entry
-set actually changed.
+the union back.  The sqlite file is rewritten whole on every save; the npz
+file only when its entry set actually changed.
 
 When the store was built with a byte budget (``max_bytes``, CLI
 ``--cache-max-mb``), every save garbage-collects the merged union down to
@@ -77,23 +70,18 @@ directory's actual size fits the budget.
 Concurrency
 -----------
 
-Full writes are atomic: each file is written to a temporary sibling and then
-``os.replace``'d into place; sqlite appends are single transactions on the
-live database.  Concurrent CLI invocations sharing a cache directory either
-see the complete previous store or the complete new one, never a partial
-file, and since every save merges the directory's current content with the
-writer's view, the surviving store is a superset of both up to GC.
-
-The scalar structure entries are loaded with :mod:`pickle`, so a cache
-directory must be trusted to the same degree as the code itself — point
-``--cache-dir`` at a directory you own, not at a shared download location.
+Every write is atomic: each file is written to a temporary sibling and then
+``os.replace``'d into place.  Concurrent CLI invocations sharing a cache
+directory either see the complete previous store or the complete new one,
+never a partial file, and since every save merges the directory's current
+content with the writer's view, the surviving store is a superset of both up
+to GC.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import sqlite3
 import tempfile
 from dataclasses import dataclass
@@ -105,7 +93,6 @@ from repro.engine.signature import stable_digest
 
 __all__ = [
     "STORE_FORMAT_VERSION",
-    "COMPACT_DEAD_FRACTION",
     "ENTRIES_FILENAME",
     "BATCHES_FILENAME",
     "CANDIDATES_FILENAME",
@@ -117,12 +104,9 @@ __all__ = [
 #: Bump on any incompatible change to the on-disk layout; old stores are then
 #: silently ignored (and overwritten on the next save).  Version 2 introduced
 #: the columnar candidate file and the exclusion-report rows; version 3 the
-#: access-tracking table behind the LRU garbage collection.
-STORE_FORMAT_VERSION = 3
-
-#: Compact (full temp-then-rename rewrite of) the sqlite file when the dead
-#: weight of replaced/deleted rows exceeds this fraction of the live payload.
-COMPACT_DEAD_FRACTION = 0.5
+#: access-tracking table behind the LRU garbage collection; version 4 dropped
+#: the persisted access structures (pickled scalar rows and npz batches).
+STORE_FORMAT_VERSION = 4
 
 #: Estimated fixed per-entry overhead (sqlite row / npz member headers).
 _ENTRY_OVERHEAD_BYTES = 512
@@ -131,30 +115,12 @@ _BASE_OVERHEAD_BYTES = 24 * 1024
 #: Hard cap on write→measure→evict rounds of one budgeted save.
 _MAX_GC_ROUNDS = 8
 
-#: Scalar-structure and exclusion-report entries (sqlite).
+#: Exclusion reports and the LRU access table (sqlite).
 ENTRIES_FILENAME = "entries.sqlite"
-#: Per-layout structure batches (single npz, numpy columns).
+#: Format 3's per-layout structure batches; no longer read, unlinked on save.
 BATCHES_FILENAME = "structures.npz"
 #: Whole-candidate entries (single npz, columnar groups).
 CANDIDATES_FILENAME = "candidates.npz"
-
-#: numpy-array fields of :class:`~repro.costmodel.batch.AccessStructureBatch`,
-#: spilled verbatim as npz columns (dtypes preserved, floats binary-exact).
-_BATCH_ARRAY_FIELDS = (
-    "fragments_accessed",
-    "rows_in_accessed_fragments",
-    "qualifying_rows",
-    "rows_per_fragment",
-    "fact_pages_per_fragment",
-    "forced_full_scan",
-    "has_residuals",
-    "bitmap_touched_per_fragment",
-    "bitmap_density",
-    "index_class",
-    "index_pages",
-    "bitmap_pages_per_fragment",
-    "bitmap_index_counts",
-)
 
 
 def store_salt() -> str:
@@ -235,7 +201,7 @@ class CacheStore:
     Parameters
     ----------
     cache_dir:
-        Directory holding the three store files.
+        Directory holding the two store files.
     max_bytes:
         Byte budget of the whole directory (``None`` = unbounded): after
         every save the store's files must not exceed it, least-recently-used
@@ -253,12 +219,12 @@ class CacheStore:
 
     @property
     def entries_path(self) -> str:
-        """Path of the sqlite entry file (scalar structures + reports)."""
+        """Path of the sqlite entry file (exclusion reports + access table)."""
         return os.path.join(self.cache_dir, ENTRIES_FILENAME)
 
     @property
     def batches_path(self) -> str:
-        """Path of the npz batch file (per-layout structure batches)."""
+        """Path of format 3's structure-batch file (unlinked by every save)."""
         return os.path.join(self.cache_dir, BATCHES_FILENAME)
 
     @property
@@ -268,34 +234,21 @@ class CacheStore:
 
     # -- load -------------------------------------------------------------------
 
-    def load(
-        self,
-    ) -> Tuple[
-        Dict[Tuple[str, ...], Any],
-        Dict[Tuple[str, ...], Any],
-        Dict[Tuple[str, ...], Any],
-    ]:
-        """Read the store: ``(structures, candidates, exclusion reports)``.
+    def load(self) -> Tuple[Dict[Tuple[str, ...], Any], Dict[Tuple[str, ...], Any]]:
+        """Read the store: ``(candidates, exclusion reports)``.
 
-        Structure entries cover both the scalar per-query structures and the
-        per-layout batches (they share one cache dict); candidate entries are
-        deferred :class:`~repro.engine.result.CandidateColumns` records.
-        Returns empty dicts for anything missing, corrupted or
-        version-mismatched.
+        Candidate entries are deferred
+        :class:`~repro.engine.result.CandidateColumns` records.  Returns
+        empty dicts for anything missing, corrupted or version-mismatched.
         """
-        structures = self._load_batches()
-        scalar, reports = self._load_entries()
-        structures.update(scalar)
-        candidates = self._load_candidates()
-        return structures, candidates, reports
+        return self._load_candidates(), self._load_entries()
 
-    def _load_entries(self):
-        structures: Dict[Tuple[str, ...], Any] = {}
+    def _load_entries(self) -> Dict[Tuple[str, ...], Any]:
         reports: Dict[Tuple[str, ...], Any] = {}
         path = self.entries_path
         try:
             if not os.path.exists(path):
-                return {}, {}
+                return {}
             # Read-only URI: never create or lock-upgrade the file while a
             # concurrent invocation may be replacing it.
             connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
@@ -305,73 +258,28 @@ class CacheStore:
                 ).fetchall()
                 if not rows or rows[0][0] != self.salt:
                     self.load_stats.salt_mismatches += 1
-                    return {}, {}
-                for key_text, kind, payload in connection.execute(
-                    "SELECT key, kind, payload FROM entries"
+                    return {}
+                for key_text, payload in connection.execute(
+                    "SELECT key, payload FROM entries"
                 ):
-                    # Per-entry skip: one undecodable row (truncated pickle,
-                    # class drift in a dev checkout) forfeits that entry only,
-                    # not the whole warm start.
+                    # Per-entry skip: one undecodable row forfeits that entry
+                    # only, not the whole warm start.
                     try:
                         key = _decode_key(self.salt, key_text)
                         if key is None:
                             self.load_stats.corrupt_entries += 1
                             continue
-                        if kind == "report":
-                            reports[key] = json.loads(payload.decode("utf-8"))
-                        else:
-                            structures[key] = pickle.loads(payload)
+                        reports[key] = json.loads(payload.decode("utf-8"))
                     except Exception:
                         self.load_stats.corrupt_entries += 1
                         continue
             finally:
                 connection.close()
         except Exception:
-            # Stale format, truncated file, undecodable entry: never trusted.
-            self.load_stats.fallback_loads += 1
-            return {}, {}
-        return structures, reports
-
-    def _load_batches(self) -> Dict[Tuple[str, ...], Any]:
-        from repro.costmodel.batch import AccessStructureBatch
-
-        entries: Dict[Tuple[str, ...], Any] = {}
-        path = self.batches_path
-        try:
-            if not os.path.exists(path):
-                return {}
-            with np.load(path, allow_pickle=False) as data:
-                if str(data["__salt__"][()]) != self.salt:
-                    self.load_stats.salt_mismatches += 1
-                    return {}
-                keys = json.loads(str(data["__index__"][()]))
-                for i, parts in enumerate(keys):
-                    # Per-entry skip, as for the sqlite rows.
-                    try:
-                        key = _decode_key(self.salt, json.dumps(parts))
-                        if key is None:
-                            self.load_stats.corrupt_entries += 1
-                            continue
-                        meta = json.loads(str(data[f"{i}/meta"][()]))
-                        arrays = {
-                            name: data[f"{i}/{name}"] for name in _BATCH_ARRAY_FIELDS
-                        }
-                        entries[key] = AccessStructureBatch(
-                            query_names=tuple(meta["query_names"]),
-                            fragments_total=int(meta["fragments_total"]),
-                            index_attributes=tuple(
-                                (dimension, level)
-                                for dimension, level in meta["index_attributes"]
-                            ),
-                            **arrays,
-                        )
-                    except Exception:
-                        self.load_stats.corrupt_entries += 1
-                        continue
-        except Exception:
+            # Stale format, truncated file: never trusted.
             self.load_stats.fallback_loads += 1
             return {}
-        return entries
+        return reports
 
     def _load_candidates(self) -> Dict[Tuple[str, ...], Any]:
         from repro.costmodel import EvaluationColumns
@@ -401,10 +309,13 @@ class CacheStore:
                         query_names = tuple(meta["query_names"])
                         weights = tuple(meta["weights"])
                         offsets = meta["alloc_offsets"]
+                        keys = meta["keys"]
+                        if not isinstance(keys, list):
+                            raise ValueError("candidate group without a key list")
                     except Exception:
                         self.load_stats.corrupt_entries += 1
                         continue
-                    for j, key_parts in enumerate(meta["keys"]):
+                    for j, key_parts in enumerate(keys):
                         try:
                             key = _decode_key(self.salt, json.dumps(key_parts))
                             if key is None:
@@ -457,21 +368,18 @@ class CacheStore:
 
     def save(
         self,
-        structures: Mapping[Tuple[str, ...], Any],
         candidates: Mapping[Tuple[str, ...], Any],
         reports: Optional[Mapping[Tuple[str, ...], Any]] = None,
         touched: Optional[set] = None,
     ) -> Optional[int]:
-        """Merge the given cache content into the store (append+compact, GC'd).
+        """Merge the given cache content into the store (GC'd to the budget).
 
         The directory's current entries are unioned with the provided ones
         (provided entries win on key collisions; the keys are content
         signatures, so a collision carries the identical value), the union is
         garbage-collected down to ``max_bytes`` when a budget is set, and the
-        three files are written — the sqlite file through an in-place append
-        (compacted via the atomic temp-then-rename path once its dead weight
-        crosses :data:`COMPACT_DEAD_FRACTION`), the npz files only when their
-        entry set changed.
+        files are written — the sqlite file always, the npz file only when
+        its entry set changed.  Format 3's ``structures.npz`` is unlinked.
 
         ``touched`` names the cache keys the writing process actually used
         (hit or inserted) this run: their last-access generation is
@@ -483,16 +391,13 @@ class CacheStore:
         evaluation already succeeded, only the warm start of the *next*
         process is forfeited).
         """
-        from repro.costmodel.batch import AccessStructureBatch
         from repro.engine.result import CandidateColumns
 
         reports = {} if reports is None else reports
-        scalar: Dict[Tuple[str, ...], Any] = {}
-        batches: Dict[Tuple[str, ...], Any] = {}
-        for key, value in structures.items():
-            (batches if isinstance(value, AccessStructureBatch) else scalar)[key] = value
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
+            if os.path.exists(self.batches_path):
+                os.unlink(self.batches_path)
             records = {
                 key: (
                     value
@@ -501,30 +406,19 @@ class CacheStore:
                 )
                 for key, value in candidates.items()
             }
-            disk_scalar, disk_reports = self._load_entries()
-            disk_batches = self._load_batches()
+            disk_reports = self._load_entries()
             disk_candidates = self._load_candidates()
-            disk_keys = {
-                "structure": set(disk_scalar),
-                "report": set(disk_reports),
-                "batch": set(disk_batches),
-                "candidate": set(disk_candidates),
-            }
             merged: Dict[str, Dict[Tuple[str, ...], Any]] = {
-                "structure": {**disk_scalar, **scalar},
                 "report": {**disk_reports, **reports},
-                "batch": {**disk_batches, **batches},
                 "candidate": {**disk_candidates, **records},
             }
-            provided = {
-                "structure": set(scalar),
-                "report": set(reports),
-                "batch": set(batches),
-                "candidate": set(records),
-            }
-            old_access, generation, dead_bytes = self._read_access_state()
+            provided = {"report": set(reports), "candidate": set(records)}
+            old_access, generation = self._read_access_state()
             generation += 1
-            payloads = self._encode_payloads(merged)
+            payloads = {
+                key: json.dumps(value).encode("utf-8")
+                for key, value in merged["report"].items()
+            }
             new_access: Dict[Tuple[str, ...], Tuple[str, int, int]] = {}
             for kind, entries in merged.items():
                 for key in entries:
@@ -538,15 +432,14 @@ class CacheStore:
                         generation if refreshed or old is None else old[2],
                     )
             self._collect_and_write(
-                merged, new_access, payloads, disk_keys, old_access,
-                generation, dead_bytes,
+                merged, new_access, payloads, set(disk_candidates), generation
             )
         except Exception:
             return None
         return sum(len(entries) for entries in merged.values())
 
     def _read_access_state(self):
-        """``(access map, generation, dead bytes)`` from the live sqlite file.
+        """``(access map, generation)`` from the live sqlite file.
 
         Best-effort like every read: a missing, corrupted or foreign-salted
         file yields empty bookkeeping, which simply makes every entry "new".
@@ -554,22 +447,20 @@ class CacheStore:
         path = self.entries_path
         try:
             if not os.path.exists(path):
-                return {}, 0, 0
+                return {}, 0
             connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
             try:
                 rows = connection.execute(
                     "SELECT value FROM meta WHERE key = 'salt'"
                 ).fetchall()
                 if not rows or rows[0][0] != self.salt:
-                    return {}, 0, 0
+                    return {}, 0
                 generation = 0
-                dead_bytes = 0
-                for key, value in connection.execute("SELECT key, value FROM meta"):
+                for (value,) in connection.execute(
+                    "SELECT value FROM meta WHERE key = 'generation'"
+                ):
                     try:
-                        if key == "generation":
-                            generation = int(value)
-                        elif key == "dead_bytes":
-                            dead_bytes = int(value)
+                        generation = int(value)
                     except (TypeError, ValueError):
                         continue
                 access: Dict[Tuple[str, ...], Tuple[str, int, int]] = {}
@@ -583,44 +474,27 @@ class CacheStore:
                         access[key] = (str(kind), int(nbytes), int(last))
                     except Exception:
                         continue
-                return access, generation, dead_bytes
+                return access, generation
             finally:
                 connection.close()
         except Exception:
-            return {}, 0, 0
-
-    def _encode_payloads(self, merged):
-        """The sqlite payload blobs of the merged scalar/report entries."""
-        payloads: Dict[Tuple[str, Tuple[str, ...]], bytes] = {}
-        for key, value in merged["structure"].items():
-            payloads[("structure", key)] = pickle.dumps(
-                value, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        for key, value in merged["report"].items():
-            payloads[("report", key)] = json.dumps(value).encode("utf-8")
-        return payloads
+            return {}, 0
 
     @staticmethod
     def _entry_bytes(kind, key, merged, payloads) -> int:
         """Estimated on-disk footprint of one entry (payload + fixed overhead)."""
-        if kind in ("structure", "report"):
-            return len(payloads[(kind, key)]) + _ENTRY_OVERHEAD_BYTES
+        if kind == "report":
+            return len(payloads[key]) + _ENTRY_OVERHEAD_BYTES
         value = merged[kind][key]
-        if kind == "batch":
-            total = sum(
-                np.asarray(getattr(value, name)).nbytes
-                for name in _BATCH_ARRAY_FIELDS
-            )
-        else:
-            columns = value.columns
-            total = (
-                columns.metrics.nbytes
-                + columns.disks_used.nbytes
-                + columns.sequential.nbytes
-                + columns.forced.nbytes
-                + np.asarray(value.allocation_disks).nbytes
-                + np.asarray(value.allocation_pages).nbytes
-            )
+        columns = value.columns
+        total = (
+            columns.metrics.nbytes
+            + columns.disks_used.nbytes
+            + columns.sequential.nbytes
+            + columns.forced.nbytes
+            + np.asarray(value.allocation_disks).nbytes
+            + np.asarray(value.allocation_pages).nbytes
+        )
         return int(total) + _ENTRY_OVERHEAD_BYTES
 
     def _select_evictions(self, new_access, over_bytes: Optional[int] = None):
@@ -653,12 +527,12 @@ class CacheStore:
         for key in evicted:
             kind = new_access.pop(key)[0]
             merged[kind].pop(key, None)
-            payloads.pop((kind, key), None)
+            payloads.pop(key, None)
 
     def _store_bytes(self) -> int:
-        """Actual byte size of the three store files (missing files count 0)."""
+        """Actual byte size of the two store files (missing files count 0)."""
         total = 0
-        for path in (self.entries_path, self.batches_path, self.candidates_path):
+        for path in (self.entries_path, self.candidates_path):
             try:
                 total += os.path.getsize(path)
             except OSError:
@@ -666,8 +540,7 @@ class CacheStore:
         return total
 
     def _collect_and_write(
-        self, merged, new_access, payloads, disk_keys, old_access,
-        generation, dead_bytes,
+        self, merged, new_access, payloads, disk_candidate_keys, generation
     ) -> None:
         """GC the merged union to the byte budget, then write the files.
 
@@ -682,10 +555,13 @@ class CacheStore:
         self._drop(merged, new_access, payloads, evicted)
         force_full = False
         for _ in range(_MAX_GC_ROUNDS):
-            self._write_files(
-                merged, new_access, payloads, disk_keys, old_access,
-                generation, dead_bytes, force_full,
-            )
+            if (
+                force_full
+                or set(merged["candidate"]) != disk_candidate_keys
+                or not os.path.exists(self.candidates_path)
+            ):
+                self._save_candidates(merged["candidate"])
+            self._write_entries(payloads, new_access, generation)
             measured = self._store_bytes()
             if self.max_bytes is None or measured <= self.max_bytes:
                 return
@@ -717,119 +593,21 @@ class CacheStore:
         # Still over budget with nothing (left) to evict — or the rounds ran
         # out: the budget wins over keeping a store at all.
         self._drop(merged, new_access, payloads, set(new_access))
-        for path in (self.entries_path, self.batches_path, self.candidates_path):
+        for path in (self.entries_path, self.candidates_path):
             try:
                 os.unlink(path)
             except OSError:
                 continue
 
-    def _write_files(
-        self, merged, new_access, payloads, disk_keys, old_access,
-        generation, dead_bytes, force_full,
-    ) -> None:
-        if (
-            force_full
-            or set(merged["batch"]) != disk_keys["batch"]
-            or not os.path.exists(self.batches_path)
-        ):
-            self._save_batches(merged["batch"])
-        if (
-            force_full
-            or set(merged["candidate"]) != disk_keys["candidate"]
-            or not os.path.exists(self.candidates_path)
-        ):
-            self._save_candidates(merged["candidate"])
-        self._write_entries(
-            merged, new_access, payloads, disk_keys, old_access,
-            generation, dead_bytes, force_full,
-        )
-
-    def _write_entries(
-        self, merged, new_access, payloads, disk_keys, old_access,
-        generation, dead_bytes, force_full,
-    ) -> None:
-        """Append into the live sqlite file, or compact it via a full rewrite.
-
-        The append path inserts only rows the file does not hold yet and
-        deletes evicted ones inside a single transaction; the bytes freed by
-        deletions accumulate as *dead weight* (sqlite recycles pages
-        internally but never shrinks the file) and trigger the compaction —
-        the same atomic temp-then-rename full write a fresh store gets.
-        """
-        sqlite_disk_keys = disk_keys["structure"] | disk_keys["report"]
-        sqlite_keys = set(merged["structure"]) | set(merged["report"])
-        deleted = sqlite_disk_keys - sqlite_keys
-        dead = dead_bytes + sum(
-            old_access[key][1] if key in old_access else _ENTRY_OVERHEAD_BYTES
-            for key in deleted
-        )
-        live_bytes = sum(len(payload) for payload in payloads.values())
+    def _write_entries(self, payloads, new_access, generation) -> None:
+        """Write the sqlite file whole, through the atomic temp-then-rename."""
+        rows = [
+            (_encode_key(self.salt, key), payload) for key, payload in payloads.items()
+        ]
         access_rows = [
             (_encode_key(self.salt, key), kind, int(nbytes), int(last))
             for key, (kind, nbytes, last) in new_access.items()
         ]
-        if (
-            not force_full
-            and os.path.exists(self.entries_path)
-            and dead <= COMPACT_DEAD_FRACTION * max(live_bytes, 1)
-        ):
-            new_rows = []
-            for key in sqlite_keys - sqlite_disk_keys:
-                kind = "structure" if key in merged["structure"] else "report"
-                new_rows.append(
-                    (_encode_key(self.salt, key), kind, payloads[(kind, key)])
-                )
-            try:
-                self._append_entries(new_rows, deleted, access_rows, generation, dead)
-                return
-            except Exception:
-                # Foreign salt, locked or tampered file: fall through to the
-                # atomic full rewrite, which replaces it wholesale.
-                pass
-        self._write_entries_full(merged, payloads, access_rows, generation)
-
-    def _append_entries(
-        self, new_rows, deleted_keys, access_rows, generation, dead_bytes
-    ) -> None:
-        connection = sqlite3.connect(self.entries_path)
-        try:
-            with connection:
-                rows = connection.execute(
-                    "SELECT value FROM meta WHERE key = 'salt'"
-                ).fetchall()
-                if not rows or rows[0][0] != self.salt:
-                    raise ValueError("store salt mismatch")
-                connection.executemany(
-                    "INSERT OR REPLACE INTO entries VALUES (?, ?, ?)", new_rows
-                )
-                connection.executemany(
-                    "DELETE FROM entries WHERE key = ?",
-                    [(_encode_key(self.salt, key),) for key in deleted_keys],
-                )
-                connection.execute(
-                    "CREATE TABLE IF NOT EXISTS access "
-                    "(key TEXT PRIMARY KEY, kind TEXT NOT NULL, "
-                    "bytes INTEGER NOT NULL, last_access INTEGER NOT NULL)"
-                )
-                connection.execute("DELETE FROM access")
-                connection.executemany(
-                    "INSERT INTO access VALUES (?, ?, ?, ?)", access_rows
-                )
-                connection.executemany(
-                    "INSERT OR REPLACE INTO meta VALUES (?, ?)",
-                    [
-                        ("generation", str(generation)),
-                        ("dead_bytes", str(int(dead_bytes))),
-                    ],
-                )
-        finally:
-            connection.close()
-
-    def _write_entries_full(self, merged, payloads, access_rows, generation) -> None:
-        rows = []
-        for kind in ("structure", "report"):
-            for key in merged[kind]:
-                rows.append((_encode_key(self.salt, key), kind, payloads[(kind, key)]))
 
         def write(tmp_path: str) -> None:
             connection = sqlite3.connect(tmp_path)
@@ -838,8 +616,7 @@ class CacheStore:
                     "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)"
                 )
                 connection.execute(
-                    "CREATE TABLE entries "
-                    "(key TEXT PRIMARY KEY, kind TEXT NOT NULL, payload BLOB NOT NULL)"
+                    "CREATE TABLE entries (key TEXT PRIMARY KEY, payload BLOB NOT NULL)"
                 )
                 connection.execute(
                     "CREATE TABLE access "
@@ -848,15 +625,9 @@ class CacheStore:
                 )
                 connection.executemany(
                     "INSERT INTO meta VALUES (?, ?)",
-                    [
-                        ("salt", self.salt),
-                        ("generation", str(generation)),
-                        ("dead_bytes", "0"),
-                    ],
+                    [("salt", self.salt), ("generation", str(generation))],
                 )
-                connection.executemany(
-                    "INSERT OR REPLACE INTO entries VALUES (?, ?, ?)", rows
-                )
+                connection.executemany("INSERT INTO entries VALUES (?, ?)", rows)
                 connection.executemany(
                     "INSERT INTO access VALUES (?, ?, ?, ?)", access_rows
                 )
@@ -878,34 +649,6 @@ class CacheStore:
         finally:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
-
-    def _save_batches(self, batches) -> None:
-        arrays: Dict[str, np.ndarray] = {
-            "__salt__": np.array(self.salt),
-            "__index__": np.array(
-                json.dumps([[self.salt, *key] for key in batches])
-            ),
-        }
-        for i, batch in enumerate(batches.values()):
-            arrays[f"{i}/meta"] = np.array(
-                json.dumps(
-                    {
-                        "query_names": list(batch.query_names),
-                        "fragments_total": batch.fragments_total,
-                        "index_attributes": [
-                            list(pair) for pair in batch.index_attributes
-                        ],
-                    }
-                )
-            )
-            for name in _BATCH_ARRAY_FIELDS:
-                arrays[f"{i}/{name}"] = getattr(batch, name)
-
-        def write(tmp_path: str) -> None:
-            with open(tmp_path, "wb") as handle:
-                np.savez(handle, **arrays)
-
-        self._atomic_write(self.batches_path, write)
 
     def _save_candidates(self, candidates) -> None:
         from repro.engine.result import CandidateColumns

@@ -10,7 +10,7 @@ analysis layer (database statistics, fragment size distributions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
@@ -141,20 +141,6 @@ class FragmentationLayout:
             raise FragmentationError(
                 f"page_size_bytes must be positive, got {self.page_size_bytes}"
             )
-
-    # -- pickling ---------------------------------------------------------------
-    #
-    # Only the defining fields are pickled; the lazily cached per-fragment
-    # arrays (cached_property values in __dict__) are recomputed
-    # deterministically on demand, so a layout with 100k fragments does not
-    # carry megabytes of derivable arrays through pickle.
-
-    def __getstate__(self):
-        return {field.name: getattr(self, field.name) for field in fields(self)}
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
 
     # -- axis geometry ---------------------------------------------------------
 

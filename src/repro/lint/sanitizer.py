@@ -162,8 +162,6 @@ _CACHE_METHODS = (
     "candidate",
     "get_candidate",
     "put_candidate",
-    "structure_items",
-    "merge_structures",
     "class_matrix",
     "get_exclusions",
     "put_exclusions",

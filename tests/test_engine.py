@@ -132,16 +132,6 @@ class TestSignatures:
         layout_c = build_layout(toy_schema, specs[1])
         assert layout_signature(layout_c) != signature_before
 
-    def test_layout_pickle_drops_cached_arrays(self, toy_schema, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        layout = build_layout(toy_schema, specs[0])
-        layout.fragment_rows
-        layout.fragment_fact_pages
-        clone = pickle.loads(pickle.dumps(layout))
-        assert "fragment_rows" not in clone.__dict__
-        assert clone.fragment_count == layout.fragment_count
-        assert clone.fragment_rows.tolist() == layout.fragment_rows.tolist()
-
 
 class TestEvaluationCache:
     def test_structure_reuse_counts_hits(self, toy_advisor):

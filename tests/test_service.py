@@ -757,16 +757,12 @@ class TestHealthzStoreCounters:
         assert all(isinstance(v, int) for v in health["store"].values())
 
     def test_corrupted_store_shows_up_in_healthz(self, scenario, server, tmp_path):
-        from repro.engine.store import (
-            BATCHES_FILENAME,
-            CANDIDATES_FILENAME,
-            ENTRIES_FILENAME,
-        )
+        from repro.engine.store import CANDIDATES_FILENAME, ENTRIES_FILENAME
 
         schema, workload, system, config = scenario
         cache_dir = tmp_path / "rotten"
         cache_dir.mkdir()
-        for name in (ENTRIES_FILENAME, BATCHES_FILENAME, CANDIDATES_FILENAME):
+        for name in (ENTRIES_FILENAME, CANDIDATES_FILENAME):
             (cache_dir / name).write_bytes(b"\x00\x01 rubble")
         server.registry.register(
             "rotten",

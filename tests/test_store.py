@@ -4,6 +4,7 @@ The contract under test (repro.engine.store):
 
 * a second advisor *process* (modelled here as a fresh cache/advisor loading
   the same directory) answers its sweep from the disk store, bit-identically;
+* the directory holds exactly two files, and nothing in them is pickled;
 * a corrupted, truncated or version-mismatched store is silently ignored —
   the run falls back to a cold evaluation with the identical fingerprint and
   then atomically rewrites the store;
@@ -11,6 +12,10 @@ The contract under test (repro.engine.store):
 """
 
 from __future__ import annotations
+
+import json
+import os
+import sqlite3
 
 import numpy as np
 import pytest
@@ -25,11 +30,13 @@ from repro import (
     recommendation_fingerprint,
     synthetic_schema,
 )
+import repro.engine.store
 from repro.engine import CacheStore, store_salt
 from repro.engine.store import (
     BATCHES_FILENAME,
     CANDIDATES_FILENAME,
     ENTRIES_FILENAME,
+    _encode_key,
 )
 from repro.workload.generator import random_query_mix
 
@@ -49,15 +56,27 @@ def scenario():
     return schema, workload, system, config
 
 
-def _advisor(scenario, cache_dir):
+def _advisor(scenario, cache_dir, vectorize=True):
     schema, workload, system, config = scenario
     return AdvisorSession(
         schema,
         workload,
         system,
         config,
-        options=EngineOptions(cache_dir=str(cache_dir)),
+        options=EngineOptions(cache_dir=str(cache_dir), vectorize=vectorize),
     )
+
+
+def _payload(i):
+    """A JSON report payload of about 10 KB."""
+    return {"fill": str(i) * 10_000}
+
+
+def _insert_report_row(cache_dir, key_text, payload) -> None:
+    connection = sqlite3.connect(cache_dir / ENTRIES_FILENAME)
+    connection.execute("INSERT INTO entries VALUES (?, ?)", (key_text, payload))
+    connection.commit()
+    connection.close()
 
 
 class TestRoundTrip:
@@ -65,7 +84,6 @@ class TestRoundTrip:
         advisor = _advisor(scenario, tmp_path)
         advisor.recommend()
         assert (tmp_path / ENTRIES_FILENAME).exists()
-        assert (tmp_path / BATCHES_FILENAME).exists()
         assert (tmp_path / CANDIDATES_FILENAME).exists()
         # No leftover temp files: saves are write-temp-then-rename.
         assert not list(tmp_path.glob("*.tmp"))
@@ -73,9 +91,8 @@ class TestRoundTrip:
     def test_store_load_returns_the_saved_entries(self, scenario, tmp_path):
         advisor = _advisor(scenario, tmp_path)
         advisor.recommend()
-        structures, candidates, reports = CacheStore(tmp_path).load()
+        candidates, reports = CacheStore(tmp_path).load()
         assert len(candidates) == len(dict(advisor.cache._candidates))
-        assert len(structures) == len(dict(advisor.cache.structure_items()))
         assert set(candidates) == set(advisor.cache._candidates)
         # The candidate-exclusion report rides along with the store.
         assert len(reports) == 1
@@ -85,35 +102,11 @@ class TestRoundTrip:
 
         advisor = _advisor(scenario, tmp_path)
         advisor.recommend()
-        _structures, candidates, _reports = CacheStore(tmp_path).load()
+        candidates, _reports = CacheStore(tmp_path).load()
         assert candidates
         assert all(
             isinstance(value, CandidateColumns) for value in candidates.values()
         )
-
-    def test_batch_entries_round_trip_bit_exact(self, scenario, tmp_path):
-        from repro.costmodel.batch import AccessStructureBatch
-        from repro.engine.store import _BATCH_ARRAY_FIELDS
-
-        advisor = _advisor(scenario, tmp_path)
-        advisor.recommend()
-        structures, _, _ = CacheStore(tmp_path).load()
-        original = dict(advisor.cache.structure_items())
-        batches = {
-            key: value
-            for key, value in structures.items()
-            if isinstance(value, AccessStructureBatch)
-        }
-        assert batches, "the batched sweep must spill per-layout structure batches"
-        for key, loaded in batches.items():
-            source = original[key]
-            assert loaded.query_names == source.query_names
-            assert loaded.fragments_total == source.fragments_total
-            assert loaded.index_attributes == source.index_attributes
-            for field in _BATCH_ARRAY_FIELDS:
-                ours, theirs = getattr(source, field), getattr(loaded, field)
-                assert ours.dtype == theirs.dtype, field
-                assert np.array_equal(ours, theirs), field
 
     def test_loaded_candidate_arrays_retain_no_base(self, scenario, tmp_path):
         """Regression: loaded per-candidate arrays used to be numpy *views*
@@ -121,7 +114,7 @@ class TestRoundTrip:
         surviving candidate pinned its whole group's arrays in memory."""
         advisor = _advisor(scenario, tmp_path)
         advisor.recommend()
-        _structures, candidates, _reports = CacheStore(tmp_path).load()
+        candidates, _reports = CacheStore(tmp_path).load()
         assert candidates
         for value in candidates.values():
             columns = value.columns
@@ -146,6 +139,19 @@ class TestRoundTrip:
         assert stats.candidate_disk_hits == stats.candidate_hits > 0
         assert stats.disk_hit_rate >= 0.9
 
+    @pytest.mark.parametrize("vectorize", [True, False])
+    def test_store_holds_two_files_and_no_pickle(self, scenario, tmp_path, vectorize):
+        # Batched or scalar, a sweep persists only candidates and reports:
+        # access structures stay in memory, and every sqlite row is JSON.
+        _advisor(scenario, tmp_path, vectorize=vectorize).recommend()
+        assert sorted(os.listdir(tmp_path)) == [CANDIDATES_FILENAME, ENTRIES_FILENAME]
+        connection = sqlite3.connect(tmp_path / ENTRIES_FILENAME)
+        payloads = [row[0] for row in connection.execute("SELECT payload FROM entries")]
+        connection.close()
+        assert payloads
+        for payload in payloads:
+            json.loads(payload)
+
 
 class TestWarmStartParity:
     def test_cold_warm_and_corrupted_fingerprints_match(self, scenario, tmp_path):
@@ -159,7 +165,6 @@ class TestWarmStartParity:
 
         # Corrupt every file in place: the store must be silently ignored.
         (tmp_path / ENTRIES_FILENAME).write_bytes(b"this is not a database")
-        (tmp_path / BATCHES_FILENAME).write_bytes(b"\x00\x01garbage")
         (tmp_path / CANDIDATES_FILENAME).write_bytes(b"\x00\x01garbage")
         corrupted_advisor = _advisor(scenario, tmp_path)
         corrupted = corrupted_advisor.recommend().recommendation
@@ -186,6 +191,25 @@ class TestFailureModes:
         result = mismatched.recommend().recommendation
         assert recommendation_fingerprint(result) == fingerprint
 
+    def test_format_3_directory_runs_cold_and_loses_its_structures(
+        self, scenario, tmp_path, monkeypatch
+    ):
+        # A directory written under format 3's salt, with a stray
+        # structures.npz beside it: both salted files are mismatches, the run
+        # answers cold, and its save removes the format-3 structure file.
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.engine.store, "STORE_FORMAT_VERSION", 3)
+            cold = _advisor(scenario, tmp_path).recommend().recommendation
+        fingerprint = recommendation_fingerprint(cold)
+        (tmp_path / BATCHES_FILENAME).write_bytes(b"\x00format-3 batches")
+        upgraded = _advisor(scenario, tmp_path)
+        assert upgraded.cache.stats.store_salt_mismatches == 2
+        assert upgraded.cache.loaded_from_disk == 0
+        result = upgraded.recommend().recommendation
+        assert recommendation_fingerprint(result) == fingerprint
+        assert not (tmp_path / BATCHES_FILENAME).exists()
+        assert sorted(os.listdir(tmp_path)) == [CANDIDATES_FILENAME, ENTRIES_FILENAME]
+
     def test_salt_covers_the_package_version(self, monkeypatch):
         before = store_salt()
         monkeypatch.setattr(repro, "__version__", "999.0.0")
@@ -211,29 +235,30 @@ class TestFailureModes:
         advisor.recommend()
         assert (nested / ENTRIES_FILENAME).exists()
 
-    def test_truncated_sqlite_only_still_loads_batches(self, scenario, tmp_path):
-        # The store files are validated independently: corrupt entry and
-        # candidate files must not poison the (intact) batch file.
+    def test_truncated_sqlite_only_still_loads_candidates(self, scenario, tmp_path):
+        # The store files are validated independently: a corrupt entry file
+        # must not poison the (intact) candidate file.
         cold = _advisor(scenario, tmp_path)
         fingerprint = recommendation_fingerprint(cold.recommend().recommendation)
         (tmp_path / ENTRIES_FILENAME).write_bytes(b"broken")
-        (tmp_path / CANDIDATES_FILENAME).write_bytes(b"broken")
         advisor = _advisor(scenario, tmp_path)
         result = advisor.recommend().recommendation
         assert recommendation_fingerprint(result) == fingerprint
-        # Candidates were gone, but the structure batches warm-started.
+        # The report was gone, but the candidates warm-started.
         assert advisor.cache.loaded_from_disk > 0
-        assert advisor.cache.stats.structure_disk_hits > 0
+        assert advisor.cache.stats.candidate_disk_hits > 0
 
     def test_truncated_candidates_only_still_loads_the_rest(self, scenario, tmp_path):
         cold = _advisor(scenario, tmp_path)
         fingerprint = recommendation_fingerprint(cold.recommend().recommendation)
         (tmp_path / CANDIDATES_FILENAME).write_bytes(b"broken")
         advisor = _advisor(scenario, tmp_path)
+        # The exclusion report still loads from the intact sqlite file.
+        assert advisor.cache.loaded_from_disk == 1
+        assert len(advisor.cache._reports) == 1
         result = advisor.recommend().recommendation
         assert recommendation_fingerprint(result) == fingerprint
         assert advisor.cache.stats.candidate_disk_hits == 0
-        assert advisor.cache.stats.structure_disk_hits > 0
 
 
 class TestKeyEncoding:
@@ -256,43 +281,27 @@ class TestKeyEncoding:
         assert _decode_key(salt, json.dumps({"not": "a list"})) is None
 
     def test_undecodable_payload_skips_that_entry_only(self, scenario, tmp_path):
-        # One truncated pickle must forfeit one entry, not the whole store.
-        import sqlite3
-
-        from repro.engine.store import ENTRIES_FILENAME, _encode_key
-
+        # One undecodable report row must forfeit one entry, not the store.
         advisor = _advisor(scenario, tmp_path)
         advisor.recommend()
-        connection = sqlite3.connect(tmp_path / ENTRIES_FILENAME)
-        connection.execute(
-            "INSERT INTO entries VALUES (?, ?, ?)",
-            (_encode_key(store_salt(), ("bad-entry",)), "structure", b"\x80truncated"),
+        _insert_report_row(
+            tmp_path, _encode_key(store_salt(), ("bad-entry",)), b"\x80truncated"
         )
-        connection.commit()
-        connection.close()
-        structures, candidates, _reports = CacheStore(tmp_path).load()
-        assert ("bad-entry",) not in structures
+        candidates, reports = CacheStore(tmp_path).load()
+        assert ("bad-entry",) not in reports
+        assert len(reports) == 1
         assert len(candidates) == len(dict(advisor.cache._candidates))
 
     def test_foreign_salted_rows_are_skipped_not_fatal(self, scenario, tmp_path):
         # A single foreign-salted row inside an otherwise valid store must be
         # skipped without discarding the valid entries.
-        import sqlite3
-
-        from repro.engine.store import ENTRIES_FILENAME
-
         advisor = _advisor(scenario, tmp_path)
         advisor.recommend()
-        connection = sqlite3.connect(tmp_path / ENTRIES_FILENAME)
-        connection.execute(
-            "INSERT INTO entries VALUES (?, ?, ?)",
-            ('["foreign-salt", "x"]', "structure", b"junk"),
-        )
-        connection.commit()
-        connection.close()
-        structures, candidates, _reports = CacheStore(tmp_path).load()
+        _insert_report_row(tmp_path, '["foreign-salt", "x"]', b"{}")
+        candidates, reports = CacheStore(tmp_path).load()
         assert len(candidates) == len(dict(advisor.cache._candidates))
-        assert all(len(key) > 0 for key in structures)
+        assert len(reports) == 1
+        assert all(len(key) > 0 for key in reports)
 
 
 class TestCacheStoreHook:
@@ -313,21 +322,25 @@ class TestCacheStoreHook:
         )
         advisor.recommend()  # attaches A and persists the sweep there
         # Make the cache dirty again, then switch stores.
-        advisor.cache.merge_structures([(("extra",), "entry")])
+        advisor.cache.put_exclusions(("extra",), _payload(0))
         assert advisor.cache.dirty
         advisor.cache.attach(CacheStore(dir_b))
-        structures_a, _, _ = CacheStore(dir_a).load()
-        assert ("extra",) in structures_a
+        _, reports_a = CacheStore(dir_a).load()
+        assert reports_a[("extra",)] == _payload(0)
 
-    def test_recomputed_entries_stop_counting_as_disk_hits(self):
+    def test_recomputed_entries_stop_counting_as_disk_hits(self, scenario):
+        schema, workload, system, config = scenario
+        session = AdvisorSession(schema, workload, system, config)
+        specs, _ = session.generate_specs()
+        context = session.engine.context(specs=specs)
         cache = EvaluationCache()
-        cache._disk_keys.add(("k",))
+        cache._disk_keys.add(cache.candidate_key(context, specs[0]))
         # An in-process (re)computation of the same key must clear the
         # disk-origin flag, so later hits are not misreported as disk hits.
-        cache.merge_structures([(("k",), "computed")])
-        assert cache._memoized_structure(("k",), lambda: "unused") == "computed"
-        assert cache.stats.structure_hits == 1
-        assert cache.stats.structure_disk_hits == 0
+        cache.put_candidate(context, specs[0], "computed")
+        assert cache.get_candidate(context, specs[0]) == "computed"
+        assert cache.stats.candidate_hits == 1
+        assert cache.stats.candidate_disk_hits == 0
 
     def test_persist_skips_clean_caches(self, scenario, tmp_path):
         advisor = _advisor(scenario, tmp_path)
@@ -341,24 +354,25 @@ class TestCacheStoreHook:
         advisor.recommend()
         store = CacheStore(tmp_path / "explicit")
         written = advisor.cache.save(store)
-        # Evaluation entries plus the one candidate-exclusion report (reports
-        # persist with the store but are not counted by len()).
-        assert written == len(advisor.cache) + 1
+        # Candidates plus the one candidate-exclusion report; access
+        # structures stay in memory.
+        candidates = len(advisor.cache._candidates)
+        assert written == candidates + 1
         fresh = EvaluationCache()
         assert fresh.load(store) == written
-        assert len(fresh) == len(advisor.cache)
+        assert len(fresh) == candidates
 
     def test_saves_merge_instead_of_overwriting(self, tmp_path):
         # Two writers with disjoint entries: the second save must union with
         # the directory's content, not replace it last-one-wins.
         first = EvaluationCache()
-        first.merge_structures([(("a",), "alpha")])
+        first.put_exclusions(("a",), _payload(1))
         assert first.save(CacheStore(tmp_path)) == 1
         second = EvaluationCache()
-        second.merge_structures([(("b",), "beta")])
+        second.put_exclusions(("b",), _payload(2))
         assert second.save(CacheStore(tmp_path)) == 2
-        structures, _, _ = CacheStore(tmp_path).load()
-        assert structures == {("a",): "alpha", ("b",): "beta"}
+        _, reports = CacheStore(tmp_path).load()
+        assert reports == {("a",): _payload(1), ("b",): _payload(2)}
 
     def test_shared_cache_dir_with_tuning_studies(self, scenario, tmp_path):
         from repro.tuning import disk_count_study
@@ -366,8 +380,8 @@ class TestCacheStoreHook:
         schema, workload, system, config = scenario
         advisor = _advisor(scenario, tmp_path)
         spec = advisor.recommend().recommendation.best.spec
-        # A later process runs only the study: it warm-starts from the
-        # recommend() run's spilled structures.
+        # A later process runs only the study: the 16-disk setting is the
+        # candidate the recommend() run already evaluated and spilled.
         study_cache = EvaluationCache()
         disk_count_study(
             schema,
@@ -380,19 +394,19 @@ class TestCacheStoreHook:
             options=EngineOptions(cache_dir=str(tmp_path)),
         )
         assert study_cache.loaded_from_disk > 0
-        assert study_cache.stats.structure_disk_hits > 0
+        assert study_cache.stats.candidate_disk_hits == 1
 
 
 def _store_size(cache_dir) -> int:
     return sum(
         (cache_dir / name).stat().st_size
-        for name in (ENTRIES_FILENAME, BATCHES_FILENAME, CANDIDATES_FILENAME)
+        for name in (ENTRIES_FILENAME, CANDIDATES_FILENAME)
         if (cache_dir / name).exists()
     )
 
 
 class TestStoreMaintenance:
-    """Byte-budgeted LRU garbage collection and the append/compact write path."""
+    """Byte-budgeted LRU garbage collection and merge-on-save."""
 
     def test_invalid_budget(self, tmp_path):
         with pytest.raises(ValueError):
@@ -404,9 +418,8 @@ class TestStoreMaintenance:
         # Four 10 KB entries on disk; a second process touches two of them,
         # adds a fifth, and saves under a budget that holds only three.
         first = EvaluationCache()
-        first.merge_structures(
-            [((f"k{i}",), bytes([i]) * 10_000) for i in range(1, 5)]
-        )
+        for i in range(1, 5):
+            first.put_exclusions((f"k{i}",), _payload(i))
         assert first.save(CacheStore(tmp_path)) == 4
 
         budget = 60_000
@@ -414,45 +427,43 @@ class TestStoreMaintenance:
         budgeted = CacheStore(tmp_path, max_bytes=budget)
         assert second.attach(budgeted) == 4
         # Hits refresh k3/k4; k1/k2 stay merely loaded (not touched).
-        assert second._memoized_structure(("k3",), lambda: None) == b"\x03" * 10_000
-        assert second._memoized_structure(("k4",), lambda: None) == b"\x04" * 10_000
-        second.merge_structures([(("k5",), b"\x05" * 10_000)])
+        assert second.get_exclusions(("k3",)) == _payload(3)
+        assert second.get_exclusions(("k4",)) == _payload(4)
+        second.put_exclusions(("k5",), _payload(5))
         written = second.save(budgeted)
         assert written is not None and 0 < written < 5
 
-        structures, _, _ = CacheStore(tmp_path).load()
+        _, reports = CacheStore(tmp_path).load()
         assert _store_size(tmp_path) <= budget
         # Eviction is strictly oldest-first: untouched k1/k2 age out before
         # the entries this run touched, so the survivors form a suffix of the
         # LRU order and the newest entry always makes it.
         order = [("k1",), ("k2",), ("k3",), ("k4",), ("k5",)]
-        survivors = [key for key in order if key in structures]
+        survivors = [key for key in order if key in reports]
         assert survivors == order[len(order) - len(survivors) :]
-        assert ("k1",) not in structures
-        assert ("k5",) in structures
+        assert ("k1",) not in reports
+        assert ("k5",) in reports
 
-        # Survivors still serve warm (disk) hits for a third process.
+        # Survivors still load for a third process.
         third = EvaluationCache()
         assert third.attach(CacheStore(tmp_path)) == len(survivors)
-        assert third._memoized_structure(("k5",), lambda: None) == b"\x05" * 10_000
-        assert third.stats.structure_disk_hits == 1
+        assert third.get_exclusions(("k5",)) == _payload(5)
 
     def test_budget_smaller_than_any_store_clears_the_directory(self, tmp_path):
         cache = EvaluationCache()
-        cache.merge_structures([(("k",), b"x" * 50_000)])
+        cache.put_exclusions(("k",), {"fill": "x" * 50_000})
         store = CacheStore(tmp_path, max_bytes=1_000)
         assert cache.save(store) == 0
         assert _store_size(tmp_path) == 0
-        assert CacheStore(tmp_path).load() == ({}, {}, {})
+        assert CacheStore(tmp_path).load() == ({}, {})
 
     def test_unbudgeted_saves_never_evict(self, tmp_path):
         cache = EvaluationCache()
-        cache.merge_structures(
-            [((f"k{i}",), bytes([i]) * 10_000) for i in range(1, 9)]
-        )
+        for i in range(1, 9):
+            cache.put_exclusions((f"k{i}",), _payload(i))
         assert cache.save(CacheStore(tmp_path)) == 8
-        structures, _, _ = CacheStore(tmp_path).load()
-        assert len(structures) == 8
+        _, reports = CacheStore(tmp_path).load()
+        assert len(reports) == 8
 
     def test_budgeted_sweeps_stay_under_budget_and_warm_start(
         self, scenario, tmp_path
@@ -479,8 +490,8 @@ class TestStoreMaintenance:
         assert recommendation_fingerprint(warm.recommend().recommendation) == fingerprint
         assert _store_size(bounded_dir) <= effective_budget
 
-    def test_append_then_compaction_preserves_fingerprint(self, scenario, tmp_path):
-        # First sweep writes the store; a reweighted-workload sweep appends
+    def test_merged_second_sweep_preserves_fingerprint(self, scenario, tmp_path):
+        # First sweep writes the store; a sweep on another disk count merges
         # into the same directory; the original sweep must still warm-start
         # bit-identically afterwards.
         schema, workload, system, config = scenario
@@ -517,13 +528,11 @@ class TestRobustnessCounters:
         _advisor(scenario, tmp_path).recommend()
         monkeypatch.setattr(repro, "__version__", "999.0.0")
         mismatched = _advisor(scenario, tmp_path)
-        # All three store files (entries, batches, candidates) carry the salt.
-        assert mismatched.cache.stats.store_salt_mismatches == 3
+        # Both store files (entries, candidates) carry the salt.
+        assert mismatched.cache.stats.store_salt_mismatches == 2
         assert mismatched.cache.stats.store_fallback_loads == 0
 
-    @pytest.mark.parametrize(
-        "filename", [ENTRIES_FILENAME, BATCHES_FILENAME, CANDIDATES_FILENAME]
-    )
+    @pytest.mark.parametrize("filename", [ENTRIES_FILENAME, CANDIDATES_FILENAME])
     def test_corrupting_each_file_kind_counts_a_fallback(
         self, scenario, tmp_path, filename
     ):
@@ -533,26 +542,46 @@ class TestRobustnessCounters:
         stats = degraded.cache.stats
         assert stats.store_fallback_loads == 1
         assert stats.store_salt_mismatches == 0
-        # The other two files still load; the sweep still answers warm.
+        # The other file still loads.
         assert degraded.cache.loaded_from_disk > 0
 
     def test_undecodable_entry_is_counted_as_corrupt(self, scenario, tmp_path):
-        import sqlite3
-
-        from repro.engine.store import _encode_key
-
         _advisor(scenario, tmp_path).recommend()
-        connection = sqlite3.connect(tmp_path / ENTRIES_FILENAME)
-        connection.execute(
-            "INSERT INTO entries VALUES (?, ?, ?)",
-            (_encode_key(store_salt(), ("bad-entry",)), "structure", b"\x80trunc"),
+        _insert_report_row(
+            tmp_path, _encode_key(store_salt(), ("bad-entry",)), b"\x80trunc"
         )
-        connection.commit()
-        connection.close()
         degraded = _advisor(scenario, tmp_path)
         assert degraded.cache.stats.store_corrupt_entries >= 1
         assert degraded.cache.stats.store_fallback_loads == 0
         assert degraded.cache.loaded_from_disk > 0
+
+    def test_malformed_group_forfeits_only_its_own_candidates(self, scenario, tmp_path):
+        # Two candidate groups (two 6-class mixes); group 0 loses its key
+        # list.  Only its candidates go: the intact group loads whole.
+        schema, _, system, config = scenario
+        options = EngineOptions(cache_dir=str(tmp_path))
+        for seed in (5, 6):
+            workload = random_query_mix(schema, num_classes=6, seed=seed)
+            AdvisorSession(schema, workload, system, config, options=options).recommend()
+        path = tmp_path / CANDIDATES_FILENAME
+        with np.load(path, allow_pickle=False) as data:
+            members = {name: data[name] for name in data.files}
+        assert int(members["__groups__"][()]) == 2
+        broken = json.loads(str(members["c0/meta"][()]))
+        del broken["keys"]
+        members["c0/meta"] = np.array(json.dumps(broken))
+        with open(path, "wb") as handle:
+            np.savez(handle, **members)
+        intact = {
+            tuple(parts[1:])
+            for parts in json.loads(str(members["c1/meta"][()]))["keys"]
+        }
+
+        store = CacheStore(tmp_path)
+        candidates, _reports = store.load()
+        assert set(candidates) == intact
+        assert store.load_stats.corrupt_entries == 1
+        assert store.load_stats.fallback_loads == 0
 
     def test_counters_survive_describe(self, scenario, tmp_path):
         _advisor(scenario, tmp_path).recommend()
