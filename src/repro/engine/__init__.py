@@ -16,11 +16,12 @@ explicit pipeline:
 4. :mod:`~repro.engine.signature` provides the content fingerprints the cache
    keys on, plus recommendation fingerprints used to *prove* parity.
 5. :class:`~repro.engine.store.CacheStore` spills the cache to a directory
-   (one npz of columnar candidate groups that materialize lazily on the
-   first warm probe, sqlite for the JSON exclusion reports and the LRU
+   (one npz of columnar candidate groups with their keys and integer
+   attribute codes, sqlite for the JSON exclusion reports and the LRU
    access table; access structures stay in memory) so later *processes*
-   warm-start from disk; corrupted or version-mismatched stores are
-   silently ignored.
+   warm-start from disk.  A load checks each group whole and hands out one
+   undecoded handle per candidate; a handle decodes on its first warm
+   probe.  Corrupted or version-mismatched stores are silently ignored.
 """
 
 from repro.engine.cache import CacheStats, EvaluationCache

@@ -48,6 +48,8 @@ from repro.engine.signature import (
     query_structure_signature,
     stable_digest,
 )
+from repro.engine.store import StoredCandidate
+from repro.errors import AllocationError
 
 __all__ = ["CacheStats", "EvaluationCache"]
 
@@ -337,14 +339,28 @@ class EvaluationCache:
         this to answer warm candidates once per plan index and chunk only the
         misses.
 
-        Entries loaded from a persistent store are deferred columnar records
-        (:class:`~repro.engine.result.CandidateColumns`); the first probe
-        materializes the candidate under the probing context — valid because
-        the content-addressed key covers every input the materialization
-        reads — and upgrades the entry in place so later probes are free.
+        Entries loaded from a persistent store are deferred handles
+        (:class:`~repro.engine.store.StoredCandidate`); the first probe
+        decodes and materializes the candidate under the probing context —
+        valid because the content-addressed key covers every input the
+        materialization reads — and upgrades the entry in place so later
+        probes are free.  A stored allocation the probing context rejects (a
+        disk id past its disk count, a span that is not its rebuilt layout's)
+        is counted as a corrupt store entry, dropped and reported as a miss,
+        so the sweep evaluates that candidate cold.
         """
         key = self.candidate_key(context, spec)
         value = self._candidates.get(key, _MISSING)
+        if isinstance(value, StoredCandidate):
+            try:
+                value = value.decode().materialize(context, spec)
+            except AllocationError:
+                self.stats.store_corrupt_entries += 1
+                del self._candidates[key]
+                self._disk_keys.discard(key)
+                value = _MISSING
+            else:
+                self._candidates[key] = value
         if value is _MISSING:
             self.stats.candidate_misses += 1
             return None
@@ -352,11 +368,6 @@ class EvaluationCache:
         if key in self._disk_keys:
             self.stats.candidate_disk_hits += 1
         self._touched.add(key)
-        from repro.engine.result import CandidateColumns
-
-        if isinstance(value, CandidateColumns):
-            value = value.materialize(context, spec)
-            self._candidates[key] = value
         return value
 
     def put_candidate(self, context, spec, candidate) -> None:
@@ -473,8 +484,8 @@ class EvaluationCache:
         """Bulk-load a persistent store's candidates and reports into this cache.
 
         Loaded candidates are tracked so later hits on them count as *disk
-        hits* (:attr:`CacheStats.disk_hits`); they arrive as deferred
-        columnar records and materialize on their first warm probe (see
+        hits* (:attr:`CacheStats.disk_hits`); they arrive as undecoded
+        handles and materialize on their first warm probe (see
         :meth:`get_candidate`).  Loading never marks the cache dirty — the
         entries are already on disk — and a missing, corrupted or
         version-mismatched store simply loads zero entries.  Returns the

@@ -1,14 +1,15 @@
-"""Columnar candidate records: the cache's deferred entries and store format.
+"""Columnar candidate records: what the store writes and a warm probe decodes.
 
 :class:`CandidateColumns` is one evaluated candidate's columnar state — the
 (query class × metric) evaluation block, the prefetch granules and the
 allocation vectors — materializable into a
 :class:`~repro.core.candidates.FragmentationCandidate` under any engine
 context whose content signatures match the cache key it was stored under.
-The persistent store (:mod:`repro.engine.store`) spills whole-candidate
-cache entries as these records — plain numpy columns plus JSON metadata —
-and :class:`~repro.engine.cache.EvaluationCache` materializes them lazily on
-the first warm probe.
+The persistent store (:mod:`repro.engine.store`) stacks these records into
+columnar groups on save.  A load hands the cache one undecoded
+:class:`~repro.engine.store.StoredCandidate` handle per stored candidate;
+the first warm probe of a handle decodes its record and
+:class:`~repro.engine.cache.EvaluationCache` materializes it.
 
 Reconstruction is exact: every float travels as the same IEEE-754 double it
 was computed as, layouts are rebuilt from the same ``(schema, spec, page
@@ -53,11 +54,13 @@ class CandidateColumns:
     """One evaluated candidate, flattened to columnar arrays.
 
     Everything a candidate adds over its (re-derivable) layout: the columnar
-    evaluation block, the prefetch granules and the allocation vectors.
-    :meth:`materialize` rebuilds the full :class:`FragmentationCandidate`
-    under an engine context — valid exactly when the context's content
-    signatures match the key this record is stored under, which the
-    content-addressed cache guarantees.
+    evaluation block, the prefetch granules and the allocation vectors.  The
+    store writes these records and decodes one per warm probe, with its own
+    copies of the arrays and the attribute pairs shared with its group's
+    table.  :meth:`materialize` rebuilds the full
+    :class:`FragmentationCandidate` under an engine context — valid exactly
+    when the context's content signatures match the key this record is
+    stored under, which the content-addressed cache guarantees.
     """
 
     #: The per-class evaluation state (one definition for the whole column

@@ -9,7 +9,7 @@ construction: a :class:`CacheStore` spills them under a cache directory and a
 later process reloads them, making repeated invocations and tuning sessions
 start warm.
 
-On-disk format (version 4)
+On-disk format (version 5)
 --------------------------
 
 The store persists only what a warm start reads:
@@ -17,11 +17,21 @@ The store persists only what a warm start reads:
 ``candidates.npz``
     Whole-candidate entries as **columnar groups**: all candidates sharing
     one (query classes, weights) shape stack into one metric cube, one disk
-    plane, two flag planes and two concatenated allocation vectors, plus one
-    JSON metadata member per group.  A warm process reads a handful of bulk
-    numpy arrays, and the loaded entries stay *deferred*
-    (:class:`~repro.engine.result.CandidateColumns`) until a warm probe
-    materializes them under the probing engine context.
+    plane, two flag planes and two concatenated allocation vectors.  Each
+    group also holds its salted keys (``keys``), its small per-candidate
+    fields (``meta``: prefetch granules, allocation schemes, fragment counts
+    and allocation offsets) and its bitmap attributes as integer columns:
+    the group's distinct ``[dimension, level]`` pairs (``attr_table``), the
+    number of pairs per candidate and class (``attr_counts``) and the flat
+    table codes (``attr_codes``).  JSON members are stored as UTF-8 bytes.
+
+    A load reads each group's members once, checks the whole group with
+    array operations (shapes, offsets, codes, value ranges; a failing group
+    is skipped) and maps every key to a :class:`StoredCandidate` handle — no
+    per-candidate copy, no per-class tuple.  A handle decodes its one
+    candidate into a :class:`~repro.engine.result.CandidateColumns` record
+    on its first warm probe, which materializes it under the probing engine
+    context, so an activation pays only for the candidates it asks for.
 
 ``entries.sqlite``
     One row per candidate-exclusion report (the cache key — salt-prefixed,
@@ -43,11 +53,14 @@ All files carry a **salt**: a digest over the store format version and the
 salt.  A store written by a different format or package version, a truncated
 or corrupted file, or an entry that fails to decode is **silently ignored,
 never trusted** — the evaluation simply runs cold and overwrites the store
-with fresh content.  Persistence is strictly best-effort: no store failure
-(unreadable directory, read-only filesystem, concurrent writer) may ever
-change a result or crash the advisor, only forfeit the warm start.  Loads
-read only npz members (``allow_pickle=False``) and JSON, so a store file
-never executes code.
+with fresh content.  A stored allocation that does not fit the probing
+context (a disk id past its disk count, a span that is not its layout's
+fragment count) is caught at the probe: the cache counts it corrupt and
+evaluates that candidate cold.  Persistence is strictly best-effort: no
+store failure (unreadable directory, read-only filesystem, concurrent
+writer) may ever change a result or crash the advisor, only forfeit the
+warm start.  Loads read only npz members (``allow_pickle=False``) and JSON,
+so a store file never executes code.
 
 Maintenance
 -----------
@@ -85,11 +98,14 @@ import os
 import sqlite3
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.engine.signature import stable_digest
+
+if TYPE_CHECKING:
+    from repro.engine.result import CandidateColumns
 
 __all__ = [
     "STORE_FORMAT_VERSION",
@@ -98,6 +114,7 @@ __all__ = [
     "CANDIDATES_FILENAME",
     "CacheStore",
     "StoreLoadStats",
+    "StoredCandidate",
     "store_salt",
 ]
 
@@ -105,8 +122,10 @@ __all__ = [
 #: silently ignored (and overwritten on the next save).  Version 2 introduced
 #: the columnar candidate file and the exclusion-report rows; version 3 the
 #: access-tracking table behind the LRU garbage collection; version 4 dropped
-#: the persisted access structures (pickled scalar rows and npz batches).
-STORE_FORMAT_VERSION = 4
+#: the persisted access structures (pickled scalar rows and npz batches);
+#: version 5 moved the keys and the bitmap attributes out of the candidate
+#: groups' JSON metadata into their own members (attributes as integer codes).
+STORE_FORMAT_VERSION = 5
 
 #: Estimated fixed per-entry overhead (sqlite row / npz member headers).
 _ENTRY_OVERHEAD_BYTES = 512
@@ -121,6 +140,9 @@ ENTRIES_FILENAME = "entries.sqlite"
 BATCHES_FILENAME = "structures.npz"
 #: Whole-candidate entries (single npz, columnar groups).
 CANDIDATES_FILENAME = "candidates.npz"
+
+#: The allocation schemes a stored candidate may name (``repro.allocation``).
+_ALLOCATION_SCHEMES = frozenset({"round_robin", "greedy_size"})
 
 
 def store_salt() -> str:
@@ -144,7 +166,11 @@ def _encode_key(salt: str, key: Tuple[str, ...]) -> str:
 
 def _decode_key(salt: str, text: str) -> Optional[Tuple[str, ...]]:
     """Parse a persisted key; ``None`` when malformed or salted differently."""
-    parts = json.loads(text)
+    return _key_from_parts(salt, json.loads(text))
+
+
+def _key_from_parts(salt: str, parts: Any) -> Optional[Tuple[str, ...]]:
+    """The key of a decoded ``[salt, *key]`` list; ``None`` when malformed."""
     if (
         not isinstance(parts, list)
         or len(parts) < 2
@@ -153,6 +179,223 @@ def _decode_key(salt: str, text: str) -> Optional[Tuple[str, ...]]:
     ):
         return None
     return tuple(parts[1:])
+
+
+def _json_member(value: Any) -> np.ndarray:
+    """A JSON value as an npz member: its UTF-8 text as a byte vector."""
+    return np.frombuffer(json.dumps(value).encode("utf-8"), dtype=np.uint8)
+
+
+def _read_json(member: np.ndarray) -> Any:
+    """Parse a member written by :func:`_json_member`."""
+    _require(member.dtype == np.uint8 and member.ndim == 1)
+    return json.loads(member.tobytes())
+
+
+def _require(condition: Any) -> None:
+    """Reject a stored candidate group that fails one of its load checks."""
+    if not condition:
+        raise ValueError("malformed candidate group")
+
+
+@dataclass(frozen=True)
+class _CandidateGroup:
+    """One loaded, checked candidate group (see :func:`_read_group`)."""
+
+    query_names: Tuple[str, ...]
+    weights: Tuple[float, ...]
+    metrics: np.ndarray
+    disks: np.ndarray
+    sequential: np.ndarray
+    forced: np.ndarray
+    alloc_disks: np.ndarray
+    alloc_pages: np.ndarray
+    #: Per candidate, as Python lists: allocation span bounds
+    #: (``offsets[row]:offsets[row + 1]``, one slot per fragment), prefetch
+    #: entry, allocation scheme.
+    offsets: List[int]
+    prefetch: List[list]
+    schemes: List[str]
+    #: Distinct ``(dimension, level)`` pairs, shared by every decoded record.
+    attr_table: List[Tuple[str, str]]
+    attr_counts: np.ndarray
+    attr_codes: np.ndarray
+    #: Per candidate, the bounds of its codes in ``attr_codes``.
+    attr_offsets: List[int]
+
+    def record(self, row: int) -> "CandidateColumns":
+        """Decode one candidate, copying its slices out of the group's arrays.
+
+        A view would pin the group's whole stacked cube (or concatenated
+        allocation vector) alive for as long as the candidate survives in
+        the in-memory cache.
+        """
+        from repro.costmodel import EvaluationColumns
+        from repro.engine.result import CandidateColumns
+
+        table = self.attr_table
+        codes = self.attr_codes[
+            self.attr_offsets[row] : self.attr_offsets[row + 1]
+        ].tolist()
+        attributes: List[Tuple[Tuple[str, str], ...]] = []
+        position = 0
+        for count in self.attr_counts[row].tolist():
+            attributes.append(
+                tuple([table[code] for code in codes[position : position + count]])
+            )
+            position += count
+        start, end = self.offsets[row], self.offsets[row + 1]
+        return CandidateColumns(
+            columns=EvaluationColumns(
+                query_names=self.query_names,
+                weights=self.weights,
+                fragments_total=end - start,
+                metrics=self.metrics[row].copy(),
+                disks_used=self.disks[row].copy(),
+                sequential=self.sequential[row].copy(),
+                forced=self.forced[row].copy(),
+                attributes_used=tuple(attributes),
+            ),
+            prefetch=tuple(self.prefetch[row]),
+            allocation_scheme=self.schemes[row],
+            allocation_disks=self.alloc_disks[start:end].copy(),
+            allocation_pages=self.alloc_pages[start:end].copy(),
+        )
+
+
+def _read_group(data, prefix: str) -> Tuple[_CandidateGroup, list]:
+    """Read and check one candidate group: ``(group, salted key lists)``.
+
+    The whole group is checked at once, mostly with array operations, so
+    every row of a group that loads decodes into a well-formed record.  What
+    only a probing context can reject — a disk id at or above its disk
+    count, a span that is not its layout's fragment count — is left to the
+    probe (:meth:`~repro.engine.cache.EvaluationCache.get_candidate`).
+    Raises on the first failed check.
+    """
+    from repro.costmodel.model import NUM_METRIC_FIELDS
+    from repro.storage import PrefetchPolicy
+
+    keys = _read_json(data[prefix + "keys"])
+    meta = _read_json(data[prefix + "meta"])
+    table = _read_json(data[prefix + "attr_table"])
+    metrics = data[prefix + "metrics"]
+    disks = data[prefix + "disks"]
+    sequential = data[prefix + "sequential"]
+    forced = data[prefix + "forced"]
+    alloc_disks = data[prefix + "alloc_disks"]
+    alloc_pages = data[prefix + "alloc_pages"]
+    attr_counts = data[prefix + "attr_counts"]
+    attr_codes = data[prefix + "attr_codes"]
+    query_names = meta["query_names"]
+    weights = meta["weights"]
+    fragments_total = np.asarray(meta["fragments_total"])
+    offsets = np.asarray(meta["alloc_offsets"])
+    prefetch = meta["prefetch"]
+    schemes = meta["allocation_schemes"]
+    _require(isinstance(keys, list) and isinstance(table, list))
+    _require(isinstance(query_names, list) and isinstance(weights, list))
+    rows, classes = len(keys), len(query_names)
+
+    # Shapes match the key and class counts.
+    _require(all(isinstance(name, str) for name in query_names))
+    _require(len(weights) == classes)
+    _require(all(isinstance(weight, float) for weight in weights))
+    _require(metrics.dtype == np.float64)
+    _require(metrics.shape == (rows, classes, NUM_METRIC_FIELDS))
+    _require(disks.dtype.kind == "i" and disks.shape == (rows, classes))
+    _require(sequential.dtype == np.bool_ and sequential.shape == (rows, classes))
+    _require(forced.dtype == np.bool_ and forced.shape == (rows, classes))
+    # Fragment counts are integers, and the allocation offsets rise from 0
+    # to the allocation length in steps of those counts.
+    _require(fragments_total.dtype.kind == "i" and fragments_total.shape == (rows,))
+    _require(offsets.dtype.kind == "i" and offsets.shape == (rows + 1,))
+    _require(offsets[0] == 0 and np.array_equal(np.diff(offsets), fragments_total))
+    _require(np.all(fragments_total >= 0))
+    _require(alloc_disks.dtype.kind == "i" and alloc_disks.shape == (offsets[-1],))
+    _require(alloc_pages.dtype == np.float64 and alloc_pages.shape == alloc_disks.shape)
+    # Pages and disk ids are non-negative (disk ids are bounded above by the
+    # probing context's disk count, checked at the probe).
+    _require(np.all(alloc_disks >= 0) and np.all(alloc_pages >= 0))
+    # Attribute counts sum to the number of codes, and every code is inside
+    # the table of [dimension, level] pairs.
+    _require(attr_counts.dtype == np.int32 and attr_counts.shape == (rows, classes))
+    _require(attr_codes.dtype == np.int32 and attr_codes.ndim == 1)
+    _require(np.all(attr_counts >= 0) and attr_counts.sum() == attr_codes.size)
+    _require(np.all(attr_codes >= 0) and np.all(attr_codes < len(table)))
+    _require(
+        all(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(part, str) for part in pair)
+            for pair in table
+        )
+    )
+    # Prefetch entries have four fields: two positive granules, two known
+    # policies; the allocation schemes are known.
+    policies = {policy.value for policy in PrefetchPolicy}
+    _require(len(prefetch) == rows and len(schemes) == rows)
+    _require(
+        all(
+            isinstance(entry, list)
+            and len(entry) == 4
+            and all(type(pages) is int and pages > 0 for pages in entry[:2])
+            and entry[2] in policies
+            and entry[3] in policies
+            for entry in prefetch
+        )
+    )
+    _require(all(scheme in _ALLOCATION_SCHEMES for scheme in schemes))
+
+    attr_offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(attr_counts.sum(axis=1), out=attr_offsets[1:])
+    group = _CandidateGroup(
+        query_names=tuple(query_names),
+        weights=tuple(weights),
+        metrics=metrics,
+        disks=disks,
+        sequential=sequential,
+        forced=forced,
+        alloc_disks=alloc_disks,
+        alloc_pages=alloc_pages,
+        offsets=offsets.tolist(),
+        prefetch=prefetch,
+        schemes=schemes,
+        attr_table=[(dimension, level) for dimension, level in table],
+        attr_counts=attr_counts,
+        attr_codes=attr_codes,
+        attr_offsets=attr_offsets.tolist(),
+    )
+    return group, keys
+
+
+class StoredCandidate:
+    """Deferred handle of one stored candidate: its group and row.
+
+    Loading a store makes one handle per stored candidate and decodes none.
+    The first :meth:`decode` copies the candidate's slices out of its group
+    into a :class:`~repro.engine.result.CandidateColumns` record, sharing
+    the attribute pairs of the group's table, and drops the handle's
+    reference to the group.
+    """
+
+    __slots__ = ("_state", "_row")
+
+    def __init__(self, group: _CandidateGroup, row: int) -> None:
+        self._state: Union[_CandidateGroup, "CandidateColumns"] = group
+        self._row = row
+
+    @property
+    def decoded(self) -> bool:
+        """Whether this candidate has been decoded (its group released)."""
+        return not isinstance(self._state, _CandidateGroup)
+
+    def decode(self) -> "CandidateColumns":
+        """This candidate's columnar record (decoded on the first call)."""
+        state = self._state
+        if isinstance(state, _CandidateGroup):
+            state = self._state = state.record(self._row)
+        return state
 
 
 @dataclass
@@ -237,9 +480,9 @@ class CacheStore:
     def load(self) -> Tuple[Dict[Tuple[str, ...], Any], Dict[Tuple[str, ...], Any]]:
         """Read the store: ``(candidates, exclusion reports)``.
 
-        Candidate entries are deferred
-        :class:`~repro.engine.result.CandidateColumns` records.  Returns
-        empty dicts for anything missing, corrupted or version-mismatched.
+        Candidate entries are undecoded :class:`StoredCandidate` handles.
+        Returns empty dicts for anything missing, corrupted or
+        version-mismatched.
         """
         return self._load_candidates(), self._load_entries()
 
@@ -281,11 +524,8 @@ class CacheStore:
             return {}
         return reports
 
-    def _load_candidates(self) -> Dict[Tuple[str, ...], Any]:
-        from repro.costmodel import EvaluationColumns
-        from repro.engine.result import CandidateColumns
-
-        entries: Dict[Tuple[str, ...], Any] = {}
+    def _load_candidates(self) -> Dict[Tuple[str, ...], "StoredCandidate"]:
+        entries: Dict[Tuple[str, ...], StoredCandidate] = {}
         path = self.candidates_path
         try:
             if not os.path.exists(path):
@@ -294,71 +534,20 @@ class CacheStore:
                 if str(data["__salt__"][()]) != self.salt:
                     self.load_stats.salt_mismatches += 1
                     return {}
-                num_groups = int(data["__groups__"][()])
-                for g in range(num_groups):
+                for g in range(int(data["__groups__"][()])):
                     # Per-group skip: one bad group forfeits its candidates
                     # only, not the whole warm start.
                     try:
-                        meta = json.loads(str(data[f"c{g}/meta"][()]))
-                        metrics = data[f"c{g}/metrics"]
-                        disks = data[f"c{g}/disks"]
-                        sequential = data[f"c{g}/sequential"]
-                        forced = data[f"c{g}/forced"]
-                        alloc_disks = data[f"c{g}/alloc_disks"]
-                        alloc_pages = data[f"c{g}/alloc_pages"]
-                        query_names = tuple(meta["query_names"])
-                        weights = tuple(meta["weights"])
-                        offsets = meta["alloc_offsets"]
-                        keys = meta["keys"]
-                        if not isinstance(keys, list):
-                            raise ValueError("candidate group without a key list")
+                        group, keys = _read_group(data, f"c{g}/")
                     except Exception:
                         self.load_stats.corrupt_entries += 1
                         continue
-                    for j, key_parts in enumerate(keys):
-                        try:
-                            key = _decode_key(self.salt, json.dumps(key_parts))
-                            if key is None:
-                                self.load_stats.corrupt_entries += 1
-                                continue
-                            # All per-candidate slices are copied: a view
-                            # would pin the group's whole stacked cube (or
-                            # concatenated allocation vector) alive for as
-                            # long as any single candidate survives in the
-                            # in-memory cache.
-                            entries[key] = CandidateColumns(
-                                columns=EvaluationColumns(
-                                    query_names=query_names,
-                                    weights=weights,
-                                    fragments_total=int(
-                                        meta["fragments_total"][j]
-                                    ),
-                                    metrics=metrics[j].copy(),
-                                    disks_used=disks[j].copy(),
-                                    sequential=sequential[j].copy(),
-                                    forced=forced[j].copy(),
-                                    attributes_used=tuple(
-                                        tuple(
-                                            tuple(pair)
-                                            for pair in class_attributes
-                                        )
-                                        for class_attributes in meta[
-                                            "attributes_used"
-                                        ][j]
-                                    ),
-                                ),
-                                prefetch=tuple(meta["prefetch"][j]),
-                                allocation_scheme=meta["allocation_schemes"][j],
-                                allocation_disks=alloc_disks[
-                                    offsets[j] : offsets[j + 1]
-                                ].copy(),
-                                allocation_pages=alloc_pages[
-                                    offsets[j] : offsets[j + 1]
-                                ].copy(),
-                            )
-                        except Exception:
+                    for row, parts in enumerate(keys):
+                        key = _key_from_parts(self.salt, parts)
+                        if key is None:
                             self.load_stats.corrupt_entries += 1
                             continue
+                        entries[key] = StoredCandidate(group, row)
         except Exception:
             self.load_stats.fallback_loads += 1
             return {}
@@ -400,14 +589,19 @@ class CacheStore:
                 os.unlink(self.batches_path)
             records = {
                 key: (
-                    value
-                    if isinstance(value, CandidateColumns)
+                    value.decode()
+                    if isinstance(value, StoredCandidate)
                     else CandidateColumns.from_candidate(value)
                 )
                 for key, value in candidates.items()
             }
             disk_reports = self._load_entries()
-            disk_candidates = self._load_candidates()
+            disk_handles = self._load_candidates()
+            disk_candidates = {
+                key: handle.decode()
+                for key, handle in disk_handles.items()
+                if key not in records
+            }
             merged: Dict[str, Dict[Tuple[str, ...], Any]] = {
                 "report": {**disk_reports, **reports},
                 "candidate": {**disk_candidates, **records},
@@ -432,7 +626,7 @@ class CacheStore:
                         generation if refreshed or old is None else old[2],
                     )
             self._collect_and_write(
-                merged, new_access, payloads, set(disk_candidates), generation
+                merged, new_access, payloads, set(disk_handles), generation
             )
         except Exception:
             return None
@@ -651,19 +845,12 @@ class CacheStore:
                 os.unlink(tmp_path)
 
     def _save_candidates(self, candidates) -> None:
-        from repro.engine.result import CandidateColumns
-
         # Group the candidates by class shape: every group stacks into one
         # metric cube plus concatenated allocation vectors.  Weight floats
         # round-trip exactly through JSON (repr-based shortest encoding);
         # every metric float stays binary in the npz.
         groups: Dict[Tuple, list] = {}
-        for key, value in candidates.items():
-            record = (
-                value
-                if isinstance(value, CandidateColumns)
-                else CandidateColumns.from_candidate(value)
-            )
+        for key, record in candidates.items():
             shape = (record.columns.query_names, record.columns.weights)
             groups.setdefault(shape, []).append((key, record))
 
@@ -675,8 +862,18 @@ class CacheStore:
             offsets = [0]
             for _, record in members:
                 offsets.append(offsets[-1] + len(record.allocation_disks))
+            # Bitmap attributes as integer columns: per candidate and class
+            # the number of (dimension, level) pairs, and every pair as its
+            # code in the group's table of distinct pairs.
+            table: Dict[Tuple[str, str], int] = {}
+            counts: List[int] = []
+            codes: List[int] = []
+            for _, record in members:
+                for class_attributes in record.columns.attributes_used:
+                    counts.append(len(class_attributes))
+                    for pair in class_attributes:
+                        codes.append(table.setdefault(tuple(pair), len(table)))
             meta = {
-                "keys": [[self.salt, *key] for key, _ in members],
                 "query_names": list(query_names),
                 "weights": list(weights),
                 "fragments_total": [
@@ -686,16 +883,17 @@ class CacheStore:
                 "allocation_schemes": [
                     record.allocation_scheme for _, record in members
                 ],
-                "attributes_used": [
-                    [
-                        [list(pair) for pair in class_attributes]
-                        for class_attributes in record.columns.attributes_used
-                    ]
-                    for _, record in members
-                ],
                 "alloc_offsets": offsets,
             }
-            arrays[f"c{g}/meta"] = np.array(json.dumps(meta))
+            arrays[f"c{g}/keys"] = _json_member(
+                [[self.salt, *key] for key, _ in members]
+            )
+            arrays[f"c{g}/meta"] = _json_member(meta)
+            arrays[f"c{g}/attr_table"] = _json_member([list(pair) for pair in table])
+            arrays[f"c{g}/attr_counts"] = np.array(counts, dtype=np.int32).reshape(
+                len(members), len(query_names)
+            )
+            arrays[f"c{g}/attr_codes"] = np.array(codes, dtype=np.int32)
             arrays[f"c{g}/metrics"] = np.stack(
                 [record.columns.metrics for _, record in members]
             )

@@ -13,8 +13,8 @@ everything submitted so far has finished.  Differences fitting this service:
   coroutine (``loop.call_soon_threadsafe``) without polling.
 
 Workers are plain threads: one advisor request is CPU-heavy Python that
-itself fans out over the engine's *process* pool, so the thread count caps
-concurrent sweeps while the real parallelism stays in the engine.
+runs its whole sweep in-process on the worker thread that took it, so the
+thread count caps concurrent sweeps.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ from repro.service import (
     SessionRegistry,
     warehouse_inputs_from_dict,
 )
+from repro.workload.generator import random_query_mix
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +59,7 @@ def scenario():
         fact_rows=2_000_000,
         seed=3,
     )
-    workload = __import__("repro.workload.generator", fromlist=["random_query_mix"]).random_query_mix(
-        schema, num_classes=6, seed=5
-    )
+    workload = random_query_mix(schema, num_classes=6, seed=5)
     system = SystemParameters(num_disks=16)
     config = AdvisorConfig(max_fragments=20_000, top_candidates=8)
     return schema, workload, system, config
@@ -84,6 +83,23 @@ def parity_session(scenario):
     """In-process twin of the served "main" warehouse (parity oracle)."""
     schema, workload, system, config = scenario
     return AdvisorSession(schema, workload, system, config)
+
+
+def _large_warehouse():
+    """A 7-dimension, 40-class warehouse whose cold sweep runs 8 chunks.
+
+    The sweep takes about 45 ms on a 2-vCPU host, about ten times the
+    deadline and disconnect windows the races below depend on.
+    """
+    schema = synthetic_schema(
+        num_dimensions=7,
+        levels_per_dimension=3,
+        bottom_cardinality=400,
+        fact_rows=30_000_000,
+    )
+    workload = random_query_mix(schema, num_classes=40, seed=1)
+    config = AdvisorConfig(max_fragments=30_000, max_fragmentation_dimensions=3)
+    return schema, workload, SystemParameters(num_disks=64), config
 
 
 def http_json(server, method, path, payload=None, timeout=60):
@@ -577,16 +593,14 @@ class TestSSEStreaming:
 
 
 class TestDisconnectCancellation:
-    def test_disconnect_cancels_the_sweep_and_leaves_the_cache_warm(
-        self, scenario
-    ):
-        schema, workload, system, config = scenario
+    def test_disconnect_cancels_the_sweep_and_leaves_the_cache_warm(self):
+        schema, workload, system, config = _large_warehouse()
         server = AdvisorServer(
             registry=SessionRegistry(),
             executor=RequestExecutor(workers=2, capacity=8),
         )
-        # A dedicated warehouse: its session is cold, so the streamed sweep
-        # has many chunks left when the client hangs up.
+        # A dedicated large warehouse: its session is cold, so the streamed
+        # sweep has 7 of its 8 chunks left when the client hangs up.
         server.registry.register(
             "dropped", schema, workload, system, config=config,
             options=EngineOptions(),
@@ -723,10 +737,12 @@ class TestRequestDeadlines:
             job.outcome()
         executor.shutdown()
 
-    def test_http_recommend_answers_504_on_deadline(self, scenario):
+    def test_http_recommend_answers_504_on_deadline(self):
         from repro.service import AdvisorServer
 
-        schema, workload, system, config = scenario
+        # The small module scenario is warm by now and can finish inside the
+        # 5 ms deadline; a fresh large warehouse's cold sweep cannot.
+        schema, workload, system, config = _large_warehouse()
         srv = AdvisorServer(
             registry=SessionRegistry(max_sessions=2),
             executor=RequestExecutor(workers=1, capacity=4, timeout=0.005),

@@ -31,12 +31,16 @@ from repro import (
     synthetic_schema,
 )
 import repro.engine.store
+from repro.api import EvaluateSpecRequest
 from repro.engine import CacheStore, store_salt
 from repro.engine.store import (
     BATCHES_FILENAME,
     CANDIDATES_FILENAME,
     ENTRIES_FILENAME,
+    StoredCandidate,
     _encode_key,
+    _json_member,
+    _read_json,
 )
 from repro.workload.generator import random_query_mix
 
@@ -79,6 +83,28 @@ def _insert_report_row(cache_dir, key_text, payload) -> None:
     connection.close()
 
 
+def _two_mix_store(scenario, cache_dir):
+    """A store holding the sweeps of two 6-class mixes (two candidate groups)."""
+    schema, _, system, config = scenario
+    options = EngineOptions(cache_dir=str(cache_dir))
+    fingerprints = {}
+    for seed in (5, 6):
+        workload = random_query_mix(schema, num_classes=6, seed=seed)
+        session = AdvisorSession(schema, workload, system, config, options=options)
+        fingerprints[seed] = session.recommend().fingerprint
+    return fingerprints
+
+
+def _read_members(cache_dir):
+    with np.load(cache_dir / CANDIDATES_FILENAME, allow_pickle=False) as data:
+        return {name: data[name] for name in data.files}
+
+
+def _write_members(cache_dir, members) -> None:
+    with open(cache_dir / CANDIDATES_FILENAME, "wb") as handle:
+        np.savez(handle, **members)
+
+
 class TestRoundTrip:
     def test_cold_run_writes_all_store_files(self, scenario, tmp_path):
         advisor = _advisor(scenario, tmp_path)
@@ -105,18 +131,23 @@ class TestRoundTrip:
         candidates, _reports = CacheStore(tmp_path).load()
         assert candidates
         assert all(
-            isinstance(value, CandidateColumns) for value in candidates.values()
+            isinstance(value.decode(), CandidateColumns)
+            for value in candidates.values()
         )
 
     def test_loaded_candidate_arrays_retain_no_base(self, scenario, tmp_path):
         """Regression: loaded per-candidate arrays used to be numpy *views*
         into the group's stacked cube / concatenated allocation vector, so one
-        surviving candidate pinned its whole group's arrays in memory."""
+        surviving candidate pinned its whole group's arrays in memory.  A
+        load decodes nothing; each decode copies its candidate's slices."""
         advisor = _advisor(scenario, tmp_path)
         advisor.recommend()
         candidates, _reports = CacheStore(tmp_path).load()
         assert candidates
-        for value in candidates.values():
+        assert not any(handle.decoded for handle in candidates.values())
+        for handle in candidates.values():
+            value = handle.decode()
+            assert handle.decoded
             columns = value.columns
             for array in (
                 columns.metrics,
@@ -178,6 +209,56 @@ class TestWarmStartParity:
         assert recommendation_fingerprint(recovered) == fingerprint
         assert recovered_advisor.cache.stats.disk_hit_rate >= 0.9
 
+    def test_warm_evaluate_decodes_only_the_probed_candidate(self, scenario, tmp_path):
+        cold = _advisor(scenario, tmp_path)
+        spec = cold.recommend().recommendation.ranked[2].candidate.spec
+        request = EvaluateSpecRequest(spec)
+        expected = cold.evaluate(request).to_dict(include_allocation=True)
+
+        warm = _advisor(scenario, tmp_path)
+        entries = warm.cache._candidates
+        assert entries and all(isinstance(v, StoredCandidate) for v in entries.values())
+        answer = warm.evaluate(request).to_dict(include_allocation=True)
+        assert answer == expected
+        assert warm.cache.stats.candidate_disk_hits == 1
+        # Exactly the probed candidate left its handle; every other stays
+        # undecoded.
+        probed = [
+            key for key, v in entries.items() if not isinstance(v, StoredCandidate)
+        ]
+        assert len(probed) == 1 and probed[0][2] == spec.label
+        assert not any(
+            v.decoded for v in entries.values() if isinstance(v, StoredCandidate)
+        )
+
+    def test_warm_recommend_leaves_the_other_warehouse_undecoded(
+        self, scenario, tmp_path
+    ):
+        fingerprints = _two_mix_store(scenario, tmp_path)
+        schema, _, system, config = scenario
+        workload = random_query_mix(schema, num_classes=6, seed=5)
+        warm = AdvisorSession(
+            schema,
+            workload,
+            system,
+            config,
+            options=EngineOptions(cache_dir=str(tmp_path)),
+        )
+        assert warm.recommend().fingerprint == fingerprints[5]
+        stats = warm.cache.stats
+        assert stats.candidate_disk_hits == stats.candidate_hits > 0
+        own = EvaluationCache.workload_signature(workload)
+        others = {
+            key: value
+            for key, value in warm.cache._candidates.items()
+            if key[3] != own
+        }
+        assert others
+        assert all(
+            isinstance(value, StoredCandidate) and not value.decoded
+            for value in others.values()
+        )
+
 
 class TestFailureModes:
     def test_version_salt_mismatch_is_ignored(self, scenario, tmp_path, monkeypatch):
@@ -209,6 +290,25 @@ class TestFailureModes:
         assert recommendation_fingerprint(result) == fingerprint
         assert not (tmp_path / BATCHES_FILENAME).exists()
         assert sorted(os.listdir(tmp_path)) == [CANDIDATES_FILENAME, ENTRIES_FILENAME]
+
+    def test_format_4_directory_runs_cold_and_is_rewritten_as_format_5(
+        self, scenario, tmp_path, monkeypatch
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.engine.store, "STORE_FORMAT_VERSION", 4)
+            cold = _advisor(scenario, tmp_path).recommend().recommendation
+        fingerprint = recommendation_fingerprint(cold)
+        upgraded = _advisor(scenario, tmp_path)
+        assert upgraded.cache.stats.store_salt_mismatches == 2
+        assert upgraded.cache.loaded_from_disk == 0
+        result = upgraded.recommend().recommendation
+        assert recommendation_fingerprint(result) == fingerprint
+        # The cold run's save rewrote both files under format 5's salt.
+        store = CacheStore(tmp_path)
+        candidates, reports = store.load()
+        assert repro.engine.store.STORE_FORMAT_VERSION == 5
+        assert store.load_stats.salt_mismatches == 0
+        assert candidates and len(reports) == 1
 
     def test_salt_covers_the_package_version(self, monkeypatch):
         before = store_salt()
@@ -510,6 +610,49 @@ class TestStoreMaintenance:
         assert warm.cache.stats.disk_hit_rate >= 0.9
 
 
+def _edit_meta(field, change):
+    def edit(members):
+        meta = _read_json(members["c0/meta"])
+        meta[field] = change(meta[field])
+        members["c0/meta"] = _json_member(meta)
+
+    return edit
+
+
+def _edit_array(name, change):
+    def edit(members):
+        members[f"c0/{name}"] = change(members[f"c0/{name}"])
+
+    return edit
+
+
+#: One bad value each in group 0 of a well-formed store.  The disk ids are
+#: only out of range for the probing system's 16 disks, so the probe (not
+#: the load) has to reject them.
+_BAD_VALUES = {
+    "prefetch-policy": _edit_meta(
+        "prefetch", lambda entries: [[*entries[0][:3], "bogus"], *entries[1:]]
+    ),
+    "prefetch-length": _edit_meta(
+        "prefetch", lambda entries: [entries[0][:1], *entries[1:]]
+    ),
+    "offsets-shifted": _edit_meta(
+        "alloc_offsets", lambda offsets: [offset + 1 for offset in offsets]
+    ),
+    "disk-ids-out-of-range": _edit_array(
+        "alloc_disks", lambda disks: np.full_like(disks, 999)
+    ),
+    "negated-pages": _edit_array("alloc_pages", lambda pages: -pages),
+    "metrics-cut": _edit_array("metrics", lambda metrics: metrics[:, :, :3].copy()),
+    "allocation-scheme": _edit_meta(
+        "allocation_schemes", lambda schemes: ["bogus", *schemes[1:]]
+    ),
+    "fragments-total": _edit_meta(
+        "fragments_total", lambda totals: [totals[0] + 0.5, *totals[1:]]
+    ),
+}
+
+
 class TestRobustnessCounters:
     """Every degraded load is counted: salt mismatches, corrupt entries,
     fallback (whole-file) loads — surfaced via ``CacheStats`` and, through
@@ -556,32 +699,59 @@ class TestRobustnessCounters:
         assert degraded.cache.loaded_from_disk > 0
 
     def test_malformed_group_forfeits_only_its_own_candidates(self, scenario, tmp_path):
-        # Two candidate groups (two 6-class mixes); group 0 loses its key
-        # list.  Only its candidates go: the intact group loads whole.
-        schema, _, system, config = scenario
-        options = EngineOptions(cache_dir=str(tmp_path))
-        for seed in (5, 6):
-            workload = random_query_mix(schema, num_classes=6, seed=seed)
-            AdvisorSession(schema, workload, system, config, options=options).recommend()
-        path = tmp_path / CANDIDATES_FILENAME
-        with np.load(path, allow_pickle=False) as data:
-            members = {name: data[name] for name in data.files}
+        # Two candidate groups (two 6-class mixes); group 0 loses its keys
+        # member.  Only its candidates go: the intact group loads whole.
+        _two_mix_store(scenario, tmp_path)
+        members = _read_members(tmp_path)
         assert int(members["__groups__"][()]) == 2
-        broken = json.loads(str(members["c0/meta"][()]))
-        del broken["keys"]
-        members["c0/meta"] = np.array(json.dumps(broken))
-        with open(path, "wb") as handle:
-            np.savez(handle, **members)
-        intact = {
-            tuple(parts[1:])
-            for parts in json.loads(str(members["c1/meta"][()]))["keys"]
-        }
+        del members["c0/keys"]
+        _write_members(tmp_path, members)
+        intact = {tuple(parts[1:]) for parts in _read_json(members["c1/keys"])}
 
         store = CacheStore(tmp_path)
         candidates, _reports = store.load()
         assert set(candidates) == intact
         assert store.load_stats.corrupt_entries == 1
         assert store.load_stats.fallback_loads == 0
+
+    @pytest.mark.parametrize("edit", sorted(_BAD_VALUES))
+    def test_one_bad_value_falls_back_cold_and_is_counted(
+        self, scenario, tmp_path, edit
+    ):
+        # One bad value in group 0 of a well-formed store: the load-time
+        # group check or the probe-time allocation check must catch it, so
+        # the sweep answers cold instead of crashing or changing its answer.
+        cold = _advisor(scenario, tmp_path).recommend().fingerprint
+        members = _read_members(tmp_path)
+        _BAD_VALUES[edit](members)
+        _write_members(tmp_path, members)
+        degraded = _advisor(scenario, tmp_path)
+        assert degraded.recommend().fingerprint == cold
+        stats = degraded.cache.stats
+        assert stats.store_corrupt_entries >= 1
+        assert stats.candidate_disk_hits == 0
+
+    def test_span_that_misfits_the_layout_is_a_counted_miss(self, scenario, tmp_path):
+        # One fragment slot moves from candidate 0 to candidate 1, with
+        # offsets and fragment counts kept consistent: the group loads, and
+        # only the probes, which rebuild each layout, can reject the two
+        # spans.  Both are misses evaluated cold; every other candidate is
+        # still a disk hit.
+        cold = _advisor(scenario, tmp_path).recommend().fingerprint
+        members = _read_members(tmp_path)
+        meta = _read_json(members["c0/meta"])
+        meta["alloc_offsets"][1] -= 1
+        meta["fragments_total"][0] -= 1
+        meta["fragments_total"][1] += 1
+        members["c0/meta"] = _json_member(meta)
+        _write_members(tmp_path, members)
+        degraded = _advisor(scenario, tmp_path)
+        stored = degraded.cache.loaded_from_disk - 1  # less the one report
+        assert degraded.recommend().fingerprint == cold
+        stats = degraded.cache.stats
+        assert stats.store_corrupt_entries == 2
+        assert stats.candidate_misses == 2
+        assert stats.candidate_disk_hits == stats.candidate_hits == stored - 2
 
     def test_counters_survive_describe(self, scenario, tmp_path):
         _advisor(scenario, tmp_path).recommend()
