@@ -1,22 +1,26 @@
 """Batched disk allocation for the candidate-axis executor.
 
-The candidate-vectorized sweep evaluates whole chunks of candidates as
-(candidate × class) numpy batches, but allocation used to drop back to one
-Python heap loop per candidate (:mod:`repro.allocation.greedy`).  This module
-runs the same LPT placement over a padded (candidate × fragment) page matrix
-for a whole chunk at once: per placement step, one ``argmin`` row picks the
-least-occupied disk of *every* candidate simultaneously, so the interpreter
-iterates ``max(fragment_count)`` times per chunk instead of
-``sum(fragment_count)`` times.
+The candidate-vectorized sweep places all its greedy candidates together
+instead of running one Python heap loop per candidate
+(:mod:`repro.allocation.greedy`).  :func:`lpt_assignments` runs the same LPT
+placement for many candidates in lockstep: per placement step, one
+``argmin`` over a (candidate × disk) occupancy matrix picks the
+least-occupied disk of *every* candidate still placing fragments, so the
+interpreter iterates ``max(fragment_count)`` times per pass instead of
+``sum(fragment_count)`` times.  :func:`batched_greedy_size_allocation`
+orders the candidates by width (fragment count) and cuts them into groups
+of at most :data:`LPT_CELL_BUDGET` (candidate × fragment) cells, one pass
+per group; the engine's sweep driver hands it every greedy survivor of a
+sweep at once, so a sweep normally makes a single pass.
 
 Parity is exact, not approximate: the scalar heap pops ``(occupancy, disk)``
 tuples — the minimum occupancy, lowest disk number first — which is precisely
 ``np.argmin`` over an occupancy row (first index of the minimum), and each
 disk's occupancy accumulates the same floats in the same order, so every
 intermediate double and every tie-break decision is bit-identical to
-:func:`~repro.allocation.greedy.greedy_size_allocation`.  The scalar schemes
-remain the reference implementation; the parity suite asserts field-by-field
-equality.
+:func:`~repro.allocation.greedy.greedy_size_allocation`, whatever the
+grouping.  The scalar schemes remain the reference implementation; the
+parity suite asserts field-by-field equality.
 """
 
 from __future__ import annotations
@@ -34,10 +38,19 @@ from repro.fragmentation import FragmentationLayout
 from repro.storage import SystemParameters
 
 __all__ = [
+    "LPT_CELL_BUDGET",
     "lpt_assignments",
     "batched_greedy_size_allocation",
     "choose_allocations_batch",
 ]
+
+#: (candidate × fragment) cells one LPT pass may span: its candidate count
+#: times its widest candidate's fragment count.  A pass holds two planes of
+#: that shape (8 bytes a cell each), so the budget caps a pass at 16 MiB.
+#: It is sized so that the greedy survivors of a large skewed sweep — the
+#: FULL synthetic warehouse's 162, at most 4,032 fragments wide, 653,184
+#: cells — take one pass.
+LPT_CELL_BUDGET = 1 << 20
 
 
 def lpt_assignments(
@@ -49,50 +62,69 @@ def lpt_assignments(
     counts) this computes the same assignment the scalar heap produces: visit
     fragments by decreasing size (stable order on ties) and place each on the
     currently least-occupied disk, ties towards the lower disk number.  All
-    candidates advance in lockstep over a padded (candidate × fragment)
-    matrix; rows shorter than the widest candidate add zero occupancy in
-    their padded steps, which leaves their accumulated doubles untouched.
+    candidates advance in lockstep, widest first: at step ``s`` the
+    candidates with more than ``s`` fragments are a prefix of that order, and
+    only that prefix of the occupancy matrix takes the step.
     """
     if num_disks < 1:
         raise AllocationError(f"need at least one disk, got {num_disks}")
     n = len(pages_list)
     if n == 0:
         return []
+    pages_list = [np.asarray(pages, dtype=np.float64) for pages in pages_list]
     counts = np.fromiter((len(pages) for pages in pages_list), dtype=np.int64, count=n)
-    max_fragments = int(counts.max())
+    # Widest first (stable); ``slot`` is a candidate's row in this order.
+    rows = np.argsort(-counts, kind="stable")
+    widths = counts[rows]
+    max_fragments = int(widths[0])
     if max_fragments == 0:
         return [np.empty(0, dtype=np.int64) for _ in range(n)]
 
-    # Pad with -1.0: page counts are non-negative, so under the descending
-    # (stable argsort of the negated matrix) order every pad sorts strictly
-    # after every real fragment and the real prefix matches the scalar
-    # ``np.argsort(-pages, kind="stable")`` exactly.
-    padded = np.full((n, max_fragments), -1.0, dtype=np.float64)
-    for i, pages in enumerate(pages_list):
-        padded[i, : len(pages)] = pages
-    order = np.argsort(-padded, axis=1, kind="stable")
-    # Step-major increments; a pad adds +0.0, which leaves the row's
-    # accumulated doubles untouched.
-    increments = np.maximum(np.take_along_axis(padded, order, axis=1), 0.0).T.copy()
-    del padded
+    # Each candidate's visiting order, as the scalar heap loop computes it,
+    # and the step-major (step × slot) page increments; steps past a
+    # candidate's width are never taken.
+    orders = [np.argsort(-pages, kind="stable") for pages in pages_list]
+    increments = np.zeros((max_fragments, n), dtype=np.float64)
+    for slot, row in enumerate(rows.tolist()):
+        increments[: widths[slot], slot] = pages_list[row][orders[row]]
+    # Candidates still placing fragments at each step: those wider than it.
+    live = np.searchsorted(-widths, -np.arange(max_fragments), side="left").tolist()
 
     occupancy = np.zeros((n, num_disks), dtype=np.float64)
+    cells = occupancy.reshape(-1)
+    row_starts = np.arange(n) * num_disks
     chosen = np.empty((max_fragments, n), dtype=np.int64)
-    rows = np.arange(n)
-    for step in range(max_fragments):
+    for step, active in enumerate(live):
+        disks = chosen[step, :active]
         # First index of the row minimum == (min occupancy, min disk), the
         # scalar heap's pop order.
-        disks = occupancy.argmin(axis=1)
-        chosen[step] = disks
-        occupancy[rows, disks] += increments[step]
+        occupancy[:active].argmin(axis=1, out=disks)
+        cells[row_starts[:active] + disks] += increments[step, :active]
 
-    assignments: List[np.ndarray] = []
-    for i in range(n):
-        count = int(counts[i])
-        assignment = np.empty(count, dtype=np.int64)
-        assignment[order[i, :count]] = chosen[:count, i]
-        assignments.append(assignment)
+    assignments: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
+    for slot, row in enumerate(rows.tolist()):
+        assignment = np.empty(int(widths[slot]), dtype=np.int64)
+        assignment[orders[row]] = chosen[: widths[slot], slot]
+        assignments[row] = assignment
     return assignments
+
+
+def _width_groups(widths: Sequence[int]) -> List[List[int]]:
+    """Positions of ``widths``, widest first, cut into LPT passes.
+
+    A group grows while its size times its first (widest) member's width
+    stays within :data:`LPT_CELL_BUDGET`; a candidate wider than the whole
+    budget takes a pass of its own.
+    """
+    groups: List[List[int]] = []
+    for position in sorted(range(len(widths)), key=lambda p: -widths[p]):
+        if groups:
+            group = groups[-1]
+            if (len(group) + 1) * max(widths[group[0]], 1) <= LPT_CELL_BUDGET:
+                group.append(position)
+                continue
+        groups.append([position])
+    return groups
 
 
 def batched_greedy_size_allocation(
@@ -103,10 +135,16 @@ def batched_greedy_size_allocation(
     """Greedy size-based allocations for many layouts in one batched pass.
 
     Bit-identical to calling
-    :func:`~repro.allocation.greedy.greedy_size_allocation` per layout.
+    :func:`~repro.allocation.greedy.greedy_size_allocation` per layout.  The
+    layouts are placed widest first in passes of at most
+    :data:`LPT_CELL_BUDGET` cells (one pass when they fit).
     """
     pages_list = [fragment_total_pages(layout, bitmap_scheme) for layout in layouts]
-    assignments = lpt_assignments(pages_list, system.num_disks)
+    assignments: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(layouts)
+    for group in _width_groups([len(pages) for pages in pages_list]):
+        placed = lpt_assignments([pages_list[p] for p in group], system.num_disks)
+        for position, assignment in zip(group, placed):
+            assignments[position] = assignment
     return [
         Allocation(
             layout=layout,
@@ -125,13 +163,13 @@ def choose_allocations_batch(
     bitmap_scheme: Optional[BitmapScheme] = None,
     skew_threshold_cv: float = NOTABLE_SKEW_CV,
 ) -> List[Allocation]:
-    """Scheme selection plus placement for a whole candidate chunk.
+    """Scheme selection plus placement for many candidates at once.
 
     The per-layout decision mirrors
     :func:`~repro.allocation.chooser.choose_allocation` exactly: layouts with
-    a fragment-size CV above the threshold take the (batched) greedy scheme,
-    the rest take logical round-robin (already a cheap ``arange``, so it runs
-    per layout).
+    a fragment-size CV above the threshold take the greedy scheme, placed
+    together by :func:`batched_greedy_size_allocation`; the rest take logical
+    round-robin, whose vectors are derived only when read.
     """
     if skew_threshold_cv < 0:
         raise AllocationError(

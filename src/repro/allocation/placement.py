@@ -56,10 +56,17 @@ class Allocation:
         Integer array, one entry per fragment (flat index order), holding the
         disk number in ``[0, system.num_disks)``.
     fragment_pages:
-        Pages charged per fragment (fact plus co-located bitmap pages).
+        Pages charged per fragment (fact plus co-located bitmap pages):
+        finite and non-negative.
     scheme:
         Name of the allocation scheme that produced the placement
         (``"round_robin"`` or ``"greedy_size"``).
+
+    Construction validates both vectors and raises
+    :class:`~repro.errors.AllocationError` on any that does not fit the
+    layout and system.  A round-robin placement
+    (:func:`~repro.allocation.round_robin_allocation`) derives its vectors
+    from its rule on first read instead.
     """
 
     layout: FragmentationLayout
@@ -69,7 +76,7 @@ class Allocation:
     scheme: str
 
     def __post_init__(self) -> None:
-        assignment = np.asarray(self.disk_of_fragment, dtype=np.int64)
+        assignment = np.asarray(self.disk_of_fragment)
         pages = np.asarray(self.fragment_pages, dtype=np.float64)
         if assignment.shape != (self.layout.fragment_count,):
             raise AllocationError(
@@ -81,12 +88,19 @@ class Allocation:
                 f"fragment_pages has {pages.shape[0] if pages.ndim else 0} entries "
                 f"but the layout has {self.layout.fragment_count} fragments"
             )
+        if assignment.dtype.kind not in "iu":
+            raise AllocationError(
+                f"disk assignment must hold integer disk ids, got {assignment.dtype}"
+            )
+        assignment = assignment.astype(np.int64, copy=False)
         if assignment.size and (assignment.min() < 0 or assignment.max() >= self.system.num_disks):
             raise AllocationError(
                 f"disk assignment contains disks outside [0, {self.system.num_disks})"
             )
-        if np.any(pages < 0):
-            raise AllocationError("fragment page counts must be non-negative")
+        # NaN fails both comparisons, so one test rejects NaN, infinities
+        # and negative counts.
+        if not np.all((pages >= 0) & (pages < np.inf)):
+            raise AllocationError("fragment page counts must be finite and non-negative")
         object.__setattr__(self, "disk_of_fragment", assignment)
         object.__setattr__(self, "fragment_pages", pages)
 

@@ -6,10 +6,16 @@ lexicographic (C-) order of their fragmentation attribute values and dealt to
 the disks in turn.  Neighbouring fragments — which a hierarchically restricted
 star query tends to touch together — therefore land on different disks, which
 maximizes the I/O parallelism available to a single query.
+
+The placement is a rule of the fragment index, so a round-robin allocation
+keeps only the rule and derives its disk and page vectors on first read: a
+candidate sweep ranks hundreds of round-robin candidates without building
+the vectors of those nobody reads.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,6 +27,41 @@ from repro.fragmentation import FragmentationLayout
 from repro.storage import SystemParameters
 
 __all__ = ["round_robin_allocation"]
+
+
+class RoundRobinAllocation(Allocation):
+    """A round-robin :class:`Allocation` whose vectors derive from its rule.
+
+    Fragment ``i`` lies on disk ``(i + start_disk) % num_disks`` and is
+    charged :func:`~repro.allocation.fragment_total_pages`; each vector is
+    built on its first read and kept.
+    """
+
+    def __init__(
+        self,
+        layout: FragmentationLayout,
+        system: SystemParameters,
+        bitmap_scheme: Optional[BitmapScheme],
+        start_disk: int,
+    ) -> None:
+        if not 0 <= start_disk < system.num_disks:
+            raise AllocationError(
+                f"start_disk {start_disk} out of range [0, {system.num_disks})"
+            )
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "scheme", "round_robin")
+        self._bitmap_scheme = bitmap_scheme
+        self._start_disk = start_disk
+
+    @cached_property
+    def disk_of_fragment(self) -> np.ndarray:  # type: ignore[override]
+        count = self.layout.fragment_count
+        return (np.arange(count, dtype=np.int64) + self._start_disk) % self.num_disks
+
+    @cached_property
+    def fragment_pages(self) -> np.ndarray:  # type: ignore[override]
+        return fragment_total_pages(self.layout, self._bitmap_scheme)
 
 
 def round_robin_allocation(
@@ -44,17 +85,4 @@ def round_robin_allocation(
         Disk receiving the first fragment (useful to stagger multiple fact
         tables over the same disk pool).
     """
-    if not 0 <= start_disk < system.num_disks:
-        raise AllocationError(
-            f"start_disk {start_disk} out of range [0, {system.num_disks})"
-        )
-    fragment_count = layout.fragment_count
-    assignment = (np.arange(fragment_count, dtype=np.int64) + start_disk) % system.num_disks
-    pages = fragment_total_pages(layout, bitmap_scheme)
-    return Allocation(
-        layout=layout,
-        system=system,
-        disk_of_fragment=assignment,
-        fragment_pages=pages,
-        scheme="round_robin",
-    )
+    return RoundRobinAllocation(layout, system, bitmap_scheme, start_disk)

@@ -48,7 +48,7 @@ from repro.engine.signature import (
     query_structure_signature,
     stable_digest,
 )
-from repro.engine.store import StoredCandidate
+from repro.engine.store import CorruptCandidate, StoredCandidate
 from repro.errors import AllocationError
 
 __all__ = ["CacheStats", "EvaluationCache"]
@@ -344,17 +344,18 @@ class EvaluationCache:
         decodes and materializes the candidate under the probing context —
         valid because the content-addressed key covers every input the
         materialization reads — and upgrades the entry in place so later
-        probes are free.  A stored allocation the probing context rejects (a
-        disk id past its disk count, a span that is not its rebuilt layout's)
-        is counted as a corrupt store entry, dropped and reported as a miss,
-        so the sweep evaluates that candidate cold.
+        probes are free.  A stored candidate whose decode finds a non-finite
+        metric or page count, or whose allocation the probing context
+        rejects (a disk id past its disk count, a span that is not its
+        rebuilt layout's), is counted as a corrupt store entry, dropped and
+        reported as a miss, so the sweep evaluates that candidate cold.
         """
         key = self.candidate_key(context, spec)
         value = self._candidates.get(key, _MISSING)
         if isinstance(value, StoredCandidate):
             try:
                 value = value.decode().materialize(context, spec)
-            except AllocationError:
+            except (AllocationError, CorruptCandidate):
                 self.stats.store_corrupt_entries += 1
                 del self._candidates[key]
                 self._disk_keys.discard(key)

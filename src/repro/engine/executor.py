@@ -11,13 +11,16 @@ chunking never changes an answer (the parity suites assert this).
 
 Two cost paths implement the same model (``EngineOptions.vectorize``):
 
-* the **batched path** (``True``, default) stacks every layout of a chunk,
-  whatever dimensions it fragments, into one (candidate × class) numpy batch
-  and runs structures, prefetch resolution, the cost model and the LPT disk
-  placement once per chunk (:mod:`repro.costmodel.batch`,
-  :mod:`repro.allocation.batch`); a single candidate
-  (:meth:`EvaluationEngine.evaluate_spec`, the tuning studies) runs the same
-  kernels as a 1-row stack;
+* the **batched path** (``True``, default) places the whole sweep on disks
+  before its first chunk: the driver builds every pending layout once and
+  hands them all to one allocation call, which derives round-robin
+  placements on first read and places every greedy survivor in one batched
+  LPT pass (:mod:`repro.allocation.batch`).  Each chunk then stacks its
+  layouts, whatever dimensions they fragment, into one (candidate × class)
+  numpy batch and runs structures, prefetch resolution and the cost model
+  once (:mod:`repro.costmodel.batch`).  A single candidate
+  (:meth:`EvaluationEngine.evaluate_spec`, the tuning studies) runs the
+  same kernels as a 1-row stack;
 * the **scalar path** (``False``, CLI ``--no-vectorize``) runs the per-class
   reference oracle.
 
@@ -36,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.allocation import choose_allocation, choose_allocations_batch
+from repro.allocation import Allocation, choose_allocation, choose_allocations_batch
 from repro.bitmap import BitmapScheme, design_bitmap_scheme
 from repro.core.candidates import FragmentationCandidate
 from repro.core.config import AdvisorConfig
@@ -78,10 +81,15 @@ __all__ = [
 #: both small.
 INLINE_CHUNKS = 8
 
-#: Widest chunk a sweep evaluates: larger sweeps get more chunks, so
-#: the per-chunk planes — above all the LPT placement's padded (candidate ×
-#: fragment) matrix — stay bounded however large the sweep grows.
+#: Widest chunk a sweep evaluates: larger sweeps get more chunks, so the
+#: per-chunk (candidate × class) planes of the structure and cost kernels
+#: stay bounded however large the sweep grows.  (The sweep's LPT placement
+#: runs before the chunks, bounded by its own cell budget,
+#: :data:`repro.allocation.batch.LPT_CELL_BUDGET`.)
 MAX_CHUNK_WIDTH = 48
+
+#: A sweep's built layouts and their disk allocations, by plan index.
+Placements = Dict[int, Tuple[FragmentationLayout, Allocation]]
 
 
 @dataclass(frozen=True)
@@ -205,22 +213,48 @@ def _evaluate_spec(
     )
 
 
+def _place_specs(
+    context: EngineContext,
+    indices: Sequence[int],
+    cache: Optional[EvaluationCache],
+) -> Placements:
+    """Build the layouts of ``indices`` and place them all on disks at once.
+
+    One allocation call covers every index: round-robin placements are
+    derived when first read, and every greedy one is placed by one batched
+    LPT pass, bit-identical to the per-candidate ``choose_allocation``
+    reference (the parity suites pin this).
+    """
+    layouts = [_layout(context, context.specs[index], cache) for index in indices]
+    allocations = choose_allocations_batch(
+        layouts,
+        context.system,
+        context.bitmap_scheme,
+        skew_threshold_cv=context.config.allocation_skew_cv,
+    )
+    return dict(zip(indices, zip(layouts, allocations)))
+
+
 def evaluate_specs_in_context(
     context: EngineContext,
     indices: Sequence[int],
     cache: Optional[EvaluationCache] = None,
+    placed: Optional[Placements] = None,
 ) -> List[FragmentationCandidate]:
     """Evaluate a chunk of candidate indices in one kernel pass.
 
     On the batched path every layout of the chunk, whatever dimensions it
     fragments, stacks into one (candidate × class) numpy batch: structures,
-    the disk placement, prefetch resolution and costs run once for the whole
-    chunk, bit-identical to evaluating each spec alone (the parity suite pins
-    this).  The scalar path evaluates spec by spec.  ``cache`` memoizes
-    built layouts and access structures only (one structure probe per
-    evaluated layout): whole candidates are probed and stored by the
-    engine's driver, once per plan index, so every index handed in here is
-    evaluated.
+    prefetch resolution and costs run once for the whole chunk,
+    bit-identical to evaluating each spec alone (the parity suite pins
+    this).  ``placed`` holds the chunk's layouts and allocations: the
+    engine's driver places its whole sweep before the first chunk and hands
+    every chunk the same map; without it the chunk places its own indices
+    the same way.  The scalar path evaluates spec by spec and ignores
+    ``placed``.  ``cache`` memoizes built layouts and access structures only
+    (one structure probe per evaluated layout): whole candidates are probed
+    and stored by the engine's driver, once per plan index, so every index
+    handed in here is evaluated.
     """
     if context.class_matrix is None:
         return [
@@ -228,18 +262,13 @@ def evaluate_specs_in_context(
         ]
     if not indices:
         return []
+    if placed is None:
+        placed = _place_specs(context, indices, cache)
     matrix = context.class_matrix
     specs = [context.specs[index] for index in indices]
-    layouts = [_layout(context, spec, cache) for spec in specs]
+    layouts = [placed[index][0] for index in indices]
+    allocations = [placed[index][1] for index in indices]
     structures = _structure_batch(layouts, matrix, cache)
-    # One LPT pass over the chunk's padded (candidate × fragment) page
-    # matrix, bit-identical to the per-candidate choose_allocation reference.
-    allocations = choose_allocations_batch(
-        layouts,
-        context.system,
-        context.bitmap_scheme,
-        skew_threshold_cv=context.config.allocation_skew_cv,
-    )
     prefetches = resolve_prefetch_settings_batch_candidates(
         structures, matrix, context.system
     )
@@ -476,8 +505,10 @@ class EvaluationEngine:
         """Evaluate every candidate of ``specs``, preserving order.
 
         The one driver of every sweep (an empty ``specs`` returns ``[]`` and
-        emits no progress).  It probes the shared cache once per plan index,
-        cuts the misses into chunks — on the batched path at least
+        emits no progress).  It probes the shared cache once per plan index;
+        on the batched path it builds the misses' layouts and places them
+        all on disks in one allocation call.  It then cuts the misses into
+        chunks — on the batched path at least
         :data:`INLINE_CHUNKS` cost-balanced ones of at most
         :data:`MAX_CHUNK_WIDTH` candidates
         (:meth:`~repro.engine.plan.EvaluationPlan.partition_indices`), on the
@@ -535,7 +566,9 @@ class EvaluationEngine:
                 # (never 0/0 — wire consumers divide chunk by num_chunks).
                 report(1, 1)
                 return results  # type: ignore[return-value]
+            placed: Optional[Placements] = None
             if context.class_matrix is not None:
+                placed = _place_specs(context, pending, cache)
                 parts = max(INLINE_CHUNKS, -(-len(pending) // MAX_CHUNK_WIDTH))
                 chunks = plan.partition_indices(
                     pending, parts, max_width=MAX_CHUNK_WIDTH
@@ -545,7 +578,7 @@ class EvaluationEngine:
             for number, chunk in enumerate(chunks, 1):
                 # Looked up as a module global on every chunk, so a rebinding
                 # of the name (profilers, probes) sees every call.
-                candidates = evaluate_specs_in_context(context, chunk, cache)
+                candidates = evaluate_specs_in_context(context, chunk, cache, placed)
                 for index, candidate in zip(chunk, candidates):
                     results[index] = candidate
                     if cache is not None:

@@ -53,13 +53,13 @@ All files carry a **salt**: a digest over the store format version and the
 salt.  A store written by a different format or package version, a truncated
 or corrupted file, or an entry that fails to decode is **silently ignored,
 never trusted** — the evaluation simply runs cold and overwrites the store
-with fresh content.  A stored allocation that does not fit the probing
-context (a disk id past its disk count, a span that is not its layout's
-fragment count) is caught at the probe: the cache counts it corrupt and
-evaluates that candidate cold.  Persistence is strictly best-effort: no
-store failure (unreadable directory, read-only filesystem, concurrent
-writer) may ever change a result or crash the advisor, only forfeit the
-warm start.  Loads read only npz members (``allow_pickle=False``) and JSON,
+with fresh content.  A stored candidate holding a non-finite metric or page
+count, or an allocation that does not fit the probing context (a disk id
+past its disk count, a span that is not its layout's fragment count), is
+caught at the probe: the cache counts it corrupt and evaluates that
+candidate cold.  Persistence is strictly best-effort: no store failure
+(unreadable directory, read-only filesystem, concurrent writer) may ever
+change a result or crash the advisor, only forfeit the warm start.  Loads read only npz members (``allow_pickle=False``) and JSON,
 so a store file never executes code.
 
 Maintenance
@@ -115,6 +115,7 @@ __all__ = [
     "CacheStore",
     "StoreLoadStats",
     "StoredCandidate",
+    "CorruptCandidate",
     "store_salt",
 ]
 
@@ -198,6 +199,10 @@ def _require(condition: Any) -> None:
         raise ValueError("malformed candidate group")
 
 
+class CorruptCandidate(ValueError):
+    """Raised when one stored candidate fails the check of its decode."""
+
+
 @dataclass(frozen=True)
 class _CandidateGroup:
     """One loaded, checked candidate group (see :func:`_read_group`)."""
@@ -228,10 +233,19 @@ class _CandidateGroup:
 
         A view would pin the group's whole stacked cube (or concatenated
         allocation vector) alive for as long as the candidate survives in
-        the in-memory cache.
+        the in-memory cache.  The load's group checks let infinities (and
+        NaN metrics) through; the candidate's own metrics and page counts
+        are checked here, so no load scans every stored vector.  Raises
+        :class:`CorruptCandidate` when one is not finite.
         """
         from repro.costmodel import EvaluationColumns
         from repro.engine.result import CandidateColumns
+
+        start, end = self.offsets[row], self.offsets[row + 1]
+        metrics = self.metrics[row]
+        pages = self.alloc_pages[start:end]
+        if not (np.isfinite(metrics).all() and np.isfinite(pages).all()):
+            raise CorruptCandidate(f"stored candidate {row} holds a non-finite value")
 
         table = self.attr_table
         codes = self.attr_codes[
@@ -244,13 +258,12 @@ class _CandidateGroup:
                 tuple([table[code] for code in codes[position : position + count]])
             )
             position += count
-        start, end = self.offsets[row], self.offsets[row + 1]
         return CandidateColumns(
             columns=EvaluationColumns(
                 query_names=self.query_names,
                 weights=self.weights,
                 fragments_total=end - start,
-                metrics=self.metrics[row].copy(),
+                metrics=metrics.copy(),
                 disks_used=self.disks[row].copy(),
                 sequential=self.sequential[row].copy(),
                 forced=self.forced[row].copy(),
@@ -259,7 +272,7 @@ class _CandidateGroup:
             prefetch=tuple(self.prefetch[row]),
             allocation_scheme=self.schemes[row],
             allocation_disks=self.alloc_disks[start:end].copy(),
-            allocation_pages=self.alloc_pages[start:end].copy(),
+            allocation_pages=pages.copy(),
         )
 
 
@@ -391,7 +404,11 @@ class StoredCandidate:
         return not isinstance(self._state, _CandidateGroup)
 
     def decode(self) -> "CandidateColumns":
-        """This candidate's columnar record (decoded on the first call)."""
+        """This candidate's columnar record (decoded on the first call).
+
+        Raises :class:`CorruptCandidate` when the candidate's stored metrics
+        or page counts are not finite.
+        """
         state = self._state
         if isinstance(state, _CandidateGroup):
             state = self._state = state.record(self._row)

@@ -6,7 +6,13 @@ holds, taking the Zipf-like data skew of the dimensions into account.  Layouts
 are the common substrate of the cost model (fragments/pages hit by a query),
 the allocation schemes (fragment sizes drive the greedy placement) and the
 analysis layer (database statistics, fragment size distributions).
+
+Fragment row counts and their coefficient of variation feed the disk
+allocation and the cost model's imbalance factor, so this module is held to
+the parity rules of the cost code.
 """
+
+# lint: parity-critical
 
 from __future__ import annotations
 
@@ -44,11 +50,25 @@ def dimension_row_shares(dimension: Dimension, level: str) -> np.ndarray:
     children on average, and hierarchical containment maps every bottom value
     to exactly one ancestor.
 
+    A dimension is an immutable value, so the shares of each of its levels
+    are computed once and kept in its memo; every layout fragmenting that
+    level reads the same vector.
+
     Returns
     -------
     numpy.ndarray
-        Vector of length ``card(level)`` summing to 1.0.
+        Read-only vector of length ``card(level)`` summing to 1.0.
     """
+    key = ("row_shares", level)
+    shares = dimension._memo.get(key)
+    if shares is None:
+        shares = _row_shares(dimension, level)
+        shares.setflags(write=False)
+        dimension._memo[key] = shares
+    return shares
+
+
+def _row_shares(dimension: Dimension, level: str) -> np.ndarray:
     level_obj = dimension.level(level)
     bottom = dimension.bottom_level
     if not dimension.skew.is_skewed:
@@ -213,7 +233,12 @@ class FragmentationLayout:
 
     @cached_property
     def fragment_size_cv(self) -> float:
-        """Coefficient of variation of fragment sizes (0 without skew)."""
+        """Coefficient of variation of fragment sizes (0 without skew).
+
+        ``np.std`` over the flat :attr:`fragment_rows`: the value feeds the
+        cost model's imbalance factor, so a different reduction would move
+        costs and fingerprints.
+        """
         return coefficient_of_variation(self.fragment_rows)
 
     @cached_property

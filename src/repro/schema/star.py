@@ -64,6 +64,11 @@ class Dimension:
     ``levels`` are ordered from the coarsest (top) to the finest (bottom) level,
     e.g. ``year -> quarter -> month -> day`` for a time dimension.  Skew, when
     present, applies to the bottom level per the WARLOCK input model.
+
+    A dimension is immutable, so modules that derive values from it (such as
+    :func:`repro.fragmentation.dimension_row_shares`) may memoize them in its
+    private ``_memo`` dict, under keys they own.  The memo is not a field:
+    equality, hashing and ``repr`` ignore it.
     """
 
     name: str
@@ -111,6 +116,10 @@ class Dimension:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "skew", skew if skew is not None else SkewSpec.none())
         object.__setattr__(self, "row_size_bytes", row_size_bytes)
+        # Created with the fields: adding an attribute later, or reading
+        # ``__dict__``, would move every attribute read of this instance off
+        # the interpreter's fast path (about 3x slower on CPython 3.11).
+        object.__setattr__(self, "_memo", {})
 
     # -- navigation helpers -------------------------------------------------
 

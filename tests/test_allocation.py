@@ -15,6 +15,7 @@ from repro import (
     round_robin_allocation,
 )
 from repro.allocation import Allocation, fragment_total_pages
+from repro.allocation import round_robin as round_robin_module
 from repro.errors import AllocationError
 from repro.storage import DiskParameters
 
@@ -78,6 +79,37 @@ class TestRoundRobin:
         allocation = round_robin_allocation(uniform_layout, small_system)
         consecutive = allocation.disk_of_fragment[:8]
         assert len(set(consecutive.tolist())) == 8
+
+    @pytest.mark.parametrize("start_disk", [0, 3])
+    def test_vectors_are_derived_on_first_read_and_kept(
+        self, uniform_layout, small_system, toy_schema, toy_workload, monkeypatch,
+        start_disk,
+    ):
+        scheme = design_bitmap_scheme(toy_schema, toy_workload)
+        count = uniform_layout.fragment_count
+        expected_disks = (np.arange(count, dtype=np.int64) + start_disk) % 8
+        expected_pages = fragment_total_pages(uniform_layout, scheme)
+        calls = []
+
+        def counting(layout, bitmap_scheme=None):
+            calls.append(layout)
+            return fragment_total_pages(layout, bitmap_scheme)
+
+        monkeypatch.setattr(round_robin_module, "fragment_total_pages", counting)
+        allocation = round_robin_allocation(
+            uniform_layout, small_system, scheme, start_disk=start_disk
+        )
+        assert calls == []
+        disks = allocation.disk_of_fragment
+        assert disks.dtype == np.int64
+        assert disks.tobytes() == expected_disks.tobytes()
+        assert calls == []
+        pages = allocation.fragment_pages
+        assert pages.dtype == np.float64
+        assert pages.tobytes() == expected_pages.tobytes()
+        assert allocation.disk_of_fragment is disks
+        assert allocation.fragment_pages is pages
+        assert calls == [uniform_layout]
 
 
 class TestGreedy:
@@ -203,6 +235,34 @@ class TestAllocationObject:
                 fragment_pages=negative_pages,
                 scheme="x",
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pages_are_rejected(self, uniform_layout, small_system, bad):
+        pages = fragment_total_pages(uniform_layout)
+        pages[0] = bad
+        with pytest.raises(AllocationError):
+            Allocation(
+                layout=uniform_layout,
+                system=small_system,
+                disk_of_fragment=np.zeros(uniform_layout.fragment_count, dtype=np.int64),
+                fragment_pages=pages,
+                scheme="x",
+            )
+
+    def test_non_integer_disk_ids_are_rejected(self, uniform_layout, small_system):
+        # 1.7 used to be truncated to disk 1; an integer-valued float array
+        # is not a disk assignment either.
+        fractional = np.zeros(uniform_layout.fragment_count, dtype=np.float64)
+        fractional[0] = 1.7
+        for disks in (fractional, np.floor(fractional)):
+            with pytest.raises(AllocationError):
+                Allocation(
+                    layout=uniform_layout,
+                    system=small_system,
+                    disk_of_fragment=disks,
+                    fragment_pages=fragment_total_pages(uniform_layout),
+                    scheme="x",
+                )
 
     def test_describe(self, uniform_layout, small_system):
         text = round_robin_allocation(uniform_layout, small_system).describe()

@@ -74,8 +74,8 @@ class TestLptAssignments:
         assert all(a.shape == (0,) for a in assignments)
 
     def test_mixed_lengths_pad_correctly(self):
-        # One long, one short candidate: the short one's padded steps must not
-        # disturb its occupancy accounting.
+        # One long, one short candidate: the short one leaves the lockstep
+        # early, which must not disturb either's occupancy accounting.
         long = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 1.0, 1.0])
         short = np.array([9.0])
         for pages, assignment in zip(
@@ -180,8 +180,8 @@ class TestSkewedMixedChunks:
         chunks = []
         evaluate_chunk = executor_module.evaluate_specs_in_context
 
-        def recording(context, indices, cache=None):
-            candidates = evaluate_chunk(context, indices, cache)
+        def recording(context, indices, cache=None, placed=None):
+            candidates = evaluate_chunk(context, indices, cache, placed)
             chunks.append(candidates)
             return candidates
 
@@ -201,3 +201,115 @@ class TestSkewedMixedChunks:
                 _assert_allocations_identical(candidate.allocation, reference)
                 schemes.add(candidate.allocation.scheme)
         assert schemes == {"greedy_size", "round_robin"}
+
+
+#: The FULL synthetic warehouse's skew (as in TestSkewedMixedChunks).
+_FULL_SKEW = {"dim0": 1.0, "dim1": 0.5}
+
+
+def _full_session(skew=None):
+    """A session on the FULL synthetic warehouse: 263 survivors, 64 disks."""
+    from repro import AdvisorConfig, AdvisorSession, SystemParameters, synthetic_schema
+    from repro.workload.generator import random_query_mix
+
+    schema = synthetic_schema(
+        num_dimensions=7,
+        levels_per_dimension=3,
+        bottom_cardinality=400,
+        fact_rows=30_000_000,
+    )
+    workload = random_query_mix(schema, num_classes=40, seed=1)
+    if skew:
+        schema = schema.with_skew(skew)
+    config = AdvisorConfig(max_fragments=30_000, max_fragmentation_dimensions=3)
+    return AdvisorSession(schema, workload, SystemParameters(num_disks=64), config)
+
+
+def _count_lpt_passes(monkeypatch):
+    """Record the widths of every lpt_assignments pass (one list per pass)."""
+    from repro.allocation import batch as batch_module
+
+    passes = []
+    lpt = batch_module.lpt_assignments
+
+    def counting(pages_list, num_disks):
+        passes.append([len(pages) for pages in pages_list])
+        return lpt(pages_list, num_disks)
+
+    monkeypatch.setattr(batch_module, "lpt_assignments", counting)
+    return passes
+
+
+class TestSweepPlacement:
+    """A batched sweep places all its candidates before its first chunk."""
+
+    def test_skewed_sweep_places_every_greedy_survivor_in_one_pass(self, monkeypatch):
+        passes = _count_lpt_passes(monkeypatch)
+        result = _full_session(_FULL_SKEW).recommend()
+        greedy = [
+            candidate
+            for candidate in result.recommendation.evaluated
+            if candidate.allocation.scheme == "greedy_size"
+        ]
+        assert len(greedy) == 162
+        assert len(passes) == 1
+        assert sorted(passes[0]) == sorted(c.fragment_count for c in greedy)
+        assert max(passes[0]) == 4032
+
+    def test_a_smaller_cell_budget_splits_the_pass_only(self, monkeypatch):
+        from repro.allocation import batch as batch_module
+
+        budget = 162 * 4032 // 3
+        monkeypatch.setattr(batch_module, "LPT_CELL_BUDGET", budget)
+        passes = _count_lpt_passes(monkeypatch)
+        session = _full_session(_FULL_SKEW)
+        specs, _ = session.generate_specs()
+        candidates = session.engine.evaluate_specs(specs)
+        assert len(passes) >= 2
+        for widths in passes:
+            assert len(widths) * max(widths) <= budget
+        assert sum(len(widths) for widths in passes) == 162
+        system, config = session.system, session.config
+        for candidate in candidates:
+            reference = choose_allocation(
+                candidate.layout,
+                system,
+                candidate.bitmap_scheme,
+                skew_threshold_cv=config.allocation_skew_cv,
+            )
+            _assert_allocations_identical(candidate.allocation, reference)
+
+    def test_uniform_sweep_builds_no_placement_vector(self, monkeypatch):
+        from repro.allocation import batch as batch_module
+        from repro.allocation import greedy as greedy_module
+        from repro.allocation import round_robin as round_robin_module
+        from repro.allocation import fragment_total_pages
+
+        calls = []
+
+        def counting(layout, bitmap_scheme=None):
+            calls.append(layout)
+            return fragment_total_pages(layout, bitmap_scheme)
+
+        for module in (round_robin_module, greedy_module, batch_module):
+            monkeypatch.setattr(module, "fragment_total_pages", counting)
+        session = _full_session()
+        evaluated = session.recommend().recommendation.evaluated
+        assert len(evaluated) == 263
+        assert {candidate.allocation.scheme for candidate in evaluated} == {"round_robin"}
+        assert calls == []
+        # Reading one candidate's vectors derives that candidate's only.
+        first, others = evaluated[0], evaluated[1:]
+        disks = first.allocation.disk_of_fragment
+        pages = first.allocation.fragment_pages
+        assert calls == [first.layout]
+        assert not any(
+            "disk_of_fragment" in vars(candidate.allocation)
+            or "fragment_pages" in vars(candidate.allocation)
+            for candidate in others
+        )
+        count = first.fragment_count
+        expected_disks = np.arange(count, dtype=np.int64) % 64
+        assert disks.tobytes() == expected_disks.tobytes()
+        expected_pages = fragment_total_pages(first.layout, first.bitmap_scheme)
+        assert pages.tobytes() == expected_pages.tobytes()

@@ -34,6 +34,24 @@ class TestDimensionRowShares:
         assert shares[0] == shares.max()
         assert shares[-1] == shares.min()
 
+    def test_shares_are_computed_once_per_level_and_read_only(self, skewed_schema):
+        from repro.schema import Dimension
+
+        product = skewed_schema.dimension("product")
+        text = repr(product)
+        first = dimension_row_shares(product, "group")
+        assert dimension_row_shares(product, "group") is first
+        assert dimension_row_shares(product, "item") is not first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        # The memo sits outside the dimension's fields: its repr (which
+        # content signatures digest) and its equality are unchanged.
+        assert repr(product) == text
+        assert product == Dimension(
+            product.name, product.levels, product.skew, product.row_size_bytes
+        )
+
     def test_aggregation_consistency_with_bottom(self, skewed_schema):
         product = skewed_schema.dimension("product")
         bottom = dimension_row_shares(product, "item")

@@ -626,9 +626,21 @@ def _edit_array(name, change):
     return edit
 
 
+def _set_each_candidate(value):
+    """A metric cube with ``value`` in one field of every candidate."""
+
+    def change(metrics):
+        metrics = metrics.copy()
+        metrics[:, -1, -1] = value
+        return metrics
+
+    return change
+
+
 #: One bad value each in group 0 of a well-formed store.  The disk ids are
 #: only out of range for the probing system's 16 disks, so the probe (not
-#: the load) has to reject them.
+#: the load) has to reject them; the load lets non-finite pages and metrics
+#: through too, and each probe's decode rejects its own candidate.
 _BAD_VALUES = {
     "prefetch-policy": _edit_meta(
         "prefetch", lambda entries: [[*entries[0][:3], "bogus"], *entries[1:]]
@@ -650,6 +662,11 @@ _BAD_VALUES = {
     "fragments-total": _edit_meta(
         "fragments_total", lambda totals: [totals[0] + 0.5, *totals[1:]]
     ),
+    "infinite-pages": _edit_array(
+        "alloc_pages", lambda pages: np.full_like(pages, np.inf)
+    ),
+    "nan-metric": _edit_array("metrics", _set_each_candidate(np.nan)),
+    "infinite-metric": _edit_array("metrics", _set_each_candidate(np.inf)),
 }
 
 
@@ -730,6 +747,34 @@ class TestRobustnessCounters:
         stats = degraded.cache.stats
         assert stats.store_corrupt_entries >= 1
         assert stats.candidate_disk_hits == 0
+
+    @pytest.mark.parametrize(
+        "member, position, value",
+        [
+            ("alloc_pages", (0,), np.inf),
+            ("metrics", (0, 0, 0), np.nan),
+            ("metrics", (0, 0, 0), -np.inf),
+        ],
+    )
+    def test_one_non_finite_value_rejects_only_its_candidate(
+        self, scenario, tmp_path, member, position, value
+    ):
+        # One value of candidate 0 is not finite: its probe counts 1 corrupt
+        # entry and evaluates it cold, and every other stored candidate is
+        # still a disk hit.
+        cold = _advisor(scenario, tmp_path).recommend().fingerprint
+        members = _read_members(tmp_path)
+        edited = members[f"c0/{member}"].copy()
+        edited[position] = value
+        members[f"c0/{member}"] = edited
+        _write_members(tmp_path, members)
+        degraded = _advisor(scenario, tmp_path)
+        stored = degraded.cache.loaded_from_disk - 1  # less the one report
+        assert degraded.recommend().fingerprint == cold
+        stats = degraded.cache.stats
+        assert stats.store_corrupt_entries == 1
+        assert stats.candidate_misses == 1
+        assert stats.candidate_disk_hits == stats.candidate_hits == stored - 1
 
     def test_span_that_misfits_the_layout_is_a_counted_miss(self, scenario, tmp_path):
         # One fragment slot moves from candidate 0 to candidate 1, with
