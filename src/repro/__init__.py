@@ -69,7 +69,6 @@ from repro.engine import (
     CacheStore,
     EvaluationCache,
     EvaluationEngine,
-    EvaluationPlan,
     recommendation_fingerprint,
 )
 from repro.analysis import (
@@ -197,7 +196,6 @@ __all__ = [
     "CacheStore",
     "EvaluationCache",
     "EvaluationEngine",
-    "EvaluationPlan",
     "recommendation_fingerprint",
     # api: sessions, options, requests, progress
     "AdvisorSession",

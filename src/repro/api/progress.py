@@ -1,12 +1,11 @@
 """Progress events and cooperative cancellation for candidate sweeps.
 
-The evaluation plan knows every work unit of a sweep up front, and the
-executor already dispatches candidates in chunks — so per-chunk completion is
-free to surface.  :class:`ProgressEvent` is the value object the engine emits
-at every chunk boundary (each of a batched sweep's few cost-balanced chunks,
-or each candidate on the scalar path), and
-:class:`CancellationToken` is the cooperative cancel switch the engine checks
-at the same boundaries.
+The engine's sweep loop knows how many candidates a sweep has up front and
+evaluates the cache misses in a few consecutive chunks — so per-chunk
+completion is free to surface.  :class:`ProgressEvent` is the value object
+the engine emits at every chunk boundary (the same chunks on the batched and
+the scalar path), and :class:`CancellationToken` is the cooperative cancel
+switch the engine checks at the same boundaries.
 
 Cancellation is *cooperative and chunk-granular*: a set token makes the
 engine stop dispatching further chunks and raise
@@ -49,7 +48,8 @@ class ProgressEvent:
     #: Completed chunk count (1-based) / chunks dispatched by this sweep.
     chunk: int
     num_chunks: int
-    #: (candidate × query class) work units finished / expanded by the plan.
+    #: (candidate × query class) evaluations finished / in the sweep: the
+    #: candidate counts times the mix's number of query classes.
     completed_units: int
     total_units: int
     #: Label of the last candidate the completed chunk evaluated ("" at start).

@@ -18,8 +18,8 @@ move a number, which makes the reuse automatic and exact (fingerprint parity
 against a fresh advisor is asserted by the test suite and the E11 benchmark).
 
 Every request accepts ``on_progress=`` / ``cancel=`` (see
-:mod:`repro.api.progress`); events fire at the evaluation plan's chunk
-boundaries.
+:mod:`repro.api.progress`); events fire at the boundaries of the chunks the
+engine's sweep loop evaluates.
 """
 
 from __future__ import annotations

@@ -3,19 +3,18 @@
 The engine subsystem turns the advisor's serial candidate loop into an
 explicit pipeline:
 
-1. :class:`~repro.engine.plan.EvaluationPlan` expands the
-   (candidate × query class) work units of a sweep up front and partitions
-   candidates into deterministic, cost-balanced chunks.
-2. :class:`~repro.engine.executor.EvaluationEngine` executes the plan chunk by
-   chunk, on the batched kernels or the scalar reference oracle, with
-   guaranteed result parity between the two cost paths.
-3. :class:`~repro.engine.cache.EvaluationCache` memoizes the prefetch-
+1. :class:`~repro.engine.executor.EvaluationEngine` answers a sweep's warm
+   candidates from the cache and cuts the misses into a few consecutive
+   chunks, which it evaluates in turn on the batched kernels or the scalar
+   reference oracle, with guaranteed result parity between the two cost
+   paths.
+2. :class:`~repro.engine.cache.EvaluationCache` memoizes the prefetch-
    independent access structures and per-class cost records, so what-if
    tuning studies, comparisons and warm advisor runs reuse rather than
    recompute shared evaluations.
-4. :mod:`~repro.engine.signature` provides the content fingerprints the cache
+3. :mod:`~repro.engine.signature` provides the content fingerprints the cache
    keys on, plus recommendation fingerprints used to *prove* parity.
-5. :class:`~repro.engine.store.CacheStore` spills the cache to a directory
+4. :class:`~repro.engine.store.CacheStore` spills the cache to a directory
    (one npz of columnar candidate groups with their keys and integer
    attribute codes, sqlite for the JSON exclusion reports and the LRU
    access table; access structures stay in memory) so later *processes*
@@ -26,7 +25,6 @@ explicit pipeline:
 
 from repro.engine.cache import CacheStats, EvaluationCache
 from repro.engine.store import STORE_FORMAT_VERSION, CacheStore, store_salt
-from repro.engine.plan import EvaluationPlan, WorkUnit
 from repro.engine.result import CandidateColumns
 from repro.engine.signature import (
     layout_signature,
@@ -49,8 +47,6 @@ __all__ = [
     "EvaluationCache",
     "STORE_FORMAT_VERSION",
     "store_salt",
-    "EvaluationPlan",
-    "WorkUnit",
     "EngineContext",
     "EvaluationEngine",
     "evaluate_spec_in_context",

@@ -336,7 +336,7 @@ class EvaluationCache:
         """Probe for a whole-candidate evaluation; ``None`` on miss.
 
         The probe is counted (hit or miss).  The engine's sweep driver uses
-        this to answer warm candidates once per plan index and chunk only the
+        this to answer warm candidates once per spec and chunk only the
         misses.
 
         Entries loaded from a persistent store are deferred handles

@@ -1,13 +1,12 @@
 """The candidate-evaluation engine: batched and cache-aware.
 
 :class:`EvaluationEngine` replaces the advisor's serial candidate loop.  It
-expands the sweep into an :class:`~repro.engine.plan.EvaluationPlan` and runs
-it through one driver (:meth:`EvaluationEngine.evaluate_specs`): the shared
-cache answers the warm candidates, the misses are cut into chunks, and one
-loop evaluates the chunks in turn, placing results, filling the cache,
-reporting progress and honouring cancellation.  Results are
-**deterministic**: every evaluation is a pure function of its inputs, so
-chunking never changes an answer (the parity suites assert this).
+runs every sweep through one method (:meth:`EvaluationEngine.evaluate_specs`):
+the shared cache answers the warm candidates, the misses are cut into
+consecutive chunks, and one loop evaluates the chunks in turn, placing
+results, filling the cache, reporting progress and honouring cancellation.
+Results are **deterministic**: every evaluation is a pure function of its
+inputs, so chunking never changes an answer (the parity suites assert this).
 
 Two cost paths implement the same model (``EngineOptions.vectorize``):
 
@@ -28,10 +27,9 @@ Both are bit-identical by construction and by test
 (``tests/test_vector_parity.py``); the scalar path remains the reference and
 the escape hatch.
 
-A batched sweep cuts its misses with
-:meth:`~repro.engine.plan.EvaluationPlan.partition_indices` into a few
-cost-balanced chunks of at most :data:`MAX_CHUNK_WIDTH` candidates; the
-scalar path evaluates one candidate per chunk.
+Both paths cut a sweep's misses the same way: into at least
+:data:`INLINE_CHUNKS` consecutive runs of at most :data:`MAX_CHUNK_WIDTH`
+candidates, whose lengths differ by at most one.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from repro.schema import StarSchema
 from repro.storage import SystemParameters
 from repro.workload import ClassMatrix, QueryMix
 from repro.engine.cache import EvaluationCache
-from repro.engine.plan import EvaluationPlan
 from repro.engine.signature import object_signature, stable_digest
 
 __all__ = [
@@ -75,10 +72,10 @@ __all__ = [
     "evaluate_specs_in_context",
 ]
 
-#: Chunks a batched sweep is cut into (fewer when it has fewer misses).  Each
-#: chunk costs a few milliseconds of fixed numpy and Python overhead, and each
-#: chunk boundary is a progress report and a cancellation point; eight keeps
-#: both small.
+#: Chunks a sweep is cut into (fewer when it has fewer misses).  Each chunk
+#: costs a few milliseconds of fixed numpy and Python overhead, and each chunk
+#: boundary is a progress report and a cancellation point; eight keeps both
+#: small.
 INLINE_CHUNKS = 8
 
 #: Widest chunk a sweep evaluates: larger sweeps get more chunks, so the
@@ -88,7 +85,8 @@ INLINE_CHUNKS = 8
 #: :data:`repro.allocation.batch.LPT_CELL_BUDGET`.)
 MAX_CHUNK_WIDTH = 48
 
-#: A sweep's built layouts and their disk allocations, by plan index.
+#: A sweep's built layouts and their disk allocations, by index into the
+#: context's specs.
 Placements = Dict[int, Tuple[FragmentationLayout, Allocation]]
 
 
@@ -241,7 +239,7 @@ def evaluate_specs_in_context(
     cache: Optional[EvaluationCache] = None,
     placed: Optional[Placements] = None,
 ) -> List[FragmentationCandidate]:
-    """Evaluate a chunk of candidate indices in one kernel pass.
+    """Evaluate a chunk of indices into ``context.specs`` in one kernel pass.
 
     On the batched path every layout of the chunk, whatever dimensions it
     fragments, stacks into one (candidate × class) numpy batch: structures,
@@ -253,8 +251,8 @@ def evaluate_specs_in_context(
     the same way.  The scalar path evaluates spec by spec and ignores
     ``placed``.  ``cache`` memoizes built layouts and access structures only
     (one structure probe per evaluated layout): whole candidates are probed
-    and stored by the engine's driver, once per plan index, so every index
-    handed in here is evaluated.
+    and stored by :meth:`EvaluationEngine.evaluate_specs`, once per spec, so
+    every index handed in here is evaluated.
     """
     if context.class_matrix is None:
         return [
@@ -328,6 +326,21 @@ def _structure_batch(
 
 
 # -- the engine --------------------------------------------------------------------
+
+
+def _chunks(pending: List[int]) -> List[List[int]]:
+    """Cut ``pending`` into consecutive runs whose lengths differ by at most one.
+
+    ``max(INLINE_CHUNKS, ceil(n / MAX_CHUNK_WIDTH))`` runs, so none is wider
+    than :data:`MAX_CHUNK_WIDTH`; fewer when there are fewer than that many
+    misses (one each).
+    """
+    count = len(pending)
+    parts = min(count, max(INLINE_CHUNKS, -(-count // MAX_CHUNK_WIDTH)))
+    return [
+        pending[part * count // parts : (part + 1) * count // parts]
+        for part in range(parts)
+    ]
 
 
 def _check_cancel(cancel, completed: int, total: int) -> None:
@@ -480,10 +493,6 @@ class EvaluationEngine:
             ),
         )
 
-    def plan(self, specs: Sequence[FragmentationSpec]) -> EvaluationPlan:
-        """Expand ``specs`` into the engine's evaluation plan."""
-        return EvaluationPlan.build(specs, self.workload, self.schema)
-
     # -- evaluation -------------------------------------------------------------
 
     def evaluate_spec(
@@ -505,16 +514,14 @@ class EvaluationEngine:
         """Evaluate every candidate of ``specs``, preserving order.
 
         The one driver of every sweep (an empty ``specs`` returns ``[]`` and
-        emits no progress).  It probes the shared cache once per plan index;
-        on the batched path it builds the misses' layouts and places them
-        all on disks in one allocation call.  It then cuts the misses into
-        chunks — on the batched path at least
-        :data:`INLINE_CHUNKS` cost-balanced ones of at most
-        :data:`MAX_CHUNK_WIDTH` candidates
-        (:meth:`~repro.engine.plan.EvaluationPlan.partition_indices`), on the
-        scalar path one candidate each — and evaluates them in one loop that
-        places the results, inserts them into the cache, reports progress and
-        honours ``cancel``.
+        emits no progress).  It probes the shared cache once per spec; on
+        the batched path it builds the misses' layouts and places them all
+        on disks in one allocation call.  On both paths it then cuts the
+        misses, in sweep order, into at least :data:`INLINE_CHUNKS`
+        consecutive chunks of at most :data:`MAX_CHUNK_WIDTH` candidates,
+        whose lengths differ by at most one, and evaluates them in one loop
+        that places the results, inserts them into the cache, reports
+        progress and honours ``cancel``.
 
         ``on_progress`` receives one :class:`repro.api.ProgressEvent` per
         completed chunk (a fully warm sweep reports a single complete chunk);
@@ -529,14 +536,13 @@ class EvaluationEngine:
         # Imported lazily: repro.api sits above the engine in the layer stack.
         from repro.api.progress import ProgressEvent
 
-        plan = self.plan(specs)
-        context = self.context(specs=plan.specs, bitmap_scheme=bitmap_scheme)
+        context = self.context(specs=specs, bitmap_scheme=bitmap_scheme)
         cache = self.cache
-        total = plan.num_candidates
-        per_candidate = len(plan.query_names)
+        total = len(specs)
+        per_candidate = len(self.workload)
         results: List[Optional[FragmentationCandidate]] = [None] * total
         pending: List[int] = []
-        for index, spec in enumerate(plan.specs):
+        for index, spec in enumerate(specs):
             hit = cache.get_candidate(context, spec) if cache is not None else None
             if hit is None:
                 pending.append(index)
@@ -569,12 +575,7 @@ class EvaluationEngine:
             placed: Optional[Placements] = None
             if context.class_matrix is not None:
                 placed = _place_specs(context, pending, cache)
-                parts = max(INLINE_CHUNKS, -(-len(pending) // MAX_CHUNK_WIDTH))
-                chunks = plan.partition_indices(
-                    pending, parts, max_width=MAX_CHUNK_WIDTH
-                )
-            else:
-                chunks = [[index] for index in pending]
+            chunks = _chunks(pending)
             for number, chunk in enumerate(chunks, 1):
                 # Looked up as a module global on every chunk, so a rebinding
                 # of the name (profilers, probes) sees every call.
@@ -582,9 +583,9 @@ class EvaluationEngine:
                 for index, candidate in zip(chunk, candidates):
                     results[index] = candidate
                     if cache is not None:
-                        cache.put_candidate(context, plan.specs[index], candidate)
+                        cache.put_candidate(context, specs[index], candidate)
                 completed += len(chunk)
-                report(number, len(chunks), plan.specs[chunk[-1]].label)
+                report(number, len(chunks), specs[chunk[-1]].label)
                 if completed < total:
                     _check_cancel(cancel, completed, total)
             return results  # type: ignore[return-value]

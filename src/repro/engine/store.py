@@ -98,7 +98,7 @@ import os
 import sqlite3
 import tempfile
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -592,6 +592,11 @@ class CacheStore:
         refreshed, everything else keeps its age.  ``None`` refreshes every
         provided entry.
 
+        A stored candidate (provided undecoded or read back from the
+        directory) whose decode raises :class:`CorruptCandidate` is left out
+        of the merge, so it leaves the store, and counts once in
+        :attr:`load_stats` ``.corrupt_entries``.
+
         Returns the number of entries the store holds after the save, or
         ``None`` when the store could not be written (best-effort: the
         evaluation already succeeded, only the warm start of the *next*
@@ -604,21 +609,30 @@ class CacheStore:
             os.makedirs(self.cache_dir, exist_ok=True)
             if os.path.exists(self.batches_path):
                 os.unlink(self.batches_path)
-            records = {
-                key: (
-                    value.decode()
-                    if isinstance(value, StoredCandidate)
-                    else CandidateColumns.from_candidate(value)
-                )
-                for key, value in candidates.items()
-            }
+            corrupt: Set[Tuple[str, ...]] = set()
+
+            def decoded(items) -> Dict[Tuple[str, ...], "CandidateColumns"]:
+                records = {}
+                for key, value in items:
+                    try:
+                        records[key] = (
+                            value.decode()
+                            if isinstance(value, StoredCandidate)
+                            else CandidateColumns.from_candidate(value)
+                        )
+                    except CorruptCandidate:
+                        corrupt.add(key)
+                return records
+
+            records = decoded(candidates.items())
             disk_reports = self._load_entries()
             disk_handles = self._load_candidates()
-            disk_candidates = {
-                key: handle.decode()
+            disk_candidates = decoded(
+                (key, handle)
                 for key, handle in disk_handles.items()
-                if key not in records
-            }
+                if key not in records and key not in corrupt
+            )
+            self.load_stats.corrupt_entries += len(corrupt)
             merged: Dict[str, Dict[Tuple[str, ...], Any]] = {
                 "report": {**disk_reports, **reports},
                 "candidate": {**disk_candidates, **records},

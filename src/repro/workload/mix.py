@@ -106,10 +106,16 @@ class QueryMix:
     def reweighted(self, weights: Dict[str, float]) -> "QueryMix":
         """A copy of the mix with new weights (by class name).
 
-        Classes absent from ``weights`` keep their current weight.  This is the
-        hook for the interactive fine-tuning the paper describes ("query load
-        specifics can be interactively adapted").
+        Classes absent from ``weights`` keep their current weight; a name the
+        mix does not have is a :class:`~repro.errors.WorkloadError`, like
+        :meth:`without`'s.  This is the hook for the interactive fine-tuning
+        the paper describes ("query load specifics can be interactively
+        adapted").
         """
+        known = {qc.name for qc in self.classes}
+        missing = [name for name in weights if name not in known]
+        if missing:
+            raise WorkloadError(f"cannot reweight unknown query classes: {missing}")
         new_classes = []
         for query_class in self.classes:
             weight = weights.get(query_class.name, query_class.weight)

@@ -10,6 +10,7 @@ weight describing its share of the workload.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -84,7 +85,7 @@ class QueryClass:
         One :class:`DimensionRestriction` per accessed dimension (at most one
         per dimension, matching the star-query shape).
     weight:
-        Relative share of the workload (any positive number; the
+        Relative share of the workload (any finite positive number; the
         :class:`~repro.workload.mix.QueryMix` normalizes weights).
     fact_table:
         Optional name of the fact table the class targets; ``None`` means the
@@ -112,9 +113,10 @@ class QueryClass:
                 f"query class {name!r}: at most one restriction per dimension "
                 f"(got {dims})"
             )
-        if weight <= 0:
+        if not 0 < weight < math.inf:  # NaN fails both comparisons
             raise WorkloadError(
-                f"query class {name!r}: weight must be positive, got {weight}"
+                f"query class {name!r}: weight must be a finite positive "
+                f"number, got {weight!r}"
             )
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "restrictions", restrictions)

@@ -207,7 +207,7 @@ class TestSkewedMixedChunks:
 _FULL_SKEW = {"dim0": 1.0, "dim1": 0.5}
 
 
-def _full_session(skew=None):
+def _full_session(skew=None, options=None):
     """A session on the FULL synthetic warehouse: 263 survivors, 64 disks."""
     from repro import AdvisorConfig, AdvisorSession, SystemParameters, synthetic_schema
     from repro.workload.generator import random_query_mix
@@ -222,7 +222,9 @@ def _full_session(skew=None):
     if skew:
         schema = schema.with_skew(skew)
     config = AdvisorConfig(max_fragments=30_000, max_fragmentation_dimensions=3)
-    return AdvisorSession(schema, workload, SystemParameters(num_disks=64), config)
+    return AdvisorSession(
+        schema, workload, SystemParameters(num_disks=64), config, options=options
+    )
 
 
 def _count_lpt_passes(monkeypatch):
@@ -313,3 +315,55 @@ class TestSweepPlacement:
         assert disks.tobytes() == expected_disks.tobytes()
         expected_pages = fragment_total_pages(first.layout, first.bitmap_scheme)
         assert pages.tobytes() == expected_pages.tobytes()
+
+
+@pytest.fixture(scope="module")
+def skewed_oracle_fingerprint():
+    """The scalar oracle's fingerprint of the FULL `SKEW` sweep."""
+    from repro import EngineOptions
+
+    oracle = _full_session(_FULL_SKEW, EngineOptions(vectorize=False))
+    return oracle.recommend().fingerprint
+
+
+class TestChunkShapes:
+    """However a sweep's misses are cut into chunks, the answer stays the same."""
+
+    @pytest.mark.parametrize(
+        "inline_chunks, max_width, num_chunks",
+        [(1, 263, 1), (8, 1, 263), (None, None, 8)],
+        ids=["one-chunk", "one-candidate-chunks", "default"],
+    )
+    def test_chunk_shape_never_changes_an_answer(
+        self,
+        monkeypatch,
+        skewed_oracle_fingerprint,
+        inline_chunks,
+        max_width,
+        num_chunks,
+    ):
+        from repro.engine import executor as executor_module
+
+        if inline_chunks is not None:
+            monkeypatch.setattr(executor_module, "INLINE_CHUNKS", inline_chunks)
+            monkeypatch.setattr(executor_module, "MAX_CHUNK_WIDTH", max_width)
+        chunks = []
+        evaluate_chunk = executor_module.evaluate_specs_in_context
+
+        def recording(context, indices, cache=None, placed=None):
+            chunks.append(list(indices))
+            return evaluate_chunk(context, indices, cache, placed)
+
+        monkeypatch.setattr(executor_module, "evaluate_specs_in_context", recording)
+        result = _full_session(_FULL_SKEW).recommend()
+        evaluated = result.recommendation.evaluated
+        schemes = {candidate.allocation.scheme for candidate in evaluated}
+        assert schemes == {"greedy_size", "round_robin"}
+        # Consecutive runs that cover every index once, in sweep order.
+        assert len(chunks) == num_chunks
+        assert [index for chunk in chunks for index in chunk] == list(
+            range(len(evaluated))
+        )
+        widths = [len(chunk) for chunk in chunks]
+        assert max(widths) - min(widths) <= 1
+        assert result.fingerprint == skewed_oracle_fingerprint

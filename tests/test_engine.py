@@ -9,104 +9,11 @@ import pytest
 from repro import AdvisorConfig, AdvisorSession, EngineOptions
 from repro.engine import (
     EvaluationCache,
-    EvaluationPlan,
     layout_signature,
     object_signature,
 )
 from repro.engine.executor import evaluate_spec_in_context
-from repro.errors import AdvisorError
 from repro.fragmentation import build_layout
-
-
-class TestEvaluationPlan:
-    def test_expands_candidate_by_query_units(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        assert plan.num_candidates == len(specs)
-        assert plan.num_units == len(specs) * len(plan.query_names)
-        assert plan.query_names == tuple(
-            query.name for query, _ in toy_advisor.workload.weighted_items()
-        )
-        # Units enumerate specs in order, query classes within each spec.
-        unit = plan.units[0]
-        assert (unit.spec_index, unit.query_index) == (0, 0)
-        assert plan.units[len(plan.query_names)].spec_index == 1
-
-    def test_units_for_spec(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        units = plan.units_for_spec(1)
-        assert len(units) == len(plan.query_names)
-        assert {unit.spec_index for unit in units} == {1}
-        assert [unit.query_name for unit in units] == list(plan.query_names)
-        with pytest.raises(AdvisorError):
-            plan.units_for_spec(len(specs))
-
-    def test_unit_cost_estimates_match_fragment_counts(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        for spec, cost in zip(plan.specs, plan.spec_costs):
-            assert cost == spec.fragment_count(toy_advisor.schema)
-
-    def test_partition_covers_all_specs_exactly_once(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        for parts in (1, 2, 3, 7, len(specs) + 5):
-            chunks = plan.partition_indices(range(len(specs)), parts)
-            flat = sorted(index for chunk in chunks for index in chunk)
-            assert flat == list(range(len(specs)))
-            assert len(chunks) <= parts
-            assert all(chunk == sorted(chunk) for chunk in chunks)
-
-    def test_partition_is_deterministic_and_balanced(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        everything = range(len(specs))
-        assert plan.partition_indices(everything, 4) == plan.partition_indices(
-            everything, 4
-        )
-        loads = [
-            sum(max(1, plan.spec_costs[index]) for index in chunk)
-            for chunk in plan.partition_indices(everything, 2)
-        ]
-        # LPT keeps the two loads within the largest single item of each other.
-        assert abs(loads[0] - loads[1]) <= max(
-            max(1, cost) for cost in plan.spec_costs
-        )
-
-    def test_partition_caps_chunk_width(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        width = 2
-        parts = -(-len(specs) // width)
-        chunks = plan.partition_indices(range(len(specs)), parts, max_width=width)
-        assert all(len(chunk) <= width for chunk in chunks)
-        assert sorted(index for chunk in chunks for index in chunk) == list(
-            range(len(specs))
-        )
-        # A cap that never binds leaves the uncapped split unchanged.
-        assert plan.partition_indices(
-            range(len(specs)), parts, max_width=len(specs)
-        ) == plan.partition_indices(range(len(specs)), parts)
-        with pytest.raises(AdvisorError):
-            plan.partition_indices(range(len(specs)), parts - 1, max_width=width)
-
-    def test_partition_rejects_nonpositive_parts(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        with pytest.raises(AdvisorError, match="parts must be at least 1"):
-            plan.partition_indices(range(len(specs)), 0)
-
-    def test_empty_specs_rejected(self, toy_advisor):
-        with pytest.raises(AdvisorError):
-            EvaluationPlan.build([], toy_advisor.workload, toy_advisor.schema)
-
-    def test_describe_mentions_shape(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        plan = EvaluationPlan.build(specs, toy_advisor.workload, toy_advisor.schema)
-        text = plan.describe()
-        assert str(plan.num_candidates) in text
-        assert str(plan.num_units) in text
 
 
 class TestSignatures:

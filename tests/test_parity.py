@@ -113,7 +113,7 @@ def test_parallel_sweep_populates_the_shared_cache():
         schema, workload, system, config, cache=cache
     ).recommend().recommendation
     n = len(first.evaluated)
-    # One probe per plan index: a second probe inside the chunk
+    # One probe per candidate: a second probe inside the chunk
     # evaluator would count 2n misses.
     stats = cache.stats
     assert (stats.candidate_misses, stats.candidate_hits) == (n, 0)

@@ -17,6 +17,7 @@ The contract under test:
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 import time
@@ -508,6 +509,12 @@ class TestHTTPEndpoints:
             },
             {"kind": "compare", "specs": [5]},
             {"kind": "compare", "specs": [{"attributes": []}], "baseline_spec": 3},
+            # Weights the "main" mix's class Q1 cannot take (an infinite or
+            # NaN one reaches the server as a JSON Infinity or NaN token),
+            # and a class the mix does not have.
+            {"kind": "tune", "study": "weights", "settings": {"a": {"Q1": math.inf}}},
+            {"kind": "tune", "study": "weights", "settings": {"a": {"Q1": math.nan}}},
+            {"kind": "tune", "study": "weights", "settings": {"a": {"ghost": 2.0}}},
         ],
     )
     def test_malformed_typed_request_is_400(self, server, payload):

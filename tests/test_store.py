@@ -798,6 +798,40 @@ class TestRobustnessCounters:
         assert stats.candidate_misses == 2
         assert stats.candidate_disk_hits == stats.candidate_hits == stored - 2
 
+    def test_unprobed_non_finite_value_leaves_the_store_on_save(
+        self, scenario, tmp_path
+    ):
+        # One metric of a stored mix-6 candidate is NaN.  A sweep of mix 7
+        # never probes it, so only its save's merge decodes it: the save
+        # drops that one candidate, counts it once, and still writes the
+        # new sweep, which a later process then answers from disk.
+        _two_mix_store(scenario, tmp_path)
+        members = _read_members(tmp_path)
+        metrics = members["c1/metrics"].copy()
+        metrics[0, 0, 0] = np.nan
+        members["c1/metrics"] = metrics
+        _write_members(tmp_path, members)
+        bad_key = tuple(_read_json(members["c1/keys"])[0][1:])
+        stored = set(CacheStore(tmp_path).load()[0])
+        assert bad_key in stored
+
+        schema, _, system, config = scenario
+        workload = random_query_mix(schema, num_classes=6, seed=7)
+        options = EngineOptions(cache_dir=str(tmp_path))
+        cold = AdvisorSession(schema, workload, system, config, options=options)
+        result = cold.recommend()
+        assert cold.cache.store.load_stats.corrupt_entries == 1
+        saved = set(CacheStore(tmp_path).load()[0])
+        assert bad_key not in saved
+        assert stored - {bad_key} <= saved
+        assert len(saved) == len(stored) - 1 + len(result.recommendation.evaluated)
+
+        warm = AdvisorSession(schema, workload, system, config, options=options)
+        assert warm.recommend().fingerprint == result.fingerprint
+        stats = warm.cache.stats
+        assert stats.candidate_misses == 0
+        assert stats.candidate_disk_hits == stats.candidate_hits > 0
+
     def test_counters_survive_describe(self, scenario, tmp_path):
         _advisor(scenario, tmp_path).recommend()
         (tmp_path / CANDIDATES_FILENAME).write_bytes(b"rubble")

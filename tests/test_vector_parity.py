@@ -497,21 +497,21 @@ class TestCandidateColumnsRoundTrip:
     """The store's columnar candidate record re-materializes candidates exactly."""
 
     @pytest.fixture
-    def engine_and_plan(self):
+    def engine_and_specs(self):
         schema, workload, system, config = _advisor_inputs()
         advisor = AdvisorSession(schema, workload, system, config)
         specs, _ = advisor.generate_specs()
         engine = advisor.engine
-        plan = engine.plan(specs[:10])
-        context = engine.context(specs=plan.specs)
-        return engine, plan, context
+        specs = specs[:10]
+        context = engine.context(specs=specs)
+        return engine, specs, context
 
-    def test_round_trip_is_exact(self, engine_and_plan):
-        engine, plan, context = engine_and_plan
-        candidates = engine.evaluate_specs(plan.specs)
+    def test_round_trip_is_exact(self, engine_and_specs):
+        engine, specs, context = engine_and_specs
+        candidates = engine.evaluate_specs(specs)
         restored = [
             CandidateColumns.from_candidate(candidate).materialize(context, spec)
-            for candidate, spec in zip(candidates, plan.specs)
+            for candidate, spec in zip(candidates, specs)
         ]
         assert len(restored) == len(candidates)
         for rebuilt, original in zip(restored, candidates):

@@ -96,8 +96,9 @@ class TestQueryClass:
     def test_invalid_construction(self):
         with pytest.raises(WorkloadError):
             QueryClass(name="", restrictions=[])
-        with pytest.raises(WorkloadError):
-            QueryClass(name="q", restrictions=[], weight=0)
+        for weight in (0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(WorkloadError, match="finite positive"):
+                QueryClass(name="q", restrictions=[], weight=weight)
         with pytest.raises(WorkloadError):
             QueryClass(
                 name="q",
@@ -148,6 +149,10 @@ class TestQueryMix:
         assert reweighted.query_class("yearly-report").weight == 10.0
         # untouched classes keep their weight
         assert reweighted.query_class("item-tracking").weight == 2.0
+
+    def test_reweighted_unknown(self, toy_workload):
+        with pytest.raises(WorkloadError, match="ghost"):
+            toy_workload.reweighted({"yearly-report": 2.0, "ghost": 3.0})
 
     def test_without(self, toy_workload):
         smaller = toy_workload.without("yearly-report")
