@@ -11,7 +11,9 @@ interpreter iterates ``max(fragment_count)`` times per pass instead of
 orders the candidates by width (fragment count) and cuts them into groups
 of at most :data:`LPT_CELL_BUDGET` (candidate × fragment) cells, one pass
 per group; the engine's sweep driver hands it every greedy survivor of a
-sweep at once, so a sweep normally makes a single pass.
+sweep at once, so a sweep normally makes a single pass.  A group of one
+candidate runs the heap loop (:func:`~repro.allocation.greedy.lpt_assignment`):
+lockstep over one candidate takes as many steps, each several times dearer.
 
 Parity is exact, not approximate: the scalar heap pops ``(occupancy, disk)``
 tuples — the minimum occupancy, lowest disk number first — which is precisely
@@ -30,6 +32,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.allocation.chooser import NOTABLE_SKEW_CV
+from repro.allocation.greedy import lpt_assignment
 from repro.allocation.placement import Allocation, fragment_total_pages
 from repro.allocation.round_robin import round_robin_allocation
 from repro.bitmap import BitmapScheme
@@ -137,12 +140,16 @@ def batched_greedy_size_allocation(
     Bit-identical to calling
     :func:`~repro.allocation.greedy.greedy_size_allocation` per layout.  The
     layouts are placed widest first in passes of at most
-    :data:`LPT_CELL_BUDGET` cells (one pass when they fit).
+    :data:`LPT_CELL_BUDGET` cells (one pass when they fit); a pass of one
+    layout runs the scalar heap loop.
     """
     pages_list = [fragment_total_pages(layout, bitmap_scheme) for layout in layouts]
     assignments: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(layouts)
     for group in _width_groups([len(pages) for pages in pages_list]):
-        placed = lpt_assignments([pages_list[p] for p in group], system.num_disks)
+        if len(group) == 1:
+            placed = [lpt_assignment(pages_list[group[0]], system.num_disks)]
+        else:
+            placed = lpt_assignments([pages_list[p] for p in group], system.num_disks)
         for position, assignment in zip(group, placed):
             assignments[position] = assignment
     return [

@@ -19,7 +19,27 @@ from repro.bitmap import BitmapScheme
 from repro.fragmentation import FragmentationLayout
 from repro.storage import SystemParameters
 
-__all__ = ["greedy_size_allocation"]
+__all__ = ["greedy_size_allocation", "lpt_assignment"]
+
+
+def lpt_assignment(pages: np.ndarray, num_disks: int) -> np.ndarray:
+    """The disk of every fragment of ``pages`` (per-fragment page counts).
+
+    Fragments by decreasing size (stable on ties) each go to the currently
+    least-occupied disk, ties towards the lower disk number.
+    """
+    order = np.argsort(-pages, kind="stable")
+    assignment = np.empty(len(pages), dtype=np.int64)
+
+    # Min-heap of (occupancy, disk number); pushing the updated occupancy back
+    # keeps every placement O(log num_disks).
+    heap = [(0.0, disk) for disk in range(num_disks)]
+    heapq.heapify(heap)
+    for fragment_index in order:
+        occupancy, disk = heapq.heappop(heap)
+        assignment[fragment_index] = disk
+        heapq.heappush(heap, (occupancy + float(pages[fragment_index]), disk))
+    return assignment
 
 
 def greedy_size_allocation(
@@ -27,28 +47,13 @@ def greedy_size_allocation(
     system: SystemParameters,
     bitmap_scheme: Optional[BitmapScheme] = None,
 ) -> Allocation:
-    """Place fragments by decreasing size onto the least occupied disk.
-
-    Ties between equally occupied disks are broken towards the lower disk
-    number, which makes the placement deterministic.
-    """
+    """Place fragments by decreasing size onto the least occupied disk
+    (:func:`lpt_assignment`)."""
     pages = fragment_total_pages(layout, bitmap_scheme)
-    order = np.argsort(-pages, kind="stable")
-    assignment = np.empty(layout.fragment_count, dtype=np.int64)
-
-    # Min-heap of (occupancy, disk number); pushing the updated occupancy back
-    # keeps every placement O(log num_disks).
-    heap = [(0.0, disk) for disk in range(system.num_disks)]
-    heapq.heapify(heap)
-    for fragment_index in order:
-        occupancy, disk = heapq.heappop(heap)
-        assignment[fragment_index] = disk
-        heapq.heappush(heap, (occupancy + float(pages[fragment_index]), disk))
-
     return Allocation(
         layout=layout,
         system=system,
-        disk_of_fragment=assignment,
+        disk_of_fragment=lpt_assignment(pages, system.num_disks),
         fragment_pages=pages,
         scheme="greedy_size",
     )

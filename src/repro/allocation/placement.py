@@ -19,7 +19,7 @@ import numpy as np
 from repro.bitmap import BitmapScheme
 from repro.errors import AllocationError
 from repro.fragmentation import FragmentationLayout
-from repro.skew import coefficient_of_variation, gini_coefficient
+from repro.skew import coefficient_of_variation
 from repro.storage import SystemParameters
 
 __all__ = ["fragment_total_pages", "Allocation"]
@@ -161,11 +161,6 @@ class Allocation:
     def occupancy_cv(self) -> float:
         """Coefficient of variation of per-disk occupancy (0 = perfectly balanced)."""
         return coefficient_of_variation(self.occupancy_pages.tolist())
-
-    @property
-    def occupancy_gini(self) -> float:
-        """Gini coefficient of per-disk occupancy."""
-        return gini_coefficient(self.occupancy_pages.tolist())
 
     @property
     def occupancy_imbalance(self) -> float:

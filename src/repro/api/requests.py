@@ -87,7 +87,9 @@ def _spec_dict(spec: FragmentationSpec) -> Dict[str, Any]:
 
 
 def _spec_from_dict(raw: Any) -> FragmentationSpec:
-    attributes = raw.get("attributes", ()) if isinstance(raw, Mapping) else None
+    # The key is required: a spec object without it names no candidate, and
+    # the unfragmented spec is written {"attributes": []}.
+    attributes = raw.get("attributes") if isinstance(raw, Mapping) else None
     if not isinstance(attributes, (list, tuple)) or not all(
         isinstance(attribute, Mapping)
         and isinstance(attribute.get("dimension"), str)

@@ -357,11 +357,11 @@ class AdvisorSession:
     ) -> EvaluateSpecResult:
         """Fully evaluate a single fragmentation candidate.
 
-        A single candidate is below chunk granularity, so the progress/cancel
-        contract degenerates to the request boundary: a pre-set ``cancel``
-        signal raises :class:`~repro.errors.EvaluationCancelled` before any
-        work, and ``on_progress`` receives exactly one completed event once
-        the candidate is evaluated.
+        The progress/cancel contract holds at the request boundary: a
+        pre-set ``cancel`` signal raises
+        :class:`~repro.errors.EvaluationCancelled` before any work, and
+        ``on_progress`` receives exactly one completed event once the
+        candidate is evaluated.
         """
         from repro.api.progress import ProgressEvent, cancel_requested
         from repro.errors import EvaluationCancelled

@@ -111,11 +111,6 @@ class QueryAccessProfile:
         return self.fact_io_requests + self.bitmap_io_requests
 
     @property
-    def total_pages_transferred(self) -> float:
-        """Fact plus bitmap pages physically transferred."""
-        return self.fact_pages_transferred + self.bitmap_pages_transferred
-
-    @property
     def fragment_hit_ratio(self) -> float:
         """Fraction of all fragments the query touches (1.0 = no confinement)."""
         if self.fragments_total == 0:

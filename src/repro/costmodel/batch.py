@@ -12,11 +12,13 @@ candidate's structures in one pass, then
 :func:`evaluate_workload_batch_candidates` run over the same stack, so the
 executor evaluates a whole sweep chunk in one kernel pass.
 
-A single candidate is a 1-row stack: :func:`compute_access_structure_batch`,
-:func:`resolve_prefetch_setting_batch` and :func:`evaluate_workload_batch` are
-thin single-candidate entry points over the same kernels, and the 1-D
-:class:`AccessStructureBatch` they exchange is the per-layout unit of the
-evaluation cache and the persistent store.
+The engine evaluates a single candidate as a one-candidate chunk of the
+same stacked kernels.  :func:`compute_access_structure_batch`,
+:func:`resolve_prefetch_setting_batch` and :func:`evaluate_workload_batch`
+are thin 1-row entry points over those kernels that no engine path calls:
+the parity tests use them, and perfbench's layer probes rebind them.  The
+1-D :class:`AccessStructureBatch` they exchange is the per-layout unit of the
+evaluation cache.
 
 Evaluations come out **columnar** (:class:`~repro.costmodel.EvaluationColumns`
 inside :class:`~repro.costmodel.WorkloadEvaluation`): per-class records are
@@ -955,7 +957,8 @@ def evaluate_workload_batch_candidates(
 
 
 # ---------------------------------------------------------------------------
-# Single-candidate entry points: one layout as a 1-row stack
+# Single-candidate entry points: one layout as a 1-row stack (the parity
+# tests and perfbench's probes use them; the engine runs one-candidate chunks)
 # ---------------------------------------------------------------------------
 
 

@@ -36,7 +36,6 @@ from repro.engine.signature import (
 from repro.engine.executor import (
     EngineContext,
     EvaluationEngine,
-    evaluate_spec_in_context,
     evaluate_specs_in_context,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "store_salt",
     "EngineContext",
     "EvaluationEngine",
-    "evaluate_spec_in_context",
     "evaluate_specs_in_context",
     "layout_signature",
     "object_signature",

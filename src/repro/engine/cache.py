@@ -256,17 +256,6 @@ class EvaluationCache:
         store.pop(evicted)
         self._disk_keys.discard(evicted)
 
-    def _memoized_structure(self, key, compute):
-        """Shared lookup/insert body of the two structure entry kinds."""
-        value = self._structures.get(key, _MISSING)
-        if value is not _MISSING:
-            self.stats.structure_hits += 1
-            return value
-        self.stats.structure_misses += 1
-        value = compute()
-        self._put_structure(key, value)
-        return value
-
     def _put_structure(self, key, value) -> None:
         """FIFO insert into the structure memo (memory only, never persisted)."""
         store = self._structures
@@ -280,31 +269,27 @@ class EvaluationCache:
 
     def access_structure(self, layout, query, bitmap_scheme, compute):
         """Cached prefetch-independent access structure (see module docstring)."""
-        return self._memoized_structure(
-            self._structure_key(layout, query, bitmap_scheme), compute
-        )
+        key = self._structure_key(layout, query, bitmap_scheme)
+        value = self._structures.get(key, _MISSING)
+        if value is not _MISSING:
+            self.stats.structure_hits += 1
+            return value
+        self.stats.structure_misses += 1
+        value = compute()
+        self._put_structure(key, value)
+        return value
 
-    def access_structure_batch(self, layout, matrix, compute):
-        """Cached structure batch of one layout (all query classes).
+    def get_structure_batch(self, layout, matrix):
+        """Probe for a per-layout structure batch; ``None`` on miss (counted).
 
         The columnar counterpart of :meth:`access_structure`: one entry covers
         *every* query class of the compiled
         :class:`~repro.workload.ClassMatrix`, keyed on (layout, matrix)
         content signatures and memoized alongside the scalar structure
-        entries (same memo, same stats counters).
-        """
-        return self._memoized_structure(
-            self._structure_batch_key(layout, matrix), compute
-        )
-
-    def get_structure_batch(self, layout, matrix):
-        """Probe for a per-layout structure batch; ``None`` on miss (counted).
-
-        The split get/put surface of :meth:`access_structure_batch`: the
-        candidate-axis executor probes every layout of a chunk first and
-        computes all misses as one stacked batch, so the compute cannot be
-        expressed as a per-entry ``compute`` callback.  Counter semantics are
-        identical — one structure probe per candidate either way.
+        entries (same memo, same stats counters).  The batched executor
+        probes every layout of a chunk first and computes all misses as one
+        stacked batch, so the probe and the insert
+        (:meth:`put_structure_batch`) are separate calls.
         """
         value = self._structures.get(
             self._structure_batch_key(layout, matrix), _MISSING
@@ -316,21 +301,13 @@ class EvaluationCache:
         return value
 
     def put_structure_batch(self, layout, matrix, value) -> None:
-        """Insert a structure batch computed elsewhere (stacked compute).
+        """Insert one layout's structure batch (the executor slices it from a
+        chunk's stacked compute).
 
         Not a probe — no counter moves; the miss was already counted by the
         preceding :meth:`get_structure_batch`.
         """
         self._put_structure(self._structure_batch_key(layout, matrix), value)
-
-    def candidate(self, context, spec, compute):
-        """Cached whole-candidate evaluation under ``context``."""
-        value = self.get_candidate(context, spec)
-        if value is not None:
-            return value
-        value = compute()
-        self.put_candidate(context, spec, value)
-        return value
 
     def get_candidate(self, context, spec):
         """Probe for a whole-candidate evaluation; ``None`` on miss.

@@ -1,7 +1,7 @@
 """The candidate-evaluation engine: batched and cache-aware.
 
 :class:`EvaluationEngine` replaces the advisor's serial candidate loop.  It
-runs every sweep through one method (:meth:`EvaluationEngine.evaluate_specs`):
+runs every sweep through one driver (:meth:`EvaluationEngine.evaluate_specs`):
 the shared cache answers the warm candidates, the misses are cut into
 consecutive chunks, and one loop evaluates the chunks in turn, placing
 results, filling the cache, reporting progress and honouring cancellation.
@@ -17,9 +17,7 @@ Two cost paths implement the same model (``EngineOptions.vectorize``):
   LPT pass (:mod:`repro.allocation.batch`).  Each chunk then stacks its
   layouts, whatever dimensions they fragment, into one (candidate × class)
   numpy batch and runs structures, prefetch resolution and the cost model
-  once (:mod:`repro.costmodel.batch`).  A single candidate
-  (:meth:`EvaluationEngine.evaluate_spec`, the tuning studies) runs the
-  same kernels as a 1-row stack;
+  once (:mod:`repro.costmodel.batch`);
 * the **scalar path** (``False``, CLI ``--no-vectorize``) runs the per-class
   reference oracle.
 
@@ -29,7 +27,10 @@ the escape hatch.
 
 Both paths cut a sweep's misses the same way: into at least
 :data:`INLINE_CHUNKS` consecutive runs of at most :data:`MAX_CHUNK_WIDTH`
-candidates, whose lengths differ by at most one.
+candidates, whose lengths differ by at most one.  A single candidate
+(:meth:`EvaluationEngine.evaluate_spec`, the tuning studies) is a sweep of
+one: the same driver probes the cache, places it and evaluates it as one
+chunk of one index.
 """
 
 from __future__ import annotations
@@ -44,13 +45,16 @@ from repro.core.config import AdvisorConfig
 from repro.costmodel import (
     AccessStructureBatch2D,
     IOCostModel,
-    compute_access_structure_batch,
     compute_access_structure_batch_candidates,
-    evaluate_workload_batch,
     evaluate_workload_batch_candidates,
     resolve_prefetch_setting,
-    resolve_prefetch_setting_batch,
     resolve_prefetch_settings_batch_candidates,
+)
+# Not called here: perfbench/probes.py rebinds these names on this module.
+from repro.costmodel import (  # noqa: F401
+    compute_access_structure_batch,
+    evaluate_workload_batch,
+    resolve_prefetch_setting_batch,
 )
 from repro.errors import AdvisorError, EvaluationCancelled
 from repro.fragmentation import (
@@ -68,7 +72,6 @@ from repro.engine.signature import object_signature, stable_digest
 __all__ = [
     "EngineContext",
     "EvaluationEngine",
-    "evaluate_spec_in_context",
     "evaluate_specs_in_context",
 ]
 
@@ -100,29 +103,10 @@ class EngineContext:
     config: AdvisorConfig
     fact_name: str
     bitmap_scheme: BitmapScheme
-    specs: Tuple[FragmentationSpec, ...] = ()
+    specs: Tuple[FragmentationSpec, ...]
     #: Columnar workload compilation of the batched path; ``None`` selects
     #: the scalar reference path.  Both return bit-identical candidates.
     class_matrix: Optional[ClassMatrix] = None
-
-
-def evaluate_spec_in_context(
-    context: EngineContext,
-    spec: FragmentationSpec,
-    cache: Optional[EvaluationCache] = None,
-) -> FragmentationCandidate:
-    """Fully evaluate one fragmentation candidate.
-
-    This is the engine's unit of dispatch: layout materialization, prefetch
-    resolution, the per-query-class cost sweep and the disk allocation.  Pure
-    function of ``(context, spec)``; ``cache`` only memoizes, never alters.
-    A warm cache returns the whole candidate without recomputing any stage.
-    """
-    if cache is not None:
-        return cache.candidate(
-            context, spec, lambda: _evaluate_spec(context, spec, cache)
-        )
-    return _evaluate_spec(context, spec, None)
 
 
 def _layout(
@@ -161,40 +145,23 @@ def _evaluate_spec(
     spec: FragmentationSpec,
     cache: Optional[EvaluationCache],
 ) -> FragmentationCandidate:
+    """The scalar reference oracle: one candidate, one query class at a time."""
     layout = _layout(context, spec, cache)
-    if context.class_matrix is not None:
-        # Batched path, one candidate as a 1-row stack: one structure batch
-        # per layout (cached like the scalar structures), then granule
-        # resolution and the cost model over all query classes at once.
-        matrix = context.class_matrix
-
-        def compute():
-            return compute_access_structure_batch(layout, matrix)
-
-        if cache is not None:
-            structures = cache.access_structure_batch(layout, matrix, compute)
-        else:
-            structures = compute()
-        prefetch = resolve_prefetch_setting_batch(structures, matrix, context.system)
-        evaluation = evaluate_workload_batch(
-            layout, structures, matrix, context.system, prefetch
-        )
-    else:
-        # Scalar reference path.  The context's workload was validated once at
-        # engine/advisor construction, so the per-query re-validation is
-        # skipped on this hot path.
-        prefetch = resolve_prefetch_setting(
-            layout,
-            context.workload,
-            context.bitmap_scheme,
-            context.system,
-            cache=cache,
-            validate_queries=False,
-        )
-        model = IOCostModel(context.system, cache=cache, validate_queries=False)
-        evaluation = model.evaluate(
-            layout, context.workload, context.bitmap_scheme, prefetch
-        )
+    # The context's workload was validated once at engine/advisor
+    # construction, so the per-query re-validation is skipped on this hot
+    # path.
+    prefetch = resolve_prefetch_setting(
+        layout,
+        context.workload,
+        context.bitmap_scheme,
+        context.system,
+        cache=cache,
+        validate_queries=False,
+    )
+    model = IOCostModel(context.system, cache=cache, validate_queries=False)
+    evaluation = model.evaluate(
+        layout, context.workload, context.bitmap_scheme, prefetch
+    )
     allocation = choose_allocation(
         layout,
         context.system,
@@ -295,12 +262,12 @@ def _structure_batch(
 ) -> AccessStructureBatch2D:
     """The stacked structure batch of one chunk.
 
-    Per-layout cache probes (same counter semantics as the single-candidate
-    path); all misses are computed as ONE stacked batch, and per-layout
-    slices feed the cache — the slices are bit-identical to per-layout
-    computation, so cross-path and cross-run cache sharing stays exact.  On
-    an all-miss (cold) chunk the freshly stacked batch is returned directly,
-    so the common cold path never pays a slice-then-restack round trip.
+    One cache probe per layout; all misses are computed as ONE stacked
+    batch, and per-layout slices feed the cache — the slices are
+    bit-identical to per-layout computation, so cache sharing across chunk
+    shapes and runs stays exact.  On an all-miss (cold) chunk the freshly
+    stacked batch is returned directly, so the common cold path never pays
+    a slice-then-restack round trip.
     """
     if cache is None:
         return compute_access_structure_batch_candidates(layouts, matrix)
@@ -406,7 +373,7 @@ class EvaluationEngine:
         self.config = config if config is not None else AdvisorConfig()
         self.fact_name = schema.fact_table(fact_table).name
         # Validate the whole workload once; evaluation then runs with
-        # per-query validation disabled (see evaluate_spec_in_context).
+        # per-query validation disabled (see _evaluate_spec).
         workload.validate(schema)
         if cache is not None:
             self.cache: Optional[EvaluationCache] = cache
@@ -475,7 +442,7 @@ class EvaluationEngine:
 
     def context(
         self,
-        specs: Sequence[FragmentationSpec] = (),
+        specs: Sequence[FragmentationSpec],
         bitmap_scheme: Optional[BitmapScheme] = None,
     ) -> EngineContext:
         """The evaluation context for ``specs``."""
@@ -500,9 +467,15 @@ class EvaluationEngine:
         spec: FragmentationSpec,
         bitmap_scheme: Optional[BitmapScheme] = None,
     ) -> FragmentationCandidate:
-        """Evaluate a single candidate (cache-aware)."""
-        context = self.context(bitmap_scheme=bitmap_scheme)
-        return evaluate_spec_in_context(context, spec, self.cache)
+        """Evaluate a single candidate: the sweep driver's answer for ``[spec]``.
+
+        Unlike :meth:`evaluate_specs` it never writes the attached store:
+        its callers persist on their own terms (a tuning study once when it
+        finishes, a session when it closes), so a served single evaluation
+        never rewrites a whole store.
+        """
+        [candidate] = self._sweep([spec], bitmap_scheme, None, None)
+        return candidate
 
     def evaluate_specs(
         self,
@@ -513,8 +486,8 @@ class EvaluationEngine:
     ) -> List[FragmentationCandidate]:
         """Evaluate every candidate of ``specs``, preserving order.
 
-        The one driver of every sweep (an empty ``specs`` returns ``[]`` and
-        emits no progress).  It probes the shared cache once per spec; on
+        The entry point of every sweep (an empty ``specs`` returns ``[]`` and
+        emits no progress).  Its driver probes the shared cache once per spec; on
         the batched path it builds the misses' layouts and places them all
         on disks in one allocation call.  On both paths it then cuts the
         misses, in sweep order, into at least :data:`INLINE_CHUNKS`
@@ -533,10 +506,29 @@ class EvaluationEngine:
         """
         if not specs:
             return []
+        try:
+            return self._sweep(specs, bitmap_scheme, on_progress, cancel)
+        finally:
+            # Spill new entries to the attached persistent store even when the
+            # sweep was cancelled mid-way: every completed evaluation is a
+            # valid content-addressed entry a retry can warm-start from.
+            # (No-op without a store, with persist=False, or when the sweep
+            # was answered entirely warm.)
+            if self.cache is not None and self.options.persist:
+                self.cache.persist()
+
+    def _sweep(
+        self,
+        specs: Sequence[FragmentationSpec],
+        bitmap_scheme: Optional[BitmapScheme],
+        on_progress: Optional[Callable],
+        cancel: Any,
+    ) -> List[FragmentationCandidate]:
+        """Driver of :meth:`evaluate_specs` and :meth:`evaluate_spec`; never persists."""
         # Imported lazily: repro.api sits above the engine in the layer stack.
         from repro.api.progress import ProgressEvent
 
-        context = self.context(specs=specs, bitmap_scheme=bitmap_scheme)
+        context = self.context(specs, bitmap_scheme)
         cache = self.cache
         total = len(specs)
         per_candidate = len(self.workload)
@@ -565,35 +557,26 @@ class EvaluationEngine:
                     )
                 )
 
-        try:
-            _check_cancel(cancel, completed, total)
-            if not pending:
-                # Nothing to evaluate: report one already-complete chunk
-                # (never 0/0 — wire consumers divide chunk by num_chunks).
-                report(1, 1)
-                return results  # type: ignore[return-value]
-            placed: Optional[Placements] = None
-            if context.class_matrix is not None:
-                placed = _place_specs(context, pending, cache)
-            chunks = _chunks(pending)
-            for number, chunk in enumerate(chunks, 1):
-                # Looked up as a module global on every chunk, so a rebinding
-                # of the name (profilers, probes) sees every call.
-                candidates = evaluate_specs_in_context(context, chunk, cache, placed)
-                for index, candidate in zip(chunk, candidates):
-                    results[index] = candidate
-                    if cache is not None:
-                        cache.put_candidate(context, specs[index], candidate)
-                completed += len(chunk)
-                report(number, len(chunks), specs[chunk[-1]].label)
-                if completed < total:
-                    _check_cancel(cancel, completed, total)
+        _check_cancel(cancel, completed, total)
+        if not pending:
+            # Nothing to evaluate: report one already-complete chunk
+            # (never 0/0 — wire consumers divide chunk by num_chunks).
+            report(1, 1)
             return results  # type: ignore[return-value]
-        finally:
-            # Spill new entries to the attached persistent store even when the
-            # sweep was cancelled mid-way: every completed evaluation is a
-            # valid content-addressed entry a retry can warm-start from.
-            # (No-op without a store, with persist=False, or when the sweep
-            # was answered entirely warm.)
-            if cache is not None and self.options.persist:
-                cache.persist()
+        placed: Optional[Placements] = None
+        if context.class_matrix is not None:
+            placed = _place_specs(context, pending, cache)
+        chunks = _chunks(pending)
+        for number, chunk in enumerate(chunks, 1):
+            # Looked up as a module global on every chunk, so a rebinding
+            # of the name (profilers, probes) sees every call.
+            candidates = evaluate_specs_in_context(context, chunk, cache, placed)
+            for index, candidate in zip(chunk, candidates):
+                results[index] = candidate
+                if cache is not None:
+                    cache.put_candidate(context, specs[index], candidate)
+            completed += len(chunk)
+            report(number, len(chunks), specs[chunk[-1]].label)
+            if completed < total:
+                _check_cancel(cancel, completed, total)
+        return results  # type: ignore[return-value]

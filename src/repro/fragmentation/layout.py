@@ -241,11 +241,6 @@ class FragmentationLayout:
         """
         return coefficient_of_variation(self.fragment_rows)
 
-    @cached_property
-    def average_fragment_rows(self) -> float:
-        """Mean fragment size in rows."""
-        return float(self.fragment_rows.mean())
-
     # -- indexing ---------------------------------------------------------------
 
     def flat_index(self, coordinates: Sequence[int]) -> int:

@@ -352,13 +352,6 @@ class LintResult:
     #: reporters surface the number so silent suppression growth is visible).
     suppressed: int = 0
 
-    @property
-    def counts_by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {name: 0 for name in self.rules}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return counts
-
 
 def _assign_occurrences(findings: List[Finding]) -> List[Finding]:
     """Number findings sharing (rule, path, snippet) in source order.

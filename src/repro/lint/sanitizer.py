@@ -156,10 +156,8 @@ _toggle_lock = threading.Lock()
 #: Methods guarded for exclusive entry, per class.
 _CACHE_METHODS = (
     "access_structure",
-    "access_structure_batch",
     "get_structure_batch",
     "put_structure_batch",
-    "candidate",
     "get_candidate",
     "put_candidate",
     "class_matrix",
@@ -207,7 +205,12 @@ def _wrap_methods(cls: type, names: Tuple[str, ...]) -> None:
     for name in names:
         original = cls.__dict__.get(name)
         if original is None or not callable(original):
-            continue
+            # A renamed or deleted method must not silently stop being
+            # lock-checked: the guarded list names only defined methods.
+            raise AttributeError(
+                f"sanitizer guards {cls.__name__}.{name}, which the class "
+                f"does not define"
+            )
         _originals[(cls, name)] = original
         setattr(cls, name, _guarded(cls, original))
 
@@ -277,10 +280,20 @@ def enable_sanitizer() -> None:
         from repro.api.session import AdvisorSession
         from repro.engine.cache import EvaluationCache
 
-        _wrap_methods(EvaluationCache, _CACHE_METHODS)
-        _wrap_methods(AdvisorSession, _SESSION_METHODS)
+        try:
+            _wrap_methods(EvaluationCache, _CACHE_METHODS)
+            _wrap_methods(AdvisorSession, _SESSION_METHODS)
+        except AttributeError:
+            _restore_originals()
+            raise
         _install_entry_lock_tracking()
         _enabled = True
+
+
+def _restore_originals() -> None:
+    for (cls, name), original in _originals.items():
+        setattr(cls, name, original)
+    _originals.clear()
 
 
 def disable_sanitizer() -> None:
@@ -289,9 +302,7 @@ def disable_sanitizer() -> None:
     with _toggle_lock:
         if not _enabled:
             return
-        for (cls, name), original in _originals.items():
-            setattr(cls, name, original)
-        _originals.clear()
+        _restore_originals()
         _enabled = False
 
 

@@ -28,7 +28,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import WorkloadError
 from repro.schema import StarSchema
 from repro.workload.mix import QueryMix
 
@@ -108,15 +107,6 @@ class ClassMatrix:
             for column, level in enumerate(self.level_names[row]):
                 table[row, column] = (name, level)
         return table
-
-    def dimension_row(self, dimension: str) -> int:
-        """Row index of ``dimension`` in the columnar arrays."""
-        try:
-            return self.dimension_names.index(dimension)
-        except ValueError:
-            raise WorkloadError(
-                f"dimension {dimension!r} is not restricted by any query class"
-            ) from None
 
     @classmethod
     def compile(

@@ -31,7 +31,7 @@ from repro.errors import AllocationError
 
 
 def _reference_lpt(pages: np.ndarray, num_disks: int) -> np.ndarray:
-    """The scalar heap loop of greedy_size_allocation, inlined verbatim."""
+    """The scalar heap loop of greedy.lpt_assignment, inlined verbatim."""
     order = np.argsort(-pages, kind="stable")
     assignment = np.empty(len(pages), dtype=np.int64)
     heap = [(0.0, disk) for disk in range(num_disks)]
@@ -315,6 +315,95 @@ class TestSweepPlacement:
         assert disks.tobytes() == expected_disks.tobytes()
         expected_pages = fragment_total_pages(first.layout, first.bitmap_scheme)
         assert pages.tobytes() == expected_pages.tobytes()
+
+
+@pytest.fixture(scope="module")
+def lone_candidates():
+    """The widest greedy survivor and a round-robin survivor of the FULL
+    `SKEW` sweep, as evaluated by the batched sweep."""
+    evaluated = _full_session(_FULL_SKEW).recommend().recommendation.evaluated
+    greedy = [c for c in evaluated if c.allocation.scheme == "greedy_size"]
+    widest = max(greedy, key=lambda candidate: candidate.fragment_count)
+    round_robin = next(
+        c for c in evaluated if c.allocation.scheme == "round_robin"
+    )
+    return widest, round_robin
+
+
+class TestSingleCandidate:
+    """One candidate runs the sweep driver; its greedy placement runs the heap."""
+
+    def test_evaluate_spec_is_one_chunk_equal_to_the_scalar_oracle(
+        self, monkeypatch, lone_candidates
+    ):
+        from repro import EngineOptions
+        from repro.engine import executor as executor_module
+
+        specs = [candidate.spec for candidate in lone_candidates]
+        oracle = _full_session(_FULL_SKEW, EngineOptions(vectorize=False))
+        expected = [oracle.engine.evaluate_spec(spec) for spec in specs]
+        chunks = []
+        evaluate_chunk = executor_module.evaluate_specs_in_context
+
+        def recording(context, indices, cache=None, placed=None):
+            chunks.append(list(indices))
+            return evaluate_chunk(context, indices, cache, placed)
+
+        monkeypatch.setattr(executor_module, "evaluate_specs_in_context", recording)
+        for spec, reference in zip(specs, expected):
+            chunks.clear()
+            candidate = _full_session(_FULL_SKEW).engine.evaluate_spec(spec)
+            assert chunks == [[0]]
+            assert candidate.label == reference.label == spec.label
+            assert candidate.io_cost_ms == reference.io_cost_ms
+            assert candidate.response_time_ms == reference.response_time_ms
+            assert candidate.evaluation.per_class == reference.evaluation.per_class
+            assert candidate.prefetch == reference.prefetch
+            _assert_allocations_identical(candidate.allocation, reference.allocation)
+        assert [c.allocation.scheme for c in expected] == ["greedy_size", "round_robin"]
+
+    def test_one_greedy_layout_is_placed_by_the_heap(
+        self, monkeypatch, lone_candidates
+    ):
+        widest = lone_candidates[0]
+        session = _full_session(_FULL_SKEW)
+        system, threshold = session.system, session.config.allocation_skew_cv
+        passes = _count_lpt_passes(monkeypatch)
+        [allocation] = choose_allocations_batch(
+            [widest.layout], system, widest.bitmap_scheme, skew_threshold_cv=threshold
+        )
+        assert passes == []
+        reference = choose_allocation(
+            widest.layout, system, widest.bitmap_scheme, skew_threshold_cv=threshold
+        )
+        assert reference.scheme == "greedy_size"
+        _assert_allocations_identical(allocation, reference)
+
+    def test_a_single_evaluation_never_writes_the_store(
+        self, monkeypatch, tmp_path, lone_candidates
+    ):
+        from repro import EngineOptions
+        from repro.engine import CacheStore
+
+        saves = []
+        save = CacheStore.save
+
+        def counting(store, *args, **kwargs):
+            saves.append(store.cache_dir)
+            return save(store, *args, **kwargs)
+
+        monkeypatch.setattr(CacheStore, "save", counting)
+        spec = lone_candidates[0].spec
+        single = _full_session(
+            _FULL_SKEW, EngineOptions(cache_dir=str(tmp_path / "single"))
+        )
+        single.engine.evaluate_spec(spec)
+        assert single.cache.stats.candidate_misses == 1
+        assert saves == []
+        sweep = _full_session(_FULL_SKEW, EngineOptions(cache_dir=str(tmp_path / "sweep")))
+        sweep.engine.evaluate_specs([spec])
+        assert sweep.cache.stats.candidate_misses == 1
+        assert saves == [str(tmp_path / "sweep")]
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from repro.engine import (
     layout_signature,
     object_signature,
 )
-from repro.engine.executor import evaluate_spec_in_context
+from repro.engine.executor import evaluate_specs_in_context
 from repro.fragmentation import build_layout
 
 
@@ -220,7 +220,7 @@ class TestEvaluationEngine:
         clone = pickle.loads(pickle.dumps(context))
         assert clone.fact_name == context.fact_name
         assert len(clone.specs) == len(specs)
-        candidate = evaluate_spec_in_context(clone, clone.specs[0])
+        [candidate] = evaluate_specs_in_context(clone, [0])
         reference = toy_advisor.evaluate_spec(specs[0])
         assert candidate.io_cost_ms == reference.io_cost_ms
 

@@ -65,6 +65,26 @@ class TestToggle:
         disable_sanitizer()
         assert EvaluationCache.__dict__["reset_stats"] is before
 
+    def test_a_guarded_method_the_class_does_not_define_raises(self, monkeypatch):
+        if sanitizer_enabled():
+            pytest.skip("suite already runs sanitized; originals not pristine")
+        import repro.lint.sanitizer as sanitizer_module
+
+        before = EvaluationCache.__dict__["reset_stats"]
+        monkeypatch.setattr(
+            sanitizer_module,
+            "_CACHE_METHODS",
+            sanitizer_module._CACHE_METHODS + ("no_such_method",),
+        )
+        try:
+            with pytest.raises(AttributeError, match="EvaluationCache.no_such_method"):
+                enable_sanitizer()
+        finally:
+            disable_sanitizer()
+        # The methods wrapped before the unknown name are restored.
+        assert not sanitizer_enabled()
+        assert EvaluationCache.__dict__["reset_stats"] is before
+
     def test_enable_is_idempotent(self, sanitized):
         wrapped = EvaluationCache.__dict__["reset_stats"]
         enable_sanitizer()

@@ -515,6 +515,14 @@ class TestHTTPEndpoints:
             {"kind": "tune", "study": "weights", "settings": {"a": {"Q1": math.inf}}},
             {"kind": "tune", "study": "weights", "settings": {"a": {"Q1": math.nan}}},
             {"kind": "tune", "study": "weights", "settings": {"a": {"ghost": 2.0}}},
+            # A spec object must name its attributes; {"attributes": []} is
+            # the unfragmented spec.
+            {"kind": "evaluate_spec", "spec": {}},
+            {
+                "kind": "evaluate_spec",
+                "spec": {"attribute": [{"dimension": "time", "level": "month"}]},
+            },
+            {"kind": "compare", "specs": [{"attributes": []}], "baseline_spec": {}},
         ],
     )
     def test_malformed_typed_request_is_400(self, server, payload):

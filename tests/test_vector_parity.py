@@ -445,7 +445,6 @@ class TestCandidateAxisParityMatrix:
     def test_group_evaluation_equals_per_spec_path_with_mixed_cache(self):
         """Chunked == per-spec evaluation == the scalar oracle, warm or cold."""
         from repro.engine import evaluate_specs_in_context
-        from repro.engine.executor import evaluate_spec_in_context
 
         schema, workload, system, config = _advisor_inputs()
         advisor = AdvisorSession(schema, workload, system, config)
@@ -453,7 +452,8 @@ class TestCandidateAxisParityMatrix:
         engine = advisor.engine
         context = engine.context(specs=specs)
         reference = [
-            evaluate_spec_in_context(context, spec, None) for spec in specs
+            evaluate_specs_in_context(context, [index], None)[0]
+            for index in range(len(specs))
         ]
         # Cold chunk evaluation, no cache.
         chunked = evaluate_specs_in_context(context, range(len(specs)), None)
