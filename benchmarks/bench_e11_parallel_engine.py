@@ -40,6 +40,16 @@ HTTP result is asserted fingerprint-identical to an in-process
 ``AdvisorSession`` over the same inputs; measurements are appended to
 ``BENCH_e11.json``.
 
+**Part 8 — the served recommend**: the fingerprint emitter against the
+reference text (``json.dumps`` of ``recommendation_state``) on a cold
+answer, a cold served ``recommend`` (register, then the first request),
+and memoized served ``recommend`` requests against warm served
+``evaluate_spec`` requests of the same run.  The digests must agree and
+every memoized body must be byte-identical to the first; full mode asserts
+the fingerprint at most 2x the cold sweep it certifies and a memoized
+``recommend`` at most 1.5x a warm ``evaluate_spec``.  Measurements are
+appended to ``BENCH_e11.json``.
+
 **Part 6 — the columnar two-phase ranking**: ``rank_candidates_columnar``
 vs the scalar ``rank_candidates`` tail on a ~1000-candidate sweep.  The
 scalar ranking re-derives the workload-weighted totals through per-candidate
@@ -872,3 +882,133 @@ def test_e11_service_concurrent_load(quick):
         )
     finally:
         server.stop()
+
+
+# ---------------------------------------------------------------------------
+# Part 8: the served recommend (fingerprint emitter, encode once)
+# ---------------------------------------------------------------------------
+
+#: Memoized recommends and warm evaluate_specs timed per run.
+SERVED_ROUNDS_QUICK = 5
+SERVED_ROUNDS_FULL = 25
+#: Cold answers whose sweep and fingerprint are timed (medians reported).
+FINGERPRINT_ROUNDS = 3
+
+
+def _http_post_raw(url, payload, timeout=600):
+    import urllib.request
+
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode(), method="POST"
+    )
+    with urllib.request.urlopen(request, timeout=timeout) as response:
+        return response.read()
+
+
+def test_e11_served_recommend(quick):
+    """Part 8: what a served recommend costs, cold and memoized.
+
+    A served recommend proves its answer with the fingerprint, and a
+    memoized one hands back an answer that was already encoded.  The
+    emitter is timed against its answer's cold sweep (medians over fresh
+    sessions) and against the reference text; the service then answers a
+    cold recommend, and alternates memoized recommends with warm
+    evaluate_specs of the best candidate.
+    """
+    from repro.api import EvaluateSpecRequest
+    from repro.engine import recommendation_state, stable_digest
+    from repro.service import AdvisorServer, RequestExecutor, SessionRegistry
+
+    params = QUICK if quick else FULL
+    rounds = SERVED_ROUNDS_QUICK if quick else SERVED_ROUNDS_FULL
+    schema, workload, system, config = _inputs(params)
+
+    # -- the emitter against the reference, on cold answers -----------------------
+    sweeps, emits = [], []
+    for _ in range(FINGERPRINT_ROUNDS):
+        session = AdvisorSession(schema, workload, system, config)
+        session.generate_specs()  # the sweep is timed, not spec generation
+        recommendation, elapsed = _timed_recommend(session)
+        sweeps.append(elapsed)
+        start = time.perf_counter()
+        emitted = recommendation_fingerprint(recommendation)
+        emits.append(time.perf_counter() - start)
+    sweep_s = sorted(sweeps)[len(sweeps) // 2]
+    emitter_s = sorted(emits)[len(emits) // 2]
+    start = time.perf_counter()
+    reference = stable_digest(
+        "Recommendation", json.dumps(recommendation_state(recommendation), sort_keys=True)
+    )
+    reference_s = time.perf_counter() - start
+    assert emitted == reference
+
+    # -- served: a cold recommend, then memoized recommends and warm specs -------
+    server = AdvisorServer(
+        registry=SessionRegistry(max_sessions=2),
+        executor=RequestExecutor(workers=2),
+    )
+    server.start_in_background()
+    try:
+        url = f"{server.url}/warehouses/full/submit"
+        start = time.perf_counter()
+        server.registry.register("full", schema, workload, system, config=config)
+        first = _http_post_raw(url, {"kind": "recommend"})
+        cold_s = time.perf_counter() - start
+        spec_request = EvaluateSpecRequest(recommendation.best.spec).to_dict()
+        memoized, evaluate = [], []
+        for _ in range(rounds):
+            start = time.perf_counter()
+            body = _http_post_raw(url, {"kind": "recommend"})
+            memoized.append(time.perf_counter() - start)
+            assert body == first, "a memoized recommend changed its body"
+            start = time.perf_counter()
+            _http_post_raw(url, spec_request)
+            evaluate.append(time.perf_counter() - start)
+    finally:
+        server.stop()
+    assert json.loads(first)["fingerprint"] == emitted
+
+    memoized_s = sorted(memoized)[len(memoized) // 2]
+    evaluate_s = sorted(evaluate)[len(evaluate) // 2]
+    print()
+    print_table(
+        f"E11: served recommend ({len(recommendation.evaluated)} candidates, "
+        f"{len(first) / 1024:.0f} KB body)",
+        ["measurement", "time [ms]", "ratio"],
+        [
+            ["cold in-process sweep", f"{sweep_s * 1000:.1f}", "1.00x"],
+            ["fingerprint (emitter)", f"{emitter_s * 1000:.1f}", f"{emitter_s / sweep_s:.2f}x"],
+            ["fingerprint (reference text)", f"{reference_s * 1000:.1f}",
+             f"{reference_s / sweep_s:.2f}x"],
+            ["cold served recommend", f"{cold_s * 1000:.1f}", f"{cold_s / sweep_s:.2f}x"],
+            ["warm served evaluate_spec (p50)", f"{evaluate_s * 1000:.2f}", "1.00x"],
+            ["memoized served recommend (p50)", f"{memoized_s * 1000:.2f}",
+             f"{memoized_s / evaluate_s:.2f}x"],
+        ],
+    )
+
+    _append_trajectory(
+        {
+            "part": "8-served-recommend",
+            "quick": quick,
+            "candidates": len(recommendation.evaluated),
+            "body_bytes": len(first),
+            "cold_sweep_ms": round(sweep_s * 1000, 2),
+            "fingerprint_ms": round(emitter_s * 1000, 2),
+            "reference_fingerprint_ms": round(reference_s * 1000, 2),
+            "cold_served_recommend_ms": round(cold_s * 1000, 2),
+            "memoized_served_recommend_p50_ms": round(memoized_s * 1000, 3),
+            "warm_served_evaluate_p50_ms": round(evaluate_s * 1000, 3),
+        }
+    )
+
+    if quick:
+        return
+    assert emitter_s <= 2.0 * sweep_s, (
+        f"fingerprint {emitter_s * 1000:.1f} ms over twice the "
+        f"{sweep_s * 1000:.1f} ms sweep it certifies"
+    )
+    assert memoized_s <= 1.5 * evaluate_s, (
+        f"memoized recommend {memoized_s * 1000:.2f} ms against a warm "
+        f"evaluate_spec {evaluate_s * 1000:.2f} ms"
+    )

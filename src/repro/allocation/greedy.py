@@ -29,17 +29,18 @@ def lpt_assignment(pages: np.ndarray, num_disks: int) -> np.ndarray:
     least-occupied disk, ties towards the lower disk number.
     """
     order = np.argsort(-pages, kind="stable")
-    assignment = np.empty(len(pages), dtype=np.int64)
+    assignment = [0] * len(pages)
 
-    # Min-heap of (occupancy, disk number); pushing the updated occupancy back
-    # keeps every placement O(log num_disks).
+    # Min-heap of (occupancy, disk number); replacing the least occupied disk
+    # by its updated occupancy keeps every placement O(log num_disks).  The
+    # loop runs on Python ints and floats, not numpy scalars.
     heap = [(0.0, disk) for disk in range(num_disks)]
     heapq.heapify(heap)
-    for fragment_index in order:
-        occupancy, disk = heapq.heappop(heap)
+    for fragment_index, size in zip(order.tolist(), pages[order].tolist()):
+        occupancy, disk = heap[0]
         assignment[fragment_index] = disk
-        heapq.heappush(heap, (occupancy + float(pages[fragment_index]), disk))
-    return assignment
+        heapq.heapreplace(heap, (occupancy + size, disk))
+    return np.array(assignment, dtype=np.int64)
 
 
 def greedy_size_allocation(

@@ -8,10 +8,16 @@ things a serving front end needs: a stable ``to_dict()`` (JSON-ready, built on
 the exporters of :mod:`repro.io`) and, for recommendations, the content
 ``fingerprint`` that proves result parity across sessions, deltas, cost
 paths and cache states.
+
+A :class:`RecommendResult` also keeps the JSON text of its ``to_dict()``
+(:attr:`RecommendResult.json_text`) once built.  The session memo hands a
+repeated ``recommend()`` the same result object, so the service encodes a
+memoized answer, and computes its fingerprint, once.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
@@ -54,6 +60,11 @@ class RecommendResult:
         )
         payload["fingerprint"] = self.fingerprint
         return payload
+
+    @cached_property
+    def json_text(self) -> str:
+        """``json.dumps(self.to_dict())``, encoded on first read and kept."""
+        return json.dumps(self.to_dict())
 
     def describe(self) -> str:
         return self.recommendation.describe()

@@ -256,6 +256,12 @@ class WorkloadEvaluation:
             self._per_class = self.columns.records()
         return self._per_class
 
+    def as_columns(self) -> EvaluationColumns:
+        """The columnar form: the backing columns, or the records columnarized."""
+        if self.columns is not None:
+            return self.columns
+        return EvaluationColumns.from_records(self.per_class, self.layout.fragment_count)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, WorkloadEvaluation):
             return NotImplemented

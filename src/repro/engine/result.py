@@ -39,16 +39,6 @@ from repro.storage import PrefetchPolicy, PrefetchSetting
 __all__ = ["CandidateColumns", "PROFILE_FLOAT_FIELDS"]
 
 
-def _evaluation_columns(evaluation: WorkloadEvaluation) -> EvaluationColumns:
-    """The evaluation's columns (columnarizing scalar-path records on demand)."""
-    columns = evaluation.columns
-    if columns is not None:
-        return columns
-    return EvaluationColumns.from_records(
-        evaluation.per_class, evaluation.layout.fragment_count
-    )
-
-
 @dataclass(frozen=True)
 class CandidateColumns:
     """One evaluated candidate, flattened to columnar arrays.
@@ -78,7 +68,7 @@ class CandidateColumns:
         setting = candidate.prefetch
         allocation = candidate.allocation
         return cls(
-            columns=_evaluation_columns(candidate.evaluation),
+            columns=candidate.evaluation.as_columns(),
             prefetch=(
                 setting.fact_pages,
                 setting.bitmap_pages,

@@ -32,6 +32,12 @@ mid-stream flips the request's :class:`~repro.api.CancellationToken`: the
 sweep stops cooperatively at its next chunk boundary and every completed
 evaluation stays in the session cache (content-addressed, so the next request
 resumes warm) — abandoning a browser tab never wastes the work it paid for.
+
+A response is encoded on the worker that ran the request, after the session
+lock is released, so a recommendation's fingerprint never stalls the event
+loop; the loop only writes bytes.  A recommendation's JSON text is kept on
+its result (:attr:`~repro.api.RecommendResult.json_text`), so a memoized
+``recommend`` is encoded once however often it is asked.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.api.options import EngineOptions
 from repro.api.progress import CancellationToken
 from repro.api.requests import request_from_dict
+from repro.api.results import RecommendResult
 from repro.core.config import AdvisorConfig
 from repro.errors import EvaluationCancelled, ServiceError, WarlockError
 from repro.service.executor import RequestExecutor
@@ -78,6 +85,23 @@ def _number(raw: Dict[str, Any], key: str, default: Any, convert: Callable) -> A
     except (TypeError, ValueError):
         kind = "an integer" if convert is int else "a number"
         raise ServiceError(f"{key!r} must be {kind}, got {value!r}") from None
+
+
+def _response_json(result: Any, kind: Any = None, with_kind: bool = True) -> str:
+    """``json.dumps`` of a request's response object, built from its parts.
+
+    The response is ``{"kind": ..., "result": result.to_dict(),
+    "fingerprint": ...}``: the SSE ``result`` frame leaves ``kind`` out, and
+    only a recommendation has a fingerprint.  A recommendation's result text
+    is the JSON text its result keeps, not a fresh encoding.
+    """
+    members = ['"kind": ' + json.dumps(kind)] if with_kind else []
+    if isinstance(result, RecommendResult):
+        members.append('"result": ' + result.json_text)
+        members.append('"fingerprint": ' + json.dumps(result.fingerprint))
+    else:
+        members.append('"result": ' + json.dumps(result.to_dict()))
+    return "{" + ", ".join(members) + "}"
 
 
 def warehouse_inputs_from_dict(raw: Dict[str, Any]) -> Tuple[Any, Any, Any, Any, Dict]:
@@ -382,15 +406,22 @@ class AdvisorServer:
             # Worker thread → event loop: hop through call_soon_threadsafe.
             loop.call_soon_threadsafe(events.put_nowait, ("progress", event.to_dict()))
 
-        def run():
+        def run() -> bytes:
             # One request at a time per session: the evaluation cache is not
             # thread-safe, and serializing here keeps every session's warmth
             # (memo, cache) consistent under concurrent clients.
             with entry.lock:
                 session = entry.ensure_session()
-                return session.submit(
+                result = session.submit(
                     request, on_progress=emit if stream else None, cancel=token
                 )
+            # Encoded here, on the worker and outside the session lock: the
+            # fingerprint of a fresh recommendation must not stall the event
+            # loop, nor hold up the session's next request.
+            if stream:
+                text = _response_json(result, with_kind=False)
+                return f"event: result\ndata: {text}\n\n".encode()
+            return _response_json(result, payload.get("kind")).encode()
 
         job = self.executor.submit(
             run,
@@ -410,7 +441,7 @@ class AdvisorServer:
                     kind, _data = await events.get()
                     if kind == "done":
                         break
-                await self._finish_plain(writer, payload, job)
+                await self._finish_plain(writer, job)
         finally:
             watchdog.cancel()
 
@@ -427,20 +458,9 @@ class AdvisorServer:
         token.cancel()
         self.cancelled += 1
 
-    def _result_payload(self, payload: Dict[str, Any], job) -> Dict[str, Any]:
-        result = job.outcome()
-        response: Dict[str, Any] = {
-            "kind": payload.get("kind"),
-            "result": result.to_dict(),
-        }
-        fingerprint = getattr(result, "fingerprint", None)
-        if fingerprint is not None:
-            response["fingerprint"] = fingerprint
-        return response
-
-    async def _finish_plain(self, writer, payload, job) -> None:
+    async def _finish_plain(self, writer, job) -> None:
         try:
-            response = self._result_payload(payload, job)
+            body = job.outcome()
         except EvaluationCancelled as error:
             # A deadline-tripped cancel is the server's 504; every other
             # cancel came from the client hanging up (499).  Either way the
@@ -449,7 +469,7 @@ class AdvisorServer:
             await self._write_json(writer, status, {"error": str(error)})
             return
         self.served += 1
-        await self._write_json(writer, 200, response)
+        await self._write_body(writer, 200, body)
 
     async def _stream_response(self, writer, events, job, token) -> None:
         headers = (
@@ -478,33 +498,30 @@ class AdvisorServer:
         if disconnected:
             return
         try:
-            response = self._result_payload({"kind": None}, job)
-            response.pop("kind", None)
-            final = f"event: result\ndata: {json.dumps(response)}\n\n"
+            final = job.outcome()
             self.served += 1
         except EvaluationCancelled as error:
             cause = "deadline" if job.timed_out else "cancelled"
-            final = (
-                "event: error\ndata: "
-                + json.dumps({"error": str(error), "cause": cause})
-                + "\n\n"
-            )
+            final = self._error_frame({"error": str(error), "cause": cause})
         except WarlockError as error:
-            final = (
-                "event: error\ndata: "
-                + json.dumps({"error": str(error), "type": type(error).__name__})
-                + "\n\n"
-            )
+            final = self._error_frame({"error": str(error), "type": type(error).__name__})
         try:
-            writer.write(final.encode() + b"event: done\ndata: {}\n\n")
+            writer.write(final)
+            writer.write(b"event: done\ndata: {}\n\n")
             await writer.drain()
         except (ConnectionError, BrokenPipeError):
             pass
 
     # -- response writing -------------------------------------------------------
 
+    @staticmethod
+    def _error_frame(payload: Dict[str, Any]) -> bytes:
+        return f"event: error\ndata: {json.dumps(payload)}\n\n".encode()
+
     async def _write_json(self, writer, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode()
+        await self._write_body(writer, status, json.dumps(payload).encode())
+
+    async def _write_body(self, writer, status: int, body: bytes) -> None:
         reason = _REASONS.get(status, "OK")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"

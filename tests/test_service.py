@@ -534,21 +534,23 @@ class TestHTTPEndpoints:
         assert status == 200 and served["kind"] == "recommend"
 
 
+def _wire_requests(parity_session):
+    """One request of each of the five kinds."""
+    spec = parity_session.recommend().best.spec
+    return [
+        RecommendRequest(),
+        EvaluateSpecRequest(spec=spec),
+        CompareRequest(specs=(spec,)),
+        TuneRequest(study="disks", spec=spec, settings=(8, 16)),
+        SimulateRequest(queries_per_class=2, seed=7),
+    ]
+
+
 class TestHTTPRoundTrip:
     """Every request type over HTTP == the in-process submit(), bit for bit."""
 
-    def _wire_requests(self, parity_session):
-        spec = parity_session.recommend().best.spec
-        return [
-            RecommendRequest(),
-            EvaluateSpecRequest(spec=spec),
-            CompareRequest(specs=(spec,)),
-            TuneRequest(study="disks", spec=spec, settings=(8, 16)),
-            SimulateRequest(queries_per_class=2, seed=7),
-        ]
-
     def test_all_five_request_types_round_trip(self, server, parity_session):
-        for request in self._wire_requests(parity_session):
+        for request in _wire_requests(parity_session):
             payload = request.to_dict()
             status, body = http_json(
                 server, "POST", "/warehouses/main/submit", payload
@@ -605,6 +607,103 @@ class TestSSEStreaming:
         kinds = [kind for kind, _ in frames]
         assert kinds[-2:] == ["error", "done"]
         assert "weights" in dict(frames)["error"]["error"]
+
+
+def http_raw(server, path, payload, headers=None, timeout=60):
+    """POST and return the raw response body."""
+    request = urllib.request.Request(
+        server.url + path,
+        data=json.dumps(payload).encode(),
+        method="POST",
+        headers=headers or {},
+    )
+    with urllib.request.urlopen(request, timeout=timeout) as response:
+        return response.read()
+
+
+def _frame_data(raw: bytes, event: str) -> bytes:
+    """The data of the first ``event`` frame of a raw SSE stream."""
+    for block in raw.split(b"\n\n"):
+        lines = dict(line.split(b": ", 1) for line in block.splitlines())
+        if lines.get(b"event") == event.encode():
+            return lines[b"data"]
+    raise AssertionError(f"no {event} frame in the stream")
+
+
+class TestResponseEncoding:
+    """A response is encoded on a worker, once per answer, and byte for byte
+    as ``json.dumps`` of the response object."""
+
+    @staticmethod
+    def _server(scenario, names):
+        schema, workload, system, config = scenario
+        server = AdvisorServer(
+            registry=SessionRegistry(),
+            executor=RequestExecutor(workers=2, capacity=8),
+        )
+        for name in names:
+            server.registry.register(name, schema, workload, system, config=config)
+        return server.start_in_background()
+
+    def test_a_fresh_recommendation_is_fingerprinted_on_a_worker(
+        self, scenario, monkeypatch
+    ):
+        import repro.engine
+
+        threads = []
+        fingerprint = repro.engine.recommendation_fingerprint
+
+        def recording(recommendation):
+            threads.append(threading.current_thread().name)
+            return fingerprint(recommendation)
+
+        monkeypatch.setattr(repro.engine, "recommendation_fingerprint", recording)
+        server = self._server(scenario, ("plain", "streamed"))
+        try:
+            http_json(server, "POST", "/warehouses/plain/submit", {"kind": "recommend"})
+            http_sse(server, "/warehouses/streamed/submit?stream=1", {"kind": "recommend"})
+        finally:
+            server.stop()
+        assert len(threads) == 2
+        assert all(name.startswith("advisor-request-worker-") for name in threads), threads
+
+    def test_a_memoized_recommendation_is_encoded_once(self, scenario, monkeypatch):
+        from repro.api import RecommendResult
+
+        calls = []
+        to_dict = RecommendResult.to_dict
+
+        def counting(result, *args, **kwargs):
+            calls.append(result)
+            return to_dict(result, *args, **kwargs)
+
+        monkeypatch.setattr(RecommendResult, "to_dict", counting)
+        server = self._server(scenario, ("main",))
+        try:
+            first = http_raw(server, "/warehouses/main/submit", {"kind": "recommend"})
+            second = http_raw(server, "/warehouses/main/submit", {"kind": "recommend"})
+        finally:
+            server.stop()
+        assert second == first
+        assert len(calls) == 1
+
+    def test_bodies_and_result_frames_are_the_response_json(self, server, parity_session):
+        for request in _wire_requests(parity_session):
+            payload = request.to_dict()
+            result = parity_session.submit(request)
+            response = {"kind": payload["kind"], "result": result.to_dict()}
+            if payload["kind"] == "recommend":
+                response["fingerprint"] = result.fingerprint
+            body = http_raw(server, "/warehouses/main/submit", payload)
+            assert body == json.dumps(response).encode(), payload["kind"]
+            stream = http_raw(
+                server,
+                "/warehouses/main/submit?stream=1",
+                payload,
+                headers={"Accept": "text/event-stream"},
+            )
+            del response["kind"]
+            assert _frame_data(stream, "result") == json.dumps(response).encode()
 
 
 class TestDisconnectCancellation:
