@@ -357,37 +357,18 @@ class AdvisorSession:
     ) -> EvaluateSpecResult:
         """Fully evaluate a single fragmentation candidate.
 
-        The progress/cancel contract holds at the request boundary: a
-        pre-set ``cancel`` signal raises
-        :class:`~repro.errors.EvaluationCancelled` before any work, and
-        ``on_progress`` receives exactly one completed event once the
-        candidate is evaluated.
+        The progress/cancel contract is the engine's
+        (:meth:`~repro.engine.EvaluationEngine.evaluate_spec`): a pre-set
+        ``cancel`` signal raises :class:`~repro.errors.EvaluationCancelled`
+        before the candidate is evaluated, and ``on_progress`` receives
+        exactly one completed event that names the spec.
         """
-        from repro.api.progress import ProgressEvent, cancel_requested
-        from repro.errors import EvaluationCancelled
-
-        if cancel_requested(cancel):
-            raise EvaluationCancelled(
-                "evaluate cancelled before evaluating the candidate"
-            )
         scheme = None
         if request.bitmap_exclude:
             scheme = self.design_bitmaps().without(*request.bitmap_exclude)
-        candidate = self.engine.evaluate_spec(request.spec, bitmap_scheme=scheme)
-        if on_progress is not None:
-            per_candidate = len(self.workload)
-            on_progress(
-                ProgressEvent(
-                    phase="evaluate",
-                    completed=1,
-                    total=1,
-                    chunk=1,
-                    num_chunks=1,
-                    completed_units=per_candidate,
-                    total_units=per_candidate,
-                    label=request.spec.label,
-                )
-            )
+        candidate = self.engine.evaluate_spec(
+            request.spec, bitmap_scheme=scheme, on_progress=on_progress, cancel=cancel
+        )
         return EvaluateSpecResult(candidate)
 
     def evaluate_spec(

@@ -250,21 +250,20 @@ class EvaluationCache:
 
     # -- lookup/insert ----------------------------------------------------------
 
-    def _evict_oldest(self, store: Dict[Tuple[str, ...], Any]) -> None:
-        """Drop the oldest-inserted entry (FIFO) and its disk-origin flag."""
-        evicted = next(iter(store))
-        store.pop(evicted)
-        self._disk_keys.discard(evicted)
+    def _bounded_put(self, store: Dict[Any, Any], key, value) -> None:
+        """Insert into one per-kind store, FIFO-bounded at ``max_entries``.
 
-    def _put_structure(self, key, value) -> None:
-        """FIFO insert into the structure memo (memory only, never persisted)."""
-        store = self._structures
+        A new key in a full store first drops the oldest-inserted entry and
+        its disk-origin flag; a key already present is overwritten in place.
+        """
         if (
             self.max_entries is not None
             and key not in store
             and len(store) >= self.max_entries
         ):
-            store.pop(next(iter(store)))
+            evicted = next(iter(store))
+            del store[evicted]
+            self._disk_keys.discard(evicted)
         store[key] = value
 
     def access_structure(self, layout, query, bitmap_scheme, compute):
@@ -276,7 +275,7 @@ class EvaluationCache:
             return value
         self.stats.structure_misses += 1
         value = compute()
-        self._put_structure(key, value)
+        self._bounded_put(self._structures, key, value)
         return value
 
     def get_structure_batch(self, layout, matrix):
@@ -307,7 +306,9 @@ class EvaluationCache:
         Not a probe — no counter moves; the miss was already counted by the
         preceding :meth:`get_structure_batch`.
         """
-        self._put_structure(self._structure_batch_key(layout, matrix), value)
+        self._bounded_put(
+            self._structures, self._structure_batch_key(layout, matrix), value
+        )
 
     def get_candidate(self, context, spec):
         """Probe for a whole-candidate evaluation; ``None`` on miss.
@@ -322,10 +323,10 @@ class EvaluationCache:
         valid because the content-addressed key covers every input the
         materialization reads — and upgrades the entry in place so later
         probes are free.  A stored candidate whose decode finds a non-finite
-        metric or page count, or whose allocation the probing context
-        rejects (a disk id past its disk count, a span that is not its
-        rebuilt layout's), is counted as a corrupt store entry, dropped and
-        reported as a miss, so the sweep evaluates that candidate cold.
+        metric, whose fragment count is not its rebuilt layout's, or whose
+        greedy disk ids the probing system rejects (a disk id past its disk
+        count) is counted as a corrupt store entry, dropped and reported as
+        a miss, so the sweep evaluates that candidate cold.
         """
         key = self.candidate_key(context, spec)
         value = self._candidates.get(key, _MISSING)
@@ -354,15 +355,8 @@ class EvaluationCache:
         Not a probe — no counter moves; the miss was already counted by the
         ``get_candidate`` that preceded the computation.
         """
-        store = self._candidates
         key = self.candidate_key(context, spec)
-        if (
-            self.max_entries is not None
-            and key not in store
-            and len(store) >= self.max_entries
-        ):
-            self._evict_oldest(store)
-        store[key] = candidate
+        self._bounded_put(self._candidates, key, candidate)
         self._disk_keys.discard(key)
         self._touched.add(key)
         self._dirty = True
@@ -411,9 +405,7 @@ class EvaluationCache:
         value = store.get(key)
         if value is None:
             value = compute()
-            if self.max_entries is not None and len(store) >= self.max_entries:
-                store.pop(next(iter(store)))
-            store[key] = value
+            self._bounded_put(store, key, value)
         return value
 
     # -- candidate-exclusion reports ---------------------------------------------
@@ -436,13 +428,7 @@ class EvaluationCache:
         Bounded by ``max_entries`` like the evaluation stores (FIFO), so the
         persisted report set cannot grow without limit either.
         """
-        if (
-            self.max_entries is not None
-            and key not in self._reports
-            and len(self._reports) >= self.max_entries
-        ):
-            self._reports.pop(next(iter(self._reports)))
-        self._reports[key] = payload
+        self._bounded_put(self._reports, key, payload)
         self._touched.add(key)
         self._dirty = True
 
@@ -484,18 +470,13 @@ class EvaluationCache:
         self.stats.store_fallback_loads += (
             after.fallback_loads - before.fallback_loads
         )
-        target = self._candidates
         for key, value in candidates.items():
-            if (
-                self.max_entries is not None
-                and key not in target
-                and len(target) >= self.max_entries
-            ):
-                self._evict_oldest(target)
-            target[key] = value
+            self._bounded_put(self._candidates, key, value)
+            self._disk_keys.add(key)
         for key, payload in reports.items():
-            self._reports.setdefault(key, payload)
-        self._disk_keys.update(candidates.keys())
+            # An in-memory report wins over its stored copy.
+            if key not in self._reports:
+                self._bounded_put(self._reports, key, payload)
         loaded = len(candidates) + len(reports)
         self.loaded_from_disk += loaded
         return loaded

@@ -466,15 +466,19 @@ class EvaluationEngine:
         self,
         spec: FragmentationSpec,
         bitmap_scheme: Optional[BitmapScheme] = None,
+        on_progress: Optional[Callable] = None,
+        cancel: Any = None,
     ) -> FragmentationCandidate:
         """Evaluate a single candidate: the sweep driver's answer for ``[spec]``.
 
-        Unlike :meth:`evaluate_specs` it never writes the attached store:
-        its callers persist on their own terms (a tuning study once when it
+        ``on_progress`` and ``cancel`` work as for :meth:`evaluate_specs`:
+        one complete event names ``spec``, warm or cold.  Unlike
+        :meth:`evaluate_specs` it never writes the attached store: its
+        callers persist on their own terms (a tuning study once when it
         finishes, a session when it closes), so a served single evaluation
         never rewrites a whole store.
         """
-        [candidate] = self._sweep([spec], bitmap_scheme, None, None)
+        [candidate] = self._sweep([spec], bitmap_scheme, on_progress, cancel)
         return candidate
 
     def evaluate_specs(
@@ -497,7 +501,8 @@ class EvaluationEngine:
         progress and honours ``cancel``.
 
         ``on_progress`` receives one :class:`repro.api.ProgressEvent` per
-        completed chunk (a fully warm sweep reports a single complete chunk);
+        completed chunk, labelled with the last spec it covers (a fully warm
+        sweep reports a single complete chunk);
         ``cancel`` — a :class:`repro.api.CancellationToken` or a zero-argument
         callable — is checked after the cache probe and at every chunk
         boundary, and raises :class:`~repro.errors.EvaluationCancelled` when
@@ -542,7 +547,7 @@ class EvaluationEngine:
                 results[index] = hit
         completed = total - len(pending)
 
-        def report(chunk: int, num_chunks: int, label: str = "") -> None:
+        def report(chunk: int, num_chunks: int, label: str) -> None:
             if on_progress is not None:
                 on_progress(
                     ProgressEvent(
@@ -561,7 +566,7 @@ class EvaluationEngine:
         if not pending:
             # Nothing to evaluate: report one already-complete chunk
             # (never 0/0 — wire consumers divide chunk by num_chunks).
-            report(1, 1)
+            report(1, 1, specs[-1].label)
             return results  # type: ignore[return-value]
         placed: Optional[Placements] = None
         if context.class_matrix is not None:

@@ -9,24 +9,31 @@ construction: a :class:`CacheStore` spills them under a cache directory and a
 later process reloads them, making repeated invocations and tuning sessions
 start warm.
 
-On-disk format (version 5)
+On-disk format (version 6)
 --------------------------
 
-The store persists only what a warm start reads:
+The store persists only what a warm start reads and cannot derive:
 
 ``candidates.npz``
     Whole-candidate entries as **columnar groups**: all candidates sharing
     one (query classes, weights) shape stack into one metric cube, one disk
-    plane, two flag planes and two concatenated allocation vectors.  Each
-    group also holds its salted keys (``keys``), its small per-candidate
-    fields (``meta``: prefetch granules, allocation schemes, fragment counts
-    and allocation offsets) and its bitmap attributes as integer columns:
-    the group's distinct ``[dimension, level]`` pairs (``attr_table``), the
-    number of pairs per candidate and class (``attr_counts``) and the flat
-    table codes (``attr_codes``).  JSON members are stored as UTF-8 bytes.
+    plane and two flag planes.  Each group also holds its salted keys
+    (``keys``), its small per-candidate fields (``meta``: prefetch granules,
+    allocation schemes and fragment counts), its bitmap attributes as
+    integer columns — the group's distinct ``[dimension, level]`` pairs
+    (``attr_table``), the number of pairs per candidate and class
+    (``attr_counts``) and the flat table codes (``attr_codes``) — and
+    ``alloc_disks``, the disk ids of its ``greedy_size`` rows only, each
+    row's span as long as its fragment count.  JSON members are stored as
+    UTF-8 bytes.
+
+    Nothing the probing context determines is stored: a round-robin
+    placement is a rule of the fragment index, and every fragment's page
+    count is :func:`~repro.allocation.fragment_total_pages` of the layout
+    the probe rebuilds anyway, so both are derived on materialization.
 
     A load reads each group's members once, checks the whole group with
-    array operations (shapes, offsets, codes, value ranges; a failing group
+    array operations (shapes, spans, codes, value ranges; a failing group
     is skipped) and maps every key to a :class:`StoredCandidate` handle — no
     per-candidate copy, no per-class tuple.  A handle decodes its one
     candidate into a :class:`~repro.engine.result.CandidateColumns` record
@@ -53,14 +60,14 @@ All files carry a **salt**: a digest over the store format version and the
 salt.  A store written by a different format or package version, a truncated
 or corrupted file, or an entry that fails to decode is **silently ignored,
 never trusted** — the evaluation simply runs cold and overwrites the store
-with fresh content.  A stored candidate holding a non-finite metric or page
-count, or an allocation that does not fit the probing context (a disk id
-past its disk count, a span that is not its layout's fragment count), is
-caught at the probe: the cache counts it corrupt and evaluates that
-candidate cold.  Persistence is strictly best-effort: no store failure
-(unreadable directory, read-only filesystem, concurrent writer) may ever
-change a result or crash the advisor, only forfeit the warm start.  Loads read only npz members (``allow_pickle=False``) and JSON,
-so a store file never executes code.
+with fresh content.  A stored candidate holding a non-finite metric, a
+fragment count that is not its rebuilt layout's, or a greedy disk id past
+the probing system's disk count is caught at the probe: the cache counts it
+corrupt and evaluates that candidate cold.  Persistence is strictly
+best-effort: no store failure (unreadable directory, read-only filesystem,
+concurrent writer) may ever change a result or crash the advisor, only
+forfeit the warm start.  Loads read only npz members
+(``allow_pickle=False``) and JSON, so a store file never executes code.
 
 Maintenance
 -----------
@@ -125,8 +132,10 @@ __all__ = [
 #: access-tracking table behind the LRU garbage collection; version 4 dropped
 #: the persisted access structures (pickled scalar rows and npz batches);
 #: version 5 moved the keys and the bitmap attributes out of the candidate
-#: groups' JSON metadata into their own members (attributes as integer codes).
-STORE_FORMAT_VERSION = 5
+#: groups' JSON metadata into their own members (attributes as integer codes);
+#: version 6 dropped the page vectors and the round-robin disk ids, which a
+#: warm probe derives from the layout it rebuilds.
+STORE_FORMAT_VERSION = 6
 
 #: Estimated fixed per-entry overhead (sqlite row / npz member headers).
 _ENTRY_OVERHEAD_BYTES = 512
@@ -213,11 +222,12 @@ class _CandidateGroup:
     disks: np.ndarray
     sequential: np.ndarray
     forced: np.ndarray
+    #: The disk ids of the group's greedy rows, concatenated.
     alloc_disks: np.ndarray
-    alloc_pages: np.ndarray
-    #: Per candidate, as Python lists: allocation span bounds
-    #: (``offsets[row]:offsets[row + 1]``, one slot per fragment), prefetch
-    #: entry, allocation scheme.
+    #: Per candidate, as Python lists: fragment count, bounds of its disk
+    #: ids in ``alloc_disks`` (``offsets[row]:offsets[row + 1]``, empty for
+    #: a round-robin row), prefetch entry, allocation scheme.
+    fragments_total: List[int]
     offsets: List[int]
     prefetch: List[list]
     schemes: List[str]
@@ -232,19 +242,17 @@ class _CandidateGroup:
         """Decode one candidate, copying its slices out of the group's arrays.
 
         A view would pin the group's whole stacked cube (or concatenated
-        allocation vector) alive for as long as the candidate survives in
-        the in-memory cache.  The load's group checks let infinities (and
-        NaN metrics) through; the candidate's own metrics and page counts
-        are checked here, so no load scans every stored vector.  Raises
-        :class:`CorruptCandidate` when one is not finite.
+        disk-id vector) alive for as long as the candidate survives in the
+        in-memory cache.  The load's group checks let infinities (and NaN
+        metrics) through; the candidate's own metrics are checked here, so
+        no load scans every stored cube.  Raises :class:`CorruptCandidate`
+        when one is not finite.
         """
         from repro.costmodel import EvaluationColumns
         from repro.engine.result import CandidateColumns
 
-        start, end = self.offsets[row], self.offsets[row + 1]
         metrics = self.metrics[row]
-        pages = self.alloc_pages[start:end]
-        if not (np.isfinite(metrics).all() and np.isfinite(pages).all()):
+        if not np.isfinite(metrics).all():
             raise CorruptCandidate(f"stored candidate {row} holds a non-finite value")
 
         table = self.attr_table
@@ -262,7 +270,7 @@ class _CandidateGroup:
             columns=EvaluationColumns(
                 query_names=self.query_names,
                 weights=self.weights,
-                fragments_total=end - start,
+                fragments_total=self.fragments_total[row],
                 metrics=metrics.copy(),
                 disks_used=self.disks[row].copy(),
                 sequential=self.sequential[row].copy(),
@@ -271,8 +279,11 @@ class _CandidateGroup:
             ),
             prefetch=tuple(self.prefetch[row]),
             allocation_scheme=self.schemes[row],
-            allocation_disks=self.alloc_disks[start:end].copy(),
-            allocation_pages=pages.copy(),
+            allocation_disks=(
+                None
+                if self.schemes[row] == "round_robin"
+                else self.alloc_disks[self.offsets[row] : self.offsets[row + 1]].copy()
+            ),
         )
 
 
@@ -281,8 +292,8 @@ def _read_group(data, prefix: str) -> Tuple[_CandidateGroup, list]:
 
     The whole group is checked at once, mostly with array operations, so
     every row of a group that loads decodes into a well-formed record.  What
-    only a probing context can reject — a disk id at or above its disk
-    count, a span that is not its layout's fragment count — is left to the
+    only a probing context can reject — a fragment count that is not its
+    rebuilt layout's, a disk id at or above its disk count — is left to the
     probe (:meth:`~repro.engine.cache.EvaluationCache.get_candidate`).
     Raises on the first failed check.
     """
@@ -297,13 +308,11 @@ def _read_group(data, prefix: str) -> Tuple[_CandidateGroup, list]:
     sequential = data[prefix + "sequential"]
     forced = data[prefix + "forced"]
     alloc_disks = data[prefix + "alloc_disks"]
-    alloc_pages = data[prefix + "alloc_pages"]
     attr_counts = data[prefix + "attr_counts"]
     attr_codes = data[prefix + "attr_codes"]
     query_names = meta["query_names"]
     weights = meta["weights"]
     fragments_total = np.asarray(meta["fragments_total"])
-    offsets = np.asarray(meta["alloc_offsets"])
     prefetch = meta["prefetch"]
     schemes = meta["allocation_schemes"]
     _require(isinstance(keys, list) and isinstance(table, list))
@@ -319,17 +328,9 @@ def _read_group(data, prefix: str) -> Tuple[_CandidateGroup, list]:
     _require(disks.dtype.kind == "i" and disks.shape == (rows, classes))
     _require(sequential.dtype == np.bool_ and sequential.shape == (rows, classes))
     _require(forced.dtype == np.bool_ and forced.shape == (rows, classes))
-    # Fragment counts are integers, and the allocation offsets rise from 0
-    # to the allocation length in steps of those counts.
+    # Fragment counts are non-negative integers.
     _require(fragments_total.dtype.kind == "i" and fragments_total.shape == (rows,))
-    _require(offsets.dtype.kind == "i" and offsets.shape == (rows + 1,))
-    _require(offsets[0] == 0 and np.array_equal(np.diff(offsets), fragments_total))
     _require(np.all(fragments_total >= 0))
-    _require(alloc_disks.dtype.kind == "i" and alloc_disks.shape == (offsets[-1],))
-    _require(alloc_pages.dtype == np.float64 and alloc_pages.shape == alloc_disks.shape)
-    # Pages and disk ids are non-negative (disk ids are bounded above by the
-    # probing context's disk count, checked at the probe).
-    _require(np.all(alloc_disks >= 0) and np.all(alloc_pages >= 0))
     # Attribute counts sum to the number of codes, and every code is inside
     # the table of [dimension, level] pairs.
     _require(attr_counts.dtype == np.int32 and attr_counts.shape == (rows, classes))
@@ -359,6 +360,15 @@ def _read_group(data, prefix: str) -> Tuple[_CandidateGroup, list]:
         )
     )
     _require(all(scheme in _ALLOCATION_SCHEMES for scheme in schemes))
+    # The rows that are not round-robin fill ``alloc_disks`` exactly, in row
+    # order, each with a span as long as its fragment count; disk ids are
+    # non-negative (bounded above by the probing context's disk count,
+    # checked at the probe).
+    stored = np.array([scheme != "round_robin" for scheme in schemes], dtype=bool)
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.where(stored, fragments_total, 0), out=offsets[1:])
+    _require(alloc_disks.dtype.kind == "i" and alloc_disks.shape == (offsets[-1],))
+    _require(np.all(alloc_disks >= 0))
 
     attr_offsets = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(attr_counts.sum(axis=1), out=attr_offsets[1:])
@@ -370,7 +380,7 @@ def _read_group(data, prefix: str) -> Tuple[_CandidateGroup, list]:
         sequential=sequential,
         forced=forced,
         alloc_disks=alloc_disks,
-        alloc_pages=alloc_pages,
+        fragments_total=fragments_total.tolist(),
         offsets=offsets.tolist(),
         prefetch=prefetch,
         schemes=schemes,
@@ -407,7 +417,7 @@ class StoredCandidate:
         """This candidate's columnar record (decoded on the first call).
 
         Raises :class:`CorruptCandidate` when the candidate's stored metrics
-        or page counts are not finite.
+        are not finite.
         """
         state = self._state
         if isinstance(state, _CandidateGroup):
@@ -717,9 +727,9 @@ class CacheStore:
             + columns.disks_used.nbytes
             + columns.sequential.nbytes
             + columns.forced.nbytes
-            + np.asarray(value.allocation_disks).nbytes
-            + np.asarray(value.allocation_pages).nbytes
         )
+        if value.allocation_disks is not None:
+            total += value.allocation_disks.nbytes
         return int(total) + _ENTRY_OVERHEAD_BYTES
 
     def _select_evictions(self, new_access, over_bytes: Optional[int] = None):
@@ -877,9 +887,9 @@ class CacheStore:
 
     def _save_candidates(self, candidates) -> None:
         # Group the candidates by class shape: every group stacks into one
-        # metric cube plus concatenated allocation vectors.  Weight floats
-        # round-trip exactly through JSON (repr-based shortest encoding);
-        # every metric float stays binary in the npz.
+        # metric cube plus the concatenated disk ids of its greedy rows.
+        # Weight floats round-trip exactly through JSON (repr-based shortest
+        # encoding); every metric float stays binary in the npz.
         groups: Dict[Tuple, list] = {}
         for key, record in candidates.items():
             shape = (record.columns.query_names, record.columns.weights)
@@ -890,9 +900,6 @@ class CacheStore:
             "__groups__": np.array(len(groups)),
         }
         for g, ((query_names, weights), members) in enumerate(groups.items()):
-            offsets = [0]
-            for _, record in members:
-                offsets.append(offsets[-1] + len(record.allocation_disks))
             # Bitmap attributes as integer columns: per candidate and class
             # the number of (dimension, level) pairs, and every pair as its
             # code in the group's table of distinct pairs.
@@ -914,7 +921,6 @@ class CacheStore:
                 "allocation_schemes": [
                     record.allocation_scheme for _, record in members
                 ],
-                "alloc_offsets": offsets,
             }
             arrays[f"c{g}/keys"] = _json_member(
                 [[self.salt, *key] for key, _ in members]
@@ -937,11 +943,13 @@ class CacheStore:
             arrays[f"c{g}/forced"] = np.stack(
                 [record.columns.forced for _, record in members]
             )
-            arrays[f"c{g}/alloc_disks"] = np.concatenate(
-                [record.allocation_disks for _, record in members]
-            )
-            arrays[f"c{g}/alloc_pages"] = np.concatenate(
-                [record.allocation_pages for _, record in members]
+            greedy = [
+                record.allocation_disks
+                for _, record in members
+                if record.allocation_disks is not None
+            ]
+            arrays[f"c{g}/alloc_disks"] = (
+                np.concatenate(greedy) if greedy else np.empty(0, dtype=np.int64)
             )
 
         def write(tmp_path: str) -> None:

@@ -13,6 +13,7 @@ from repro.engine import (
     object_signature,
 )
 from repro.engine.executor import evaluate_specs_in_context
+from repro.errors import EvaluationCancelled
 from repro.fragmentation import build_layout
 
 
@@ -242,6 +243,30 @@ class TestEvaluationEngine:
         from repro.core.advisor import DEFAULT_CACHE_ENTRIES
 
         assert toy_advisor.cache.max_entries == DEFAULT_CACHE_ENTRIES
+
+    def test_evaluate_spec_reports_one_complete_event_naming_the_spec(
+        self, toy_advisor
+    ):
+        engine = toy_advisor.engine
+        specs, _ = toy_advisor.generate_specs()
+        spec = specs[-1]
+        for state in ("cold", "warm"):
+            events = []
+            engine.evaluate_spec(spec, on_progress=events.append)
+            [event] = events
+            assert event.label == spec.label, state
+            assert event.completed == event.total == 1, state
+            assert event.chunk == event.num_chunks == 1, state
+            assert event.total_units == len(toy_advisor.workload), state
+        assert toy_advisor.cache.stats.candidate_hits == 1
+
+    def test_evaluate_spec_honours_a_pre_set_cancel(self, toy_advisor):
+        specs, _ = toy_advisor.generate_specs()
+        with pytest.raises(EvaluationCancelled):
+            toy_advisor.engine.evaluate_spec(specs[0], cancel=lambda: True)
+        # Nothing was evaluated: the next call misses again.
+        toy_advisor.engine.evaluate_spec(specs[0])
+        assert toy_advisor.cache.stats.candidate_misses == 2
 
     def test_evaluate_candidates_with_empty_list_returns_empty(self, toy_advisor):
         candidates = toy_advisor.engine.evaluate_specs([])

@@ -5,6 +5,8 @@ The contract under test (repro.engine.store):
 * a second advisor *process* (modelled here as a fresh cache/advisor loading
   the same directory) answers its sweep from the disk store, bit-identically;
 * the directory holds exactly two files, and nothing in them is pickled;
+* the store holds no page vector and no round-robin disk id: a warm probe
+  derives them from the layout it rebuilds;
 * a corrupted, truncated or version-mismatched store is silently ignored —
   the run falls back to a cold evaluation with the identical fingerprint and
   then atomically rewrites the store;
@@ -58,6 +60,17 @@ def scenario():
     system = SystemParameters(num_disks=16)
     config = AdvisorConfig(max_fragments=20_000, top_candidates=8)
     return schema, workload, system, config
+
+
+@pytest.fixture(scope="module")
+def skewed_scenario(scenario):
+    """``scenario`` with a skewed ``dim0``: 14 of its 30 candidates are greedy.
+
+    Every candidate of ``scenario`` is round-robin, so its store holds no
+    disk id at all; this store's greedy rows hold theirs.
+    """
+    schema, workload, system, config = scenario
+    return schema.with_skew({"dim0": 0.8}), workload, system, config
 
 
 def _advisor(scenario, cache_dir, vectorize=True):
@@ -135,30 +148,33 @@ class TestRoundTrip:
             for value in candidates.values()
         )
 
-    def test_loaded_candidate_arrays_retain_no_base(self, scenario, tmp_path):
+    def test_loaded_candidate_arrays_retain_no_base(self, skewed_scenario, tmp_path):
         """Regression: loaded per-candidate arrays used to be numpy *views*
-        into the group's stacked cube / concatenated allocation vector, so one
+        into the group's stacked cube / concatenated disk-id vector, so one
         surviving candidate pinned its whole group's arrays in memory.  A
         load decodes nothing; each decode copies its candidate's slices."""
-        advisor = _advisor(scenario, tmp_path)
+        advisor = _advisor(skewed_scenario, tmp_path)
         advisor.recommend()
         candidates, _reports = CacheStore(tmp_path).load()
         assert candidates
         assert not any(handle.decoded for handle in candidates.values())
+        greedy = 0
         for handle in candidates.values():
             value = handle.decode()
             assert handle.decoded
             columns = value.columns
-            for array in (
+            arrays = [
                 columns.metrics,
                 columns.disks_used,
                 columns.sequential,
                 columns.forced,
-                value.allocation_disks,
-                value.allocation_pages,
-            ):
-                array = np.asarray(array)
+            ]
+            if value.allocation_disks is not None:
+                greedy += 1
+                arrays.append(value.allocation_disks)
+            for array in arrays:
                 assert array.base is None, "candidate array is a view"
+        assert greedy == 14
 
     def test_disk_hits_are_counted(self, scenario, tmp_path):
         cold = _advisor(scenario, tmp_path)
@@ -169,6 +185,33 @@ class TestRoundTrip:
         assert warm.cache.loaded_from_disk > 0
         assert stats.candidate_disk_hits == stats.candidate_hits > 0
         assert stats.disk_hit_rate >= 0.9
+
+    @pytest.mark.parametrize("fixture", ["scenario", "skewed_scenario"])
+    def test_alloc_disks_hold_exactly_the_greedy_rows(self, request, tmp_path, fixture):
+        # Only greedy rows store disk ids, each span as long as its fragment
+        # count; no page vector and no round-robin disk id is stored.
+        cold = _advisor(request.getfixturevalue(fixture), tmp_path).recommend()
+        by_label = {c.label: c for c in cold.recommendation.evaluated}
+        members = _read_members(tmp_path)
+        assert int(members["__groups__"][()]) == 1
+        assert not [name for name in members if "pages" in name]
+        meta = _read_json(members["c0/meta"])
+        assert "alloc_offsets" not in meta
+        greedy = [
+            by_label[parts[3]]
+            for parts, scheme in zip(
+                _read_json(members["c0/keys"]), meta["allocation_schemes"]
+            )
+            if scheme == "greedy_size"
+        ]
+        assert len(greedy) == (14 if fixture == "skewed_scenario" else 0)
+        assert len(greedy) == sum(
+            c.allocation.scheme == "greedy_size" for c in by_label.values()
+        )
+        expected = [c.allocation.disk_of_fragment for c in greedy]
+        stored = members["c0/alloc_disks"]
+        assert stored.size == sum(c.layout.fragment_count for c in greedy)
+        assert np.array_equal(stored, np.concatenate([np.empty(0, int), *expected]))
 
     @pytest.mark.parametrize("vectorize", [True, False])
     def test_store_holds_two_files_and_no_pickle(self, scenario, tmp_path, vectorize):
@@ -231,6 +274,25 @@ class TestWarmStartParity:
             v.decoded for v in entries.values() if isinstance(v, StoredCandidate)
         )
 
+    def test_warm_round_robin_allocation_is_the_cold_sweeps(self, scenario, tmp_path):
+        # A warm round-robin candidate's placement is built by the cold
+        # sweep's call: the same lazy type, deriving the same vectors.
+        from repro.allocation.round_robin import RoundRobinAllocation
+
+        cold = _advisor(scenario, tmp_path).recommend().recommendation
+        warm_advisor = _advisor(scenario, tmp_path)
+        warm = warm_advisor.recommend().recommendation
+        stats = warm_advisor.cache.stats
+        assert stats.candidate_disk_hits == stats.candidate_hits == len(cold.evaluated)
+        for expected, answer in zip(cold.evaluated, warm.evaluated):
+            assert type(answer.allocation) is type(expected.allocation)
+            assert isinstance(answer.allocation, RoundRobinAllocation)
+            for vector in ("disk_of_fragment", "fragment_pages"):
+                derived = getattr(answer.allocation, vector)
+                reference = getattr(expected.allocation, vector)
+                assert derived.dtype == reference.dtype
+                assert derived.tobytes() == reference.tobytes()
+
     def test_warm_recommend_leaves_the_other_warehouse_undecoded(
         self, scenario, tmp_path
     ):
@@ -291,11 +353,11 @@ class TestFailureModes:
         assert not (tmp_path / BATCHES_FILENAME).exists()
         assert sorted(os.listdir(tmp_path)) == [CANDIDATES_FILENAME, ENTRIES_FILENAME]
 
-    def test_format_4_directory_runs_cold_and_is_rewritten_as_format_5(
+    def test_format_5_directory_runs_cold_and_is_rewritten_as_format_6(
         self, scenario, tmp_path, monkeypatch
     ):
         with monkeypatch.context() as patch:
-            patch.setattr(repro.engine.store, "STORE_FORMAT_VERSION", 4)
+            patch.setattr(repro.engine.store, "STORE_FORMAT_VERSION", 5)
             cold = _advisor(scenario, tmp_path).recommend().recommendation
         fingerprint = recommendation_fingerprint(cold)
         upgraded = _advisor(scenario, tmp_path)
@@ -303,10 +365,10 @@ class TestFailureModes:
         assert upgraded.cache.loaded_from_disk == 0
         result = upgraded.recommend().recommendation
         assert recommendation_fingerprint(result) == fingerprint
-        # The cold run's save rewrote both files under format 5's salt.
+        # The cold run's save rewrote both files under format 6's salt.
         store = CacheStore(tmp_path)
         candidates, reports = store.load()
-        assert repro.engine.store.STORE_FORMAT_VERSION == 5
+        assert repro.engine.store.STORE_FORMAT_VERSION == 6
         assert store.load_stats.salt_mismatches == 0
         assert candidates and len(reports) == 1
 
@@ -461,6 +523,15 @@ class TestCacheStoreHook:
         fresh = EvaluationCache()
         assert fresh.load(store) == written
         assert len(fresh) == candidates
+
+    def test_bounded_load_keeps_at_most_max_entries_reports(self, tmp_path):
+        writer = EvaluationCache()
+        writer.put_exclusions(("a",), _payload(1))
+        writer.put_exclusions(("b",), _payload(2))
+        assert writer.save(CacheStore(tmp_path)) == 2
+        bounded = EvaluationCache(max_entries=1)
+        bounded.load(CacheStore(tmp_path))
+        assert len(bounded._reports) == 1
 
     def test_saves_merge_instead_of_overwriting(self, tmp_path):
         # Two writers with disjoint entries: the second save must union with
@@ -639,8 +710,8 @@ def _set_each_candidate(value):
 
 #: One bad value each in group 0 of a well-formed store.  The disk ids are
 #: only out of range for the probing system's 16 disks, so the probe (not
-#: the load) has to reject them; the load lets non-finite pages and metrics
-#: through too, and each probe's decode rejects its own candidate.
+#: the load) has to reject them; the load lets non-finite metrics through
+#: too, and each probe's decode rejects its own candidate.
 _BAD_VALUES = {
     "prefetch-policy": _edit_meta(
         "prefetch", lambda entries: [[*entries[0][:3], "bogus"], *entries[1:]]
@@ -648,13 +719,12 @@ _BAD_VALUES = {
     "prefetch-length": _edit_meta(
         "prefetch", lambda entries: [entries[0][:1], *entries[1:]]
     ),
-    "offsets-shifted": _edit_meta(
-        "alloc_offsets", lambda offsets: [offset + 1 for offset in offsets]
+    "offsets-shifted": _edit_array(
+        "alloc_disks", lambda disks: np.concatenate([disks[:1], disks])
     ),
     "disk-ids-out-of-range": _edit_array(
         "alloc_disks", lambda disks: np.full_like(disks, 999)
     ),
-    "negated-pages": _edit_array("alloc_pages", lambda pages: -pages),
     "metrics-cut": _edit_array("metrics", lambda metrics: metrics[:, :, :3].copy()),
     "allocation-scheme": _edit_meta(
         "allocation_schemes", lambda schemes: ["bogus", *schemes[1:]]
@@ -662,12 +732,13 @@ _BAD_VALUES = {
     "fragments-total": _edit_meta(
         "fragments_total", lambda totals: [totals[0] + 0.5, *totals[1:]]
     ),
-    "infinite-pages": _edit_array(
-        "alloc_pages", lambda pages: np.full_like(pages, np.inf)
-    ),
     "nan-metric": _edit_array("metrics", _set_each_candidate(np.nan)),
     "infinite-metric": _edit_array("metrics", _set_each_candidate(np.inf)),
 }
+#: The cases that edit the greedy rows' disk ids run on the skewed store
+#: (the uniform one stores none); out-of-range ids reach only those rows,
+#: so the round-robin rows stay disk hits.
+_GREEDY_CASES = {"offsets-shifted", "disk-ids-out-of-range"}
 
 
 class TestRobustnessCounters:
@@ -733,25 +804,32 @@ class TestRobustnessCounters:
 
     @pytest.mark.parametrize("edit", sorted(_BAD_VALUES))
     def test_one_bad_value_falls_back_cold_and_is_counted(
-        self, scenario, tmp_path, edit
+        self, request, tmp_path, edit
     ):
         # One bad value in group 0 of a well-formed store: the load-time
         # group check or the probe-time allocation check must catch it, so
         # the sweep answers cold instead of crashing or changing its answer.
+        scenario = request.getfixturevalue(
+            "skewed_scenario" if edit in _GREEDY_CASES else "scenario"
+        )
         cold = _advisor(scenario, tmp_path).recommend().fingerprint
         members = _read_members(tmp_path)
+        schemes = _read_json(members["c0/meta"])["allocation_schemes"]
+        assert "greedy_size" in schemes or edit not in _GREEDY_CASES
         _BAD_VALUES[edit](members)
         _write_members(tmp_path, members)
         degraded = _advisor(scenario, tmp_path)
         assert degraded.recommend().fingerprint == cold
         stats = degraded.cache.stats
         assert stats.store_corrupt_entries >= 1
-        assert stats.candidate_disk_hits == 0
+        spared = (
+            schemes.count("round_robin") if edit == "disk-ids-out-of-range" else 0
+        )
+        assert stats.candidate_disk_hits == spared
 
     @pytest.mark.parametrize(
         "member, position, value",
         [
-            ("alloc_pages", (0,), np.inf),
             ("metrics", (0, 0, 0), np.nan),
             ("metrics", (0, 0, 0), -np.inf),
         ],
@@ -776,27 +854,54 @@ class TestRobustnessCounters:
         assert stats.candidate_misses == 1
         assert stats.candidate_disk_hits == stats.candidate_hits == stored - 1
 
-    def test_span_that_misfits_the_layout_is_a_counted_miss(self, scenario, tmp_path):
-        # One fragment slot moves from candidate 0 to candidate 1, with
-        # offsets and fragment counts kept consistent: the group loads, and
-        # only the probes, which rebuild each layout, can reject the two
-        # spans.  Both are misses evaluated cold; every other candidate is
-        # still a disk hit.
-        cold = _advisor(scenario, tmp_path).recommend().fingerprint
+    def test_span_that_misfits_the_layout_is_a_counted_miss(
+        self, skewed_scenario, tmp_path
+    ):
+        # One disk-id slot moves from one greedy row to the next, their
+        # fragment counts moving with it: the spans still fill alloc_disks,
+        # so the group loads, and only the probes, which rebuild each
+        # layout, can reject the two rows.  Both are misses evaluated cold;
+        # every other candidate is still a disk hit.
+        cold = _advisor(skewed_scenario, tmp_path).recommend().fingerprint
         members = _read_members(tmp_path)
         meta = _read_json(members["c0/meta"])
-        meta["alloc_offsets"][1] -= 1
-        meta["fragments_total"][0] -= 1
-        meta["fragments_total"][1] += 1
+        first, second = [
+            row
+            for row, scheme in enumerate(meta["allocation_schemes"])
+            if scheme == "greedy_size"
+        ][:2]
+        meta["fragments_total"][first] -= 1
+        meta["fragments_total"][second] += 1
         members["c0/meta"] = _json_member(meta)
         _write_members(tmp_path, members)
-        degraded = _advisor(scenario, tmp_path)
+        degraded = _advisor(skewed_scenario, tmp_path)
         stored = degraded.cache.loaded_from_disk - 1  # less the one report
         assert degraded.recommend().fingerprint == cold
         stats = degraded.cache.stats
         assert stats.store_corrupt_entries == 2
         assert stats.candidate_misses == 2
         assert stats.candidate_disk_hits == stats.candidate_hits == stored - 2
+
+    def test_round_robin_count_that_misfits_the_layout_is_a_counted_miss(
+        self, scenario, tmp_path
+    ):
+        # A round-robin row stores no span: its fragment count alone must
+        # fit the rebuilt layout, or the probe counts it corrupt and that
+        # one candidate runs cold.
+        cold = _advisor(scenario, tmp_path).recommend().fingerprint
+        members = _read_members(tmp_path)
+        meta = _read_json(members["c0/meta"])
+        assert meta["allocation_schemes"][0] == "round_robin"
+        meta["fragments_total"][0] += 1
+        members["c0/meta"] = _json_member(meta)
+        _write_members(tmp_path, members)
+        degraded = _advisor(scenario, tmp_path)
+        stored = degraded.cache.loaded_from_disk - 1  # less the one report
+        assert degraded.recommend().fingerprint == cold
+        stats = degraded.cache.stats
+        assert stats.store_corrupt_entries == 1
+        assert stats.candidate_misses == 1
+        assert stats.candidate_disk_hits == stats.candidate_hits == stored - 1
 
     def test_unprobed_non_finite_value_leaves_the_store_on_save(
         self, scenario, tmp_path
