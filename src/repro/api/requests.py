@@ -16,6 +16,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import AdvisorError
 from repro.fragmentation import FragmentationSpec
+from repro.tuning import STUDIES, requested_study
 
 __all__ = [
     "RecommendRequest",
@@ -26,17 +27,9 @@ __all__ = [
     "TUNE_STUDIES",
 ]
 
-#: Study names :class:`TuneRequest` accepts, mapped by the session onto the
-#: corresponding :mod:`repro.tuning` study (see ``AdvisorSession.tune``).
-TUNE_STUDIES = ("disks", "architecture", "prefetch", "bitmaps", "weights")
-
-#: The ``settings`` shape each study accepts (``architecture`` takes none).
-_SETTINGS_FORMS = {
-    "disks": "a list of disk counts",
-    "prefetch": 'a list of fact prefetch granules (page counts or "auto")',
-    "bitmaps": "a list of exclusion sets, each a list of [dimension, level] pairs",
-    "weights": "an object mapping a label to {query class: weight} overrides",
-}
+#: Study names :class:`TuneRequest` accepts: the keys of
+#: :data:`repro.tuning.STUDIES`, which defines each study's settings.
+TUNE_STUDIES = tuple(STUDIES)
 
 
 def _is_int(value: Any) -> bool:
@@ -49,31 +42,6 @@ def _is_pair(value: Any) -> bool:
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(isinstance(part, str) for part in value)
-    )
-
-
-def _settings_fit(study: str, settings: Any) -> bool:
-    """True when ``settings`` has the shape :data:`_SETTINGS_FORMS` names."""
-    if settings is None or study == "architecture":
-        return True
-    if study == "weights":
-        return isinstance(settings, Mapping) and all(
-            isinstance(weights, Mapping)
-            and all(
-                isinstance(weight, (int, float)) and not isinstance(weight, bool)
-                for weight in weights.values()
-            )
-            for weights in settings.values()
-        )
-    if not isinstance(settings, (list, tuple)):
-        return False
-    if study == "disks":
-        return all(_is_int(count) for count in settings)
-    if study == "prefetch":
-        return all(_is_int(granule) or isinstance(granule, str) for granule in settings)
-    return all(
-        isinstance(excluded, (list, tuple)) and all(map(_is_pair, excluded))
-        for excluded in settings
     )
 
 
@@ -172,8 +140,10 @@ class TuneRequest:
 
     ``study`` is one of :data:`TUNE_STUDIES`; ``settings`` carries the varied
     values (disk counts, prefetch granules, bitmap exclusion sets, or the
-    weight reweightings mapping) and defaults to the study's stock sweep.
-    ``spec`` defaults to the session's recommended fragmentation.
+    weight reweightings mapping) in the form its entry of
+    :data:`repro.tuning.STUDIES` names, and defaults to the study's stock
+    sweep (the architecture study takes no settings).  ``spec`` defaults to
+    the session's recommended fragmentation.
     """
 
     study: str
@@ -181,16 +151,7 @@ class TuneRequest:
     settings: Any = None
 
     def __post_init__(self) -> None:
-        if self.study not in TUNE_STUDIES:
-            raise AdvisorError(
-                f"unknown tuning study {self.study!r}; "
-                f"known studies: {', '.join(TUNE_STUDIES)}"
-            )
-        if not _settings_fit(self.study, self.settings):
-            raise AdvisorError(
-                f'the "{self.study}" study takes settings as '
-                f"{_SETTINGS_FORMS[self.study]}, got {self.settings!r}"
-            )
+        requested_study(self.study, self.settings)
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"kind": "tune", "study": self.study}

@@ -53,6 +53,7 @@ from repro.errors import AdvisorError
 from repro.fragmentation import FragmentationSpec, enumerate_point_fragmentations
 from repro.schema import StarSchema, validate_schema
 from repro.storage import SystemParameters
+from repro.tuning import requested_study, run_study
 from repro.workload import QueryMix
 
 __all__ = ["AdvisorSession"]
@@ -413,83 +414,34 @@ class AdvisorSession:
         on_progress: Optional[ProgressCallback] = None,
         cancel: Optional[CancelSignal] = None,
     ) -> TuneResult:
-        """Run one what-if study (see :data:`repro.api.requests.TUNE_STUDIES`).
+        """Run one what-if study of :data:`repro.tuning.STUDIES` on this session.
 
-        ``spec`` defaults to the session's recommended fragmentation (warm
-        from the cache after a previous :meth:`recommend`).  The study shares
-        the session's cache, so settings that keep the access structures
-        unchanged reuse the session's earlier work.  ``cancel`` is checked at
-        every setting boundary (and inside the implicit recommend);
-        ``on_progress`` receives one composite meter for the whole request —
-        the implicit recommend sweep is reported as sweep 1 of 2 and the
-        per-setting study events as sweep 2 of 2 (a request with an explicit
-        ``spec`` runs a single study sweep).
+        ``settings`` must have the study's form (the stock sweep when
+        omitted); every setting is this session with the study's edit applied
+        (:meth:`with_delta`), so the study keeps the session's fact table and
+        shares its cache.  ``spec`` defaults to the session's recommended
+        fragmentation (warm from the cache after a previous :meth:`recommend`).
+        ``cancel`` is checked at every setting boundary (and inside the
+        implicit recommend); ``on_progress`` receives one composite meter for
+        the whole request — the implicit recommend sweep is reported as sweep
+        1 of 2 and the per-setting study events as sweep 2 of 2 (a request
+        with an explicit ``spec`` runs a single study sweep).
         """
         from repro.api.progress import sweep_scoped
-        from repro.tuning import (
-            architecture_study,
-            bitmap_exclusion_study,
-            disk_count_study,
-            prefetch_study,
-            workload_weight_study,
-        )
 
+        entry = requested_study(study, settings)
+        settings = entry.stock if settings is None else settings
+        if not settings:
+            raise AdvisorError(entry.needs)
         study_progress = on_progress
         if spec is None:
             spec = self.recommend(
                 on_progress=sweep_scoped(on_progress, 1, 2), cancel=cancel
             ).best.spec
             study_progress = sweep_scoped(on_progress, 2, 2)
-        common = dict(
-            config=self.config,
-            cache=self.cache,
-            options=self.options,
-            cancel=cancel,
-            on_progress=study_progress,
+        return TuneResult(
+            run_study(entry, self, spec, entry.expand(settings), cancel, study_progress)
         )
-        if study == "disks":
-            args = {} if settings is None else {"disk_counts": tuple(settings)}
-            result = disk_count_study(
-                self.schema, self.workload, self.system, spec, **args, **common
-            )
-        elif study == "architecture":
-            result = architecture_study(
-                self.schema, self.workload, self.system, spec, **common
-            )
-        elif study == "prefetch":
-            args = {} if settings is None else {"fact_granules": tuple(settings)}
-            result = prefetch_study(
-                self.schema, self.workload, self.system, spec, **args, **common
-            )
-        elif study == "bitmaps":
-            args = (
-                {}
-                if settings is None
-                else {"exclusions": tuple(tuple(map(tuple, e)) for e in settings)}
-            )
-            result = bitmap_exclusion_study(
-                self.schema, self.workload, self.system, spec, **args, **common
-            )
-        elif study == "weights":
-            if not isinstance(settings, Mapping) or not settings:
-                raise AdvisorError(
-                    'the "weights" study needs settings mapping a label to '
-                    "the weight overrides, e.g. {'drill-heavy': {'q1': 10.0}}"
-                )
-            result = workload_weight_study(
-                self.schema,
-                self.workload,
-                self.system,
-                spec,
-                reweightings={k: dict(v) for k, v in settings.items()},
-                **common,
-            )
-        else:
-            raise AdvisorError(
-                f"unknown tuning study {study!r}; known studies: "
-                "disks, architecture, prefetch, bitmaps, weights"
-            )
-        return TuneResult(result)
 
     def simulate(
         self,

@@ -32,18 +32,20 @@ from repro.analysis import (
 )
 from repro.api import AdvisorSession, EngineOptions
 from repro.core import AdvisorConfig
-from repro.datasets import (
-    apb1_query_mix,
-    apb1_schema,
-    retail_query_mix,
-    retail_schema,
-)
 from repro.errors import WarlockError
 from repro.io import (
+    BUNDLED_DATASETS,
+    bundled_inputs,
     example_config,
     load_config_file,
     load_engine_section,
     recommendation_to_dict,
+)
+from repro.io.config import (
+    DEFAULT_ARCHITECTURE,
+    DEFAULT_DISKS,
+    DEFAULT_SCALE,
+    DEFAULT_SKEW,
 )
 from repro.schema import StarSchema
 from repro.storage import SystemParameters
@@ -65,20 +67,18 @@ def load_config(path: str) -> Tuple[StarSchema, QueryMix, SystemParameters]:
 # Dataset / argument resolution
 # ---------------------------------------------------------------------------
 
-#: Late-applied defaults for the system/dataset flags.  The argparse defaults
-#: are ``None`` so an *explicitly passed* value is detectable: with ``--config``
-#: an explicit ``--disks``/``--architecture`` overrides the config file's
-#: system block, while the defaults never do.
-DEFAULT_SCALE = 0.1
-DEFAULT_SKEW = 0.0
-DEFAULT_DISKS = 64
-DEFAULT_ARCHITECTURE = "shared_disk"
-
 #: Environment variable supplying the default ``--cache-dir``.
 CACHE_DIR_ENV = "WARLOCK_CACHE_DIR"
 
 
 def _resolve_inputs(args: argparse.Namespace) -> Tuple[StarSchema, QueryMix, SystemParameters]:
+    """The invocation's schema, workload and system.
+
+    The system/dataset flags default to ``None`` so an *explicitly passed*
+    value is detectable: with ``--config`` an explicit ``--disks`` /
+    ``--architecture`` overrides the config file's system block, while the
+    bundled datasets' defaults (:func:`repro.io.bundled_inputs`) never do.
+    """
     if args.config:
         # --scale/--skew shape the bundled datasets; a config file brings its
         # own schema, so silently ignoring them would be lying to the user.
@@ -95,23 +95,15 @@ def _resolve_inputs(args: argparse.Namespace) -> Tuple[StarSchema, QueryMix, Sys
         if args.architecture is not None:
             system = system.with_architecture(args.architecture)
     else:
-        scale = DEFAULT_SCALE if args.scale is None else args.scale
-        skew = DEFAULT_SKEW if args.skew is None else args.skew
-        if args.dataset == "apb1":
-            schema = apb1_schema(scale=scale, skew={"product": skew} if skew else None)
-            workload = apb1_query_mix()
-        elif args.dataset == "retail":
-            schema = retail_schema(scale=scale)
-            workload = retail_query_mix()
-        else:
-            raise WarlockError(f"unknown dataset {args.dataset!r}")
-        system = SystemParameters(
-            num_disks=DEFAULT_DISKS if args.disks is None else args.disks,
-            architecture=(
-                DEFAULT_ARCHITECTURE
-                if args.architecture is None
-                else args.architecture
-            ),
+        knobs = {
+            "scale": args.scale,
+            "skew": args.skew,
+            "disks": args.disks,
+            "architecture": args.architecture,
+        }
+        schema, workload, system = bundled_inputs(
+            args.dataset,
+            **{knob: value for knob, value in knobs.items() if value is not None},
         )
     return schema, workload, system
 
@@ -439,7 +431,7 @@ def _cmd_example_config(args: argparse.Namespace) -> int:
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset",
-        choices=["apb1", "retail"],
+        choices=BUNDLED_DATASETS,
         default="apb1",
         help="bundled dataset to use when no --config is given",
     )

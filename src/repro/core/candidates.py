@@ -9,7 +9,9 @@ ranking orders them.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict
 
 from repro.allocation import Allocation
@@ -107,3 +109,13 @@ class FragmentationCandidate:
         from repro.io import candidate_to_dict
 
         return candidate_to_dict(self, include_allocation=include_allocation)
+
+    @cached_property
+    def json_text(self) -> str:
+        """``json.dumps(self.to_dict())``, encoded on first read and kept.
+
+        A candidate is immutable and the evaluation cache hands the same
+        object to every request for it, so a served warm evaluation is
+        encoded once.
+        """
+        return json.dumps(self.to_dict())

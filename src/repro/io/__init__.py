@@ -11,6 +11,8 @@ plain, documented interchange format.  This package provides:
 """
 
 from repro.io.config import (
+    BUNDLED_DATASETS,
+    bundled_inputs,
     engine_section_from_dict,
     example_config,
     load_config_file,
@@ -26,6 +28,8 @@ from repro.io.config import (
 from repro.io.export import candidate_to_dict, recommendation_to_dict
 
 __all__ = [
+    "BUNDLED_DATASETS",
+    "bundled_inputs",
     "engine_section_from_dict",
     "example_config",
     "parse_config",

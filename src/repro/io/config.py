@@ -11,7 +11,9 @@ The format mirrors the three input blocks of the paper (§3.1):
     }
 
 Every ``*_to_*`` / ``*_from_*`` pair round-trips, so configurations can be
-generated programmatically, saved, edited by hand and re-loaded.  A block of
+generated programmatically, saved, edited by hand and re-loaded.
+:func:`bundled_inputs` builds the other input form, a bundled dataset named
+by the CLI's ``--dataset`` flags or a service registration body.  A block of
 the wrong shape or type is rejected with the block's
 :class:`~repro.errors.WarlockError` subclass naming the block or field, never
 a bare ``TypeError`` or ``ValueError``.
@@ -23,6 +25,7 @@ import functools
 import json
 from typing import Any, Callable, Dict, List, Sequence, Tuple, Type, TypeVar, cast
 
+from repro.datasets import apb1_query_mix, apb1_schema, retail_query_mix, retail_schema
 from repro.errors import SchemaError, StorageError, WarlockError, WorkloadError
 from repro.schema import Dimension, FactTable, Level, Measure, StarSchema
 from repro.skew import SkewSpec
@@ -41,6 +44,8 @@ __all__ = [
     "parse_config",
     "load_config_file",
     "example_config",
+    "BUNDLED_DATASETS",
+    "bundled_inputs",
 ]
 
 
@@ -293,6 +298,38 @@ def parse_config(raw: Dict[str, Any]) -> Tuple[StarSchema, QueryMix, SystemParam
     workload = workload_from_list(raw["workload"])
     workload.validate(schema)
     return schema, workload, system
+
+
+#: The bundled datasets, and the defaults of their shorthand's knobs.
+BUNDLED_DATASETS = ("apb1", "retail")
+DEFAULT_SCALE = 0.1
+DEFAULT_SKEW = 0.0
+DEFAULT_DISKS = 64
+DEFAULT_ARCHITECTURE = "shared_disk"
+
+
+def bundled_inputs(
+    dataset: str,
+    scale: float = DEFAULT_SCALE,
+    skew: float = DEFAULT_SKEW,
+    disks: int = DEFAULT_DISKS,
+    architecture: str = DEFAULT_ARCHITECTURE,
+) -> Tuple[StarSchema, QueryMix, SystemParameters]:
+    """The inputs of a bundled dataset: the CLI's ``--dataset`` flags and a
+    registration body's ``{"dataset": ...}`` shorthand.
+
+    ``skew`` is the Zipf theta of the apb1 product dimension (the retail
+    dataset has no skew knob).
+    """
+    if dataset == "apb1":
+        schema = apb1_schema(scale=scale, skew={"product": skew} if skew else None)
+        workload = apb1_query_mix()
+    elif dataset == "retail":
+        schema = retail_schema(scale=scale)
+        workload = retail_query_mix()
+    else:
+        raise SchemaError(f"unknown dataset {dataset!r} (apb1 or retail)")
+    return schema, workload, SystemParameters(num_disks=disks, architecture=architecture)
 
 
 def load_config_file(path: str) -> Tuple[StarSchema, QueryMix, SystemParameters]:

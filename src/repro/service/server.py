@@ -36,8 +36,10 @@ resumes warm) — abandoning a browser tab never wastes the work it paid for.
 A response is encoded on the worker that ran the request, after the session
 lock is released, so a recommendation's fingerprint never stalls the event
 loop; the loop only writes bytes.  A recommendation's JSON text is kept on
-its result (:attr:`~repro.api.RecommendResult.json_text`), so a memoized
-``recommend`` is encoded once however often it is asked.
+its result (:attr:`~repro.api.RecommendResult.json_text`), and a candidate's
+on the candidate (:attr:`~repro.core.FragmentationCandidate.json_text`), so a
+memoized ``recommend`` or a warm ``evaluate_spec`` is encoded once however
+often it is asked.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.api.options import EngineOptions
 from repro.api.progress import CancellationToken
 from repro.api.requests import request_from_dict
-from repro.api.results import RecommendResult
+from repro.api.results import EvaluateSpecResult, RecommendResult
 from repro.core.config import AdvisorConfig
 from repro.errors import EvaluationCancelled, ServiceError, WarlockError
 from repro.service.executor import RequestExecutor
@@ -77,9 +79,8 @@ _REASONS = {
 }
 
 
-def _number(raw: Dict[str, Any], key: str, default: Any, convert: Callable) -> Any:
-    """``convert(raw.get(key, default))``; a wrong-typed value is a 400."""
-    value = raw.get(key, default)
+def _number(value: Any, key: str, convert: Callable) -> Any:
+    """``convert(value)`` of the body's ``key``; a wrong-typed value is a 400."""
     try:
         return convert(value)
     except (TypeError, ValueError):
@@ -92,13 +93,16 @@ def _response_json(result: Any, kind: Any = None, with_kind: bool = True) -> str
 
     The response is ``{"kind": ..., "result": result.to_dict(),
     "fingerprint": ...}``: the SSE ``result`` frame leaves ``kind`` out, and
-    only a recommendation has a fingerprint.  A recommendation's result text
-    is the JSON text its result keeps, not a fresh encoding.
+    only a recommendation has a fingerprint.  The result text of a
+    recommendation or a single evaluation is the JSON text its result or
+    candidate keeps, not a fresh encoding.
     """
     members = ['"kind": ' + json.dumps(kind)] if with_kind else []
     if isinstance(result, RecommendResult):
         members.append('"result": ' + result.json_text)
         members.append('"fingerprint": ' + json.dumps(result.fingerprint))
+    elif isinstance(result, EvaluateSpecResult):
+        members.append('"result": ' + result.candidate.json_text)
     else:
         members.append('"result": ' + json.dumps(result.to_dict()))
     return "{" + ", ".join(members) + "}"
@@ -116,32 +120,26 @@ def warehouse_inputs_from_dict(raw: Dict[str, Any]) -> Tuple[Any, Any, Any, Any,
 
     Returns ``(schema, workload, system, config, engine_overrides)``.
     """
-    from repro.io.config import engine_section_from_dict, parse_config
+    from repro.io.config import (
+        BUNDLED_DATASETS,
+        bundled_inputs,
+        engine_section_from_dict,
+        parse_config,
+    )
 
     if "dataset" in raw:
-        from repro.datasets import (
-            apb1_query_mix,
-            apb1_schema,
-            retail_query_mix,
-            retail_schema,
-        )
-        from repro.storage import SystemParameters
-
         dataset = raw["dataset"]
-        scale = _number(raw, "scale", 0.1, float)
-        skew = _number(raw, "skew", 0.0, float)
-        if dataset == "apb1":
-            schema = apb1_schema(scale=scale, skew={"product": skew} if skew else None)
-            workload = apb1_query_mix()
-        elif dataset == "retail":
-            schema = retail_schema(scale=scale)
-            workload = retail_query_mix()
-        else:
+        if dataset not in BUNDLED_DATASETS:
             raise ServiceError(f"unknown dataset {dataset!r} (apb1 or retail)")
-        system = SystemParameters(
-            num_disks=_number(raw, "disks", 64, int),
-            architecture=raw.get("architecture", "shared_disk"),
-        )
+        # Knobs the body leaves out take the bundled defaults.
+        knobs = {
+            key: _number(raw[key], key, convert)
+            for key, convert in (("scale", float), ("skew", float), ("disks", int))
+            if key in raw
+        }
+        if "architecture" in raw:
+            knobs["architecture"] = raw["architecture"]
+        schema, workload, system = bundled_inputs(dataset, **knobs)
     else:
         schema, workload, system = parse_config(raw)
     config = None

@@ -14,12 +14,13 @@ from repro.storage.prefetch import (
     optimal_prefetch_pages,
     prefetch_candidates,
 )
-from repro.storage.system import Architecture, SystemParameters
+from repro.storage.system import MAX_DISKS, Architecture, SystemParameters
 
 __all__ = [
     "DiskParameters",
     "Architecture",
     "SystemParameters",
+    "MAX_DISKS",
     "PrefetchPolicy",
     "PrefetchSetting",
     "optimal_prefetch_pages",

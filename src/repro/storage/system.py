@@ -16,7 +16,13 @@ from typing import Optional, Union
 from repro.errors import StorageError
 from repro.storage.disk import DiskParameters
 
-__all__ = ["Architecture", "SystemParameters"]
+__all__ = ["Architecture", "SystemParameters", "MAX_DISKS"]
+
+#: Largest accepted ``num_disks``.  The evaluation keeps per-disk state — the
+#: LPT heap holds one entry per disk and a batched sweep one candidates x
+#: disks occupancy plane — so the count a request may ask for is bounded well
+#: above every shipped scenario (the disk-scaling benchmark stops at 256).
+MAX_DISKS = 4096
 
 
 class Architecture(enum.Enum):
@@ -70,7 +76,8 @@ class SystemParameters:
     Parameters
     ----------
     num_disks:
-        Number of disks data may be declustered over.
+        Number of disks data may be declustered over: an integer from 1 to
+        :data:`MAX_DISKS`.
     disk:
         Per-disk physical characteristics.
     page_size_bytes:
@@ -103,8 +110,15 @@ class SystemParameters:
     coordination_overhead_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.num_disks <= 0:
-            raise StorageError(f"num_disks must be positive, got {self.num_disks}")
+        if (
+            isinstance(self.num_disks, bool)
+            or not isinstance(self.num_disks, int)
+            or not 1 <= self.num_disks <= MAX_DISKS
+        ):
+            raise StorageError(
+                f"num_disks must be an integer from 1 to {MAX_DISKS}, "
+                f"got {self.num_disks!r}"
+            )
         if self.page_size_bytes <= 0:
             raise StorageError(
                 f"page_size_bytes must be positive, got {self.page_size_bytes}"

@@ -1,35 +1,27 @@
 """What-if studies over a fixed fragmentation.
 
-Every study follows the same pattern: keep the schema, workload and
-fragmentation fixed, vary exactly one input (disk count, architecture, prefetch
-granule, bitmap exclusions, skew, query weights), re-run the evaluation and
-collect the headline metrics per setting.  The result is a
-:class:`TuningStudy`, which knows how to render itself as a text table and how
-to report the best setting for a chosen metric.
-
-Every study shares one :class:`repro.engine.EvaluationCache` across its
-settings (pass ``cache=`` to share it across *studies* too, e.g. with the
-advisor run that produced the spec).  Settings that leave the access structure
-unchanged — varied weights, architectures, coordination overheads — then reuse
-the memoized estimation instead of recomputing it; the cache key covers every
-input that can change a number, so the reuse is always exact.
-
-Pass ``options=EngineOptions(cache_dir=...)`` to back the study cache with a
-persistent :class:`repro.engine.CacheStore`: the study then warm-starts from
-evaluations earlier *processes* spilled to that directory (typically the
-``recommend`` run that produced the spec) and spills its own settings back
-for the next session.  A cache that is already attached to a store keeps it,
-so :meth:`repro.api.AdvisorSession.tune` simply hands the session's
-store-backed cache to every study.
+Every study keeps the schema, workload and fragmentation fixed, varies
+exactly one input (disk count, architecture, prefetch granule, bitmap
+exclusions, skew, query weights) and records the headline metrics of the
+candidate evaluated under each setting.  A :class:`Study` defines one study:
+its stock settings, the settings a request may send, the label of a setting
+and the :meth:`repro.api.AdvisorSession.with_delta` edit that applies it.
+:func:`run_study` is the one loop every study runs.  It derives each setting
+from one base session, so the settings share its evaluation cache (and the
+persistent store of ``options=EngineOptions(cache_dir=...)``): a setting that
+leaves the access structure unchanged reuses the memoized estimation, and the
+content-addressed cache keys make every reuse exact.  The result is a
+:class:`TuningStudy`, which renders itself as a text table and reports the
+best setting for a chosen metric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core import AdvisorConfig
-from repro.errors import AdvisorError
+from repro.errors import AdvisorError, EvaluationCancelled
 from repro.fragmentation import FragmentationSpec
 from repro.schema import StarSchema
 from repro.storage import SystemParameters
@@ -37,6 +29,10 @@ from repro.workload import QueryMix
 
 __all__ = [
     "TuningStudy",
+    "Study",
+    "STUDIES",
+    "run_study",
+    "requested_study",
     "disk_count_study",
     "architecture_study",
     "prefetch_study",
@@ -146,91 +142,213 @@ def _candidate_metrics(candidate) -> Dict[str, object]:
     return {column: summary[column] for column in _METRIC_COLUMNS}
 
 
-def _study_setup(options, cache):
-    """A study's engine options and its shared evaluation cache.
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    The cache is validated and, with ``options.cache_dir``, attached to the
-    persistent store of that directory by the engine of the first setting
-    (warm-start there, spill at the end of the study); attaching is a no-op
-    when ``cache`` already carries a store for the same directory.
+
+def _list_of(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    """A settings check: a list (or tuple) whose items all pass ``check``."""
+    return lambda value: isinstance(value, (list, tuple)) and all(map(check, value))
+
+
+def _is_pair(value: Any) -> bool:
+    """A ``(dimension, level)`` pair of strings."""
+    return _list_of(lambda part: isinstance(part, str))(value) and len(value) == 2
+
+
+@dataclass(frozen=True)
+class Study:
+    """What one what-if study varies, and how a setting edits the inputs.
+
+    ``edit`` maps a setting to the :meth:`repro.api.AdvisorSession.with_delta`
+    keywords that apply it, and ``exclude`` to the ``(dimension, level)``
+    bitmap indexes it drops; a setting with an empty edit evaluates on the
+    base session itself.  ``label`` names a setting in the result and
+    ``record`` reads its metrics off the evaluated candidate.  ``stock`` is
+    the sweep a request without settings runs, ``form`` names the settings a
+    request may send (``None``: none) and ``fits`` checks them; ``expand``
+    turns them into the loop's settings.  ``needs`` is the error of an empty
+    sweep.
+    """
+
+    title: str
+    parameter: str
+    edit: Callable[[Any], Dict[str, Any]] = lambda setting: {}
+    exclude: Callable[[Any], Tuple[Tuple[str, str], ...]] = lambda setting: ()
+    label: Callable[[Any], str] = str
+    record: Callable[[Any], Dict[str, object]] = _candidate_metrics
+    stock: Optional[Tuple[Any, ...]] = None
+    needs: str = ""
+    form: Optional[str] = None
+    fits: Callable[[Any], bool] = lambda settings: False
+    expand: Callable[[Any], Sequence[Any]] = tuple
+
+
+DISKS = Study(
+    "Disk-count study",
+    "disks",
+    edit=lambda disks: {"disks": disks},
+    stock=(8, 16, 32, 64, 128),
+    needs="disk_count_study needs at least one disk count",
+    form="a list of disk counts",
+    fits=_list_of(_is_int),
+)
+ARCHITECTURE = Study(
+    "Architecture study",
+    "architecture",
+    edit=lambda architecture: {"architecture": architecture},
+    stock=("shared_everything", "shared_disk"),
+)
+PREFETCH = Study(
+    "Prefetch study",
+    "fact prefetch",
+    edit=lambda granule: {"prefetch_fact": granule},
+    label=lambda granule: "auto" if isinstance(granule, str) else f"{granule} pages",
+    # The granule an "auto" setting resolved to.
+    record=lambda candidate: {
+        **_candidate_metrics(candidate),
+        "resolved_fact_granule": candidate.prefetch.fact_pages,
+    },
+    stock=(1, 4, 16, 64, 256, "auto"),
+    needs="prefetch_study needs at least one granule",
+    form='a list of fact prefetch granules (page counts or "auto")',
+    fits=_list_of(lambda granule: _is_int(granule) or isinstance(granule, str)),
+)
+BITMAPS = Study(
+    "Bitmap exclusion study",
+    "bitmap scheme",
+    exclude=lambda excluded: tuple(map(tuple, excluded)),
+    label=lambda excluded: (
+        "without " + ", ".join(f"{d}.{l}" for d, l in excluded)
+        if excluded
+        else "all suggested indexes"
+    ),
+    stock=((),),
+    needs="bitmap_exclusion_study needs at least one exclusion set",
+    form="a list of exclusion sets, each a list of [dimension, level] pairs",
+    fits=_list_of(_list_of(_is_pair)),
+)
+#: A setting is a ``(label, weight overrides)`` pair; the unmodified mix runs
+#: first as ``("baseline", None)``, on the base session.
+WEIGHTS = Study(
+    "Workload weight study",
+    "workload",
+    edit=lambda setting: {} if setting[1] is None else {"mix_weights": setting[1]},
+    label=lambda setting: setting[0],
+    needs=(
+        'the "weights" study needs settings mapping a label to '
+        "the weight overrides, e.g. {'drill-heavy': {'q1': 10.0}}"
+    ),
+    form="an object mapping a label to {query class: weight} overrides",
+    fits=lambda settings: isinstance(settings, Mapping) and all(
+        isinstance(weights, Mapping)
+        and all(_is_int(w) or isinstance(w, float) for w in weights.values())
+        for weights in settings.values()
+    ),
+    expand=lambda reweightings: (
+        ("baseline", None),
+        *((label, dict(weights)) for label, weights in reweightings.items()),
+    ),
+)
+#: Skew is a schema property: :func:`skew_study` supplies the edit from its
+#: schema factory, so no request can name this study.
+SKEW = Study(
+    "Skew study",
+    "zipf theta",
+    label="{:.2f}".format,
+    stock=(0.0, 0.5, 1.0),
+    needs="skew_study needs at least one theta",
+)
+
+#: The studies :meth:`repro.api.AdvisorSession.tune` and
+#: :class:`repro.api.TuneRequest` name.
+STUDIES: Dict[str, Study] = {
+    "disks": DISKS,
+    "architecture": ARCHITECTURE,
+    "prefetch": PREFETCH,
+    "bitmaps": BITMAPS,
+    "weights": WEIGHTS,
+}
+
+
+def requested_study(name: Any, settings: Any = None) -> Study:
+    """The :data:`STUDIES` entry a request names, once its ``settings`` fit the form."""
+    study = STUDIES.get(name) if isinstance(name, str) else None
+    if study is None:
+        raise AdvisorError(
+            f"unknown tuning study {name!r}; known studies: {', '.join(STUDIES)}"
+        )
+    if settings is not None and not study.fits(settings):
+        takes = f"settings as {study.form}" if study.form else "no settings"
+        raise AdvisorError(f'the "{name}" study takes {takes}, got {settings!r}')
+    return study
+
+
+def run_study(
+    study: Study,
+    base,
+    spec: FragmentationSpec,
+    settings: Sequence[Any],
+    cancel=None,
+    on_progress=None,
+) -> TuningStudy:
+    """Evaluate ``spec`` under every setting of ``study``, derived from ``base``.
+
+    ``base`` is an :class:`~repro.api.AdvisorSession`.  Per setting, in
+    order, the loop polls ``cancel``, applies the setting's edit with
+    :meth:`~repro.api.AdvisorSession.with_delta`, evaluates ``spec``,
+    records the metrics and emits one ``phase="study"`` progress event.
+    Settings are a study's chunks: everything evaluated before a cancel
+    stays cached for a retry.  A finished study flushes the cache exactly
+    when ``base.persist_cache()`` would.
     """
     # Imported lazily: repro.api sits above the tuning layer (its session
-    # dispatches to these studies).
-    from repro.api.options import EngineOptions
-    from repro.engine import EvaluationCache
+    # runs this loop).
+    from repro.api.progress import ProgressEvent, cancel_requested
 
-    options = options if options is not None else EngineOptions()
-    cache = cache if cache is not None else EvaluationCache()
-    return options, cache
-
-
-def _check_cancel(cancel) -> None:
-    """Abort a study at a setting boundary when its cancel signal is set.
-
-    Settings are a study's chunks: everything evaluated before the cancel is
-    already recorded in the shared cache and stays valid for a retry.
-    """
-    if cancel is None:
-        return
-    from repro.api.progress import cancel_requested
-    from repro.errors import EvaluationCancelled
-
-    if cancel_requested(cancel):
-        raise EvaluationCancelled("tuning study cancelled between settings")
-
-
-def _notify_setting(on_progress, completed: int, total: int, label: str) -> None:
-    """Emit one per-setting progress event (settings are a study's chunks).
-
-    The unit accounting is per setting — a study evaluates one candidate per
-    setting, so candidates, chunks and units all count settings here.
-    """
-    if on_progress is None:
-        return
-    from repro.api.progress import ProgressEvent
-
-    on_progress(
-        ProgressEvent(
-            phase="study",
-            completed=completed,
-            total=total,
-            chunk=completed,
-            num_chunks=total,
-            completed_units=completed,
-            total_units=total,
-            label=label,
-        )
+    settings = tuple(settings)
+    if not settings:
+        raise AdvisorError(study.needs)
+    total = len(settings)
+    records = []
+    for done, setting in enumerate(settings, 1):
+        if cancel_requested(cancel):
+            raise EvaluationCancelled("tuning study cancelled between settings")
+        edit = study.edit(setting)
+        session = base.with_delta(**edit) if edit else base
+        excluded = study.exclude(setting)
+        scheme = session.design_bitmaps().without(*excluded) if excluded else None
+        label = study.label(setting)
+        records.append((label, study.record(session.evaluate_spec(spec, scheme))))
+        if on_progress is not None:
+            # One candidate per setting: candidates, chunks and units all
+            # count settings.
+            on_progress(
+                ProgressEvent(
+                    phase="study",
+                    completed=done,
+                    total=total,
+                    chunk=done,
+                    num_chunks=total,
+                    completed_units=done,
+                    total_units=total,
+                    label=label,
+                )
+            )
+    base.persist_cache()
+    return TuningStudy(
+        name=f"{study.title} for {spec.label}",
+        parameter=study.parameter,
+        records=tuple(records),
     )
 
 
-def _finish(cache, options) -> None:
-    """Spill the study's new entries to the attached store (persist policy)."""
-    if options.persist:
-        cache.persist()
-
-
-def _evaluate(
-    schema: StarSchema,
-    workload: QueryMix,
-    system: SystemParameters,
-    spec: FragmentationSpec,
-    config: Optional[AdvisorConfig],
-    bitmap_exclude: Sequence[Tuple[str, str]] = (),
-    cache=None,
-    options=None,
-):
-    """Evaluate ``spec`` under one concrete input setting."""
-    # Imported lazily: repro.api sits above the tuning layer (its results
-    # module imports this package).
+def _session(schema, workload, system, config, cache, options):
+    """The base session a study function derives its settings from."""
+    # Imported lazily: repro.api sits above the tuning layer.
     from repro.api.session import AdvisorSession
 
-    session = AdvisorSession(
-        schema, workload, system, config, cache=cache, options=options
-    )
-    scheme = session.design_bitmaps()
-    if bitmap_exclude:
-        scheme = scheme.without(*bitmap_exclude)
-    return session.evaluate_spec(spec, scheme)
+    return AdvisorSession(schema, workload, system, config, options=options, cache=cache)
 
 
 def disk_count_study(
@@ -238,7 +356,7 @@ def disk_count_study(
     workload: QueryMix,
     system: SystemParameters,
     spec: FragmentationSpec,
-    disk_counts: Sequence[int] = (8, 16, 32, 64, 128),
+    disk_counts: Sequence[int] = DISKS.stock,
     config: Optional[AdvisorConfig] = None,
     cache=None,
     options=None,
@@ -246,29 +364,8 @@ def disk_count_study(
     on_progress=None,
 ) -> TuningStudy:
     """Vary the number of disks (the classic scale-out question)."""
-    if not disk_counts:
-        raise AdvisorError("disk_count_study needs at least one disk count")
-    options, cache = _study_setup(options, cache)
-    records = []
-    for disks in disk_counts:
-        _check_cancel(cancel)
-        candidate = _evaluate(
-            schema,
-            workload,
-            system.with_disks(disks),
-            spec,
-            config,
-            cache=cache,
-            options=options,
-        )
-        records.append((str(disks), _candidate_metrics(candidate)))
-        _notify_setting(on_progress, len(records), len(disk_counts), str(disks))
-    _finish(cache, options)
-    return TuningStudy(
-        name=f"Disk-count study for {spec.label}",
-        parameter="disks",
-        records=tuple(records),
-    )
+    base = _session(schema, workload, system, config, cache, options)
+    return run_study(DISKS, base, spec, disk_counts, cancel, on_progress)
 
 
 def architecture_study(
@@ -283,27 +380,8 @@ def architecture_study(
     on_progress=None,
 ) -> TuningStudy:
     """Compare Shared Everything and Shared Disk for the same fragmentation."""
-    options, cache = _study_setup(options, cache)
-    records = []
-    for architecture in ("shared_everything", "shared_disk"):
-        _check_cancel(cancel)
-        candidate = _evaluate(
-            schema,
-            workload,
-            system.with_architecture(architecture),
-            spec,
-            config,
-            cache=cache,
-            options=options,
-        )
-        records.append((architecture, _candidate_metrics(candidate)))
-        _notify_setting(on_progress, len(records), 2, architecture)
-    _finish(cache, options)
-    return TuningStudy(
-        name=f"Architecture study for {spec.label}",
-        parameter="architecture",
-        records=tuple(records),
-    )
+    base = _session(schema, workload, system, config, cache, options)
+    return run_study(ARCHITECTURE, base, spec, ARCHITECTURE.stock, cancel, on_progress)
 
 
 def prefetch_study(
@@ -311,7 +389,7 @@ def prefetch_study(
     workload: QueryMix,
     system: SystemParameters,
     spec: FragmentationSpec,
-    fact_granules: Sequence[Union[int, str]] = (1, 4, 16, 64, 256, "auto"),
+    fact_granules: Sequence[Union[int, str]] = PREFETCH.stock,
     config: Optional[AdvisorConfig] = None,
     cache=None,
     options=None,
@@ -319,27 +397,8 @@ def prefetch_study(
     on_progress=None,
 ) -> TuningStudy:
     """Vary the fact-table prefetch granule (bitmap granule stays on auto)."""
-    if not fact_granules:
-        raise AdvisorError("prefetch_study needs at least one granule")
-    options, cache = _study_setup(options, cache)
-    records = []
-    for granule in fact_granules:
-        _check_cancel(cancel)
-        varied = system.with_prefetch(fact=granule)
-        candidate = _evaluate(
-            schema, workload, varied, spec, config, cache=cache, options=options
-        )
-        label = "auto" if isinstance(granule, str) else f"{granule} pages"
-        record = _candidate_metrics(candidate)
-        record["resolved_fact_granule"] = candidate.prefetch.fact_pages
-        records.append((label, record))
-        _notify_setting(on_progress, len(records), len(fact_granules), label)
-    _finish(cache, options)
-    return TuningStudy(
-        name=f"Prefetch study for {spec.label}",
-        parameter="fact prefetch",
-        records=tuple(records),
-    )
+    base = _session(schema, workload, system, config, cache, options)
+    return run_study(PREFETCH, base, spec, fact_granules, cancel, on_progress)
 
 
 def bitmap_exclusion_study(
@@ -347,7 +406,7 @@ def bitmap_exclusion_study(
     workload: QueryMix,
     system: SystemParameters,
     spec: FragmentationSpec,
-    exclusions: Sequence[Sequence[Tuple[str, str]]] = ((),),
+    exclusions: Sequence[Sequence[Tuple[str, str]]] = BITMAPS.stock,
     config: Optional[AdvisorConfig] = None,
     cache=None,
     options=None,
@@ -355,36 +414,8 @@ def bitmap_exclusion_study(
     on_progress=None,
 ) -> TuningStudy:
     """Vary the set of excluded bitmap indexes (the space-saving knob of §3.3)."""
-    if not exclusions:
-        raise AdvisorError("bitmap_exclusion_study needs at least one exclusion set")
-    options, cache = _study_setup(options, cache)
-    records = []
-    for excluded in exclusions:
-        _check_cancel(cancel)
-        excluded = tuple(excluded)
-        candidate = _evaluate(
-            schema,
-            workload,
-            system,
-            spec,
-            config,
-            bitmap_exclude=excluded,
-            cache=cache,
-            options=options,
-        )
-        label = (
-            "all suggested indexes"
-            if not excluded
-            else "without " + ", ".join(f"{d}.{l}" for d, l in excluded)
-        )
-        records.append((label, _candidate_metrics(candidate)))
-        _notify_setting(on_progress, len(records), len(exclusions), label)
-    _finish(cache, options)
-    return TuningStudy(
-        name=f"Bitmap exclusion study for {spec.label}",
-        parameter="bitmap scheme",
-        records=tuple(records),
-    )
+    base = _session(schema, workload, system, config, cache, options)
+    return run_study(BITMAPS, base, spec, exclusions, cancel, on_progress)
 
 
 def skew_study(
@@ -392,7 +423,7 @@ def skew_study(
     workload: QueryMix,
     system: SystemParameters,
     spec: FragmentationSpec,
-    thetas: Sequence[float] = (0.0, 0.5, 1.0),
+    thetas: Sequence[float] = SKEW.stock,
     config: Optional[AdvisorConfig] = None,
     cache=None,
     options=None,
@@ -403,26 +434,14 @@ def skew_study(
 
     ``schema_factory`` is a callable mapping a Zipf theta to a schema (for
     instance ``lambda theta: apb1_schema(skew={"product": theta})``), because
-    skew is a schema property rather than a system parameter.
+    skew is a schema property rather than a system parameter.  The base
+    session is built on the first theta's schema.
     """
     if not thetas:
-        raise AdvisorError("skew_study needs at least one theta")
-    options, cache = _study_setup(options, cache)
-    records = []
-    for theta in thetas:
-        _check_cancel(cancel)
-        schema = schema_factory(theta)
-        candidate = _evaluate(
-            schema, workload, system, spec, config, cache=cache, options=options
-        )
-        records.append((f"{theta:.2f}", _candidate_metrics(candidate)))
-        _notify_setting(on_progress, len(records), len(thetas), f"{theta:.2f}")
-    _finish(cache, options)
-    return TuningStudy(
-        name=f"Skew study for {spec.label}",
-        parameter="zipf theta",
-        records=tuple(records),
-    )
+        raise AdvisorError(SKEW.needs)
+    study = replace(SKEW, edit=lambda theta: {"schema": schema_factory(theta)})
+    base = _session(schema_factory(thetas[0]), workload, system, config, cache, options)
+    return run_study(study, base, spec, thetas, cancel, on_progress)
 
 
 def workload_weight_study(
@@ -443,30 +462,7 @@ def workload_weight_study(
     :meth:`repro.workload.QueryMix.reweighted`.  The unmodified mix is always
     evaluated first under the label ``"baseline"``.
     """
-    options, cache = _study_setup(options, cache)
-    records = []
-    _check_cancel(cancel)
-    baseline = _evaluate(
-        schema, workload, system, spec, config, cache=cache, options=options
-    )
-    records.append(("baseline", _candidate_metrics(baseline)))
-    _notify_setting(on_progress, 1, 1 + len(reweightings), "baseline")
-    for label, weights in reweightings.items():
-        _check_cancel(cancel)
-        candidate = _evaluate(
-            schema,
-            workload.reweighted(weights),
-            system,
-            spec,
-            config,
-            cache=cache,
-            options=options,
-        )
-        records.append((label, _candidate_metrics(candidate)))
-        _notify_setting(on_progress, len(records), 1 + len(reweightings), label)
-    _finish(cache, options)
-    return TuningStudy(
-        name=f"Workload weight study for {spec.label}",
-        parameter="workload",
-        records=tuple(records),
+    base = _session(schema, workload, system, config, cache, options)
+    return run_study(
+        WEIGHTS, base, spec, WEIGHTS.expand(reweightings), cancel, on_progress
     )

@@ -110,6 +110,12 @@ class TestCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["recommend", "tune"])
+    def test_out_of_range_disk_count_exits_2(self, command, capsys):
+        # Rejected while the inputs are built, before anything is sized by it.
+        assert main([command, "--scale", "0.01", "--disks", str(10**30)]) == 2
+        assert "num_disks" in capsys.readouterr().err
+
 
 class TestVectorizeFlag:
     COMMON = ["--scale", "0.01", "--disks", "16", "--max-fragments", "20000"]

@@ -470,6 +470,24 @@ class TestHTTPEndpoints:
         code, _ = http_error(server, "DELETE", "/warehouses/shop")
         assert code == 404
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dataset": "apb1", "scale": 0.02, "disks": 10**30},
+            {"dataset": "apb1", "scale": 0.02, "disks": 2**64},
+            {**example_config(), "system": {"num_disks": 10**30}},
+        ],
+        ids=["dataset-disks", "dataset-disks-2e64", "config-num-disks"],
+    )
+    def test_register_with_an_out_of_range_disk_count_is_400(self, server, payload):
+        # Checked when the system parameters are built, before any per-disk
+        # state is sized by the count.
+        code, body = http_error(server, "PUT", "/warehouses/shop", payload)
+        assert code == 400 and "num_disks" in body["error"], body
+        assert body["type"] == "StorageError"
+        code, _ = http_error(server, "DELETE", "/warehouses/shop")
+        assert code == 404
+
     def test_register_with_a_non_finite_budget_is_400(self, server, tmp_path):
         payload = {
             "dataset": "apb1",
@@ -497,6 +515,9 @@ class TestHTTPEndpoints:
             {"kind": "tune", "study": "prefetch", "settings": 3},
             {"kind": "tune", "study": "bitmaps", "settings": 7},
             {"kind": "tune", "study": "weights", "settings": {"a": 3}},
+            # The architecture study compares its two architectures and
+            # takes no settings.
+            {"kind": "tune", "study": "architecture", "settings": [1, 2]},
             {"kind": "simulate", "seed": "x"},
             {"kind": "simulate", "seed": -1},
             {"kind": "simulate", "queries_per_class": 1.5},
@@ -532,6 +553,13 @@ class TestHTTPEndpoints:
             server, "POST", "/warehouses/main/submit", {"kind": "recommend"}
         )
         assert status == 200 and served["kind"] == "recommend"
+
+    @pytest.mark.parametrize("disks", [10**30, 2**64])
+    def test_tune_with_an_out_of_range_disk_count_is_400(self, server, disks):
+        payload = {"kind": "tune", "study": "disks", "settings": [8, disks]}
+        code, body = http_error(server, "POST", "/warehouses/main/submit", payload)
+        assert code == 400 and "num_disks" in body["error"], body
+        assert body["type"] == "StorageError"
 
 
 def _wire_requests(parity_session):
@@ -682,6 +710,27 @@ class TestResponseEncoding:
         try:
             first = http_raw(server, "/warehouses/main/submit", {"kind": "recommend"})
             second = http_raw(server, "/warehouses/main/submit", {"kind": "recommend"})
+        finally:
+            server.stop()
+        assert second == first
+        assert len(calls) == 1
+
+    def test_a_warm_evaluation_is_encoded_once(self, scenario, parity_session, monkeypatch):
+        from repro.core import FragmentationCandidate
+
+        calls = []
+        to_dict = FragmentationCandidate.to_dict
+
+        def counting(candidate, *args, **kwargs):
+            calls.append(candidate)
+            return to_dict(candidate, *args, **kwargs)
+
+        monkeypatch.setattr(FragmentationCandidate, "to_dict", counting)
+        payload = EvaluateSpecRequest(parity_session.recommend().best.spec).to_dict()
+        server = self._server(scenario, ("main",))
+        try:
+            first = http_raw(server, "/warehouses/main/submit", payload)
+            second = http_raw(server, "/warehouses/main/submit", payload)
         finally:
             server.stop()
         assert second == first

@@ -6,6 +6,7 @@ import pytest
 
 from repro import Architecture, DiskParameters, SystemParameters
 from repro.errors import StorageError
+from repro.storage import MAX_DISKS
 
 
 class TestDiskParameters:
@@ -170,6 +171,19 @@ class TestSystemParameters:
             SystemParameters(disk="not-a-disk")  # type: ignore[arg-type]
         with pytest.raises(StorageError):
             SystemParameters(architecture="mesh")
+
+    @pytest.mark.parametrize("disks", [True, 8.0, "8", MAX_DISKS + 1, 10**30])
+    def test_disk_count_is_a_bounded_integer(self, disks):
+        # The evaluation keeps per-disk state, so the count is checked before
+        # anything is sized by it.
+        with pytest.raises(StorageError, match="num_disks"):
+            SystemParameters(num_disks=disks)
+        with pytest.raises(StorageError, match="num_disks"):
+            SystemParameters().with_disks(disks)
+
+    def test_disk_count_bounds_are_inclusive(self):
+        assert SystemParameters(num_disks=1).num_disks == 1
+        assert SystemParameters(num_disks=MAX_DISKS).num_disks == MAX_DISKS
 
     def test_describe_mentions_key_facts(self):
         text = SystemParameters(num_disks=16).describe()
