@@ -12,7 +12,9 @@ thousands of (candidate × query class) work units):
   prefetch run-length pass and the evaluation pass;
 * **cached** — the engine's default memoized, batched pipeline;
 * **warm** — a repeated sweep against the already-populated cache, the shape
-  every what-if tuning iteration takes.
+  every what-if tuning iteration takes;
+* **memoized re-ask** — a fresh session asking the same question, answered
+  from the cache's answer memo without a single candidate probe.
 
 **Part 3 — cross-process warm start** from the persistent on-disk cache
 (``repro.engine.store``): three *separate* advisor processes share one cache
@@ -23,7 +25,8 @@ must answer >=90% of its probes from the disk store and every process must
 produce the bit-identical recommendation fingerprint.
 
 **Part 4 — the session delta chain**: one ``AdvisorSession`` absorbs a
-5-edit what-if chain against 5 cold advisors (see the test docstring).
+5-edit what-if chain against 5 cold advisors; a reverted edit is answered
+from the cache's answer memo (see the test docstring).
 
 **Part 5 — the columnar candidate store**: on the stock 8-class APB-1 mix a
 fresh advisor warm-starts from the store a cold advisor spilled; the scalar
@@ -84,6 +87,7 @@ from repro import (
     apb1_schema,
     synthetic_schema,
 )
+from repro.core import Recommendation, rank_candidates_columnar
 from repro.engine import recommendation_fingerprint
 from repro.workload.generator import random_query_mix
 
@@ -122,6 +126,29 @@ def _timed_recommend(advisor):
     return recommendation, time.perf_counter() - start
 
 
+def _timed_sweep(advisor):
+    """``recommend()``'s pipeline past the cache's answer memo, timed: the
+    specs, the engine's sweep driver over the shared cache, the ranking."""
+    start = time.perf_counter()
+    specs, report = advisor.generate_specs()
+    candidates = advisor.engine.evaluate_specs(specs)
+    ranked = rank_candidates_columnar(
+        candidates,
+        top_fraction=advisor.config.top_fraction,
+        top_candidates=advisor.config.top_candidates,
+    )
+    recommendation = Recommendation(
+        ranked=tuple(ranked),
+        evaluated=tuple(candidates),
+        exclusion_report=report,
+        config=advisor.config,
+        schema=advisor.schema,
+        workload=advisor.workload,
+        system=advisor.system,
+    )
+    return recommendation, time.perf_counter() - start
+
+
 def test_e11_engine_speedup_and_parity(benchmark, quick):
     params = QUICK if quick else FULL
     schema, workload, system, config = _inputs(params)
@@ -148,13 +175,20 @@ def test_e11_engine_speedup_and_parity(benchmark, quick):
     cold_stats = cached_advisor.cache.stats
 
     # Mode 3: warm cache (the tuning-iteration shape).  A *fresh* advisor
-    # shares the cache — a repeated recommend() on the same advisor would be
-    # answered O(1) from the session memo without probing the cache at all.
+    # sharing the cache sweeps it: its recommend() would be answered O(1)
+    # from the cache's answer memo without probing a candidate at all.
     cached_advisor.cache.reset_stats()
-    warm_rec, warm_s = _timed_recommend(
+    warm_rec, warm_s = _timed_sweep(
         AdvisorSession(schema, workload, system, config, cache=cached_advisor.cache)
     )
     warm_stats = cached_advisor.cache.stats
+
+    # Mode 4: that memoized re-ask.
+    cached_advisor.cache.reset_stats()
+    memo_rec, memo_s = _timed_recommend(
+        AdvisorSession(schema, workload, system, config, cache=cached_advisor.cache)
+    )
+    memo_stats = cached_advisor.cache.stats
 
     print()
     print(
@@ -174,6 +208,8 @@ def test_e11_engine_speedup_and_parity(benchmark, quick):
              cold_stats.describe()],
             ["engine warm cache", f"{warm_s:.3f}", f"{serial_s / warm_s:.2f}x",
              warm_stats.describe()],
+            ["memoized re-ask", f"{memo_s:.5f}", f"{serial_s / memo_s:.0f}x",
+             memo_stats.describe()],
         ],
     )
 
@@ -195,6 +231,9 @@ def test_e11_engine_speedup_and_parity(benchmark, quick):
     # Warm: the whole sweep is answered from candidate-level entries.
     assert warm_stats.candidate_hits == len(specs)
     assert warm_stats.hit_rate >= 0.99
+    # Memoized: the cold answer itself, without a probe.
+    assert memo_rec is cached_rec
+    assert memo_stats.lookups == 0
 
     if quick:
         return
@@ -384,8 +423,9 @@ def test_e11_session_delta_chain(quick):
     asserted bit-identical to a fresh advisor built from the edited inputs,
     per-edit cache hit rates are reported, and in full mode the warm chain
     must beat the 5 cold advisors by at least 2x wall-clock (structure
-    entries carry system/mix edits; reverted edits are answered entirely
-    from candidate entries).
+    entries carry system/mix edits; a reverted edit re-creates inputs the
+    chain already answered, so the cache's answer memo returns that answer
+    without a probe, and its row reports no lookups).
     """
     params = QUICK if quick else FULL
     schema, workload, system, config = _inputs(params)
@@ -452,8 +492,8 @@ def test_e11_session_delta_chain(quick):
         f"{cold_total:.3f}s -> {cold_total / warm_total:.2f}x"
     )
 
-    # The reverted edits are answered from whole-candidate entries: nearly
-    # free compared to their cold counterparts.
+    # The reverted edits are answered from the answer memo: nearly free
+    # compared to their cold counterparts.
     assert warm_times[2] < cold_times[2]
     if quick:
         return
@@ -873,7 +913,7 @@ def test_e11_service_concurrent_load(quick):
             }
         )
 
-        # The warm what-if requests ride the session memo and cache: even the
+        # The warm what-if requests ride the cache and its answer memo: even the
         # p99 must come in well under a cold sweep (loose bound — the point
         # is "interactive against warm sessions", not a specific speedup).
         assert p99 < max(warm_times.values()) * 2 + 5.0, (

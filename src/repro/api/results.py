@@ -10,9 +10,9 @@ the exporters of :mod:`repro.io`) and, for recommendations, the content
 paths and cache states.
 
 A :class:`RecommendResult` also keeps the JSON text of its ``to_dict()``
-(:attr:`RecommendResult.json_text`) once built.  The session memo hands a
-repeated ``recommend()`` the same result object, so the service encodes a
-memoized answer, and computes its fingerprint, once.
+(:attr:`RecommendResult.json_text`) once built.  The cache's answer memo
+hands a repeated ``recommend()`` the same result object, so the service
+encodes a memoized answer, and computes its fingerprint, once.
 """
 
 from __future__ import annotations

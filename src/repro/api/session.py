@@ -16,6 +16,8 @@ that *shares the cache*, so every entry the edit does not invalidate is
 reused: the cache keys are content signatures of exactly the inputs that can
 move a number, which makes the reuse automatic and exact (fingerprint parity
 against a fresh advisor is asserted by the test suite and the E11 benchmark).
+The cache also memoizes whole ``recommend()`` answers, so an edit that
+revisits an earlier input set is answered without a sweep.
 
 Every request accepts ``on_progress=`` / ``cancel=`` (see
 :mod:`repro.api.progress`); events fire at the boundaries of the chunks the
@@ -119,8 +121,9 @@ class AdvisorSession:
         else:
             self.cache = None
         # One engine for the session's lifetime: construction validates the
-        # workload once; the bitmap scheme and the columnar class matrix are
-        # compiled on first use and memoized for every later request.
+        # workload (once per input pair on a shared cache); the bitmap scheme
+        # and the columnar class matrix are compiled on first use and
+        # memoized for every later request.
         self.engine = EvaluationEngine(
             schema,
             workload,
@@ -130,9 +133,6 @@ class AdvisorSession:
             options=self.options,
             cache=self.cache,
         )
-        #: (input fingerprint, result) of the last full recommend() — repeated
-        #: identical requests on an unchanged session answer O(1) from here.
-        self._recommend_memo: Optional[Tuple[str, RecommendResult]] = None
 
     # -- compiled inputs --------------------------------------------------------
 
@@ -284,18 +284,23 @@ class AdvisorSession:
     ) -> RecommendResult:
         """Run the full pipeline and return the ranked recommendation.
 
-        A repeated identical ``recommend()`` on an unchanged session returns
-        the previous result O(1) from a session-level input-fingerprint memo
-        — no enumeration, no sweep, not even warm cache probes.  The memo is
-        guarded by a content fingerprint of every input the pipeline reads,
-        so a (hypothetically) mutated input recomputes; a memoized answer
-        emits a single completed :class:`~repro.api.ProgressEvent` instead of
-        per-chunk events.  Disabled together with caching
+        Answers are memoized in the session's evaluation cache under a
+        content fingerprint of every input the pipeline reads, so a repeated
+        ``recommend()`` — on this session, or on any session sharing the
+        cache: a fresh one, a ``with_delta`` revisit, a tuning study's
+        implicit recommend — returns the first answer O(1), with no
+        enumeration, no sweep and not even warm cache probes.  That answer
+        references the first asker's input objects (its schema, workload and
+        system), which the fingerprint makes equal in content to this
+        session's.  A memoized answer emits a single completed
+        :class:`~repro.api.ProgressEvent` instead of per-chunk events, and a
+        pre-set ``cancel`` still raises.  Disabled together with caching
         (``options.cache=False`` keeps every run a full recomputation).
         """
-        fingerprint = self._input_fingerprint() if self.options.cache else None
-        memo = self._recommend_memo
-        if memo is not None and memo[0] == fingerprint:
+        memo = self.cache if self.options.cache else None
+        fingerprint = self._input_fingerprint() if memo is not None else ""
+        result = memo.get_answer(fingerprint) if memo is not None else None
+        if result is not None:
             # The cancellation contract holds even for memoized answers: a
             # request whose signal is already set raises, never returns.
             from repro.api.progress import cancel_requested
@@ -305,7 +310,6 @@ class AdvisorSession:
                 raise EvaluationCancelled(
                     "recommend() cancelled before returning the memoized result"
                 )
-            result = memo[1]
             if on_progress is not None:
                 from repro.api.progress import ProgressEvent
 
@@ -346,8 +350,8 @@ class AdvisorSession:
             system=self.system,
         )
         result = RecommendResult(recommendation)
-        if fingerprint is not None:
-            self._recommend_memo = (fingerprint, result)
+        if memo is not None:
+            memo.put_answer(fingerprint, result, len(candidates))
         return result
 
     def evaluate(

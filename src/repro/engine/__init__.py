@@ -11,7 +11,9 @@ explicit pipeline:
 2. :class:`~repro.engine.cache.EvaluationCache` memoizes the prefetch-
    independent access structures and per-class cost records, so what-if
    tuning studies, comparisons and warm advisor runs reuse rather than
-   recompute shared evaluations.
+   recompute shared evaluations; in memory it also keeps whole answers, so
+   a session re-asking a question any sharing session answered gets that
+   answer without a probe.
 3. :mod:`~repro.engine.signature` provides the content fingerprints the cache
    keys on, plus recommendation fingerprints used to *prove* parity.
 4. :class:`~repro.engine.store.CacheStore` spills the cache to a directory

@@ -25,15 +25,29 @@ All cached values are immutable (frozen dataclasses), and every cache entry is
 the deterministic function of its key, so sharing a cache can never change a
 result — only skip its recomputation.  The parity tests assert exactly that.
 
+Two memos sit above the evaluations, so that sessions sharing one cache
+answer a revisited input set without per-candidate work:
+
+* **Answers** of whole requests (a session's ``recommend()`` result), keyed
+  on a content fingerprint of every input the request reads.  A fresh
+  session, a ``with_delta`` revisit or a tuning study's implicit recommend
+  asking the same question gets the first asker's answer back.  An answer
+  pins all its candidates, so each counts its candidate count against
+  ``max_entries``.
+* **Validated inputs**: the (schema, workload) signature pairs whose
+  workload validation passed, so an engine built on the cache validates an
+  input pair once.  A failed validation is not remembered.
+
 Because keys are content signatures, entries are also valid *across
 processes*: :meth:`EvaluationCache.attach` hooks the cache to a persistent
 :class:`~repro.engine.store.CacheStore` directory (warm-start loads on attach,
 :meth:`EvaluationCache.persist` spills after a sweep), which is how repeated
 CLI invocations and tuning sessions reuse each other's evaluations.  Only
-candidates and exclusion reports persist; access structures stay in memory,
-where ``with_delta`` chains, tuning studies and the scalar oracle's two
-passes reuse them within a process — a fresh process recomputes a sweep's
-structures faster than it could unpack them from disk.
+candidates and exclusion reports persist; access structures, answers and
+validated inputs stay in memory, where ``with_delta`` chains, tuning studies
+and the scalar oracle's two passes reuse them within a process — a fresh
+process recomputes a sweep's structures faster than it could unpack them
+from disk, and sweeps its answers warm from the stored candidates.
 """
 
 from __future__ import annotations
@@ -151,7 +165,12 @@ class EvaluationCache:
         allocation arrays* (roughly 16 bytes per fragment), so a cache that
         outlives many large sweeps should set a bound — e.g. ``max_entries``
         of a few thousand keeps the candidate store in the tens of MB for
-        10k-fragment layouts.
+        10k-fragment layouts.  Memoized answers count the candidates they
+        pin against the same bound (see :meth:`put_answer`).
+
+    Answers and validated input pairs are memory-only: never persisted, not
+    counted by ``len()`` or the hit/miss stats, and dropped by
+    :meth:`clear`.
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -174,6 +193,12 @@ class EvaluationCache:
         #: specs), keyed on enumeration-input signatures; persisted alongside
         #: the store so warm-from-disk runs skip re-deriving the thresholds.
         self._reports: Dict[Tuple[str, ...], Any] = {}
+        #: Memoized request answers with the candidate count each pins
+        #: (memory only; see :meth:`put_answer`).
+        self._answers: Dict[str, Tuple[Any, int]] = {}
+        #: (schema, workload) signature pairs that passed validation (memory
+        #: only; see :meth:`validate_workload`).
+        self._validated: Dict[Tuple[str, str], bool] = {}
         # -- persistence state (see the "persistence" section below) --
         #: Keys whose entries came from a persistent store (disk-hit stats).
         self._disk_keys: Set[Tuple[str, ...]] = set()
@@ -408,6 +433,45 @@ class EvaluationCache:
             self._bounded_put(store, key, value)
         return value
 
+    # -- request answers and validated inputs (shared, in-memory only) -----------
+
+    def get_answer(self, key: str):
+        """The memoized answer for an input fingerprint, or ``None``.
+
+        Not a probe: no counter moves, since an answer skips every candidate
+        probe its sweep would have made.
+        """
+        entry = self._answers.get(key)
+        return None if entry is None else entry[0]
+
+    def put_answer(self, key: str, answer: Any, candidates: int) -> None:
+        """Memoize ``answer``, which pins ``candidates`` evaluated candidates.
+
+        An answer keeps all its candidates alive, whether or not the
+        candidate store still holds them, so the answers count their pinned
+        candidates against ``max_entries``: the oldest answers are dropped
+        first until the total fits, but the newest always stays.
+        """
+        self._answers.pop(key, None)
+        self._answers[key] = (answer, candidates)
+        if self.max_entries is None:
+            return
+        pinned = sum(count for _, count in self._answers.values())
+        while pinned > self.max_entries and len(self._answers) > 1:
+            pinned -= self._answers.pop(next(iter(self._answers)))[1]
+
+    def validate_workload(self, schema, workload) -> None:
+        """``workload.validate(schema)``, once per content-equal input pair.
+
+        A pass is remembered under the (schema, workload) signature pair; a
+        raise is not, so every later engine on the same inputs raises too.
+        FIFO-bounded at ``max_entries`` like the other input memos.
+        """
+        key = (object_signature(schema), self.workload_signature(workload))
+        if key not in self._validated:
+            workload.validate(schema)
+            self._bounded_put(self._validated, key, True)
+
     # -- candidate-exclusion reports ---------------------------------------------
 
     def get_exclusions(self, key: Tuple[str, ...]):
@@ -529,8 +593,8 @@ class EvaluationCache:
     # -- maintenance ------------------------------------------------------------
 
     def __len__(self) -> int:
-        # Evaluation entries only; the matrix and layout memos and the
-        # exclusion reports are compiled-input bookkeeping, not evaluations.
+        # Evaluation entries only; the matrix, layout, answer and validation
+        # memos and the exclusion reports are bookkeeping, not evaluations.
         return len(self._structures) + len(self._candidates)
 
     def clear(self) -> None:
@@ -540,6 +604,8 @@ class EvaluationCache:
         self._matrices.clear()
         self._layouts.clear()
         self._reports.clear()
+        self._answers.clear()
+        self._validated.clear()
         self._disk_keys.clear()
         self._touched.clear()
 

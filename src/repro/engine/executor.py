@@ -372,15 +372,19 @@ class EvaluationEngine:
         self.system = system
         self.config = config if config is not None else AdvisorConfig()
         self.fact_name = schema.fact_table(fact_table).name
-        # Validate the whole workload once; evaluation then runs with
-        # per-query validation disabled (see _evaluate_spec).
-        workload.validate(schema)
         if cache is not None:
             self.cache: Optional[EvaluationCache] = cache
         elif options.cache:
             self.cache = EvaluationCache()
         else:
             self.cache = None
+        # Validate the whole workload once per input pair and shared cache;
+        # evaluation then runs with per-query validation disabled (see
+        # _evaluate_spec).
+        if self.cache is None:
+            workload.validate(schema)
+        else:
+            self.cache.validate_workload(schema, workload)
         if options.cache_dir and self.cache is not None:
             from repro.engine.store import CacheStore
 

@@ -46,6 +46,7 @@ __all__ = [
     "example_config",
     "BUNDLED_DATASETS",
     "bundled_inputs",
+    "numeric_field",
 ]
 
 
@@ -71,14 +72,28 @@ def _block_parser(block: str, error: Type[WarlockError]) -> Callable[[_Parser], 
     return decorate
 
 
-def _number(config: Dict[str, Any], key: str, default: Any, convert: Callable) -> Any:
-    """``convert(config.get(key, default))``, naming ``key`` when it fails."""
-    value = config.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        kind = "an integer" if convert is int else "a number"
-        raise ValueError(f"{key!r} must be {kind}, got {value!r}") from None
+def numeric_field(
+    block: Dict[str, Any], key: str, default: Any, convert: Callable
+) -> Any:
+    """``convert(block.get(key, default))`` for the ``int`` or ``float`` field.
+
+    An ``int`` field takes only an ``int`` that is not a ``bool``, as
+    :class:`~repro.storage.SystemParameters` requires of a disk count:
+    ``int()`` would truncate ``16.9`` to 16 and read ``true`` as 1.  Anything
+    ``convert`` cannot take raises :class:`ValueError` naming ``key``.  The
+    config parser and the service's registration body share this check.
+    """
+    value = block.get(key, default)
+    if convert is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    else:
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            pass
+    kind = "an integer" if convert is int else "a number"
+    raise ValueError(f"{key!r} must be {kind}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +176,15 @@ def system_from_dict(config: Dict[str, Any]) -> SystemParameters:
         raise StorageError("system config must be a JSON object")
     disk_config = config.get("disk", {})
     disk = DiskParameters(
-        capacity_gb=_number(disk_config, "capacity_gb", 36.0, float),
-        avg_seek_ms=_number(disk_config, "avg_seek_ms", 6.0, float),
-        avg_rotational_ms=_number(disk_config, "avg_rotational_ms", 3.0, float),
-        transfer_mb_per_s=_number(disk_config, "transfer_mb_per_s", 25.0, float),
+        capacity_gb=numeric_field(disk_config, "capacity_gb", 36.0, float),
+        avg_seek_ms=numeric_field(disk_config, "avg_seek_ms", 6.0, float),
+        avg_rotational_ms=numeric_field(disk_config, "avg_rotational_ms", 3.0, float),
+        transfer_mb_per_s=numeric_field(disk_config, "transfer_mb_per_s", 25.0, float),
     )
     return SystemParameters(
-        num_disks=_number(config, "num_disks", 64, int),
+        num_disks=numeric_field(config, "num_disks", 64, int),
         disk=disk,
-        page_size_bytes=_number(config, "page_size_bytes", 8192, int),
+        page_size_bytes=numeric_field(config, "page_size_bytes", 8192, int),
         architecture=config.get("architecture", "shared_disk"),
         num_nodes=config.get("num_nodes"),
         prefetch_pages_fact=config.get("prefetch_pages_fact", "auto"),

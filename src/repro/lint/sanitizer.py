@@ -161,6 +161,10 @@ _CACHE_METHODS = (
     "get_candidate",
     "put_candidate",
     "class_matrix",
+    "layout",
+    "get_answer",
+    "put_answer",
+    "validate_workload",
     "get_exclusions",
     "put_exclusions",
     "load",

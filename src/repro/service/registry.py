@@ -3,7 +3,7 @@
 The service maps each registered warehouse — a (schema, workload, system)
 input set plus its advisor/engine options — onto at most one long-lived
 :class:`~repro.api.AdvisorSession`.  Sessions are where all the warmth lives
-(compiled class matrix, bitmap scheme, the evaluation cache, the recommend
+(compiled class matrix, bitmap scheme, the evaluation cache and its answer
 memo), so the registry's job is to keep the hot ones and bound the cold ones:
 
 * **Lazy construction** — registering a warehouse stores only its inputs;

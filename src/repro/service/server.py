@@ -47,7 +47,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.options import EngineOptions
@@ -77,15 +77,6 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
-
-
-def _number(value: Any, key: str, convert: Callable) -> Any:
-    """``convert(value)`` of the body's ``key``; a wrong-typed value is a 400."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        kind = "an integer" if convert is int else "a number"
-        raise ServiceError(f"{key!r} must be {kind}, got {value!r}") from None
 
 
 def _response_json(result: Any, kind: Any = None, with_kind: bool = True) -> str:
@@ -124,6 +115,7 @@ def warehouse_inputs_from_dict(raw: Dict[str, Any]) -> Tuple[Any, Any, Any, Any,
         BUNDLED_DATASETS,
         bundled_inputs,
         engine_section_from_dict,
+        numeric_field,
         parse_config,
     )
 
@@ -131,12 +123,16 @@ def warehouse_inputs_from_dict(raw: Dict[str, Any]) -> Tuple[Any, Any, Any, Any,
         dataset = raw["dataset"]
         if dataset not in BUNDLED_DATASETS:
             raise ServiceError(f"unknown dataset {dataset!r} (apb1 or retail)")
-        # Knobs the body leaves out take the bundled defaults.
-        knobs = {
-            key: _number(raw[key], key, convert)
-            for key, convert in (("scale", float), ("skew", float), ("disks", int))
-            if key in raw
-        }
+        # Knobs the body leaves out take the bundled defaults; a wrong-typed
+        # knob is a 400.
+        try:
+            knobs = {
+                key: numeric_field(raw, key, None, convert)
+                for key, convert in (("scale", float), ("skew", float), ("disks", int))
+                if key in raw
+            }
+        except ValueError as error:
+            raise ServiceError(str(error)) from None
         if "architecture" in raw:
             knobs["architecture"] = raw["architecture"]
         schema, workload, system = bundled_inputs(dataset, **knobs)

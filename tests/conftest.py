@@ -19,12 +19,14 @@ from repro import (
     Measure,
     QueryClass,
     QueryMix,
+    Recommendation,
     SkewSpec,
     StarSchema,
     SystemParameters,
     apb1_query_mix,
     apb1_schema,
 )
+from repro.core import rank_candidates_columnar
 from repro.storage import DiskParameters
 
 # WARLOCK_SANITIZE=1 runs the whole suite under the runtime concurrency
@@ -159,3 +161,36 @@ def apb_small_schema() -> StarSchema:
 def apb_workload() -> QueryMix:
     """The APB-1-style query mix."""
     return apb1_query_mix()
+
+
+@pytest.fixture
+def swept_recommendation():
+    """Rank a session's sweep past the cache's answer memo.
+
+    A session whose cache already holds its answer returns it from
+    ``recommend()`` without probing a candidate.  The returned function runs
+    the same pipeline through the engine's sweep driver instead
+    (``generate_specs``, ``engine.evaluate_specs``, the columnar ranking), so
+    the cache's candidate entries answer, and probe counts and fingerprints
+    can be checked on the warm sweep.
+    """
+
+    def sweep(session: AdvisorSession) -> Recommendation:
+        specs, report = session.generate_specs()
+        candidates = session.engine.evaluate_specs(specs)
+        ranked = rank_candidates_columnar(
+            candidates,
+            top_fraction=session.config.top_fraction,
+            top_candidates=session.config.top_candidates,
+        )
+        return Recommendation(
+            ranked=tuple(ranked),
+            evaluated=tuple(candidates),
+            exclusion_report=report,
+            config=session.config,
+            schema=session.schema,
+            workload=session.workload,
+            system=session.system,
+        )
+
+    return sweep

@@ -6,14 +6,21 @@ import pickle
 
 import pytest
 
-from repro import AdvisorConfig, AdvisorSession, EngineOptions
+from repro import (
+    AdvisorConfig,
+    AdvisorSession,
+    DimensionRestriction,
+    EngineOptions,
+    QueryClass,
+    QueryMix,
+)
 from repro.engine import (
     EvaluationCache,
     layout_signature,
     object_signature,
 )
 from repro.engine.executor import evaluate_specs_in_context
-from repro.errors import EvaluationCancelled
+from repro.errors import EvaluationCancelled, WorkloadError
 from repro.fragmentation import build_layout
 
 
@@ -175,6 +182,47 @@ class TestEvaluationCache:
         assert key not in cache._layouts  # FIFO: the oldest went first
         cache.clear()
         assert not cache._layouts
+
+    def test_answer_memo_counts_pinned_candidates_and_keeps_the_newest(self):
+        cache = EvaluationCache(max_entries=3)
+        cache.put_answer("a", "A", 2)
+        cache.put_answer("b", "B", 1)
+        assert (cache.get_answer("a"), cache.get_answer("b")) == ("A", "B")
+        # Over the budget: the oldest answers go first...
+        cache.put_answer("c", "C", 2)
+        assert cache.get_answer("a") is None
+        assert (cache.get_answer("b"), cache.get_answer("c")) == ("B", "C")
+        # ...and the newest stays even when it alone pins more than fits.
+        cache.put_answer("d", "D", 5)
+        assert [cache.get_answer(key) for key in "abcd"] == [None, None, None, "D"]
+        # Memory-only bookkeeping: neither an entry nor a probe.
+        assert (len(cache), cache.stats.lookups) == (0, 0)
+        cache.clear()
+        assert cache.get_answer("d") is None
+
+    def test_validate_workload_remembers_a_pass_but_not_a_failure(
+        self, toy_schema, toy_workload, monkeypatch
+    ):
+        calls = []
+        original = QueryMix.validate
+
+        def counted(mix, schema):
+            calls.append(mix)
+            original(mix, schema)
+
+        monkeypatch.setattr(QueryMix, "validate", counted)
+        ghost = QueryMix([QueryClass("ghost", [DimensionRestriction("ghost", "level")])])
+        cache = EvaluationCache()
+        for _ in range(2):
+            with pytest.raises(WorkloadError):
+                cache.validate_workload(toy_schema, ghost)
+            cache.validate_workload(toy_schema, toy_workload)
+        assert calls == [ghost, toy_workload, ghost]
+        # Memory-only bookkeeping: neither an entry nor a probe.
+        assert (len(cache), cache.stats.lookups) == (0, 0)
+        cache.clear()
+        cache.validate_workload(toy_schema, toy_workload)
+        assert calls == [ghost, toy_workload, ghost, toy_workload]
 
     def test_max_entries_validation(self):
         with pytest.raises(ValueError):

@@ -121,6 +121,22 @@ class TestParseConfig:
         with pytest.raises(WorkloadError):
             parse_config({"schema": example_config()["schema"]})
 
+    @pytest.mark.parametrize(
+        "system",
+        [
+            {"num_disks": 16.9},
+            {"num_disks": True},
+            {"num_disks": "16"},
+            {"page_size_bytes": 8192.5},
+        ],
+        ids=["fraction", "bool", "string", "page-size-fraction"],
+    )
+    def test_an_int_field_takes_only_an_int(self, system):
+        # int() would read 16.9 as 16 disks and true as 1 disk.
+        key = next(iter(system))
+        with pytest.raises(StorageError, match=key):
+            parse_config({**example_config(), "system": system})
+
     def test_inconsistent_workload_rejected(self):
         raw = example_config()
         raw["workload"][0]["restrictions"] = [["ghost", "level", 1]]

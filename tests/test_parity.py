@@ -64,34 +64,43 @@ SCENARIOS = ("synthetic", "retail", "apb1")
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 class TestSerialParallelParity:
-    def test_cold_vs_warm_cache_is_bit_identical(self, scenario):
+    def test_cold_vs_warm_cache_is_bit_identical(self, scenario, swept_recommendation):
         schema, workload, system, config = _scenario(scenario)
         advisor = AdvisorSession(schema, workload, system, config)
-        cold = advisor.recommend().recommendation
+        answer = advisor.recommend()
+        cold = answer.recommendation
         cold_lookups = advisor.cache.stats.lookups
         # A repeated identical recommend() on the same session answers O(1)
-        # from the input-fingerprint memo: zero additional cache probes.
+        # from the cache's answer memo: zero additional cache probes.
         memoized = advisor.recommend().recommendation
         assert advisor.cache.stats.lookups == cold_lookups
         assert recommendation_fingerprint(cold) == recommendation_fingerprint(memoized)
-        # A fresh advisor sharing the cache answers the sweep warm.
+        # A fresh advisor sharing the cache gets the same answer from the
+        # memo, without a probe...
         warm_advisor = AdvisorSession(
             schema, workload, system, config, cache=advisor.cache
         )
-        warm = warm_advisor.recommend().recommendation
+        assert warm_advisor.recommend() is answer
+        assert advisor.cache.stats.lookups == cold_lookups
+        # ...and its sweep is answered warm.
+        warm = swept_recommendation(warm_advisor)
         assert advisor.cache.stats.hits > 0
         assert advisor.cache.stats.lookups > cold_lookups
         assert recommendation_fingerprint(cold) == recommendation_fingerprint(warm)
 
-    def test_shared_cache_across_advisors_is_bit_identical(self, scenario):
+    def test_shared_cache_across_advisors_is_bit_identical(
+        self, scenario, swept_recommendation
+    ):
         schema, workload, system, config = _scenario(scenario)
         cache = EvaluationCache()
-        first = AdvisorSession(
-            schema, workload, system, config, cache=cache
-        ).recommend().recommendation
+        answer = AdvisorSession(schema, workload, system, config, cache=cache).recommend()
+        first = answer.recommendation
         warm_advisor = AdvisorSession(schema, workload, system, config, cache=cache)
+        lookups_before = cache.stats.lookups
+        assert warm_advisor.recommend() is answer
+        assert cache.stats.lookups == lookups_before
         hits_before = cache.stats.hits
-        second = warm_advisor.recommend().recommendation
+        second = swept_recommendation(warm_advisor)
         assert cache.stats.hits > hits_before
         assert recommendation_fingerprint(first) == recommendation_fingerprint(second)
 
@@ -104,7 +113,7 @@ class TestSerialParallelParity:
         assert recommendation_fingerprint(cached) == recommendation_fingerprint(uncached)
 
 
-def test_parallel_sweep_populates_the_shared_cache():
+def test_parallel_sweep_populates_the_shared_cache(swept_recommendation):
     """A sweep's candidates AND structures land in the shared cache, and the
     sweep probes each candidate exactly once."""
     schema, workload, system, config = _scenario("synthetic")
@@ -121,12 +130,13 @@ def test_parallel_sweep_populates_the_shared_cache():
     # Structures are cached too: studies varying the system reuse them.
     assert len(cache._structures) >= n
     cache.reset_stats()
-    # A fresh advisor sharing the cache (the same advisor would answer
-    # from its recommend() memo without probing at all): fully warm
-    # sweeps are answered without recomputation.
-    warm = AdvisorSession(
-        schema, workload, system, config, cache=cache
-    ).recommend().recommendation
+    # A fresh advisor sharing the cache answers recommend() from the
+    # cache's answer memo without probing at all...
+    fresh = AdvisorSession(schema, workload, system, config, cache=cache)
+    assert fresh.recommend().recommendation is first
+    assert cache.stats.lookups == 0
+    # ...and its fully warm sweep is answered without recomputation.
+    warm = swept_recommendation(fresh)
     stats = cache.stats
     assert (stats.candidate_hits, stats.candidate_misses) == (n, 0)
     assert stats.misses == 0

@@ -7,6 +7,7 @@ itself runs under ``WARLOCK_SANITIZE=1``.
 
 from __future__ import annotations
 
+import inspect
 import threading
 
 import pytest
@@ -84,6 +85,18 @@ class TestToggle:
         # The methods wrapped before the unknown name are restored.
         assert not sanitizer_enabled()
         assert EvaluationCache.__dict__["reset_stats"] is before
+
+    def test_every_public_cache_method_is_guarded(self):
+        import repro.lint.sanitizer as sanitizer_module
+
+        # Plain functions only: properties, static and class methods touch
+        # no instance state the guard protects.
+        methods = {
+            name
+            for name, member in vars(EvaluationCache).items()
+            if not name.startswith("_") and inspect.isfunction(member)
+        }
+        assert sorted(methods - set(sanitizer_module._CACHE_METHODS)) == []
 
     def test_enable_is_idempotent(self, sanitized):
         wrapped = EvaluationCache.__dict__["reset_stats"]

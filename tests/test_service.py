@@ -457,11 +457,15 @@ class TestHTTPEndpoints:
             ({"schema": example_config()["schema"], "workload": "x"}, "workload"),
             ({"schema": example_config()["schema"], "workload": ["x"]}, "workload"),
             ({**example_config(), "system": {"num_disks": "x"}}, "num_disks"),
+            ({"dataset": "apb1", "disks": 64.7}, "disks"),
+            ({"dataset": "apb1", "disks": True}, "disks"),
+            ({**example_config(), "system": {"num_disks": 16.9}}, "num_disks"),
         ],
         ids=[
             "scale-string", "scale-null", "disks-string", "skew-string",
             "schema-string", "workload-string", "workload-entry-string",
-            "num-disks-string",
+            "num-disks-string", "disks-fraction", "disks-bool",
+            "num-disks-fraction",
         ],
     )
     def test_register_with_a_wrong_typed_field_is_400(self, server, payload, key):
@@ -619,7 +623,7 @@ class TestSSEStreaming:
         )
         progress = [data for kind, data in frames if kind == "progress"]
         sweeps = sorted({(p["sweep"], p["num_sweeps"]) for p in progress})
-        # Sweep 1/2 may answer from the session memo in one frame, but both
+        # Sweep 1/2 may answer from the answer memo in one frame, but both
         # composite phases must be reported and the study must end complete.
         assert sweeps == [(1, 2), (2, 2)]
         last = progress[-1]

@@ -14,19 +14,27 @@ The contract under test (repro.api.session):
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import (
     AdvisorConfig,
     AdvisorSession,
     CancellationToken,
+    DimensionRestriction,
     EngineOptions,
+    EvaluationCache,
+    QueryClass,
+    QueryMix,
     SystemParameters,
     recommendation_fingerprint,
     synthetic_schema,
 )
-from repro.errors import AdvisorError, EvaluationCancelled
+from repro.errors import AdvisorError, EvaluationCancelled, WorkloadError
 from repro.workload.generator import random_query_mix
+
+from test_tuning import _two_fact_schema, _two_fact_workload
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +99,9 @@ class TestWithDelta:
         assert rates[0] >= 0.2
         assert rates[-1] > 0.3
 
-    def test_reverting_an_edit_answers_from_candidate_entries(self, scenario):
+    def test_reverting_an_edit_answers_from_candidate_entries(
+        self, scenario, swept_recommendation
+    ):
         schema, workload, system, config = scenario
         session = AdvisorSession(schema, workload, system, config)
         baseline = session.recommend()
@@ -99,10 +109,14 @@ class TestWithDelta:
         edited.recommend()
         reverted = edited.with_delta(system=system)
         session.cache.reset_stats()
-        result = reverted.recommend()
-        assert result.fingerprint == baseline.fingerprint
-        # The revert re-creates the original inputs: every candidate is a hit.
-        assert session.stats.candidate_hits == len(result.recommendation.evaluated)
+        # The revert re-creates the original inputs: the answer memo hands
+        # back the baseline without a probe...
+        assert reverted.recommend() is baseline
+        assert session.stats.lookups == 0
+        # ...and a sweep of it answers every candidate from a candidate entry.
+        result = swept_recommendation(reverted)
+        assert recommendation_fingerprint(result) == baseline.fingerprint
+        assert session.stats.candidate_hits == len(result.evaluated)
         assert session.stats.misses == 0
 
     def test_skew_delta_rejects_unknown_dimension(self, scenario):
@@ -425,7 +439,7 @@ class TestSessionLifecycle:
 
 
 class TestRecommendMemo:
-    """A repeated identical recommend() answers O(1) from the session memo."""
+    """A repeated identical recommend() answers O(1) from the cache's memo."""
 
     def test_second_recommend_does_zero_sweep_work(self, scenario, monkeypatch):
         schema, workload, system, config = scenario
@@ -497,6 +511,154 @@ class TestRecommendMemo:
         edited = session.with_delta(disks=64)
         assert edited.recommend().fingerprint != "" 
         assert edited.recommend() is not base
+
+
+#: One-input edits of the two-fact warehouse: each must miss the base answer.
+_ONE_INPUT_EDITS = {
+    "disks": dict(system=lambda system: system.with_disks(16)),
+    "architecture": dict(
+        system=lambda system: system.with_architecture("shared_everything")
+    ),
+    "prefetch_fact": dict(system=lambda system: system.with_prefetch(fact=4)),
+    "skew": dict(schema=lambda schema: schema.with_skew({"product": 0.8})),
+    "mix_weight": dict(
+        workload=lambda workload: workload.reweighted({"yearly-report": 9.0})
+    ),
+    "config": dict(config=lambda config: dataclasses.replace(config, top_fraction=0.5)),
+    "fact_table": dict(fact_table=lambda fact_table: "returns"),
+}
+
+
+class TestSharedAnswerMemo:
+    """Sessions sharing a cache share its answers, and only for equal inputs."""
+
+    def test_a_fresh_session_sharing_the_cache_answers_from_the_memo(self, scenario):
+        schema, workload, system, config = scenario
+        session = AdvisorSession(schema, workload, system, config)
+        answer = session.recommend()
+        lookups = session.stats.lookups
+        fresh = AdvisorSession(schema, workload, system, config, cache=session.cache)
+        events = []
+        assert fresh.recommend(on_progress=events.append) is answer
+        assert session.stats.lookups == lookups
+        assert [event.label for event in events] == ["memoized"]
+        # The memoized-answer contracts hold across sessions.
+        token = CancellationToken()
+        token.cancel()
+        with pytest.raises(EvaluationCancelled):
+            fresh.recommend(cancel=token)
+        uncached = AdvisorSession(
+            schema, workload, system, config, cache=session.cache,
+            options=EngineOptions(cache=False),
+        )
+        recomputed = uncached.recommend()
+        assert recomputed is not answer
+        assert recomputed.fingerprint == answer.fingerprint
+
+    @pytest.mark.parametrize("edit", sorted(_ONE_INPUT_EDITS))
+    def test_a_session_differing_in_one_input_misses_the_memo(self, edit):
+        inputs = dict(
+            schema=_two_fact_schema(),
+            workload=_two_fact_workload(),
+            system=SystemParameters(num_disks=8),
+            config=AdvisorConfig(max_fragments=50_000),
+            fact_table="sales",
+        )
+        base = AdvisorSession(**inputs)
+        answer = base.recommend()
+        for name, change in _ONE_INPUT_EDITS[edit].items():
+            inputs[name] = change(inputs[name])
+        edited = AdvisorSession(**inputs, cache=base.cache).recommend()
+        assert edited is not answer
+        cold = AdvisorSession(**inputs, options=EngineOptions(vectorize=False))
+        assert edited.fingerprint == cold.recommend().fingerprint
+        assert edited.fingerprint != answer.fingerprint
+
+    def test_a_store_backed_answer_is_not_saved(self, scenario, tmp_path):
+        schema, workload, system, config = scenario
+        options = EngineOptions(cache_dir=str(tmp_path))
+        with AdvisorSession(schema, workload, system, config, options=options) as first:
+            answer = first.recommend()
+        warm = AdvisorSession(schema, workload, system, config, options=options)
+        assert warm.cache.get_answer(warm._input_fingerprint()) is None
+        result = warm.recommend()
+        count = len(result.recommendation.evaluated)
+        assert result is not answer
+        assert result.fingerprint == answer.fingerprint
+        # The answer came from a warm sweep over the stored candidates.
+        assert warm.stats.candidate_disk_hits == count
+        assert (warm.stats.candidate_hits, warm.stats.candidate_misses) == (count, 0)
+
+    def test_answers_pin_at_most_max_entries_candidates(self, scenario):
+        schema, workload, system, config = scenario
+        size = len(
+            AdvisorSession(schema, workload, system, config)
+            .recommend().recommendation.evaluated
+        )
+        cache = EvaluationCache(max_entries=2 * size)
+        session = AdvisorSession(schema, workload, system, config, cache=cache)
+        states = [session.with_delta(disks=disks) for disks in (8, 12, 16, 24, 32)]
+        for visited, state in enumerate(states, 1):
+            answer = state.recommend()
+            memoized = [
+                cache.get_answer(other._input_fingerprint())
+                for other in states[:visited]
+            ]
+            pinned = sum(
+                len(kept.recommendation.evaluated) for kept in memoized if kept
+            )
+            assert pinned <= cache.max_entries
+            assert memoized[-1] is answer
+        assert None in memoized  # more states than fit
+        lookups = cache.stats.lookups
+        newest = AdvisorSession(schema, workload, states[-1].system, config, cache=cache)
+        assert newest.recommend() is answer
+        assert cache.stats.lookups == lookups
+
+
+class TestValidateOnce:
+    """A shared cache validates each (schema, workload) pair once."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        original = QueryClass.validate
+
+        def counted(query, schema):
+            calls.append(query.name)
+            return original(query, schema)
+
+        monkeypatch.setattr(QueryClass, "validate", counted)
+        return calls
+
+    def test_edits_of_the_system_validate_nothing(self, scenario, validations):
+        schema, workload, system, config = scenario
+        classes = len(workload)
+        session = AdvisorSession(schema, workload, system, config)
+        session.recommend()
+        assert len(validations) == classes
+        session.tune("disks", settings=(8, 32, 64))
+        session.with_delta(disks=32)
+        assert len(validations) == classes
+        # A skew edit changes the schema, so its pair validates again.
+        session.with_delta(skew={schema.dimensions[0].name: 0.8})
+        assert len(validations) == 2 * classes
+        # Without a cache every construction validates.
+        for _ in range(2):
+            AdvisorSession(
+                schema, workload, system, config, options=EngineOptions(cache=False)
+            )
+        assert len(validations) == 4 * classes
+
+    def test_an_invalid_workload_raises_on_every_construction(self, scenario):
+        schema, _, system, config = scenario
+        ghost = QueryMix(
+            [QueryClass("ghost", [DimensionRestriction("ghost", "level")])]
+        )
+        cache = EvaluationCache()
+        for _ in range(2):
+            with pytest.raises(WorkloadError, match="ghost"):
+                AdvisorSession(schema, ghost, system, config, cache=cache)
 
 
 class TestCompiledInputSharing:

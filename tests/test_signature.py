@@ -7,7 +7,7 @@ writes; the two digests must agree on every answer:
 
 * the FULL warehouse's digests are pinned, uniform and skewed;
 * a hypothesis property draws small warehouses and checks the batched,
-  scalar, warm-from-store and ``with_delta`` answers;
+  scalar, warm-from-store, memoized and ``with_delta`` answers;
 * hand-built edge cases cover texts no drawn warehouse produces: signed
   zeros and fractions in a page vector, escaped class names, empty
   attribute lists and an empty exclusion report.
@@ -116,7 +116,13 @@ class TestEmitterEqualsReference:
         )
         assert assert_emitter_matches(scalar.recommend().recommendation) == batched
         base = AdvisorSession(schema, workload, system, config)
-        base.recommend()
+        answer = base.recommend()
+        # The memo path: a fresh session sharing the cache, no probe.
+        lookups = base.cache.stats.lookups
+        fresh = AdvisorSession(schema, workload, system, config, cache=base.cache)
+        assert fresh.recommend() is answer
+        assert base.cache.stats.lookups == lookups
+        assert assert_emitter_matches(answer.recommendation) == batched
         try:
             edited = base.with_delta(disks=disks).recommend().recommendation
         except AdvisorError:

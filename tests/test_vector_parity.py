@@ -366,7 +366,7 @@ class TestAdvisorParityMatrix:
             scalar
         )
 
-    def test_warm_cache(self):
+    def test_warm_cache(self, swept_recommendation):
         schema, workload, system, config = _advisor_inputs()
         vectorized_advisor = AdvisorSession(schema, workload, system, config)
         scalar_advisor = AdvisorSession(
@@ -374,19 +374,26 @@ class TestAdvisorParityMatrix:
         )
         cold_v = vectorized_advisor.recommend().recommendation
         cold_s = scalar_advisor.recommend().recommendation
-        # Warm runs through fresh advisors sharing the caches (the same
-        # advisor would answer from its recommend() memo without a sweep).
-        warm_v = AdvisorSession(
+        # Fresh advisors sharing the caches answer recommend() from the
+        # caches' answer memos without a probe; their sweeps run warm.
+        warm_v_advisor = AdvisorSession(
             schema, workload, system, config, cache=vectorized_advisor.cache
-        ).recommend().recommendation
-        warm_s = AdvisorSession(
+        )
+        warm_s_advisor = AdvisorSession(
             schema,
             workload,
             system,
             config,
             cache=scalar_advisor.cache,
             options=EngineOptions(vectorize=False),
-        ).recommend().recommendation
+        )
+        caches = (vectorized_advisor.cache, scalar_advisor.cache)
+        lookups = [cache.stats.lookups for cache in caches]
+        assert warm_v_advisor.recommend().recommendation is cold_v
+        assert warm_s_advisor.recommend().recommendation is cold_s
+        assert [cache.stats.lookups for cache in caches] == lookups
+        warm_v = swept_recommendation(warm_v_advisor)
+        warm_s = swept_recommendation(warm_s_advisor)
         assert vectorized_advisor.cache.stats.hits > 0
         fingerprints = {
             recommendation_fingerprint(rec)
