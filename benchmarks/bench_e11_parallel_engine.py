@@ -320,9 +320,8 @@ def test_e11_cross_process_persistent_cache(quick, tmp_path):
     cold = _run_cross_process(params, cache_dir)
     warm = _run_cross_process(params, cache_dir)
 
-    # Corrupt every store file in place: the next process must fall back to a
-    # cold evaluation with the identical result (and rewrite the store).
-    (cache_dir / "entries.sqlite").write_bytes(b"this is not a database")
+    # Corrupt the one store file in place: the next process must fall back
+    # to a cold evaluation with the identical result (and rewrite the store).
     (cache_dir / "candidates.npz").write_bytes(b"\x00garbage")
     corrupted = _run_cross_process(params, cache_dir)
 

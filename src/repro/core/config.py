@@ -9,14 +9,46 @@ Defaults follow the behaviour described in the paper; every knob exists so the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from repro.allocation import NOTABLE_SKEW_CV
 from repro.bitmap.scheme import DEFAULT_CARDINALITY_THRESHOLD
 from repro.errors import AdvisorError
 
 __all__ = ["AdvisorConfig"]
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_optional_int(value: Any) -> bool:
+    return value is None or _is_int(value)
+
+
+def _is_number(value: Any) -> bool:
+    """A finite ``int`` or ``float`` that is not a ``bool``."""
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+#: ``(field, check, expected)`` for every field.  An int field takes only an
+#: ``int`` that is not a ``bool``, as :func:`repro.io.config.numeric_field`
+#: requires (``int()`` would truncate ``2.5`` and read ``true`` as 1); a
+#: number field takes no ``bool`` or string either, and ``include_baseline``
+#: only a ``bool`` (any non-empty string is truthy).
+_FIELD_TYPES = (
+    ("top_fraction", _is_number, "a finite number"),
+    ("top_candidates", _is_int, "an integer"),
+    ("max_fragmentation_dimensions", _is_optional_int, "an integer or None"),
+    ("min_fragments", _is_optional_int, "an integer or None"),
+    ("max_fragments", _is_int, "an integer"),
+    ("min_fragment_pages", _is_optional_int, "an integer or None"),
+    ("bitmap_cardinality_threshold", _is_int, "an integer"),
+    ("allocation_skew_cv", _is_number, "a finite number"),
+    ("include_baseline", lambda value: isinstance(value, bool), "a bool"),
+)
 
 
 @dataclass(frozen=True)
@@ -68,6 +100,12 @@ class AdvisorConfig:
     include_baseline: bool = False
 
     def __post_init__(self) -> None:
+        # Types first, so the API, a registration's ``advisor`` block and a
+        # study's ``with_delta`` all get the same check.
+        for name, check, expected in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not check(value):
+                raise AdvisorError(f"{name} must be {expected}, got {value!r}")
         if not 0 < self.top_fraction <= 1:
             raise AdvisorError(
                 f"top_fraction must be in (0, 1], got {self.top_fraction}"

@@ -17,9 +17,9 @@ explicit pipeline:
 3. :mod:`~repro.engine.signature` provides the content fingerprints the cache
    keys on, plus recommendation fingerprints used to *prove* parity.
 4. :class:`~repro.engine.store.CacheStore` spills the cache to a directory
-   (one npz of columnar candidate groups with their keys and integer
-   attribute codes, sqlite for the JSON exclusion reports and the LRU
-   access table; access structures stay in memory) so later *processes*
+   (one CRC-checked npz of columnar candidate groups with their keys,
+   integer attribute codes and last-access ages, plus the JSON exclusion
+   reports; access structures stay in memory) so later *processes*
    warm-start from disk.  A load checks each group whole and hands out one
    undecoded handle per candidate; a handle decodes on its first warm
    probe.  Corrupted or version-mismatched stores are silently ignored.

@@ -9,12 +9,13 @@ construction: a :class:`CacheStore` spills them under a cache directory and a
 later process reloads them, making repeated invocations and tuning sessions
 start warm.
 
-On-disk format (version 6)
+On-disk format (version 7)
 --------------------------
 
-The store persists only what a warm start reads and cannot derive:
+The store is one file, ``candidates.npz``, holding only what a warm start
+reads and cannot derive:
 
-``candidates.npz``
+Candidate groups (``c{g}/...``)
     Whole-candidate entries as **columnar groups**: all candidates sharing
     one (query classes, weights) shape stack into one metric cube, one disk
     plane and two flag planes.  Each group also holds its salted keys
@@ -22,52 +23,60 @@ The store persists only what a warm start reads and cannot derive:
     allocation schemes and fragment counts), its bitmap attributes as
     integer columns — the group's distinct ``[dimension, level]`` pairs
     (``attr_table``), the number of pairs per candidate and class
-    (``attr_counts``) and the flat table codes (``attr_codes``) — and
+    (``attr_counts``) and the flat table codes (``attr_codes``) —
     ``alloc_disks``, the disk ids of its ``greedy_size`` rows only, each
-    row's span as long as its fragment count.  JSON members are stored as
-    UTF-8 bytes.
+    row's span as long as its fragment count, and ``last_access``, each
+    candidate's last-access generation.  JSON members are stored as UTF-8
+    bytes.
 
-    Nothing the probing context determines is stored: a round-robin
-    placement is a rule of the fragment index, and every fragment's page
-    count is :func:`~repro.allocation.fragment_total_pages` of the layout
-    the probe rebuilds anyway, so both are derived on materialization.
+``reports``
+    One JSON member listing the candidate-exclusion reports, each as
+    ``[salted key, payload, last-access generation]``.
 
-    A load reads each group's members once, checks the whole group with
-    array operations (shapes, spans, codes, value ranges; a failing group
-    is skipped) and maps every key to a :class:`StoredCandidate` handle — no
-    per-candidate copy, no per-class tuple.  A handle decodes its one
-    candidate into a :class:`~repro.engine.result.CandidateColumns` record
-    on its first warm probe, which materializes it under the probing engine
-    context, so an activation pays only for the candidates it asks for.
+``__salt__``, ``__groups__``, ``__generation__``
+    The version salt, the number of candidate groups, and the generation
+    counter of the saves, which the last-access ages count in.
 
-``entries.sqlite``
-    One row per candidate-exclusion report (the cache key — salt-prefixed,
-    JSON-encoded tuple of content signatures — plus the JSON payload), and an
-    ``access`` bookkeeping table — one row per entry of *either* file with
-    its estimated byte size and a last-access generation counter — plus a
-    ``generation`` meta row, which drive the LRU garbage collection below.
+Nothing the probing context determines is stored: a round-robin placement
+is a rule of the fragment index, and every fragment's page count is
+:func:`~repro.allocation.fragment_total_pages` of the layout the probe
+rebuilds anyway, so both are derived on materialization.
+
+A load reads each group's members once, checks the whole group with array
+operations (shapes, spans, codes, value ranges; a failing group is skipped)
+and maps every key to a :class:`StoredCandidate` handle — no per-candidate
+copy, no per-class tuple.  A handle decodes its one candidate into a
+:class:`~repro.engine.result.CandidateColumns` record on its first warm
+probe, which materializes it under the probing engine context, so an
+activation pays only for the candidates it asks for.
 
 Access structures are memory-only.  A sweep recomputes its structure
 batches in a few tens of milliseconds, less than unpacking them from disk
-took (format 3 persisted them in a ``structures.npz`` that no served request
-read); every save unlinks that file when it finds one.
+took.  Format 3 persisted them in a ``structures.npz``, and format 6 kept
+the reports and ages in a second file without a checksum
+(:data:`ENTRIES_FILENAME`); no load reads either file, and every save
+unlinks both.
 
 Invalidation and trust
 ----------------------
 
-All files carry a **salt**: a digest over the store format version and the
+The file carries a **salt**: a digest over the store format version and the
 ``repro`` package version.  Every persisted key is prefixed with the same
-salt.  A store written by a different format or package version, a truncated
-or corrupted file, or an entry that fails to decode is **silently ignored,
-never trusted** — the evaluation simply runs cold and overwrites the store
-with fresh content.  A stored candidate holding a non-finite metric, a
-fragment count that is not its rebuilt layout's, or a greedy disk id past
-the probing system's disk count is caught at the probe: the cache counts it
-corrupt and evaluates that candidate cold.  Persistence is strictly
-best-effort: no store failure (unreadable directory, read-only filesystem,
-concurrent writer) may ever change a result or crash the advisor, only
-forfeit the warm start.  Loads read only npz members
-(``allow_pickle=False``) and JSON, so a store file never executes code.
+salt.  A store written by a different format or package version, a
+truncated or corrupted file, or an entry that fails to decode is **silently
+ignored, never trusted** — the evaluation simply runs cold and overwrites
+the store with fresh content.  The zip's CRC-32 covers every byte of every
+member, and a load reads each member to its end, so the checksum is always
+verified: ``np.load`` stops where a member's npy header says, and a damaged
+header length would shift the array onto other bytes with the checksum
+unread.  A stored candidate holding a non-finite metric, a fragment count
+that is not its rebuilt layout's, or a greedy disk id past the probing
+system's disk count is caught at the probe: the cache counts it corrupt and
+evaluates that candidate cold.  Persistence is strictly best-effort: no
+store failure (unreadable directory, read-only filesystem, concurrent
+writer) may ever change a result or crash the advisor, only forfeit the
+warm start.  Loads read only npy arrays (``allow_pickle=False``) and JSON,
+so a store file never executes code.
 
 Maintenance
 -----------
@@ -76,36 +85,34 @@ Saves **merge** into the existing store instead of dumping the writer's cache
 last-one-wins: the save first re-reads what the directory holds, unions it
 with the in-memory entries (memory wins on key collisions — the values are
 content-addressed, so a collision carries the identical value), and writes
-the union back.  The sqlite file is rewritten whole on every save; the npz
-file only when its entry set actually changed.
+the union back.  Every save rewrites the one file whole.
 
 When the store was built with a byte budget (``max_bytes``, CLI
 ``--cache-max-mb``), every save garbage-collects the merged union down to
 the budget before writing: entries are evicted oldest-first by their
 last-access generation (the advisor's in-memory cache reports which entries
 the finished sweep touched, so everything a warm run still uses stays young)
-and the written files are measured afterwards — eviction repeats until the
-directory's actual size fits the budget.
+and the written file is measured afterwards — eviction repeats until its
+actual size fits the budget.
 
 Concurrency
 -----------
 
-Every write is atomic: each file is written to a temporary sibling and then
+Every write is atomic: the file is written to a temporary sibling and then
 ``os.replace``'d into place.  Concurrent CLI invocations sharing a cache
-directory either see the complete previous store or the complete new one,
-never a partial file, and since every save merges the directory's current
-content with the writer's view, the surviving store is a superset of both up
-to GC.
+directory either see the whole previous store or the whole new one, never
+a partial file, and since every save merges the directory's current content
+with the writer's view, the surviving store is a superset of both up to GC.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import tempfile
+import zipfile
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -134,21 +141,23 @@ __all__ = [
 #: version 5 moved the keys and the bitmap attributes out of the candidate
 #: groups' JSON metadata into their own members (attributes as integer codes);
 #: version 6 dropped the page vectors and the round-robin disk ids, which a
-#: warm probe derives from the layout it rebuilds.
-STORE_FORMAT_VERSION = 6
+#: warm probe derives from the layout it rebuilds; version 7 moved the
+#: exclusion reports and the last-access ages into the npz, the one file.
+STORE_FORMAT_VERSION = 7
 
-#: Estimated fixed per-entry overhead (sqlite row / npz member headers).
+#: Estimated fixed per-entry overhead (salted key, per-row fields).
 _ENTRY_OVERHEAD_BYTES = 512
-#: Estimated fixed per-store overhead (sqlite page tree, npz/zip directory).
-_BASE_OVERHEAD_BYTES = 24 * 1024
+#: Estimated fixed per-store overhead (zip directory and member headers of
+#: a one-group store; format 6's second file needed 24 KB).
+_BASE_OVERHEAD_BYTES = 4 * 1024
 #: Hard cap on write→measure→evict rounds of one budgeted save.
 _MAX_GC_ROUNDS = 8
 
-#: Exclusion reports and the LRU access table (sqlite).
+#: Format 6's report and access-table file; no longer read, unlinked on save.
 ENTRIES_FILENAME = "entries.sqlite"
 #: Format 3's per-layout structure batches; no longer read, unlinked on save.
 BATCHES_FILENAME = "structures.npz"
-#: Whole-candidate entries (single npz, columnar groups).
+#: The store: candidate groups, exclusion reports and last-access ages.
 CANDIDATES_FILENAME = "candidates.npz"
 
 #: The allocation schemes a stored candidate may name (``repro.allocation``).
@@ -167,16 +176,6 @@ def store_salt() -> str:
     from repro import __version__
 
     return stable_digest("warlock-cache-store", str(STORE_FORMAT_VERSION), __version__)
-
-
-def _encode_key(salt: str, key: Tuple[str, ...]) -> str:
-    """Serialize a cache key tuple, prefixed with the version salt."""
-    return json.dumps([salt, *key])
-
-
-def _decode_key(salt: str, text: str) -> Optional[Tuple[str, ...]]:
-    """Parse a persisted key; ``None`` when malformed or salted differently."""
-    return _key_from_parts(salt, json.loads(text))
 
 
 def _key_from_parts(salt: str, parts: Any) -> Optional[Tuple[str, ...]]:
@@ -203,9 +202,21 @@ def _read_json(member: np.ndarray) -> Any:
 
 
 def _require(condition: Any) -> None:
-    """Reject a stored candidate group that fails one of its load checks."""
+    """Reject a store member that fails one of its load checks."""
     if not condition:
-        raise ValueError("malformed candidate group")
+        raise ValueError("malformed store member")
+
+
+def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """Read one npz member to its end, so its CRC-32 is always checked.
+
+    Raises when the member is missing, fails its checksum or holds bytes
+    past the array its header describes.
+    """
+    with archive.open(name + ".npy") as handle:
+        array = np.lib.format.read_array(handle, allow_pickle=False)
+        _require(not handle.read(1))
+    return array
 
 
 class CorruptCandidate(ValueError):
@@ -287,8 +298,10 @@ class _CandidateGroup:
         )
 
 
-def _read_group(data, prefix: str) -> Tuple[_CandidateGroup, list]:
-    """Read and check one candidate group: ``(group, salted key lists)``.
+def _read_group(
+    read: Callable[[str], np.ndarray], prefix: str
+) -> Tuple[_CandidateGroup, list, List[int]]:
+    """Read and check one candidate group: ``(group, salted keys, ages)``.
 
     The whole group is checked at once, mostly with array operations, so
     every row of a group that loads decodes into a well-formed record.  What
@@ -300,16 +313,17 @@ def _read_group(data, prefix: str) -> Tuple[_CandidateGroup, list]:
     from repro.costmodel.model import NUM_METRIC_FIELDS
     from repro.storage import PrefetchPolicy
 
-    keys = _read_json(data[prefix + "keys"])
-    meta = _read_json(data[prefix + "meta"])
-    table = _read_json(data[prefix + "attr_table"])
-    metrics = data[prefix + "metrics"]
-    disks = data[prefix + "disks"]
-    sequential = data[prefix + "sequential"]
-    forced = data[prefix + "forced"]
-    alloc_disks = data[prefix + "alloc_disks"]
-    attr_counts = data[prefix + "attr_counts"]
-    attr_codes = data[prefix + "attr_codes"]
+    keys = _read_json(read(prefix + "keys"))
+    meta = _read_json(read(prefix + "meta"))
+    table = _read_json(read(prefix + "attr_table"))
+    metrics = read(prefix + "metrics")
+    disks = read(prefix + "disks")
+    sequential = read(prefix + "sequential")
+    forced = read(prefix + "forced")
+    alloc_disks = read(prefix + "alloc_disks")
+    attr_counts = read(prefix + "attr_counts")
+    attr_codes = read(prefix + "attr_codes")
+    last_access = read(prefix + "last_access")
     query_names = meta["query_names"]
     weights = meta["weights"]
     fragments_total = np.asarray(meta["fragments_total"])
@@ -328,6 +342,8 @@ def _read_group(data, prefix: str) -> Tuple[_CandidateGroup, list]:
     _require(disks.dtype.kind == "i" and disks.shape == (rows, classes))
     _require(sequential.dtype == np.bool_ and sequential.shape == (rows, classes))
     _require(forced.dtype == np.bool_ and forced.shape == (rows, classes))
+    _require(last_access.dtype == np.int64 and last_access.shape == (rows,))
+    _require(np.all(last_access >= 0))
     # Fragment counts are non-negative integers.
     _require(fragments_total.dtype.kind == "i" and fragments_total.shape == (rows,))
     _require(np.all(fragments_total >= 0))
@@ -389,7 +405,7 @@ def _read_group(data, prefix: str) -> Tuple[_CandidateGroup, list]:
         attr_codes=attr_codes,
         attr_offsets=attr_offsets.tolist(),
     )
-    return group, keys
+    return group, keys, last_access.tolist()
 
 
 class StoredCandidate:
@@ -440,13 +456,14 @@ class StoreLoadStats:
     :meth:`~repro.engine.cache.EvaluationCache.load`).
     """
 
-    #: Whole files skipped because their version salt did not match.
+    #: Whole store files skipped because their version salt did not match.
     salt_mismatches: int = 0
-    #: Individual entries/groups skipped (undecodable payloads, malformed
-    #: or foreign-salted keys) while the rest of the file loaded fine.
+    #: Individual groups or entries skipped (a group or report entry failing
+    #: its checks or its checksum, a malformed or foreign-salted key, an
+    #: unreadable ``reports`` member) while the rest of the file loaded fine.
     corrupt_entries: int = 0
-    #: Whole files abandoned by the catch-all fallback (truncated sqlite,
-    #: unreadable npz, stale format).
+    #: Whole store files abandoned by the catch-all fallback (not a zip,
+    #: truncated, or a damaged salt, group count or generation member).
     fallback_loads: int = 0
 
     def copy(self) -> "StoreLoadStats":
@@ -471,11 +488,11 @@ class CacheStore:
     Parameters
     ----------
     cache_dir:
-        Directory holding the two store files.
+        Directory holding the store file.
     max_bytes:
-        Byte budget of the whole directory (``None`` = unbounded): after
-        every save the store's files must not exceed it, least-recently-used
-        entries being evicted first.
+        Byte budget of the store file (``None`` = unbounded): after every
+        save the file must not exceed it, least-recently-used entries being
+        evicted first.
     """
 
     def __init__(self, cache_dir, max_bytes: Optional[int] = None) -> None:
@@ -489,7 +506,7 @@ class CacheStore:
 
     @property
     def entries_path(self) -> str:
-        """Path of the sqlite entry file (exclusion reports + access table)."""
+        """Path of format 6's report and age file (unlinked by every save)."""
         return os.path.join(self.cache_dir, ENTRIES_FILENAME)
 
     @property
@@ -499,7 +516,7 @@ class CacheStore:
 
     @property
     def candidates_path(self) -> str:
-        """Path of the npz candidate file (columnar candidate groups)."""
+        """Path of the store file (candidate groups, reports, ages)."""
         return os.path.join(self.cache_dir, CANDIDATES_FILENAME)
 
     # -- load -------------------------------------------------------------------
@@ -511,61 +528,38 @@ class CacheStore:
         Returns empty dicts for anything missing, corrupted or
         version-mismatched.
         """
-        return self._load_candidates(), self._load_entries()
+        candidates, reports, _, _ = self._read()
+        return candidates, reports
 
-    def _load_entries(self) -> Dict[Tuple[str, ...], Any]:
+    def _read(self):
+        """Read the store file: ``(candidates, reports, ages, generation)``.
+
+        ``ages`` maps every loaded key to its last-access generation.  Serves
+        :meth:`load` and the merge of :meth:`save`.  A missing file reads as
+        empty; a damaged group or report entry is skipped and the rest
+        loads, and a file that cannot be read at all reads as empty, each
+        counted in :attr:`load_stats`.
+        """
+        candidates: Dict[Tuple[str, ...], StoredCandidate] = {}
         reports: Dict[Tuple[str, ...], Any] = {}
-        path = self.entries_path
+        ages: Dict[Tuple[str, ...], int] = {}
+        if not os.path.exists(self.candidates_path):
+            return candidates, reports, ages, 0
         try:
-            if not os.path.exists(path):
-                return {}
-            # Read-only URI: never create or lock-upgrade the file while a
-            # concurrent invocation may be replacing it.
-            connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-            try:
-                rows = connection.execute(
-                    "SELECT value FROM meta WHERE key = 'salt'"
-                ).fetchall()
-                if not rows or rows[0][0] != self.salt:
-                    self.load_stats.salt_mismatches += 1
-                    return {}
-                for key_text, payload in connection.execute(
-                    "SELECT key, payload FROM entries"
-                ):
-                    # Per-entry skip: one undecodable row forfeits that entry
-                    # only, not the whole warm start.
-                    try:
-                        key = _decode_key(self.salt, key_text)
-                        if key is None:
-                            self.load_stats.corrupt_entries += 1
-                            continue
-                        reports[key] = json.loads(payload.decode("utf-8"))
-                    except Exception:
-                        self.load_stats.corrupt_entries += 1
-                        continue
-            finally:
-                connection.close()
-        except Exception:
-            # Stale format, truncated file: never trusted.
-            self.load_stats.fallback_loads += 1
-            return {}
-        return reports
+            with zipfile.ZipFile(self.candidates_path) as archive:
 
-    def _load_candidates(self) -> Dict[Tuple[str, ...], "StoredCandidate"]:
-        entries: Dict[Tuple[str, ...], StoredCandidate] = {}
-        path = self.candidates_path
-        try:
-            if not os.path.exists(path):
-                return {}
-            with np.load(path, allow_pickle=False) as data:
-                if str(data["__salt__"][()]) != self.salt:
+                def read(name: str) -> np.ndarray:
+                    return _read_member(archive, name)
+
+                if str(read("__salt__")[()]) != self.salt:
                     self.load_stats.salt_mismatches += 1
-                    return {}
-                for g in range(int(data["__groups__"][()])):
+                    return {}, {}, {}, 0
+                generation = int(read("__generation__")[()])
+                for g in range(int(read("__groups__")[()])):
                     # Per-group skip: one bad group forfeits its candidates
                     # only, not the whole warm start.
                     try:
-                        group, keys = _read_group(data, f"c{g}/")
+                        group, keys, last_access = _read_group(read, f"c{g}/")
                     except Exception:
                         self.load_stats.corrupt_entries += 1
                         continue
@@ -574,11 +568,31 @@ class CacheStore:
                         if key is None:
                             self.load_stats.corrupt_entries += 1
                             continue
-                        entries[key] = StoredCandidate(group, row)
+                        candidates[key] = StoredCandidate(group, row)
+                        ages[key] = last_access[row]
+                try:
+                    entries = _read_json(read("reports"))
+                    _require(isinstance(entries, list))
+                except Exception:
+                    self.load_stats.corrupt_entries += 1
+                    entries = []
+                for entry in entries:
+                    # Per-entry skip, like a group's.
+                    if not (isinstance(entry, list) and len(entry) == 3):
+                        self.load_stats.corrupt_entries += 1
+                        continue
+                    parts, payload, last = entry
+                    key = _key_from_parts(self.salt, parts)
+                    if key is None or type(last) is not int or last < 0:
+                        self.load_stats.corrupt_entries += 1
+                        continue
+                    reports[key] = payload
+                    ages[key] = last
         except Exception:
+            # Not a zip, truncated, or a damaged file-wide member.
             self.load_stats.fallback_loads += 1
-            return {}
-        return entries
+            return {}, {}, {}, 0
+        return candidates, reports, ages, generation
 
     # -- save -------------------------------------------------------------------
 
@@ -594,8 +608,8 @@ class CacheStore:
         (provided entries win on key collisions; the keys are content
         signatures, so a collision carries the identical value), the union is
         garbage-collected down to ``max_bytes`` when a budget is set, and the
-        files are written — the sqlite file always, the npz file only when
-        its entry set changed.  Format 3's ``structures.npz`` is unlinked.
+        store file is written whole.  Format 3's structure file and format
+        6's report file are unlinked.
 
         ``touched`` names the cache keys the writing process actually used
         (hit or inserted) this run: their last-access generation is
@@ -617,8 +631,9 @@ class CacheStore:
         reports = {} if reports is None else reports
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
-            if os.path.exists(self.batches_path):
-                os.unlink(self.batches_path)
+            for legacy in (self.batches_path, self.entries_path):
+                if os.path.exists(legacy):
+                    os.unlink(legacy)
             corrupt: Set[Tuple[str, ...]] = set()
 
             def decoded(items) -> Dict[Tuple[str, ...], "CandidateColumns"]:
@@ -635,8 +650,7 @@ class CacheStore:
                 return records
 
             records = decoded(candidates.items())
-            disk_reports = self._load_entries()
-            disk_handles = self._load_candidates()
+            disk_handles, disk_reports, ages, generation = self._read()
             disk_candidates = decoded(
                 (key, handle)
                 for key, handle in disk_handles.items()
@@ -648,72 +662,25 @@ class CacheStore:
                 "candidate": {**disk_candidates, **records},
             }
             provided = {"report": set(reports), "candidate": set(records)}
-            old_access, generation = self._read_access_state()
             generation += 1
             payloads = {
-                key: json.dumps(value).encode("utf-8")
-                for key, value in merged["report"].items()
+                key: json.dumps(value) for key, value in merged["report"].items()
             }
             new_access: Dict[Tuple[str, ...], Tuple[str, int, int]] = {}
             for kind, entries in merged.items():
                 for key in entries:
-                    old = old_access.get(key)
                     refreshed = (
                         key in provided[kind] if touched is None else key in touched
                     )
                     new_access[key] = (
                         kind,
                         self._entry_bytes(kind, key, merged, payloads),
-                        generation if refreshed or old is None else old[2],
+                        generation if refreshed else ages.get(key, generation),
                     )
-            self._collect_and_write(
-                merged, new_access, payloads, set(disk_handles), generation
-            )
+            self._collect_and_write(merged, new_access, payloads, generation)
         except Exception:
             return None
         return sum(len(entries) for entries in merged.values())
-
-    def _read_access_state(self):
-        """``(access map, generation)`` from the live sqlite file.
-
-        Best-effort like every read: a missing, corrupted or foreign-salted
-        file yields empty bookkeeping, which simply makes every entry "new".
-        """
-        path = self.entries_path
-        try:
-            if not os.path.exists(path):
-                return {}, 0
-            connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-            try:
-                rows = connection.execute(
-                    "SELECT value FROM meta WHERE key = 'salt'"
-                ).fetchall()
-                if not rows or rows[0][0] != self.salt:
-                    return {}, 0
-                generation = 0
-                for (value,) in connection.execute(
-                    "SELECT value FROM meta WHERE key = 'generation'"
-                ):
-                    try:
-                        generation = int(value)
-                    except (TypeError, ValueError):
-                        continue
-                access: Dict[Tuple[str, ...], Tuple[str, int, int]] = {}
-                for key_text, kind, nbytes, last in connection.execute(
-                    "SELECT key, kind, bytes, last_access FROM access"
-                ):
-                    try:
-                        key = _decode_key(self.salt, key_text)
-                        if key is None:
-                            continue
-                        access[key] = (str(kind), int(nbytes), int(last))
-                    except Exception:
-                        continue
-                return access, generation
-            finally:
-                connection.close()
-        except Exception:
-            return {}, 0
 
     @staticmethod
     def _entry_bytes(kind, key, merged, payloads) -> int:
@@ -764,40 +731,21 @@ class CacheStore:
             merged[kind].pop(key, None)
             payloads.pop(key, None)
 
-    def _store_bytes(self) -> int:
-        """Actual byte size of the two store files (missing files count 0)."""
-        total = 0
-        for path in (self.entries_path, self.candidates_path):
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                continue
-        return total
-
-    def _collect_and_write(
-        self, merged, new_access, payloads, disk_candidate_keys, generation
-    ) -> None:
-        """GC the merged union to the byte budget, then write the files.
+    def _collect_and_write(self, merged, new_access, payloads, generation) -> None:
+        """GC the merged union to the byte budget, then write the file.
 
         Without a budget this is one plain write.  With one, the estimated
-        total is trimmed before writing, the written files are *measured*,
-        and eviction repeats oldest-first until the directory actually fits —
-        estimates only steer, the budget is enforced on real file sizes.  A
-        budget no store can fit (smaller than the fixed file overheads)
-        removes the files entirely.
+        total is trimmed before writing, the written file is *measured*, and
+        eviction repeats oldest-first until it actually fits — estimates
+        only steer, the budget is enforced on the real file size.  A budget
+        no store can fit (smaller than the fixed file overheads) removes the
+        file entirely.
         """
         evicted = self._select_evictions(new_access)
         self._drop(merged, new_access, payloads, evicted)
-        force_full = False
         for _ in range(_MAX_GC_ROUNDS):
-            if (
-                force_full
-                or set(merged["candidate"]) != disk_candidate_keys
-                or not os.path.exists(self.candidates_path)
-            ):
-                self._save_candidates(merged["candidate"])
-            self._write_entries(payloads, new_access, generation)
-            measured = self._store_bytes()
+            self._write(merged["candidate"], payloads, new_access, generation)
+            measured = os.path.getsize(self.candidates_path)
             if self.max_bytes is None or measured <= self.max_bytes:
                 return
             if not new_access:
@@ -805,11 +753,12 @@ class CacheStore:
             over = measured - self.max_bytes
             # The per-entry sizes steering the eviction are payload
             # *estimates*; on disk every entry also pays format overhead
-            # (zip headers, sqlite pages) the estimate cannot see.  Translate
-            # the measured excess into estimate units before selecting: a
-            # store whose files run 2-3x the estimate would otherwise free
-            # 2-3x too many entries — down to an empty directory — in one
-            # round.  Undershooting is safe; the next round measures again.
+            # (zip and npy headers, key text) the estimate cannot see.
+            # Translate the measured excess into estimate units before
+            # selecting: a store whose file runs 2-3x the estimate would
+            # otherwise free 2-3x too many entries — down to an empty store —
+            # in one round.  Undershooting is safe; the next round measures
+            # again.
             estimated = _BASE_OVERHEAD_BYTES + sum(
                 nbytes for _, nbytes, _ in new_access.values()
             )
@@ -824,68 +773,16 @@ class CacheStore:
                     )
                 }
             self._drop(merged, new_access, payloads, evicted)
-            force_full = True
         # Still over budget with nothing (left) to evict — or the rounds ran
         # out: the budget wins over keeping a store at all.
         self._drop(merged, new_access, payloads, set(new_access))
-        for path in (self.entries_path, self.candidates_path):
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-
-    def _write_entries(self, payloads, new_access, generation) -> None:
-        """Write the sqlite file whole, through the atomic temp-then-rename."""
-        rows = [
-            (_encode_key(self.salt, key), payload) for key, payload in payloads.items()
-        ]
-        access_rows = [
-            (_encode_key(self.salt, key), kind, int(nbytes), int(last))
-            for key, (kind, nbytes, last) in new_access.items()
-        ]
-
-        def write(tmp_path: str) -> None:
-            connection = sqlite3.connect(tmp_path)
-            try:
-                connection.execute(
-                    "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)"
-                )
-                connection.execute(
-                    "CREATE TABLE entries (key TEXT PRIMARY KEY, payload BLOB NOT NULL)"
-                )
-                connection.execute(
-                    "CREATE TABLE access "
-                    "(key TEXT PRIMARY KEY, kind TEXT NOT NULL, "
-                    "bytes INTEGER NOT NULL, last_access INTEGER NOT NULL)"
-                )
-                connection.executemany(
-                    "INSERT INTO meta VALUES (?, ?)",
-                    [("salt", self.salt), ("generation", str(generation))],
-                )
-                connection.executemany("INSERT INTO entries VALUES (?, ?)", rows)
-                connection.executemany(
-                    "INSERT INTO access VALUES (?, ?, ?, ?)", access_rows
-                )
-                connection.commit()
-            finally:
-                connection.close()
-
-        self._atomic_write(self.entries_path, write)
-
-    def _atomic_write(self, final_path: str, write):
-        """Run ``write(tmp_path)`` then rename the temp file into place."""
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=".store-", suffix=".tmp"
-        )
-        os.close(fd)
         try:
-            write(tmp_path)
-            os.replace(tmp_path, final_path)
-        finally:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
+            os.unlink(self.candidates_path)
+        except OSError:
+            pass
 
-    def _save_candidates(self, candidates) -> None:
+    def _write(self, candidates, payloads, new_access, generation) -> None:
+        """Write the whole store file through an atomic temp-then-rename."""
         # Group the candidates by class shape: every group stacks into one
         # metric cube plus the concatenated disk ids of its greedy rows.
         # Weight floats round-trip exactly through JSON (repr-based shortest
@@ -895,9 +792,17 @@ class CacheStore:
             shape = (record.columns.query_names, record.columns.weights)
             groups.setdefault(shape, []).append((key, record))
 
+        # The report payloads are already JSON text (their size estimates
+        # measured it), so the member is joined from them, not re-encoded.
+        reports = ",".join(
+            f"[{json.dumps([self.salt, *key])},{text},{new_access[key][2]}]"
+            for key, text in payloads.items()
+        )
         arrays: Dict[str, np.ndarray] = {
             "__salt__": np.array(self.salt),
             "__groups__": np.array(len(groups)),
+            "__generation__": np.array(generation, dtype=np.int64),
+            "reports": np.frombuffer(f"[{reports}]".encode("utf-8"), dtype=np.uint8),
         }
         for g, ((query_names, weights), members) in enumerate(groups.items()):
             # Bitmap attributes as integer columns: per candidate and class
@@ -951,9 +856,17 @@ class CacheStore:
             arrays[f"c{g}/alloc_disks"] = (
                 np.concatenate(greedy) if greedy else np.empty(0, dtype=np.int64)
             )
+            arrays[f"c{g}/last_access"] = np.array(
+                [new_access[key][2] for key, _ in members], dtype=np.int64
+            )
 
-        def write(tmp_path: str) -> None:
-            with open(tmp_path, "wb") as handle:
+        fd, tmp_path = tempfile.mkstemp(
+            dir=self.cache_dir, prefix=".store-", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "wb") as handle:
                 np.savez(handle, **arrays)
-
-        self._atomic_write(self.candidates_path, write)
+            os.replace(tmp_path, self.candidates_path)
+        finally:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)

@@ -310,7 +310,11 @@ class AdvisorServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
+        # The request line is read, so a malformed length can be answered.
+        length_text = headers.get("content-length") or "0"
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise ServiceError(f"invalid Content-Length {length_text!r}", status=400)
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
             raise ServiceError(f"request body over {MAX_BODY_BYTES} bytes", status=413)
         body = await reader.readexactly(length) if length else b""

@@ -460,12 +460,22 @@ class TestHTTPEndpoints:
             ({"dataset": "apb1", "disks": 64.7}, "disks"),
             ({"dataset": "apb1", "disks": True}, "disks"),
             ({**example_config(), "system": {"num_disks": 16.9}}, "num_disks"),
+            *(
+                ({"dataset": "apb1", "scale": 0.02, "advisor": {key: value}}, key)
+                for key, value in (
+                    ("top_candidates", 2.5),
+                    ("max_fragments", True),
+                    ("include_baseline", "no"),
+                    ("max_fragmentation_dimensions", 1.5),
+                )
+            ),
         ],
         ids=[
             "scale-string", "scale-null", "disks-string", "skew-string",
             "schema-string", "workload-string", "workload-entry-string",
             "num-disks-string", "disks-fraction", "disks-bool",
-            "num-disks-fraction",
+            "num-disks-fraction", "advisor-top-candidates-fraction", "advisor-max-bool",
+            "advisor-baseline-string", "advisor-dimensions-fraction",
         ],
     )
     def test_register_with_a_wrong_typed_field_is_400(self, server, payload, key):
@@ -491,6 +501,23 @@ class TestHTTPEndpoints:
         assert body["type"] == "StorageError"
         code, _ = http_error(server, "DELETE", "/warehouses/shop")
         assert code == 404
+
+    @pytest.mark.parametrize("length", ["-5", "abc"])
+    def test_a_malformed_content_length_is_400(self, server, length):
+        # The request line is already read, so the server can answer, and
+        # must not hand a negative length to the body read.
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(
+                b"POST /warehouses/main/submit HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), response
+        assert "Content-Length" in json.loads(body)["error"]
 
     def test_register_with_a_non_finite_budget_is_400(self, server, tmp_path):
         payload = {
@@ -940,13 +967,12 @@ class TestHealthzStoreCounters:
         assert all(isinstance(v, int) for v in health["store"].values())
 
     def test_corrupted_store_shows_up_in_healthz(self, scenario, server, tmp_path):
-        from repro.engine.store import CANDIDATES_FILENAME, ENTRIES_FILENAME
+        from repro.engine.store import CANDIDATES_FILENAME
 
         schema, workload, system, config = scenario
         cache_dir = tmp_path / "rotten"
         cache_dir.mkdir()
-        for name in (ENTRIES_FILENAME, CANDIDATES_FILENAME):
-            (cache_dir / name).write_bytes(b"\x00\x01 rubble")
+        (cache_dir / CANDIDATES_FILENAME).write_bytes(b"\x00\x01 rubble")
         server.registry.register(
             "rotten",
             schema,

@@ -379,7 +379,7 @@ class TestSubmitContract:
 
 class TestSessionLifecycle:
     def test_context_manager_persists_on_close(self, scenario, tmp_path):
-        from repro.engine.store import ENTRIES_FILENAME
+        from repro.engine.store import CANDIDATES_FILENAME
 
         schema, workload, system, config = scenario
         store = tmp_path / "cache"
@@ -391,7 +391,7 @@ class TestSessionLifecycle:
             options=EngineOptions(cache_dir=str(store)),
         ) as session:
             session.recommend()
-        assert (store / ENTRIES_FILENAME).exists()
+        assert (store / CANDIDATES_FILENAME).exists()
         # A second session over the directory answers the sweep from disk.
         warm = AdvisorSession(
             schema,

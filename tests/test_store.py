@@ -4,12 +4,13 @@ The contract under test (repro.engine.store):
 
 * a second advisor *process* (modelled here as a fresh cache/advisor loading
   the same directory) answers its sweep from the disk store, bit-identically;
-* the directory holds exactly two files, and nothing in them is pickled;
+* the directory holds exactly one file, and nothing in it is pickled;
 * the store holds no page vector and no round-robin disk id: a warm probe
   derives them from the layout it rebuilds;
 * a corrupted, truncated or version-mismatched store is silently ignored —
   the run falls back to a cold evaluation with the identical fingerprint and
-  then atomically rewrites the store;
+  then atomically rewrites the store; a damaged byte anywhere in the file is
+  caught by the zip checksum or a load check and counted, never loaded;
 * an unwritable store location can never fail an evaluation.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 
 import numpy as np
 import pytest
@@ -39,9 +39,10 @@ from repro.engine.store import (
     BATCHES_FILENAME,
     CANDIDATES_FILENAME,
     ENTRIES_FILENAME,
+    CorruptCandidate,
     StoredCandidate,
-    _encode_key,
     _json_member,
+    _key_from_parts,
     _read_json,
 )
 from repro.workload.generator import random_query_mix
@@ -89,13 +90,6 @@ def _payload(i):
     return {"fill": str(i) * 10_000}
 
 
-def _insert_report_row(cache_dir, key_text, payload) -> None:
-    connection = sqlite3.connect(cache_dir / ENTRIES_FILENAME)
-    connection.execute("INSERT INTO entries VALUES (?, ?)", (key_text, payload))
-    connection.commit()
-    connection.close()
-
-
 def _two_mix_store(scenario, cache_dir):
     """A store holding the sweeps of two 6-class mixes (two candidate groups)."""
     schema, _, system, config = scenario
@@ -118,12 +112,35 @@ def _write_members(cache_dir, members) -> None:
         np.savez(handle, **members)
 
 
+def _edit_reports(cache_dir, change) -> None:
+    """Rewrite the store's ``reports`` member as ``change(entries)``."""
+    members = _read_members(cache_dir)
+    members["reports"] = _json_member(change(_read_json(members["reports"])))
+    _write_members(cache_dir, members)
+
+
+def _load_with_extra_report(scenario, cache_dir, entry):
+    """The reports of a saved sweep's store with ``entry`` appended.
+
+    Checks that only that entry is skipped, and counted once.
+    """
+    advisor = _advisor(scenario, cache_dir)
+    advisor.recommend()
+    _edit_reports(cache_dir, lambda entries: [*entries, entry])
+    store = CacheStore(cache_dir)
+    candidates, reports = store.load()
+    assert len(reports) == 1
+    assert set(candidates) == set(advisor.cache._candidates)
+    assert store.load_stats.corrupt_entries == 1
+    return reports
+
+
 class TestRoundTrip:
     def test_cold_run_writes_all_store_files(self, scenario, tmp_path):
         advisor = _advisor(scenario, tmp_path)
         advisor.recommend()
-        assert (tmp_path / ENTRIES_FILENAME).exists()
         assert (tmp_path / CANDIDATES_FILENAME).exists()
+        assert not (tmp_path / ENTRIES_FILENAME).exists()
         # No leftover temp files: saves are write-temp-then-rename.
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -214,17 +231,20 @@ class TestRoundTrip:
         assert np.array_equal(stored, np.concatenate([np.empty(0, int), *expected]))
 
     @pytest.mark.parametrize("vectorize", [True, False])
-    def test_store_holds_two_files_and_no_pickle(self, scenario, tmp_path, vectorize):
-        # Batched or scalar, a sweep persists only candidates and reports:
-        # access structures stay in memory, and every sqlite row is JSON.
+    def test_store_holds_one_file_and_no_pickle(self, scenario, tmp_path, vectorize):
+        # Batched or scalar, a sweep persists only candidates and reports, in
+        # one npz: access structures stay in memory, every member loads
+        # without pickle, and the reports member is JSON.
         _advisor(scenario, tmp_path, vectorize=vectorize).recommend()
-        assert sorted(os.listdir(tmp_path)) == [CANDIDATES_FILENAME, ENTRIES_FILENAME]
-        connection = sqlite3.connect(tmp_path / ENTRIES_FILENAME)
-        payloads = [row[0] for row in connection.execute("SELECT payload FROM entries")]
-        connection.close()
-        assert payloads
-        for payload in payloads:
-            json.loads(payload)
+        assert os.listdir(tmp_path) == [CANDIDATES_FILENAME]
+        members = _read_members(tmp_path)
+        assert not any(member.dtype.hasobject for member in members.values())
+        entries = json.loads(members["reports"].tobytes())
+        assert len(entries) == 1
+        for parts, payload, last_access in entries:
+            assert parts[0] == store_salt()
+            assert isinstance(payload, dict)
+            assert type(last_access) is int and last_access >= 1
 
 
 class TestWarmStartParity:
@@ -237,8 +257,7 @@ class TestWarmStartParity:
         assert recommendation_fingerprint(warm) == fingerprint
         assert warm_advisor.cache.stats.disk_hit_rate >= 0.9
 
-        # Corrupt every file in place: the store must be silently ignored.
-        (tmp_path / ENTRIES_FILENAME).write_bytes(b"this is not a database")
+        # Corrupt the store in place: it must be silently ignored.
         (tmp_path / CANDIDATES_FILENAME).write_bytes(b"\x00\x01garbage")
         corrupted_advisor = _advisor(scenario, tmp_path)
         corrupted = corrupted_advisor.recommend().recommendation
@@ -338,7 +357,7 @@ class TestFailureModes:
         self, scenario, tmp_path, monkeypatch
     ):
         # A directory written under format 3's salt, with a stray
-        # structures.npz beside it: both salted files are mismatches, the run
+        # structures.npz beside it: the store file is a mismatch, the run
         # answers cold, and its save removes the format-3 structure file.
         with monkeypatch.context() as patch:
             patch.setattr(repro.engine.store, "STORE_FORMAT_VERSION", 3)
@@ -346,29 +365,35 @@ class TestFailureModes:
         fingerprint = recommendation_fingerprint(cold)
         (tmp_path / BATCHES_FILENAME).write_bytes(b"\x00format-3 batches")
         upgraded = _advisor(scenario, tmp_path)
-        assert upgraded.cache.stats.store_salt_mismatches == 2
+        assert upgraded.cache.stats.store_salt_mismatches == 1
         assert upgraded.cache.loaded_from_disk == 0
         result = upgraded.recommend().recommendation
         assert recommendation_fingerprint(result) == fingerprint
         assert not (tmp_path / BATCHES_FILENAME).exists()
-        assert sorted(os.listdir(tmp_path)) == [CANDIDATES_FILENAME, ENTRIES_FILENAME]
+        assert os.listdir(tmp_path) == [CANDIDATES_FILENAME]
 
-    def test_format_5_directory_runs_cold_and_is_rewritten_as_format_6(
+    def test_format_6_directory_runs_cold_and_is_rewritten_as_format_7(
         self, scenario, tmp_path, monkeypatch
     ):
+        # A directory written under format 6's salt, with format 3's
+        # structure file and format 6's report file beside it.  Only the
+        # store file is read, so the run counts one salt mismatch and
+        # answers cold; its save unlinks both stray files.
         with monkeypatch.context() as patch:
-            patch.setattr(repro.engine.store, "STORE_FORMAT_VERSION", 5)
-            cold = _advisor(scenario, tmp_path).recommend().recommendation
-        fingerprint = recommendation_fingerprint(cold)
+            patch.setattr(repro.engine.store, "STORE_FORMAT_VERSION", 6)
+            cold = _advisor(scenario, tmp_path).recommend().fingerprint
+        (tmp_path / BATCHES_FILENAME).write_bytes(b"\x00format-3 batches")
+        (tmp_path / ENTRIES_FILENAME).write_bytes(b"\x00format-6 reports")
         upgraded = _advisor(scenario, tmp_path)
-        assert upgraded.cache.stats.store_salt_mismatches == 2
+        assert upgraded.cache.stats.store_salt_mismatches == 1
+        assert upgraded.cache.stats.store_fallback_loads == 0
         assert upgraded.cache.loaded_from_disk == 0
-        result = upgraded.recommend().recommendation
-        assert recommendation_fingerprint(result) == fingerprint
-        # The cold run's save rewrote both files under format 6's salt.
+        assert upgraded.recommend().fingerprint == cold
+        assert os.listdir(tmp_path) == [CANDIDATES_FILENAME]
+        # The cold run's save rewrote the store under format 7's salt.
         store = CacheStore(tmp_path)
         candidates, reports = store.load()
-        assert repro.engine.store.STORE_FORMAT_VERSION == 6
+        assert repro.engine.store.STORE_FORMAT_VERSION == 7
         assert store.load_stats.salt_mismatches == 0
         assert candidates and len(reports) == 1
 
@@ -395,75 +420,54 @@ class TestFailureModes:
         nested = tmp_path / "a" / "b" / "cache"
         advisor = _advisor(scenario, nested)
         advisor.recommend()
-        assert (nested / ENTRIES_FILENAME).exists()
-
-    def test_truncated_sqlite_only_still_loads_candidates(self, scenario, tmp_path):
-        # The store files are validated independently: a corrupt entry file
-        # must not poison the (intact) candidate file.
-        cold = _advisor(scenario, tmp_path)
-        fingerprint = recommendation_fingerprint(cold.recommend().recommendation)
-        (tmp_path / ENTRIES_FILENAME).write_bytes(b"broken")
-        advisor = _advisor(scenario, tmp_path)
-        result = advisor.recommend().recommendation
-        assert recommendation_fingerprint(result) == fingerprint
-        # The report was gone, but the candidates warm-started.
-        assert advisor.cache.loaded_from_disk > 0
-        assert advisor.cache.stats.candidate_disk_hits > 0
-
-    def test_truncated_candidates_only_still_loads_the_rest(self, scenario, tmp_path):
-        cold = _advisor(scenario, tmp_path)
-        fingerprint = recommendation_fingerprint(cold.recommend().recommendation)
-        (tmp_path / CANDIDATES_FILENAME).write_bytes(b"broken")
-        advisor = _advisor(scenario, tmp_path)
-        # The exclusion report still loads from the intact sqlite file.
-        assert advisor.cache.loaded_from_disk == 1
-        assert len(advisor.cache._reports) == 1
-        result = advisor.recommend().recommendation
-        assert recommendation_fingerprint(result) == fingerprint
-        assert advisor.cache.stats.candidate_disk_hits == 0
+        assert (nested / CANDIDATES_FILENAME).exists()
 
 
 class TestKeyEncoding:
-    def test_round_trip(self):
-        from repro.engine.store import _decode_key, _encode_key
-
-        salt = store_salt()
+    def test_round_trip(self, tmp_path):
         key = ("batch", "abc123", "def456")
-        assert _decode_key(salt, _encode_key(salt, key)) == key
+        assert CacheStore(tmp_path).save({}, {key: _payload(1)}) == 1
+        assert CacheStore(tmp_path).load() == ({}, {key: _payload(1)})
 
     def test_malformed_or_foreign_keys_are_rejected(self):
-        import json
-
-        from repro.engine.store import _decode_key, _encode_key
-
         salt = store_salt()
-        assert _decode_key(salt, json.dumps(["other-salt", "a", "b"])) is None
-        assert _decode_key(salt, json.dumps([salt])) is None
-        assert _decode_key(salt, json.dumps([salt, "a", 7])) is None
-        assert _decode_key(salt, json.dumps({"not": "a list"})) is None
+        assert _key_from_parts(salt, [salt, "a", "b"]) == ("a", "b")
+        assert _key_from_parts(salt, ["other-salt", "a", "b"]) is None
+        assert _key_from_parts(salt, [salt]) is None
+        assert _key_from_parts(salt, [salt, "a", 7]) is None
+        assert _key_from_parts(salt, {"not": "a list"}) is None
 
     def test_undecodable_payload_skips_that_entry_only(self, scenario, tmp_path):
-        # One undecodable report row must forfeit one entry, not the store.
-        advisor = _advisor(scenario, tmp_path)
-        advisor.recommend()
-        _insert_report_row(
-            tmp_path, _encode_key(store_salt(), ("bad-entry",)), b"\x80truncated"
-        )
-        candidates, reports = CacheStore(tmp_path).load()
-        assert ("bad-entry",) not in reports
-        assert len(reports) == 1
-        assert len(candidates) == len(dict(advisor.cache._candidates))
+        # One malformed report entry (no last-access age) must forfeit one
+        # entry, not the store.
+        entry = [[store_salt(), "bad-entry"], {}]
+        assert ("bad-entry",) not in _load_with_extra_report(scenario, tmp_path, entry)
 
     def test_foreign_salted_rows_are_skipped_not_fatal(self, scenario, tmp_path):
-        # A single foreign-salted row inside an otherwise valid store must be
-        # skipped without discarding the valid entries.
+        # A single foreign-salted entry inside an otherwise valid store must
+        # be skipped without discarding the valid entries.
+        entry = [["foreign-salt", "x"], {}, 1]
+        assert ("x",) not in _load_with_extra_report(scenario, tmp_path, entry)
+
+    @pytest.mark.parametrize("age", [-1, 1.5, "1", None, True])
+    def test_a_bad_last_access_skips_that_entry_only(self, scenario, tmp_path, age):
+        entry = [[store_salt(), "aged"], {}, age]
+        assert ("aged",) not in _load_with_extra_report(scenario, tmp_path, entry)
+
+    def test_a_reports_member_that_is_not_json_skips_only_the_reports(
+        self, scenario, tmp_path
+    ):
         advisor = _advisor(scenario, tmp_path)
         advisor.recommend()
-        _insert_report_row(tmp_path, '["foreign-salt", "x"]', b"{}")
-        candidates, reports = CacheStore(tmp_path).load()
-        assert len(candidates) == len(dict(advisor.cache._candidates))
-        assert len(reports) == 1
-        assert all(len(key) > 0 for key in reports)
+        members = _read_members(tmp_path)
+        members["reports"] = np.frombuffer(b"\x80[not json", dtype=np.uint8)
+        _write_members(tmp_path, members)
+        store = CacheStore(tmp_path)
+        candidates, reports = store.load()
+        assert reports == {}
+        assert set(candidates) == set(advisor.cache._candidates)
+        assert store.load_stats.corrupt_entries == 1
+        assert store.load_stats.fallback_loads == 0
 
 
 class TestCacheStoreHook:
@@ -569,11 +573,10 @@ class TestCacheStoreHook:
 
 
 def _store_size(cache_dir) -> int:
-    return sum(
-        (cache_dir / name).stat().st_size
-        for name in (ENTRIES_FILENAME, CANDIDATES_FILENAME)
-        if (cache_dir / name).exists()
-    )
+    """Bytes of every file in the store directory (0 when it is missing)."""
+    if not cache_dir.exists():
+        return 0
+    return sum(path.stat().st_size for path in cache_dir.iterdir())
 
 
 class TestStoreMaintenance:
@@ -593,7 +596,9 @@ class TestStoreMaintenance:
             first.put_exclusions((f"k{i}",), _payload(i))
         assert first.save(CacheStore(tmp_path)) == 4
 
-        budget = 60_000
+        # Each entry takes about 10 KB of the one file and the zip about
+        # 1.2 KB: 35,000 bytes hold three entries, not four.
+        budget = 35_000
         second = EvaluationCache()
         budgeted = CacheStore(tmp_path, max_bytes=budget)
         assert second.attach(budgeted) == 4
@@ -619,6 +624,30 @@ class TestStoreMaintenance:
         third = EvaluationCache()
         assert third.attach(CacheStore(tmp_path)) == len(survivors)
         assert third.get_exclusions(("k5",)) == _payload(5)
+
+    def test_lru_keeps_a_probed_candidate_and_evicts_an_untouched_one(
+        self, scenario, tmp_path
+    ):
+        # A second process probes one stored candidate and saves under half
+        # the store's size: the probed candidate is the youngest entry and
+        # survives, while candidates nobody touched age out first.
+        spec = _advisor(scenario, tmp_path).recommend().recommendation.ranked[2]
+        stored = set(CacheStore(tmp_path).load()[0])
+        budget = _store_size(tmp_path) // 2
+
+        second = _advisor(scenario, tmp_path)
+        second.evaluate(EvaluateSpecRequest(spec.candidate.spec))
+        [probed] = [
+            key
+            for key, value in second.cache._candidates.items()
+            if not isinstance(value, StoredCandidate)
+        ]
+        assert second.cache.save(CacheStore(tmp_path, max_bytes=budget)) is not None
+        assert _store_size(tmp_path) <= budget
+
+        survivors = set(CacheStore(tmp_path).load()[0])
+        assert probed in survivors
+        assert stored - survivors, "no untouched candidate was evicted"
 
     def test_budget_smaller_than_any_store_clears_the_directory(self, tmp_path):
         cache = EvaluationCache()
@@ -759,11 +788,12 @@ class TestRobustnessCounters:
         _advisor(scenario, tmp_path).recommend()
         monkeypatch.setattr(repro, "__version__", "999.0.0")
         mismatched = _advisor(scenario, tmp_path)
-        # Both store files (entries, candidates) carry the salt.
-        assert mismatched.cache.stats.store_salt_mismatches == 2
+        # The one store file carries the salt.
+        assert mismatched.cache.stats.store_salt_mismatches == 1
         assert mismatched.cache.stats.store_fallback_loads == 0
 
-    @pytest.mark.parametrize("filename", [ENTRIES_FILENAME, CANDIDATES_FILENAME])
+    # Format 7 holds one file kind; format 6's report file is no longer read.
+    @pytest.mark.parametrize("filename", [CANDIDATES_FILENAME])
     def test_corrupting_each_file_kind_counts_a_fallback(
         self, scenario, tmp_path, filename
     ):
@@ -773,14 +803,11 @@ class TestRobustnessCounters:
         stats = degraded.cache.stats
         assert stats.store_fallback_loads == 1
         assert stats.store_salt_mismatches == 0
-        # The other file still loads.
-        assert degraded.cache.loaded_from_disk > 0
+        assert degraded.cache.loaded_from_disk == 0
 
     def test_undecodable_entry_is_counted_as_corrupt(self, scenario, tmp_path):
         _advisor(scenario, tmp_path).recommend()
-        _insert_report_row(
-            tmp_path, _encode_key(store_salt(), ("bad-entry",)), b"\x80trunc"
-        )
+        _edit_reports(tmp_path, lambda entries: [*entries, "bad-entry"])
         degraded = _advisor(scenario, tmp_path)
         assert degraded.cache.stats.store_corrupt_entries >= 1
         assert degraded.cache.stats.store_fallback_loads == 0
@@ -949,3 +976,114 @@ class TestRobustnessCounters:
         snapshot = store.load_stats.copy()
         store.load_stats.corrupt_entries += 5
         assert snapshot.corrupt_entries == 0
+
+
+def _array_state(array):
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _record_state(record):
+    """Every stored field of a decoded candidate, in comparable form."""
+    columns = record.columns
+    return (
+        columns.query_names,
+        columns.weights,
+        columns.fragments_total,
+        _array_state(columns.metrics),
+        _array_state(columns.disks_used),
+        _array_state(columns.sequential),
+        _array_state(columns.forced),
+        columns.attributes_used,
+        record.prefetch,
+        record.allocation_scheme,
+        None
+        if record.allocation_disks is None
+        else _array_state(record.allocation_disks),
+    )
+
+
+class TestDamagedStore:
+    """Seeded bit flips and truncations of a saved store file: every load
+    returns, and what it returns is exactly what was saved or is counted."""
+
+    @pytest.mark.parametrize("fixture", ["scenario", "skewed_scenario"])
+    def test_damaged_loads_return_saved_records_or_count_anomalies(
+        self, request, tmp_path, fixture
+    ):
+        _advisor(request.getfixturevalue(fixture), tmp_path).recommend()
+        path = tmp_path / CANDIDATES_FILENAME
+        intact = path.read_bytes()
+        saved, saved_reports = CacheStore(tmp_path).load()
+        expected = {key: _record_state(handle.decode()) for key, handle in saved.items()}
+        greedy = sum(state[-1] is not None for state in expected.values())
+        assert greedy == (14 if fixture == "skewed_scenario" else 0)
+        assert len(saved_reports) == 1
+
+        rng = np.random.default_rng(7)
+        damaged = []
+        for offset, bit in zip(
+            rng.integers(0, len(intact), 64).tolist(), rng.integers(0, 8, 64).tolist()
+        ):
+            flipped = bytearray(intact)
+            flipped[offset] ^= 1 << bit
+            damaged.append(bytes(flipped))
+        damaged += [intact[:cut] for cut in rng.integers(0, len(intact), 16).tolist()]
+
+        counted = 0
+        for data in damaged:
+            path.write_bytes(data)
+            store = CacheStore(tmp_path)
+            candidates, reports = store.load()
+            for key, handle in candidates.items():
+                try:
+                    record = handle.decode()
+                except CorruptCandidate:
+                    continue
+                assert _record_state(record) == expected[key]
+            for key, payload in reports.items():
+                assert payload == saved_reports[key]
+            stats = store.load_stats
+            anomalies = (
+                stats.salt_mismatches + stats.corrupt_entries + stats.fallback_loads
+            )
+            if len(candidates) + len(reports) < len(expected) + len(saved_reports):
+                assert anomalies >= 1
+            counted += anomalies > 0
+        # Most damage lands in checksummed member bytes.
+        assert counted >= len(damaged) // 2
+
+    def test_a_shrunk_member_header_is_caught_by_the_checksum(
+        self, scenario, tmp_path
+    ):
+        # Four bytes off the npy header length of the metric cube shift the
+        # array onto the header's padding: every value changes, and a reader
+        # that stops where the header says never reaches the zip checksum.
+        cold = _advisor(scenario, tmp_path).recommend().fingerprint
+        path = tmp_path / CANDIDATES_FILENAME
+        data = bytearray(path.read_bytes())
+        magic = data.index(b"\x93NUMPY", data.index(b"c0/metrics.npy"))
+        assert data[magic + 8] & 4
+        data[magic + 8] ^= 4
+        path.write_bytes(bytes(data))
+        store = CacheStore(tmp_path)
+        candidates, reports = store.load()
+        assert candidates == {} and len(reports) == 1
+        assert store.load_stats.corrupt_entries == 1
+        assert _advisor(scenario, tmp_path).recommend().fingerprint == cold
+
+    def test_a_flipped_report_byte_never_changes_the_answer(self, scenario, tmp_path):
+        # Change the first digit of the stored report's "considered" count,
+        # in whichever store file holds it: the warm run must notice and
+        # answer cold, never from the edited count.
+        cold = _advisor(scenario, tmp_path).recommend().fingerprint
+        marker = b'"considered": '
+        [path] = [p for p in tmp_path.iterdir() if marker in p.read_bytes()]
+        data = bytearray(path.read_bytes())
+        offset = data.index(marker) + len(marker)
+        assert chr(data[offset]) in "123456789"
+        data[offset] = ord("9") if data[offset] != ord("9") else ord("8")
+        path.write_bytes(bytes(data))
+        warm = _advisor(scenario, tmp_path)
+        assert warm.recommend().fingerprint == cold
+        stats = warm.cache.stats
+        assert stats.store_corrupt_entries + stats.store_fallback_loads >= 1

@@ -49,6 +49,41 @@ class TestAdvisorConfig:
         with pytest.raises(AdvisorError):
             AdvisorConfig(min_fragments=1000, max_fragments=10)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("top_candidates", 2.5),
+            ("top_candidates", True),
+            ("max_fragments", True),
+            ("max_fragments", 16.0),
+            ("max_fragmentation_dimensions", 1.5),
+            ("min_fragments", "4"),
+            ("min_fragment_pages", 2.0),
+            ("bitmap_cardinality_threshold", None),
+            ("top_fraction", True),
+            ("top_fraction", "0.5"),
+            ("top_fraction", float("nan")),
+            ("allocation_skew_cv", float("inf")),
+            ("allocation_skew_cv", None),
+            ("include_baseline", "no"),
+            ("include_baseline", 1),
+        ],
+    )
+    def test_wrong_typed_fields_are_rejected(self, field, value):
+        # int() would truncate 2.5 and read True as 1, and any non-empty
+        # string is truthy: every field takes only its own type.
+        with pytest.raises(AdvisorError, match=field):
+            AdvisorConfig(**{field: value})
+
+    def test_integral_numbers_and_unset_optionals_are_accepted(self):
+        config = AdvisorConfig(
+            top_fraction=1,
+            allocation_skew_cv=0,
+            max_fragmentation_dimensions=None,
+            include_baseline=True,
+        )
+        assert config.top_fraction == 1 and config.allocation_skew_cv == 0
+
 
 class TestEvaluateThresholds:
     def evaluate(self, toy_schema, spec, system=None, config=None):
