@@ -51,7 +51,7 @@ from repro.core.config import AdvisorConfig
 from repro.core.ranking import rank_candidates_columnar
 from repro.core.thresholds import ExclusionReport, evaluate_thresholds
 from repro.engine import EvaluationCache, EvaluationEngine
-from repro.errors import AdvisorError
+from repro.errors import AdvisorError, FragmentationError
 from repro.fragmentation import FragmentationSpec, enumerate_point_fragmentations
 from repro.schema import StarSchema, validate_schema
 from repro.storage import SystemParameters
@@ -169,23 +169,34 @@ class AdvisorSession:
         over (schema, fact, system, config) and persisted with the cache
         store, so warm-from-disk runs reproduce the ``Recommendation``
         diagnostics without re-enumerating or re-deriving a single threshold.
+        A cached payload naming a spec the schema rejects (a stored report
+        the store's shape checks let through) counts one corrupt store entry
+        and is derived again.
         """
         key = self._exclusion_key() if self.cache is not None else None
         if key is not None:
             payload = self.cache.get_exclusions(key)
             if payload is not None:
-                specs = [
-                    FragmentationSpec.of(*map(tuple, pairs))
-                    for pairs in payload["specs"]
-                ]
-                report = ExclusionReport(
-                    considered=payload["considered"],
-                    excluded={
-                        label: tuple(violations)
-                        for label, violations in payload["excluded"].items()
-                    },
-                )
-                return specs, report
+                try:
+                    specs = [
+                        FragmentationSpec.of(*map(tuple, pairs))
+                        for pairs in payload["specs"]
+                    ]
+                    # Each distinct pair once: the specs share them.
+                    distinct = {tuple(p) for pairs in payload["specs"] for p in pairs}
+                    for pair in distinct:
+                        FragmentationSpec.of(pair).validate(self.schema, self.fact)
+                except FragmentationError:
+                    self.cache.stats.store_corrupt_entries += 1
+                else:
+                    report = ExclusionReport(
+                        considered=payload["considered"],
+                        excluded={
+                            label: tuple(violations)
+                            for label, violations in payload["excluded"].items()
+                        },
+                    )
+                    return specs, report
         report = ExclusionReport()
         surviving: List[FragmentationSpec] = []
         for spec in enumerate_point_fragmentations(

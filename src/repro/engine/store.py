@@ -42,13 +42,33 @@ is a rule of the fragment index, and every fragment's page count is
 :func:`~repro.allocation.fragment_total_pages` of the layout the probe
 rebuilds anyway, so both are derived on materialization.
 
-A load reads each group's members once, checks the whole group with array
-operations (shapes, spans, codes, value ranges; a failing group is skipped)
-and maps every key to a :class:`StoredCandidate` handle — no per-candidate
-copy, no per-class tuple.  A handle decodes its one candidate into a
-:class:`~repro.engine.result.CandidateColumns` record on its first warm
-probe, which materializes it under the probing engine context, so an
-activation pays only for the candidates it asks for.
+A load reads the file whole, reads each group's members once, checks the
+whole group with array operations (shapes, spans, codes, value ranges; a
+failing group is skipped) and maps every key to a :class:`StoredCandidate`
+handle — no per-candidate copy, no per-class tuple.  A handle decodes its
+one candidate into a :class:`~repro.engine.result.CandidateColumns` record
+on its first warm probe, which materializes it under the probing engine
+context, so an activation pays only for the candidates it asks for.
+
+The parse of a store is a pure function of its bytes and the salt, so the
+process keeps its **last parse** in one module-level slot: the bytes, the
+checked groups (their arrays read-only), the keys, the report payloads, the
+ages and the generation.  A read whose salt matches and whose bytes are
+equal (``==``) skips the parse: it hands out fresh handles over the shared
+groups and fresh report and age dicts.  Any other read parses in full, and
+its parse replaces the slot when it counted no anomaly.  A parse that
+skipped a group or an entry is used for its own load only, so a damaged
+store is checked and counted on every load, and a failure that is not a
+property of the bytes (two threads parsing npy headers at once made
+CPython 3.11's ``ast.literal_eval`` raise ``SystemError``) never outlives
+the load that met it.  The slot is keyed on the bytes, never on the file's
+size or modification time: an in-place rewrite at the same size within
+one clock tick must be parsed again.  One slot, not one per path, bounds
+what the process pins to one parse, whichever directories it reads.
+Reads of the slot take no lock: it is assigned whole, so a reader sees the
+old parse or the new one.  Parses run one at a time under a lock, which
+keeps them clear of that ``SystemError``, and a miss that waited on the
+lock reuses the parse it waited for when that parse read the same bytes.
 
 Access structures are memory-only.  A sweep recomputes its structure
 batches in a few tens of milliseconds, less than unpacking them from disk
@@ -69,14 +89,16 @@ the store with fresh content.  The zip's CRC-32 covers every byte of every
 member, and a load reads each member to its end, so the checksum is always
 verified: ``np.load`` stops where a member's npy header says, and a damaged
 header length would shift the array onto other bytes with the checksum
-unread.  A stored candidate holding a non-finite metric, a fragment count
-that is not its rebuilt layout's, or a greedy disk id past the probing
-system's disk count is caught at the probe: the cache counts it corrupt and
-evaluates that candidate cold.  Persistence is strictly best-effort: no
-store failure (unreadable directory, read-only filesystem, concurrent
-writer) may ever change a result or crash the advisor, only forfeit the
-warm start.  Loads read only npy arrays (``allow_pickle=False``) and JSON,
-so a store file never executes code.
+unread.  A report entry whose payload is not shaped like an exclusion
+report is skipped and counted like a malformed key, so a warm run never
+decodes a payload it cannot read.  A stored candidate holding a non-finite
+metric, a fragment count that is not its rebuilt layout's, or a greedy disk
+id past the probing system's disk count is caught at the probe: the cache
+counts it corrupt and evaluates that candidate cold.  Persistence is
+strictly best-effort: no store failure (unreadable directory, read-only
+filesystem, concurrent writer) may ever change a result or crash the
+advisor, only forfeit the warm start.  Loads read only npy arrays
+(``allow_pickle=False``) and JSON, so a store file never executes code.
 
 Maintenance
 -----------
@@ -85,7 +107,9 @@ Saves **merge** into the existing store instead of dumping the writer's cache
 last-one-wins: the save first re-reads what the directory holds, unions it
 with the in-memory entries (memory wins on key collisions — the values are
 content-addressed, so a collision carries the identical value), and writes
-the union back.  Every save rewrites the one file whole.
+the union back.  Every save rewrites the one file whole.  The re-read goes
+through the last-parse slot, so a save right after a load of unchanged
+bytes does not parse them again.
 
 When the store was built with a byte budget (``max_bytes``, CLI
 ``--cache-max-mb``), every save garbage-collects the merged union down to
@@ -107,12 +131,27 @@ with the writer's view, the surviving store is a superset of both up to GC.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
+import threading
 import zipfile
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -207,6 +246,46 @@ def _require(condition: Any) -> None:
         raise ValueError("malformed store member")
 
 
+def _types(values: Iterable[Any]) -> Set[type]:
+    """The exact types of ``values`` (JSON decodes to exact types)."""
+    return {type(value) for value in values}
+
+
+def _is_exclusion_payload(payload: Any) -> bool:
+    """Whether a stored report payload has the shape a warm run decodes.
+
+    That is the shape :meth:`~repro.api.AdvisorSession.generate_specs`
+    writes: ``specs``, a list of specs, each a list of ``[dimension,
+    level]`` string pairs; ``considered``, an ``int`` (not a ``bool``) of at
+    least ``len(specs)``; ``excluded``, a dict of labels to lists of
+    violation strings.
+    """
+    if not isinstance(payload, dict):
+        return False
+    specs = payload.get("specs")
+    considered = payload.get("considered")
+    excluded = payload.get("excluded")
+    if not (
+        isinstance(specs, list)
+        and type(considered) is int
+        and considered >= len(specs)
+        and isinstance(excluded, dict)
+    ):
+        return False
+    # Sets of types, not a check per value: on a FULL report (263 specs,
+    # 892 exclusions) this takes a quarter of the time.
+    violations = list(excluded.values())
+    if not _types(chain(specs, violations)) <= {list}:
+        return False
+    pairs = list(chain.from_iterable(specs))
+    strings = chain(chain.from_iterable(pairs), chain.from_iterable(violations))
+    return (
+        _types(pairs) <= {list}
+        and {len(pair) for pair in pairs} <= {2}
+        and _types(strings) <= {str}
+    )
+
+
 def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
     """Read one npz member to its end, so its CRC-32 is always checked.
 
@@ -252,12 +331,13 @@ class _CandidateGroup:
     def record(self, row: int) -> "CandidateColumns":
         """Decode one candidate, copying its slices out of the group's arrays.
 
-        A view would pin the group's whole stacked cube (or concatenated
-        disk-id vector) alive for as long as the candidate survives in the
-        in-memory cache.  The load's group checks let infinities (and NaN
-        metrics) through; the candidate's own metrics are checked here, so
-        no load scans every stored cube.  Raises :class:`CorruptCandidate`
-        when one is not finite.
+        A view would be read-only, and would pin the group's whole stacked
+        cube (or concatenated disk-id vector) alive for as long as the
+        candidate survives in the in-memory cache, also after the store's
+        last-parse slot has moved on to other bytes.  The load's group
+        checks let infinities (and NaN metrics) through; the candidate's own
+        metrics are checked here, so no load scans every stored cube.
+        Raises :class:`CorruptCandidate` when one is not finite.
         """
         from repro.costmodel import EvaluationColumns
         from repro.engine.result import CandidateColumns
@@ -388,6 +468,11 @@ def _read_group(
 
     attr_offsets = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(attr_counts.sum(axis=1), out=attr_offsets[1:])
+    # The group is shared by every load of the same bytes (the last parse).
+    for array in (
+        metrics, disks, sequential, forced, alloc_disks, attr_counts, attr_codes
+    ):
+        array.setflags(write=False)
     group = _CandidateGroup(
         query_names=tuple(query_names),
         weights=tuple(weights),
@@ -412,10 +497,13 @@ class StoredCandidate:
     """Deferred handle of one stored candidate: its group and row.
 
     Loading a store makes one handle per stored candidate and decodes none.
+    Every load makes fresh handles, also when it reuses the last parse of
+    the same bytes, so decoding one load's handle leaves another's undecoded.
     The first :meth:`decode` copies the candidate's slices out of its group
     into a :class:`~repro.engine.result.CandidateColumns` record, sharing
     the attribute pairs of the group's table, and drops the handle's
-    reference to the group.
+    reference to the group.  That releases the group only once no other
+    handle and not the store's last-parse slot holds it.
     """
 
     __slots__ = ("_state", "_row")
@@ -426,7 +514,7 @@ class StoredCandidate:
 
     @property
     def decoded(self) -> bool:
-        """Whether this candidate has been decoded (its group released)."""
+        """Whether this candidate has been decoded (it no longer holds its group)."""
         return not isinstance(self._state, _CandidateGroup)
 
     def decode(self) -> "CandidateColumns":
@@ -475,15 +563,116 @@ class StoreLoadStats:
         )
 
 
+@dataclass(frozen=True)
+class _Parse:
+    """One parse of a store file's bytes under one salt (see :func:`_parse`).
+
+    Shared by every read of the same bytes, so nothing in it may be mutated:
+    the group arrays are read-only, and the report payloads, which are
+    handed out as they are, must never be edited by a caller.
+    """
+
+    salt: str
+    data: bytes
+    #: Every loaded candidate key's group and row.
+    rows: Dict[Tuple[str, ...], Tuple[_CandidateGroup, int]]
+    reports: Dict[Tuple[str, ...], Any]
+    ages: Dict[Tuple[str, ...], int]
+    generation: int
+    #: The anomalies the parse counted.
+    stats: StoreLoadStats
+
+    def holds(self, salt: str, data: bytes) -> bool:
+        """Whether this is the parse of ``data`` under ``salt``."""
+        return self.salt == salt and self.data == data
+
+
+#: The last parse of a store file in this process that counted no anomaly
+#: (see the module docstring).
+_last_parse: Optional[_Parse] = None
+#: Serializes parses (see the module docstring); reads of the slot skip it.
+_parse_lock = threading.Lock()
+
+
+def _parse(data: bytes, salt: str) -> _Parse:
+    """Parse and check the bytes of a store file.
+
+    A damaged group or report entry is skipped and the rest loads, and a
+    file that cannot be read at all parses as empty, each counted in the
+    parse's ``stats``.
+    """
+    stats = StoreLoadStats()
+    empty = _Parse(salt, data, {}, {}, {}, 0, stats)
+    rows: Dict[Tuple[str, ...], Tuple[_CandidateGroup, int]] = {}
+    reports: Dict[Tuple[str, ...], Any] = {}
+    ages: Dict[Tuple[str, ...], int] = {}
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+
+            def read(name: str) -> np.ndarray:
+                return _read_member(archive, name)
+
+            if str(read("__salt__")[()]) != salt:
+                stats.salt_mismatches += 1
+                return empty
+            generation = int(read("__generation__")[()])
+            for g in range(int(read("__groups__")[()])):
+                # Per-group skip: one bad group forfeits its candidates only,
+                # not the whole warm start.
+                try:
+                    group, keys, last_access = _read_group(read, f"c{g}/")
+                except Exception:
+                    stats.corrupt_entries += 1
+                    continue
+                for row, parts in enumerate(keys):
+                    key = _key_from_parts(salt, parts)
+                    if key is None:
+                        stats.corrupt_entries += 1
+                        continue
+                    rows[key] = (group, row)
+                    ages[key] = last_access[row]
+            try:
+                entries = _read_json(read("reports"))
+                _require(isinstance(entries, list))
+            except Exception:
+                stats.corrupt_entries += 1
+                entries = []
+            for entry in entries:
+                # Per-entry skip, like a group's.
+                if not (isinstance(entry, list) and len(entry) == 3):
+                    stats.corrupt_entries += 1
+                    continue
+                parts, payload, last = entry
+                key = _key_from_parts(salt, parts)
+                if (
+                    key is None
+                    or type(last) is not int
+                    or last < 0
+                    or not _is_exclusion_payload(payload)
+                ):
+                    stats.corrupt_entries += 1
+                    continue
+                reports[key] = payload
+                ages[key] = last
+    except Exception:
+        # Not a zip, truncated, or a damaged file-wide member.
+        stats.fallback_loads += 1
+        return empty
+    return _Parse(salt, data, rows, reports, ages, generation, stats)
+
+
 class CacheStore:
     """One persistent cache directory (see the module docstring for format).
 
     The store is deliberately stateless between calls: :meth:`load` reads
     whatever the directory currently holds, :meth:`save` merges into it (and
-    garbage-collects when a byte budget is set).  All failures — missing
-    directory, corruption, version mismatch, unwritable filesystem — degrade
-    to "no store", never to an error; :attr:`load_stats` counts those silent
-    degradations so health probes can surface them.
+    garbage-collects when a byte budget is set).  Only the last parse that
+    counted no anomaly is kept, process-wide, for the next read of equal
+    bytes.
+    All failures — missing directory, corruption, version mismatch,
+    unwritable filesystem — degrade to "no store", never to an error;
+    :attr:`load_stats` counts those silent degradations so health probes can
+    surface them.
 
     Parameters
     ----------
@@ -526,7 +715,9 @@ class CacheStore:
 
         Candidate entries are undecoded :class:`StoredCandidate` handles.
         Returns empty dicts for anything missing, corrupted or
-        version-mismatched.
+        version-mismatched.  Both dicts are the caller's own, but each
+        report payload is shared with every other load of the same bytes in
+        this process and must never be mutated.
         """
         candidates, reports, _, _ = self._read()
         return candidates, reports
@@ -538,61 +729,35 @@ class CacheStore:
         :meth:`load` and the merge of :meth:`save`.  A missing file reads as
         empty; a damaged group or report entry is skipped and the rest
         loads, and a file that cannot be read at all reads as empty, each
-        counted in :attr:`load_stats`.
+        counted in :attr:`load_stats`.  The file's bytes are parsed only
+        when they (or the salt) differ from the process's last parse that
+        counted no anomaly; the candidates, reports and ages dicts are fresh
+        either way.
         """
-        candidates: Dict[Tuple[str, ...], StoredCandidate] = {}
-        reports: Dict[Tuple[str, ...], Any] = {}
-        ages: Dict[Tuple[str, ...], int] = {}
+        global _last_parse
         if not os.path.exists(self.candidates_path):
-            return candidates, reports, ages, 0
+            return {}, {}, {}, 0
         try:
-            with zipfile.ZipFile(self.candidates_path) as archive:
-
-                def read(name: str) -> np.ndarray:
-                    return _read_member(archive, name)
-
-                if str(read("__salt__")[()]) != self.salt:
-                    self.load_stats.salt_mismatches += 1
-                    return {}, {}, {}, 0
-                generation = int(read("__generation__")[()])
-                for g in range(int(read("__groups__")[()])):
-                    # Per-group skip: one bad group forfeits its candidates
-                    # only, not the whole warm start.
-                    try:
-                        group, keys, last_access = _read_group(read, f"c{g}/")
-                    except Exception:
-                        self.load_stats.corrupt_entries += 1
-                        continue
-                    for row, parts in enumerate(keys):
-                        key = _key_from_parts(self.salt, parts)
-                        if key is None:
-                            self.load_stats.corrupt_entries += 1
-                            continue
-                        candidates[key] = StoredCandidate(group, row)
-                        ages[key] = last_access[row]
-                try:
-                    entries = _read_json(read("reports"))
-                    _require(isinstance(entries, list))
-                except Exception:
-                    self.load_stats.corrupt_entries += 1
-                    entries = []
-                for entry in entries:
-                    # Per-entry skip, like a group's.
-                    if not (isinstance(entry, list) and len(entry) == 3):
-                        self.load_stats.corrupt_entries += 1
-                        continue
-                    parts, payload, last = entry
-                    key = _key_from_parts(self.salt, parts)
-                    if key is None or type(last) is not int or last < 0:
-                        self.load_stats.corrupt_entries += 1
-                        continue
-                    reports[key] = payload
-                    ages[key] = last
-        except Exception:
-            # Not a zip, truncated, or a damaged file-wide member.
+            with open(self.candidates_path, "rb") as handle:
+                data = handle.read()
+        except OSError:
             self.load_stats.fallback_loads += 1
             return {}, {}, {}, 0
-        return candidates, reports, ages, generation
+        parse = _last_parse
+        if parse is None or not parse.holds(self.salt, data):
+            with _parse_lock:
+                parse = _last_parse
+                if parse is None or not parse.holds(self.salt, data):
+                    parse = _parse(data, self.salt)
+                    if parse.stats == StoreLoadStats():
+                        _last_parse = parse
+        self.load_stats.salt_mismatches += parse.stats.salt_mismatches
+        self.load_stats.corrupt_entries += parse.stats.corrupt_entries
+        self.load_stats.fallback_loads += parse.stats.fallback_loads
+        candidates = {
+            key: StoredCandidate(group, row) for key, (group, row) in parse.rows.items()
+        }
+        return candidates, dict(parse.reports), dict(parse.ages), parse.generation
 
     # -- save -------------------------------------------------------------------
 

@@ -63,17 +63,22 @@ class QueryMix:
 
     def shares(self) -> Dict[str, float]:
         """Mapping from class name to normalized workload share."""
-        return {qc.name: self.share(qc) for qc in self.classes}
+        return {qc.name: share for qc, share in self.weighted_items()}
 
     # -- aggregation helpers ----------------------------------------------------
 
     def weighted_sum(self, metric: Callable[[QueryClass], float]) -> float:
         """Workload-share-weighted sum of ``metric`` over the classes."""
-        return sum(self.share(qc) * metric(qc) for qc in self.classes)
+        return sum(share * metric(qc) for qc, share in self.weighted_items())
 
     def weighted_items(self) -> List[Tuple[QueryClass, float]]:
-        """List of ``(query_class, share)`` pairs."""
-        return [(qc, self.share(qc)) for qc in self.classes]
+        """List of ``(query_class, share)`` pairs.
+
+        The total weight is summed once, so every share is the same float
+        :meth:`share` returns.
+        """
+        total = self.total_weight
+        return [(qc, qc.weight / total) for qc in self.classes]
 
     def dimension_access_shares(self) -> Dict[str, float]:
         """Workload share that restricts each dimension.
@@ -106,28 +111,30 @@ class QueryMix:
     def reweighted(self, weights: Dict[str, float]) -> "QueryMix":
         """A copy of the mix with new weights (by class name).
 
-        Classes absent from ``weights`` keep their current weight; a name the
-        mix does not have is a :class:`~repro.errors.WorkloadError`, like
-        :meth:`without`'s.  This is the hook for the interactive fine-tuning
-        the paper describes ("query load specifics can be interactively
-        adapted").
+        Classes absent from ``weights`` keep their current weight, and are
+        the very same :class:`QueryClass` objects, so their memoized content
+        signatures carry over to the new mix; a name the mix does not have is
+        a :class:`~repro.errors.WorkloadError`, like :meth:`without`'s.  This
+        is the hook for the interactive fine-tuning the paper describes
+        ("query load specifics can be interactively adapted").
         """
         known = {qc.name for qc in self.classes}
         missing = [name for name in weights if name not in known]
         if missing:
             raise WorkloadError(f"cannot reweight unknown query classes: {missing}")
-        new_classes = []
-        for query_class in self.classes:
-            weight = weights.get(query_class.name, query_class.weight)
-            new_classes.append(
-                QueryClass(
+        return QueryMix(
+            [
+                query_class
+                if query_class.name not in weights
+                else QueryClass(
                     name=query_class.name,
                     restrictions=query_class.restrictions,
-                    weight=weight,
+                    weight=weights[query_class.name],
                     fact_table=query_class.fact_table,
                 )
-            )
-        return QueryMix(new_classes)
+                for query_class in self.classes
+            ]
+        )
 
     def without(self, *names: str) -> "QueryMix":
         """A copy of the mix with the named classes removed."""

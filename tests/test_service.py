@@ -351,6 +351,53 @@ class TestExecutor:
         assert job.done and job.outcome() == 7
         executor.shutdown()
 
+    def test_construction_shares_the_malloc_arena_before_workers_start(
+        self, monkeypatch
+    ):
+        import repro.service.executor as executor_module
+
+        started = []
+        monkeypatch.setattr(
+            executor_module,
+            "share_main_malloc_arena",
+            lambda: started.append(threading.active_count()),
+        )
+        before = threading.active_count()
+        executor = RequestExecutor(workers=2)
+        assert started == [before]
+        executor.shutdown()
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_a_worker_allocates_from_the_main_arena_once_shared(self, shared):
+        """glibc's ``malloc_stats`` lists one arena per thread unless shared."""
+        import os
+        import subprocess
+        import sys
+
+        if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+            pytest.skip("malloc arenas are a glibc feature")
+        script = "\n".join(
+            [
+                "import ctypes, sys, threading",
+                "from repro.service.executor import share_main_malloc_arena",
+                f"assert share_main_malloc_arena() if {shared} else True",
+                "held = []",
+                # Over pymalloc's 512 bytes and under mmap's threshold: a
+                # malloc from the thread's arena.
+                "worker = threading.Thread(target=lambda: held.append(bytearray(20000)))",
+                "worker.start(); worker.join()",
+                "ctypes.CDLL(None).malloc_stats()",
+            ]
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        arenas = [line for line in done.stderr.splitlines() if line.startswith("Arena ")]
+        assert len(arenas) == (1 if shared else 2), done.stderr
+
 
 class TestWarehouseRegistration:
     def test_dataset_shorthand_builds_the_bundled_inputs(self):

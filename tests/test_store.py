@@ -86,8 +86,9 @@ def _advisor(scenario, cache_dir, vectorize=True):
 
 
 def _payload(i):
-    """A JSON report payload of about 10 KB."""
-    return {"fill": str(i) * 10_000}
+    """An exclusion report payload of about 10 KB (a load drops any other
+    shape)."""
+    return {"specs": [], "considered": 1, "excluded": {"fill": [str(i) * 10_000]}}
 
 
 def _two_mix_store(scenario, cache_dir):
@@ -1087,3 +1088,210 @@ class TestDamagedStore:
         assert warm.recommend().fingerprint == cold
         stats = warm.cache.stats
         assert stats.store_corrupt_entries + stats.store_fallback_loads >= 1
+
+
+def _first_fragmented(specs):
+    """The index of the first stored spec with at least one pair."""
+    return next(index for index, pairs in enumerate(specs) if pairs)
+
+
+def _with_spec(payload, pairs):
+    """``payload`` with its first fragmented spec replaced by ``pairs``."""
+    specs = list(payload["specs"])
+    specs[_first_fragmented(specs)] = pairs
+    return {**payload, "specs": specs}
+
+
+#: Edits of the stored exclusion report that keep the file well-formed: the
+#: store is rewritten with ``np.savez``, so every checksum holds.
+_BAD_REPORTS = {
+    "no-excluded": lambda payload: {
+        name: value for name, value in payload.items() if name != "excluded"
+    },
+    "one-part-pair": lambda payload: _with_spec(payload, [["x"]]),
+    "considered-as-text": lambda payload: {**payload, "considered": "7"},
+    "unknown-level": lambda payload: _with_spec(
+        payload,
+        [[payload["specs"][_first_fragmented(payload["specs"])][0][0], "nowhere"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_BAD_REPORTS))
+def test_a_misshapen_report_answers_cold_and_is_counted(scenario, tmp_path, edit):
+    # The load's shape check skips every edit but "unknown-level", which
+    # names a level the schema does not have, so only the session can reject
+    # it.  Either way the warm run derives the report again and counts the
+    # bad one.
+    cold = _advisor(scenario, tmp_path).recommend().fingerprint
+    _edit_reports(
+        tmp_path,
+        lambda entries: [
+            [parts, _BAD_REPORTS[edit](payload), last]
+            for parts, payload, last in entries
+        ],
+    )
+    warm = _advisor(scenario, tmp_path)
+    assert warm.recommend().fingerprint == cold
+    assert warm.cache.stats.store_load_anomalies >= 1
+
+
+class TestLastParse:
+    """A load of unchanged bytes reuses the process's last parse of them,
+    and still answers and counts exactly as a full parse does."""
+
+    def test_loads_of_unchanged_bytes_hand_out_their_own_handles(
+        self, skewed_scenario, tmp_path
+    ):
+        _advisor(skewed_scenario, tmp_path).recommend()
+        first, first_reports = CacheStore(tmp_path).load()
+        parse = repro.engine.store._last_parse
+        second, second_reports = CacheStore(tmp_path).load()
+        assert repro.engine.store._last_parse is parse
+        assert first.keys() == second.keys()
+        assert first_reports == second_reports
+        first_reports.clear()
+        assert len(CacheStore(tmp_path).load()[1]) == 1
+        for key, handle in first.items():
+            assert handle is not second[key]
+            record = handle.decode()
+            assert not second[key].decoded
+            assert _record_state(second[key].decode()) == _record_state(record)
+
+    def test_a_damaged_group_counts_on_every_load(self, scenario, tmp_path):
+        _two_mix_store(scenario, tmp_path)
+        members = _read_members(tmp_path)
+        del members["c0/keys"]
+        _write_members(tmp_path, members)
+        store = CacheStore(tmp_path)
+        loaded = [set(store.load()[0]) for _ in range(3)]
+        assert loaded[0] == loaded[1] == loaded[2] != set()
+        assert store.load_stats.corrupt_entries == 3
+        cache = EvaluationCache()
+        cache.load(CacheStore(tmp_path))
+        assert cache.stats.store_corrupt_entries == 1
+
+    def test_a_parse_that_counted_an_anomaly_is_not_kept(
+        self, scenario, tmp_path, monkeypatch
+    ):
+        # A failure that is not a property of the bytes (here one group read
+        # raising the SystemError that concurrent npy header parsing raised
+        # on CPython 3.11) costs its own load the group, not every later
+        # load of the same bytes.
+        _advisor(scenario, tmp_path).recommend()
+        monkeypatch.setattr(repro.engine.store, "_last_parse", None)
+        read_group = repro.engine.store._read_group
+        calls = []
+
+        def flaky(read, prefix):
+            calls.append(prefix)
+            if len(calls) == 1:
+                raise SystemError("AST constructor recursion depth mismatch")
+            return read_group(read, prefix)
+
+        monkeypatch.setattr(repro.engine.store, "_read_group", flaky)
+        first = CacheStore(tmp_path)
+        assert first.load()[0] == {}
+        assert first.load_stats.corrupt_entries == 1
+        assert repro.engine.store._last_parse is None
+        second = CacheStore(tmp_path)
+        assert second.load()[0]
+        assert second.load_stats.corrupt_entries == 0
+
+    def test_a_same_size_edit_with_its_mtime_put_back_is_parsed_again(
+        self, scenario, tmp_path
+    ):
+        _advisor(scenario, tmp_path).recommend()
+        path = tmp_path / CANDIDATES_FILENAME
+        before = path.stat()
+        candidates, reports = CacheStore(tmp_path).load()
+        assert len(reports) == 1
+        # One digit of the report member changes in place: the zip
+        # checksum of that member no longer holds.
+        data = bytearray(path.read_bytes())
+        offset = data.index(b'"considered": ') + len(b'"considered": ')
+        data[offset] = ord("9") if data[offset] != ord("9") else ord("8")
+        path.write_bytes(bytes(data))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert after.st_size == before.st_size
+        assert after.st_mtime_ns == before.st_mtime_ns
+        store = CacheStore(tmp_path)
+        edited, edited_reports = store.load()
+        assert edited_reports == {}
+        assert set(edited) == set(candidates)
+        assert store.load_stats.corrupt_entries == 1
+
+    def test_a_save_between_two_loads_shows_its_entries(self, scenario, tmp_path):
+        schema, _, system, config = scenario
+        options = EngineOptions(cache_dir=str(tmp_path))
+        _advisor(scenario, tmp_path).recommend()
+        before = set(CacheStore(tmp_path).load()[0])
+        other = random_query_mix(schema, num_classes=6, seed=6)
+        session = AdvisorSession(schema, other, system, config, options=options)
+        added = {
+            session.cache.candidate_key(session.engine.context(specs=[c.spec]), c.spec)
+            for c in session.recommend().recommendation.evaluated
+        }
+        after = set(CacheStore(tmp_path).load()[0])
+        assert added and not added & before
+        assert after == before | added
+
+    def test_group_arrays_are_read_only(self, skewed_scenario, tmp_path):
+        _advisor(skewed_scenario, tmp_path).recommend()
+        candidates, _ = CacheStore(tmp_path).load()
+        handle = next(iter(candidates.values()))
+        group = handle._state
+        for name in (
+            "metrics",
+            "disks",
+            "sequential",
+            "forced",
+            "alloc_disks",
+            "attr_counts",
+            "attr_codes",
+        ):
+            assert not getattr(group, name).flags.writeable, name
+        with pytest.raises(ValueError):
+            group.metrics[0, 0, 0] = 0.0
+        # A decoded record holds its own, writeable copies.
+        assert handle.decode().columns.metrics.flags.writeable
+
+    def test_two_threads_loading_at_once_get_equal_keys(
+        self, scenario, tmp_path, monkeypatch
+    ):
+        # Two stores with different bytes, loaded in turn by two threads, so
+        # the one slot keeps changing hands under them.
+        import sys
+        import threading
+
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        _advisor(scenario, dirs[0]).recommend()
+        _two_mix_store(scenario, dirs[1])
+        expected = [set(CacheStore(path).load()[0]) for path in dirs]
+        assert expected[0] < expected[1]
+        monkeypatch.setattr(repro.engine.store, "_last_parse", None)
+        barrier = threading.Barrier(2)
+        seen = [[], []]
+
+        def load(worker):
+            barrier.wait(timeout=30)
+            for turn in range(12):
+                path = dirs[(worker + turn) % 2]
+                seen[worker].append((path, set(CacheStore(path).load()[0])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=load, args=(w,)) for w in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [len(loads) for loads in seen] == [12, 12]
+        for loads in seen:
+            for path, keys in loads:
+                assert keys == expected[dirs.index(path)]

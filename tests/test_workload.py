@@ -150,6 +150,32 @@ class TestQueryMix:
         # untouched classes keep their weight
         assert reweighted.query_class("item-tracking").weight == 2.0
 
+    def test_reweighted_keeps_every_unweighted_class_and_its_signature(
+        self, toy_workload
+    ):
+        from repro.engine import EvaluationCache, object_signature
+
+        # Sign the original first: the kept classes carry their memo along.
+        EvaluationCache.workload_signature(toy_workload)
+        reweighted = toy_workload.reweighted({"yearly-report": 10.0})
+        for old, new in zip(toy_workload.classes, reweighted.classes):
+            assert (new is old) == (old.name != "yearly-report")
+        fresh = QueryMix(
+            [
+                QueryClass(qc.name, qc.restrictions, qc.weight, qc.fact_table)
+                for qc in reweighted.classes
+            ]
+        )
+        assert EvaluationCache.workload_signature(
+            reweighted
+        ) == EvaluationCache.workload_signature(fresh)
+        assert [object_signature(qc) for qc in reweighted.classes] == [
+            object_signature(qc) for qc in fresh.classes
+        ]
+        assert reweighted.weighted_items() == [
+            (qc, reweighted.share(qc)) for qc in reweighted.classes
+        ]
+
     def test_reweighted_unknown(self, toy_workload):
         with pytest.raises(WorkloadError, match="ghost"):
             toy_workload.reweighted({"yearly-report": 2.0, "ghost": 3.0})
