@@ -29,10 +29,10 @@ from repro.costmodel.model import (
     WorkloadEvaluation,
     prefetch_setting_from_runs,
     resolve_prefetch_setting,
+    workload_structures,
 )
 from repro.costmodel.batch import (
     AccessProfileBatch2D,
-    AccessStructureBatch,
     AccessStructureBatch2D,
     compute_access_structure_batch,
     compute_access_structure_batch_candidates,
@@ -53,7 +53,6 @@ __all__ = [
     "compute_access_structure",
     "estimate_access",
     "AccessProfileBatch2D",
-    "AccessStructureBatch",
     "AccessStructureBatch2D",
     "compute_access_structure_batch",
     "compute_access_structure_batch_candidates",
@@ -69,4 +68,5 @@ __all__ = [
     "WorkloadEvaluation",
     "prefetch_setting_from_runs",
     "resolve_prefetch_setting",
+    "workload_structures",
 ]

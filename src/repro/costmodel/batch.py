@@ -16,9 +16,10 @@ The engine evaluates a single candidate as a one-candidate chunk of the
 same stacked kernels.  :func:`compute_access_structure_batch`,
 :func:`resolve_prefetch_setting_batch` and :func:`evaluate_workload_batch`
 are thin 1-row entry points over those kernels that no engine path calls:
-the parity tests use them, and perfbench's layer probes rebind them.  The
-1-D :class:`AccessStructureBatch` they exchange is the per-layout unit of the
-evaluation cache.
+the parity tests use them, and perfbench's layer probes rebind them.  They
+exchange a 1-row :class:`AccessStructureBatch2D`, which is also the
+per-layout unit of the evaluation cache (:meth:`~AccessStructureBatch2D.candidate`
+copies one out of a stack, :meth:`~AccessStructureBatch2D.stack` joins them).
 
 Evaluations come out **columnar** (:class:`~repro.costmodel.EvaluationColumns`
 inside :class:`~repro.costmodel.WorkloadEvaluation`): per-class records are
@@ -41,6 +42,8 @@ stacked candidate slice.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Sequence, Tuple
@@ -65,7 +68,6 @@ from repro.costmodel.model import (
 )
 
 __all__ = [
-    "AccessStructureBatch",
     "AccessStructureBatch2D",
     "AccessProfileBatch2D",
     "compute_access_structure_batch",
@@ -76,81 +78,6 @@ __all__ = [
     "evaluate_workload_batch",
     "evaluate_workload_batch_candidates",
 ]
-
-
-@dataclass(frozen=True)
-class AccessStructureBatch:
-    """Prefetch-independent access structures of *all* classes on one layout.
-
-    One candidate's row of an :class:`AccessStructureBatch2D` (see
-    :meth:`AccessStructureBatch2D.candidate`): one numpy entry per query class
-    (mix order), plus a flat representation of the ragged per-class
-    bitmap-index extents (``index_class`` / ``index_pages`` rows, in
-    per-class residual order).  It is the per-layout unit the evaluation
-    cache memoizes (in memory only).  :meth:`structure`
-    materializes the scalar dataclass for any class — bit-identical to
-    :func:`~repro.costmodel.compute_access_structure`.
-    """
-
-    query_names: Tuple[str, ...]
-    fragments_total: int
-    fragments_accessed: np.ndarray
-    rows_in_accessed_fragments: np.ndarray
-    qualifying_rows: np.ndarray
-    rows_per_fragment: np.ndarray
-    fact_pages_per_fragment: np.ndarray
-    forced_full_scan: np.ndarray
-    has_residuals: np.ndarray
-    bitmap_touched_per_fragment: np.ndarray
-    bitmap_density: np.ndarray
-    #: Class index of every usable residual bitmap index (flat, per-class
-    #: residual order).
-    index_class: np.ndarray
-    #: Bitmap pages per fragment of that index.
-    index_pages: np.ndarray
-    #: (dimension, level) of that index.
-    index_attributes: Tuple[Tuple[str, str], ...]
-    #: Per-class sum of ``index_pages`` (scalar accumulation order).
-    bitmap_pages_per_fragment: np.ndarray
-    #: Per-class number of usable residual indexes.
-    bitmap_index_counts: np.ndarray
-
-    @property
-    def num_classes(self) -> int:
-        """Number of query classes in the batch."""
-        return len(self.query_names)
-
-    @cached_property
-    def _index_rows_by_class(self) -> Tuple[Tuple[int, ...], ...]:
-        rows: List[List[int]] = [[] for _ in range(self.num_classes)]
-        for position, class_index in enumerate(self.index_class.tolist()):
-            rows[class_index].append(position)
-        return tuple(tuple(entry) for entry in rows)
-
-    def structure(self, class_index: int) -> AccessStructure:
-        """Materialize the scalar :class:`AccessStructure` of one class."""
-        rows = self._index_rows_by_class[class_index]
-        return AccessStructure(
-            query_name=self.query_names[class_index],
-            fragments_accessed=float(self.fragments_accessed[class_index]),
-            fragments_total=self.fragments_total,
-            rows_in_accessed_fragments=float(
-                self.rows_in_accessed_fragments[class_index]
-            ),
-            qualifying_rows=float(self.qualifying_rows[class_index]),
-            rows_per_fragment=float(self.rows_per_fragment[class_index]),
-            fact_pages_per_fragment=float(self.fact_pages_per_fragment[class_index]),
-            bitmap_pages_per_index=tuple(float(self.index_pages[row]) for row in rows),
-            bitmap_attributes_available=tuple(
-                self.index_attributes[row] for row in rows
-            ),
-            forced_full_scan=bool(self.forced_full_scan[class_index]),
-            has_residuals=bool(self.has_residuals[class_index]),
-            bitmap_touched_per_fragment=float(
-                self.bitmap_touched_per_fragment[class_index]
-            ),
-            bitmap_density=float(self.bitmap_density[class_index]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +119,29 @@ class _ResidualGroup:
     attributes: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
+def _first_candidate_column(rows: int) -> np.ndarray:
+    """The ``index_candidate`` column of a 1-row copy with ``rows`` index rows.
+
+    A read-only zero-stride view, one per row count (at most the classes
+    times the bitmap indexes each reads), shared by every copy: a cached
+    entry keeps no candidate column of its own.
+    """
+    return np.broadcast_to(np.zeros(1, dtype=np.int64), (rows,))
+
+
 @dataclass(frozen=True)
 class AccessStructureBatch2D:
     """Access structures of all classes on a *stack* of layouts.
 
-    Every per-class vector of :class:`AccessStructureBatch` grows a leading
-    candidate axis, and the flat residual-index rows gain a candidate
-    coordinate (sorted candidate-major, then class, then per-class residual
-    order).  :meth:`candidate` slices one layout's row back out —
-    bit-identical to evaluating that layout alone.
+    One (candidates × classes) plane per field of
+    :class:`~repro.costmodel.AccessStructure`, plus a flat representation of
+    the ragged per-class bitmap-index extents: one row per usable residual
+    bitmap index, with its candidate and class coordinates, sorted
+    candidate-major, then class, then per-class residual order.
+    :meth:`candidate` copies one layout's row out as a 1-row stack —
+    bit-identical to evaluating that layout alone — and :meth:`structure`
+    materializes the scalar dataclass of any (candidate, class) pair.
     """
 
     query_names: Tuple[str, ...]
@@ -219,10 +160,12 @@ class AccessStructureBatch2D:
     #: Flat residual-index rows (candidate-major, class-sorted, stable).
     index_candidate: np.ndarray
     index_class: np.ndarray
+    #: Bitmap pages per fragment of that index.
     index_pages: np.ndarray
+    #: (dimension, level) of that index.
     index_attributes: Tuple[Tuple[str, str], ...]
+    #: Per (candidate, class) sum of ``index_pages`` (scalar accumulation order).
     bitmap_pages_per_fragment: np.ndarray
-    bitmap_index_counts: np.ndarray
 
     @property
     def num_candidates(self) -> int:
@@ -237,101 +180,98 @@ class AccessStructureBatch2D:
     @cached_property
     def bitmap_plan_available(self) -> np.ndarray:
         """Per (candidate, class): residual filtering can run off bitmaps."""
-        return (
-            self.has_residuals
-            & ~self.forced_full_scan
-            & (self.bitmap_index_counts > 0)
-        )
+        indexed = np.zeros(self.has_residuals.shape, dtype=bool)
+        indexed[self.index_candidate, self.index_class] = True
+        return self.has_residuals & ~self.forced_full_scan & indexed
 
     @cached_property
     def _flat_keys(self) -> np.ndarray:
         """Combined (candidate, class) sort keys of the flat index rows."""
         return self.index_candidate * self.num_classes + self.index_class
 
-    def _index_slice(self, candidate: int) -> slice:
-        lo, hi = np.searchsorted(self.index_candidate, [candidate, candidate + 1])
+    def _pair_slice(self, candidate: int, class_index: int) -> slice:
+        """The flat index rows of one (candidate, class) pair."""
+        key = candidate * self.num_classes + class_index
+        lo, hi = np.searchsorted(self._flat_keys, [key, key + 1])
         return slice(int(lo), int(hi))
 
     def attributes_for(self, candidate: int, class_index: int) -> Tuple[Tuple[str, str], ...]:
         """``bitmap_attributes_available`` of one (candidate, class) pair."""
-        key = candidate * self.num_classes + class_index
-        lo, hi = np.searchsorted(self._flat_keys, [key, key + 1])
-        return tuple(self.index_attributes[int(lo):int(hi)])
+        return tuple(self.index_attributes[self._pair_slice(candidate, class_index)])
 
-    def candidate(self, k: int) -> AccessStructureBatch:
-        """Slice one stacked layout back into its per-layout batch."""
-        rows = self._index_slice(k)
-        return AccessStructureBatch(
-            query_names=self.query_names,
+    def structure(self, candidate: int, class_index: int) -> AccessStructure:
+        """Materialize the scalar :class:`AccessStructure` of one pair."""
+        k, i = candidate, class_index
+        rows = self._pair_slice(k, i)
+        return AccessStructure(
+            query_name=self.query_names[i],
+            fragments_accessed=float(self.fragments_accessed[k, i]),
             fragments_total=int(self.fragments_total[k]),
-            fragments_accessed=self.fragments_accessed[k].copy(),
-            rows_in_accessed_fragments=self.rows_in_accessed_fragments[k].copy(),
-            qualifying_rows=self.qualifying_rows[k].copy(),
-            rows_per_fragment=self.rows_per_fragment[k].copy(),
-            fact_pages_per_fragment=self.fact_pages_per_fragment[k].copy(),
-            forced_full_scan=self.forced_full_scan[k].copy(),
-            has_residuals=self.has_residuals[k].copy(),
-            bitmap_touched_per_fragment=self.bitmap_touched_per_fragment[k].copy(),
-            bitmap_density=self.bitmap_density[k].copy(),
-            index_class=self.index_class[rows].copy(),
-            index_pages=self.index_pages[rows].copy(),
-            index_attributes=self.index_attributes[rows],
-            bitmap_pages_per_fragment=self.bitmap_pages_per_fragment[k].copy(),
-            bitmap_index_counts=self.bitmap_index_counts[k].copy(),
+            rows_in_accessed_fragments=float(self.rows_in_accessed_fragments[k, i]),
+            qualifying_rows=float(self.qualifying_rows[k, i]),
+            rows_per_fragment=float(self.rows_per_fragment[k, i]),
+            fact_pages_per_fragment=float(self.fact_pages_per_fragment[k, i]),
+            bitmap_pages_per_index=tuple(self.index_pages[rows].tolist()),
+            bitmap_attributes_available=self.index_attributes[rows],
+            forced_full_scan=bool(self.forced_full_scan[k, i]),
+            has_residuals=bool(self.has_residuals[k, i]),
+            bitmap_touched_per_fragment=float(self.bitmap_touched_per_fragment[k, i]),
+            bitmap_density=float(self.bitmap_density[k, i]),
+        )
+
+    def candidate(self, k: int) -> "AccessStructureBatch2D":
+        """Copy one stacked layout out as a 1-row stack.
+
+        The copy holds no view into this stack, so a cached row never pins
+        the rest of its chunk.
+        """
+        lo, hi = np.searchsorted(self.index_candidate, [k, k + 1]).tolist()
+        return AccessStructureBatch2D(
+            query_names=self.query_names,
+            index_candidate=_first_candidate_column(hi - lo),
+            index_class=self.index_class[lo:hi].copy(),
+            index_pages=self.index_pages[lo:hi].copy(),
+            index_attributes=self.index_attributes[lo:hi],
+            **{name: getattr(self, name)[k : k + 1].copy() for name in _CANDIDATE_ROWS},
         )
 
     @classmethod
-    def stack(cls, batches: Sequence[AccessStructureBatch]) -> "AccessStructureBatch2D":
-        """Stack per-layout batches into one candidate-axis batch.
+    def stack(cls, batches: Sequence["AccessStructureBatch2D"]) -> "AccessStructureBatch2D":
+        """Join stacks of any height into one, in order.
 
         The inverse of :meth:`candidate`, used to mix cache-warm structures
-        with freshly computed ones before the shared downstream kernels; the
-        per-layout flat index rows are already class-sorted, so concatenating
-        them candidate-major preserves the sorted flat order the 2-D kernels
-        rely on.
+        with freshly computed ones before the shared downstream kernels; each
+        stack's flat index rows are already sorted, so concatenating them
+        candidate-major, with every stack's candidates shifted past the
+        stacks before it, keeps the sorted flat order the kernels rely on.
         """
         if not batches:
             raise CostModelError("cannot stack an empty structure-batch list")
-        index_candidate_parts = []
-        index_attributes: List[Tuple[str, str]] = []
-        for k, batch in enumerate(batches):
-            index_candidate_parts.append(
-                np.full(len(batch.index_class), k, dtype=np.int64)
-            )
-            index_attributes.extend(batch.index_attributes)
+        offsets = np.cumsum([0] + [batch.num_candidates for batch in batches[:-1]])
         return cls(
             query_names=batches[0].query_names,
-            fragments_total=np.array(
-                [batch.fragments_total for batch in batches], dtype=np.int64
-            ),
-            fragments_accessed=np.stack([b.fragments_accessed for b in batches]),
-            rows_in_accessed_fragments=np.stack(
-                [b.rows_in_accessed_fragments for b in batches]
-            ),
-            qualifying_rows=np.stack([b.qualifying_rows for b in batches]),
-            rows_per_fragment=np.stack([b.rows_per_fragment for b in batches]),
-            fact_pages_per_fragment=np.stack(
-                [b.fact_pages_per_fragment for b in batches]
-            ),
-            forced_full_scan=np.stack([b.forced_full_scan for b in batches]),
-            has_residuals=np.stack([b.has_residuals for b in batches]),
-            bitmap_touched_per_fragment=np.stack(
-                [b.bitmap_touched_per_fragment for b in batches]
-            ),
-            bitmap_density=np.stack([b.bitmap_density for b in batches]),
-            index_candidate=(
-                np.concatenate(index_candidate_parts)
-                if index_candidate_parts
-                else np.empty(0, dtype=np.int64)
+            index_candidate=np.concatenate(
+                [b.index_candidate + offset for b, offset in zip(batches, offsets)]
             ),
             index_class=np.concatenate([b.index_class for b in batches]),
             index_pages=np.concatenate([b.index_pages for b in batches]),
-            index_attributes=tuple(index_attributes),
-            bitmap_pages_per_fragment=np.stack(
-                [b.bitmap_pages_per_fragment for b in batches]
+            index_attributes=tuple(
+                attribute for b in batches for attribute in b.index_attributes
             ),
-            bitmap_index_counts=np.stack([b.bitmap_index_counts for b in batches]),
+            **{
+                name: np.concatenate([getattr(b, name) for b in batches])
+                for name in _CANDIDATE_ROWS
+            },
         )
+
+
+#: The fields of :class:`AccessStructureBatch2D` with one row per candidate:
+#: all but the class names and the flat index rows.
+_CANDIDATE_ROWS = tuple(
+    field.name
+    for field in dataclasses.fields(AccessStructureBatch2D)
+    if field.name != "query_names" and not field.name.startswith("index_")
+)
 
 
 def _require_one_fact_table(layouts: Sequence[FragmentationLayout]) -> None:
@@ -595,10 +535,6 @@ def compute_access_structure_batch_candidates(
         (num_candidates, num_classes), dtype=np.float64
     )
     np.add.at(bitmap_pages_per_fragment, (index_candidate, index_class), index_pages)
-    bitmap_index_counts = np.bincount(
-        index_candidate * num_classes + index_class,
-        minlength=num_candidates * num_classes,
-    ).reshape(num_candidates, num_classes).astype(np.int64)
 
     # --- fact pages a bitmap-driven plan would touch (Cardenas) ------------------
     qualifying_per_fragment = rows_per_fragment * residual_selectivity
@@ -636,7 +572,6 @@ def compute_access_structure_batch_candidates(
         index_pages=index_pages,
         index_attributes=index_attributes,
         bitmap_pages_per_fragment=bitmap_pages_per_fragment,
-        bitmap_index_counts=bitmap_index_counts,
     )
 
 
@@ -964,33 +899,31 @@ def evaluate_workload_batch_candidates(
 
 def compute_access_structure_batch(
     layout: FragmentationLayout, matrix: ClassMatrix
-) -> AccessStructureBatch:
+) -> AccessStructureBatch2D:
     """Derive one layout's access structures for every class at once.
 
     The batched twin of :func:`~repro.costmodel.compute_access_structure`:
-    the layout is evaluated as a 1-row stack and sliced back out.  The
-    workload is assumed validated (the engine validates it once at
-    construction).
+    the layout is evaluated as a 1-row stack.  The workload is assumed
+    validated (the engine validates it once at construction).
     """
-    return compute_access_structure_batch_candidates([layout], matrix).candidate(0)
+    return compute_access_structure_batch_candidates([layout], matrix)
 
 
 def resolve_prefetch_setting_batch(
-    structures: AccessStructureBatch,
+    structures: AccessStructureBatch2D,
     matrix: ClassMatrix,
     system: SystemParameters,
 ) -> PrefetchSetting:
-    """Resolve one layout's prefetch granules from its structure batch.
+    """Resolve one layout's prefetch granules from its 1-row structure stack.
 
     The batched twin of :func:`~repro.costmodel.resolve_prefetch_setting`.
     """
-    stacked = AccessStructureBatch2D.stack([structures])
-    return resolve_prefetch_settings_batch_candidates(stacked, matrix, system)[0]
+    return resolve_prefetch_settings_batch_candidates(structures, matrix, system)[0]
 
 
 def evaluate_workload_batch(
     layout: FragmentationLayout,
-    structures: AccessStructureBatch,
+    structures: AccessStructureBatch2D,
     matrix: ClassMatrix,
     system: SystemParameters,
     prefetch: PrefetchSetting,
@@ -998,9 +931,8 @@ def evaluate_workload_batch(
     """Evaluate one candidate against the whole mix, batched.
 
     The batched twin of :meth:`repro.costmodel.IOCostModel.evaluate` (with a
-    resolved prefetch setting).
+    resolved prefetch setting); ``structures`` is the layout's 1-row stack.
     """
-    stacked = AccessStructureBatch2D.stack([structures])
     return evaluate_workload_batch_candidates(
-        [layout], stacked, matrix, system, [prefetch]
+        [layout], structures, matrix, system, [prefetch]
     )[0]

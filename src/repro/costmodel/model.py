@@ -18,10 +18,11 @@ lowers the response time but increases total I/O (more positioning overhead,
 more pages touched); clustering does the opposite.  The model reproduces this
 fundamental trade-off, which is the core of the paper's prediction layer.
 
-Cache protocol: the model optionally consults an *evaluation cache* (see
-:class:`repro.engine.EvaluationCache`).  The cache is duck-typed — any object
-with an ``access_structure(layout, query, bitmap_scheme, compute)`` method
-works — so the cost model stays import-free of the engine subsystem.
+This is the scalar reference oracle, a pure function of its inputs: it takes
+no cache.  The prefetch resolution and the evaluation both read each query
+class's prefetch-independent access structure; a caller that runs both
+derives the structures once with :func:`workload_structures` and hands the
+tuple to each, and either derives them once itself when called without them.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "IOCostModel",
     "prefetch_setting_from_runs",
     "resolve_prefetch_setting",
+    "workload_structures",
 ]
 
 #: Float columns of the evaluation metric block, in
@@ -351,63 +353,22 @@ def _positioning_page_equivalent(system: SystemParameters) -> float:
     return system.disk.positioning_time_ms / page_time
 
 
-def _structure_for(
-    layout: FragmentationLayout,
-    query: QueryClass,
-    bitmap_scheme: BitmapScheme,
-    cache=None,
-    validate: bool = True,
-) -> AccessStructure:
-    """Prefetch-independent access structure, via the cache when one is given."""
-    if cache is None:
-        return compute_access_structure(layout, query, bitmap_scheme, validate=validate)
-    return cache.access_structure(
-        layout,
-        query,
-        bitmap_scheme,
-        lambda: compute_access_structure(layout, query, bitmap_scheme, validate=validate),
-    )
-
-
-def _typical_run_lengths(
+def workload_structures(
     layout: FragmentationLayout,
     workload: QueryMix,
     bitmap_scheme: BitmapScheme,
-    positioning_page_equivalent: float,
-    cache=None,
-    validate_queries: bool = True,
-) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]:
-    """Typical consecutive-page run lengths for fact and bitmap reads per class.
+    validate: bool = True,
+) -> Tuple[AccessStructure, ...]:
+    """The access structure of every class of ``workload`` on ``layout``, in
+    mix order.
 
-    Used by the prefetch optimizer: the relevant run length for fact access is
-    the fragment size (sequential fragment scans dominate), for bitmap access
-    the per-fragment bitmap extent of the indexes the class actually reads.
+    ``validate=False`` skips the per-query schema validation for callers that
+    already validated the whole workload.
     """
-    unit_prefetch = PrefetchSetting.fixed(1, 1)
-    fact_runs = []
-    bitmap_runs = []
-    weights = []
-    for query_class, share in workload.weighted_items():
-        structure = _structure_for(
-            layout, query_class, bitmap_scheme, cache=cache, validate=validate_queries
-        )
-        profile = estimate_access(
-            layout,
-            query_class,
-            bitmap_scheme,
-            unit_prefetch,
-            positioning_page_equivalent=positioning_page_equivalent,
-            structure=structure,
-        )
-        fact_runs.append(profile.fact_pages_per_fragment)
-        if profile.fragments_accessed > 0:
-            bitmap_runs.append(
-                profile.bitmap_pages_accessed / profile.fragments_accessed
-            )
-        else:
-            bitmap_runs.append(0.0)
-        weights.append(share)
-    return tuple(fact_runs), tuple(bitmap_runs), tuple(weights)
+    return tuple(
+        compute_access_structure(layout, query_class, bitmap_scheme, validate=validate)
+        for query_class, _ in workload.weighted_items()
+    )
 
 
 def prefetch_setting_from_runs(
@@ -418,9 +379,9 @@ def prefetch_setting_from_runs(
 ) -> PrefetchSetting:
     """Select the prefetch granules from per-class typical run lengths.
 
-    The granule-selection half of :func:`resolve_prefetch_setting`, shared by
-    the scalar and the batched cost paths (both derive the run lengths with a
-    unit-granule estimation pass and then call this).
+    The granule-selection half of :func:`resolve_prefetch_setting`; the
+    batched path selects from the same run-length floats with
+    :func:`~repro.storage.prefetch.optimal_prefetch_pages_batch`.
     """
     if system.fact_prefetch_is_auto:
         fact_pages = optimal_prefetch_pages(
@@ -457,8 +418,7 @@ def resolve_prefetch_setting(
     workload: QueryMix,
     bitmap_scheme: BitmapScheme,
     system: SystemParameters,
-    cache=None,
-    validate_queries: bool = True,
+    structures: Optional[Tuple[AccessStructure, ...]] = None,
 ) -> PrefetchSetting:
     """Resolve the prefetch granules for one fragmentation candidate.
 
@@ -466,20 +426,37 @@ def resolve_prefetch_setting(
     granules are optimized per object class from the typical run lengths the
     workload induces on this candidate — fragment sizes of fact tables and
     bitmaps strongly differ, hence the per-class optimization the paper
-    highlights.  ``cache`` optionally memoizes the underlying access structures
-    (see :class:`repro.engine.EvaluationCache`); ``validate_queries=False``
-    skips the per-query schema validation for callers that already validated
-    the whole workload.
+    highlights.  A class's typical fact run is its fragment size (sequential
+    fragment scans dominate), its typical bitmap run the per-fragment extent
+    of the indexes it reads under unit granules.  ``structures`` are the
+    classes' access structures from :func:`workload_structures`; they are
+    derived here when omitted.
     """
-    fact_runs, bitmap_runs, weights = _typical_run_lengths(
-        layout,
-        workload,
-        bitmap_scheme,
-        _positioning_page_equivalent(system),
-        cache=cache,
-        validate_queries=validate_queries,
+    if structures is None:
+        structures = workload_structures(layout, workload, bitmap_scheme)
+    unit_prefetch = PrefetchSetting.fixed(1, 1)
+    positioning = _positioning_page_equivalent(system)
+    fact_runs, bitmap_runs, weights = [], [], []
+    for (query_class, share), structure in zip(workload.weighted_items(), structures):
+        profile = estimate_access(
+            layout,
+            query_class,
+            bitmap_scheme,
+            unit_prefetch,
+            positioning_page_equivalent=positioning,
+            structure=structure,
+        )
+        fact_runs.append(profile.fact_pages_per_fragment)
+        if profile.fragments_accessed > 0:
+            bitmap_runs.append(
+                profile.bitmap_pages_accessed / profile.fragments_accessed
+            )
+        else:
+            bitmap_runs.append(0.0)
+        weights.append(share)
+    return prefetch_setting_from_runs(
+        tuple(fact_runs), tuple(bitmap_runs), tuple(weights), system
     )
-    return prefetch_setting_from_runs(fact_runs, bitmap_runs, weights, system)
 
 
 class IOCostModel:
@@ -489,29 +466,14 @@ class IOCostModel:
     ----------
     system:
         DBS & disk parameters used for timing.
-    cache:
-        Optional evaluation cache memoizing access structures and per-class
-        cost records across repeated evaluations (what-if studies, warm
-        advisor runs).  Duck-typed; see the module docstring.
-    validate_queries:
-        Re-validate each query against the schema on every estimation
-        (default).  The advisor and the evaluation engine validate the whole
-        workload once up front and construct their model with ``False``.
     """
 
-    def __init__(
-        self,
-        system: SystemParameters,
-        cache=None,
-        validate_queries: bool = True,
-    ) -> None:
+    def __init__(self, system: SystemParameters) -> None:
         if not isinstance(system, SystemParameters):
             raise CostModelError(
                 f"system must be SystemParameters, got {type(system).__name__}"
             )
         self.system = system
-        self.cache = cache
-        self.validate_queries = validate_queries
 
     # -- per-query metrics ---------------------------------------------------------
 
@@ -575,15 +537,13 @@ class IOCostModel:
         bitmap_scheme: BitmapScheme,
         prefetch: PrefetchSetting,
         weight: float = 1.0,
+        structure: Optional[AccessStructure] = None,
     ) -> QueryCost:
-        """Full cost record of one query class on one candidate."""
-        structure = _structure_for(
-            layout,
-            query,
-            bitmap_scheme,
-            cache=self.cache,
-            validate=self.validate_queries,
-        )
+        """Full cost record of one query class on one candidate.
+
+        ``structure`` is the class's access structure; it is derived here
+        when omitted.
+        """
         profile = estimate_access(
             layout,
             query,
@@ -609,19 +569,26 @@ class IOCostModel:
         workload: QueryMix,
         bitmap_scheme: BitmapScheme,
         prefetch: Optional[PrefetchSetting] = None,
+        structures: Optional[Tuple[AccessStructure, ...]] = None,
     ) -> WorkloadEvaluation:
-        """Evaluate a fragmentation candidate against the whole query mix."""
+        """Evaluate a fragmentation candidate against the whole query mix.
+
+        ``structures`` are the classes' access structures from
+        :func:`workload_structures`; they are derived once here when omitted,
+        and serve the prefetch resolution too when ``prefetch`` is omitted.
+        """
+        if structures is None:
+            structures = workload_structures(layout, workload, bitmap_scheme)
         if prefetch is None:
             prefetch = resolve_prefetch_setting(
-                layout,
-                workload,
-                bitmap_scheme,
-                self.system,
-                cache=self.cache,
-                validate_queries=self.validate_queries,
+                layout, workload, bitmap_scheme, self.system, structures=structures
             )
         per_class = tuple(
-            self.query_cost(layout, query_class, bitmap_scheme, prefetch, weight=share)
-            for query_class, share in workload.weighted_items()
+            self.query_cost(
+                layout, query_class, bitmap_scheme, prefetch, share, structure
+            )
+            for (query_class, share), structure in zip(
+                workload.weighted_items(), structures
+            )
         )
         return WorkloadEvaluation(layout=layout, prefetch=prefetch, per_class=per_class)

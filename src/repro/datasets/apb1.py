@@ -16,6 +16,7 @@ structurally faithful, scalable stand-in:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from repro.errors import SchemaError
@@ -50,8 +51,8 @@ def apb1_schema(
     fact_row_size_bytes:
         Width of a fact row (foreign keys plus the APB-1 measures).
     """
-    if scale <= 0:
-        raise SchemaError(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise SchemaError(f"scale must be finite and positive, got {scale}")
     skew = dict(skew or {})
     unknown = set(skew) - {"product", "customer", "time", "channel"}
     if unknown:

@@ -9,6 +9,8 @@ domain-specific example and several benchmarks.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import SchemaError
 from repro.schema import Dimension, FactTable, Level, Measure, StarSchema
 from repro.skew import SkewSpec
@@ -37,8 +39,8 @@ def retail_schema(
     store_skew_theta:
         Zipf theta of the store dimension (defaults to a mild 0.3).
     """
-    if scale <= 0:
-        raise SchemaError(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise SchemaError(f"scale must be finite and positive, got {scale}")
 
     date = Dimension(
         name="date",

@@ -8,12 +8,12 @@ explicit pipeline:
    chunks, which it evaluates in turn on the batched kernels or the scalar
    reference oracle, with guaranteed result parity between the two cost
    paths.
-2. :class:`~repro.engine.cache.EvaluationCache` memoizes the prefetch-
-   independent access structures and per-class cost records, so what-if
-   tuning studies, comparisons and warm advisor runs reuse rather than
-   recompute shared evaluations; in memory it also keeps whole answers, so
-   a session re-asking a question any sharing session answered gets that
-   answer without a probe.
+2. :class:`~repro.engine.cache.EvaluationCache` memoizes the batched
+   path's per-layout access structures and whole candidate evaluations, so
+   what-if tuning studies, comparisons and warm advisor runs reuse rather
+   than recompute shared evaluations; in memory it also keeps whole
+   answers, so a session re-asking a question any sharing session answered
+   gets that answer without a probe.
 3. :mod:`~repro.engine.signature` provides the content fingerprints the cache
    keys on, plus recommendation fingerprints used to *prove* parity.
 4. :class:`~repro.engine.store.CacheStore` spills the cache to a directory

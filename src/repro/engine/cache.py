@@ -1,19 +1,19 @@
 """Memoized evaluation cache for the candidate-evaluation engine.
 
 The advisor's hot path evaluates the analytical cost model for every
-(candidate × query class) pair — and evaluates many of those pairs *twice*
-(once with a unit prefetch granule to derive typical run lengths for the
-prefetch optimizer, once with the resolved granules), while what-if tuning
-studies and comparisons re-evaluate the same pairs under varied system
-parameters.  The cache removes the recomputation:
+(candidate × query class) pair, while what-if tuning studies and
+comparisons re-evaluate the same pairs under varied system parameters.  The
+cache removes the recomputation:
 
-* **Access structures** (:class:`repro.costmodel.AccessStructure`) are the
-  expensive, prefetch-independent part of the estimation.  They are keyed on
-  ``(layout, query, bitmap scheme)`` content signatures — deliberately *not*
-  on the system parameters or prefetch setting — so the run-length pass and
-  the evaluation pass of one candidate share a single computation, and tuning
-  studies that vary disks, architectures, prefetch granules or query weights
-  reuse every structure.
+* **Access structures** are the expensive, prefetch-independent part of the
+  estimation.  The batched path keeps one entry per layout: a 1-row
+  :class:`repro.costmodel.AccessStructureBatch2D` covering every class of a
+  compiled :class:`~repro.workload.ClassMatrix`, keyed on (layout, matrix)
+  content signatures — deliberately *not* on the system parameters,
+  prefetch setting or query weights — so tuning studies that vary disks,
+  architectures, prefetch granules or query weights reuse every structure.
+  The scalar reference oracle takes no cache: it derives each class's
+  structure once per evaluated candidate.
 * **Candidates** (:class:`repro.core.FragmentationCandidate`) are whole
   evaluations keyed on everything that can move a number (schema, fact table,
   spec, workload, system, bitmap scheme, the config knobs the evaluation
@@ -44,10 +44,10 @@ processes*: :meth:`EvaluationCache.attach` hooks the cache to a persistent
 :meth:`EvaluationCache.persist` spills after a sweep), which is how repeated
 CLI invocations and tuning sessions reuse each other's evaluations.  Only
 candidates and exclusion reports persist; access structures, answers and
-validated inputs stay in memory, where ``with_delta`` chains, tuning studies
-and the scalar oracle's two passes reuse them within a process — a fresh
-process recomputes a sweep's structures faster than it could unpack them
-from disk, and sweeps its answers warm from the stored candidates.
+validated inputs stay in memory, where ``with_delta`` chains and tuning
+studies reuse them within a process — a fresh process recomputes a sweep's
+structures faster than it could unpack them from disk, and sweeps its
+answers warm from the stored candidates.
 """
 
 from __future__ import annotations
@@ -56,12 +56,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.engine.signature import (
-    layout_signature,
-    object_signature,
-    query_structure_signature,
-    stable_digest,
-)
+from repro.engine.signature import layout_signature, object_signature, stable_digest
 from repro.engine.store import CorruptCandidate, StoredCandidate
 from repro.errors import AllocationError
 
@@ -151,7 +146,7 @@ class CacheStats:
 
 # lint: not-thread-safe instances=cache
 class EvaluationCache:
-    """Content-addressed memo of access structures and query costs.
+    """Content-addressed memo of access structures and whole candidates.
 
     Parameters
     ----------
@@ -160,7 +155,9 @@ class EvaluationCache:
         bound is reached the oldest-inserted entries are evicted (FIFO — the
         advisor's access pattern is build-once/reuse-many, so recency tracking
         buys nothing over insertion order).  ``None`` (default) means
-        unbounded.  Structure entries are a few hundred bytes each; candidate
+        unbounded.  A structure entry holds one layout's planes for every
+        class: on a 40-class workload about 5 KB of array data and 8 KB
+        with its objects (2.1 MB for a 263-candidate sweep); candidate
         entries retain the whole evaluation *including the per-fragment
         allocation arrays* (roughly 16 bytes per fragment), so a cache that
         outlives many large sweeps should set a bound — e.g. ``max_entries``
@@ -178,8 +175,8 @@ class EvaluationCache:
             raise ValueError(f"max_entries must be positive when set, got {max_entries}")
         self.max_entries = max_entries
         self.stats = CacheStats()
-        #: Access structures, scalar and per-layout batches (memory only:
-        #: never persisted, but counted by ``len()`` and the hit/miss stats).
+        #: Per-layout access-structure batches (memory only: never
+        #: persisted, but counted by ``len()`` and the hit/miss stats).
         self._structures: Dict[Tuple[str, ...], Any] = {}
         self._candidates: Dict[Tuple[str, ...], Any] = {}
         #: Compiled ClassMatrix memo (shared across sessions, never persisted;
@@ -217,22 +214,10 @@ class EvaluationCache:
     # -- keys -------------------------------------------------------------------
 
     @staticmethod
-    def _structure_key(layout, query, bitmap_scheme) -> Tuple[str, ...]:
-        # Keyed on the weight-independent query signature: a reweighted mix
-        # reuses every structure (weights only enter the QueryCost records,
-        # which the candidate-level entries cover).
-        return (
-            layout_signature(layout),
-            query_structure_signature(query),
-            object_signature(bitmap_scheme),
-        )
-
-    @staticmethod
     def _structure_batch_key(layout, matrix) -> Tuple[str, ...]:
         # The matrix signature is weight-independent (queries' structure plus
-        # bitmap scheme plus schema), mirroring the per-query structure keys:
-        # reweighted mixes reuse every cached batch.
-        return ("batch", layout_signature(layout), matrix.signature)
+        # bitmap scheme plus schema): reweighted mixes reuse every entry.
+        return (layout_signature(layout), matrix.signature)
 
     @staticmethod
     def workload_signature(workload) -> str:
@@ -291,29 +276,15 @@ class EvaluationCache:
             self._disk_keys.discard(evicted)
         store[key] = value
 
-    def access_structure(self, layout, query, bitmap_scheme, compute):
-        """Cached prefetch-independent access structure (see module docstring)."""
-        key = self._structure_key(layout, query, bitmap_scheme)
-        value = self._structures.get(key, _MISSING)
-        if value is not _MISSING:
-            self.stats.structure_hits += 1
-            return value
-        self.stats.structure_misses += 1
-        value = compute()
-        self._bounded_put(self._structures, key, value)
-        return value
-
     def get_structure_batch(self, layout, matrix):
         """Probe for a per-layout structure batch; ``None`` on miss (counted).
 
-        The columnar counterpart of :meth:`access_structure`: one entry covers
-        *every* query class of the compiled
+        One entry covers *every* query class of the compiled
         :class:`~repro.workload.ClassMatrix`, keyed on (layout, matrix)
-        content signatures and memoized alongside the scalar structure
-        entries (same memo, same stats counters).  The batched executor
-        probes every layout of a chunk first and computes all misses as one
-        stacked batch, so the probe and the insert
-        (:meth:`put_structure_batch`) are separate calls.
+        content signatures.  The batched executor probes every layout of a
+        chunk first and computes all misses as one stacked batch, so the
+        probe and the insert (:meth:`put_structure_batch`) are separate
+        calls.
         """
         value = self._structures.get(
             self._structure_batch_key(layout, matrix), _MISSING
@@ -325,8 +296,8 @@ class EvaluationCache:
         return value
 
     def put_structure_batch(self, layout, matrix, value) -> None:
-        """Insert one layout's structure batch (the executor slices it from a
-        chunk's stacked compute).
+        """Insert one layout's structure batch (the executor copies it out of
+        a chunk's stacked compute as a 1-row stack).
 
         Not a probe — no counter moves; the miss was already counted by the
         preceding :meth:`get_structure_batch`.

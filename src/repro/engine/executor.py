@@ -49,6 +49,7 @@ from repro.costmodel import (
     evaluate_workload_batch_candidates,
     resolve_prefetch_setting,
     resolve_prefetch_settings_batch_candidates,
+    workload_structures,
 )
 # Not called here: perfbench/probes.py rebinds these names on this module.
 from repro.costmodel import (  # noqa: F401
@@ -149,18 +150,20 @@ def _evaluate_spec(
     layout = _layout(context, spec, cache)
     # The context's workload was validated once at engine/advisor
     # construction, so the per-query re-validation is skipped on this hot
-    # path.
+    # path.  Each class's structure is derived once and read by both the
+    # prefetch resolution and the evaluation.
+    structures = workload_structures(
+        layout, context.workload, context.bitmap_scheme, validate=False
+    )
     prefetch = resolve_prefetch_setting(
         layout,
         context.workload,
         context.bitmap_scheme,
         context.system,
-        cache=cache,
-        validate_queries=False,
+        structures=structures,
     )
-    model = IOCostModel(context.system, cache=cache, validate_queries=False)
-    evaluation = model.evaluate(
-        layout, context.workload, context.bitmap_scheme, prefetch
+    evaluation = IOCostModel(context.system).evaluate(
+        layout, context.workload, context.bitmap_scheme, prefetch, structures
     )
     allocation = choose_allocation(
         layout,
@@ -216,8 +219,9 @@ def evaluate_specs_in_context(
     engine's driver places its whole sweep before the first chunk and hands
     every chunk the same map; without it the chunk places its own indices
     the same way.  The scalar path evaluates spec by spec and ignores
-    ``placed``.  ``cache`` memoizes built layouts and access structures only
-    (one structure probe per evaluated layout): whole candidates are probed
+    ``placed``.  ``cache`` memoizes built layouts, and on the batched path
+    access structures (one structure probe per evaluated layout); the scalar
+    oracle takes no cache for its structures.  Whole candidates are probed
     and stored by :meth:`EvaluationEngine.evaluate_specs`, once per spec, so
     every index handed in here is evaluated.
     """
@@ -263,32 +267,25 @@ def _structure_batch(
     """The stacked structure batch of one chunk.
 
     One cache probe per layout; all misses are computed as ONE stacked
-    batch, and per-layout slices feed the cache — the slices are
-    bit-identical to per-layout computation, so cache sharing across chunk
-    shapes and runs stays exact.  On an all-miss (cold) chunk the freshly
-    stacked batch is returned directly, so the common cold path never pays
-    a slice-then-restack round trip.
+    batch, and each miss's row is copied out of it as a 1-row stack for the
+    cache — bit-identical to per-layout computation, so cache sharing across
+    chunk shapes and runs stays exact.  On an all-miss (cold) chunk the
+    freshly stacked batch is returned directly, so the common cold path
+    never pays a copy-then-restack round trip.
     """
     if cache is None:
         return compute_access_structure_batch_candidates(layouts, matrix)
-    structures: List[Any] = [None] * len(layouts)
-    missing: List[int] = []
-    for position, layout in enumerate(layouts):
-        hit = cache.get_structure_batch(layout, matrix)
-        structures[position] = hit
-        if hit is None:
-            missing.append(position)
-    if not missing:
-        return AccessStructureBatch2D.stack(structures)
-    stacked = compute_access_structure_batch_candidates(
-        [layouts[position] for position in missing], matrix
-    )
-    for j, position in enumerate(missing):
-        structure = stacked.candidate(j)
-        structures[position] = structure
-        cache.put_structure_batch(layouts[position], matrix, structure)
-    if len(missing) == len(layouts):
-        return stacked
+    structures = [cache.get_structure_batch(layout, matrix) for layout in layouts]
+    missing = [position for position, hit in enumerate(structures) if hit is None]
+    if missing:
+        stacked = compute_access_structure_batch_candidates(
+            [layouts[position] for position in missing], matrix
+        )
+        for j, position in enumerate(missing):
+            structures[position] = stacked.candidate(j)
+            cache.put_structure_batch(layouts[position], matrix, structures[position])
+        if len(missing) == len(layouts):
+            return stacked
     return AccessStructureBatch2D.stack(structures)
 
 

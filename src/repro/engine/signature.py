@@ -47,7 +47,6 @@ __all__ = [
     "stable_digest",
     "object_signature",
     "layout_signature",
-    "query_structure_signature",
     "recommendation_state",
     "recommendation_fingerprint",
 ]
@@ -78,28 +77,6 @@ def object_signature(obj: Any) -> str:
     signature = stable_digest(type(obj).__name__, repr(obj))
     if state is not None:
         state[_SIGNATURE_ATTR] = signature
-    return signature
-
-
-def query_structure_signature(query: Any) -> str:
-    """Weight-independent content fingerprint of a query class.
-
-    Access structures depend on a query's restrictions (and the fact table it
-    targets), never on its workload weight — so the structure cache keys on
-    this signature, letting reweighted mixes reuse every structure.  The name
-    is included because it is baked into the cached structure itself.
-    """
-    state = query.__dict__
-    cached = state.get("_engine_structure_signature")
-    if cached is not None:
-        return cached
-    signature = stable_digest(
-        "QueryClassStructure",
-        query.name,
-        repr(query.restrictions),
-        repr(query.fact_table),
-    )
-    state["_engine_structure_signature"] = signature
     return signature
 
 

@@ -155,7 +155,6 @@ _toggle_lock = threading.Lock()
 
 #: Methods guarded for exclusive entry, per class.
 _CACHE_METHODS = (
-    "access_structure",
     "get_structure_batch",
     "put_structure_batch",
     "get_candidate",

@@ -114,11 +114,16 @@ class RequestJob:
     def expire(self) -> None:
         """Fail the job with a 504 without running it (queue-wait overrun)."""
         self.timed_out = True
-        self.error = ServiceError(
-            f"request deadline exceeded while queued"
-            + (f" ({self.label})" if self.label else ""),
-            status=504,
-        )
+        self._fail("request deadline exceeded while queued", 504)
+
+    def refuse(self) -> None:
+        """Fail the job with a 503 without running it (the executor stopped)."""
+        self._fail("service stopped before the request started", 503)
+
+    def _fail(self, message: str, status: int) -> None:
+        if self.label:
+            message += f" ({self.label})"
+        self.error = ServiceError(message, status=status)
         self._finish()
 
     def run(self) -> None:
@@ -204,7 +209,8 @@ class RequestExecutor:
         self._idle = threading.Condition()
         self._shutdown = False
         self._started = False
-        self._start_lock = threading.Lock()
+        #: Re-entrant: submit() holds it across start() and the enqueue.
+        self._start_lock = threading.RLock()
         share_main_malloc_arena()
 
     # -- lifecycle --------------------------------------------------------------
@@ -225,7 +231,12 @@ class RequestExecutor:
                 self._threads.append(thread)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work and terminate the workers via poison pills."""
+        """Stop accepting work and terminate the workers via poison pills.
+
+        Every job submitted before still ends: a running one finishes, and a
+        queued one fails with a 503 without running.  ``wait`` blocks until
+        the workers have exited.
+        """
         with self._start_lock:
             if self._shutdown:
                 return
@@ -233,6 +244,8 @@ class RequestExecutor:
             started = self._started
         if not started:
             return
+        # Every accepted job is queued ahead of the pills (submit checks the
+        # flag and queues under the same lock), so each one is answered.
         for _ in self._threads:
             self._queue.put(_STOP)
         if wait:
@@ -254,24 +267,24 @@ class RequestExecutor:
         configured executor ``timeout`` it is tripped when the deadline
         passes mid-execution.
         """
-        if self._shutdown:
-            raise ServiceError("request executor is shut down", status=503)
-        self.start()
         deadline = (
             time.monotonic() + self.timeout if self.timeout is not None else None
         )
         job = RequestJob(fn, label=label, on_done=on_done, cancel=cancel, deadline=deadline)
-        with self._idle:
-            self._pending += 1
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
+        with self._start_lock:
+            if self._shutdown:
+                raise ServiceError("request executor is shut down", status=503)
+            self.start()
+            # Counted under the lock a worker takes to count the job done.
             with self._idle:
-                self._pending -= 1
-            raise ServiceError(
-                f"request queue saturated ({self.capacity} queued); retry later",
-                status=503,
-            )
+                try:
+                    self._queue.put_nowait(job)
+                except queue.Full:
+                    raise ServiceError(
+                        f"request queue saturated ({self.capacity} queued); retry later",
+                        status=503,
+                    ) from None
+                self._pending += 1
         return job
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -294,7 +307,9 @@ class RequestExecutor:
                 break
             try:
                 remaining = item._remaining()
-                if remaining is not None and remaining <= 0:
+                if self._shutdown:
+                    item.refuse()
+                elif remaining is not None and remaining <= 0:
                     # The deadline passed while the job sat in the queue:
                     # answer 504 without burning a worker on doomed work.
                     item.expire()

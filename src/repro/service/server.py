@@ -47,7 +47,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.options import EngineOptions
@@ -170,6 +170,9 @@ class AdvisorServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._stop_requested = threading.Event()
+        #: Connection handlers that have read a whole request and not yet
+        #: answered it: stop_async() waits for them.
+        self._requests: "Set[asyncio.Task[Any]]" = set()
         #: Requests served, by outcome (monotone counters for /healthz).
         self.served = 0
         self.cancelled = 0
@@ -186,12 +189,19 @@ class AdvisorServer:
         self.executor.start()
 
     async def stop_async(self) -> None:
-        """Close the listener and shut the service down."""
+        """Close the listener, answer every accepted request, then the sessions.
+
+        The workers are joined off the event loop, which meanwhile writes
+        the answers of the jobs they finish; a job still queued fails with a
+        503.  The sessions are closed last, once every request that had been
+        read is answered, so no worker rebuilds a session after they close.
+        """
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
-        self.executor.shutdown(wait=False)
+        await asyncio.to_thread(self.executor.shutdown)
+        while self._requests:
+            await asyncio.wait(set(self._requests))
         self.registry.close()
 
     async def serve_until(
@@ -223,18 +233,11 @@ class AdvisorServer:
         """
         ready = threading.Event()
 
-        async def _serve() -> None:
-            await self.start()
-            ready.set()
-            try:
-                while not self._stop_requested.is_set():
-                    await asyncio.sleep(0.05)
-            finally:
-                await self.stop_async()
-
         def _runner() -> None:
             try:
-                asyncio.run(_serve())
+                asyncio.run(
+                    self.serve_until(poll_interval=0.05, on_ready=lambda _: ready.set())
+                )
             finally:
                 ready.set()  # unblock the waiter on a failed bind too
 
@@ -263,6 +266,7 @@ class AdvisorServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
         try:
             try:
                 method, path, query, headers, body = await self._read_request(reader)
@@ -271,6 +275,8 @@ class AdvisorServer:
                 return
             except (asyncio.IncompleteReadError, ConnectionError, ValueError):
                 return  # malformed or aborted before a full request: nothing to answer
+            if handler is not None:
+                self._requests.add(handler)
             try:
                 await self._dispatch(reader, writer, method, path, query, headers, body)
             except ServiceError as error:
@@ -294,6 +300,8 @@ class AdvisorServer:
                 await writer.wait_closed()
             except Exception:
                 pass
+            if handler is not None:
+                self._requests.discard(handler)
 
     async def _read_request(self, reader: asyncio.StreamReader):
         request_line = await reader.readline()
@@ -328,7 +336,9 @@ class AdvisorServer:
             raise ServiceError("request body must be a JSON object")
         try:
             payload = json.loads(body)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # Undecodable bytes and bad JSON raise ValueErrors; a body nested
+            # past the recursion limit raises RecursionError.
             raise ServiceError(f"invalid JSON body: {error}")
         if not isinstance(payload, dict):
             raise ServiceError("request body must be a JSON object")

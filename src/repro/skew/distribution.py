@@ -14,6 +14,7 @@ probabilities.  ``theta`` (often written *z*) controls the skew:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +53,12 @@ def zipf_probabilities(n: int, theta: float) -> np.ndarray:
     n:
         Number of distinct values; must be positive.
     theta:
-        Skew parameter; must be non-negative.
+        Skew parameter; must be finite and non-negative.
     """
     if n <= 0:
         raise SchemaError(f"number of values must be positive, got {n}")
-    if theta < 0:
-        raise SchemaError(f"zipf theta must be non-negative, got {theta}")
+    if not (math.isfinite(theta) and theta >= 0):
+        raise SchemaError(f"zipf theta must be finite and non-negative, got {theta}")
     if theta == 0.0:
         return uniform_probabilities(n)
     ranks = np.arange(1, n + 1, dtype=float)
@@ -75,8 +76,10 @@ class ZipfDistribution:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise SchemaError(f"distribution size must be positive, got {self.n}")
-        if self.theta < 0:
-            raise SchemaError(f"zipf theta must be non-negative, got {self.theta}")
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise SchemaError(
+                f"zipf theta must be finite and non-negative, got {self.theta}"
+            )
 
     def probabilities(self) -> np.ndarray:
         """Probability of each of the ``n`` values, most frequent first."""
@@ -123,8 +126,11 @@ class SkewSpec:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.theta < 0:
-            raise SchemaError(f"skew theta must be non-negative, got {self.theta}")
+        # NaN would compare as neither skewed nor negative, and pass as uniform.
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise SchemaError(
+                f"skew theta must be finite and non-negative, got {self.theta}"
+            )
 
     @property
     def is_skewed(self) -> bool:

@@ -110,6 +110,21 @@ class TestCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scale", "nan"],
+            ["--scale", "inf"],
+            ["--dataset", "retail", "--scale", "nan"],
+            ["--scale", "0.01", "--skew", "nan"],
+            ["--scale", "0.01", "--skew", "inf"],
+        ],
+    )
+    def test_a_non_finite_scale_or_skew_exits_2(self, flags, capsys):
+        assert main(["recommend", "--disks", "16", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "finite" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["recommend", "tune"])
     def test_out_of_range_disk_count_exits_2(self, command, capsys):
         # Rejected while the inputs are built, before anything is sized by it.

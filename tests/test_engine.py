@@ -50,7 +50,7 @@ class TestSignatures:
 
 class TestEvaluationCache:
     def test_structure_reuse_counts_hits(self, toy_advisor):
-        """Scalar path: run-length and evaluation passes share every structure."""
+        """Scalar path: the oracle takes no structure memo; candidates hit."""
         cache = EvaluationCache()
         advisor = AdvisorSession(
             toy_advisor.schema,
@@ -62,15 +62,12 @@ class TestEvaluationCache:
         )
         specs, _ = advisor.generate_specs()
         advisor.evaluate_spec(specs[0])
-        # The run-length pass and the evaluation pass share every structure.
-        classes = len(advisor.workload)
-        assert cache.stats.structure_misses == classes
-        assert cache.stats.structure_hits == classes
+        assert (cache.stats.structure_misses, cache.stats.structure_hits) == (0, 0)
         assert cache.stats.candidate_misses == 1
         advisor.evaluate_spec(specs[0])
         # The repeat is answered entirely by the candidate-level entry.
         assert cache.stats.candidate_hits == 1
-        assert cache.stats.structure_misses == classes
+        assert (cache.stats.structure_misses, len(cache._structures)) == (0, 0)
 
     def test_structure_batch_reuse_counts_hits(self, toy_advisor):
         """Vectorized path: one batch entry per layout plays the same role."""
@@ -319,3 +316,70 @@ class TestEvaluationEngine:
     def test_evaluate_candidates_with_empty_list_returns_empty(self, toy_advisor):
         candidates = toy_advisor.engine.evaluate_specs([])
         assert candidates == []
+
+
+class TestScalarOracleStructures:
+    """The scalar oracle derives each (layout, class) structure once."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        """Every ``compute_access_structure`` call, as (layout, class) labels."""
+        import repro.costmodel.access as access_module
+        import repro.costmodel.model as model_module
+
+        calls = []
+        original = access_module.compute_access_structure
+
+        def counted(layout, query, *args, **kwargs):
+            calls.append((layout.spec.label, query.name))
+            return original(layout, query, *args, **kwargs)
+
+        monkeypatch.setattr(access_module, "compute_access_structure", counted)
+        monkeypatch.setattr(model_module, "compute_access_structure", counted)
+        return calls
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_engine_derives_each_structure_once_per_candidate(
+        self, derivations, apb_small_schema, apb_workload, small_system, cache
+    ):
+        session = AdvisorSession(
+            apb_small_schema,
+            apb_workload,
+            small_system,
+            AdvisorConfig(max_fragments=10_000),
+            options=EngineOptions(vectorize=False, cache=cache),
+        )
+        specs, _ = session.generate_specs()
+        classes = [query.name for query in apb_workload]
+        assert len(classes) == 8
+        session.evaluate_spec(specs[0])
+        assert derivations == [(specs[0].label, name) for name in classes]
+        derivations.clear()
+        candidates = session.engine.evaluate_specs(specs[:4])
+        # A cached candidate is not evaluated again, so derives nothing.
+        evaluated = specs[1:4] if cache else specs[:4]
+        assert derivations == [
+            (spec.label, name) for spec in evaluated for name in classes
+        ]
+        assert [c.label for c in candidates] == [s.label for s in specs[:4]]
+
+    def test_model_derives_each_structure_once_without_structures(
+        self, derivations, apb_small_schema, apb_workload, small_system
+    ):
+        from repro.bitmap import design_bitmap_scheme
+        from repro.costmodel import IOCostModel, workload_structures
+
+        session = AdvisorSession(apb_small_schema, apb_workload, small_system)
+        specs, _ = session.generate_specs()
+        layout = build_layout(apb_small_schema, specs[0])
+        scheme = design_bitmap_scheme(apb_small_schema, apb_workload)
+        derivations.clear()
+        derived = IOCostModel(small_system).evaluate(layout, apb_workload, scheme)
+        assert len(derivations) == len(apb_workload)
+        derivations.clear()
+        structures = workload_structures(layout, apb_workload, scheme)
+        handed = IOCostModel(small_system).evaluate(
+            layout, apb_workload, scheme, structures=structures
+        )
+        assert len(derivations) == len(apb_workload)
+        assert handed == derived

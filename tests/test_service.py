@@ -463,6 +463,24 @@ class TestHTTPEndpoints:
         )
         assert code == 400 and "invalid request body" in body["error"]
 
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("POST", "/warehouses/main/submit", b"[" * 200_000 + b"]" * 200_000),
+            ("PUT", "/warehouses/shop", b"[" * 100_000 + b"]" * 100_000),
+            ("PUT", "/warehouses/shop", b'{"dataset": "\xff"}'),
+        ],
+        ids=["submit-nested-200000", "register-nested-100000", "register-not-utf8"],
+    )
+    def test_unparseable_bodies_are_400(self, server, method, path, body):
+        request = urllib.request.Request(server.url + path, data=body, method=method)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=60)
+        assert excinfo.value.code == 400
+        assert "invalid JSON body" in json.loads(excinfo.value.read())["error"]
+        status, _ = http_json(server, "GET", "/healthz")
+        assert status == 200
+
     def test_register_and_delete_over_http(self, server):
         status, body = http_json(
             server, "PUT", "/warehouses/shop",
@@ -504,6 +522,11 @@ class TestHTTPEndpoints:
             ({"schema": example_config()["schema"], "workload": "x"}, "workload"),
             ({"schema": example_config()["schema"], "workload": ["x"]}, "workload"),
             ({**example_config(), "system": {"num_disks": "x"}}, "num_disks"),
+            ({"dataset": "apb1", "scale": math.nan}, "scale"),
+            ({"dataset": "apb1", "scale": math.inf}, "scale"),
+            ({"dataset": "retail", "scale": math.nan}, "scale"),
+            ({"dataset": "apb1", "scale": 0.02, "skew": math.nan}, "skew"),
+            ({"dataset": "apb1", "scale": 0.02, "skew": math.inf}, "skew"),
             ({"dataset": "apb1", "disks": 64.7}, "disks"),
             ({"dataset": "apb1", "disks": True}, "disks"),
             ({**example_config(), "system": {"num_disks": 16.9}}, "num_disks"),
@@ -520,7 +543,8 @@ class TestHTTPEndpoints:
         ids=[
             "scale-string", "scale-null", "disks-string", "skew-string",
             "schema-string", "workload-string", "workload-entry-string",
-            "num-disks-string", "disks-fraction", "disks-bool",
+            "num-disks-string", "scale-nan", "scale-inf", "retail-scale-nan",
+            "skew-nan", "skew-inf", "disks-fraction", "disks-bool",
             "num-disks-fraction", "advisor-top-candidates-fraction", "advisor-max-bool",
             "advisor-baseline-string", "advisor-dimensions-fraction",
         ],
@@ -888,6 +912,65 @@ class TestDisconnectCancellation:
             assert body["fingerprint"] == oracle.recommend().fingerprint
         finally:
             server.stop()
+
+
+def _status(server, name, statuses) -> None:
+    """POST a recommend; record its HTTP status, or None without a response."""
+    try:
+        statuses[name] = http_json(
+            server, "POST", f"/warehouses/{name}/submit", {"kind": "recommend"}
+        )[0]
+    except urllib.error.HTTPError as error:
+        statuses[name] = error.code
+    except OSError:  # the connection closed without a response
+        statuses[name] = None
+
+
+class TestShutdown:
+    def test_stop_answers_every_accepted_request_then_closes_sessions(self):
+        from repro import retail_query_mix, retail_schema
+
+        server = AdvisorServer(executor=RequestExecutor(workers=1))
+        entries = [
+            server.registry.register(
+                name, retail_schema(scale=1.0), retail_query_mix(),
+                SystemParameters(num_disks=16),
+            )
+            for name in "abc"
+        ]
+        server.start_in_background()
+        statuses = {}
+        clients = [
+            threading.Thread(target=_status, args=(server, name, statuses))
+            for name in "abc"
+        ]
+        stopper = threading.Thread(target=server.stop, kwargs={"timeout": 60})
+
+        def wait_for(condition) -> None:
+            deadline = time.monotonic() + 30
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+        # The one worker takes a's recommend and waits for a's entry lock,
+        # so b's and c's stay queued until stop() is under way.
+        with entries[0].lock:
+            clients[0].start()
+            wait_for(lambda: server.executor.pending == 1)
+            for client in clients[1:]:
+                client.start()
+            wait_for(lambda: server.executor.pending == 3)
+            stopper.start()
+            wait_for(lambda: server.executor._shutdown)
+            time.sleep(0.05)
+        stopper.join(60)
+        assert not stopper.is_alive()
+        assert not any(worker.is_alive() for worker in server.executor._threads)
+        assert server.registry.live_sessions == 0
+        for client in clients:
+            client.join(60)
+        # a ran to its answer; b and c had not started and were refused.
+        assert statuses == {"a": 200, "b": 503, "c": 503}
 
 
 class TestEvictionOverHTTP:

@@ -100,8 +100,11 @@ class TestZipfDistribution:
     def test_invalid_parameters(self):
         with pytest.raises(SchemaError):
             ZipfDistribution(n=0, theta=1.0)
-        with pytest.raises(SchemaError):
-            ZipfDistribution(n=5, theta=-1.0)
+        for theta in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(SchemaError):
+                ZipfDistribution(n=5, theta=theta)
+            with pytest.raises(SchemaError):
+                zipf_probabilities(5, theta)
 
 
 class TestSkewSpec:
@@ -120,6 +123,12 @@ class TestSkewSpec:
     def test_rejects_negative_theta(self):
         with pytest.raises(SchemaError):
             SkewSpec(theta=-0.2)
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_theta(self, theta):
+        # NaN would otherwise pass as uniform, and inf as a point mass.
+        with pytest.raises(SchemaError, match="finite"):
+            SkewSpec(theta=theta)
 
 
 class TestBalanceMetrics:

@@ -51,6 +51,7 @@ from repro.costmodel import (
     resolve_prefetch_setting,
     resolve_prefetch_setting_batch,
     resolve_prefetch_settings_batch_candidates,
+    workload_structures,
 )
 from repro.costmodel.model import _positioning_page_equivalent
 from repro.engine import CandidateColumns, EvaluationCache
@@ -75,24 +76,24 @@ def _assert_fields_equal(scalar, batch, context: str) -> None:
         )
 
 
-def _scalar_oracle(layout, workload, scheme, system, cache=None):
-    """The scalar reference: resolved prefetch setting and full evaluation."""
+def _scalar_oracle(layout, workload, scheme, system):
+    """The scalar reference as the engine runs it: each class's structure
+    derived once and handed to the prefetch resolution and the evaluation."""
+    structures = workload_structures(layout, workload, scheme, validate=False)
     prefetch = resolve_prefetch_setting(
-        layout, workload, scheme, system, cache=cache, validate_queries=False
+        layout, workload, scheme, system, structures=structures
     )
-    model = IOCostModel(system, cache=cache, validate_queries=False)
-    return prefetch, model.evaluate(layout, workload, scheme, prefetch)
+    model = IOCostModel(system)
+    return prefetch, model.evaluate(layout, workload, scheme, prefetch, structures)
 
 
 def _scalar_oracles(layout, workload, scheme, system):
-    """The scalar reference cold and again over a warm structure cache."""
-    cache = EvaluationCache()
-    cold = _scalar_oracle(layout, workload, scheme, system)
-    _scalar_oracle(layout, workload, scheme, system, cache)
-    hits = cache.stats.hits
-    warm = _scalar_oracle(layout, workload, scheme, system, cache)
-    assert cache.stats.hits > hits, "the warm oracle must reuse its structures"
-    return cold, warm
+    """The scalar reference handed its structures, and deriving its own."""
+    evaluation = IOCostModel(system).evaluate(layout, workload, scheme)
+    return (
+        _scalar_oracle(layout, workload, scheme, system),
+        (evaluation.prefetch, evaluation),
+    )
 
 
 def _assert_matches_oracle(prefetch, evaluation, oracle, context: str) -> None:
@@ -212,13 +213,11 @@ class TestHypothesisSweep:
                 layout, query, scheme, validate=False
             )
             _assert_fields_equal(
-                scalar_structure, batch.structure(i), f"{spec.label}/{query.name}"
+                scalar_structure, batch.structure(0, i), f"{spec.label}/{query.name}"
             )
 
         # Prefetch resolution.
-        scalar_prefetch = resolve_prefetch_setting(
-            layout, workload, scheme, system, validate_queries=False
-        )
+        scalar_prefetch = resolve_prefetch_setting(layout, workload, scheme, system)
         batch_prefetch = resolve_prefetch_setting_batch(batch, matrix, system)
         assert scalar_prefetch == batch_prefetch
 
@@ -227,10 +226,9 @@ class TestHypothesisSweep:
             data.draw(st.sampled_from([1, 2, 16, 128])),
             data.draw(st.sampled_from([1, 4])),
         )
-        stacked = AccessStructureBatch2D.stack([batch])
         for prefetch in (scalar_prefetch, drawn_prefetch):
             profile_batch = estimate_access_batch_candidates(
-                stacked,
+                batch,
                 np.array([prefetch.fact_pages], dtype=np.float64),
                 np.array([prefetch.bitmap_pages], dtype=np.float64),
                 ppe,
@@ -251,7 +249,7 @@ class TestHypothesisSweep:
                 )
 
         # Full per-class cost records (QueryCost), field by field.
-        model = IOCostModel(system, validate_queries=False)
+        model = IOCostModel(system)
         scalar_evaluation = model.evaluate(layout, workload, scheme, scalar_prefetch)
         batch_evaluation = evaluate_workload_batch(
             layout, batch, matrix, system, batch_prefetch
@@ -296,18 +294,11 @@ class TestCandidateAxisHypothesisSweep:
         ]
         matrix = ClassMatrix.compile(schema, workload, scheme)
         stacked = compute_access_structure_batch_candidates(layouts, matrix)
-        # The warm path: per-layout slices (what the structure cache holds)
-        # re-stacked before the shared downstream kernels.
+        # The warm path: per-layout 1-row copies (what the structure cache
+        # holds) re-stacked before the shared downstream kernels.
         slices = [stacked.candidate(k) for k in range(len(layouts))]
         restacked = AccessStructureBatch2D.stack(slices)
-        for field in dataclasses.fields(stacked):
-            ours = getattr(stacked, field.name)
-            theirs = getattr(restacked, field.name)
-            if isinstance(ours, np.ndarray):
-                assert ours.dtype == theirs.dtype, field.name
-                assert np.array_equal(ours, theirs), field.name
-            else:
-                assert ours == theirs, field.name
+        _assert_stacks_equal(stacked, restacked)
 
         answers = {}
         for path, batch in (("cold", stacked), ("warm", restacked)):
@@ -322,14 +313,17 @@ class TestCandidateAxisHypothesisSweep:
         for k, layout in enumerate(layouts):
             # Access structures, field by field against the scalar oracle.
             for i, (query, _) in enumerate(workload.weighted_items()):
-                _assert_fields_equal(
-                    compute_access_structure(layout, query, scheme, validate=False),
-                    slices[k].structure(i),
-                    f"{layout.spec.label}/{query.name}",
-                )
-            # Prefetch and full per-class records, cold and warm on both sides.
+                scalar = compute_access_structure(layout, query, scheme, validate=False)
+                for batch, row in ((stacked, k), (slices[k], 0)):
+                    _assert_fields_equal(
+                        scalar,
+                        batch.structure(row, i),
+                        f"{layout.spec.label}/{query.name}",
+                    )
+            # Prefetch and full per-class records: cold and warm batches
+            # against the oracle handed its structures and deriving its own.
             for oracle_path, oracle in zip(
-                ("cold", "warm"), _scalar_oracles(layout, workload, scheme, system)
+                ("handed", "derived"), _scalar_oracles(layout, workload, scheme, system)
             ):
                 for path, answer in answers.items():
                     _assert_matches_oracle(
@@ -479,9 +473,9 @@ class TestCandidateAxisParityMatrix:
         mixed = evaluate_specs_in_context(context, range(len(specs)), cache)
         for expected, cold, warm in zip(reference, chunked, mixed):
             # Both sides above run the batched kernels; the scalar oracle
-            # (cold and over a warm structure cache) anchors them.
+            # (handed its structures and deriving its own) anchors them.
             for oracle_path, oracle in zip(
-                ("cold", "warm"),
+                ("handed", "derived"),
                 _scalar_oracles(
                     expected.layout, workload, context.bitmap_scheme, system
                 ),
@@ -614,13 +608,19 @@ class TestColumnarEvaluation:
 
 def _assert_stack_equals_one_row_stacks(layouts, matrix) -> None:
     """A stack of ``layouts`` equals their 1-row stacks, field by field."""
-    stacked = compute_access_structure_batch_candidates(layouts, matrix)
-    restacked = AccessStructureBatch2D.stack(
-        [
-            compute_access_structure_batch_candidates([layout], matrix).candidate(0)
-            for layout in layouts
-        ]
+    _assert_stacks_equal(
+        compute_access_structure_batch_candidates(layouts, matrix),
+        AccessStructureBatch2D.stack(
+            [
+                compute_access_structure_batch_candidates([layout], matrix).candidate(0)
+                for layout in layouts
+            ]
+        ),
     )
+
+
+def _assert_stacks_equal(stacked, restacked) -> None:
+    """Two structure stacks are equal, field by field, dtypes and shapes too."""
     for field in dataclasses.fields(stacked):
         ours = getattr(stacked, field.name)
         theirs = getattr(restacked, field.name)
@@ -658,6 +658,22 @@ class TestCandidateAxisGuards:
         assert len({layout.spec.dimensions for layout in layouts}) > 1
         assert len({layout.spec.dimensionality for layout in layouts}) > 1
         _assert_stack_equals_one_row_stacks(layouts, matrix)
+
+    def test_stack_of_multi_row_stacks_equals_one_stack(self):
+        """Stacks of several heights join into the stack of all their layouts."""
+        layouts, matrix, *_ = self._layouts()
+        cuts = [0, 3, 4, len(layouts) // 2, len(layouts)]
+        assert len(layouts) > cuts[-2] > 4
+        parts = [
+            compute_access_structure_batch_candidates(layouts[lo:hi], matrix)
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        assert [part.num_candidates for part in parts[:2]] == [3, 1]
+        whole = compute_access_structure_batch_candidates(layouts, matrix)
+        _assert_stacks_equal(whole, AccessStructureBatch2D.stack(parts))
+        # Mixed with 1-row copies, as a partially warm chunk stacks them.
+        mixed = [parts[0].candidate(0), parts[0].candidate(1), parts[0].candidate(2)]
+        _assert_stacks_equal(whole, AccessStructureBatch2D.stack(mixed + parts[1:]))
 
     def test_stack_mixing_page_sizes_or_fact_tables_is_rejected(self):
         from repro import FactTable
@@ -724,7 +740,7 @@ class TestCandidateAxisGuards:
             for i, (query, _) in enumerate(workload.weighted_items()):
                 _assert_fields_equal(
                     compute_access_structure(layout, query, scheme, validate=False),
-                    batch.structure(i),
+                    batch.structure(0, i),
                     f"{layout.spec.label}/{query.name}",
                 )
 
