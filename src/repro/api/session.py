@@ -6,10 +6,13 @@ it, comparing the predictions.  That access pattern is a session, which
 must not re-validate the schema, re-design the bitmap scheme and re-compile
 the columnar class matrix on every what-if variation.
 
-:class:`AdvisorSession` compiles the inputs once (schema validation, workload
-validation, bitmap-scheme design, class-matrix compilation — all memoized on
-the session's single :class:`~repro.engine.EvaluationEngine`), holds the
-shared :class:`~repro.engine.EvaluationCache`, and serves typed requests
+:class:`AdvisorSession` validates the schema once and holds one
+:class:`~repro.engine.EvaluationEngine`, whose workload validation, bitmap
+scheme and columnar class matrix the process memoizes by content
+(:mod:`repro.engine.executor`): a derived session, a fresh session on the
+same inputs or a served warehouse rebuilt after eviction validates, designs
+and compiles nothing.  It holds the shared
+:class:`~repro.engine.EvaluationCache` and serves typed requests
 (:mod:`repro.api.requests`).  :meth:`AdvisorSession.with_delta` derives an
 edited session — different disk count, architecture, skew, mix weights —
 that *shares the cache*, so every entry the edit does not invalidate is
@@ -121,9 +124,9 @@ class AdvisorSession:
         else:
             self.cache = None
         # One engine for the session's lifetime: construction validates the
-        # workload (once per input pair on a shared cache); the bitmap scheme
-        # and the columnar class matrix are compiled on first use and
-        # memoized for every later request.
+        # workload (once per input pair in the process); the bitmap scheme
+        # and the columnar class matrix are compiled on first use, once per
+        # input pair in the process, and kept for every later request.
         self.engine = EvaluationEngine(
             schema,
             workload,
@@ -137,7 +140,8 @@ class AdvisorSession:
     # -- compiled inputs --------------------------------------------------------
 
     def design_bitmaps(self) -> BitmapScheme:
-        """The workload-driven bitmap scheme (designed once per session)."""
+        """The workload-driven bitmap scheme (designed once per content-equal
+        input set in the process, or once per session without caching)."""
         return self.engine.bitmap_scheme()
 
     def _exclusion_key(self) -> Tuple[str, str]:

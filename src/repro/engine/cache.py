@@ -25,29 +25,29 @@ All cached values are immutable (frozen dataclasses), and every cache entry is
 the deterministic function of its key, so sharing a cache can never change a
 result — only skip its recomputation.  The parity tests assert exactly that.
 
-Two memos sit above the evaluations, so that sessions sharing one cache
-answer a revisited input set without per-candidate work:
+One memo sits above the evaluations, so that sessions sharing one cache
+answer a revisited input set without per-candidate work: **answers** of
+whole requests (a session's ``recommend()`` result), keyed on a content
+fingerprint of every input the request reads.  A fresh session, a
+``with_delta`` revisit or a tuning study's implicit recommend asking the
+same question gets the first asker's answer back.  An answer pins all its
+candidates, so each counts its candidate count against ``max_entries``.
 
-* **Answers** of whole requests (a session's ``recommend()`` result), keyed
-  on a content fingerprint of every input the request reads.  A fresh
-  session, a ``with_delta`` revisit or a tuning study's implicit recommend
-  asking the same question gets the first asker's answer back.  An answer
-  pins all its candidates, so each counts its candidate count against
-  ``max_entries``.
-* **Validated inputs**: the (schema, workload) signature pairs whose
-  workload validation passed, so an engine built on the cache validates an
-  input pair once.  A failed validation is not remembered.
+The compiled inputs an engine reads — the workload's validation, the bitmap
+scheme and the class matrix — are not kept here: the process memoizes them
+by content once for every engine and cache
+(:mod:`repro.engine.executor`).
 
 Because keys are content signatures, entries are also valid *across
 processes*: :meth:`EvaluationCache.attach` hooks the cache to a persistent
 :class:`~repro.engine.store.CacheStore` directory (warm-start loads on attach,
 :meth:`EvaluationCache.persist` spills after a sweep), which is how repeated
 CLI invocations and tuning sessions reuse each other's evaluations.  Only
-candidates and exclusion reports persist; access structures, answers and
-validated inputs stay in memory, where ``with_delta`` chains and tuning
-studies reuse them within a process — a fresh process recomputes a sweep's
-structures faster than it could unpack them from disk, and sweeps its
-answers warm from the stored candidates.
+candidates and exclusion reports persist; access structures, layouts and
+answers stay in memory, where ``with_delta`` chains and tuning studies reuse
+them within a process — a fresh process recomputes a sweep's structures
+faster than it could unpack them from disk, and sweeps its answers warm
+from the stored candidates.
 """
 
 from __future__ import annotations
@@ -165,9 +165,11 @@ class EvaluationCache:
         10k-fragment layouts.  Memoized answers count the candidates they
         pin against the same bound (see :meth:`put_answer`).
 
-    Answers and validated input pairs are memory-only: never persisted, not
-    counted by ``len()`` or the hit/miss stats, and dropped by
-    :meth:`clear`.
+    Answers and built layouts are memory-only: never persisted, not counted
+    by ``len()`` or the hit/miss stats, and dropped by :meth:`clear`.  The
+    cache holds no class matrix and no record of validated inputs: the
+    process memoizes an engine's compiled inputs by content, once for every
+    cache (:mod:`repro.engine.executor`).
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -179,12 +181,8 @@ class EvaluationCache:
         #: persisted, but counted by ``len()`` and the hit/miss stats).
         self._structures: Dict[Tuple[str, ...], Any] = {}
         self._candidates: Dict[Tuple[str, ...], Any] = {}
-        #: Compiled ClassMatrix memo (shared across sessions, never persisted;
-        #: cheap to rebuild, but re-compiling on every system-only what-if
-        #: delta wastes the per-edit constant).  Not counted by ``len()``.
-        self._matrices: Dict[str, Any] = {}
         #: Built FragmentationLayout memo, per-fragment arrays included
-        #: (memory only, like the matrix memo; not counted by ``len()``).
+        #: (memory only; not counted by ``len()``).
         self._layouts: Dict[Tuple[str, ...], Any] = {}
         #: Candidate-exclusion reports (threshold diagnostics + surviving
         #: specs), keyed on enumeration-input signatures; persisted alongside
@@ -193,9 +191,6 @@ class EvaluationCache:
         #: Memoized request answers with the candidate count each pins
         #: (memory only; see :meth:`put_answer`).
         self._answers: Dict[str, Tuple[Any, int]] = {}
-        #: (schema, workload) signature pairs that passed validation (memory
-        #: only; see :meth:`validate_workload`).
-        self._validated: Dict[Tuple[str, str], bool] = {}
         # -- persistence state (see the "persistence" section below) --
         #: Keys whose entries came from a persistent store (disk-hit stats).
         self._disk_keys: Set[Tuple[str, ...]] = set()
@@ -357,22 +352,6 @@ class EvaluationCache:
         self._touched.add(key)
         self._dirty = True
 
-    # -- compiled class matrices (shared, in-memory only) -------------------------
-
-    def class_matrix(self, key: str, compute):
-        """Memoized compiled :class:`~repro.workload.ClassMatrix`.
-
-        Keyed on a content signature over (schema, workload, bitmap scheme,
-        fact table), so sessions sharing one cache — in particular
-        ``with_delta`` edits that change only the system — stop re-compiling
-        an unchanged matrix.  In-memory only: matrices are cheap to rebuild
-        and always re-derivable, so they are never spilled to the store (and
-        not counted by ``len()`` or the hit/miss stats).  ``max_entries``
-        bounds this memo like the evaluation stores (FIFO), so a long-lived
-        shared cache serving many warehouses cannot grow without limit.
-        """
-        return self._memoized_input(self._matrices, key, compute)
-
     # -- built layouts (shared, in-memory only) -----------------------------------
 
     @staticmethod
@@ -390,21 +369,16 @@ class EvaluationCache:
         per-fragment arrays (fragment rows and pages, size CV) stay on the
         memoized instance, so a re-sweep of the same warehouse — every
         ``with_delta`` edit of the system or the mix — skips rebuilding them.
-        In-memory only and bounded like the matrix memo: never spilled, not
-        counted by ``len()`` or the hit/miss stats, FIFO-evicted at
-        ``max_entries``.
+        In-memory only: never spilled, not counted by ``len()`` or the
+        hit/miss stats, FIFO-evicted at ``max_entries``.
         """
-        return self._memoized_input(self._layouts, key, compute)
-
-    def _memoized_input(self, store: Dict[Any, Any], key, compute):
-        """Shared body of the in-memory input memos (FIFO at ``max_entries``)."""
-        value = store.get(key)
+        value = self._layouts.get(key)
         if value is None:
             value = compute()
-            self._bounded_put(store, key, value)
+            self._bounded_put(self._layouts, key, value)
         return value
 
-    # -- request answers and validated inputs (shared, in-memory only) -----------
+    # -- request answers (shared, in-memory only) ---------------------------------
 
     def get_answer(self, key: str):
         """The memoized answer for an input fingerprint, or ``None``.
@@ -430,18 +404,6 @@ class EvaluationCache:
         pinned = sum(count for _, count in self._answers.values())
         while pinned > self.max_entries and len(self._answers) > 1:
             pinned -= self._answers.pop(next(iter(self._answers)))[1]
-
-    def validate_workload(self, schema, workload) -> None:
-        """``workload.validate(schema)``, once per content-equal input pair.
-
-        A pass is remembered under the (schema, workload) signature pair; a
-        raise is not, so every later engine on the same inputs raises too.
-        FIFO-bounded at ``max_entries`` like the other input memos.
-        """
-        key = (object_signature(schema), self.workload_signature(workload))
-        if key not in self._validated:
-            workload.validate(schema)
-            self._bounded_put(self._validated, key, True)
 
     # -- candidate-exclusion reports ---------------------------------------------
 
@@ -564,19 +526,17 @@ class EvaluationCache:
     # -- maintenance ------------------------------------------------------------
 
     def __len__(self) -> int:
-        # Evaluation entries only; the matrix, layout, answer and validation
-        # memos and the exclusion reports are bookkeeping, not evaluations.
+        # Evaluation entries only; the layout and answer memos and the
+        # exclusion reports are bookkeeping, not evaluations.
         return len(self._structures) + len(self._candidates)
 
     def clear(self) -> None:
         """Drop all entries (counters are preserved)."""
         self._structures.clear()
         self._candidates.clear()
-        self._matrices.clear()
         self._layouts.clear()
         self._reports.clear()
         self._answers.clear()
-        self._validated.clear()
         self._disk_keys.clear()
         self._touched.clear()
 

@@ -31,10 +31,19 @@ candidates, whose lengths differ by at most one.  A single candidate
 (:meth:`EvaluationEngine.evaluate_spec`, the tuning studies) is a sweep of
 one: the same driver probes the cache, places it and evaluates it as one
 chunk of one index.
+
+An engine's compiled inputs — the workload's validation, the bitmap scheme
+and the class matrix — are memoized once per process by content
+(:func:`_compiled_input`), not per cache: a served warehouse re-activated
+after eviction, a fresh sweep session or a ``with_delta`` revisit validates,
+designs and compiles nothing.  ``EngineOptions(cache=False)`` bypasses the
+memo.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -68,7 +77,7 @@ from repro.schema import StarSchema
 from repro.storage import SystemParameters
 from repro.workload import ClassMatrix, QueryMix
 from repro.engine.cache import EvaluationCache
-from repro.engine.signature import object_signature, stable_digest
+from repro.engine.signature import object_signature
 
 __all__ = [
     "EngineContext",
@@ -92,6 +101,46 @@ MAX_CHUNK_WIDTH = 48
 #: A sweep's built layouts and their disk allocations, by index into the
 #: context's specs.
 Placements = Dict[int, Tuple[FragmentationLayout, Allocation]]
+
+#: Entries the process's compiled-input memo keeps, least recently used
+#: dropped first.  A validated input pair, a bitmap scheme and a class
+#: matrix are one entry each; a FULL input set's scheme and matrix retain
+#: about 27 KB.
+COMPILED_INPUTS_BOUND = 128
+
+#: The process's compiled inputs by content key (see :func:`_compiled_input`).
+_compiled_inputs: "OrderedDict[Tuple[str, ...], Any]" = OrderedDict()
+#: Serializes lookups, compiles and inserts of the compiled-input memo.
+_compile_lock = threading.Lock()
+
+
+def _compiled_input(key: Tuple[str, ...], compute: Callable[[], Any]) -> Any:
+    """``compute()``, once per content ``key`` in this process.
+
+    A key names the kind of input and the (schema, workload) signature pair
+    it derives from, so an entry is valid for every engine on content-equal
+    inputs: a re-activated session, a fresh sweep session, a ``with_delta``
+    revisit.  Compiles run under
+    :data:`_compile_lock`, so threads building sessions on content-equal
+    inputs at once compile once and share the object; a raise is never
+    remembered.
+    """
+    with _compile_lock:
+        value = _compiled_inputs.get(key)
+        if value is None:
+            value = compute()
+            _compiled_inputs[key] = value
+            if len(_compiled_inputs) > COMPILED_INPUTS_BOUND:
+                _compiled_inputs.popitem(last=False)
+        else:
+            _compiled_inputs.move_to_end(key)
+        return value
+
+
+def _validate(schema: StarSchema, workload: QueryMix) -> bool:
+    """``workload.validate(schema)``; True once it passed."""
+    workload.validate(schema)
+    return True
 
 
 @dataclass(frozen=True)
@@ -375,13 +424,17 @@ class EvaluationEngine:
             self.cache = EvaluationCache()
         else:
             self.cache = None
-        # Validate the whole workload once per input pair and shared cache;
-        # evaluation then runs with per-query validation disabled (see
-        # _evaluate_spec).
-        if self.cache is None:
-            workload.validate(schema)
-        else:
-            self.cache.validate_workload(schema, workload)
+        #: Content key of the (schema, workload) pair under which the
+        #: process memoizes this engine's compiled inputs; ``None`` when
+        #: caching is off, and every construction validates and compiles.
+        self._inputs_key: Optional[Tuple[str, str]] = (
+            (object_signature(schema), EvaluationCache.workload_signature(workload))
+            if options.cache
+            else None
+        )
+        # Validate the whole workload once per input pair; evaluation then
+        # runs with per-query validation disabled (see _evaluate_spec).
+        self._compiled("validated", lambda: _validate(schema, workload))
         if options.cache_dir and self.cache is not None:
             from repro.engine.store import CacheStore
 
@@ -396,48 +449,56 @@ class EvaluationEngine:
 
     # -- shared inputs ----------------------------------------------------------
 
+    def _compiled(self, kind: str, compute: Callable[[], Any], *key: str) -> Any:
+        """``compute()``, memoized by the process under this input pair's
+        ``(kind, *key)`` when caching is on (see :func:`_compiled_input`)."""
+        if self._inputs_key is None:
+            return compute()
+        return _compiled_input((kind, *self._inputs_key, *key), compute)
+
     def bitmap_scheme(self) -> BitmapScheme:
-        """The workload-driven bitmap scheme (designed once, shared by all specs)."""
+        """The workload-driven bitmap scheme (designed once, shared by all specs).
+
+        Memoized by the process under (fact table, cardinality threshold)
+        when caching is on.
+        """
         if self._bitmap_scheme is None:
-            self._bitmap_scheme = design_bitmap_scheme(
-                self.schema,
-                self.workload,
-                fact_table=self.fact_name,
-                cardinality_threshold=self.config.bitmap_cardinality_threshold,
+            threshold = self.config.bitmap_cardinality_threshold
+            self._bitmap_scheme = self._compiled(
+                "scheme",
+                lambda: design_bitmap_scheme(
+                    self.schema,
+                    self.workload,
+                    fact_table=self.fact_name,
+                    cardinality_threshold=threshold,
+                ),
+                self.fact_name,
+                str(threshold),
             )
         return self._bitmap_scheme
 
     def class_matrix(self, bitmap_scheme: Optional[BitmapScheme] = None) -> ClassMatrix:
         """The columnar workload compilation for ``bitmap_scheme``.
 
-        Memoized per scheme — the default scheme's matrix serves the whole
-        sweep, while tuning studies that exclude indexes get (and reuse)
-        their own compilation — and, when a cache is attached, shared through
-        it under a (schema, workload, scheme, fact) content key: sessions
-        derived via ``with_delta`` that change only the *system* reuse the
-        parent's compiled matrix instead of re-compiling it per edit.
+        Memoized per scheme on the engine — the default scheme's matrix
+        serves the whole sweep, while requests that exclude indexes get (and
+        reuse) their own compilation — and, when caching is on, by the
+        process under (scheme, fact table): every engine on content-equal
+        inputs, whatever its system or cache, shares one compiled matrix.
+        The matrix's arrays are read-only.
         """
         scheme = bitmap_scheme if bitmap_scheme is not None else self.bitmap_scheme()
         key = object_signature(scheme)
         matrix = self._matrices.get(key)
         if matrix is None:
-
-            def compile_matrix() -> ClassMatrix:
-                return ClassMatrix.compile(
+            matrix = self._compiled(
+                "matrix",
+                lambda: ClassMatrix.compile(
                     self.schema, self.workload, scheme, fact_table=self.fact_name
-                )
-
-            if self.cache is not None:
-                shared_key = stable_digest(
-                    "CompiledClassMatrix",
-                    object_signature(self.schema),
-                    EvaluationCache.workload_signature(self.workload),
-                    key,
-                    self.fact_name,
-                )
-                matrix = self.cache.class_matrix(shared_key, compile_matrix)
-            else:
-                matrix = compile_matrix()
+                ),
+                key,
+                self.fact_name,
+            )
             self._matrices[key] = matrix
         return matrix
 

@@ -159,11 +159,9 @@ _CACHE_METHODS = (
     "put_structure_batch",
     "get_candidate",
     "put_candidate",
-    "class_matrix",
     "layout",
     "get_answer",
     "put_answer",
-    "validate_workload",
     "get_exclusions",
     "put_exclusions",
     "load",

@@ -2,9 +2,11 @@
 
 The service maps each registered warehouse — a (schema, workload, system)
 input set plus its advisor/engine options — onto at most one long-lived
-:class:`~repro.api.AdvisorSession`.  Sessions are where all the warmth lives
-(compiled class matrix, bitmap scheme, the evaluation cache and its answer
-memo), so the registry's job is to keep the hot ones and bound the cold ones:
+:class:`~repro.api.AdvisorSession`.  Sessions are where the warmth lives (the
+evaluation cache and its answer memo; the compiled inputs — workload
+validation, bitmap scheme, class matrix — outlive them in the process's memo,
+so a rebuilt session compiles nothing), so the registry's job is to keep the
+hot ones and bound the cold ones:
 
 * **Lazy construction** — registering a warehouse stores only its inputs;
   the session is built on the first request that needs it (inside the worker
@@ -15,7 +17,10 @@ memo), so the registry's job is to keep the hot ones and bound the cold ones:
   session over the cap.  Evicted sessions are *closed* (their cache flushes
   to an attached persistent store), and the warehouse stays registered — a
   later request simply rebuilds the session, warm from disk if a store is
-  configured.
+  configured.  The server checks a request out
+  (:meth:`SessionRegistry.checkout`) on its event loop and closes what it
+  evicted on the worker that serves it (:func:`close_evicted`), so a flush
+  never runs on the loop.
 * **Idle timeout** — sessions idle longer than ``idle_timeout`` seconds are
   closed on the next registry access (the registry never needs its own
   reaper thread).
@@ -23,7 +28,8 @@ memo), so the registry's job is to keep the hot ones and bound the cold ones:
 Sessions serve one request at a time: the shared
 :class:`~repro.engine.EvaluationCache` is not thread-safe, so each entry
 carries a lock the server holds around ``session.submit(...)``.  Entries
-whose lock is held (a request in flight) are never evicted; the next
+whose lock is held (a request in flight) or with a request checked out and
+not yet checked in (one still queued) are never evicted; the next
 least-recently-used idle session goes instead.
 """
 
@@ -42,7 +48,7 @@ from repro.schema import StarSchema
 from repro.storage import SystemParameters
 from repro.workload import QueryMix
 
-__all__ = ["SessionRegistry", "WarehouseEntry"]
+__all__ = ["SessionRegistry", "WarehouseEntry", "close_evicted"]
 
 #: Default cap on simultaneously live sessions.
 DEFAULT_MAX_SESSIONS = 8
@@ -50,6 +56,21 @@ DEFAULT_MAX_SESSIONS = 8
 #: An evicted session paired with its *still-held* entry lock: the caller
 #: closes the session, then releases the lock (see ``_collect_evictions``).
 _Victim = Tuple[AdvisorSession, threading.Lock]
+
+
+def close_evicted(victims: List[_Victim]) -> None:
+    """Close each evicted session, then release its entry lock.
+
+    Empties ``victims`` as it goes, so a second call closes only what a
+    raising close left behind.  The lock is held until the close returns: no
+    request rebuilds the warehouse's session before its old one has flushed.
+    """
+    while victims:
+        session, lock = victims.pop(0)
+        try:
+            session.close()  # lint: disable=lock-discipline -- entry lock acquired non-blocking in _collect_evictions; released in finally
+        finally:
+            lock.release()
 
 
 class WarehouseEntry:
@@ -66,6 +87,7 @@ class WarehouseEntry:
         "lock",
         "last_used",
         "requests",
+        "checked_out",
     )
 
     def __init__(
@@ -89,6 +111,8 @@ class WarehouseEntry:
         self.lock = threading.Lock()
         self.last_used = 0.0
         self.requests = 0
+        #: Requests checked out and not yet checked in (registry lock).
+        self.checked_out = 0
 
     def ensure_session(self) -> AdvisorSession:
         """The live session, built on first use (call with ``lock`` held)."""
@@ -147,7 +171,11 @@ class SessionRegistry:
         config: Optional[AdvisorConfig] = None,
         options: Optional[EngineOptions] = None,
     ) -> WarehouseEntry:
-        """Register (or replace) a warehouse; any previous session is closed."""
+        """Register (or replace) a warehouse; any previous session is closed.
+
+        Replacing waits for a request in flight on the previous session, so
+        the server calls this off its event loop.
+        """
         if not name:
             raise ServiceError("warehouse name must be non-empty")
         entry = WarehouseEntry(name, schema, workload, system, config, options)
@@ -165,7 +193,11 @@ class SessionRegistry:
         return entry
 
     def remove(self, name: str) -> bool:
-        """Drop a warehouse registration entirely, closing its session."""
+        """Drop a warehouse registration entirely, closing its session.
+
+        Waits for a request in flight on the session, so the server calls
+        this off its event loop.
+        """
         with self._lock:
             entry = self._entries.pop(name, None)
         if entry is None:
@@ -184,28 +216,41 @@ class SessionRegistry:
         """The entry for ``name``: recency refreshed, bounds enforced.
 
         Raises :class:`~repro.errors.ServiceError` (404) for an unregistered
-        warehouse.  The caller holds ``entry.lock`` around the session use;
-        the registry itself never blocks on a busy session.
+        warehouse.  The sessions the acquisition evicts are closed on the
+        calling thread before it returns.  The caller holds ``entry.lock``
+        around the session use; the registry itself never blocks on a busy
+        session.
+        """
+        entry, victims = self.checkout(name)
+        self.checkin(entry)
+        close_evicted(victims)
+        return entry
+
+    def checkout(self, name: str) -> Tuple[WarehouseEntry, List[_Victim]]:
+        """:meth:`acquire` for one request, without closing what it evicts.
+
+        Returns the entry and the sessions the acquisition evicted, each
+        with its entry lock still held: the caller closes them with
+        :func:`close_evicted` and ends the request with :meth:`checkin`.
+        Until then the entry is never evicted, so a queued request never
+        waits on an entry lock held for a close that is queued behind it.
+        Never blocks on a session, so the event loop may call it.
         """
         now = self._clock()
-        to_close: List[_Victim] = []
         with self._lock:
             entry = self._entries.get(name)
             if entry is None:
                 raise ServiceError(f"unknown warehouse {name!r}", status=404)
             entry.last_used = now
             entry.requests += 1
+            entry.checked_out += 1
             self._entries.move_to_end(name)
-            to_close = self._collect_evictions(keep=name)
-        for session, lock in to_close:
-            # The victim's entry lock was acquired (non-blocking) inside
-            # _collect_evictions, so no worker can be mid-submit on this
-            # session; close outside the registry lock, release last.
-            try:
-                session.close()  # lint: disable=lock-discipline -- entry lock acquired non-blocking in _collect_evictions; released in finally
-            finally:
-                lock.release()
-        return entry
+            return entry, self._collect_evictions(keep=name)
+
+    def checkin(self, entry: WarehouseEntry) -> None:
+        """End a request begun with :meth:`checkout`."""
+        with self._lock:
+            entry.checked_out -= 1
 
     def _collect_evictions(self, keep: str) -> List["_Victim"]:
         """Pick sessions to close (idle timeout + LRU cap); registry lock held.
@@ -214,13 +259,14 @@ class SessionRegistry:
         no request is in flight and freezes the entry until the caller closes
         the session and releases; failure means the session is busy and it is
         skipped (the cap then falls on the next least-recently-used idle
-        session).  The returned pairs carry the still-held locks — the caller
-        closes each session and releases its lock outside the registry lock.
+        session), as is an entry with a request checked out.  The returned
+        pairs carry the still-held locks — the caller closes each session
+        and releases its lock outside the registry lock.
         """
         victims: List[_Victim] = []
         live = [e for e in self._entries.values() if e.session is not None]
         for entry in live:
-            if entry.name == keep:
+            if entry.name == keep or entry.checked_out:
                 continue
             idle = (
                 self.idle_timeout is not None
@@ -243,7 +289,7 @@ class SessionRegistry:
             for entry in live:
                 if over <= 0:
                     break
-                if entry.name == keep:
+                if entry.name == keep or entry.checked_out:
                     continue
                 if entry.lock.acquire(blocking=False):
                     victims.append((entry.session, entry.lock))

@@ -35,9 +35,13 @@ resumes warm) — abandoning a browser tab never wastes the work it paid for.
 
 A response is encoded on the worker that ran the request, after the session
 lock is released, so a recommendation's fingerprint never stalls the event
-loop; the loop only writes bytes.  A recommendation's JSON text is kept on
-its result (:attr:`~repro.api.RecommendResult.json_text`), and a candidate's
-on the candidate (:attr:`~repro.core.FragmentationCandidate.json_text`), so a
+loop; the loop only writes bytes.  Nor does a session's close: the sessions a
+request evicts close on the worker that serves it, before its own session is
+built (on a helper thread when the request is refused), and registrations,
+removals and the closes at stop, which wait on a live session's lock, run on
+a helper thread.  A recommendation's JSON text is kept on its result
+(:attr:`~repro.api.RecommendResult.json_text`), and a candidate's on the
+candidate (:attr:`~repro.core.FragmentationCandidate.json_text`), so a
 memoized ``recommend`` or a warm ``evaluate_spec`` is encoded once however
 often it is asked.
 """
@@ -57,7 +61,7 @@ from repro.api.results import EvaluateSpecResult, RecommendResult
 from repro.core.config import AdvisorConfig
 from repro.errors import EvaluationCancelled, ServiceError, WarlockError
 from repro.service.executor import RequestExecutor
-from repro.service.registry import SessionRegistry
+from repro.service.registry import SessionRegistry, WarehouseEntry, close_evicted
 
 __all__ = ["AdvisorServer", "warehouse_inputs_from_dict"]
 
@@ -202,7 +206,7 @@ class AdvisorServer:
         await asyncio.to_thread(self.executor.shutdown)
         while self._requests:
             await asyncio.wait(set(self._requests))
-        self.registry.close()
+        await asyncio.to_thread(self.registry.close)
 
     async def serve_until(
         self, shutdown=None, poll_interval: float = 0.1, on_ready=None
@@ -371,7 +375,8 @@ class AdvisorServer:
                 await self._register_warehouse(writer, name, body)
                 return
             if method == "DELETE":
-                removed = self.registry.remove(name)
+                # Off the loop: the close waits for a request in flight.
+                removed = await asyncio.to_thread(self.registry.remove, name)
                 await self._write_json(writer, 200 if removed else 404,
                                        {"removed": removed, "name": name})
                 return
@@ -384,13 +389,18 @@ class AdvisorServer:
         raise ServiceError(f"no route for {method} {path}", status=404)
 
     async def _register_warehouse(self, writer, name: str, body: bytes) -> None:
+        # Off the loop: building the inputs takes a while, and replacing a
+        # live warehouse waits for its request in flight.
+        entry = await asyncio.to_thread(self._register, name, body)
+        await self._write_json(writer, 200, {"registered": entry.describe()})
+
+    def _register(self, name: str, body: bytes) -> WarehouseEntry:
         payload = self._json_body(body)
         schema, workload, system, config, engine = warehouse_inputs_from_dict(payload)
         options = self.options.replace(**engine) if engine else self.options
-        entry = self.registry.register(
+        return self.registry.register(
             name, schema, workload, system, config=config, options=options
         )
-        await self._write_json(writer, 200, {"registered": entry.describe()})
 
     # -- request execution ------------------------------------------------------
 
@@ -402,7 +412,9 @@ class AdvisorServer:
             # Unknown/missing fields surface as dataclass constructor errors;
             # they are the client's malformed body, not a server fault.
             raise ServiceError(f"invalid request body: {error}")
-        entry = self.registry.acquire(name)
+        # Never blocks: the sessions this request evicts keep their entry
+        # locks until they are closed on the worker below.
+        entry, evicted = self.registry.checkout(name)
         stream = query.get("stream") not in (None, "0", "false") or (
             "text/event-stream" in headers.get("accept", "")
         )
@@ -414,7 +426,18 @@ class AdvisorServer:
             # Worker thread → event loop: hop through call_soon_threadsafe.
             loop.call_soon_threadsafe(events.put_nowait, ("progress", event.to_dict()))
 
+        def done() -> None:
+            # On the worker, after the job ran or was refused without
+            # running: a refused job's evicted sessions close here.
+            try:
+                close_evicted(evicted)
+            finally:
+                self.registry.checkin(entry)
+                loop.call_soon_threadsafe(events.put_nowait, ("done", None))
+
         def run() -> bytes:
+            # Evicted sessions flush before this request builds its own.
+            close_evicted(evicted)
             # One request at a time per session: the evaluation cache is not
             # thread-safe, and serializing here keeps every session's warmth
             # (memo, cache) consistent under concurrent clients.
@@ -431,12 +454,17 @@ class AdvisorServer:
                 return f"event: result\ndata: {text}\n\n".encode()
             return _response_json(result, payload.get("kind")).encode()
 
-        job = self.executor.submit(
-            run,
-            label=f"{name}:{payload.get('kind', '?')}",
-            on_done=lambda: loop.call_soon_threadsafe(events.put_nowait, ("done", None)),
-            cancel=token,
-        )
+        try:
+            job = self.executor.submit(
+                run, label=f"{name}:{payload.get('kind', '?')}", on_done=done, cancel=token
+            )
+        except ServiceError:
+            # Refused (503): no worker takes the job, so its evicted
+            # sessions close here, off the loop.
+            if evicted:
+                await asyncio.to_thread(close_evicted, evicted)
+            self.registry.checkin(entry)
+            raise
         # From here on the client has sent its full request; any further read
         # returns data we ignore — EOF means the client hung up, which turns
         # into a cooperative cancel at the next chunk boundary.

@@ -43,7 +43,9 @@ class ClassMatrix:
 
     Rows of the 2-D arrays are dimensions (``dimension_names`` order), columns
     are query classes (mix order).  Entries of unrestricted (dimension, class)
-    pairs are zero/``NO_RESTRICTION`` and masked off by ``restricted``.
+    pairs are zero/``NO_RESTRICTION`` and masked off by ``restricted``.  Every
+    array is read-only: the engine shares one compiled matrix between the
+    sessions of all threads.
     """
 
     #: Query class names, in mix order (the class axis).
@@ -106,6 +108,7 @@ class ClassMatrix:
         for row, name in enumerate(self.dimension_names):
             for column, level in enumerate(self.level_names[row]):
                 table[row, column] = (name, level)
+        table.setflags(write=False)
         return table
 
     @classmethod
@@ -199,6 +202,19 @@ class ClassMatrix:
             object_signature(bitmap_scheme),
             *signature_parts,
         )
+        # One compiled matrix serves every session on content-equal inputs,
+        # on any thread, so nothing may write into it.
+        for array in (
+            restricted,
+            value_counts,
+            level_depths,
+            level_cardinalities,
+            restriction_selectivities,
+            has_bitmap,
+            bitmap_bits_read,
+            slot_dimensions,
+        ):
+            array.setflags(write=False)
 
         return cls(
             query_names=query_names,

@@ -7,8 +7,11 @@ modules do not repeat schema construction.
 
 from __future__ import annotations
 
+from collections import Counter, OrderedDict
+
 import pytest
 
+import repro.engine.executor as executor_module
 from repro import (
     AdvisorConfig,
     AdvisorSession,
@@ -28,6 +31,7 @@ from repro import (
 )
 from repro.core import rank_candidates_columnar
 from repro.storage import DiskParameters
+from repro.workload import ClassMatrix
 
 # WARLOCK_SANITIZE=1 runs the whole suite under the runtime concurrency
 # sanitizer (see repro.lint.sanitizer): lock-discipline violations raise
@@ -194,3 +198,45 @@ def swept_recommendation():
         )
 
     return sweep
+
+
+@pytest.fixture
+def compiled_inputs(monkeypatch):
+    """An empty process memo of compiled inputs, for this test only.
+
+    Engines memoize their workload validation, bitmap scheme and class
+    matrix for the whole process (``repro.engine.executor``), so a test
+    counting validations or compiles starts from this fixture; the memo the
+    other tests share is put back afterwards.
+    """
+    memo: "OrderedDict" = OrderedDict()
+    monkeypatch.setattr(executor_module, "_compiled_inputs", memo)
+    return memo
+
+
+@pytest.fixture
+def compile_calls(monkeypatch, compiled_inputs):
+    """Calls to the compiles the memo saves, counted from an empty memo.
+
+    ``"validate"`` counts ``QueryClass.validate`` calls (one per class of a
+    validated workload), ``"design"`` counts ``design_bitmap_scheme`` calls
+    through the engine and ``"compile"`` counts ``ClassMatrix.compile``.
+    """
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(QueryClass, "validate", counted("validate", QueryClass.validate))
+    monkeypatch.setattr(
+        executor_module,
+        "design_bitmap_scheme",
+        counted("design", executor_module.design_bitmap_scheme),
+    )
+    compile_matrix = vars(ClassMatrix)["compile"].__func__
+    monkeypatch.setattr(ClassMatrix, "compile", classmethod(counted("compile", compile_matrix)))
+    return calls

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pickle
+import threading
+import time
 
+import numpy as np
 import pytest
 
+import repro.engine.executor as executor_module
 from repro import (
     AdvisorConfig,
     AdvisorSession,
@@ -13,13 +17,18 @@ from repro import (
     EngineOptions,
     QueryClass,
     QueryMix,
+    SystemParameters,
+    apb1_query_mix,
+    apb1_schema,
 )
 from repro.engine import (
     EvaluationCache,
+    EvaluationEngine,
     layout_signature,
     object_signature,
 )
 from repro.engine.executor import evaluate_specs_in_context
+from repro.workload import ClassMatrix
 from repro.errors import EvaluationCancelled, WorkloadError
 from repro.fragmentation import build_layout
 
@@ -197,30 +206,6 @@ class TestEvaluationCache:
         cache.clear()
         assert cache.get_answer("d") is None
 
-    def test_validate_workload_remembers_a_pass_but_not_a_failure(
-        self, toy_schema, toy_workload, monkeypatch
-    ):
-        calls = []
-        original = QueryMix.validate
-
-        def counted(mix, schema):
-            calls.append(mix)
-            original(mix, schema)
-
-        monkeypatch.setattr(QueryMix, "validate", counted)
-        ghost = QueryMix([QueryClass("ghost", [DimensionRestriction("ghost", "level")])])
-        cache = EvaluationCache()
-        for _ in range(2):
-            with pytest.raises(WorkloadError):
-                cache.validate_workload(toy_schema, ghost)
-            cache.validate_workload(toy_schema, toy_workload)
-        assert calls == [ghost, toy_workload, ghost]
-        # Memory-only bookkeeping: neither an entry nor a probe.
-        assert (len(cache), cache.stats.lookups) == (0, 0)
-        cache.clear()
-        cache.validate_workload(toy_schema, toy_workload)
-        assert calls == [ghost, toy_workload, ghost, toy_workload]
-
     def test_max_entries_validation(self):
         with pytest.raises(ValueError):
             EvaluationCache(max_entries=0)
@@ -316,6 +301,136 @@ class TestEvaluationEngine:
     def test_evaluate_candidates_with_empty_list_returns_empty(self, toy_advisor):
         candidates = toy_advisor.engine.evaluate_specs([])
         assert candidates == []
+
+
+class TestCompiledInputs:
+    """An engine's validation, bitmap scheme and class matrix are compiled
+    once per process for content-equal inputs, not once per cache."""
+
+    def test_validate_workload_remembers_a_pass_but_not_a_failure(
+        self, toy_schema, toy_workload, small_system, compiled_inputs, monkeypatch
+    ):
+        calls = []
+        original = QueryMix.validate
+
+        def counted(mix, schema):
+            calls.append(mix)
+            original(mix, schema)
+
+        monkeypatch.setattr(QueryMix, "validate", counted)
+        ghost = QueryMix([QueryClass("ghost", [DimensionRestriction("ghost", "level")])])
+        engines = []
+        for _ in range(2):
+            with pytest.raises(WorkloadError):
+                EvaluationEngine(toy_schema, ghost, small_system)
+            engines.append(EvaluationEngine(toy_schema, toy_workload, small_system))
+        assert calls == [ghost, toy_workload, ghost]
+        # Each engine has its own cache, and the pass is in none of them.
+        for engine in engines:
+            assert (len(engine.cache), engine.cache.stats.lookups) == (0, 0)
+        # Without caching every construction validates.
+        EvaluationEngine(
+            toy_schema, toy_workload, small_system, options=EngineOptions(cache=False)
+        )
+        assert calls == [ghost, toy_workload, ghost, toy_workload]
+
+    def test_content_equal_inputs_share_one_scheme_and_matrix(
+        self, compile_calls, apb_small_schema, apb_workload
+    ):
+        system = SystemParameters(num_disks=16)
+        first = AdvisorSession(apb_small_schema, apb_workload, system)
+        matrix = first.engine.class_matrix()
+        assert dict(compile_calls) == {
+            "validate": len(apb_workload), "design": 1, "compile": 1
+        }
+        # Rebuilt inputs, another cache and another system: nothing compiles.
+        again = AdvisorSession(
+            apb1_schema(scale=0.02), apb1_query_mix(), system.with_disks(64)
+        )
+        assert again.cache is not first.cache
+        assert again.engine.class_matrix() is matrix
+        assert again.design_bitmaps() is first.design_bitmaps()
+        assert dict(compile_calls) == {
+            "validate": len(apb_workload), "design": 1, "compile": 1
+        }
+        # Without caching the engine validates, designs and compiles its own.
+        uncached = AdvisorSession(
+            apb_small_schema, apb_workload, system, options=EngineOptions(cache=False)
+        )
+        assert uncached.engine.class_matrix() is not matrix
+        assert dict(compile_calls) == {
+            "validate": 2 * len(apb_workload), "design": 2, "compile": 2
+        }
+
+    def test_two_threads_on_content_equal_inputs_compile_once(
+        self, compile_calls, monkeypatch
+    ):
+        compile_matrix = ClassMatrix.compile
+
+        def slow(cls, *args, **kwargs):
+            # Long enough for the other thread to arrive while this one
+            # compiles, had the memo let both in.
+            time.sleep(0.05)
+            return compile_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(ClassMatrix, "compile", classmethod(slow))
+        inputs = [(apb1_schema(scale=0.02), apb1_query_mix()) for _ in range(2)]
+        system = SystemParameters(num_disks=16)
+        start = threading.Barrier(2)
+        matrices = [None, None]
+
+        def activate(position):
+            schema, workload = inputs[position]
+            start.wait()
+            matrices[position] = AdvisorSession(schema, workload, system).engine.class_matrix()
+
+        threads = [threading.Thread(target=activate, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert matrices[0] is not None and matrices[0] is matrices[1]
+        assert dict(compile_calls) == {
+            "validate": len(inputs[0][1]), "design": 1, "compile": 1
+        }
+
+    def test_the_memo_never_holds_more_entries_than_its_bound(
+        self, compiled_inputs, monkeypatch
+    ):
+        monkeypatch.setattr(executor_module, "COMPILED_INPUTS_BOUND", 3)
+        computed = []
+
+        def compiled(key):
+            return executor_module._compiled_input(
+                (key,), lambda: computed.append(key) or key.upper()
+            )
+
+        for key in "abc":
+            compiled(key)
+        assert compiled("a") == "A"  # a hit refreshes its recency
+        for key in "de":
+            compiled(key)
+            assert len(compiled_inputs) == 3
+        # Least recently used first: b and c went, a stayed.
+        assert list(compiled_inputs) == [("a",), ("d",), ("e",)]
+        assert computed == ["a", "b", "c", "d", "e"]
+        with pytest.raises(ZeroDivisionError):
+            executor_module._compiled_input(("f",), lambda: 1 / 0)
+        assert list(compiled_inputs) == [("a",), ("d",), ("e",)]
+
+    def test_a_compiled_matrix_is_read_only(self, apb_small_schema, apb_workload):
+        # One matrix serves the sessions of every thread: nothing writes it.
+        session = AdvisorSession(apb_small_schema, apb_workload, SystemParameters(num_disks=16))
+        matrix = session.engine.class_matrix()
+        arrays = {
+            name: value for name, value in vars(matrix).items() if isinstance(value, np.ndarray)
+        }
+        arrays["attribute_table"] = matrix.attribute_table
+        assert len(arrays) == 9
+        for name, array in arrays.items():
+            assert array.size, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = array[(0,) * array.ndim]
 
 
 class TestScalarOracleStructures:

@@ -48,6 +48,7 @@ from repro.service import (
     SessionRegistry,
     warehouse_inputs_from_dict,
 )
+from repro.service.registry import close_evicted
 from repro.workload.generator import random_query_mix
 
 
@@ -292,6 +293,61 @@ class TestRegistry:
         assert snapshot["max_sessions"] == 3
         assert snapshot["warehouses"][0]["name"] == "w"
         assert snapshot["warehouses"][0]["live"] is False
+
+    def test_reactivation_after_eviction_compiles_nothing(
+        self, scenario, parity_session, compile_calls, tmp_path
+    ):
+        # A rebuilt session gets a fresh cache; its workload validation,
+        # bitmap scheme and class matrix come from the process memo.
+        schema, workload, system, config = scenario
+        registry = SessionRegistry(max_sessions=1)
+        options = EngineOptions(cache_dir=str(tmp_path))
+        for name, disks in (("a", 16), ("b", 32)):
+            registry.register(
+                name, schema, workload, system.with_disks(disks), config=config,
+                options=options,
+            )
+        request = EvaluateSpecRequest(parity_session.recommend().best.spec)
+
+        def serve(name):
+            entry = registry.acquire(name)
+            with entry.lock:
+                entry.ensure_session().submit(request)
+
+        serve("a")
+        serve("b")  # evicts a
+        compile_calls.clear()
+        serve("a")  # evicts b and rebuilds a from the store
+        assert registry.evictions == 2
+        assert dict(compile_calls) == {}
+        # Nor does a re-registered warehouse on content-equal inputs.
+        registry.register("a", schema, workload, system, config=config, options=options)
+        serve("a")
+        assert dict(compile_calls) == {}
+
+    def test_an_entry_with_a_request_checked_out_is_never_evicted(self, scenario):
+        # A queued request waits for its entry's lock; evicting the entry
+        # would hand that lock to a close queued behind the request.
+        schema, workload, system, config = scenario
+        registry = SessionRegistry(max_sessions=1)
+        for name in ("queued", "next"):
+            registry.register(name, schema, workload, system, config=config)
+        queued, victims = registry.checkout("queued")
+        with queued.lock:
+            session = queued.ensure_session()
+        following, victims = registry.checkout("next")
+        assert victims == []
+        assert queued.session is session and not queued.lock.locked()
+        registry.checkin(queued)
+        registry.checkin(following)
+        # Checked in, the entry is the cap's victim again, its lock held
+        # until close_evicted has closed the session.
+        again, victims = registry.checkout("next")
+        assert [victim for victim, _ in victims] == [session]
+        assert queued.session is None and queued.lock.locked()
+        close_evicted(victims)
+        assert victims == [] and not queued.lock.locked()
+        registry.checkin(again)
 
 
 class TestExecutor:
@@ -994,6 +1050,134 @@ class TestEvictionOverHTTP:
             assert listing["live_sessions"] <= 2
             assert len(listing["warehouses"]) == 3  # registrations all survive
             assert listing["evictions"] >= 1
+        finally:
+            server.stop()
+
+
+class TestSessionClosesOffTheLoop:
+    """The event loop never closes a session nor waits on an entry lock."""
+
+    @pytest.fixture
+    def saves(self, monkeypatch):
+        """``(thread name, held)`` per store save; ``held`` says whether the
+        saving session's entry lock was held (set ``saves.lock`` first)."""
+        from repro.engine import CacheStore
+
+        class Saves(list):
+            lock = None
+
+        calls = Saves()
+        save = CacheStore.save
+
+        def recorded(store, *args, **kwargs):
+            calls.append((threading.current_thread().name, calls.lock.locked()))
+            return save(store, *args, **kwargs)
+
+        monkeypatch.setattr(CacheStore, "save", recorded)
+        return calls
+
+    def _two_warehouses(self, scenario, tmp_path, workers=2):
+        schema, workload, system, config = scenario
+        server = AdvisorServer(
+            registry=SessionRegistry(max_sessions=1),
+            executor=RequestExecutor(workers=workers, capacity=8),
+        )
+        options = EngineOptions(cache_dir=str(tmp_path))
+        entries = [
+            server.registry.register(
+                name, schema, workload, system, config=config, options=options
+            )
+            for name in "ab"
+        ]
+        return server, entries
+
+    def test_an_evicted_session_flushes_on_a_worker(
+        self, scenario, parity_session, tmp_path, saves
+    ):
+        server, (a, _) = self._two_warehouses(scenario, tmp_path)
+        saves.lock = a.lock
+        payload = EvaluateSpecRequest(parity_session.recommend().best.spec).to_dict()
+        server.start_in_background()
+        try:
+            for name in "ab":
+                status, _ = http_json(server, "POST", f"/warehouses/{name}/submit", payload)
+                assert status == 200
+            # a's cold evaluation left its cache unsaved, and b's request
+            # evicted it: the flush ran on the worker, under a's entry lock.
+            assert server.registry.evictions == 1
+            assert len(saves) == 1
+            thread, held = saves[0]
+            assert thread.startswith("advisor-request-worker") and held
+            assert not a.lock.locked()
+        finally:
+            server.stop()
+
+    def test_a_refused_request_still_closes_what_it_evicted(
+        self, scenario, parity_session, tmp_path, saves
+    ):
+        server, (a, b) = self._two_warehouses(scenario, tmp_path)
+        saves.lock = a.lock
+        payload = EvaluateSpecRequest(parity_session.recommend().best.spec).to_dict()
+        server.start_in_background()
+        try:
+            assert http_json(server, "POST", "/warehouses/a/submit", payload)[0] == 200
+            server.executor.shutdown()
+            status, _ = http_error(server, "POST", "/warehouses/b/submit", payload)
+            assert status == 503
+            assert server.registry.evictions == 1
+            assert a.session is None and not a.lock.locked()
+            assert b.checked_out == 0
+            assert len(saves) == 1
+            thread, held = saves[0]
+            assert thread != "advisor-http-server" and held
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("method", ["DELETE", "PUT"])
+    def test_healthz_answers_while_a_removal_waits_on_an_entry_lock(
+        self, scenario, method
+    ):
+        schema, workload, system, config = scenario
+        server = AdvisorServer(executor=RequestExecutor(workers=1))
+        entry = server.registry.register("w", schema, workload, system, config=config)
+        body = (
+            json.dumps({"dataset": "apb1", "scale": 0.02, "disks": 16}).encode()
+            if method == "PUT"
+            else None
+        )
+        statuses = {}
+
+        def send():
+            request = urllib.request.Request(
+                server.url + "/warehouses/w", data=body, method=method
+            )
+            with urllib.request.urlopen(request, timeout=60) as response:
+                statuses[method] = response.status
+
+        def live():
+            rows = server.registry.describe()["warehouses"]
+            return any(row["name"] == "w" and row["live"] for row in rows)
+
+        server.start_in_background()
+        sender = threading.Thread(target=send)
+        try:
+            with entry.lock:  # a request in flight on w
+                entry.ensure_session()
+                sender.start()
+                # The removal (or replacement) took w's entry out of the
+                # map and now waits for this lock to close its session.
+                deadline = time.monotonic() + 30
+                while live():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                start = time.perf_counter()
+                status, health = http_json(server, "GET", "/healthz", timeout=5)
+                elapsed = time.perf_counter() - start
+                assert status == 200 and health["status"] == "ok"
+                assert elapsed < 0.1, elapsed
+            sender.join(60)
+            assert statuses == {method: 200}
+            assert entry.session is None
         finally:
             server.stop()
 

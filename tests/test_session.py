@@ -617,38 +617,26 @@ class TestSharedAnswerMemo:
 
 
 class TestValidateOnce:
-    """A shared cache validates each (schema, workload) pair once."""
+    """The process validates each (schema, workload) pair once."""
 
-    @pytest.fixture
-    def validations(self, monkeypatch):
-        calls = []
-        original = QueryClass.validate
-
-        def counted(query, schema):
-            calls.append(query.name)
-            return original(query, schema)
-
-        monkeypatch.setattr(QueryClass, "validate", counted)
-        return calls
-
-    def test_edits_of_the_system_validate_nothing(self, scenario, validations):
+    def test_edits_of_the_system_validate_nothing(self, scenario, compile_calls):
         schema, workload, system, config = scenario
         classes = len(workload)
         session = AdvisorSession(schema, workload, system, config)
         session.recommend()
-        assert len(validations) == classes
+        assert compile_calls["validate"] == classes
         session.tune("disks", settings=(8, 32, 64))
         session.with_delta(disks=32)
-        assert len(validations) == classes
+        assert compile_calls["validate"] == classes
         # A skew edit changes the schema, so its pair validates again.
         session.with_delta(skew={schema.dimensions[0].name: 0.8})
-        assert len(validations) == 2 * classes
+        assert compile_calls["validate"] == 2 * classes
         # Without a cache every construction validates.
         for _ in range(2):
             AdvisorSession(
                 schema, workload, system, config, options=EngineOptions(cache=False)
             )
-        assert len(validations) == 4 * classes
+        assert compile_calls["validate"] == 4 * classes
 
     def test_an_invalid_workload_raises_on_every_construction(self, scenario):
         schema, _, system, config = scenario
@@ -669,7 +657,7 @@ class TestCompiledInputSharing:
         session = AdvisorSession(schema, workload, system, config)
         matrix = session.engine.class_matrix()
         edited = session.with_delta(disks=64)
-        # Same (schema, workload, scheme): the shared cache hands the derived
+        # Same (schema, workload, scheme): the process memo hands the derived
         # session the identical compiled object, no re-compilation.
         assert edited.engine.class_matrix() is matrix
         # A workload edit changes the compilation inputs: fresh matrix.
